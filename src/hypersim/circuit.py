@@ -1,158 +1,19 @@
-"""Hash-consed Boolean circuits, definitional CNF lowering, and DIMACS export.
+"""Clause sets with named variables, provenance, and DIMACS export.
 
-Encodings are built as circuits (shared subterms are constructed once per
-factory), then lowered to an equisatisfiable clause set by the standard
-definitional transformation: one auxiliary variable per internal gate,
-negation folded into literals.  Lowering is deterministic: variable numbers
-follow the caller-supplied order for named variables and first-visit order
-for auxiliaries, so the exported DIMACS text is byte-stable across runs.
+Encoders emit clauses directly over integer literals (DIMACS conventions:
+variable v is the literal v, its negation -v) and name every variable they
+create.  Lowering concatenates the clause families into one instance,
+records which clause range each family produced, and folds empty clauses into
+a contradiction.  It is deterministic: variable numbers are the encoder's
+allocation order, so the exported DIMACS text is byte-stable across runs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
-
-class Expr:
-    __slots__ = ("kind", "args", "payload")
-
-    def __init__(self, kind: str, args: tuple["Expr", ...] = (), payload=None):
-        self.kind = kind
-        self.args = args
-        self.payload = payload
-
-    def __repr__(self) -> str:
-        if self.kind == "var":
-            return f"Var({self.payload})"
-        if self.kind == "const":
-            return "TRUE" if self.payload else "FALSE"
-        return f"{self.kind}/{len(self.args)}"
-
-
-class ExprFactory:
-    """Builder with structural sharing.  Nodes from one factory may be mixed
-    with nodes from another; sharing is then simply less complete."""
-
-    def __init__(self):
-        self._memo: dict = {}
-        self.TRUE = Expr("const", payload=True)
-        self.FALSE = Expr("const", payload=False)
-
-    def var(self, name: str) -> Expr:
-        key = ("var", name)
-        node = self._memo.get(key)
-        if node is None:
-            node = Expr("var", payload=name)
-            self._memo[key] = node
-        return node
-
-    def const(self, value: bool) -> Expr:
-        return self.TRUE if value else self.FALSE
-
-    def not_(self, e: Expr) -> Expr:
-        if e.kind == "const":
-            return self.FALSE if e.payload else self.TRUE
-        if e.kind == "not":
-            return e.args[0]
-        key = ("not", id(e))
-        node = self._memo.get(key)
-        if node is None:
-            node = Expr("not", (e,))
-            self._memo[key] = node
-        return node
-
-    def _nary(self, kind: str, args: Sequence[Expr], neutral: Expr, absorbing: Expr) -> Expr:
-        kept: list[Expr] = []
-        seen: set[int] = set()
-        for a in args:
-            if a.kind == "const":
-                if a is absorbing:
-                    return absorbing
-                continue
-            if id(a) in seen:
-                continue
-            seen.add(id(a))
-            kept.append(a)
-        for a in kept:
-            comp = a.args[0] if a.kind == "not" else self._memo.get(("not", id(a)))
-            if comp is not None and id(comp) in seen:
-                return absorbing
-        if not kept:
-            return neutral
-        if len(kept) == 1:
-            return kept[0]
-        key = (kind, tuple(id(a) for a in kept))
-        node = self._memo.get(key)
-        if node is None:
-            node = Expr(kind, tuple(kept))
-            self._memo[key] = node
-        return node
-
-    def and_(self, *args: Expr) -> Expr:
-        return self._nary("and", args, self.TRUE, self.FALSE)
-
-    def or_(self, *args: Expr) -> Expr:
-        return self._nary("or", args, self.FALSE, self.TRUE)
-
-    def implies(self, a: Expr, b: Expr) -> Expr:
-        return self.or_(self.not_(a), b)
-
-    def iff(self, a: Expr, b: Expr) -> Expr:
-        return self.or_(self.and_(a, b), self.and_(self.not_(a), self.not_(b)))
-
-    def xor(self, a: Expr, b: Expr) -> Expr:
-        return self.or_(self.and_(a, self.not_(b)), self.and_(self.not_(a), b))
-
-
-def eval_expr(e: Expr, assignment: Mapping[str, bool]) -> bool:
-    """Semantic evaluation of a circuit under a named-variable assignment."""
-    memo: dict[int, bool] = {}
-
-    def go(n: Expr) -> bool:
-        v = memo.get(id(n))
-        if v is not None:
-            return v
-        if n.kind == "const":
-            v = bool(n.payload)
-        elif n.kind == "var":
-            v = bool(assignment[n.payload])
-        elif n.kind == "not":
-            v = not go(n.args[0])
-        elif n.kind == "and":
-            v = all(go(a) for a in n.args)
-        elif n.kind == "or":
-            v = any(go(a) for a in n.args)
-        else:
-            raise TypeError(n.kind)
-        memo[id(n)] = v
-        return v
-
-    return go(e)
-
-
-def expr_vars(e: Expr) -> list[str]:
-    """Named variables in first-visit (deterministic) order."""
-    out: list[str] = []
-    seen: set[int] = set()
-    stack = [e]
-    while stack:
-        n = stack.pop()
-        if id(n) in seen:
-            continue
-        seen.add(id(n))
-        if n.kind == "var":
-            out.append(n.payload)
-        else:
-            stack.extend(reversed(n.args))
-    # dedupe across shared names from distinct factories
-    uniq: list[str] = []
-    met: set[str] = set()
-    for name in out:
-        if name not in met:
-            met.add(name)
-            uniq.append(name)
-    return uniq
+Clause = list[int]
 
 
 @dataclass
@@ -173,92 +34,27 @@ class CnfInstance:
         return {name: bool(model.get(var, False)) for var, name in self.var_names.items()}
 
 
-class _Lowerer:
-    def __init__(self, var_order: Iterable[str] = ()):
-        self.cnf = CnfInstance()
-        self._lit: dict[int, int] = {}
-        for name in var_order:
-            self._named_var(name)
-
-    def _named_var(self, name: str) -> int:
-        v = self.cnf.name_to_var.get(name)
-        if v is None:
-            self.cnf.num_vars += 1
-            v = self.cnf.num_vars
-            self.cnf.name_to_var[name] = v
-            self.cnf.var_names[v] = name
-        return v
-
-    def _fresh(self) -> int:
-        self.cnf.num_vars += 1
-        return self.cnf.num_vars
-
-    def lit_of(self, e: Expr) -> int:
-        known = self._lit.get(id(e))
-        if known is not None:
-            return known
-        if e.kind == "var":
-            lit = self._named_var(e.payload)
-        elif e.kind == "not":
-            lit = -self.lit_of(e.args[0])
-        elif e.kind in ("and", "or"):
-            args = [self.lit_of(a) for a in e.args]
-            v = self._fresh()
-            if e.kind == "and":
-                for a in args:
-                    self.cnf.clauses.append([-v, a])
-                self.cnf.clauses.append([v] + [-a for a in args])
+def lower_parts_to_cnf(parts: Sequence[tuple[str, Sequence[Clause]]], var_names: Sequence[str]) -> CnfInstance:
+    """Join (family, clauses) parts into one clause set, recording per-family
+    clause ranges (1-based, inclusive).  Variable v is named var_names[v-1].
+    An empty clause (a family that is false outright) becomes the pair of
+    unit clauses [x], [-x] over one extra unnamed variable, so the instance
+    holds no empty clause and stays unsatisfiable."""
+    cnf = CnfInstance(num_vars=len(var_names))
+    cnf.var_names = {v: name for v, name in enumerate(var_names, start=1)}
+    cnf.name_to_var = {name: v for v, name in cnf.var_names.items()}
+    clauses = cnf.clauses
+    for family, part in parts:
+        start = len(clauses) + 1
+        for clause in part:
+            if clause:
+                clauses.append(clause)
             else:
-                self.cnf.clauses.append([-v] + args)
-                for a in args:
-                    self.cnf.clauses.append([v, -a])
-            lit = v
-        elif e.kind == "const":
-            raise ValueError("constants are folded before lowering; assert parts instead")
-        else:
-            raise TypeError(e.kind)
-        self._lit[id(e)] = lit
-        return lit
-
-    def assert_expr(self, e: Expr) -> None:
-        if e.kind == "const":
-            if e.payload:
-                return
-            v = self._fresh()
-            self.cnf.clauses.append([v])
-            self.cnf.clauses.append([-v])
-            return
-        if e.kind == "and" and id(e) not in self._lit:
-            # top-level conjunction: assert the conjuncts directly
-            for a in e.args:
-                self.assert_expr(a)
-            return
-        if e.kind == "or" and id(e) not in self._lit:
-            self.cnf.clauses.append([self.lit_of(a) for a in e.args])
-            return
-        self.cnf.clauses.append([self.lit_of(e)])
-
-
-def lower_to_cnf(formula: Expr, var_order: Iterable[str] = ()) -> CnfInstance:
-    """Lower one circuit to CNF.  `var_order` pins variable numbers for named
-    variables (any not occurring in the formula still get numbers, so SAT
-    models cover them)."""
-    low = _Lowerer(var_order)
-    low.assert_expr(formula)
-    return low.cnf
-
-
-def lower_parts_to_cnf(parts: Sequence[tuple[str, Expr]], var_order: Iterable[str] = ()) -> CnfInstance:
-    """Lower a list of (family, conjunct) parts into one clause set, recording
-    per-family clause ranges (1-based, inclusive; shared gates are charged to
-    the first family that reaches them)."""
-    low = _Lowerer(var_order)
-    for family, expr in parts:
-        start = low.cnf.num_clauses + 1
-        low.assert_expr(expr)
-        end = low.cnf.num_clauses
-        low.cnf.provenance.append((family, start, end))
-    return low.cnf
+                cnf.num_vars += 1
+                clauses.append([cnf.num_vars])
+                clauses.append([-cnf.num_vars])
+        cnf.provenance.append((family, start, len(clauses)))
+    return cnf
 
 
 def export_dimacs(cnf: CnfInstance) -> str:

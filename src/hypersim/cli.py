@@ -23,10 +23,13 @@ from .encoder import (
     decode_witness_ea,
     encode_sim_ae,
     encode_sim_ea,
+    greatest_simulation,
+    uncovered_initial,
 )
 from .hyperspec import (
     HyperProperty,
     Pattern,
+    PredicateParseError,
     UnsupportedFragmentError,
     expand_match_all,
     parse_property,
@@ -256,11 +259,22 @@ def check_pair(
         notes=notes,
     )
 
+    relation = None
+    if mode == "ae":
+        # every simulation lies inside the greatest one, so all bounds share it
+        relation = greatest_simulation(kp, kq, pred)
+        for p in uncovered_initial(kp, kq, relation):
+            notes.append(
+                f"no right subset can simulate left state {p.name}: the greatest "
+                f"simulation ({len(relation)} pairs) relates it to no initial right "
+                "state, so every k is unsat"
+            )
+
     for bound in range(1, max(sim_max, max_falsify_depth) + 1):
         if bound <= sim_max:
             t0 = time.perf_counter()
             if mode == "ae":
-                enc = encode_sim_ae(kp, kq, pred, bound)
+                enc = encode_sim_ae(kp, kq, pred, bound, relation)
             else:
                 enc = encode_sim_ea(kp, kq, pred, bound)
             cnf = enc.to_cnf()
@@ -361,7 +375,7 @@ def _load_property(cfg: CheckConfig) -> HyperProperty:
         raise CliInputError("a property is required (--prop or --prop-inline)")
     try:
         return parse_property(text)
-    except UnsupportedFragmentError as e:
+    except (UnsupportedFragmentError, PredicateParseError) as e:
         raise CliInputError(f"{origin}: {e}") from e
 
 

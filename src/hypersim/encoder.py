@@ -1,27 +1,29 @@
 """Propositional encodings of the two simulation queries.
 
-Both encodings place symbolic state slots (binary-encoded state ordinals) and
-a Boolean relation variable sim(i,j) per slot pair:
+Both encodings name the states of the two structures directly; clauses are
+emitted over integer literals with one named variable per relation entry.
 
-  * sim-ea: a lasso of length n in K_P whose positions jointly simulate every
-    state of K_Q (slots y_1..y_k enumerate S_Q exactly, k = |S_Q|).
-    Satisfiable iff such a lasso exists at length n.
-  * sim-ae: a subset of at most k states of K_Q that simulates all of K_P
-    (slots x_1..x_n enumerate S_P exactly, n = |S_P|).  Satisfiable iff a
-    predicate-compatible simulation using at most k distinct Q-states exists.
-
-Transition, initial-state, and label predicates over slots are expanded as
-explicit disjunctions over the finite relations; shared subterms (slot/state
-equalities, successor gadgets) are built once per encoding and reused.
+  * sim-ae: a subset of at most k states of K_Q simulates all of K_P.  The
+    greatest predicate-respecting simulation R (fixpoint refinement after
+    Henzinger, Henzinger & Kopke, FOCS 1995) is computed first; every
+    simulation lies inside it, so the query only picks a sub-relation of R:
+    one variable sim(p,q) per pair of R, one used(q) per right state of R,
+    and a sequential counter (Sinz, CP 2005) keeping the used states <= k.
+    If R relates some initial left state to no initial right state, the
+    query is unsatisfiable at every k.
+  * sim-ea: a lasso of total length n in K_P whose positions jointly simulate
+    all of K_Q.  One-hot pos(i,p) choose the left state at position i and
+    loop(l) the loop-back target; sim(i,q) holds the right states position i
+    must answer for.  Satisfiable iff such a lasso exists at length n.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Callable, Mapping
 
 from . import hyperspec as hs
-from .circuit import CnfInstance, Expr, ExprFactory, lower_parts_to_cnf
+from .circuit import Clause, CnfInstance, lower_parts_to_cnf
 from .kripke import KripkeStructure, LassoPath, StateId
 
 
@@ -33,18 +35,7 @@ class DecodeError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class StateSlot:
-    role: str  # "P" or "Q"
-    index: int  # 1-based slot position
-    bits: tuple[str, ...]  # variable names, least significant first
-
-    def decode(self, model: Mapping[str, bool]) -> int:
-        val = 0
-        for pos, name in enumerate(self.bits):
-            if model.get(name, False):
-                val |= 1 << pos
-        return val
+Relation = frozenset[tuple[StateId, StateId]]
 
 
 @dataclass
@@ -71,257 +62,48 @@ class Encoding:
     pred: hs.Pred
     n: int
     k: int
-    slots_p: tuple[StateSlot, ...]
-    slots_q: tuple[StateSlot, ...]
-    sim_name: dict[tuple[int, int], str]
-    parts: list[tuple[str, Expr]] = field(repr=False)
-    var_order: list[str] = field(repr=False)
+    # variable numbers: sim-ae keys sim by (p, q); sim-ea keys sim by
+    # (position, q) and also has pos by (position, p) and loop by position
+    sim: dict[tuple, int] = field(repr=False)
+    pos: dict[tuple[int, StateId], int] = field(repr=False)
+    loop: dict[int, int] = field(repr=False)
+    parts: list[tuple[str, list[Clause]]] = field(repr=False)
+    var_names: list[str] = field(repr=False)  # variable v is var_names[v-1]
 
     def to_cnf(self) -> CnfInstance:
-        return lower_parts_to_cnf(self.parts, self.var_order)
+        return lower_parts_to_cnf(self.parts, self.var_names)
 
 
-def _bits_for(count: int) -> int:
-    if count <= 1:
-        return 0
-    return (count - 1).bit_length()
+class _Vars:
+    """Allocates variables 1, 2, ... and remembers their names."""
+
+    def __init__(self) -> None:
+        self.names: list[str] = []
+
+    def new(self, name: str) -> int:
+        self.names.append(name)
+        return len(self.names)
 
 
-class _Shared:
-    """Per-encoding node cache: equality, legality, labels, successor gadgets."""
-
-    def __init__(self, fac: ExprFactory, kp: KripkeStructure, kq: KripkeStructure, n: int, k: int):
-        self.f = fac
-        self.kp = kp
-        self.kq = kq
-        self.n = n
-        self.k = k
-        bp = _bits_for(len(kp.states))
-        bq = _bits_for(len(kq.states))
-        self.slots_p = tuple(
-            StateSlot("P", i, tuple(f"x{i}b{b}" for b in range(bp))) for i in range(1, n + 1)
-        )
-        self.slots_q = tuple(
-            StateSlot("Q", j, tuple(f"y{j}b{b}" for b in range(bq))) for j in range(1, k + 1)
-        )
-        self.xbits = [[fac.var(nm) for nm in s.bits] for s in self.slots_p]
-        self.ybits = [[fac.var(nm) for nm in s.bits] for s in self.slots_q]
-        self.sim_name = {
-            (i, j): f"sim{i}_{j}" for i in range(1, n + 1) for j in range(1, k + 1)
-        }
-        self.sim = {
-            ij: fac.var(name) for ij, name in self.sim_name.items()
-        }
-        self.var_order = (
-            [nm for s in self.slots_p for nm in s.bits]
-            + [nm for s in self.slots_q for nm in s.bits]
-            + [self.sim_name[(i, j)] for i in range(1, n + 1) for j in range(1, k + 1)]
-        )
-        self._eqp: dict[tuple[int, int], Expr] = {}
-        self._eqq: dict[tuple[int, int], Expr] = {}
-        self._lp: dict[tuple[int, str], Expr] = {}
-        self._lq: dict[tuple[int, str], Expr] = {}
-        self._hit: dict[tuple[int, int], Expr] = {}
-        self._succhit: dict[tuple[int, int], Expr] = {}
-        self._cover: dict[tuple[int, int], Expr] = {}
-        self._reqd: dict[tuple[int, int], Expr] = {}
-        self._succ_q_ord: dict[int, list[int]] = {
-            s.index: [t.index for t in kq.successors(s)] for s in kq.states
-        }
-        self._edges_p = sorted(kp.trans, key=lambda e: (e[0].index, e[1].index))
-
-    def _eq(self, bits: list[Expr], ordinal: int) -> Expr:
-        f = self.f
-        return f.and_(*[
-            b if (ordinal >> pos) & 1 else f.not_(b) for pos, b in enumerate(bits)
-        ])
-
-    def eqp(self, i: int, s: int) -> Expr:
-        key = (i, s)
-        node = self._eqp.get(key)
-        if node is None:
-            node = self._eq(self.xbits[i - 1], s)
-            self._eqp[key] = node
-        return node
-
-    def eqq(self, j: int, q: int) -> Expr:
-        key = (j, q)
-        node = self._eqq.get(key)
-        if node is None:
-            node = self._eq(self.ybits[j - 1], q)
-            self._eqq[key] = node
-        return node
-
-    def legal_p(self, i: int) -> Expr:
-        return self.f.or_(*[self.eqp(i, s) for s in range(len(self.kp.states))])
-
-    def legal_q(self, j: int) -> Expr:
-        return self.f.or_(*[self.eqq(j, q) for q in range(len(self.kq.states))])
-
-    def neq_p(self, i: int, t: int) -> Expr:
-        f = self.f
-        return f.or_(*[f.xor(a, b) for a, b in zip(self.xbits[i - 1], self.xbits[t - 1])])
-
-    def neq_q(self, j: int, r: int) -> Expr:
-        f = self.f
-        return f.or_(*[f.xor(a, b) for a, b in zip(self.ybits[j - 1], self.ybits[r - 1])])
-
-    def _lt_bits(self, a: list[Expr], b: list[Expr]) -> Expr:
-        # strict unsigned less-than over LSB-first bit vectors; breaks the
-        # slot-permutation symmetry of the exhaustiveness constraints, which
-        # all other families share, so canonical ascending order is complete
-        f = self.f
-        terms = []
-        higher_equal = f.TRUE
-        for pos in reversed(range(len(a))):
-            terms.append(f.and_(higher_equal, f.not_(a[pos]), b[pos]))
-            higher_equal = f.and_(higher_equal, f.not_(f.xor(a[pos], b[pos])))
-        return f.or_(*terms)
-
-    def lt_p(self, i: int, t: int) -> Expr:
-        return self._lt_bits(self.xbits[i - 1], self.xbits[t - 1])
-
-    def lt_q(self, j: int, r: int) -> Expr:
-        return self._lt_bits(self.ybits[j - 1], self.ybits[r - 1])
-
-    def ge_const_q(self, j: int, c: int) -> Expr:
-        # value(y_j) >= c, built LSB-up so constant comparisons propagate early
-        f = self.f
-        bits = self.ybits[j - 1]
-        if c <= 0:
-            return f.TRUE
-        if c > (1 << len(bits)) - 1:
-            return f.FALSE
-        acc = f.TRUE
-        for pos, b in enumerate(bits):
-            acc = f.and_(b, acc) if (c >> pos) & 1 else f.or_(b, acc)
-        return acc
-
-    def le_const_q(self, j: int, c: int) -> Expr:
-        f = self.f
-        bits = self.ybits[j - 1]
-        if c < 0:
-            return f.FALSE
-        if c >= (1 << len(bits)) - 1:
-            return f.TRUE
-        acc = f.TRUE
-        for pos, b in enumerate(bits):
-            acc = f.or_(f.not_(b), acc) if (c >> pos) & 1 else f.and_(f.not_(b), acc)
-        return acc
-
-    def init_p(self, i: int) -> Expr:
-        return self.f.or_(*[self.eqp(i, s.index) for s in self.kp.sorted_init()])
-
-    def init_q(self, j: int) -> Expr:
-        return self.f.or_(*[self.eqq(j, q.index) for q in self.kq.sorted_init()])
-
-    def edge_p(self, i: int, t: int) -> Expr:
-        f = self.f
-        return f.or_(*[
-            f.and_(self.eqp(i, a.index), self.eqp(t, b.index)) for a, b in self._edges_p
-        ])
-
-    def label_p(self, i: int, prop: str) -> Expr:
-        key = (i, prop)
-        node = self._lp.get(key)
-        if node is None:
-            holders = [s.index for s in self.kp.states if prop in self.kp.label_of(s)]
-            node = self.f.or_(*[self.eqp(i, s) for s in holders])
-            self._lp[key] = node
-        return node
-
-    def label_q(self, j: int, prop: str) -> Expr:
-        key = (j, prop)
-        node = self._lq.get(key)
-        if node is None:
-            holders = [q.index for q in self.kq.states if prop in self.kq.label_of(q)]
-            node = self.f.or_(*[self.eqq(j, q) for q in holders])
-            self._lq[key] = node
-        return node
-
-    def pred_expr(self, pred: hs.Pred, i: int, j: int) -> Expr:
-        f = self.f
-        if isinstance(pred, hs.TrueConst):
-            return f.TRUE
-        if isinstance(pred, hs.FalseConst):
-            return f.FALSE
-        if isinstance(pred, hs.LeftAtom):
-            return self.label_p(i, pred.prop)
-        if isinstance(pred, hs.RightAtom):
-            return self.label_q(j, pred.prop)
-        if isinstance(pred, hs.Not):
-            return f.not_(self.pred_expr(pred.arg, i, j))
-        if isinstance(pred, hs.And):
-            return f.and_(self.pred_expr(pred.left, i, j), self.pred_expr(pred.right, i, j))
-        if isinstance(pred, hs.Or):
-            return f.or_(self.pred_expr(pred.left, i, j), self.pred_expr(pred.right, i, j))
-        if isinstance(pred, hs.Implies):
-            return f.implies(self.pred_expr(pred.left, i, j), self.pred_expr(pred.right, i, j))
-        if isinstance(pred, hs.Iff):
-            return f.iff(self.pred_expr(pred.left, i, j), self.pred_expr(pred.right, i, j))
-        if isinstance(pred, hs.MatchAll):
-            raise EncodeError("match-all must be expanded against the AP sets before encoding")
-        raise TypeError(f"not a predicate node: {pred!r}")
-
-    # successor gadgets, sim-ae direction: "some slot r holds a delta_Q-successor
-    # of slot j's state and is related to x_t"
-    def hit(self, t: int, b: int) -> Expr:
-        key = (t, b)
-        node = self._hit.get(key)
-        if node is None:
-            f = self.f
-            node = f.or_(*[
-                f.and_(self.eqq(r, b), self.sim[(t, r)]) for r in range(1, self.k + 1)
-            ])
-            self._hit[key] = node
-        return node
-
-    def succhit(self, t: int, a: int) -> Expr:
-        key = (t, a)
-        node = self._succhit.get(key)
-        if node is None:
-            node = self.f.or_(*[self.hit(t, b) for b in self._succ_q_ord[a]])
-            self._succhit[key] = node
-        return node
-
-    def match(self, t: int, j: int) -> Expr:
-        f = self.f
-        return f.or_(*[
-            f.and_(self.eqq(j, a), self.succhit(t, a)) for a in range(len(self.kq.states))
-        ])
-
-    # successor gadgets, sim-ea direction: "every slot holding a successor of
-    # slot j's state is related to x_t"
-    def cover(self, t: int, b: int) -> Expr:
-        key = (t, b)
-        node = self._cover.get(key)
-        if node is None:
-            f = self.f
-            node = f.and_(*[
-                f.implies(self.eqq(r, b), self.sim[(t, r)]) for r in range(1, self.k + 1)
-            ])
-            self._cover[key] = node
-        return node
-
-    def reqd(self, t: int, a: int) -> Expr:
-        key = (t, a)
-        node = self._reqd.get(key)
-        if node is None:
-            node = self.f.and_(*[self.cover(t, b) for b in self._succ_q_ord[a]])
-            self._reqd[key] = node
-        return node
-
-    def propagate_to(self, j: int, t: int) -> Expr:
-        f = self.f
-        return f.and_(*[
-            f.implies(self.eqq(j, a), self.reqd(t, a)) for a in range(len(self.kq.states))
-        ])
-
-    def succ_t(self, i: int, t: int) -> Expr:
-        f = self.f
-        return f.and_(*[
-            f.implies(self.sim[(i, j)], self.propagate_to(j, t)) for j in range(1, self.k + 1)
-        ])
+def _at_most(xs: list[int], k: int, new_var: Callable[[str], int], tag: str) -> list[Clause]:
+    """At most k of the literals xs are true, by Sinz's sequential counter:
+    register c(i,j) is forced true when at least j of x_1..x_i are."""
+    m = len(xs)
+    if k >= m:
+        return []
+    c = [[new_var(f"{tag}_count({i},{j})") for j in range(1, k + 1)] for i in range(1, m)]
+    out = [[-xs[0], c[0][0]]]
+    out += [[-c[0][j]] for j in range(1, k)]
+    for i in range(1, m - 1):
+        x, prev, cur = xs[i], c[i - 1], c[i]
+        out.append([-x, cur[0]])
+        out.append([-prev[0], cur[0]])
+        for j in range(1, k):
+            out.append([-x, -prev[j - 1], cur[j]])
+            out.append([-prev[j], cur[j]])
+        out.append([-x, -prev[k - 1]])
+    out.append([-xs[m - 1], -c[m - 2][k - 1]])
+    return out
 
 
 def _check_common(kp: KripkeStructure, kq: KripkeStructure, pred: hs.Pred) -> None:
@@ -331,190 +113,211 @@ def _check_common(kp: KripkeStructure, kq: KripkeStructure, pred: hs.Pred) -> No
         raise EncodeError("match-all must be expanded against the AP sets before encoding")
 
 
-def encode_sim_ea(kp: KripkeStructure, kq: KripkeStructure, pred: hs.Pred, n: int) -> Encoding:
-    """Encode: a lasso of length n in K_P simulates all of K_Q.
+def _predecessors(k: KripkeStructure) -> list[list[int]]:
+    pre: list[list[int]] = [[] for _ in k.states]
+    for a, b in k.trans:
+        pre[b.index].append(a.index)
+    return pre
 
-    K_Q should already be reachable-restricted; its full state set is
-    enumerated by the y slots (k = |S_Q|), so unreachable junk states make the
-    query needlessly strict.
-    """
+
+def greatest_simulation(kp: KripkeStructure, kq: KripkeStructure, pred: hs.Pred) -> Relation:
+    """The greatest R within S_P x S_Q such that pred holds on every pair of R
+    and, for (p,q) in R, every successor of p is related to some successor of q.
+
+    Refinement with counters: cnt[p2][q] counts the successors of q related to
+    p2.  Removing (p2,q2) decrements cnt[p2][q] for each predecessor q of q2;
+    a count reaching zero removes (p,q) for each predecessor p of p2."""
     _check_common(kp, kq, pred)
-    if n < 1:
-        raise EncodeError(f"lasso length must be positive, got {n}")
-    k = len(kq.states)
-    fac = ExprFactory()
-    sh = _Shared(fac, kp, kq, n, k)
-    f = fac
-
-    legal = f.and_(*[sh.legal_p(i) for i in range(1, n + 1)],
-                   *[sh.legal_q(j) for j in range(1, k + 1)])
-    # exhaustive coverage of S_Q: k = |S_Q| pairwise-distinct slots; all
-    # families are invariant under permuting y slots, so the canonical
-    # ascending assignment y_j = j-1 is conjoined (entailed, breaks symmetry)
-    distinct = f.and_(
-        *[
-            f.implies(f.and_(sh.legal_q(j), sh.legal_q(r)), sh.neq_q(j, r))
-            for j in range(1, k + 1)
-            for r in range(j + 1, k + 1)
-        ],
-        *[sh.eqq(j, j - 1) for j in range(1, k + 1)],
-    )
-    initial = f.and_(sh.init_p(1), *[
-        f.implies(sh.init_q(j), sh.sim[(1, j)]) for j in range(1, k + 1)
-    ])
-    path = f.and_(*[
-        f.and_(sh.edge_p(i, i + 1), sh.succ_t(i, i + 1)) for i in range(1, n)
-    ])
-    loop = f.or_(*[
-        f.and_(sh.edge_p(n, i), sh.succ_t(n, i)) for i in range(1, n + 1)
-    ])
-    pred_part = f.and_(*[
-        f.implies(sh.sim[(i, j)], sh.pred_expr(pred, i, j))
-        for i in range(1, n + 1) for j in range(1, k + 1)
-    ])
-
-    parts = [
-        ("legal-states", legal),
-        ("exhaustive-q", distinct),
-        ("initial-sim", initial),
-        ("path-step", path),
-        ("loop-back", loop),
-        ("pred", pred_part),
+    np_, nq = len(kp.states), len(kq.states)
+    succ_q = [[t.index for t in kq.successors(q)] for q in kq.states]
+    pre_p, pre_q = _predecessors(kp), _predecessors(kq)
+    rel = [
+        [hs.eval_predicate(pred, kp.label_of(p), kq.label_of(q)) for q in kq.states]
+        for p in kp.states
     ]
-    return Encoding(
-        kind="sim-ea", kp=kp, kq=kq, pred=pred, n=n, k=k,
-        slots_p=sh.slots_p, slots_q=sh.slots_q, sim_name=sh.sim_name,
-        parts=parts, var_order=sh.var_order,
+    cnt = [[sum(rel[p2][t] for t in succ_q[q]) for q in range(nq)] for p2 in range(np_)]
+    removed: list[tuple[int, int]] = []
+
+    def kill(p: int, q: int) -> None:
+        if rel[p][q]:
+            rel[p][q] = False
+            removed.append((p, q))
+
+    for p2 in range(np_):
+        for q in range(nq):
+            if cnt[p2][q] == 0:
+                for p in pre_p[p2]:
+                    kill(p, q)
+    while removed:
+        p2, q2 = removed.pop()
+        for q in pre_q[q2]:
+            cnt[p2][q] -= 1
+            if cnt[p2][q] == 0:
+                for p in pre_p[p2]:
+                    kill(p, q)
+    return frozenset(
+        (p, q) for p in kp.states for q in kq.states if rel[p.index][q.index]
     )
 
 
-def encode_sim_ae(kp: KripkeStructure, kq: KripkeStructure, pred: hs.Pred, k: int) -> Encoding:
+def uncovered_initial(kp: KripkeStructure, kq: KripkeStructure, relation: Relation) -> list[StateId]:
+    """Initial left states the relation pairs with no initial right state."""
+    return [
+        p for p in kp.sorted_init() if not any((p, q) in relation for q in kq.init)
+    ]
+
+
+def encode_sim_ae(
+    kp: KripkeStructure,
+    kq: KripkeStructure,
+    pred: hs.Pred,
+    k: int,
+    relation: Relation | None = None,
+) -> Encoding:
     """Encode: some subset of at most k states of K_Q simulates all of K_P.
 
-    K_P should already be reachable-restricted; its full state set is
-    enumerated by the x slots (n = |S_P|)."""
+    `relation` is greatest_simulation(kp, kq, pred); a bound sweep computes it
+    once and passes it to every bound.  Only initial left states and the
+    successors of related ones must be related, so unreachable left states
+    are never forced in; reachable-restricting K_P only saves their
+    variables."""
     _check_common(kp, kq, pred)
     if not 1 <= k <= len(kq.states):
         raise EncodeError(f"subset bound k={k} outside 1..{len(kq.states)}")
-    n = len(kp.states)
-    fac = ExprFactory()
-    sh = _Shared(fac, kp, kq, n, k)
-    f = fac
+    if relation is None:
+        relation = greatest_simulation(kp, kq, pred)
+    vs = _Vars()
+    sim = {
+        (p, q): vs.new(f"sim({p.name},{q.name})")
+        for p, q in sorted(relation, key=lambda pq: (pq[0].index, pq[1].index))
+    }
+    used_states = sorted({q for _, q in sim}, key=lambda q: q.index)
+    used = {q: vs.new(f"used({q.name})") for q in used_states}
 
-    # y slots may repeat values in principle; restricting them to strictly
-    # ascending order is complete (any relation reaches a canonical model by
-    # permuting slots and leaving spare slots unrelated) and prunes hard.
-    # The per-slot value bounds are entailed by ascending order + legality.
-    legal = f.and_(
-        *[sh.legal_p(i) for i in range(1, n + 1)],
-        *[sh.legal_q(j) for j in range(1, k + 1)],
-        *[sh.lt_q(j, j + 1) for j in range(1, k)],
-        *[sh.ge_const_q(j, j - 1) for j in range(1, k + 1)],
-        *[sh.le_const_q(j, len(kq.states) - 1 - (k - j)) for j in range(1, k + 1)],
+    initial = [
+        [sim[(p, q)] for q in kq.sorted_init() if (p, q) in sim] for p in kp.sorted_init()
+    ]
+    uses = [[-v, used[q]] for (_, q), v in sim.items()]
+    succ: list[Clause] = []
+    for (p, q), v in sim.items():
+        for p2 in kp.successors(p):
+            targets = [sim[(p2, q2)] for q2 in kq.successors(q) if (p2, q2) in sim]
+            if v not in targets:  # a self-loop pair matches itself
+                succ.append([-v] + targets)
+    parts = [
+        ("initial-match", initial),
+        ("used", uses),
+        ("successor-match", succ),
+        ("at-most-k", _at_most(list(used.values()), k, vs.new, "used")),
+    ]
+    return Encoding(
+        kind="sim-ae", kp=kp, kq=kq, pred=pred, n=len(kp.states), k=k,
+        sim=sim, pos={}, loop={}, parts=parts, var_names=vs.names,
     )
-    # exhaustive coverage of S_P: n = |S_P| pairwise-distinct slots; canonical
-    # ascending assignment x_i = i-1 conjoined (entailed, breaks symmetry)
-    distinct = f.and_(
-        *[
-            f.implies(f.and_(sh.legal_p(i), sh.legal_p(t)), sh.neq_p(i, t))
-            for i in range(1, n + 1)
-            for t in range(i + 1, n + 1)
-        ],
-        *[sh.eqp(i, i - 1) for i in range(1, n + 1)],
-    )
-    initial = f.and_(*[
-        f.implies(sh.init_p(i), f.or_(*[
-            f.and_(sh.init_q(j), sh.sim[(i, j)]) for j in range(1, k + 1)
-        ]))
-        for i in range(1, n + 1)
-    ])
-    succ = f.and_(*[
-        f.implies(sh.edge_p(i, t), f.and_(*[
-            f.implies(sh.sim[(i, j)], sh.match(t, j)) for j in range(1, k + 1)
-        ]))
-        for i in range(1, n + 1) for t in range(1, n + 1)
-    ])
-    pred_part = f.and_(*[
-        f.implies(sh.sim[(i, j)], sh.pred_expr(pred, i, j))
-        for i in range(1, n + 1) for j in range(1, k + 1)
-    ])
+
+
+def encode_sim_ea(kp: KripkeStructure, kq: KripkeStructure, pred: hs.Pred, n: int) -> Encoding:
+    """Encode: a lasso of length n in K_P simulates all of K_Q.
+
+    Position 1 answers for every initial right state and each position for
+    the successors of the one before, so unreachable right states are never
+    forced in; reachable-restricting K_Q only saves their variables.
+    Position i may only hold a left state reachable in exactly i-1 steps."""
+    _check_common(kp, kq, pred)
+    if n < 1:
+        raise EncodeError(f"lasso length must be positive, got {n}")
+    cand = [list(kp.sorted_init())]
+    for _ in range(1, n):
+        cand.append(sorted({t for s in cand[-1] for t in kp.successors(s)}, key=lambda s: s.index))
+    vs = _Vars()
+    pos = {(i, p): vs.new(f"pos({i},{p.name})") for i in range(1, n + 1) for p in cand[i - 1]}
+    loop = {l: vs.new(f"loop({l})") for l in range(1, n + 1)}
+    sim = {(i, q): vs.new(f"sim({i},{q.name})") for i in range(1, n + 1) for q in kq.states}
+    edges_q = [(q, q2) for q in kq.states for q2 in kq.successors(q)]
+
+    one_hot_pos: list[Clause] = []
+    for i in range(1, n + 1):
+        lits = [pos[(i, p)] for p in cand[i - 1]]
+        one_hot_pos.append(lits)
+        one_hot_pos += _at_most(lits, 1, vs.new, f"pos{i}")
+    loop_lits = list(loop.values())
+    one_hot_loop = [loop_lits] + _at_most(loop_lits, 1, vs.new, "loop")
+    initial = [[sim[(1, q)]] for q in kq.sorted_init()]
+    path: list[Clause] = []
+    for i in range(1, n):
+        for p in cand[i - 1]:
+            path.append([-pos[(i, p)]] + [pos[(i + 1, t)] for t in kp.successors(p)])
+        path += [[-sim[(i, q)], sim[(i + 1, q2)]] for q, q2 in edges_q]
+    loop_back: list[Clause] = []
+    for l in range(1, n + 1):
+        for p in cand[n - 1]:
+            succ = kp.successors(p)
+            if l == n and p in succ:
+                continue  # the clause would hold trivially
+            targets = [pos[(l, t)] for t in succ if (l, t) in pos]
+            loop_back.append([-loop[l], -pos[(n, p)]] + targets)
+        loop_back += [
+            [-loop[l], -sim[(n, q)], sim[(l, q2)]]
+            for q, q2 in edges_q
+            if not (l == n and q2 == q)
+        ]
+    fails: dict[StateId, list[StateId]] = {}  # right states the predicate rejects against p
+    pred_part: list[Clause] = []
+    for i in range(1, n + 1):
+        for p in cand[i - 1]:
+            if p not in fails:
+                fails[p] = [
+                    q for q in kq.states
+                    if not hs.eval_predicate(pred, kp.label_of(p), kq.label_of(q))
+                ]
+            pred_part += [[-sim[(i, q)], -pos[(i, p)]] for q in fails[p]]
 
     parts = [
-        ("legal-states", legal),
-        ("exhaustive-p", distinct),
-        ("initial-match", initial),
-        ("successor-match", succ),
+        ("one-hot-pos", one_hot_pos),
+        ("one-hot-loop", one_hot_loop),
+        ("initial-sim", initial),
+        ("path-step", path),
+        ("loop-back", loop_back),
         ("pred", pred_part),
     ]
     return Encoding(
-        kind="sim-ae", kp=kp, kq=kq, pred=pred, n=n, k=k,
-        slots_p=sh.slots_p, slots_q=sh.slots_q, sim_name=sh.sim_name,
-        parts=parts, var_order=sh.var_order,
+        kind="sim-ea", kp=kp, kq=kq, pred=pred, n=n, k=len(kq.states),
+        sim=sim, pos=pos, loop=loop, parts=parts, var_names=vs.names,
     )
 
 
-def _slot_states(enc: Encoding, model: Mapping[str, bool]) -> tuple[list[StateId], list[StateId]]:
-    xs: list[StateId] = []
-    for slot in enc.slots_p:
-        val = slot.decode(model)
-        if val >= len(enc.kp.states):
-            raise DecodeError(f"slot x{slot.index} decodes to illegal ordinal {val}")
-        xs.append(enc.kp.states[val])
-    ys: list[StateId] = []
-    for slot in enc.slots_q:
-        val = slot.decode(model)
-        if val >= len(enc.kq.states):
-            raise DecodeError(f"slot y{slot.index} decodes to illegal ordinal {val}")
-        ys.append(enc.kq.states[val])
-    return xs, ys
-
-
-def _sim_values(enc: Encoding, model: Mapping[str, bool]) -> dict[tuple[int, int], bool]:
-    return {ij: bool(model.get(name, False)) for ij, name in enc.sim_name.items()}
+def _truth(enc: Encoding, model: Mapping[str, bool]) -> Callable[[int], bool]:
+    names = enc.var_names
+    return lambda v: bool(model.get(names[v - 1], False))
 
 
 def decode_witness_ae(enc: Encoding, model: Mapping[str, bool]) -> SimWitnessAE:
     if enc.kind != "sim-ae":
         raise DecodeError(f"expected a sim-ae encoding, got {enc.kind}")
-    xs, ys = _slot_states(enc, model)
-    sim = _sim_values(enc, model)
-    relation = set()
-    used = set()
-    for (i, j), v in sim.items():
-        if v:
-            relation.add((xs[i - 1], ys[j - 1]))
-            used.add(ys[j - 1])
-    return SimWitnessAE(relation=frozenset(relation), used_q=frozenset(used))
+    true = _truth(enc, model)
+    relation = frozenset(pq for pq, v in enc.sim.items() if true(v))
+    return SimWitnessAE(relation=relation, used_q=frozenset(q for _, q in relation))
 
 
 def decode_witness_ea(enc: Encoding, model: Mapping[str, bool]) -> SimWitnessEA:
     if enc.kind != "sim-ea":
         raise DecodeError(f"expected a sim-ea encoding, got {enc.kind}")
-    xs, ys = _slot_states(enc, model)
-    sim = _sim_values(enc, model)
-    n = enc.n
-    trans_q = enc.kq.trans
-
-    def succ_sem(target: int) -> bool:
-        # every sim-related slot at the last position propagates into `target`
-        for j in range(1, enc.k + 1):
-            if not sim[(n, j)]:
-                continue
-            for r in range(1, enc.k + 1):
-                if (ys[j - 1], ys[r - 1]) in trans_q and not sim[(target, r)]:
-                    return False
-        return True
-
-    loop_start = 0
-    for i in range(1, n + 1):
-        if (xs[n - 1], xs[i - 1]) in enc.kp.trans and succ_sem(i):
-            loop_start = i
-            break
-    if loop_start == 0:
-        raise DecodeError("model satisfies no loop-back disjunct")
-    lasso = LassoPath(prefix=tuple(xs[: loop_start - 1]), loop=tuple(xs[loop_start - 1 :]))
-    pos_relation = {
-        i: frozenset(ys[j - 1] for j in range(1, enc.k + 1) if sim[(i, j)])
-        for i in range(1, n + 1)
+    true = _truth(enc, model)
+    chosen: dict[int, list[StateId]] = {i: [] for i in range(1, enc.n + 1)}
+    for (i, p), v in enc.pos.items():
+        if true(v):
+            chosen[i].append(p)
+    for i, ps in chosen.items():
+        if len(ps) != 1:
+            raise DecodeError(f"position {i} is not one-hot: {len(ps)} left states chosen")
+    loops = [l for l, v in enc.loop.items() if true(v)]
+    if len(loops) != 1:
+        raise DecodeError(f"loop-back is not one-hot: {len(loops)} targets chosen")
+    seq = [chosen[i][0] for i in range(1, enc.n + 1)]
+    start = loops[0]
+    lasso = LassoPath(prefix=tuple(seq[: start - 1]), loop=tuple(seq[start - 1 :]))
+    pos_relation: dict[int, frozenset[StateId]] = {
+        i: frozenset(q for q in enc.kq.states if true(enc.sim[(i, q)]))
+        for i in range(1, enc.n + 1)
     }
     return SimWitnessEA(lasso=lasso, pos_relation=pos_relation)

@@ -123,9 +123,33 @@ def _tokenize(text: str) -> list[tuple[str, str]]:
     return tokens
 
 
+MAX_PRED_DEPTH = 100
+
+
+def _nesting_error() -> UnsupportedFragmentError:
+    return UnsupportedFragmentError(f"predicate nests deeper than {MAX_PRED_DEPTH} levels")
+
+
+def _depth(pred: Pred) -> int:
+    """Height of the predicate tree, computed without recursion."""
+    best = 0
+    stack = [(pred, 1)]
+    while stack:
+        node, d = stack.pop()
+        best = max(best, d)
+        if isinstance(node, Not):
+            stack.append((node.arg, d + 1))
+        elif isinstance(node, (And, Or, Implies, Iff)):
+            stack.append((node.left, d + 1))
+            stack.append((node.right, d + 1))
+    return best
+
+
 class _PredParser:
     """Precedence climbing: ! binds tightest, then & then | then -> then <->.
-    Implication is right-associative, the rest left."""
+    Implication is right-associative, the rest left.  Prefix `!` chains are
+    read in a loop; parentheses and right operands recurse, at most
+    MAX_PRED_DEPTH levels deep."""
 
     BINARY = {"and": (40, And), "or": (30, Or), "implies": (20, Implies), "iff": (10, Iff)}
     RIGHT_ASSOC = {"implies"}
@@ -133,6 +157,7 @@ class _PredParser:
     def __init__(self, tokens: list[tuple[str, str]]):
         self.tokens = tokens
         self.pos = 0
+        self.nesting = 0
 
     def peek(self) -> tuple[str, str]:
         return self.tokens[self.pos]
@@ -150,23 +175,33 @@ class _PredParser:
         return node
 
     def parse_expr(self, min_prec: int) -> Pred:
+        self.nesting += 1
+        if self.nesting > MAX_PRED_DEPTH:
+            raise _nesting_error()
         node = self.parse_unary()
         while True:
             kind, _ = self.peek()
-            if kind not in self.BINARY:
+            if kind not in self.BINARY or self.BINARY[kind][0] < min_prec:
+                self.nesting -= 1
                 return node
             prec, ctor = self.BINARY[kind]
-            if prec < min_prec:
-                return node
             self.take()
             next_min = prec if kind in self.RIGHT_ASSOC else prec + 1
             rhs = self.parse_expr(next_min)
             node = ctor(node, rhs)
 
     def parse_unary(self) -> Pred:
+        negations = 0
+        while self.peek()[0] == "not":
+            self.take()
+            negations += 1
+        node = self.parse_primary()
+        for _ in range(negations):
+            node = Not(node)
+        return node
+
+    def parse_primary(self) -> Pred:
         kind, val = self.take()
-        if kind == "not":
-            return Not(self.parse_unary())
         if kind == "lparen":
             node = self.parse_expr(0)
             k, v = self.take()
@@ -191,21 +226,27 @@ class _PredParser:
 def parse_predicate(text: str) -> Pred:
     """Parse a relational predicate.  `match-all` stays symbolic; expand it
     with expand_match_all before evaluation or encoding."""
-    return _PredParser(_tokenize(text)).parse()
+    pred = _PredParser(_tokenize(text)).parse()
+    if _depth(pred) > MAX_PRED_DEPTH:
+        raise _nesting_error()
+    return pred
 
 
 def expand_match_all(pred: Pred, left_ap: Iterable[str], right_ap: Iterable[str]) -> Pred:
     """Replace every match-all node by the conjunction of l.p <-> r.p over the
-    props shared by the two AP sets (constant true when the share is empty)."""
+    props shared by the two AP sets (constant true when the share is empty).
+    The conjunction is a balanced tree, so its depth grows with the log of
+    the number of shared props and evaluating it never recurses deeply."""
     shared = [p for p in left_ap if p in set(right_ap)]
 
     def build() -> Pred:
-        if not shared:
+        nodes: list[Pred] = [Iff(LeftAtom(p), RightAtom(p)) for p in shared]
+        if not nodes:
             return TrueConst()
-        node: Pred = Iff(LeftAtom(shared[0]), RightAtom(shared[0]))
-        for p in shared[1:]:
-            node = And(node, Iff(LeftAtom(p), RightAtom(p)))
-        return node
+        while len(nodes) > 1:
+            paired: list[Pred] = [And(a, b) for a, b in zip(nodes[::2], nodes[1::2])]
+            nodes = paired + nodes[len(paired) * 2 :]
+        return nodes[0]
 
     def walk(n: Pred) -> Pred:
         if isinstance(n, MatchAll):

@@ -411,12 +411,18 @@ def _parse_solver_output(stdout: str, returncode: int, num_vars: int) -> SatResu
 def solve(cnf: CnfInstance, backend=None) -> SatResult:
     """Solve a clause set.  The model of a sat answer assigns every variable,
     named or auxiliary.  Backend failures raise SolverBackendError; they are
-    never conflated with an unsat answer."""
+    never conflated with an unsat answer.  A sat answer from any backend but
+    the embedded one is checked clause by clause, so a model that violates
+    the instance is a backend failure too."""
     backend = backend or EmbeddedBackend()
     result = backend.solve_cnf(cnf)
     if result.is_sat and result.model is not None:
         for v in range(1, cnf.num_vars + 1):
             result.model.setdefault(v, False)
+        if not isinstance(backend, EmbeddedBackend) and not check_model(cnf, result.model):
+            raise SolverBackendError(
+                f"{backend.name} answered SATISFIABLE with a model that violates the instance"
+            )
     return result
 
 

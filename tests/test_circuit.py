@@ -1,4 +1,4 @@
-"""Hash-consed circuits, CNF lowering, and DIMACS serialization."""
+"""Clause-set lowering, provenance, and DIMACS serialization."""
 
 import itertools
 import random
@@ -8,17 +8,14 @@ from hypothesis import strategies as st
 
 from hypersim.circuit import (
     CnfInstance,
-    Expr,
-    ExprFactory,
-    eval_expr,
     export_dimacs,
-    expr_vars,
     lower_parts_to_cnf,
-    lower_to_cnf,
     parse_dimacs,
     varmap_text,
 )
 from hypersim.sat import check_model, solve
+
+NAMES = ["a", "b", "c", "d", "e", "g"]
 
 
 def brute_sat(cnf: CnfInstance) -> bool:
@@ -29,81 +26,71 @@ def brute_sat(cnf: CnfInstance) -> bool:
     return False
 
 
-def rand_expr(rng: random.Random, f: ExprFactory, names: list[str], depth: int) -> Expr:
-    if depth == 0 or rng.random() < 0.3:
-        if rng.random() < 0.1:
-            return f.const(rng.random() < 0.5)
-        return f.var(rng.choice(names))
-    op = rng.choice(["not", "and", "or", "implies", "iff", "xor"])
-    a = rand_expr(rng, f, names, depth - 1)
-    if op == "not":
-        return f.not_(a)
-    b = rand_expr(rng, f, names, depth - 1)
-    if op == "and":
-        return f.and_(a, b)
-    if op == "or":
-        return f.or_(a, b)
-    if op == "implies":
-        return f.implies(a, b)
-    if op == "iff":
-        return f.iff(a, b)
-    return f.xor(a, b)
+def rand_parts(rng: random.Random, num_vars: int) -> list[tuple[str, list[list[int]]]]:
+    """A few families of short random clauses; now and then an empty one."""
+    parts = []
+    for fam in range(rng.randint(1, 3)):
+        clauses = []
+        for _ in range(rng.randint(0, 6)):
+            width = 0 if rng.random() < 0.05 else rng.randint(1, 3)
+            clauses.append([
+                rng.randint(1, num_vars) * rng.choice((1, -1)) for _ in range(width)
+            ])
+        parts.append((f"f{fam}", clauses))
+    return parts
+
+
+def holds_by_name(parts, names, assignment: dict[str, bool]) -> bool:
+    """Evaluate the parts over named variables, independently of lowering."""
+    return all(
+        any(assignment[names[abs(l) - 1]] == (l > 0) for l in clause)
+        for _, clauses in parts
+        for clause in clauses
+    )
 
 
 def test_single_variable_lowered_to_one_unit_clause():
-    f = ExprFactory()
-    cnf = lower_to_cnf(f.var("v"))
+    cnf = lower_parts_to_cnf([("only", [[1]])], ["v"])
     assert cnf.num_vars == 1
     assert cnf.clauses == [[1]]
     assert cnf.name_to_var["v"] == 1
 
 
 def test_contradiction_is_unsat():
-    f = ExprFactory()
-    v = f.var("v")
-    cnf = lower_to_cnf(f.and_(v, f.not_(v)))
+    cnf = lower_parts_to_cnf([("both", [[1], [-1]])], ["v"])
     assert solve(cnf).status == "unsat"
 
 
-def test_hash_consing_reuses_nodes():
-    f = ExprFactory()
-    assert f.and_(f.var("a"), f.var("b")) is f.and_(f.var("a"), f.var("b"))
-    assert f.not_(f.not_(f.var("a"))) is f.var("a")
-
-
 def test_constant_folding():
-    f = ExprFactory()
-    a = f.var("a")
-    assert f.and_(a, f.const(True)) is a
-    assert f.and_(a, f.const(False)) is f.const(False)
-    assert f.or_(a, f.not_(a)) is f.const(True)
-
-
-def test_expr_vars_first_visit_order():
-    f = ExprFactory()
-    e = f.or_(f.and_(f.var("b"), f.var("a")), f.var("b"))
-    assert expr_vars(e) == ["b", "a"]
+    # a family that is false outright (an empty clause) becomes a contradiction
+    # over one extra unnamed variable; a family that is true (no clauses) adds
+    # nothing but still records its empty range
+    cnf = lower_parts_to_cnf([("false", [[]]), ("true", [])], ["a"])
+    assert cnf.num_vars == 2
+    assert cnf.clauses == [[2], [-2]]
+    assert 2 not in cnf.var_names
+    assert cnf.provenance == [("false", 1, 2), ("true", 3, 2)]
+    assert "c family true clauses none" in export_dimacs(cnf).splitlines()
+    assert solve(cnf).status == "unsat"
 
 
 def test_var_order_pins_leading_variable_numbers():
-    f = ExprFactory()
-    e = f.and_(f.var("z"), f.var("a"))
-    cnf = lower_to_cnf(e, var_order=["a", "z"])
+    # numbers follow the encoder's allocation order, not first use in clauses
+    cnf = lower_parts_to_cnf([("f", [[2, 1]])], ["a", "z"])
     assert cnf.name_to_var["a"] == 1
     assert cnf.name_to_var["z"] == 2
+    assert cnf.clauses == [[2, 1]]
 
 
 @given(st.integers(min_value=0, max_value=10**9))
 @settings(max_examples=100, deadline=None)
 def test_lowering_is_equisatisfiable(seed):
     rng = random.Random(seed)
-    f = ExprFactory()
-    names = ["a", "b", "c", "d", "e", "g"]
-    e = rand_expr(rng, f, names, 4)
-    cnf = lower_to_cnf(e)
+    parts = rand_parts(rng, len(NAMES))
+    cnf = lower_parts_to_cnf(parts, NAMES)
     truth = any(
-        eval_expr(e, dict(zip(names, bits)))
-        for bits in itertools.product((False, True), repeat=len(names))
+        holds_by_name(parts, NAMES, dict(zip(NAMES, bits)))
+        for bits in itertools.product((False, True), repeat=len(NAMES))
     )
     assert brute_sat(cnf) == truth
 
@@ -112,15 +99,13 @@ def test_lowering_is_equisatisfiable(seed):
 @settings(max_examples=60, deadline=None)
 def test_sat_model_evaluates_formula_true(seed):
     rng = random.Random(seed)
-    f = ExprFactory()
-    names = ["a", "b", "c", "d"]
-    e = rand_expr(rng, f, names, 4)
-    cnf = lower_to_cnf(e)
+    names = NAMES[:4]
+    parts = rand_parts(rng, len(names))
+    cnf = lower_parts_to_cnf(parts, names)
     res = solve(cnf)
     if res.status == "sat":
         named = cnf.named_model(res.model)
-        assignment = {n: named.get(n, False) for n in names}
-        assert eval_expr(e, assignment) is True
+        assert holds_by_name(parts, names, named) is True
 
 
 def test_export_dimacs_empty_instance():
@@ -134,23 +119,23 @@ def test_export_dimacs_clause_lines():
 
 
 def test_dimacs_roundtrip():
-    f = ExprFactory()
-    e = f.iff(f.var("a"), f.or_(f.var("b"), f.not_(f.var("c"))))
-    cnf = lower_to_cnf(e)
+    cnf = lower_parts_to_cnf(
+        [("iff", [[-1, 2, -3], [1, -2], [1, 3]])], ["a", "b", "c"]
+    )
     back = parse_dimacs(export_dimacs(cnf))
     assert back.num_vars == cnf.num_vars
     assert back.clauses == cnf.clauses
 
 
 def test_lower_parts_records_disjoint_covering_provenance():
-    f = ExprFactory()
     parts = [
-        ("alpha", f.var("a")),
-        ("beta", f.iff(f.var("a"), f.var("b"))),
-        ("gamma", f.const(True)),
+        ("alpha", [[1]]),
+        ("beta", [[-1, 2], [1, -2]]),
+        ("gamma", []),
+        ("delta", [[]]),
     ]
-    cnf = lower_parts_to_cnf(parts)
-    assert [fam for fam, _, _ in cnf.provenance] == ["alpha", "beta", "gamma"]
+    cnf = lower_parts_to_cnf(parts, ["a", "b"])
+    assert [fam for fam, _, _ in cnf.provenance] == ["alpha", "beta", "gamma", "delta"]
     covered = []
     for _, start, end in cnf.provenance:
         covered.extend(range(start, end + 1))
@@ -158,26 +143,20 @@ def test_lower_parts_records_disjoint_covering_provenance():
 
 
 def test_provenance_comments_in_dimacs():
-    f = ExprFactory()
-    cnf = lower_parts_to_cnf([("only", f.var("x"))])
+    cnf = lower_parts_to_cnf([("only", [[1]])], ["x"])
     lines = export_dimacs(cnf).splitlines()
     assert "c family only clauses 1-1" in lines
 
 
 def test_lowering_is_deterministic():
     def build() -> str:
-        f = ExprFactory()
-        e = f.and_(
-            f.iff(f.var("p"), f.var("q")),
-            f.or_(f.var("r"), f.xor(f.var("p"), f.var("r"))),
-        )
-        return export_dimacs(lower_to_cnf(e, var_order=["p", "q", "r"]))
+        parts = [("eq", [[-1, 2], [1, -2]]), ("some", [[3, 1, -3], [3]])]
+        return export_dimacs(lower_parts_to_cnf(parts, ["p", "q", "r"]))
 
     assert build() == build()
 
 
 def test_varmap_lists_named_variables():
-    f = ExprFactory()
-    cnf = lower_to_cnf(f.and_(f.var("a"), f.var("b")), var_order=["a", "b"])
+    cnf = lower_parts_to_cnf([("f", [[1], [2]])], ["a", "b"])
     lines = varmap_text(cnf).splitlines()
     assert "1 a" in lines and "2 b" in lines

@@ -109,6 +109,31 @@ def test_inline_property(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "pred",
+    ["!" * 5000 + "l.a", "(" * 5000 + "l.a" + ")" * 5000, " & ".join(["l.a"] * 5000), "l.a )"],
+    ids=["negations", "parentheses", "conjunctions", "stray-parenthesis"],
+)
+def test_deep_or_malformed_predicates_are_input_errors(pred, capsys):
+    code = main([
+        "check",
+        "--left", str(DATA / "k1.kr"),
+        "--right", str(DATA / "k2.kr"),
+        "--prop-inline", f"forall exists. G {pred}",
+    ])
+    assert code == 3
+    assert "error: --prop-inline" in capsys.readouterr().err
+
+
+def test_report_names_the_fixpoint_when_it_rules_out_every_k():
+    report = run_check(cfg_for("phi2.hp"))
+    notes = [n for n in report.notes if "no right subset can simulate left state s1" in n]
+    assert len(notes) == 1 and "greatest simulation (4 pairs)" in notes[0]
+    assert all(it.outcome == "unsat" for it in report.iterations if it.side == "sim")
+    holds = run_check(cfg_for("phi2.hp", prophecy="next:a:2"))
+    assert not any("no right subset" in n for n in holds.notes)
+
+
 def test_mode_flag_must_match_the_property(capsys):
     assert main(check_args("phi1.hp", "--mode", "ea")) == 3
     assert "error:" in capsys.readouterr().err
@@ -155,6 +180,15 @@ def test_property_must_come_from_exactly_one_source(capsys):
 def test_external_backend_end_to_end(capsys):
     assert main(check_args("phi1.hp", "--backend", SATCLI_BACKEND)) == 1
     capsys.readouterr()
+
+
+def test_lying_external_solver_is_a_backend_error(tmp_path, capsys):
+    # claims every instance satisfiable with the all-false model
+    liar = tmp_path / "liar.py"
+    liar.write_text("print('s SATISFIABLE')\nprint('v 0')\n")
+    backend = f"external:{sys.executable} {liar}"
+    assert main(check_args("phi2.hp", "--backend", backend)) == 4
+    assert "violates the instance" in capsys.readouterr().err
 
 
 def test_unknown_backend_is_an_input_error(capsys):

@@ -1,5 +1,7 @@
-"""The two simulation encodings: shape, solutions, decoding, determinism."""
+"""The two simulation encodings: shape, solutions, decoding, determinism,
+and exact agreement with brute-force answers on small random pairs."""
 
+import itertools
 import random
 from pathlib import Path
 
@@ -7,17 +9,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hypersim.circuit import export_dimacs
+from hypersim.circuit import export_dimacs, lower_parts_to_cnf
 from hypersim.encoder import (
     DecodeError,
     EncodeError,
+    _at_most,
+    _Vars,
     decode_witness_ae,
     decode_witness_ea,
     encode_sim_ae,
     encode_sim_ea,
+    greatest_simulation,
+    uncovered_initial,
 )
-from hypersim.hyperspec import MatchAll, parse_predicate, parse_property
-from hypersim.kripke import parse_kripke
+from hypersim.hyperspec import MatchAll, eval_predicate, parse_predicate, parse_property
+from hypersim.kripke import enumerate_lasso_paths, parse_kripke, reachable_restriction
 from hypersim.oracle import validate_witness_ae, validate_witness_ea
 from hypersim.prophecy import build_next_prophecy, prophecy_product
 from hypersim.sat import solve
@@ -46,11 +52,13 @@ def sat_model(enc):
     return cnf.named_model(res.model)
 
 
-def test_ea_one_state_pair_is_one_var_one_clause():
+def test_ea_one_state_pair_lowers_to_a_tiny_cnf():
+    # pos(1,s), loop(1) and sim(1,s): each forced by one unit clause
     enc = encode_sim_ea(ONE_A, ONE_A, IFF_A, 1)
     cnf = enc.to_cnf()
-    assert (cnf.num_vars, cnf.num_clauses) == (1, 1)
-    assert "p cnf 1 1" in export_dimacs(cnf).splitlines()
+    assert (cnf.num_vars, cnf.num_clauses) == (3, 3)
+    assert "p cnf 3 3" in export_dimacs(cnf).splitlines()
+    assert sorted(cnf.name_to_var) == ["loop(1)", "pos(1,s)", "sim(1,s)"]
 
 
 def test_ea_one_state_pair_witness():
@@ -85,11 +93,10 @@ def test_family_layout_ae():
     enc = encode_sim_ae(*intro(), 3)
     families = [fam for fam, _, _ in enc.to_cnf().provenance]
     assert families == [
-        "legal-states",
-        "exhaustive-p",
         "initial-match",
+        "used",
         "successor-match",
-        "pred",
+        "at-most-k",
     ]
 
 
@@ -97,8 +104,8 @@ def test_family_layout_ea():
     enc = encode_sim_ea(*intro(), 4)
     families = [fam for fam, _, _ in enc.to_cnf().provenance]
     assert families == [
-        "legal-states",
-        "exhaustive-q",
+        "one-hot-pos",
+        "one-hot-loop",
         "initial-sim",
         "path-step",
         "loop-back",
@@ -150,16 +157,19 @@ def test_decode_rejects_wrong_kind():
         decode_witness_ea(enc, {})
 
 
-def test_decode_rejects_illegal_slot_ordinal():
+def test_decode_rejects_non_one_hot_position():
     kp, kq, pred = intro()
-    enc = encode_sim_ae(kp, kq, pred, 2)
-    model = sat_model(encode_sim_ae(kp, kq, pred, 2))
-    # force the first q slot beyond the five legal ordinals
-    bad = {name: True for name in enc.slots_q[0].bits}
+    enc = encode_sim_ea(kp, kq, pred, 3)
     with pytest.raises(DecodeError) as exc:
-        decode_witness_ae(enc, bad)
-    assert "illegal ordinal" in str(exc.value)
-    assert model is None  # the instance itself stays unsatisfiable
+        decode_witness_ea(enc, {})  # no left state chosen anywhere
+    assert "position 1 is not one-hot" in str(exc.value)
+    # position 3 may hold s3 or s4 (both two steps from s1): choose both
+    model = {name: True for name in ("pos(1,s1)", "pos(2,s2)", "pos(3,s3)", "pos(3,s4)", "loop(3)")}
+    with pytest.raises(DecodeError) as exc:
+        decode_witness_ea(enc, model)
+    assert "position 3 is not one-hot" in str(exc.value)
+    del model["pos(3,s4)"]
+    assert [s.name for s in decode_witness_ea(enc, model).lasso.loop] == ["s3"]
 
 
 def test_export_is_deterministic_per_instance():
@@ -196,18 +206,145 @@ def test_ae_satisfiability_is_monotone_in_k(seed):
 
 @given(st.integers(min_value=0, max_value=10**9))
 @settings(max_examples=40, deadline=None)
-def test_ea_decoded_y_slots_enumerate_the_right_states(seed):
+def test_ea_decoded_positions_cover_the_right_states(seed):
+    # the positions of a decoded lasso jointly answer for every reachable
+    # right state, and only the reachable ones are forced in
     rng = random.Random(seed)
     kp = rand_structure(rng, max_states=3)
     kq = rand_structure(rng, max_states=4)
     pred = rand_pred(rng, kp.ap, kq.ap)
+    reachable = set(reachable_restriction(kq).states)
+    kq_names = {q.name for q in kq.states}
     for n in range(1, 4):
         enc = encode_sim_ea(kp, kq, pred, n)
         model = sat_model(enc)
         if model is None:
             continue
-        ys = sorted(slot.decode(model) for slot in enc.slots_q)
-        assert ys == list(range(len(kq.states)))
         w = decode_witness_ea(enc, model)
         assert validate_witness_ea(kp, kq, pred, w) == []
+        covered = {q.name for qs in w.pos_relation.values() for q in qs}
+        assert {q.name for q in reachable} <= covered <= kq_names
         break
+
+
+def naive_greatest_simulation(kp, kq, pred, allowed):
+    """Greatest predicate-respecting simulation into the right states
+    `allowed`, by plain iteration to a fixpoint."""
+    rel = {
+        (p, q)
+        for p in kp.states
+        for q in allowed
+        if eval_predicate(pred, kp.label_of(p), kq.label_of(q))
+    }
+    changed = True
+    while changed:
+        changed = False
+        for p, q in sorted(rel, key=lambda pq: (pq[0].index, pq[1].index)):
+            if not all(
+                any((p2, q2) in rel for q2 in kq.successors(q)) for p2 in kp.successors(p)
+            ):
+                rel.discard((p, q))
+                changed = True
+    return rel
+
+
+def test_greatest_simulation_matches_naive_refinement():
+    for seed in range(400):
+        rng = random.Random(seed)
+        kp = rand_structure(rng, max_states=4)
+        kq = rand_structure(rng, max_states=5)
+        pred = rand_pred(rng, kp.ap, kq.ap)
+        naive = naive_greatest_simulation(kp, kq, pred, kq.states)
+        assert greatest_simulation(kp, kq, pred) == naive, f"seed {seed}"
+
+
+def test_at_most_k_counts_exactly():
+    # every assignment of m inputs extends to a model iff at most k are true
+    for m in range(1, 7):
+        for k in range(1, m + 1):
+            vs = _Vars()
+            xs = [vs.new(f"x{i}") for i in range(1, m + 1)]
+            clauses = _at_most(xs, k, vs.new, "t")
+            for bits in itertools.product((False, True), repeat=m):
+                units = [[x if b else -x] for x, b in zip(xs, bits)]
+                cnf = lower_parts_to_cnf([("count", clauses), ("fix", units)], vs.names)
+                assert (solve(cnf).status == "sat") == (sum(bits) <= k), (m, k, bits)
+
+
+def covers_initial(kp, kq, rel) -> bool:
+    return all(any((p, q) in rel for q in kq.init) for p in kp.init)
+
+
+@given(st.integers(min_value=0, max_value=10**9))
+@settings(max_examples=100, deadline=None)
+def test_ae_minimal_k_matches_brute_force_subsets(seed):
+    rng = random.Random(seed)
+    kp = rand_structure(rng, max_states=3)
+    kq = rand_structure(rng, max_states=5)
+    pred = rand_pred(rng, kp.ap, kq.ap)
+    relation = greatest_simulation(kp, kq, pred)
+    assert relation == naive_greatest_simulation(kp, kq, pred, kq.states)
+    brute = next(
+        (
+            size
+            for size in range(1, len(kq.states) + 1)
+            for subset in itertools.combinations(kq.states, size)
+            if covers_initial(kp, kq, naive_greatest_simulation(kp, kq, pred, subset))
+        ),
+        None,
+    )
+    swept = None
+    for k in range(1, len(kq.states) + 1):
+        enc = encode_sim_ae(kp, kq, pred, k, relation)
+        model = sat_model(enc)
+        if model is not None:
+            w = decode_witness_ae(enc, model)
+            assert validate_witness_ae(kp, kq, pred, w) == []
+            assert len(w.used_q) <= k
+            swept = k
+            break
+    assert swept == brute
+    assert (swept is None) == bool(uncovered_initial(kp, kq, relation))
+
+
+def least_sets_pass(kp, kq, pred, lasso) -> bool:
+    """Does the lasso pass the predicate against its least position sets, the
+    fixpoint of S_1 >= Init_Q, S_i+1 >= post(S_i) and S_l >= post(S_n)?"""
+    seq = lasso.states_visited()
+    n, l = len(seq), len(lasso.prefix) + 1
+    sets = {i: set() for i in range(1, n + 1)}
+    sets[1] |= kq.init
+    changed = True
+    while changed:
+        changed = False
+        for i in range(1, n + 1):
+            nxt = i + 1 if i < n else l
+            post = {q2 for q in sets[i] for q2 in kq.successors(q)}
+            if not post <= sets[nxt]:
+                sets[nxt] |= post
+                changed = True
+    return all(
+        eval_predicate(pred, kp.label_of(seq[i - 1]), kq.label_of(q))
+        for i in range(1, n + 1)
+        for q in sets[i]
+    )
+
+
+@given(st.integers(min_value=0, max_value=10**9))
+@settings(max_examples=60, deadline=None)
+def test_ea_sat_matches_lasso_enumeration(seed):
+    rng = random.Random(seed)
+    kp = rand_structure(rng, max_states=3)
+    kq = rand_structure(rng, max_states=4)
+    pred = rand_pred(rng, kp.ap, kq.ap)
+    lassos = list(enumerate_lasso_paths(kp, 4))
+    for n in range(1, 5):
+        expected = any(
+            least_sets_pass(kp, kq, pred, lasso) for lasso in lassos if lasso.total_len == n
+        )
+        enc = encode_sim_ea(kp, kq, pred, n)
+        model = sat_model(enc)
+        assert (model is not None) == expected, f"n={n}"
+        if model is not None:
+            w = decode_witness_ea(enc, model)
+            assert validate_witness_ea(kp, kq, pred, w) == []

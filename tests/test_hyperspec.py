@@ -146,6 +146,15 @@ def test_expand_match_all_shared_props():
     )
 
 
+def test_expand_match_all_stays_shallow_over_many_props():
+    props = tuple(f"p{i}" for i in range(1500))
+    p = expand_match_all(MatchAll(), props, props)
+    labels = frozenset(props[::2])
+    assert eval_predicate(p, labels, labels)
+    assert not eval_predicate(p, labels, labels | {"p1"})
+    assert len(pred_to_text(p)) > 1500
+
+
 def test_expand_match_all_no_shared_props_is_true():
     assert expand_match_all(MatchAll(), ("a",), ("b",)) == TrueConst()
 
@@ -164,3 +173,20 @@ def test_predicate_props_split_by_side():
     left, right = predicate_props(parse_predicate("l.a & (r.b | !l.c)"))
     assert left == {"a", "c"}
     assert right == {"b"}
+
+
+def test_nesting_is_capped_without_recursion_errors():
+    deep = [
+        "!" * 5000 + "l.a",
+        "(" * 5000 + "l.a" + ")" * 5000,
+        " & ".join(["l.a"] * 5000),
+        " -> ".join(["l.a"] * 5000),
+    ]
+    for text in deep:
+        with pytest.raises(UnsupportedFragmentError, match="nests deeper"):
+            parse_property("forall exists. G " + text)
+    pred = parse_predicate("!" * 50 + "l.a")
+    for _ in range(50):
+        assert isinstance(pred, Not)
+        pred = pred.arg
+    assert pred == LeftAtom("a")
