@@ -38,6 +38,7 @@ from .hyperspec import (
 from .kripke import KripkeError, KripkeStructure, parse_kripke, reachable_restriction
 from .oracle import (
     Counterexample,
+    LiveSetSearch,
     falsify_exists_forall,
     falsify_forall_exists,
     reverify_counterexample,
@@ -92,6 +93,7 @@ class IterationStat:
     seconds: float
     num_vars: int = 0
     num_clauses: int = 0
+    nodes: int | None = None  # forall-exists falsify: live-set nodes at this depth
 
 
 @dataclass
@@ -137,6 +139,7 @@ class Report:
                     "seconds": round(it.seconds, 4),
                     "vars": it.num_vars,
                     "clauses": it.num_clauses,
+                    "nodes": it.nodes,
                 }
                 for it in self.iterations
             ],
@@ -172,11 +175,12 @@ class Report:
             lines.append(f"  {c['note']}")
         lines.append("iterations:")
         for it in self.iterations:
-            extra = (
-                f" ({it.num_vars} vars, {it.num_clauses} clauses)"
-                if it.side == "sim"
-                else ""
-            )
+            if it.side == "sim":
+                extra = f" ({it.num_vars} vars, {it.num_clauses} clauses)"
+            elif it.nodes is not None:
+                extra = f" ({it.nodes} live-set nodes)"
+            else:
+                extra = ""
             bound_name = {"sim": "bound", "falsify": "depth"}[it.side]
             lines.append(
                 f"  {it.side} {bound_name}={it.bound}: {it.outcome} in {it.seconds:.3f}s{extra}"
@@ -260,9 +264,12 @@ def check_pair(
     )
 
     relation = None
+    search = None
     if mode == "ae":
         # every simulation lies inside the greatest one, so all bounds share it
         relation = greatest_simulation(kp, kq, pred)
+        # and every falsify depth extends the layers of one live-set search
+        search = LiveSetSearch(kp, kq, pred)
         for p in uncovered_initial(kp, kq, relation):
             notes.append(
                 f"no right subset can simulate left state {p.name}: the greatest "
@@ -313,13 +320,14 @@ def check_pair(
         if bound <= max_falsify_depth:
             t0 = time.perf_counter()
             if mode == "ae":
-                cex = falsify_forall_exists(kp, kq, pred, bound)
+                cex = falsify_forall_exists(kp, kq, pred, bound, search=search)
             else:
                 cex = falsify_exists_forall(kp, kq, pred, bound)
             took = time.perf_counter() - t0
             report.iterations.append(
                 IterationStat(
-                    "falsify", bound, "counterexample" if cex else "none", took
+                    "falsify", bound, "counterexample" if cex else "none", took,
+                    nodes=len(search.layer(bound - 1)) if search is not None else None,
                 )
             )
             report.falsify_depth_reached = bound

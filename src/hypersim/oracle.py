@@ -244,36 +244,99 @@ class Counterexample:
     note: str
 
 
+LiveNode = tuple[StateId, frozenset[StateId]]
+
+
+class LiveSetSearch:
+    """Breadth-first search over nodes (p, L): a left state p and the set L of
+    right states still alive after the predicate at p, for the forall-exists
+    falsifier.
+
+    Layer i maps each node reachable by a left path of i+1 states to its
+    parent in layer i-1, kept from the node's first discovery.  Initial states
+    and successors are visited in index order, so layer order is the
+    lexicographic order of each node's least path, and parents rebuild that
+    path.  Layers are built on demand: one search serves every depth of a
+    decision.
+    """
+
+    def __init__(self, kp: KripkeStructure, kq: KripkeStructure, pred: Pred) -> None:
+        self.kp, self.kq, self.pred = kp, kq, pred
+        self._post = {q: frozenset(kq.successors(q)) for q in kq.states}
+        self._allowed: dict[frozenset[str], frozenset[StateId]] = {}
+        self.layers: list[dict[LiveNode, LiveNode | None]] = []
+
+    def allowed(self, p: StateId) -> frozenset[StateId]:
+        """The right states whose label satisfies the predicate against p's
+        label, evaluated once per distinct left label."""
+        label = self.kp.label_of(p)
+        got = self._allowed.get(label)
+        if got is None:
+            got = frozenset(
+                q for q in self.kq.states
+                if eval_predicate(self.pred, label, self.kq.label_of(q))
+            )
+            self._allowed[label] = got
+        return got
+
+    def layer(self, i: int) -> dict[LiveNode, LiveNode | None]:
+        """The nodes after left paths of i+1 states, in least-path order."""
+        if not self.layers:
+            init_q = self.kq.init
+            self.layers.append(
+                {(p, init_q & self.allowed(p)): None for p in self.kp.sorted_init()}
+            )
+        while len(self.layers) <= i:
+            nxt: dict[LiveNode, LiveNode | None] = {}
+            for node in self.layers[-1]:
+                p, live = node
+                post = frozenset().union(*(self._post[q] for q in live))
+                for p2 in self.kp.successors(p):
+                    child = (p2, post & self.allowed(p2))
+                    if child not in nxt:
+                        nxt[child] = node
+            self.layers.append(nxt)
+        return self.layers[i]
+
+    def least_path(self, node: LiveNode, i: int) -> list[LiveNode]:
+        """The nodes along the least left path to `node` in layer i."""
+        chain = [node]
+        for j in range(i, 0, -1):
+            chain.append(self.layers[j][chain[-1]])
+        chain.reverse()
+        return chain
+
+
 def falsify_forall_exists(
-    kp: KripkeStructure, kq: KripkeStructure, pred: Pred, depth: int
+    kp: KripkeStructure,
+    kq: KripkeStructure,
+    pred: Pred,
+    depth: int,
+    search: LiveSetSearch | None = None,
 ) -> Counterexample | None:
     """Search for a depth-bounded refutation of forall-exists G pred: a K_P
     path such that every K_Q path violates the predicate at some position
     before `depth`.  Sound: every infinite right trace extends a refuted
-    prefix, so a hit refutes the property outright."""
+    prefix, so a hit refutes the property outright.
+
+    An empty live set stays empty, so such a path exists iff layer depth-1 of
+    the live-set search holds a node with no live right state; the returned
+    path is the least one (lexicographic in state index).  Pass one `search`
+    built for (kp, kq, pred) to every depth of a sweep to share its layers.
+    """
     if depth < 1:
         return None
-    for p_path in initial_paths(kp, depth):
-        frontier = {
-            q for q in kq.init if eval_predicate(pred, kp.label_of(p_path[0]), kq.label_of(q))
-        }
-        died_at = 0 if not frontier else -1
-        if died_at < 0:
-            for i in range(1, depth):
-                lp = kp.label_of(p_path[i])
-                frontier = {
-                    q2
-                    for q in frontier
-                    for q2 in kq.successors(q)
-                    if eval_predicate(pred, lp, kq.label_of(q2))
-                }
-                if not frontier:
-                    died_at = i
-                    break
-        if died_at >= 0:
+    if search is None:
+        search = LiveSetSearch(kp, kq, pred)
+    elif (search.kp, search.kq, search.pred) != (kp, kq, pred):
+        raise ValueError("live-set search was built for other structures or predicate")
+    for node in search.layer(depth - 1):
+        if not node[1]:
+            chain = search.least_path(node, depth - 1)
+            died_at = next(i for i, (_, live) in enumerate(chain) if not live)
             return Counterexample(
                 side="forall-exists",
-                p_path=tuple(p_path),
+                p_path=tuple(p for p, _ in chain),
                 depth=depth,
                 note=f"every right-model path violates the predicate by position {died_at} against this left path",
             )
@@ -355,8 +418,10 @@ def falsify_exists_forall(
 def reverify_counterexample(
     kp: KripkeStructure, kq: KripkeStructure, pred: Pred, cex: Counterexample
 ) -> bool:
-    """Re-derive a falsifier verdict by plain path recursion (a code path
-    disjoint from the frontier-set search above)."""
+    """Re-derive a falsifier verdict by code disjoint from the searches above:
+    recursion over (right state, position) against the left path for
+    forall-exists, recursion over (left state, position) against the right
+    states reachable at each position for exists-forall."""
     d = cex.depth
     if cex.side == "forall-exists":
         path = cex.p_path
@@ -387,22 +452,24 @@ def reverify_counterexample(
             if (a, b) not in kq.trans:
                 return False
 
-        def admits_violation(p_path: tuple[StateId, ...]) -> bool:
-            memo: dict[tuple[StateId, int], bool] = {}
+        # a left path admits a violation iff at some position i its label fails
+        # against a right state reachable in exactly i steps
+        reach = [frozenset(kq.init)]
+        for _ in range(d - 1):
+            reach.append(frozenset(q2 for q in reach[-1] for q2 in kq.successors(q)))
+        memo: dict[tuple[StateId, int], bool] = {}
 
-            def violated(q: StateId, i: int) -> bool:
-                key = (q, i)
-                if key in memo:
-                    return memo[key]
-                ok = not eval_predicate(pred, kp.label_of(p_path[i]), kq.label_of(q))
-                if not ok and i < d - 1:
-                    ok = any(violated(q2, i + 1) for q2 in kq.successors(q))
-                memo[key] = ok
-                return ok
+        def safe_from(p: StateId, i: int) -> bool:
+            """Some left path from p at position i is safe at positions i..d-1."""
+            key = (p, i)
+            if key not in memo:
+                lp = kp.label_of(p)
+                memo[key] = all(
+                    eval_predicate(pred, lp, kq.label_of(q)) for q in reach[i]
+                ) and (i == d - 1 or any(safe_from(p2, i + 1) for p2 in kp.successors(p)))
+            return memo[key]
 
-            return any(violated(q, 0) for q in kq.init)
-
-        return all(admits_violation(tuple(p)) for p in initial_paths(kp, d))
+        return not any(safe_from(p, 0) for p in kp.init)
 
     return False
 

@@ -26,6 +26,10 @@ class ProphecyError(Exception):
     pass
 
 
+# build_next_prophecy makes 2^(depth+1) states up front; 10 gives 2048
+MAX_NEXT_PROPHECY_DEPTH = 10
+
+
 @dataclass(frozen=True)
 class ProphecyAutomaton:
     structure: KripkeStructure
@@ -45,6 +49,11 @@ def build_next_prophecy(prop: str, depth: int) -> ProphecyAutomaton:
     """
     if depth < 1:
         raise ProphecyError(f"prophecy depth must be >= 1, got {depth}")
+    if depth > MAX_NEXT_PROPHECY_DEPTH:
+        raise ProphecyError(
+            f"prophecy depth must be <= {MAX_NEXT_PROPHECY_DEPTH} "
+            f"({2 ** (MAX_NEXT_PROPHECY_DEPTH + 1)} automaton states), got {depth}"
+        )
     width = depth + 1
     count = 1 << width
 

@@ -1,5 +1,6 @@
 """Shared generators for the test suite: random structures, predicates, lassos,
-and the small-graph enumeration behind the vertex-cover suite."""
+the small-graph enumeration behind the vertex-cover suite, and path-listing
+reference versions of the falsifier and the counterexample re-check."""
 
 from __future__ import annotations
 
@@ -8,6 +9,7 @@ import random
 
 from hypothesis import strategies as st
 
+import hypersim.prophecy
 from hypersim.hyperspec import (
     And,
     FalseConst,
@@ -19,9 +21,10 @@ from hypersim.hyperspec import (
     Pred,
     RightAtom,
     TrueConst,
+    eval_predicate,
 )
-from hypersim.kripke import KripkeStructure, LassoTrace, StateId
-from hypersim.oracle import Graph, make_graph
+from hypersim.kripke import KripkeStructure, LassoTrace, StateId, initial_paths
+from hypersim.oracle import Counterexample, Graph, make_graph
 
 
 def build_structure(
@@ -106,6 +109,85 @@ def rand_lasso_trace(
         prefix=tuple(letter() for _ in range(p)),
         loop=tuple(letter() for _ in range(l)),
     )
+
+
+# ---------------------------------------------------------------- references
+
+
+def falsify_forall_exists_by_paths(
+    kp: KripkeStructure, kq: KripkeStructure, pred: Pred, depth: int
+) -> Counterexample | None:
+    """The forall-exists falsifier by listing every left path of `depth`
+    states in lexicographic order; exponential in the depth."""
+    if depth < 1:
+        return None
+    for p_path in initial_paths(kp, depth):
+        frontier = {
+            q for q in kq.init if eval_predicate(pred, kp.label_of(p_path[0]), kq.label_of(q))
+        }
+        died_at = 0 if not frontier else -1
+        if died_at < 0:
+            for i in range(1, depth):
+                lp = kp.label_of(p_path[i])
+                frontier = {
+                    q2
+                    for q in frontier
+                    for q2 in kq.successors(q)
+                    if eval_predicate(pred, lp, kq.label_of(q2))
+                }
+                if not frontier:
+                    died_at = i
+                    break
+        if died_at >= 0:
+            return Counterexample(
+                side="forall-exists",
+                p_path=tuple(p_path),
+                depth=depth,
+                note=f"every right-model path violates the predicate by position {died_at} against this left path",
+            )
+    return None
+
+
+def reverify_exists_forall_by_paths(
+    kp: KripkeStructure, kq: KripkeStructure, pred: Pred, cex: Counterexample
+) -> bool:
+    """The exists-forall counterexample re-check by listing every left path
+    of the counterexample's depth and searching a violating right path
+    against each."""
+    d = cex.depth
+    sample = cex.p_path
+    if len(sample) != d or sample[0] not in kq.init:
+        return False
+    for a, b in zip(sample, sample[1:]):
+        if (a, b) not in kq.trans:
+            return False
+
+    def admits_violation(p_path: tuple[StateId, ...]) -> bool:
+        memo: dict[tuple[StateId, int], bool] = {}
+
+        def violated(q: StateId, i: int) -> bool:
+            key = (q, i)
+            if key in memo:
+                return memo[key]
+            ok = not eval_predicate(pred, kp.label_of(p_path[i]), kq.label_of(q))
+            if not ok and i < d - 1:
+                ok = any(violated(q2, i + 1) for q2 in kq.successors(q))
+            memo[key] = ok
+            return ok
+
+        return any(violated(q, 0) for q in kq.init)
+
+    return all(admits_violation(tuple(p)) for p in initial_paths(kp, d))
+
+
+def refuse_to_build_states(monkeypatch) -> None:
+    """Make `build_next_prophecy` fail at its first state, so a test of its
+    depth cap can never start building a huge automaton."""
+
+    def no_states(*args):
+        raise AssertionError("a capped prophecy must fail before building states")
+
+    monkeypatch.setattr(hypersim.prophecy, "StateId", no_states)
 
 
 # ---------------------------------------------------------------- graphs

@@ -16,6 +16,8 @@ from hypersim.cli import (
 from hypersim.hyperspec import parse_property
 from hypersim.kripke import parse_kripke
 
+from helpers import refuse_to_build_states
+
 DATA = Path(__file__).parent / "data"
 SATCLI_BACKEND = f"external:{sys.executable} -m hypersim.satcli"
 
@@ -91,6 +93,31 @@ def test_json_report_shape(capsys):
     assert {"leftStates", "rightStates", "iterations", "notes"} <= payload.keys()
 
 
+def test_reports_show_the_live_set_nodes_of_each_ae_falsify_depth(capsys):
+    assert main(check_args("phi1.hp", "--format", "json")) == 1
+    rows = json.loads(capsys.readouterr().out)["iterations"]
+    falsify = [it for it in rows if it["side"] == "falsify"]
+    assert falsify and all(it["nodes"] >= 1 for it in falsify)
+    assert all(it["nodes"] is None for it in rows if it["side"] == "sim")
+    assert main(check_args("phi1.hp")) == 1
+    lines = capsys.readouterr().out.splitlines()
+    for it in falsify:
+        assert any(
+            line.startswith(f"  falsify depth={it['bound']}: ")
+            and line.endswith(f" ({it['nodes']} live-set nodes)")
+            for line in lines
+        )
+
+
+def test_ea_reports_carry_no_live_set_nodes():
+    kp = parse_kripke((DATA / "k1.kr").read_text())
+    kq = parse_kripke((DATA / "k2.kr").read_text())
+    report = check_pair(kp, kq, parse_property("exists forall. G (l.a <-> r.a)"))
+    assert report.iterations
+    assert all(it.nodes is None for it in report.iterations)
+    assert "live-set" not in report.render_text()
+
+
 def test_text_report_mentions_the_counterexample(capsys):
     main(check_args("phi1.hp"))
     out = capsys.readouterr().out
@@ -157,6 +184,12 @@ def test_prophecy_rejected_for_exists_forall(capsys):
 def test_bad_prophecy_arguments_are_input_errors(text, capsys):
     assert main(check_args("phi2.hp", "--prophecy", text)) == 3
     capsys.readouterr()
+
+
+def test_oversized_prophecy_depth_is_an_input_error(monkeypatch, capsys):
+    refuse_to_build_states(monkeypatch)
+    assert main(check_args("phi2.hp", "--prophecy", "next:a:40")) == 3
+    assert "prophecy depth must be <= 10" in capsys.readouterr().err
 
 
 def test_missing_files_are_input_errors(capsys):

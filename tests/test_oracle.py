@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import time
 from pathlib import Path
 
 import pytest
@@ -10,8 +11,12 @@ from hypothesis import strategies as st
 
 from hypersim.encoder import SimWitnessAE, encode_sim_ae
 from hypersim.hyperspec import eval_predicate, parse_predicate, parse_property
-from hypersim.kripke import LassoTrace, StateId, parse_kripke, trace_of, LassoPath
+import hypersim.cli
+from hypersim.cli import check_pair
+from hypersim.kripke import LassoTrace, StateId, initial_paths, parse_kripke, trace_of, LassoPath
 from hypersim.oracle import (
+    Counterexample,
+    LiveSetSearch,
     brute_force_vertex_cover,
     check_box_on_pair,
     falsify_exists_forall,
@@ -27,7 +32,14 @@ from hypersim.oracle import (
 )
 from hypersim.sat import solve
 
-from helpers import rand_lasso_trace, rand_pred, rand_structure
+from helpers import (
+    build_structure,
+    falsify_forall_exists_by_paths,
+    rand_lasso_trace,
+    rand_pred,
+    rand_structure,
+    reverify_exists_forall_by_paths,
+)
 
 DATA = Path(__file__).parent / "data"
 
@@ -199,6 +211,104 @@ def test_reverify_rejects_tampered_paths():
         side=cex.side, p_path=cex.p_path[:-1] + (kp.states[3],), depth=cex.depth, note=""
     )
     assert reverify_counterexample(kp, kq, pred, forged) is False
+
+
+def rand_pair(seed):
+    rng = random.Random(seed)
+    kp = rand_structure(rng, max_states=4)
+    kq = rand_structure(rng, max_states=4)
+    return kp, kq, rand_pred(rng, kp.ap, kq.ap)
+
+
+@given(st.integers(min_value=0, max_value=10**9))
+@settings(max_examples=60, deadline=None)
+def test_live_set_falsifier_matches_path_listing(seed):
+    kp, kq, pred = rand_pair(seed)
+    expected = {d: falsify_forall_exists_by_paths(kp, kq, pred, d) for d in range(1, 8)}
+    for d in range(1, 8):
+        assert falsify_forall_exists(kp, kq, pred, d) == expected[d]
+    swept = LiveSetSearch(kp, kq, pred)
+    for d in range(1, 8):
+        assert falsify_forall_exists(kp, kq, pred, d, search=swept) == expected[d]
+    out_of_order = LiveSetSearch(kp, kq, pred)
+    for d in (7, 3):
+        assert falsify_forall_exists(kp, kq, pred, d, search=out_of_order) == expected[d]
+
+
+def complete_structure(n, labels, init):
+    edges = {(i, j) for i in range(n) for j in range(n)}
+    return build_structure(n, ("a",), labels, edges, init)
+
+
+def test_live_set_falsifier_is_polynomial_in_the_depth():
+    # path listing walks 4^12 left paths here
+    kp = complete_structure(4, {1: {"a"}, 3: {"a"}}, {0, 1, 2, 3})
+    kq = complete_structure(2, {0: {"a"}}, {0, 1})
+    pred = parse_predicate("l.a <-> r.a")
+    search = LiveSetSearch(kp, kq, pred)
+    t0 = time.perf_counter()
+    assert falsify_forall_exists(kp, kq, pred, 12, search=search) is None
+    assert time.perf_counter() - t0 < 1.0
+    assert all(len(layer) == 4 for layer in search.layers)
+
+
+def test_live_set_search_rejects_a_search_for_other_inputs():
+    kp, kq = intro()
+    search = LiveSetSearch(kp, kq, parse_predicate("l.a <-> r.a"))
+    with pytest.raises(ValueError):
+        falsify_forall_exists(kp, kq, parse_predicate("l.a -> r.b"), 2, search=search)
+
+
+def test_check_pair_calls_the_falsifier_once_per_falsify_iteration(monkeypatch):
+    calls = []
+    original = hypersim.cli.falsify_forall_exists
+
+    def counting(kp, kq, pred, depth, search=None):
+        calls.append((depth, search))
+        return original(kp, kq, pred, depth, search=search)
+
+    monkeypatch.setattr(hypersim.cli, "falsify_forall_exists", counting)
+    kp, kq = intro()
+    report = check_pair(kp, kq, parse_property("forall exists. G (l.a <-> r.a)"))
+    depths = [it.bound for it in report.iterations if it.side == "falsify"]
+    assert len(depths) > 1
+    assert [d for d, _ in calls] == depths
+    assert len({id(search) for _, search in calls}) == 1 and calls[0][1] is not None
+
+
+@given(st.integers(min_value=0, max_value=10**9))
+@settings(max_examples=60, deadline=None)
+def test_exists_forall_reverify_matches_path_listing(seed):
+    kp, kq, pred = rand_pair(seed)
+    rng = random.Random(seed)
+    for d in range(1, 6):
+        sample = tuple(next(initial_paths(kq, d)))
+        found = falsify_exists_forall(kp, kq, pred, d)
+        forged = sample[:-1] + (rng.choice(kq.states),)
+        for path, depth in [
+            (sample, d),
+            (forged, d),
+            (sample[:-1], d),
+            (sample, d + 1),
+        ] + ([(found.p_path, d)] if found is not None else []):
+            cex = Counterexample("exists-forall", path, depth, "")
+            assert reverify_counterexample(kp, kq, pred, cex) == (
+                reverify_exists_forall_by_paths(kp, kq, pred, cex)
+            )
+        if found is not None:
+            assert reverify_counterexample(kp, kq, pred, found)
+
+
+def test_exists_forall_reverify_is_polynomial_in_the_depth():
+    # path listing walks 4^12 left paths here; every one admits a violation
+    kp = complete_structure(4, {1: {"a"}, 3: {"a"}}, {0, 1, 2, 3})
+    kq = complete_structure(2, {0: {"a"}}, {0, 1})
+    pred = parse_predicate("l.a <-> r.a")
+    cex = falsify_exists_forall(kp, kq, pred, 12)
+    assert cex is not None
+    t0 = time.perf_counter()
+    assert reverify_counterexample(kp, kq, pred, cex)
+    assert time.perf_counter() - t0 < 1.0
 
 
 # ------------------------------------------------------- vertex cover bridge

@@ -15,6 +15,7 @@ from hypersim.kripke import (
     validate_kripke,
 )
 from hypersim.prophecy import (
+    MAX_NEXT_PROPHECY_DEPTH,
     ProphecyAutomaton,
     ProphecyError,
     build_next_prophecy,
@@ -25,7 +26,7 @@ from hypersim.prophecy import (
     validate_prophecy,
 )
 
-from helpers import rand_structure
+from helpers import rand_structure, refuse_to_build_states
 
 DATA = Path(__file__).parent / "data"
 
@@ -81,6 +82,15 @@ def test_universality_counterexamples():
 def test_build_rejects_zero_depth():
     with pytest.raises(ProphecyError):
         build_next_prophecy("a", 0)
+
+
+def test_build_caps_the_depth(monkeypatch):
+    top = build_next_prophecy("a", MAX_NEXT_PROPHECY_DEPTH)
+    assert len(top.structure.states) == 2 ** (MAX_NEXT_PROPHECY_DEPTH + 1)
+    refuse_to_build_states(monkeypatch)
+    for depth in (MAX_NEXT_PROPHECY_DEPTH + 1, 40):
+        with pytest.raises(ProphecyError, match="must be <= 10"):
+            build_next_prophecy("a", depth)
 
 
 def test_product_splits_states_on_the_prophesied_future():
