@@ -29,6 +29,7 @@ from .encoder import (
 from .hyperspec import (
     HyperProperty,
     Pattern,
+    Pred,
     PredicateParseError,
     UnsupportedFragmentError,
     expand_match_all,
@@ -75,14 +76,11 @@ class CheckConfig:
     right_path: str
     prop_path: str | None = None
     prop_text: str | None = None
-    mode: str = "auto"  # "ae", "ea", or "auto" (from the property pattern)
     prophecy: str | None = None  # "next:<prop>:<depth>"
     prophecy_file: str | None = None
     max_sim_bound: int | None = None
     max_falsify_depth: int = DEFAULT_FALSIFY_DEPTH
     backend: str = "embedded"  # "embedded" or "external:<path>"
-    fmt: str = "text"
-    restrict_reachable: bool = True
 
 
 @dataclass
@@ -213,6 +211,36 @@ def _cex_dict(cex: Counterexample) -> dict:
     }
 
 
+def prepare(
+    kp: KripkeStructure,
+    kq: KripkeStructure,
+    prop: HyperProperty,
+    prophecy: ProphecyAutomaton | None = None,
+) -> tuple[KripkeStructure, KripkeStructure, Pred, str, list[str]]:
+    """The structures, predicate, mode ("ae" or "ea") and notes every
+    encoding and falsifier of one decision works on: the prophecy product,
+    match-all expanded, and the enumerated side reachable-restricted."""
+    mode = _mode_of(prop.pattern)
+    if prophecy is not None and mode != "ae":
+        raise CliInputError("prophecy enrichment applies to forall-exists checks only")
+    notes: list[str] = []
+    if prophecy is not None:
+        try:
+            kp = prophecy_product(kp, prophecy)
+        except ProphecyError as e:
+            raise CliInputError(str(e)) from e
+        notes.append(f"left structure enriched by prophecy product: {len(kp.states)} states")
+    pred = expand_match_all(prop.pred, kp.ap, kq.ap)
+    # the exhaustively enumerated (universal) side is reachable-restricted;
+    # the existential side must keep unreachable states (they are legitimate
+    # simulation partners)
+    if mode == "ae":
+        kp = reachable_restriction(kp)
+    else:
+        kq = reachable_restriction(kq)
+    return kp, kq, pred, mode, notes
+
+
 def check_pair(
     kp: KripkeStructure,
     kq: KripkeStructure,
@@ -222,32 +250,13 @@ def check_pair(
     max_sim_bound: int | None = None,
     max_falsify_depth: int = DEFAULT_FALSIFY_DEPTH,
     backend=None,
-    restrict_reachable: bool = True,
 ) -> Report:
     """Decide prop on (kp, kq) by interleaved simulation search / falsification."""
-    mode = _mode_of(prop.pattern)
-    if prophecy is not None and mode != "ae":
-        raise CliInputError("prophecy enrichment applies to forall-exists checks only")
     if max_falsify_depth < 1:
         raise CliInputError(f"falsification depth must be >= 1, got {max_falsify_depth}")
     if max_sim_bound is not None and max_sim_bound < 1:
         raise CliInputError(f"simulation bound must be >= 1, got {max_sim_bound}")
-
-    notes: list[str] = []
-    if prophecy is not None:
-        kp = prophecy_product(kp, prophecy)
-        notes.append(f"left structure enriched by prophecy product: {len(kp.states)} states")
-
-    pred = expand_match_all(prop.pred, kp.ap, kq.ap)
-
-    # the exhaustively enumerated (universal) side is reachable-restricted;
-    # the existential side must keep unreachable states (they are legitimate
-    # simulation partners)
-    if restrict_reachable:
-        if mode == "ae":
-            kp = reachable_restriction(kp)
-        else:
-            kq = reachable_restriction(kq)
+    kp, kq, pred, mode, notes = prepare(kp, kq, prop, prophecy)
 
     if mode == "ae":
         sim_max = min(max_sim_bound, len(kq.states)) if max_sim_bound else len(kq.states)
@@ -427,33 +436,30 @@ def _load_prophecy(cfg: CheckConfig, left: KripkeStructure) -> ProphecyAutomaton
     return None
 
 
-def _backend_of(cfg: CheckConfig):
-    if cfg.backend == "embedded":
+def _backend_of(backend: str):
+    if backend == "embedded":
         return None
-    if cfg.backend.startswith("external:"):
-        command = cfg.backend[len("external:"):]
+    if backend.startswith("external:"):
+        command = backend[len("external:"):]
         if not command.strip():
             raise CliInputError("external backend needs a command: external:<command>")
-        return ExternalBackend(command)
-    raise CliInputError(f"unknown backend {cfg.backend!r}")
+        try:
+            return ExternalBackend(command)
+        except ValueError as e:  # the command does not split into words
+            raise CliInputError(f"external backend command {command!r}: {e}") from e
+    raise CliInputError(f"unknown backend {backend!r}")
 
 
-def _resolve_mode(cfg: CheckConfig, prop: HyperProperty) -> None:
-    inferred = _mode_of(prop.pattern)
-    if cfg.mode == "auto":
-        cfg.mode = inferred
-    elif cfg.mode != inferred:
-        raise CliInputError(
-            f"--mode {cfg.mode} conflicts with the property pattern ({prop.pattern.value})"
-        )
+def _load(
+    cfg: CheckConfig,
+) -> tuple[KripkeStructure, KripkeStructure, HyperProperty, ProphecyAutomaton | None]:
+    left = _load_structure(cfg.left_path)
+    right = _load_structure(cfg.right_path)
+    return left, right, _load_property(cfg), _load_prophecy(cfg, left)
 
 
 def run_check(cfg: CheckConfig) -> Report:
-    left = _load_structure(cfg.left_path)
-    right = _load_structure(cfg.right_path)
-    prop = _load_property(cfg)
-    _resolve_mode(cfg, prop)
-    prophecy = _load_prophecy(cfg, left)
+    left, right, prop, prophecy = _load(cfg)
     return check_pair(
         left,
         right,
@@ -461,31 +467,18 @@ def run_check(cfg: CheckConfig) -> Report:
         prophecy=prophecy,
         max_sim_bound=cfg.max_sim_bound,
         max_falsify_depth=cfg.max_falsify_depth,
-        backend=_backend_of(cfg),
-        restrict_reachable=cfg.restrict_reachable,
+        backend=_backend_of(cfg.backend),
     )
 
 
 def export_encoding(cfg: CheckConfig, bound: int) -> tuple[str, str]:
     """Build the encoding at one bound without solving; returns (dimacs, varmap)."""
-    left = _load_structure(cfg.left_path)
-    right = _load_structure(cfg.right_path)
-    prop = _load_property(cfg)
-    _resolve_mode(cfg, prop)
-    prophecy = _load_prophecy(cfg, left)
-    if prophecy is not None:
-        left = prophecy_product(left, prophecy)
-    pred = expand_match_all(prop.pred, left.ap, right.ap)
-    if cfg.restrict_reachable:
-        if cfg.mode == "ae":
-            left = reachable_restriction(left)
-        else:
-            right = reachable_restriction(right)
+    kp, kq, pred, mode, _ = prepare(*_load(cfg))
     try:
-        if cfg.mode == "ae":
-            enc = encode_sim_ae(left, right, pred, bound)
+        if mode == "ae":
+            enc = encode_sim_ae(kp, kq, pred, bound)
         else:
-            enc = encode_sim_ea(left, right, pred, bound)
+            enc = encode_sim_ea(kp, kq, pred, bound)
     except EncodeError as e:
         raise CliInputError(str(e)) from e
     cnf = enc.to_cnf()
@@ -508,45 +501,65 @@ class BenchRow:
     error: str | None = None
 
 
-def run_benchmarks(corpus_dir: str, backend=None) -> tuple[list[BenchRow], bool]:
+# manifest key -> (type, required); file names are relative to the case directory
+_MANIFEST_KEYS = {
+    "left": (str, True),
+    "right": (str, True),
+    "property": (str, True),
+    "expect": (str, True),
+    "prophecy": (str, False),
+    "prophecy_file": (str, False),
+    "max_bound": (int, False),
+    "max_depth": (int, False),
+}
+
+
+def _case_config(case_dir: Path, backend: str) -> tuple[CheckConfig, str]:
+    """The check a case.json describes, and its expected verdict."""
+    try:
+        manifest = json.loads((case_dir / "case.json").read_text())
+    except (OSError, ValueError) as e:
+        raise CliInputError(f"case.json: {e}") from e
+    if not isinstance(manifest, dict):
+        raise CliInputError("case.json must hold a JSON object")
+    for key, (kind, required) in _MANIFEST_KEYS.items():
+        value = manifest.get(key)
+        if value is None:
+            if required:
+                raise CliInputError(f"case.json lacks {key!r}")
+        elif not isinstance(value, kind) or isinstance(value, bool):
+            raise CliInputError(f"case.json: {key!r} must be a {kind.__name__}, got {value!r}")
+    prophecy_file = manifest.get("prophecy_file")
+    depth = manifest.get("max_depth")
+    cfg = CheckConfig(
+        left_path=str(case_dir / manifest["left"]),
+        right_path=str(case_dir / manifest["right"]),
+        prop_path=str(case_dir / manifest["property"]),
+        prophecy=manifest.get("prophecy"),
+        prophecy_file=None if prophecy_file is None else str(case_dir / prophecy_file),
+        max_sim_bound=manifest.get("max_bound"),
+        max_falsify_depth=DEFAULT_FALSIFY_DEPTH if depth is None else depth,
+        backend=backend,
+    )
+    return cfg, manifest["expect"]
+
+
+def run_benchmarks(corpus_dir: str, backend: str = "embedded") -> tuple[list[BenchRow], bool]:
     root = Path(corpus_dir)
     if not root.is_dir():
         raise CliInputError(f"corpus directory not found: {corpus_dir}")
+    _backend_of(backend)  # a bad backend fails the run, not every case
     rows: list[BenchRow] = []
     all_ok = True
     for case_dir in sorted(p for p in root.iterdir() if p.is_dir()):
-        manifest_path = case_dir / "case.json"
-        if not manifest_path.is_file():
+        if not (case_dir / "case.json").is_file():
             continue
         name = case_dir.name
         t0 = time.perf_counter()
         try:
-            manifest = json.loads(manifest_path.read_text())
-            expected = manifest["expect"]
-            cfg = CheckConfig(
-                left_path=str(case_dir / manifest["left"]),
-                right_path=str(case_dir / manifest["right"]),
-                prop_path=str(case_dir / manifest["property"]),
-                prophecy=manifest.get("prophecy"),
-                prophecy_file=(
-                    str(case_dir / manifest["prophecy_file"])
-                    if "prophecy_file" in manifest
-                    else None
-                ),
-                max_sim_bound=manifest.get("max_bound"),
-                max_falsify_depth=manifest.get("max_depth", DEFAULT_FALSIFY_DEPTH),
-            )
-            left = _load_structure(cfg.left_path)
-            report = check_pair(
-                left,
-                _load_structure(cfg.right_path),
-                _load_property(cfg),
-                prophecy=_load_prophecy(cfg, left),
-                max_sim_bound=cfg.max_sim_bound,
-                max_falsify_depth=cfg.max_falsify_depth,
-                backend=backend,
-            )
-        except (CliInputError, KeyError, json.JSONDecodeError) as e:
+            cfg, expected = _case_config(case_dir, backend)
+            report = run_check(cfg)
+        except CliInputError as e:
             rows.append(
                 BenchRow(name, None, None, "error", "?", None, time.perf_counter() - t0,
                          ok=False, error=str(e))
@@ -594,55 +607,55 @@ EXIT_BACKEND_ERROR = 4
 EXIT_INTERNAL_ERROR = 5
 
 
-def _add_check_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--mode", choices=["ae", "ea", "auto"], default="auto",
-                   help="ae = forall-exists, ea = exists-forall; default inferred from the property")
+class _ArgumentParser(argparse.ArgumentParser):
+    """Usage errors are input errors: argparse's own exit code 2 is the
+    unknown-at-bounds verdict."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        raise CliInputError(message)
+
+
+def _add_input_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--left", required=True, help="left (first-quantifier) structure file")
     p.add_argument("--right", required=True, help="right (second-quantifier) structure file")
     p.add_argument("--prop", help="property file")
     p.add_argument("--prop-inline", help="property text, e.g. 'forall exists. G (l.a -> r.b)'")
     p.add_argument("--prophecy", help="built-in prophecy: next:<prop>:<depth>")
     p.add_argument("--prophecy-file", help="prophecy automaton file (.kr plus annot lines)")
-    p.add_argument("--max-bound", type=int, default=None,
-                   help="cap for the simulation bound (default: |S_Q| for ae, %d for ea)" % DEFAULT_EA_BOUND)
-    p.add_argument("--max-depth", type=int, default=DEFAULT_FALSIFY_DEPTH,
-                   help="cap for the falsification depth (default %(default)s)")
-    p.add_argument("--backend", default="embedded",
-                   help="'embedded' or 'external:<path-to-solver>' (DIMACS in, 's ...'/'v ...' out)")
-    p.add_argument("--no-restrict", action="store_true",
-                   help="do not reachable-restrict the enumerated side before encoding")
-    p.add_argument("--format", dest="fmt", choices=["text", "json"], default="text")
 
 
-def _cfg_from_args(args: argparse.Namespace) -> CheckConfig:
+def _cfg_from_args(args: argparse.Namespace, **bounds) -> CheckConfig:
     return CheckConfig(
         left_path=args.left,
         right_path=args.right,
         prop_path=args.prop,
         prop_text=args.prop_inline,
-        mode=args.mode,
         prophecy=args.prophecy,
         prophecy_file=args.prophecy_file,
-        max_sim_bound=args.max_bound,
-        max_falsify_depth=args.max_depth,
-        backend=args.backend,
-        fmt=args.fmt,
-        restrict_reachable=not args.no_restrict,
+        **bounds,
     )
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="hypersim",
         description="Bounded checker for forall-exists / exists-forall invariant hyperproperties",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_check = sub.add_parser("check", help="decide a property on a structure pair")
-    _add_check_args(p_check)
+    _add_input_args(p_check)
+    p_check.add_argument("--max-bound", type=int, default=None,
+                         help="cap for the simulation bound (default: |S_Q| for ae, %d for ea)" % DEFAULT_EA_BOUND)
+    p_check.add_argument("--max-depth", type=int, default=DEFAULT_FALSIFY_DEPTH,
+                         help="cap for the falsification depth (default %(default)s)")
+    p_check.add_argument("--backend", default="embedded",
+                         help="'embedded' or 'external:<path-to-solver>' (DIMACS in, 's ...'/'v ...' out)")
+    p_check.add_argument("--format", dest="fmt", choices=["text", "json"], default="text")
 
     p_export = sub.add_parser("export", help="export one encoding as DIMACS without solving")
-    _add_check_args(p_export)
+    _add_input_args(p_export)
     p_export.add_argument("--bound", type=int, required=True, help="k (ae) or n (ea)")
     p_export.add_argument("--out", required=True, help="output path; variable map goes to <out>.vars")
 
@@ -650,29 +663,29 @@ def main(argv: list[str] | None = None) -> int:
     p_bench.add_argument("corpus", help="directory of case subdirectories with case.json")
     p_bench.add_argument("--backend", default="embedded")
 
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         if args.command == "check":
-            cfg = _cfg_from_args(args)
-            report = run_check(cfg)
-            if cfg.fmt == "json":
+            report = run_check(_cfg_from_args(
+                args,
+                max_sim_bound=args.max_bound,
+                max_falsify_depth=args.max_depth,
+                backend=args.backend,
+            ))
+            if args.fmt == "json":
                 print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
             else:
                 print(report.render_text(), end="")
             return _VERDICT_EXIT[report.verdict]
         if args.command == "export":
-            cfg = _cfg_from_args(args)
-            dimacs, varmap = export_encoding(cfg, args.bound)
+            dimacs, varmap = export_encoding(_cfg_from_args(args), args.bound)
             out = Path(args.out)
             out.write_text(dimacs)
             Path(str(out) + ".vars").write_text(varmap)
             print(f"wrote {out} and {out}.vars")
             return 0
         if args.command == "bench":
-            backend = None
-            if args.backend != "embedded":
-                backend = _backend_of(CheckConfig("", "", backend=args.backend))
-            rows, all_ok = run_benchmarks(args.corpus, backend=backend)
+            rows, all_ok = run_benchmarks(args.corpus, backend=args.backend)
             print(render_bench_table(rows), end="")
             return 0 if all_ok else 1
         raise AssertionError(f"unhandled command {args.command}")

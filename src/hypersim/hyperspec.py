@@ -285,26 +285,6 @@ def eval_predicate(pred: Pred, left_labels: frozenset[str] | set[str], right_lab
     raise TypeError(f"not a predicate node: {pred!r}")
 
 
-def predicate_props(pred: Pred) -> tuple[set[str], set[str]]:
-    """The (left, right) prop names referenced by the predicate."""
-    left: set[str] = set()
-    right: set[str] = set()
-
-    def walk(n: Pred) -> None:
-        if isinstance(n, LeftAtom):
-            left.add(n.prop)
-        elif isinstance(n, RightAtom):
-            right.add(n.prop)
-        elif isinstance(n, Not):
-            walk(n.arg)
-        elif isinstance(n, (And, Or, Implies, Iff)):
-            walk(n.left)
-            walk(n.right)
-
-    walk(pred)
-    return left, right
-
-
 def uses_match_all(pred: Pred) -> bool:
     if isinstance(pred, MatchAll):
         return True

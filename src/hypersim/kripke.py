@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping
+from typing import Mapping
 
 IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$")
 
@@ -297,103 +297,3 @@ class LassoPath:
             if (a, b) not in k.trans:
                 return False
         return (seq[-1], self.loop[0]) in k.trans
-
-
-@dataclass(frozen=True)
-class LassoTrace:
-    """The label projection of a lasso path: finitely many sets of props."""
-
-    prefix: tuple[frozenset[str], ...]
-    loop: tuple[frozenset[str], ...]
-
-    @property
-    def prefix_len(self) -> int:
-        return len(self.prefix)
-
-    @property
-    def loop_len(self) -> int:
-        return len(self.loop)
-
-    def at(self, i: int) -> frozenset[str]:
-        """Label set at position i of the induced infinite trace."""
-        if i < len(self.prefix):
-            return self.prefix[i]
-        return self.loop[(i - len(self.prefix)) % len(self.loop)]
-
-
-def trace_of(k: KripkeStructure, path: LassoPath) -> LassoTrace:
-    return LassoTrace(
-        prefix=tuple(k.label_of(s) for s in path.prefix),
-        loop=tuple(k.label_of(s) for s in path.loop),
-    )
-
-
-def _primitive(loop: tuple[StateId, ...]) -> bool:
-    n = len(loop)
-    for d in range(1, n):
-        if n % d == 0 and loop == loop[:d] * (n // d):
-            return False
-    return True
-
-
-def enumerate_lasso_paths(k: KripkeStructure, max_total_len: int) -> Iterator[LassoPath]:
-    """Yield every lasso path of k with total length <= max_total_len.
-
-    Lassos whose loop is a repetition of a shorter loop are skipped: they
-    induce no traces the primitive form does not, and a primitive form of
-    smaller total length always exists within the bound.  Each remaining
-    lasso is yielded exactly once, total lengths are nondecreasing, and the
-    order is deterministic (paths in lexicographic state-index order, then
-    loop start ascending).
-    """
-    for total in range(1, max_total_len + 1):
-        for path in _paths_of_length(k, total):
-            last = path[-1]
-            for start in range(total):
-                if (last, path[start]) in k.trans:
-                    loop = tuple(path[start:])
-                    if _primitive(loop):
-                        yield LassoPath(prefix=tuple(path[:start]), loop=loop)
-
-
-def _paths_of_length(k: KripkeStructure, n: int) -> Iterator[list[StateId]]:
-    def extend(path: list[StateId]) -> Iterator[list[StateId]]:
-        if len(path) == n:
-            yield path
-            return
-        for t in k.successors(path[-1]):
-            yield from extend(path + [t])
-
-    for s in k.sorted_init():
-        yield from extend([s])
-
-
-def initial_paths(k: KripkeStructure, depth: int) -> Iterator[list[StateId]]:
-    """All paths of exactly `depth` states starting in an initial state."""
-    yield from _paths_of_length(k, depth)
-
-
-def label_sequences(k: KripkeStructure, depth: int, ap: Iterable[str] | None = None) -> set[tuple[frozenset[str], ...]]:
-    """The set of label sequences of length `depth` along initial paths,
-    optionally projected to a subset of propositions."""
-    project = frozenset(ap) if ap is not None else None
-
-    def lab(s: StateId) -> frozenset[str]:
-        l = k.label_of(s)
-        return l if project is None else l & project
-
-    out: set[tuple[frozenset[str], ...]] = set()
-    # breadth-first over (sequence-so-far -> reachable end states), deduped
-    layer: dict[tuple[frozenset[str], ...], set[StateId]] = {}
-    for s in k.sorted_init():
-        layer.setdefault((lab(s),), set()).add(s)
-    for _ in range(depth - 1):
-        nxt: dict[tuple[frozenset[str], ...], set[StateId]] = {}
-        for seq, ends in layer.items():
-            for s in ends:
-                for t in k.successors(s):
-                    nxt.setdefault(seq + (lab(t),), set()).add(t)
-        layer = nxt
-    if depth >= 1:
-        out.update(layer.keys())
-    return out

@@ -1,57 +1,17 @@
-"""Independent lasso-level semantics: the ground truth the encodings are checked against.
+"""Witness validators, bounded falsifiers and counterexample re-checks.
 
-Everything here works by direct evaluation or enumeration over explicit
+Everything here works by direct evaluation or search over explicit
 structures; nothing is shared with the propositional encoding path, so
 agreement between the two is meaningful evidence.
 """
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass
-from typing import Iterable
 
 from .hyperspec import Pred, eval_predicate
-from .kripke import (
-    KripkeStructure,
-    LassoPath,
-    LassoTrace,
-    StateId,
-    initial_paths,
-    trace_of,
-)
+from .kripke import KripkeStructure, StateId
 from .encoder import SimWitnessAE, SimWitnessEA
-
-
-@dataclass(frozen=True)
-class SyncBound:
-    """How far a pair of lasso traces must be unrolled to decide an invariant:
-    the joint prefix, the joint loop, and their sum (the decision horizon)."""
-
-    prefix: int
-    loop: int
-
-    @property
-    def horizon(self) -> int:
-        return self.prefix + self.loop
-
-
-def synchronize_bound(t1: LassoTrace, t2: LassoTrace) -> SyncBound:
-    return SyncBound(
-        prefix=max(t1.prefix_len, t2.prefix_len),
-        loop=math.lcm(t1.loop_len, t2.loop_len),
-    )
-
-
-def check_box_on_pair(pred: Pred, t1: LassoTrace, t2: LassoTrace) -> bool:
-    """Decide whether the predicate holds at every position of the synchronized
-    pair of infinite traces.  Positions up to prefix+loop suffice: beyond
-    them the pair of positions repeats."""
-    bound = synchronize_bound(t1, t2)
-    return all(
-        eval_predicate(pred, t1.at(i), t2.at(i)) for i in range(bound.horizon)
-    )
 
 
 # ---------------------------------------------------------------- validators
@@ -126,111 +86,6 @@ def validate_witness_ea(
                 if q2 not in w.pos_relation[nxt]:
                     violations.append(f"successor: position {i} state {q.name} successor {q2.name} missing at position {nxt}")
     return violations
-
-
-# ---------------------------------------------------------------- matching
-
-
-def match_lasso(
-    kq: KripkeStructure, pred: Pred, t_p: LassoTrace, bound: int
-) -> LassoPath | None:
-    """Search for a lasso path of K_Q whose trace satisfies the invariant
-    pointwise against t_p, with total length at most `bound`.
-
-    The search walks the product of K_Q with the positions of t_p (prefix
-    positions then loop positions cycling), so a match is found whenever one
-    is expressible within the bound; a loop of length l against |S_Q| states
-    yields at most prefix + l*|S_Q| + l*|S_Q| total positions, which is the
-    useful bound (see docs/match_bound.md).
-    """
-    pp, ll = t_p.prefix_len, t_p.loop_len
-    span = pp + ll
-
-    def nxt(pos: int) -> int:
-        return pos + 1 if pos + 1 < span else pp
-
-    def allowed(q: StateId, pos: int) -> bool:
-        return eval_predicate(pred, t_p.at(pos), kq.label_of(q))
-
-    # forward reachability with parents for prefix reconstruction
-    dist: dict[tuple[int, int], int] = {}
-    parent: dict[tuple[int, int], tuple[int, int] | None] = {}
-    frontier = []
-    for q in kq.sorted_init():
-        if allowed(q, 0):
-            node = (q.index, 0)
-            dist[node] = 0
-            parent[node] = None
-            frontier.append(node)
-    while frontier:
-        nf = []
-        for (qi, pos) in frontier:
-            q = kq.states[qi]
-            for q2 in kq.successors(q):
-                if not allowed(q2, nxt(pos)):
-                    continue
-                node = (q2.index, nxt(pos))
-                if node not in dist:
-                    dist[node] = dist[(qi, pos)] + 1
-                    parent[node] = (qi, pos)
-                    nf.append(node)
-        frontier = nf
-
-    def min_cycle(u: tuple[int, int]) -> list[tuple[int, int]] | None:
-        # shortest closed walk u -> u through allowed nodes
-        d2: dict[tuple[int, int], tuple[int, int] | None] = {}
-        layer = [u]
-        steps = 0
-        back: dict[tuple[int, int], tuple[int, int] | None] = {u: None}
-        while layer and steps <= 2 * len(kq.states) * span:
-            steps += 1
-            nl = []
-            for (qi, pos) in layer:
-                q = kq.states[qi]
-                for q2 in kq.successors(q):
-                    npos = nxt(pos)
-                    if not allowed(q2, npos):
-                        continue
-                    node = (q2.index, npos)
-                    if node == u:
-                        cyc = [(qi, pos)]
-                        cur = back[(qi, pos)]
-                        while cur is not None:
-                            cyc.append(cur)
-                            cur = back[cur]
-                        cyc.reverse()
-                        return cyc
-                    if node not in back:
-                        back[node] = (qi, pos)
-                        nl.append(node)
-            layer = nl
-        return None
-
-    best: tuple[int, tuple[int, int], list[tuple[int, int]]] | None = None
-    for u in sorted(dist, key=lambda node: (dist[node], node[1], node[0])):
-        if best is not None and dist[u] >= best[0]:
-            break
-        cyc = min_cycle(u)
-        if cyc is None:
-            continue
-        total = dist[u] + len(cyc)
-        if best is None or total < best[0]:
-            best = (total, u, cyc)
-    if best is None or best[0] > bound:
-        return None
-    total, u, cyc = best
-    chain = [u]
-    cur = parent[u]
-    while cur is not None:
-        chain.append(cur)
-        cur = parent[cur]
-    chain.reverse()
-    prefix_states = tuple(kq.states[qi] for qi, _ in chain[:-1])
-    loop_states = tuple(kq.states[qi] for qi, _ in cyc)
-    candidate = LassoPath(prefix=prefix_states, loop=loop_states)
-    if not candidate.is_valid_in(kq) or not check_box_on_pair(pred, t_p, trace_of(kq, candidate)):
-        raise AssertionError("internal: product search produced a non-matching lasso")
-    return candidate
 
 
 # ---------------------------------------------------------------- falsifiers
@@ -387,7 +242,9 @@ def falsify_exists_forall(
         return None
 
     # sample evidence: a violating right path against the first left path
-    first_p = next(initial_paths(kp, depth))
+    first_p = [kp.sorted_init()[0]]
+    while len(first_p) < depth:
+        first_p.append(kp.successors(first_p[-1])[0])
     q_path: tuple[StateId, ...] | None = None
     for i in range(depth):
         lp = kp.label_of(first_p[i])
@@ -415,13 +272,28 @@ def falsify_exists_forall(
     )
 
 
+def _reach_layers(k: KripkeStructure, n: int) -> list[frozenset[StateId]]:
+    """The states reachable from init in exactly i steps, for i = 0..n."""
+    layers = [frozenset(k.init)]
+    for _ in range(n):
+        layers.append(frozenset(t for s in layers[-1] for t in k.successors(s)))
+    return layers
+
+
 def reverify_counterexample(
     kp: KripkeStructure, kq: KripkeStructure, pred: Pred, cex: Counterexample
 ) -> bool:
     """Re-derive a falsifier verdict by code disjoint from the searches above:
-    recursion over (right state, position) against the left path for
-    forall-exists, recursion over (left state, position) against the right
-    states reachable at each position for exists-forall."""
+    one backward pass over the positions, working with sets of the states
+    reachable in exactly i steps, so its depth costs no stack.
+
+    Forall-exists: S[i] holds the right states at position i from which some
+    right path satisfies the predicate against the left path at positions
+    i..d-1; the path is refuted iff S[0] is empty.  Exists-forall: T[i] holds
+    the left states at position i from which some left path is safe at
+    positions i..d-1 against every right state at the same position; the
+    property is refuted iff T[0] is empty.
+    """
     d = cex.depth
     if cex.side == "forall-exists":
         path = cex.p_path
@@ -430,19 +302,16 @@ def reverify_counterexample(
         for a, b in zip(path, path[1:]):
             if (a, b) not in kp.trans:
                 return False
-        memo: dict[tuple[StateId, int], bool] = {}
-
-        def survives(q: StateId, i: int) -> bool:
-            key = (q, i)
-            if key in memo:
-                return memo[key]
-            ok = eval_predicate(pred, kp.label_of(path[i]), kq.label_of(q))
-            if ok and i < d - 1:
-                ok = any(survives(q2, i + 1) for q2 in kq.successors(q))
-            memo[key] = ok
-            return ok
-
-        return not any(survives(q, 0) for q in kq.init)
+        reach = _reach_layers(kq, d)
+        alive = reach[d]  # nothing constrains the states after position d-1
+        for i in range(d - 1, -1, -1):
+            lp = kp.label_of(path[i])
+            alive = frozenset(
+                q for q in reach[i]
+                if not alive.isdisjoint(kq.successors(q))
+                and eval_predicate(pred, lp, kq.label_of(q))
+            )
+        return not alive
 
     if cex.side == "exists-forall":
         sample = cex.p_path
@@ -451,139 +320,17 @@ def reverify_counterexample(
         for a, b in zip(sample, sample[1:]):
             if (a, b) not in kq.trans:
                 return False
-
         # a left path admits a violation iff at some position i its label fails
         # against a right state reachable in exactly i steps
-        reach = [frozenset(kq.init)]
-        for _ in range(d - 1):
-            reach.append(frozenset(q2 for q in reach[-1] for q2 in kq.successors(q)))
-        memo: dict[tuple[StateId, int], bool] = {}
-
-        def safe_from(p: StateId, i: int) -> bool:
-            """Some left path from p at position i is safe at positions i..d-1."""
-            key = (p, i)
-            if key not in memo:
-                lp = kp.label_of(p)
-                memo[key] = all(
-                    eval_predicate(pred, lp, kq.label_of(q)) for q in reach[i]
-                ) and (i == d - 1 or any(safe_from(p2, i + 1) for p2 in kp.successors(p)))
-            return memo[key]
-
-        return not any(safe_from(p, 0) for p in kp.init)
+        reach_q = _reach_layers(kq, d - 1)
+        reach_p = _reach_layers(kp, d)
+        safe = reach_p[d]
+        for i in range(d - 1, -1, -1):
+            safe = frozenset(
+                p for p in reach_p[i]
+                if not safe.isdisjoint(kp.successors(p))
+                and all(eval_predicate(pred, kp.label_of(p), kq.label_of(q)) for q in reach_q[i])
+            )
+        return not safe
 
     return False
-
-
-# ---------------------------------------------------------------- vertex cover
-
-
-@dataclass(frozen=True)
-class Graph:
-    n: int
-    edges: frozenset[tuple[int, int]]  # normalized u < v
-
-    def sorted_edges(self) -> list[tuple[int, int]]:
-        return sorted(self.edges)
-
-
-def make_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
-    norm = set()
-    for u, v in edges:
-        if u == v:
-            raise ValueError(f"self-loop at vertex {u}")
-        if not (0 <= u < n and 0 <= v < n):
-            raise ValueError(f"edge ({u},{v}) outside 0..{n - 1}")
-        norm.add((min(u, v), max(u, v)))
-    return Graph(n=n, edges=frozenset(norm))
-
-
-def parse_graph(text: str) -> Graph:
-    """Edge-list format: 'n <count>' then 'e <u> <v>' lines; '#' comments."""
-    n = None
-    edges: list[tuple[int, int]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        fields = line.split()
-        if fields[0] == "n" and len(fields) == 2:
-            n = int(fields[1])
-        elif fields[0] == "e" and len(fields) == 3:
-            edges.append((int(fields[1]), int(fields[2])))
-        else:
-            raise ValueError(f"line {lineno}: unrecognized graph line {line!r}")
-    if n is None:
-        raise ValueError("missing 'n <count>' line")
-    return make_graph(n, edges)
-
-
-def _edge_prop(u: int, v: int) -> str:
-    return f"e{u}_{v}"
-
-
-def gen_vertex_cover_instance(g: Graph) -> tuple[KripkeStructure, KripkeStructure]:
-    """Build the structure pair whose forall-exists simulation with the
-    match-all predicate and subset bound m+k decides vertex cover of size k.
-
-    Left: a hub labeled q with transitions to and from one state per edge.
-    Right: one state per edge plus one q-labeled state per vertex (all
-    initial); vertices step to every edge, an edge steps to its endpoints.
-    """
-    edges = g.sorted_edges()
-    if not edges:
-        raise ValueError("vertex cover reduction needs at least one edge")
-    ap = ("q",) + tuple(_edge_prop(u, v) for u, v in edges)
-
-    hub = StateId("hub", 0)
-    k1_states = [hub] + [StateId(_edge_prop(u, v), i + 1) for i, (u, v) in enumerate(edges)]
-    k1_labels = {hub: frozenset(["q"])}
-    k1_trans = set()
-    for i, (u, v) in enumerate(edges):
-        e = k1_states[i + 1]
-        k1_labels[e] = frozenset([_edge_prop(u, v)])
-        k1_trans.add((hub, e))
-        k1_trans.add((e, hub))
-    k1 = KripkeStructure(
-        states=tuple(k1_states),
-        init=frozenset([hub]),
-        ap=ap,
-        labels=k1_labels,
-        trans=frozenset(k1_trans),
-    )
-
-    edge_ids = [StateId(_edge_prop(u, v), i) for i, (u, v) in enumerate(edges)]
-    vert_ids = [StateId(f"v{i}", len(edges) + i) for i in range(g.n)]
-    k2_labels: dict[StateId, frozenset[str]] = {}
-    k2_trans = set()
-    for eid, (u, v) in zip(edge_ids, edges):
-        k2_labels[eid] = frozenset([_edge_prop(u, v)])
-        k2_trans.add((eid, vert_ids[u]))
-        k2_trans.add((eid, vert_ids[v]))
-    for vid in vert_ids:
-        k2_labels[vid] = frozenset(["q"])
-        for eid in edge_ids:
-            k2_trans.add((vid, eid))
-    k2 = KripkeStructure(
-        states=tuple(edge_ids + vert_ids),
-        init=frozenset(vert_ids),
-        ap=ap,
-        labels=k2_labels,
-        trans=frozenset(k2_trans),
-    )
-    return k1, k2
-
-
-def brute_force_vertex_cover(g: Graph, k: int) -> int | None:
-    """Smallest vertex cover size <= k by exhaustive subsets, or None.
-    Guarded against misuse at scale: refuses graphs with more than 20 vertices."""
-    if g.n > 20:
-        raise ValueError(f"brute force limited to 20 vertices, got {g.n}")
-    edges = g.sorted_edges()
-    if not edges:
-        return 0 if k >= 0 else None
-    for size in range(0, min(k, g.n) + 1):
-        for subset in itertools.combinations(range(g.n), size):
-            chosen = set(subset)
-            if all(u in chosen or v in chosen for u, v in edges):
-                return size
-    return None

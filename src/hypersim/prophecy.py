@@ -10,8 +10,8 @@ what lets the subset-simulation encoding resolve choices that depend on it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, combinations
-from typing import Iterable, Mapping
+from itertools import combinations
+from typing import Iterable, Iterator, Mapping
 
 from .kripke import (
     KripkeParseError,
@@ -86,14 +86,12 @@ def build_next_prophecy(prop: str, depth: int) -> ProphecyAutomaton:
     return ProphecyAutomaton(structure=structure, annotation=annotation)
 
 
-def _letters(ap: Iterable[str]) -> list[frozenset[str]]:
-    props = sorted(set(ap))
-    return [
-        frozenset(combo)
-        for combo in chain.from_iterable(
-            combinations(props, r) for r in range(len(props) + 1)
-        )
-    ]
+def _letters(props: list[str]) -> Iterator[frozenset[str]]:
+    """Every subset of props, drawn lazily: a non-universal automaton is
+    rejected at the first letter it cannot realize, not after 2^|props|."""
+    for r in range(len(props) + 1):
+        for combo in combinations(props, r):
+            yield frozenset(combo)
 
 
 def check_universality(u: ProphecyAutomaton, ap: Iterable[str], depth: int) -> bool:
@@ -103,7 +101,7 @@ def check_universality(u: ProphecyAutomaton, ap: Iterable[str], depth: int) -> b
         return True
     k = u.structure
     props = frozenset(ap)
-    letters = _letters(props)
+    ordered = sorted(props)
 
     def proj(s: StateId) -> frozenset[str]:
         return k.label_of(s) & props
@@ -118,7 +116,7 @@ def check_universality(u: ProphecyAutomaton, ap: Iterable[str], depth: int) -> b
         if cached is not None:
             return cached
         result = True
-        for letter in letters:
+        for letter in _letters(ordered):
             nxt = frozenset(
                 t for s in frontier for t in k.successors(s) if proj(t) == letter
             )
@@ -128,7 +126,7 @@ def check_universality(u: ProphecyAutomaton, ap: Iterable[str], depth: int) -> b
         memo[key] = result
         return result
 
-    for letter in letters:
+    for letter in _letters(ordered):
         start = frozenset(s for s in k.init if proj(s) == letter)
         if not start or not all_suffixes(start, depth - 1):
             return False

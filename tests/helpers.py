@@ -1,11 +1,16 @@
-"""Shared generators for the test suite: random structures, predicates, lassos,
-the small-graph enumeration behind the vertex-cover suite, and path-listing
+"""Shared generators and test-only oracles: random structures, predicates and
+lasso traces, the pointwise semantics of lasso trace pairs, path and lasso
+listing, the vertex-cover reduction with its brute-force answer, the
+small-graph enumeration behind the vertex-cover suite, and path-listing
 reference versions of the falsifier and the counterexample re-check."""
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
+from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 from hypothesis import strategies as st
 
@@ -23,8 +28,8 @@ from hypersim.hyperspec import (
     TrueConst,
     eval_predicate,
 )
-from hypersim.kripke import KripkeStructure, LassoTrace, StateId, initial_paths
-from hypersim.oracle import Counterexample, Graph, make_graph
+from hypersim.kripke import KripkeStructure, LassoPath, StateId
+from hypersim.oracle import Counterexample
 
 
 def build_structure(
@@ -65,6 +70,142 @@ def rand_structure(
     k = rng.randint(1, n)
     init = set(rng.sample(range(n), k))
     return build_structure(n, props, labels, edges, init)
+
+
+# ---------------------------------------------------------------- lasso traces
+
+
+@dataclass(frozen=True)
+class LassoTrace:
+    """The label projection of a lasso path: finitely many sets of props."""
+
+    prefix: tuple[frozenset[str], ...]
+    loop: tuple[frozenset[str], ...]
+
+    @property
+    def prefix_len(self) -> int:
+        return len(self.prefix)
+
+    @property
+    def loop_len(self) -> int:
+        return len(self.loop)
+
+    def at(self, i: int) -> frozenset[str]:
+        """Label set at position i of the induced infinite trace."""
+        if i < len(self.prefix):
+            return self.prefix[i]
+        return self.loop[(i - len(self.prefix)) % len(self.loop)]
+
+
+def trace_of(k: KripkeStructure, path: LassoPath) -> LassoTrace:
+    return LassoTrace(
+        prefix=tuple(k.label_of(s) for s in path.prefix),
+        loop=tuple(k.label_of(s) for s in path.loop),
+    )
+
+
+@dataclass(frozen=True)
+class SyncBound:
+    """How far a pair of lasso traces must be unrolled to decide an invariant:
+    the joint prefix, the joint loop, and their sum (the decision horizon)."""
+
+    prefix: int
+    loop: int
+
+    @property
+    def horizon(self) -> int:
+        return self.prefix + self.loop
+
+
+def synchronize_bound(t1: LassoTrace, t2: LassoTrace) -> SyncBound:
+    return SyncBound(
+        prefix=max(t1.prefix_len, t2.prefix_len),
+        loop=math.lcm(t1.loop_len, t2.loop_len),
+    )
+
+
+def check_box_on_pair(pred: Pred, t1: LassoTrace, t2: LassoTrace) -> bool:
+    """Decide whether the predicate holds at every position of the synchronized
+    pair of infinite traces.  Positions up to prefix+loop suffice: beyond
+    them the pair of positions repeats."""
+    bound = synchronize_bound(t1, t2)
+    return all(
+        eval_predicate(pred, t1.at(i), t2.at(i)) for i in range(bound.horizon)
+    )
+
+
+# ---------------------------------------------------------------- path listing
+
+
+def _primitive(loop: tuple[StateId, ...]) -> bool:
+    n = len(loop)
+    for d in range(1, n):
+        if n % d == 0 and loop == loop[:d] * (n // d):
+            return False
+    return True
+
+
+def enumerate_lasso_paths(k: KripkeStructure, max_total_len: int) -> Iterator[LassoPath]:
+    """Yield every lasso path of k with total length <= max_total_len.
+
+    Lassos whose loop is a repetition of a shorter loop are skipped: they
+    induce no traces the primitive form does not, and a primitive form of
+    smaller total length always exists within the bound.  Each remaining
+    lasso is yielded exactly once, total lengths are nondecreasing, and the
+    order is deterministic (paths in lexicographic state-index order, then
+    loop start ascending).
+    """
+    for total in range(1, max_total_len + 1):
+        for path in _paths_of_length(k, total):
+            last = path[-1]
+            for start in range(total):
+                if (last, path[start]) in k.trans:
+                    loop = tuple(path[start:])
+                    if _primitive(loop):
+                        yield LassoPath(prefix=tuple(path[:start]), loop=loop)
+
+
+def _paths_of_length(k: KripkeStructure, n: int) -> Iterator[list[StateId]]:
+    def extend(path: list[StateId]) -> Iterator[list[StateId]]:
+        if len(path) == n:
+            yield path
+            return
+        for t in k.successors(path[-1]):
+            yield from extend(path + [t])
+
+    for s in k.sorted_init():
+        yield from extend([s])
+
+
+def initial_paths(k: KripkeStructure, depth: int) -> Iterator[list[StateId]]:
+    """All paths of exactly `depth` states starting in an initial state."""
+    yield from _paths_of_length(k, depth)
+
+
+def label_sequences(k: KripkeStructure, depth: int, ap: Iterable[str] | None = None) -> set[tuple[frozenset[str], ...]]:
+    """The set of label sequences of length `depth` along initial paths,
+    optionally projected to a subset of propositions."""
+    project = frozenset(ap) if ap is not None else None
+
+    def lab(s: StateId) -> frozenset[str]:
+        l = k.label_of(s)
+        return l if project is None else l & project
+
+    out: set[tuple[frozenset[str], ...]] = set()
+    # breadth-first over (sequence-so-far -> reachable end states), deduped
+    layer: dict[tuple[frozenset[str], ...], set[StateId]] = {}
+    for s in k.sorted_init():
+        layer.setdefault((lab(s),), set()).add(s)
+    for _ in range(depth - 1):
+        nxt: dict[tuple[frozenset[str], ...], set[StateId]] = {}
+        for seq, ends in layer.items():
+            for s in ends:
+                for t in k.successors(s):
+                    nxt.setdefault(seq + (lab(t),), set()).add(t)
+        layer = nxt
+    if depth >= 1:
+        out.update(layer.keys())
+    return out
 
 
 _PRED_LEAVES = 4  # left atom, right atom, true, false
@@ -191,6 +332,98 @@ def refuse_to_build_states(monkeypatch) -> None:
 
 
 # ---------------------------------------------------------------- graphs
+
+
+@dataclass(frozen=True)
+class Graph:
+    n: int
+    edges: frozenset[tuple[int, int]]  # normalized u < v
+
+    def sorted_edges(self) -> list[tuple[int, int]]:
+        return sorted(self.edges)
+
+
+def make_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
+    norm = set()
+    for u, v in edges:
+        if u == v:
+            raise ValueError(f"self-loop at vertex {u}")
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge ({u},{v}) outside 0..{n - 1}")
+        norm.add((min(u, v), max(u, v)))
+    return Graph(n=n, edges=frozenset(norm))
+
+
+def _edge_prop(u: int, v: int) -> str:
+    return f"e{u}_{v}"
+
+
+def gen_vertex_cover_instance(g: Graph) -> tuple[KripkeStructure, KripkeStructure]:
+    """Build the structure pair whose forall-exists simulation with the
+    match-all predicate and subset bound m+k decides vertex cover of size k.
+
+    Left: a hub labeled q with transitions to and from one state per edge.
+    Right: one state per edge plus one q-labeled state per vertex (all
+    initial); vertices step to every edge, an edge steps to its endpoints.
+    """
+    edges = g.sorted_edges()
+    if not edges:
+        raise ValueError("vertex cover reduction needs at least one edge")
+    ap = ("q",) + tuple(_edge_prop(u, v) for u, v in edges)
+
+    hub = StateId("hub", 0)
+    k1_states = [hub] + [StateId(_edge_prop(u, v), i + 1) for i, (u, v) in enumerate(edges)]
+    k1_labels = {hub: frozenset(["q"])}
+    k1_trans = set()
+    for i, (u, v) in enumerate(edges):
+        e = k1_states[i + 1]
+        k1_labels[e] = frozenset([_edge_prop(u, v)])
+        k1_trans.add((hub, e))
+        k1_trans.add((e, hub))
+    k1 = KripkeStructure(
+        states=tuple(k1_states),
+        init=frozenset([hub]),
+        ap=ap,
+        labels=k1_labels,
+        trans=frozenset(k1_trans),
+    )
+
+    edge_ids = [StateId(_edge_prop(u, v), i) for i, (u, v) in enumerate(edges)]
+    vert_ids = [StateId(f"v{i}", len(edges) + i) for i in range(g.n)]
+    k2_labels: dict[StateId, frozenset[str]] = {}
+    k2_trans = set()
+    for eid, (u, v) in zip(edge_ids, edges):
+        k2_labels[eid] = frozenset([_edge_prop(u, v)])
+        k2_trans.add((eid, vert_ids[u]))
+        k2_trans.add((eid, vert_ids[v]))
+    for vid in vert_ids:
+        k2_labels[vid] = frozenset(["q"])
+        for eid in edge_ids:
+            k2_trans.add((vid, eid))
+    k2 = KripkeStructure(
+        states=tuple(edge_ids + vert_ids),
+        init=frozenset(vert_ids),
+        ap=ap,
+        labels=k2_labels,
+        trans=frozenset(k2_trans),
+    )
+    return k1, k2
+
+
+def brute_force_vertex_cover(g: Graph, k: int) -> int | None:
+    """Smallest vertex cover size <= k by exhaustive subsets, or None.
+    Guarded against misuse at scale: refuses graphs with more than 20 vertices."""
+    if g.n > 20:
+        raise ValueError(f"brute force limited to 20 vertices, got {g.n}")
+    edges = g.sorted_edges()
+    if not edges:
+        return 0 if k >= 0 else None
+    for size in range(0, min(k, g.n) + 1):
+        for subset in itertools.combinations(range(g.n), size):
+            chosen = set(subset)
+            if all(u in chosen or v in chosen for u, v in edges):
+                return size
+    return None
 
 
 def _canonical(n: int, edges: frozenset[tuple[int, int]]) -> tuple:

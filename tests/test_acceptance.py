@@ -26,21 +26,28 @@ from hypersim.hyperspec import (
     expand_match_all,
     parse_property,
 )
-from hypersim.kripke import label_sequences, parse_kripke, reachable_restriction
+from hypersim.kripke import parse_kripke, reachable_restriction
 from hypersim.oracle import (
-    brute_force_vertex_cover,
-    check_box_on_pair,
     falsify_exists_forall,
     falsify_forall_exists,
-    gen_vertex_cover_instance,
-    synchronize_bound,
     validate_witness_ae,
     validate_witness_ea,
 )
 from hypersim.prophecy import build_next_prophecy, check_universality, prophecy_product
 from hypersim.sat import solve
 
-from helpers import connected_graphs_upto, rand_graph, rand_lasso_trace, rand_pred, rand_structure
+from helpers import (
+    brute_force_vertex_cover,
+    check_box_on_pair,
+    connected_graphs_upto,
+    gen_vertex_cover_instance,
+    label_sequences,
+    rand_graph,
+    rand_lasso_trace,
+    rand_pred,
+    rand_structure,
+    synchronize_bound,
+)
 
 DATA = Path(__file__).parent / "data"
 CORPUS = Path(__file__).parent.parent / "corpus"

@@ -6,11 +6,14 @@ from pathlib import Path
 
 import pytest
 
+import hypersim.cli
 from hypersim.cli import (
     CheckConfig,
     CliInputError,
     check_pair,
+    export_encoding,
     main,
+    run_benchmarks,
     run_check,
 )
 from hypersim.hyperspec import parse_property
@@ -19,6 +22,7 @@ from hypersim.kripke import parse_kripke
 from helpers import refuse_to_build_states
 
 DATA = Path(__file__).parent / "data"
+CORPUS = Path(__file__).parent.parent / "corpus"
 SATCLI_BACKEND = f"external:{sys.executable} -m hypersim.satcli"
 
 
@@ -161,9 +165,27 @@ def test_report_names_the_fixpoint_when_it_rules_out_every_k():
     assert not any("no right subset" in n for n in holds.notes)
 
 
-def test_mode_flag_must_match_the_property(capsys):
-    assert main(check_args("phi1.hp", "--mode", "ea")) == 3
-    assert "error:" in capsys.readouterr().err
+@pytest.mark.parametrize(
+    "argv",
+    [
+        check_args("phi1.hp", "--mode", "ea"),
+        check_args("phi1.hp", "--no-restrict"),
+        check_args("phi1.hp", "--max-bound", "x"),
+        ["frobnicate"],
+    ],
+    ids=["mode-flag", "no-restrict-flag", "non-integer-bound", "unknown-subcommand"],
+)
+def test_usage_errors_are_input_errors(argv, capsys):
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("usage: hypersim") and "error:" in err
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "--help"])
+    assert exc.value.code == 0
+    assert "--max-depth" in capsys.readouterr().out
 
 
 def test_prophecy_rejected_for_exists_forall(capsys):
@@ -176,6 +198,22 @@ def test_prophecy_rejected_for_exists_forall(capsys):
     ])
     assert code == 3
     capsys.readouterr()
+
+
+def test_export_rejects_prophecy_for_exists_forall(tmp_path, capsys):
+    out = tmp_path / "never.cnf"
+    code = main([
+        "export",
+        "--left", str(DATA / "k1.kr"),
+        "--right", str(DATA / "k2.kr"),
+        "--prop-inline", "exists forall. G (l.a -> r.b)",
+        "--prophecy", "next:a:1",
+        "--bound", "2",
+        "--out", str(out),
+    ])
+    assert code == 3
+    assert "forall-exists checks only" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -226,26 +264,20 @@ def test_lying_external_solver_is_a_backend_error(tmp_path, capsys):
 
 def test_unknown_backend_is_an_input_error(capsys):
     assert main(check_args("phi1.hp", "--backend", "frobnicate")) == 3
+    assert main(check_args("phi1.hp", "--backend", "external:'unclosed")) == 3
     capsys.readouterr()
 
 
-def test_no_restrict_keeps_the_verdict(capsys):
-    assert main(check_args("phi1.hp", "--no-restrict")) == 1
-    capsys.readouterr()
-
-
-def test_check_pair_counts_unreachable_states_only_when_asked():
-    kp = parse_kripke(
+def test_check_pair_drops_unreachable_states_of_the_enumerated_side():
+    k = parse_kripke(
         "states: s dead\ninit: s\nap: a\ntrans s -> s\ntrans dead -> dead"
     )
-    kq = parse_kripke("states: q\ninit: q\nap: a\ntrans q -> q")
-    prop = parse_property("forall exists. G true")
-    restricted = check_pair(kp, kq, prop)
-    assert restricted.verdict == "holds"
-    assert restricted.left_states == 1
-    unrestricted = check_pair(kp, kq, prop, restrict_reachable=False)
-    assert unrestricted.verdict == "holds"
-    assert unrestricted.left_states == 2
+    ae = check_pair(k, k, parse_property("forall exists. G true"))
+    assert ae.verdict == "holds"
+    assert (ae.left_states, ae.right_states) == (1, 2)
+    ea = check_pair(k, k, parse_property("exists forall. G true"))
+    assert ea.verdict == "holds"
+    assert (ea.left_states, ea.right_states) == (2, 1)
 
 
 def test_holds_report_always_carries_a_witness():
@@ -308,12 +340,74 @@ def test_bench_isolates_broken_manifests(tmp_path, capsys):
     (good / "case.json").write_text(json.dumps({
         "left": "m.kr", "right": "m.kr", "property": "prop.hp", "expect": "holds",
     }))
-    bad = tmp_path / "broken"
-    bad.mkdir()
-    (bad / "case.json").write_text("{not json")
+    broken = {
+        "broken": "{not json",
+        "listed": json.dumps(["m.kr", "m.kr", "prop.hp", "holds"]),
+        "stringly": json.dumps({
+            "left": "m.kr", "right": "m.kr", "property": "prop.hp", "expect": "holds",
+            "max_depth": "8",
+        }),
+    }
+    for name, text in broken.items():
+        bad = tmp_path / name
+        bad.mkdir()
+        (bad / "case.json").write_text(text)
+        for f in ("m.kr", "prop.hp"):
+            (bad / f).write_text((good / f).read_text())
     code = main(["bench", str(tmp_path)])
     out = capsys.readouterr().out
     assert code == 1
     assert "tiny" in out and "broken" in out
     lines = [l for l in out.splitlines() if l.startswith("tiny")]
     assert lines and lines[0].rstrip().endswith("yes")
+    for name in broken:
+        assert any(l.startswith(f"{name} ") and " error: " in l for l in out.splitlines())
+
+
+def test_every_command_prepares_each_decision_once(monkeypatch):
+    calls = {"reachable_restriction": 0, "expand_match_all": 0}
+    for name in calls:
+        original = getattr(hypersim.cli, name)
+
+        def counting(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(hypersim.cli, name, counting)
+
+    def decisions(run) -> list[int]:
+        for name in calls:
+            calls[name] = 0
+        run()
+        return list(calls.values())
+
+    assert decisions(lambda: run_check(cfg_for("phi1.hp"))) == [1, 1]
+    assert decisions(lambda: export_encoding(cfg_for("phi2.hp", prophecy="next:a:2"), 3)) == [1, 1]
+    rows = []
+    assert decisions(lambda: rows.extend(run_benchmarks(str(CORPUS))[0])) == [10, 10]
+    assert len(rows) == 10 and all(r.ok for r in rows)
+
+
+def test_empty_prophecy_product_is_an_input_error(tmp_path, capsys):
+    # universal for 4 steps, then only the empty letter: an always-a left
+    # structure has no surviving product state
+    lines = ["states: " + " ".join(f"u{i}_{b}" for i in range(5) for b in (0, 1)) + " z"]
+    lines += ["init: u0_0 u0_1", "ap: a", "trans z -> z"]
+    for i in range(5):
+        lines.append(f"label u{i}_1: a")
+        for b in (0, 1):
+            targets = [f"u{i + 1}_0", f"u{i + 1}_1"] if i < 4 else ["z"]
+            lines += [f"trans u{i}_{b} -> {t}" for t in targets]
+    automaton = tmp_path / "short.kr"
+    automaton.write_text("\n".join(lines) + "\n")
+    always_a = tmp_path / "a.kr"
+    always_a.write_text("states: s\ninit: s\nap: a\nlabel s: a\ntrans s -> s\n")
+    code = main([
+        "check",
+        "--left", str(always_a),
+        "--right", str(always_a),
+        "--prop-inline", "forall exists. G (l.a <-> r.a)",
+        "--prophecy-file", str(automaton),
+    ])
+    assert code == 3
+    assert "empty product" in capsys.readouterr().err

@@ -23,12 +23,12 @@ from hypersim.encoder import (
     uncovered_initial,
 )
 from hypersim.hyperspec import MatchAll, eval_predicate, parse_predicate, parse_property
-from hypersim.kripke import enumerate_lasso_paths, parse_kripke, reachable_restriction
+from hypersim.kripke import parse_kripke, reachable_restriction
 from hypersim.oracle import validate_witness_ae, validate_witness_ea
 from hypersim.prophecy import build_next_prophecy, prophecy_product
 from hypersim.sat import solve
 
-from helpers import rand_pred, rand_structure
+from helpers import enumerate_lasso_paths, rand_pred, rand_structure
 
 DATA = Path(__file__).parent / "data"
 

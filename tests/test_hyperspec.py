@@ -24,7 +24,6 @@ from hypersim.hyperspec import (
     parse_predicate,
     parse_property,
     pred_to_text,
-    predicate_props,
     uses_match_all,
 )
 
@@ -167,12 +166,6 @@ def test_expand_match_all_rewrites_nested_occurrences():
         left=LeftAtom(prop="a"),
         right=Iff(left=LeftAtom(prop="a"), right=RightAtom(prop="a")),
     )
-
-
-def test_predicate_props_split_by_side():
-    left, right = predicate_props(parse_predicate("l.a & (r.b | !l.c)"))
-    assert left == {"a", "c"}
-    assert right == {"b"}
 
 
 def test_nesting_is_capped_without_recursion_errors():

@@ -9,16 +9,19 @@ from hypersim.kripke import (
     KripkeStructure,
     LassoPath,
     StateId,
-    enumerate_lasso_paths,
-    initial_paths,
-    label_sequences,
     parse_kripke,
     reachable_restriction,
-    trace_of,
     validate_kripke,
 )
 
-from helpers import build_structure, structures
+from helpers import (
+    build_structure,
+    enumerate_lasso_paths,
+    initial_paths,
+    label_sequences,
+    structures,
+    trace_of,
+)
 
 ONE_STATE = "states: s\ninit: s\nap: a\nlabel s: a\ntrans s -> s"
 

@@ -13,32 +13,32 @@ from hypersim.encoder import SimWitnessAE, encode_sim_ae
 from hypersim.hyperspec import eval_predicate, parse_predicate, parse_property
 import hypersim.cli
 from hypersim.cli import check_pair
-from hypersim.kripke import LassoTrace, StateId, initial_paths, parse_kripke, trace_of, LassoPath
+from hypersim.kripke import StateId, parse_kripke, LassoPath
 from hypersim.oracle import (
     Counterexample,
     LiveSetSearch,
-    brute_force_vertex_cover,
-    check_box_on_pair,
     falsify_exists_forall,
     falsify_forall_exists,
-    gen_vertex_cover_instance,
-    make_graph,
-    match_lasso,
-    parse_graph,
     reverify_counterexample,
-    synchronize_bound,
     validate_witness_ae,
     validate_witness_ea,
 )
 from hypersim.sat import solve
 
 from helpers import (
+    LassoTrace,
+    brute_force_vertex_cover,
     build_structure,
+    check_box_on_pair,
     falsify_forall_exists_by_paths,
+    gen_vertex_cover_instance,
+    initial_paths,
+    make_graph,
     rand_lasso_trace,
     rand_pred,
     rand_structure,
     reverify_exists_forall_by_paths,
+    synchronize_bound,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -140,34 +140,6 @@ def test_validator_ea_checks_position_keys():
     lasso = LassoPath(prefix=(), loop=(k.states[0],))
     out = validate_witness_ea(k, k, parse_predicate("true"), ea_witness(lasso, {2: {k.states[0]}}))
     assert any(v.startswith("positions:") for v in out)
-
-
-def test_match_lasso_follows_self_loop():
-    k = parse_kripke("states: q\ninit: q\nap: a\nlabel q: a\ntrans q -> q")
-    t = LassoTrace(prefix=(), loop=(lab("a"),))
-    got = match_lasso(k, parse_predicate("l.a <-> r.a"), t, bound=4)
-    assert got is not None and trace_of(k, got).at(0) == lab("a")
-
-
-def test_match_lasso_returns_none_when_pred_is_unsatisfiable():
-    k = parse_kripke("states: q\ninit: q\nap: a\ntrans q -> q")
-    t = LassoTrace(prefix=(), loop=(lab("a"),))
-    assert match_lasso(k, parse_predicate("l.a & !l.a"), t, bound=8) is None
-
-
-@given(st.integers(min_value=0, max_value=10**9))
-@settings(max_examples=60, deadline=None)
-def test_match_lasso_result_verifies_and_respects_bound(seed):
-    rng = random.Random(seed)
-    kq = rand_structure(rng, max_states=4)
-    t_p = rand_lasso_trace(rng, ("a", "b"), max_prefix=2, max_loop=3)
-    pred = rand_pred(rng, ("a", "b"), kq.ap)
-    bound = t_p.prefix_len + 2 * t_p.loop_len * len(kq.states)
-    got = match_lasso(kq, pred, t_p, bound)
-    if got is not None:
-        assert got.is_valid_in(kq)
-        assert got.total_len <= bound
-        assert check_box_on_pair(pred, t_p, trace_of(kq, got))
 
 
 def test_falsifier_ae_finds_the_intro_counterexample():
@@ -311,6 +283,24 @@ def test_exists_forall_reverify_is_polynomial_in_the_depth():
     assert time.perf_counter() - t0 < 1.0
 
 
+def test_deep_counterexamples_are_rechecked_without_recursion():
+    # a right chain whose last state, 1100 steps in, is the only b-state
+    n = 1101
+    chain = build_structure(
+        n, ("b",), {n - 1: {"b"}}, {(i, i + 1) for i in range(n - 1)} | {(n - 1, n - 1)}, {0}
+    )
+    loop = build_structure(1, ("b",), {}, {(0, 0)}, {0})
+    for kp, kq, text in [
+        (loop, chain, "forall exists. G !r.b"),
+        (chain, loop, "exists forall. G !l.b"),
+    ]:
+        report = check_pair(
+            kp, kq, parse_property(text), max_sim_bound=1, max_falsify_depth=1200
+        )
+        assert report.verdict == "violated"
+        assert report.counterexample["depth"] == n
+
+
 # ------------------------------------------------------- vertex cover bridge
 
 
@@ -381,11 +371,6 @@ def test_make_graph_rejects_bad_edges():
         make_graph(2, [(0, 0)])
     with pytest.raises(ValueError):
         make_graph(2, [(0, 2)])
-
-
-def test_parse_graph():
-    g = parse_graph("n 3\ne 0 1\ne 1 2\n")
-    assert g.n == 3 and g.sorted_edges() == [(0, 1), (1, 2)]
 
 
 def test_vc_reduction_needs_an_edge():

@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hypersim.prophecy
 from hypersim.kripke import (
     KripkeParseError,
     StateId,
-    label_sequences,
     parse_kripke,
     validate_kripke,
 )
@@ -26,7 +26,7 @@ from hypersim.prophecy import (
     validate_prophecy,
 )
 
-from helpers import rand_structure, refuse_to_build_states
+from helpers import label_sequences, rand_structure, refuse_to_build_states
 
 DATA = Path(__file__).parent / "data"
 
@@ -77,6 +77,25 @@ def test_universality_counterexamples():
     assert check_universality(fixed, ["a"], 1) is False
     assert check_universality(fixed, ["a"], 0) is True  # nothing to realize
     assert check_universality(fixed, [], 3) is True  # single letter alphabet
+
+
+def test_universality_rejects_at_the_first_unrealizable_letter(monkeypatch):
+    drawn = []
+    original = hypersim.prophecy.combinations
+
+    def counting(items, r):
+        for combo in original(items, r):
+            drawn.append(combo)
+            yield combo
+
+    monkeypatch.setattr(hypersim.prophecy, "combinations", counting)
+    props = [f"p{i}" for i in range(18)]
+    silent = ProphecyAutomaton(
+        structure=parse_kripke(f"states: u\ninit: u\nap: {' '.join(props)}\ntrans u -> u"),
+        annotation={},
+    )
+    assert check_universality(silent, props, 4) is False
+    assert 0 < len(drawn) <= 10
 
 
 def test_build_rejects_zero_depth():
