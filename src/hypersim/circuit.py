@@ -30,6 +30,13 @@ class CnfInstance:
     def num_clauses(self) -> int:
         return len(self.clauses)
 
+    def add_var(self, name: str) -> int:
+        """A new named variable, numbered after every variable so far."""
+        self.num_vars += 1
+        self.var_names[self.num_vars] = name
+        self.name_to_var[name] = self.num_vars
+        return self.num_vars
+
     def named_model(self, model: Mapping[int, bool]) -> dict[str, bool]:
         return {name: bool(model.get(var, False)) for var, name in self.var_names.items()}
 

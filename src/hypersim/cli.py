@@ -17,6 +17,7 @@ from pathlib import Path
 
 from .circuit import export_dimacs, varmap_text
 from .encoder import (
+    AeSweep,
     DecodeError,
     EncodeError,
     decode_witness_ae,
@@ -31,6 +32,7 @@ from .hyperspec import (
     Pattern,
     Pred,
     PredicateParseError,
+    PredicateTable,
     UnsupportedFragmentError,
     expand_match_all,
     parse_property,
@@ -40,6 +42,7 @@ from .kripke import KripkeError, KripkeStructure, parse_kripke, reachable_restri
 from .oracle import (
     Counterexample,
     LiveSetSearch,
+    SafeFrontierSearch,
     falsify_exists_forall,
     falsify_forall_exists,
     reverify_counterexample,
@@ -54,7 +57,7 @@ from .prophecy import (
     parse_prophecy,
     prophecy_product,
 )
-from .sat import ExternalBackend, SolverBackendError, solve
+from .sat import EmbeddedBackend, ExternalBackend, SolverBackendError, solve
 
 DEFAULT_EA_BOUND = 16
 DEFAULT_FALSIFY_DEPTH = 8
@@ -272,39 +275,51 @@ def check_pair(
         notes=notes,
     )
 
-    relation = None
-    search = None
+    # the predicate is evaluated once per label pair for the whole decision,
+    # and the embedded backend keeps one solver across the ae bounds
+    table = PredicateTable(kp, kq, pred)
+    backend = backend or EmbeddedBackend()
     if mode == "ae":
-        # every simulation lies inside the greatest one, so all bounds share it
-        relation = greatest_simulation(kp, kq, pred)
-        # and every falsify depth extends the layers of one live-set search
-        search = LiveSetSearch(kp, kq, pred)
+        # every simulation lies inside the greatest one, so all bounds share
+        # it, and only the counter depends on the bound
+        relation = greatest_simulation(kp, kq, pred, table)
+        sweep = AeSweep(encode_sim_ae(kp, kq, pred, len(kq.states), relation))
+        # every falsify depth extends the layers of one live-set search
+        search = LiveSetSearch(kp, kq, pred, table)
         for p in uncovered_initial(kp, kq, relation):
             notes.append(
                 f"no right subset can simulate left state {p.name}: the greatest "
                 f"simulation ({len(relation)} pairs) relates it to no initial right "
                 "state, so every k is unsat"
             )
+    else:
+        search = SafeFrontierSearch(kp, kq, pred, table)
 
     for bound in range(1, max(sim_max, max_falsify_depth) + 1):
         if bound <= sim_max:
             t0 = time.perf_counter()
             if mode == "ae":
-                enc = encode_sim_ae(kp, kq, pred, bound, relation)
+                enc = sweep.enc
+                cnf, assumptions = sweep.bound(bound)
+                size = sweep.size(bound)
             else:
-                enc = encode_sim_ea(kp, kq, pred, bound)
-            cnf = enc.to_cnf()
-            res = solve(cnf, backend)
+                enc = encode_sim_ea(kp, kq, pred, bound, table)
+                cnf, assumptions = enc.to_cnf(), ()
+                size = (cnf.num_vars, cnf.num_clauses)
+            res = solve(cnf, backend, assumptions)
             took = time.perf_counter() - t0
-            report.iterations.append(
-                IterationStat("sim", bound, res.status, took, cnf.num_vars, cnf.num_clauses)
-            )
+            report.iterations.append(IterationStat("sim", bound, res.status, took, *size))
             report.sim_bound_reached = bound
             if res.is_sat:
                 named = cnf.named_model(res.model)
                 if mode == "ae":
                     witness = decode_witness_ae(enc, named)
                     problems = validate_witness_ae(kp, kq, pred, witness)
+                    if len(witness.used_q) > bound:
+                        problems.append(
+                            f"bound: the witness uses {len(witness.used_q)} right states, "
+                            f"more than k={bound}"
+                        )
                     if problems:
                         raise InternalSoundnessError(
                             "decoded witness failed validation: " + "; ".join(problems)
@@ -316,6 +331,11 @@ def check_pair(
                 else:
                     witness = decode_witness_ea(enc, named)
                     problems = validate_witness_ea(kp, kq, pred, witness)
+                    if witness.lasso.total_len != bound:
+                        problems.append(
+                            f"bound: the witness lasso has length {witness.lasso.total_len}, "
+                            f"not n={bound}"
+                        )
                     if problems:
                         raise InternalSoundnessError(
                             "decoded witness failed validation: " + "; ".join(problems)
@@ -331,12 +351,12 @@ def check_pair(
             if mode == "ae":
                 cex = falsify_forall_exists(kp, kq, pred, bound, search=search)
             else:
-                cex = falsify_exists_forall(kp, kq, pred, bound)
+                cex = falsify_exists_forall(kp, kq, pred, bound, search=search)
             took = time.perf_counter() - t0
             report.iterations.append(
                 IterationStat(
                     "falsify", bound, "counterexample" if cex else "none", took,
-                    nodes=len(search.layer(bound - 1)) if search is not None else None,
+                    nodes=len(search.layer(bound - 1)) if mode == "ae" else None,
                 )
             )
             report.falsify_depth_reached = bound

@@ -10,7 +10,9 @@ emitted over integer literals with one named variable per relation entry.
     one variable sim(p,q) per pair of R, one used(q) per right state of R,
     and a sequential counter (Sinz, CP 2005) keeping the used states <= k.
     If R relates some initial left state to no initial right state, the
-    query is unsatisfiable at every k.
+    query is unsatisfiable at every k.  Only the counter depends on k, and
+    it grows one column per bound, so a bound sweep (`AeSweep`) keeps one
+    instance and asks for each bound by an assumption literal.
   * sim-ea: a lasso of total length n in K_P whose positions jointly simulate
     all of K_Q.  One-hot pos(i,p) choose the left state at position i and
     loop(l) the loop-back target; sim(i,q) holds the right states position i
@@ -24,6 +26,7 @@ from typing import Callable, Mapping
 
 from . import hyperspec as hs
 from .circuit import Clause, CnfInstance, lower_parts_to_cnf
+from .hyperspec import PredicateTable, predicate_table
 from .kripke import KripkeStructure, LassoPath, StateId
 
 
@@ -62,9 +65,10 @@ class Encoding:
     pred: hs.Pred
     n: int
     k: int
-    # variable numbers: sim-ae keys sim by (p, q); sim-ea keys sim by
-    # (position, q) and also has pos by (position, p) and loop by position
+    # variable numbers: sim-ae keys sim by (p, q) and has used by q; sim-ea
+    # keys sim by (position, q) and has pos by (position, p) and loop by position
     sim: dict[tuple, int] = field(repr=False)
+    used: dict[StateId, int] = field(repr=False)
     pos: dict[tuple[int, StateId], int] = field(repr=False)
     loop: dict[int, int] = field(repr=False)
     parts: list[tuple[str, list[Clause]]] = field(repr=False)
@@ -85,25 +89,50 @@ class _Vars:
         return len(self.names)
 
 
-def _at_most(xs: list[int], k: int, new_var: Callable[[str], int], tag: str) -> list[Clause]:
-    """At most k of the literals xs are true, by Sinz's sequential counter:
-    register c(i,j) is forced true when at least j of x_1..x_i are."""
+def _at_most_one(xs: list[int], new_var: Callable[[str], int], tag: str) -> list[Clause]:
+    """At most one of the literals xs is true, by Sinz's sequential counter
+    with one register per prefix: c(i,1) is forced true when one of
+    x_1..x_i is."""
     m = len(xs)
-    if k >= m:
+    if m <= 1:
         return []
-    c = [[new_var(f"{tag}_count({i},{j})") for j in range(1, k + 1)] for i in range(1, m)]
-    out = [[-xs[0], c[0][0]]]
-    out += [[-c[0][j]] for j in range(1, k)]
+    c = [new_var(f"{tag}_count({i},1)") for i in range(1, m)]
+    out = [[-xs[0], c[0]]]
     for i in range(1, m - 1):
-        x, prev, cur = xs[i], c[i - 1], c[i]
-        out.append([-x, cur[0]])
-        out.append([-prev[0], cur[0]])
-        for j in range(1, k):
-            out.append([-x, -prev[j - 1], cur[j]])
-            out.append([-prev[j], cur[j]])
-        out.append([-x, -prev[k - 1]])
-    out.append([-xs[m - 1], -c[m - 2][k - 1]])
+        out += [[-xs[i], c[i]], [-c[i - 1], c[i]], [-xs[i], -c[i - 1]]]
+    out.append([-xs[m - 1], -c[m - 2]])
     return out
+
+
+class _Counter:
+    """Sinz's sequential counter over the literals xs, built one column at a
+    time.  Register c(i,j), for j <= i <= m, is forced true when at least j
+    of x_1..x_i are, so the literal -c(m,k+1) bounds the count by k.  Column
+    j reads only column j-1, so bound k needs just the columns 1..k+1."""
+
+    def __init__(self, xs: list[int], new_var: Callable[[str], int], tag: str) -> None:
+        self.xs, self.new_var, self.tag = xs, new_var, tag
+        self.columns: list[list[int]] = []  # columns[j-1][i-j] is c(i,j)
+        self.clauses: list[list[Clause]] = []  # the clauses of each column
+
+    def at_most(self, k: int) -> int:
+        """The literal -c(m,k+1), for k < m, adding columns up to k+1."""
+        while len(self.columns) <= k:
+            self._grow()
+        return -self.columns[k][-1]
+
+    def _grow(self) -> None:
+        xs, j = self.xs, len(self.columns) + 1
+        col = [self.new_var(f"{self.tag}_count({i},{j})") for i in range(j, len(xs) + 1)]
+        prev = self.columns[-1] if self.columns else None
+        out: list[Clause] = []
+        for t, c in enumerate(col):  # c is c(j+t, j); prev[t] is c(j+t-1, j-1)
+            x = xs[j + t - 1]
+            out.append([-x, c] if prev is None else [-x, -prev[t], c])
+            if t:
+                out.append([-col[t - 1], c])
+        self.columns.append(col)
+        self.clauses.append(out)
 
 
 def _check_common(kp: KripkeStructure, kq: KripkeStructure, pred: hs.Pred) -> None:
@@ -120,21 +149,28 @@ def _predecessors(k: KripkeStructure) -> list[list[int]]:
     return pre
 
 
-def greatest_simulation(kp: KripkeStructure, kq: KripkeStructure, pred: hs.Pred) -> Relation:
+def greatest_simulation(
+    kp: KripkeStructure,
+    kq: KripkeStructure,
+    pred: hs.Pred,
+    table: PredicateTable | None = None,
+) -> Relation:
     """The greatest R within S_P x S_Q such that pred holds on every pair of R
     and, for (p,q) in R, every successor of p is related to some successor of q.
+    `table` is the decision's predicate table, built here when omitted.
 
     Refinement with counters: cnt[p2][q] counts the successors of q related to
     p2.  Removing (p2,q2) decrements cnt[p2][q] for each predecessor q of q2;
     a count reaching zero removes (p,q) for each predecessor p of p2."""
     _check_common(kp, kq, pred)
+    table = predicate_table(kp, kq, pred, table)
     np_, nq = len(kp.states), len(kq.states)
     succ_q = [[t.index for t in kq.successors(q)] for q in kq.states]
     pre_p, pre_q = _predecessors(kp), _predecessors(kq)
-    rel = [
-        [hs.eval_predicate(pred, kp.label_of(p), kq.label_of(q)) for q in kq.states]
-        for p in kp.states
-    ]
+    rel = []
+    for p in kp.states:
+        allowed = table.allowed(p)
+        rel.append([q in allowed for q in kq.states])
     cnt = [[sum(rel[p2][t] for t in succ_q[q]) for q in range(nq)] for p2 in range(np_)]
     removed: list[tuple[int, int]] = []
 
@@ -176,11 +212,12 @@ def encode_sim_ae(
 ) -> Encoding:
     """Encode: some subset of at most k states of K_Q simulates all of K_P.
 
-    `relation` is greatest_simulation(kp, kq, pred); a bound sweep computes it
-    once and passes it to every bound.  Only initial left states and the
-    successors of related ones must be related, so unreachable left states
-    are never forced in; reachable-restricting K_P only saves their
-    variables."""
+    `relation` is greatest_simulation(kp, kq, pred); a decision computes it
+    once.  Only initial left states and the successors of related ones must
+    be related, so unreachable left states are never forced in;
+    reachable-restricting K_P only saves their variables.  The family
+    at-most-k holds the counter columns 1..k+1 and the unit clause
+    -c(m,k+1); it is empty when k is at least the m used states."""
     _check_common(kp, kq, pred)
     if not 1 <= k <= len(kq.states):
         raise EncodeError(f"subset bound k={k} outside 1..{len(kq.states)}")
@@ -204,20 +241,74 @@ def encode_sim_ae(
             targets = [sim[(p2, q2)] for q2 in kq.successors(q) if (p2, q2) in sim]
             if v not in targets:  # a self-loop pair matches itself
                 succ.append([-v] + targets)
+    at_most_k: list[Clause] = []
+    if k < len(used):
+        counter = _Counter(list(used.values()), vs.new, "used")
+        bound = counter.at_most(k)
+        at_most_k = [c for col in counter.clauses for c in col] + [[bound]]
     parts = [
         ("initial-match", initial),
         ("used", uses),
         ("successor-match", succ),
-        ("at-most-k", _at_most(list(used.values()), k, vs.new, "used")),
+        ("at-most-k", at_most_k),
     ]
     return Encoding(
         kind="sim-ae", kp=kp, kq=kq, pred=pred, n=len(kp.states), k=k,
-        sim=sim, pos={}, loop={}, parts=parts, var_names=vs.names,
+        sim=sim, used=used, pos={}, loop={}, parts=parts, var_names=vs.names,
     )
 
 
-def encode_sim_ea(kp: KripkeStructure, kq: KripkeStructure, pred: hs.Pred, n: int) -> Encoding:
-    """Encode: a lasso of length n in K_P simulates all of K_Q.
+class AeSweep:
+    """The bound sweep of one forall-exists decision, on one instance that
+    only grows.
+
+    `enc` must need no counter (k = |S_Q| does), so its families are the
+    k-independent clauses; they are lowered once.  Bound k then adds any
+    missing counter columns 1..k+1 to the family at-most-k and asks for
+    "at most k used states" by the assumption -c(m,k+1), so one incremental
+    solver answers every bound."""
+
+    def __init__(self, enc: Encoding) -> None:
+        if enc.kind != "sim-ae" or enc.k < len(enc.used):
+            raise EncodeError("a bound sweep starts from a sim-ae encoding without a counter")
+        self.enc = enc
+        self.cnf = lower_parts_to_cnf(enc.parts, enc.var_names)
+        self.base = (self.cnf.num_vars, self.cnf.num_clauses)
+        self.counter = _Counter(list(enc.used.values()), self.cnf.add_var, "used")
+        self._fed = 0  # counter columns already in the instance
+
+    def bound(self, k: int) -> tuple[CnfInstance, tuple[int, ...]]:
+        """The instance and the assumptions that ask for at most k used states."""
+        if k >= len(self.enc.used):
+            return self.cnf, ()
+        lit = self.counter.at_most(k)
+        cnf = self.cnf
+        for clauses in self.counter.clauses[self._fed:]:
+            cnf.clauses += clauses
+        self._fed = len(self.counter.clauses)
+        family, start, _ = cnf.provenance[-1]
+        cnf.provenance[-1] = (family, start, len(cnf.clauses))
+        return cnf, (lit,)
+
+    def size(self, k: int) -> tuple[int, int]:
+        """(variables, clauses) of encode_sim_ae(..., k) lowered on its own,
+        once bound(k) was asked."""
+        num_vars, num_clauses = self.base
+        if k < len(self.enc.used):
+            num_vars += sum(map(len, self.counter.columns[: k + 1]))
+            num_clauses += sum(map(len, self.counter.clauses[: k + 1])) + 1
+        return num_vars, num_clauses
+
+
+def encode_sim_ea(
+    kp: KripkeStructure,
+    kq: KripkeStructure,
+    pred: hs.Pred,
+    n: int,
+    table: PredicateTable | None = None,
+) -> Encoding:
+    """Encode: a lasso of length n in K_P simulates all of K_Q.  `table` is
+    the decision's predicate table, built here when omitted.
 
     Position 1 answers for every initial right state and each position for
     the successors of the one before, so unreachable right states are never
@@ -226,6 +317,7 @@ def encode_sim_ea(kp: KripkeStructure, kq: KripkeStructure, pred: hs.Pred, n: in
     _check_common(kp, kq, pred)
     if n < 1:
         raise EncodeError(f"lasso length must be positive, got {n}")
+    table = predicate_table(kp, kq, pred, table)
     cand = [list(kp.sorted_init())]
     for _ in range(1, n):
         cand.append(sorted({t for s in cand[-1] for t in kp.successors(s)}, key=lambda s: s.index))
@@ -239,9 +331,9 @@ def encode_sim_ea(kp: KripkeStructure, kq: KripkeStructure, pred: hs.Pred, n: in
     for i in range(1, n + 1):
         lits = [pos[(i, p)] for p in cand[i - 1]]
         one_hot_pos.append(lits)
-        one_hot_pos += _at_most(lits, 1, vs.new, f"pos{i}")
+        one_hot_pos += _at_most_one(lits, vs.new, f"pos{i}")
     loop_lits = list(loop.values())
-    one_hot_loop = [loop_lits] + _at_most(loop_lits, 1, vs.new, "loop")
+    one_hot_loop = [loop_lits] + _at_most_one(loop_lits, vs.new, "loop")
     initial = [[sim[(1, q)]] for q in kq.sorted_init()]
     path: list[Clause] = []
     for i in range(1, n):
@@ -266,10 +358,8 @@ def encode_sim_ea(kp: KripkeStructure, kq: KripkeStructure, pred: hs.Pred, n: in
     for i in range(1, n + 1):
         for p in cand[i - 1]:
             if p not in fails:
-                fails[p] = [
-                    q for q in kq.states
-                    if not hs.eval_predicate(pred, kp.label_of(p), kq.label_of(q))
-                ]
+                allowed = table.allowed(p)
+                fails[p] = [q for q in kq.states if q not in allowed]
             pred_part += [[-sim[(i, q)], -pos[(i, p)]] for q in fails[p]]
 
     parts = [
@@ -282,7 +372,7 @@ def encode_sim_ea(kp: KripkeStructure, kq: KripkeStructure, pred: hs.Pred, n: in
     ]
     return Encoding(
         kind="sim-ea", kp=kp, kq=kq, pred=pred, n=n, k=len(kq.states),
-        sim=sim, pos=pos, loop=loop, parts=parts, var_names=vs.names,
+        sim=sim, used={}, pos=pos, loop=loop, parts=parts, var_names=vs.names,
     )
 
 

@@ -16,7 +16,10 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
+
+if TYPE_CHECKING:
+    from .kripke import KripkeStructure, StateId
 
 
 class PredicateParseError(Exception):
@@ -283,6 +286,43 @@ def eval_predicate(pred: Pred, left_labels: frozenset[str] | set[str], right_lab
     if isinstance(pred, MatchAll):
         raise ValueError("match-all must be expanded against AP sets before evaluation")
     raise TypeError(f"not a predicate node: {pred!r}")
+
+
+class PredicateTable:
+    """The right states each left state admits under a predicate, evaluated
+    once per distinct (left label, right label) pair, so the searches and
+    encodings of one decision share the evaluations."""
+
+    def __init__(self, kp: KripkeStructure, kq: KripkeStructure, pred: Pred) -> None:
+        self.kp, self.kq, self.pred = kp, kq, pred
+        by_label: dict[frozenset[str], list[StateId]] = {}
+        for q in kq.states:
+            by_label.setdefault(kq.label_of(q), []).append(q)
+        self._right = list(by_label.items())
+        self._allowed: dict[frozenset[str], frozenset[StateId]] = {}
+
+    def allowed(self, p: StateId) -> frozenset[StateId]:
+        """The right states whose label satisfies the predicate against p's."""
+        label = self.kp.label_of(p)
+        got = self._allowed.get(label)
+        if got is None:
+            got = frozenset(
+                q for right, qs in self._right if eval_predicate(self.pred, label, right)
+                for q in qs
+            )
+            self._allowed[label] = got
+        return got
+
+
+def predicate_table(
+    kp: KripkeStructure, kq: KripkeStructure, pred: Pred, table: PredicateTable | None = None
+) -> PredicateTable:
+    """`table` if it was built for these inputs, a new table if it is None."""
+    if table is None:
+        return PredicateTable(kp, kq, pred)
+    if (table.kp, table.kq, table.pred) != (kp, kq, pred):
+        raise ValueError("predicate table was built for other structures or predicate")
+    return table
 
 
 def uses_match_all(pred: Pred) -> bool:

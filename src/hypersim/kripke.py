@@ -9,7 +9,7 @@ of the infinite traces the checker reasons about.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Mapping
 
@@ -34,10 +34,23 @@ class KripkeSemanticError(KripkeError):
 
 @dataclass(frozen=True)
 class StateId:
-    """A state handle: display name plus dense ordinal within its structure."""
+    """A state handle: display name plus dense ordinal within its structure.
+    Its hash is computed once: states are set members and dict keys in every
+    search."""
 
     name: str
     index: int
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.name, self.index)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # rehash on unpickling: string hashes differ between processes
+        return StateId, (self.name, self.index)
 
     def __repr__(self) -> str:
         return f"StateId({self.name!r}, {self.index})"
@@ -73,19 +86,6 @@ class KripkeStructure:
 
     def sorted_init(self) -> tuple[StateId, ...]:
         return tuple(sorted(self.init, key=lambda s: s.index))
-
-    def to_text(self) -> str:
-        """Canonical printer; parse_kripke(to_text(k)) reconstructs k exactly."""
-        lines = []
-        lines.append("states: " + " ".join(s.name for s in self.states))
-        lines.append("init: " + " ".join(s.name for s in self.sorted_init()))
-        lines.append("ap: " + " ".join(self.ap))
-        for s in self.states:
-            props = [p for p in self.ap if p in self.label_of(s)]
-            lines.append(f"label {s.name}: " + " ".join(props))
-        for a, b in sorted(self.trans, key=lambda e: (e[0].index, e[1].index)):
-            lines.append(f"trans {a.name} -> {b.name}")
-        return "\n".join(lines) + "\n"
 
 
 def validate_kripke(k: KripkeStructure) -> list[str]:
@@ -280,10 +280,6 @@ class LassoPath:
 
     def states_visited(self) -> tuple[StateId, ...]:
         return self.prefix + self.loop
-
-    def state_at(self, i: int) -> StateId:
-        p, l = len(self.prefix), len(self.loop)
-        return self.prefix[i] if i < p else self.loop[(i - p) % l]
 
     def is_valid_in(self, k: KripkeStructure) -> bool:
         """Loop nonempty, first state initial, consecutive steps and the

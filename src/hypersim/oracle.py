@@ -1,7 +1,9 @@
 """Witness validators, bounded falsifiers and counterexample re-checks.
 
 Everything here works by direct evaluation or search over explicit
-structures; nothing is shared with the propositional encoding path, so
+structures.  The falsifiers read the decision's predicate table, which the
+encodings read too; the validators and re-checks evaluate the predicate
+themselves and share nothing with the propositional encoding path, so
 agreement between the two is meaningful evidence.
 """
 
@@ -9,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .hyperspec import Pred, eval_predicate
+from .hyperspec import Pred, PredicateTable, eval_predicate, predicate_table
 from .kripke import KripkeStructure, StateId
 from .encoder import SimWitnessAE, SimWitnessEA
 
@@ -112,27 +114,21 @@ class LiveSetSearch:
     and successors are visited in index order, so layer order is the
     lexicographic order of each node's least path, and parents rebuild that
     path.  Layers are built on demand: one search serves every depth of a
-    decision.
+    decision.  `table` is the decision's predicate table, built here when
+    omitted.
     """
 
-    def __init__(self, kp: KripkeStructure, kq: KripkeStructure, pred: Pred) -> None:
+    def __init__(
+        self,
+        kp: KripkeStructure,
+        kq: KripkeStructure,
+        pred: Pred,
+        table: PredicateTable | None = None,
+    ) -> None:
         self.kp, self.kq, self.pred = kp, kq, pred
+        self.allowed = predicate_table(kp, kq, pred, table).allowed
         self._post = {q: frozenset(kq.successors(q)) for q in kq.states}
-        self._allowed: dict[frozenset[str], frozenset[StateId]] = {}
         self.layers: list[dict[LiveNode, LiveNode | None]] = []
-
-    def allowed(self, p: StateId) -> frozenset[StateId]:
-        """The right states whose label satisfies the predicate against p's
-        label, evaluated once per distinct left label."""
-        label = self.kp.label_of(p)
-        got = self._allowed.get(label)
-        if got is None:
-            got = frozenset(
-                q for q in self.kq.states
-                if eval_predicate(self.pred, label, self.kq.label_of(q))
-            )
-            self._allowed[label] = got
-        return got
 
     def layer(self, i: int) -> dict[LiveNode, LiveNode | None]:
         """The nodes after left paths of i+1 states, in least-path order."""
@@ -198,47 +194,76 @@ def falsify_forall_exists(
     return None
 
 
-def _layers_with_parents(
-    k: KripkeStructure, depth: int
-) -> list[dict[StateId, StateId | None]]:
-    layers: list[dict[StateId, StateId | None]] = []
-    layer: dict[StateId, StateId | None] = {s: None for s in k.sorted_init()}
-    layers.append(layer)
-    for _ in range(depth - 1):
-        nxt: dict[StateId, StateId | None] = {}
-        for s in sorted(layer, key=lambda s: s.index):
-            for t in k.successors(s):
-                if t not in nxt:
-                    nxt[t] = s
-        layers.append(nxt)
-        layer = nxt
-    return layers
+class SafeFrontierSearch:
+    """Breadth-first layers for the exists-forall falsifier, grown on demand
+    so that one search serves every depth of a decision.
+
+    Right layer i maps each right state reachable in exactly i steps to its
+    parent at first discovery (states visited in index order).  Left
+    frontier i holds the left states at the end of a left path of i+1
+    states that is safe at every position so far: its label satisfies the
+    predicate against every right state of the same layer.  `table` is the
+    decision's predicate table, built here when omitted.
+    """
+
+    def __init__(
+        self,
+        kp: KripkeStructure,
+        kq: KripkeStructure,
+        pred: Pred,
+        table: PredicateTable | None = None,
+    ) -> None:
+        self.kp, self.kq, self.pred = kp, kq, pred
+        self.allowed = predicate_table(kp, kq, pred, table).allowed
+        self.right: list[dict[StateId, StateId | None]] = [
+            {s: None for s in kq.sorted_init()}
+        ]
+        self.frontiers: list[frozenset[StateId]] = []
+
+    def right_layer(self, i: int) -> dict[StateId, StateId | None]:
+        while len(self.right) <= i:
+            nxt: dict[StateId, StateId | None] = {}
+            for s in sorted(self.right[-1], key=lambda s: s.index):
+                for t in self.kq.successors(s):
+                    if t not in nxt:
+                        nxt[t] = s
+            self.right.append(nxt)
+        return self.right[i]
+
+    def frontier(self, i: int) -> frozenset[StateId]:
+        """The left states ending a safe left path of i+1 states."""
+        while len(self.frontiers) <= i:
+            j = len(self.frontiers)
+            layer = self.right_layer(j).keys()
+            if j == 0:
+                cand = self.kp.init
+            else:  # an empty frontier stays empty
+                cand = {p2 for p in self.frontiers[-1] for p2 in self.kp.successors(p)}
+            safe = frozenset(p for p in cand if self.allowed(p).issuperset(layer))
+            self.frontiers.append(safe)
+        return self.frontiers[i]
 
 
 def falsify_exists_forall(
-    kp: KripkeStructure, kq: KripkeStructure, pred: Pred, depth: int
+    kp: KripkeStructure,
+    kq: KripkeStructure,
+    pred: Pred,
+    depth: int,
+    search: SafeFrontierSearch | None = None,
 ) -> Counterexample | None:
     """Search for a depth-bounded refutation of exists-forall G pred: evidence
     that every K_P path of length `depth` admits a violating K_Q path.  The
     returned pPath is a sample violating K_Q path (against the first K_P
-    path); the full evidence is re-derivable by enumeration."""
+    path); the full evidence is re-derivable by enumeration.  Pass one
+    `search` built for (kp, kq, pred) to every depth of a sweep to share its
+    layers."""
     if depth < 1:
         return None
-    q_layers = _layers_with_parents(kq, depth)
-
-    def safe(label: frozenset[str], i: int) -> bool:
-        return all(eval_predicate(pred, label, kq.label_of(q)) for q in q_layers[i])
-
-    frontier = {p for p in kp.init if safe(kp.label_of(p), 0)}
-    alive = bool(frontier)
-    for i in range(1, depth):
-        if not alive:
-            break
-        frontier = {
-            p2 for p in frontier for p2 in kp.successors(p) if safe(kp.label_of(p2), i)
-        }
-        alive = bool(frontier)
-    if alive:
+    if search is None:
+        search = SafeFrontierSearch(kp, kq, pred)
+    elif (search.kp, search.kq, search.pred) != (kp, kq, pred):
+        raise ValueError("safe-frontier search was built for other structures or predicate")
+    if search.frontier(depth - 1):
         return None
 
     # sample evidence: a violating right path against the first left path
@@ -247,17 +272,14 @@ def falsify_exists_forall(
         first_p.append(kp.successors(first_p[-1])[0])
     q_path: tuple[StateId, ...] | None = None
     for i in range(depth):
-        lp = kp.label_of(first_p[i])
-        hit = None
-        for q in sorted(q_layers[i], key=lambda s: s.index):
-            if not eval_predicate(pred, lp, kq.label_of(q)):
-                hit = q
-                break
+        allowed = search.allowed(first_p[i])
+        layer = search.right_layer(i)
+        hit = next((q for q in sorted(layer, key=lambda s: s.index) if q not in allowed), None)
         if hit is None:
             continue
         back = [hit]
         for j in range(i, 0, -1):
-            back.append(q_layers[j][back[-1]])
+            back.append(search.right_layer(j)[back[-1]])
         back.reverse()
         while len(back) < depth:
             back.append(kq.successors(back[-1])[0])

@@ -18,7 +18,6 @@ from .kripke import (
     KripkeStructure,
     StateId,
     parse_kripke,
-    validate_kripke,
 )
 
 
@@ -226,21 +225,3 @@ def parse_prophecy(text: str) -> ProphecyAutomaton:
         structure=structure,
         annotation={s: frozenset(v) for s, v in annotation.items()},
     )
-
-
-def prophecy_to_text(u: ProphecyAutomaton) -> str:
-    lines = [u.structure.to_text().rstrip("\n")]
-    for s in u.structure.states:
-        anns = sorted(u.annotations_of(s))
-        if anns:
-            lines.append(f"annot {s.name}: {' '.join(anns)}")
-    return "\n".join(lines) + "\n"
-
-
-def validate_prophecy(u: ProphecyAutomaton) -> list[str]:
-    violations = list(validate_kripke(u.structure))
-    known = set(u.structure.states)
-    for s in u.annotation:
-        if s not in known:
-            violations.append(f"annot-unknown-state: {s.name}")
-    return violations

@@ -2,7 +2,10 @@
 
 The embedded solver is a standard CDCL loop: two-watched-literal propagation,
 first-UIP learning with basic clause minimization, VSIDS-style activities with
-phase saving, Luby restarts, and LBD-guided learnt-clause reduction.  External
+phase saving, Luby restarts, and LBD-guided learnt-clause reduction.  It is
+incremental in the MiniSat style: `solve` takes assumption literals, and
+clauses over new variables can be added between calls, so a sequence of
+related queries keeps its learnt clauses, activities and phases.  External
 solvers are driven through files in DIMACS format and the conventional
 's SATISFIABLE' / 'v ...' output protocol.
 """
@@ -55,6 +58,8 @@ class CdclSolver:
         self.qhead = 0
         self.learnts: list[list[int]] = []
         self.lbd: dict[int, int] = {}
+        self.reduce_at = 4000  # learnt-clause reduction, over all calls
+        self.total_conflicts = 0
         self.ok = True
         for cl in clauses:
             self._add_input_clause(cl)
@@ -62,6 +67,33 @@ class CdclSolver:
             heappush(self.order, (0.0, v))
 
     # ---- construction ----
+
+    def add_clauses(self, num_vars: int, clauses: Sequence[Sequence[int]]) -> None:
+        """Between solve calls: grow to num_vars variables and add clauses.
+
+        The solver then sits at decision level 0, so a literal already
+        assigned is fixed for good: a true one satisfies its clause and a
+        false one is dropped from it."""
+        for v in range(self.nv, num_vars):
+            self.assign.append(2)
+            self.level.append(0)
+            self.reason.append(None)
+            self.polarity.append(1)
+            self.activity.append(0.0)
+            self.watches += [[], []]
+            heappush(self.order, (0.0, v))
+        self.nv = max(self.nv, num_vars)
+        assign = self.assign
+        for cl in clauses:
+            lits = []
+            for l in cl:
+                val = assign[abs(l) - 1]
+                if val == 2:
+                    lits.append(l)
+                elif val == (l < 0):
+                    break  # satisfied at level 0
+            else:
+                self._add_input_clause(lits)
 
     def _add_input_clause(self, cl: Sequence[int]) -> None:
         if not self.ok:
@@ -292,21 +324,31 @@ class CdclSolver:
                 return 1 << (k - 1)
             x = x - (1 << (k - 1)) + 1
 
-    def solve(self, max_conflicts: int | None = None) -> SatResult:
+    def solve(
+        self, max_conflicts: int | None = None, assumptions: Sequence[int] = ()
+    ) -> SatResult:
+        """Search for a model that makes every assumption literal true.
+
+        The assumptions take the first decision levels, one each.  An
+        assumption found false answers unsat for this call only; a conflict
+        at level 0 makes the clauses themselves unsat, for every later call
+        too.  The solver returns to level 0, ready for `add_clauses`."""
         if not self.ok:
             return SatResult("unsat")
         if self._propagate() is not None:
+            self.ok = False
             return SatResult("unsat")
+        assumed = [2 * (abs(a) - 1) + (a < 0) for a in assumptions]
         conflicts = 0
         decisions = 0
         restart_idx = 0
         restart_limit = 128 * self._luby(0)
         since_restart = 0
-        reduce_at = 4000
         while True:
             confl = self._propagate()
             if confl is not None:
                 if not self.trail_lim:
+                    self.ok = False
                     return SatResult("unsat", conflicts=conflicts, decisions=decisions)
                 conflicts += 1
                 since_restart += 1
@@ -314,9 +356,10 @@ class CdclSolver:
                 self._cancel_until(bt)
                 self._record(learnt, lbd)
                 self.var_inc /= self._VAR_DECAY
-                if conflicts >= reduce_at:
+                self.total_conflicts += 1
+                if self.total_conflicts >= self.reduce_at:
                     self._reduce_db()
-                    reduce_at += 2000 + 500 * len(str(conflicts))
+                    self.reduce_at += 2000 + 500 * len(str(self.total_conflicts))
                 if max_conflicts is not None and conflicts >= max_conflicts:
                     self._cancel_until(0)
                     return SatResult("unknown", conflicts=conflicts, decisions=decisions)
@@ -327,26 +370,51 @@ class CdclSolver:
                 since_restart = 0
                 self._cancel_until(0)
                 continue
+            level = len(self.trail_lim)
+            if level < len(assumed):
+                lit = assumed[level]
+                val = self.assign[lit >> 1]
+                if val == ((lit & 1) ^ 1):
+                    self._cancel_until(0)
+                    return SatResult("unsat", conflicts=conflicts, decisions=decisions)
+                self.trail_lim.append(len(self.trail))
+                if val == 2:
+                    self._enqueue(lit, None)
+                continue
             if len(self.trail) == self.nv:
-                model = {v + 1: self.assign[v] == 0 for v in range(self.nv)}
-                return SatResult("sat", model, conflicts=conflicts, decisions=decisions)
+                return self._model(conflicts, decisions)
             v = self._pick_branch()
             if v < 0:
-                model = {u + 1: self.assign[u] == 0 for u in range(self.nv)}
-                return SatResult("sat", model, conflicts=conflicts, decisions=decisions)
+                return self._model(conflicts, decisions)
             decisions += 1
             self.trail_lim.append(len(self.trail))
             self._enqueue(2 * v + self.polarity[v], None)
 
+    def _model(self, conflicts: int, decisions: int) -> SatResult:
+        model = {v + 1: self.assign[v] == 0 for v in range(self.nv)}
+        self._cancel_until(0)
+        return SatResult("sat", model, conflicts=conflicts, decisions=decisions)
+
 
 class EmbeddedBackend:
-    """In-process CDCL solver."""
+    """In-process CDCL solver.  Asked about the same instance again, after
+    clauses were appended to it, the loaded solver takes only the new
+    clauses and keeps what it learnt; any other instance gets a fresh one."""
 
     name = "embedded"
 
-    def solve_cnf(self, cnf: CnfInstance) -> SatResult:
-        solver = CdclSolver(cnf.num_vars, cnf.clauses)
-        return solver.solve()
+    def __init__(self) -> None:
+        self._cnf: CnfInstance | None = None
+        self._solver: CdclSolver | None = None
+        self._loaded = 0
+
+    def solve_cnf(self, cnf: CnfInstance, assumptions: Sequence[int] = ()) -> SatResult:
+        if cnf is self._cnf:
+            self._solver.add_clauses(cnf.num_vars, cnf.clauses[self._loaded:])
+        else:
+            self._cnf, self._solver = cnf, CdclSolver(cnf.num_vars, cnf.clauses)
+        self._loaded = len(cnf.clauses)
+        return self._solver.solve(assumptions=assumptions)
 
 
 class ExternalBackend:
@@ -358,10 +426,12 @@ class ExternalBackend:
             raise SolverBackendError("external solver command is empty")
         self.name = "external:" + " ".join(self.command)
 
-    def solve_cnf(self, cnf: CnfInstance) -> SatResult:
+    def solve_cnf(self, cnf: CnfInstance, assumptions: Sequence[int] = ()) -> SatResult:
+        """One self-contained DIMACS file per call, the assumptions written
+        as unit clauses after the instance's own."""
         with tempfile.TemporaryDirectory(prefix="hypersim-sat-") as tmp:
             path = Path(tmp) / "instance.cnf"
-            path.write_text(export_dimacs(cnf))
+            path.write_text(export_dimacs(_with_units(cnf, assumptions)))
             try:
                 proc = subprocess.run(
                     self.command + [str(path)],
@@ -372,6 +442,19 @@ class ExternalBackend:
             except (OSError, subprocess.TimeoutExpired) as exc:
                 raise SolverBackendError(f"solver process failed: {exc}") from exc
         return _parse_solver_output(proc.stdout, proc.returncode, cnf.num_vars)
+
+
+def _with_units(cnf: CnfInstance, assumptions: Sequence[int]) -> CnfInstance:
+    """The instance with the assumptions as unit clauses, for a backend
+    that takes one self-contained instance per call."""
+    if not assumptions:
+        return cnf
+    n = len(cnf.clauses)
+    return CnfInstance(
+        num_vars=cnf.num_vars,
+        clauses=cnf.clauses + [[lit] for lit in assumptions],
+        provenance=cnf.provenance + [("assumptions", n + 1, n + len(assumptions))],
+    )
 
 
 def _parse_solver_output(stdout: str, returncode: int, num_vars: int) -> SatResult:
@@ -408,18 +491,21 @@ def _parse_solver_output(stdout: str, returncode: int, num_vars: int) -> SatResu
     return SatResult("sat", model)
 
 
-def solve(cnf: CnfInstance, backend=None) -> SatResult:
-    """Solve a clause set.  The model of a sat answer assigns every variable,
-    named or auxiliary.  Backend failures raise SolverBackendError; they are
-    never conflated with an unsat answer.  A sat answer from any backend but
-    the embedded one is checked clause by clause, so a model that violates
-    the instance is a backend failure too."""
+def solve(cnf: CnfInstance, backend=None, assumptions: Sequence[int] = ()) -> SatResult:
+    """Solve a clause set under assumption literals.  The model of a sat
+    answer assigns every variable, named or auxiliary, and makes every
+    assumption true; unsat means no model does.  Backend failures raise
+    SolverBackendError; they are never conflated with an unsat answer.  A sat
+    answer from any backend but the embedded one is checked clause by clause,
+    so a model that violates the instance is a backend failure too."""
     backend = backend or EmbeddedBackend()
-    result = backend.solve_cnf(cnf)
+    result = backend.solve_cnf(cnf, assumptions)
     if result.is_sat and result.model is not None:
         for v in range(1, cnf.num_vars + 1):
             result.model.setdefault(v, False)
-        if not isinstance(backend, EmbeddedBackend) and not check_model(cnf, result.model):
+        if not isinstance(backend, EmbeddedBackend) and not check_model(
+            _with_units(cnf, assumptions), result.model
+        ):
             raise SolverBackendError(
                 f"{backend.name} answered SATISFIABLE with a model that violates the instance"
             )

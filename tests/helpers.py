@@ -1,8 +1,9 @@
 """Shared generators and test-only oracles: random structures, predicates and
-lasso traces, the pointwise semantics of lasso trace pairs, path and lasso
-listing, the vertex-cover reduction with its brute-force answer, the
-small-graph enumeration behind the vertex-cover suite, and path-listing
-reference versions of the falsifier and the counterexample re-check."""
+lasso traces, printers for structures and prophecy automata, the pointwise
+semantics of lasso trace pairs, path and lasso listing, the vertex-cover
+reduction with its brute-force answer, the small-graph enumeration behind
+the vertex-cover suite, and reference versions of the falsifiers and the
+counterexample re-check."""
 
 from __future__ import annotations
 
@@ -28,8 +29,47 @@ from hypersim.hyperspec import (
     TrueConst,
     eval_predicate,
 )
-from hypersim.kripke import KripkeStructure, LassoPath, StateId
+from hypersim.kripke import KripkeStructure, LassoPath, StateId, validate_kripke
 from hypersim.oracle import Counterexample
+from hypersim.prophecy import ProphecyAutomaton
+
+
+def kripke_to_text(k: KripkeStructure) -> str:
+    """Canonical printer; parse_kripke(kripke_to_text(k)) reconstructs k exactly."""
+    lines = []
+    lines.append("states: " + " ".join(s.name for s in k.states))
+    lines.append("init: " + " ".join(s.name for s in k.sorted_init()))
+    lines.append("ap: " + " ".join(k.ap))
+    for s in k.states:
+        props = [p for p in k.ap if p in k.label_of(s)]
+        lines.append(f"label {s.name}: " + " ".join(props))
+    for a, b in sorted(k.trans, key=lambda e: (e[0].index, e[1].index)):
+        lines.append(f"trans {a.name} -> {b.name}")
+    return "\n".join(lines) + "\n"
+
+
+def prophecy_to_text(u: ProphecyAutomaton) -> str:
+    lines = [kripke_to_text(u.structure).rstrip("\n")]
+    for s in u.structure.states:
+        anns = sorted(u.annotations_of(s))
+        if anns:
+            lines.append(f"annot {s.name}: {' '.join(anns)}")
+    return "\n".join(lines) + "\n"
+
+
+def validate_prophecy(u: ProphecyAutomaton) -> list[str]:
+    violations = list(validate_kripke(u.structure))
+    known = set(u.structure.states)
+    for s in u.annotation:
+        if s not in known:
+            violations.append(f"annot-unknown-state: {s.name}")
+    return violations
+
+
+def lasso_state_at(path: LassoPath, i: int) -> StateId:
+    """The state at 0-based position i of the infinite run of the lasso."""
+    p, l = len(path.prefix), len(path.loop)
+    return path.prefix[i] if i < p else path.loop[(i - p) % l]
 
 
 def build_structure(
@@ -319,6 +359,67 @@ def reverify_exists_forall_by_paths(
         return any(violated(q, 0) for q in kq.init)
 
     return all(admits_violation(tuple(p)) for p in initial_paths(kp, d))
+
+
+def falsify_exists_forall_by_layers(
+    kp: KripkeStructure, kq: KripkeStructure, pred: Pred, depth: int
+) -> Counterexample | None:
+    """The exists-forall falsifier that builds its right layers and walks
+    its left frontier anew for each depth; quadratic over a depth sweep."""
+    if depth < 1:
+        return None
+    q_layers: list[dict[StateId, StateId | None]] = [{s: None for s in kq.sorted_init()}]
+    for _ in range(depth - 1):
+        nxt: dict[StateId, StateId | None] = {}
+        for s in sorted(q_layers[-1], key=lambda s: s.index):
+            for t in kq.successors(s):
+                if t not in nxt:
+                    nxt[t] = s
+        q_layers.append(nxt)
+
+    def safe(label: frozenset[str], i: int) -> bool:
+        return all(eval_predicate(pred, label, kq.label_of(q)) for q in q_layers[i])
+
+    frontier = {p for p in kp.init if safe(kp.label_of(p), 0)}
+    alive = bool(frontier)
+    for i in range(1, depth):
+        if not alive:
+            break
+        frontier = {
+            p2 for p in frontier for p2 in kp.successors(p) if safe(kp.label_of(p2), i)
+        }
+        alive = bool(frontier)
+    if alive:
+        return None
+
+    first_p = [kp.sorted_init()[0]]
+    while len(first_p) < depth:
+        first_p.append(kp.successors(first_p[-1])[0])
+    q_path: tuple[StateId, ...] | None = None
+    for i in range(depth):
+        lp = kp.label_of(first_p[i])
+        hit = None
+        for q in sorted(q_layers[i], key=lambda s: s.index):
+            if not eval_predicate(pred, lp, kq.label_of(q)):
+                hit = q
+                break
+        if hit is None:
+            continue
+        back = [hit]
+        for j in range(i, 0, -1):
+            back.append(q_layers[j][back[-1]])
+        back.reverse()
+        while len(back) < depth:
+            back.append(kq.successors(back[-1])[0])
+        q_path = tuple(back)
+        break
+    assert q_path is not None, "refutation implies a violating right path exists"
+    return Counterexample(
+        side="exists-forall",
+        p_path=q_path,
+        depth=depth,
+        note="every left-model path admits a violating right-model path at this depth; pPath is the sample against the first left path",
+    )
 
 
 def refuse_to_build_states(monkeypatch) -> None:

@@ -7,6 +7,8 @@ from pathlib import Path
 import pytest
 
 import hypersim.cli
+import hypersim.hyperspec
+import hypersim.sat
 from hypersim.cli import (
     CheckConfig,
     CliInputError,
@@ -16,8 +18,10 @@ from hypersim.cli import (
     run_benchmarks,
     run_check,
 )
+from hypersim.encoder import SimWitnessEA
 from hypersim.hyperspec import parse_property
-from hypersim.kripke import parse_kripke
+from hypersim.kripke import LassoPath, parse_kripke
+from hypersim.oracle import validate_witness_ea
 
 from helpers import refuse_to_build_states
 
@@ -411,3 +415,141 @@ def test_empty_prophecy_product_is_an_input_error(tmp_path, capsys):
     ])
     assert code == 3
     assert "empty product" in capsys.readouterr().err
+
+
+def bidirectional_ring(n: int) -> str:
+    """n states alternating a / not a, each step one left or one right, all
+    initial: two neighbours simulate an alternating loop, one state cannot."""
+    names = [f"q{i}" for i in range(n)]
+    lines = ["states: " + " ".join(names), "init: " + " ".join(names), "ap: a"]
+    lines += [f"label q{i}: a" for i in range(0, n, 2)]
+    for i in range(n):
+        lines += [f"trans q{i} -> q{(i + 1) % n}", f"trans q{i} -> q{(i - 1) % n}"]
+    return "\n".join(lines)
+
+
+def test_sweep_keeps_only_the_counter_columns_its_bounds_need(monkeypatch):
+    instances = []
+    original = hypersim.cli.solve
+
+    def recording(cnf, backend=None, assumptions=()):
+        instances.append(dict((f, (s, e)) for f, s, e in cnf.provenance))
+        return original(cnf, backend, assumptions)
+
+    monkeypatch.setattr(hypersim.cli, "solve", recording)
+    kp = parse_kripke("states: p0 p1\ninit: p0\nap: a\nlabel p0: a\ntrans p0 -> p1\ntrans p1 -> p0")
+    kq = parse_kripke(bidirectional_ring(200))
+    report = check_pair(kp, kq, parse_property("forall exists. G (l.a <-> r.a)"))
+    assert report.verdict == "holds" and report.minimal_bound == 2
+    m = 200  # every right state is used by the greatest simulation
+    for k, family in enumerate(instances, start=1):
+        start, end = family["at-most-k"]
+        assert end - start + 1 < 2 * m * (k + 1)
+
+
+def test_each_ae_decision_builds_one_solver(monkeypatch):
+    built = []
+
+    class Counting(hypersim.sat.CdclSolver):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(hypersim.sat, "CdclSolver", Counting)
+    for prop, extra, verdict in [
+        ("phi2.hp", {"prophecy": "next:a:2"}, "holds"),
+        ("phi2.hp", {}, "unknown-at-bounds"),
+        ("phi1.hp", {}, "violated"),
+    ]:
+        built.clear()
+        report = run_check(cfg_for(prop, **extra))
+        assert report.verdict == verdict
+        assert sum(it.side == "sim" for it in report.iterations) > 1
+        assert len(built) == 1
+
+
+@pytest.mark.parametrize(
+    "prop_file, extra",
+    [("phi2.hp", ["--prophecy", "next:a:2"]), ("phi2.hp", []), ("phi1.hp", [])],
+)
+def test_export_has_the_size_of_each_sim_iteration(prop_file, extra, tmp_path, capsys):
+    main(check_args(prop_file, *extra, "--format", "json"))
+    iterations = json.loads(capsys.readouterr().out)["iterations"]
+    sims = [it for it in iterations if it["side"] == "sim"]
+    assert len(sims) > 1
+    for it in sims:
+        out = tmp_path / f"k{it['bound']}.cnf"
+        args = check_args(prop_file, *extra)[1:]
+        assert main(["export", *args, "--bound", str(it["bound"]), "--out", str(out)]) == 0
+        header = next(line for line in out.read_text().splitlines() if line.startswith("p cnf"))
+        assert header == f"p cnf {it['vars']} {it['clauses']}"
+    capsys.readouterr()
+
+
+def test_a_witness_over_the_bound_is_an_internal_error(monkeypatch, capsys):
+    # a solver that drops the assumption answers every bound without the
+    # at-most-k limit: the first witness uses more than k=1 right states
+    original = hypersim.cli.solve
+    monkeypatch.setattr(
+        hypersim.cli, "solve", lambda cnf, backend=None, assumptions=(): original(cnf, backend)
+    )
+    assert main(check_args("phi2.hp", "--prophecy", "next:a:2")) == 5
+    assert "bound: the witness uses" in capsys.readouterr().err
+
+
+def test_a_lasso_of_another_length_is_an_internal_error(monkeypatch, capsys):
+    # the decoded lasso with its loop run twice is still a valid witness,
+    # but of length 2n
+    original = hypersim.cli.decode_witness_ea
+
+    def doubled(enc, model):
+        w = original(enc, model)
+        lasso = LassoPath(prefix=w.lasso.prefix, loop=w.lasso.loop * 2)
+        n = w.lasso.total_len
+        start = len(w.lasso.prefix)
+        rel = dict(w.pos_relation)
+        for i in range(start + 1, n + 1):
+            rel[i + n - start] = w.pos_relation[i]
+        w2 = SimWitnessEA(lasso=lasso, pos_relation=rel)
+        assert validate_witness_ea(enc.kp, enc.kq, enc.pred, w2) == []
+        return w2
+
+    monkeypatch.setattr(hypersim.cli, "decode_witness_ea", doubled)
+    kq = DATA / "k2.kr"
+    code = main([
+        "check", "--left", str(kq), "--right", str(DATA / "k1.kr"),
+        "--prop-inline", "exists forall. G (r.a -> l.a)",
+    ])
+    assert code == 5
+    assert "bound: the witness lasso has length" in capsys.readouterr().err
+
+
+def test_a_decision_evaluates_each_label_pair_once(monkeypatch):
+    # the searches and encodings evaluate the decision's predicate through
+    # its table; the witness and counterexample re-checks keep their own
+    # evaluations (through the name the oracle bound) and are not counted
+    tables = []
+    seen = []
+    original_table = hypersim.cli.PredicateTable
+    original_eval = hypersim.hyperspec.eval_predicate
+
+    def table(*args):
+        tables.append(original_table(*args))
+        return tables[-1]
+
+    def recording(pred, left, right):
+        if pred is tables[-1].pred:
+            seen.append((left, right))
+        return original_eval(pred, left, right)
+
+    monkeypatch.setattr(hypersim.cli, "PredicateTable", table)
+    monkeypatch.setattr(hypersim.hyperspec, "eval_predicate", recording)
+    ea = CheckConfig(
+        left_path=str(DATA / "k2.kr"), right_path=str(DATA / "k1.kr"),
+        prop_text="exists forall. G (r.a -> l.a)",
+    )
+    for cfg in [cfg_for("phi2.hp", prophecy="next:a:2"), cfg_for("phi1.hp"), ea]:
+        seen.clear()
+        report = run_check(cfg)
+        assert sum(it.side == "sim" for it in report.iterations) > 1
+        assert seen and len(seen) == len(set(seen))

@@ -11,9 +11,11 @@ from hypothesis import strategies as st
 
 from hypersim.circuit import export_dimacs, lower_parts_to_cnf
 from hypersim.encoder import (
+    AeSweep,
     DecodeError,
     EncodeError,
-    _at_most,
+    _at_most_one,
+    _Counter,
     _Vars,
     decode_witness_ae,
     decode_witness_ea,
@@ -26,7 +28,7 @@ from hypersim.hyperspec import MatchAll, eval_predicate, parse_predicate, parse_
 from hypersim.kripke import parse_kripke, reachable_restriction
 from hypersim.oracle import validate_witness_ae, validate_witness_ea
 from hypersim.prophecy import build_next_prophecy, prophecy_product
-from hypersim.sat import solve
+from hypersim.sat import EmbeddedBackend, solve
 
 from helpers import enumerate_lasso_paths, rand_pred, rand_structure
 
@@ -259,16 +261,56 @@ def test_greatest_simulation_matches_naive_refinement():
 
 
 def test_at_most_k_counts_exactly():
-    # every assignment of m inputs extends to a model iff at most k are true
+    # every assignment of m inputs extends to a model iff at most k are
+    # true: at-most-one for the lasso positions, and for the used states the
+    # counter columns 1..k+1 with the unit -c(m,k+1)
     for m in range(1, 7):
         for k in range(1, m + 1):
             vs = _Vars()
             xs = [vs.new(f"x{i}") for i in range(1, m + 1)]
-            clauses = _at_most(xs, k, vs.new, "t")
-            for bits in itertools.product((False, True), repeat=m):
-                units = [[x if b else -x] for x, b in zip(xs, bits)]
-                cnf = lower_parts_to_cnf([("count", clauses), ("fix", units)], vs.names)
-                assert (solve(cnf).status == "sat") == (sum(bits) <= k), (m, k, bits)
+            cases = [(1, _at_most_one(xs, vs.new, "one"))] if k == 1 else []
+            if k < m:
+                counter = _Counter(xs, vs.new, "t")
+                bound = counter.at_most(k)
+                assert len(counter.columns) == k + 1
+                clauses = [c for col in counter.clauses for c in col]
+                assert len(clauses) < 2 * m * (k + 1)
+                cases.append((k, clauses + [[bound]]))
+            for limit, clauses in cases:
+                for bits in itertools.product((False, True), repeat=m):
+                    units = [[x if b else -x] for x, b in zip(xs, bits)]
+                    cnf = lower_parts_to_cnf([("count", clauses), ("fix", units)], vs.names)
+                    assert (solve(cnf).status == "sat") == (sum(bits) <= limit), (m, k, bits)
+
+
+@given(st.integers(min_value=0, max_value=10**9))
+@settings(max_examples=100, deadline=None)
+def test_sweep_answers_each_bound_like_a_fresh_standalone_instance(seed):
+    rng = random.Random(seed)
+    kp = rand_structure(rng, max_states=3)
+    kq = rand_structure(rng, max_states=5)
+    pred = rand_pred(rng, kp.ap, kq.ap)
+    relation = greatest_simulation(kp, kq, pred)
+    sweep = AeSweep(encode_sim_ae(kp, kq, pred, len(kq.states), relation))
+    backend = EmbeddedBackend()
+    for k in range(1, len(kq.states) + 1):
+        cnf, assumptions = sweep.bound(k)
+        got = solve(cnf, backend, assumptions)
+        alone = encode_sim_ae(kp, kq, pred, k, relation).to_cnf()
+        assert got.status == solve(alone).status, f"k={k}"
+        assert sweep.size(k) == (alone.num_vars, alone.num_clauses), f"k={k}"
+        if got.is_sat:
+            w = decode_witness_ae(sweep.enc, cnf.named_model(got.model))
+            assert validate_witness_ae(kp, kq, pred, w) == []
+            assert len(w.used_q) <= k
+
+
+def test_sweep_rejects_an_encoding_with_a_counter():
+    kp, kq, pred = intro()
+    with pytest.raises(EncodeError):
+        AeSweep(encode_sim_ae(kp, kq, pred, 1))
+    with pytest.raises(EncodeError):
+        AeSweep(encode_sim_ea(kp, kq, pred, 2))
 
 
 def covers_initial(kp, kq, rel) -> bool:

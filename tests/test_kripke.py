@@ -1,5 +1,7 @@
 """Structure parsing, validation, restriction, and lasso enumeration."""
 
+import pickle
+
 import pytest
 from hypothesis import given, settings
 
@@ -18,7 +20,9 @@ from helpers import (
     build_structure,
     enumerate_lasso_paths,
     initial_paths,
+    kripke_to_text,
     label_sequences,
+    lasso_state_at,
     structures,
     trace_of,
 )
@@ -140,7 +144,7 @@ def test_lasso_state_at_wraps_into_loop():
     )
     p = LassoPath(prefix=(k.states[0],), loop=(k.states[1], k.states[2]))
     assert p.is_valid_in(k)
-    names = [p.state_at(i).name for i in range(6)]
+    names = [lasso_state_at(p, i).name for i in range(6)]
     assert names == ["s", "t", "u", "t", "u", "t"]
 
 
@@ -162,7 +166,7 @@ def test_label_sequences_projection():
 @given(structures(max_states=5))
 @settings(max_examples=60, deadline=None)
 def test_roundtrip_parse_print(k):
-    assert parse_kripke(k.to_text()) == k
+    assert parse_kripke(kripke_to_text(k)) == k
 
 
 @given(structures(max_states=5))
@@ -204,3 +208,15 @@ def test_build_structure_helper_produces_valid_structures():
         2, ("a",), {0: {"a"}}, {(0, 1), (1, 0)}, {0}
     )
     assert validate_kripke(k) == []
+
+
+def test_state_ids_keep_value_semantics_with_a_cached_hash():
+    a, b = StateId("s", 1), StateId("s", 1)
+    assert a == b and a is not b and hash(a) == hash(b) == hash(("s", 1))
+    assert a != StateId("s", 2) and a != StateId("t", 1)
+    assert repr(a) == "StateId('s', 1)"
+    assert {a: 1}[b] == 1
+    with pytest.raises(TypeError):
+        a < b  # unordered, as before
+    back = pickle.loads(pickle.dumps(a))
+    assert back == a and hash(back) == hash(a)

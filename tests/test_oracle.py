@@ -17,6 +17,7 @@ from hypersim.kripke import StateId, parse_kripke, LassoPath
 from hypersim.oracle import (
     Counterexample,
     LiveSetSearch,
+    SafeFrontierSearch,
     falsify_exists_forall,
     falsify_forall_exists,
     reverify_counterexample,
@@ -30,6 +31,7 @@ from helpers import (
     brute_force_vertex_cover,
     build_structure,
     check_box_on_pair,
+    falsify_exists_forall_by_layers,
     falsify_forall_exists_by_paths,
     gen_vertex_cover_instance,
     initial_paths,
@@ -250,6 +252,45 @@ def test_check_pair_calls_the_falsifier_once_per_falsify_iteration(monkeypatch):
 
 @given(st.integers(min_value=0, max_value=10**9))
 @settings(max_examples=60, deadline=None)
+def test_shared_exists_forall_falsifier_matches_the_per_depth_one(seed):
+    kp, kq, pred = rand_pair(seed)
+    expected = {d: falsify_exists_forall_by_layers(kp, kq, pred, d) for d in range(1, 8)}
+    for d in range(1, 8):
+        assert falsify_exists_forall(kp, kq, pred, d) == expected[d]
+    swept = SafeFrontierSearch(kp, kq, pred)
+    for d in range(1, 8):
+        assert falsify_exists_forall(kp, kq, pred, d, search=swept) == expected[d]
+    out_of_order = SafeFrontierSearch(kp, kq, pred)
+    for d in (7, 3):
+        assert falsify_exists_forall(kp, kq, pred, d, search=out_of_order) == expected[d]
+
+
+def test_safe_frontier_search_rejects_a_search_for_other_inputs():
+    kp, kq = intro()
+    search = SafeFrontierSearch(kp, kq, parse_predicate("l.a <-> r.a"))
+    with pytest.raises(ValueError):
+        falsify_exists_forall(kp, kq, parse_predicate("l.a -> r.b"), 2, search=search)
+
+
+def test_check_pair_shares_one_exists_forall_search_across_depths(monkeypatch):
+    calls = []
+    original = hypersim.cli.falsify_exists_forall
+
+    def counting(kp, kq, pred, depth, search=None):
+        calls.append((depth, search))
+        return original(kp, kq, pred, depth, search=search)
+
+    monkeypatch.setattr(hypersim.cli, "falsify_exists_forall", counting)
+    kp, kq = intro()
+    report = check_pair(kq, kp, parse_property("exists forall. G (r.a -> l.a)"))
+    depths = [it.bound for it in report.iterations if it.side == "falsify"]
+    assert len(depths) > 1
+    assert [d for d, _ in calls] == depths
+    assert len({id(search) for _, search in calls}) == 1 and calls[0][1] is not None
+
+
+@given(st.integers(min_value=0, max_value=10**9))
+@settings(max_examples=60, deadline=None)
 def test_exists_forall_reverify_matches_path_listing(seed):
     kp, kq, pred = rand_pair(seed)
     rng = random.Random(seed)
@@ -299,6 +340,21 @@ def test_deep_counterexamples_are_rechecked_without_recursion():
         )
         assert report.verdict == "violated"
         assert report.counterexample["depth"] == n
+
+
+def test_exists_forall_depth_sweep_is_linear():
+    # 1101 falsify depths against a left chain: one shared search extends a
+    # layer per depth instead of rebuilding all of them
+    n = 1101
+    chain = build_structure(
+        n, ("b",), {n - 1: {"b"}}, {(i, i + 1) for i in range(n - 1)} | {(n - 1, n - 1)}, {0}
+    )
+    loop = build_structure(1, ("b",), {}, {(0, 0)}, {0})
+    prop = parse_property("exists forall. G !l.b")
+    t0 = time.perf_counter()
+    report = check_pair(chain, loop, prop, max_sim_bound=1, max_falsify_depth=1200)
+    assert time.perf_counter() - t0 < 0.5
+    assert report.verdict == "violated" and report.counterexample["depth"] == n
 
 
 # ------------------------------------------------------- vertex cover bridge

@@ -22,11 +22,15 @@ from hypersim.prophecy import (
     check_universality,
     parse_prophecy,
     prophecy_product,
-    prophecy_to_text,
-    validate_prophecy,
 )
 
-from helpers import label_sequences, rand_structure, refuse_to_build_states
+from helpers import (
+    label_sequences,
+    prophecy_to_text,
+    rand_structure,
+    refuse_to_build_states,
+    validate_prophecy,
+)
 
 DATA = Path(__file__).parent / "data"
 

@@ -142,3 +142,101 @@ def test_external_backend_command_string_is_split():
     backend = ExternalBackend(" ".join(SATCLI))
     cnf = CnfInstance(num_vars=1, clauses=[[1]])
     assert backend.solve_cnf(cnf).status == "sat"
+
+
+def brute_sat_under(n: int, clauses: list[list[int]], assumptions: list[int]) -> bool:
+    return brute_sat(n, clauses + [[a] for a in assumptions])
+
+
+def rand_assumptions(rng: random.Random, n: int) -> list[int]:
+    vs = rng.sample(range(1, n + 1), rng.randint(0, min(3, n)))
+    return [v if rng.random() < 0.5 else -v for v in vs]
+
+
+@given(st.integers(min_value=0, max_value=10**9))
+@settings(max_examples=150, deadline=None)
+def test_incremental_solver_agrees_with_brute_force(seed):
+    # one solver answers a random sequence of assumption sets, with clauses
+    # (some over new variables) added between the calls
+    rng = random.Random(seed)
+    n, clauses = rand_cnf(rng, max_vars=5, max_clauses=8)
+    solver = CdclSolver(n, clauses)
+    for _ in range(rng.randint(2, 8)):
+        if rng.random() < 0.4:
+            n2, more = rand_cnf(rng, max_vars=min(8, n + 2), max_clauses=3)
+            n = max(n, n2)
+            clauses = clauses + more
+            solver.add_clauses(n, more)
+        assumptions = rand_assumptions(rng, n)
+        res = solver.solve(assumptions=assumptions)
+        expected = brute_sat_under(n, clauses, assumptions)
+        assert res.status == ("sat" if expected else "unsat")
+        if expected:
+            cnf = CnfInstance(num_vars=n, clauses=clauses + [[a] for a in assumptions])
+            assert check_model(cnf, res.model)
+
+
+def test_assumptions_alternate_sat_unsat_sat():
+    # x1 <-> x2; assuming x1 and -x2 together is unsat for that call only
+    solver = CdclSolver(2, [[-1, 2], [1, -2]])
+    assert solver.solve(assumptions=[1]).status == "sat"
+    assert solver.solve(assumptions=[1, -2]).status == "unsat"
+    res = solver.solve(assumptions=[-2])
+    assert res.status == "sat" and res.model == {1: False, 2: False}
+
+
+def test_assumption_refuted_by_search_is_unsat_for_that_call_only():
+    n, clauses = php_clauses(4, 3)
+    # a fresh selector s: with s assumed, every pigeon clause is switched on
+    s = n + 1
+    solver = CdclSolver(s, [c + [-s] if len(c) == 3 else c for c in clauses])
+    res = solver.solve(assumptions=[s])
+    assert res.status == "unsat" and res.conflicts > 0
+    assert solver.solve().status == "sat"
+    assert solver.solve(assumptions=[s]).status == "unsat"
+
+
+def test_unsat_base_stays_unsat_under_any_assumptions():
+    solver = CdclSolver(2, [[1], [-1, 2], [-2]])
+    assert solver.solve().status == "unsat"
+    assert solver.solve(assumptions=[2]).status == "unsat"
+    solver.add_clauses(3, [[3]])
+    assert solver.solve(assumptions=[3]).status == "unsat"
+
+
+def test_clauses_added_after_a_call_see_the_level_zero_facts():
+    solver = CdclSolver(2, [[1], [-1, 2]])
+    assert solver.solve().status == "sat"
+    # both literals already false at level 0: the clause is empty
+    solver.add_clauses(3, [[-1, 3], [-2, -3]])
+    assert solver.solve().status == "unsat"
+
+
+def test_embedded_backend_feeds_only_the_appended_clauses(monkeypatch):
+    built = []
+
+    class Counting(CdclSolver):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr("hypersim.sat.CdclSolver", Counting)
+    cnf = CnfInstance(num_vars=2, clauses=[[1, 2]])
+    backend = EmbeddedBackend()
+    assert solve(cnf, backend, assumptions=[-1]).model[2] is True
+    cnf.num_vars = 3
+    cnf.clauses += [[-2, 3], [-3]]
+    assert solve(cnf, backend, assumptions=[-1]).status == "unsat"
+    assert solve(cnf, backend).model[1] is True
+    assert len(built) == 1
+    # another instance gets a solver of its own
+    solve(CnfInstance(num_vars=1, clauses=[[1]]), backend)
+    assert len(built) == 2
+
+
+def test_external_backend_gets_assumptions_as_unit_clauses():
+    cnf = CnfInstance(num_vars=2, clauses=[[1, 2]])
+    backend = ExternalBackend(SATCLI)
+    res = solve(cnf, backend, assumptions=[-1])
+    assert res.status == "sat" and res.model[2] is True
+    assert solve(cnf, backend, assumptions=[-1, -2]).status == "unsat"
