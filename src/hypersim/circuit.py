@@ -11,7 +11,7 @@ allocation order, so the exported DIMACS text is byte-stable across runs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Sequence
 
 Clause = list[int]
 
@@ -23,7 +23,6 @@ class CnfInstance:
     num_vars: int = 0
     clauses: list[list[int]] = field(default_factory=list)
     var_names: dict[int, str] = field(default_factory=dict)
-    name_to_var: dict[str, int] = field(default_factory=dict)
     provenance: list[tuple[str, int, int]] = field(default_factory=list)
 
     @property
@@ -34,11 +33,7 @@ class CnfInstance:
         """A new named variable, numbered after every variable so far."""
         self.num_vars += 1
         self.var_names[self.num_vars] = name
-        self.name_to_var[name] = self.num_vars
         return self.num_vars
-
-    def named_model(self, model: Mapping[int, bool]) -> dict[str, bool]:
-        return {name: bool(model.get(var, False)) for var, name in self.var_names.items()}
 
 
 def lower_parts_to_cnf(parts: Sequence[tuple[str, Sequence[Clause]]], var_names: Sequence[str]) -> CnfInstance:
@@ -49,7 +44,6 @@ def lower_parts_to_cnf(parts: Sequence[tuple[str, Sequence[Clause]]], var_names:
     holds no empty clause and stays unsatisfiable."""
     cnf = CnfInstance(num_vars=len(var_names))
     cnf.var_names = {v: name for v, name in enumerate(var_names, start=1)}
-    cnf.name_to_var = {name: v for v, name in cnf.var_names.items()}
     clauses = cnf.clauses
     for family, part in parts:
         start = len(clauses) + 1

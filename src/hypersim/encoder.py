@@ -60,9 +60,7 @@ class SimWitnessEA:
 @dataclass
 class Encoding:
     kind: str  # "sim-ea" or "sim-ae"
-    kp: KripkeStructure
     kq: KripkeStructure
-    pred: hs.Pred
     n: int
     k: int
     # variable numbers: sim-ae keys sim by (p, q) and has used by q; sim-ea
@@ -253,7 +251,7 @@ def encode_sim_ae(
         ("at-most-k", at_most_k),
     ]
     return Encoding(
-        kind="sim-ae", kp=kp, kq=kq, pred=pred, n=len(kp.states), k=k,
+        kind="sim-ae", kq=kq, n=len(kp.states), k=k,
         sim=sim, used=used, pos={}, loop={}, parts=parts, var_names=vs.names,
     )
 
@@ -371,43 +369,39 @@ def encode_sim_ea(
         ("pred", pred_part),
     ]
     return Encoding(
-        kind="sim-ea", kp=kp, kq=kq, pred=pred, n=n, k=len(kq.states),
+        kind="sim-ea", kq=kq, n=n, k=len(kq.states),
         sim=sim, used={}, pos=pos, loop=loop, parts=parts, var_names=vs.names,
     )
 
 
-def _truth(enc: Encoding, model: Mapping[str, bool]) -> Callable[[int], bool]:
-    names = enc.var_names
-    return lambda v: bool(model.get(names[v - 1], False))
-
-
-def decode_witness_ae(enc: Encoding, model: Mapping[str, bool]) -> SimWitnessAE:
+def decode_witness_ae(enc: Encoding, model: Mapping[int, bool]) -> SimWitnessAE:
+    """The relation a solver's model picks; the model assigns every variable."""
     if enc.kind != "sim-ae":
         raise DecodeError(f"expected a sim-ae encoding, got {enc.kind}")
-    true = _truth(enc, model)
-    relation = frozenset(pq for pq, v in enc.sim.items() if true(v))
+    relation = frozenset(pq for pq, v in enc.sim.items() if model[v])
     return SimWitnessAE(relation=relation, used_q=frozenset(q for _, q in relation))
 
 
-def decode_witness_ea(enc: Encoding, model: Mapping[str, bool]) -> SimWitnessEA:
+def decode_witness_ea(enc: Encoding, model: Mapping[int, bool]) -> SimWitnessEA:
+    """The lasso and position sets a solver's model picks; the model assigns
+    every variable."""
     if enc.kind != "sim-ea":
         raise DecodeError(f"expected a sim-ea encoding, got {enc.kind}")
-    true = _truth(enc, model)
     chosen: dict[int, list[StateId]] = {i: [] for i in range(1, enc.n + 1)}
     for (i, p), v in enc.pos.items():
-        if true(v):
+        if model[v]:
             chosen[i].append(p)
     for i, ps in chosen.items():
         if len(ps) != 1:
             raise DecodeError(f"position {i} is not one-hot: {len(ps)} left states chosen")
-    loops = [l for l, v in enc.loop.items() if true(v)]
+    loops = [l for l, v in enc.loop.items() if model[v]]
     if len(loops) != 1:
         raise DecodeError(f"loop-back is not one-hot: {len(loops)} targets chosen")
     seq = [chosen[i][0] for i in range(1, enc.n + 1)]
     start = loops[0]
     lasso = LassoPath(prefix=tuple(seq[: start - 1]), loop=tuple(seq[start - 1 :]))
     pos_relation: dict[int, frozenset[StateId]] = {
-        i: frozenset(q for q in enc.kq.states if true(enc.sim[(i, q)]))
+        i: frozenset(q for q in enc.kq.states if model[enc.sim[(i, q)]])
         for i in range(1, enc.n + 1)
     }
     return SimWitnessEA(lasso=lasso, pos_relation=pos_relation)

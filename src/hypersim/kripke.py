@@ -88,50 +88,6 @@ class KripkeStructure:
         return tuple(sorted(self.init, key=lambda s: s.index))
 
 
-def validate_kripke(k: KripkeStructure) -> list[str]:
-    """Return the list of invariant violations (empty when the structure is valid).
-
-    Checked: dense ordinals, unique names, nonempty init, init/label/transition
-    endpoints drawn from the state set, label props drawn from the declared AP
-    set, and totality of the transition relation.
-    """
-    violations = []
-    names = set()
-    stateset = set(k.states)
-    for pos, s in enumerate(k.states):
-        if s.index != pos:
-            violations.append(f"bad-index: {s.name} has index {s.index}, expected {pos}")
-        if s.name in names:
-            violations.append(f"dup-state: {s.name}")
-        names.add(s.name)
-    if len(set(k.ap)) != len(k.ap):
-        violations.append("dup-prop: " + " ".join(sorted({p for p in k.ap if k.ap.count(p) > 1})))
-    if not k.init:
-        violations.append("empty-init")
-    for s in sorted(k.init, key=lambda s: (s.index, s.name)):
-        if s not in stateset:
-            violations.append(f"init-unknown-state: {s.name}")
-    apset = set(k.ap)
-    for s in k.states:
-        for p in sorted(k.label_of(s)):
-            if p not in apset:
-                violations.append(f"unknown-prop: {s.name} {p}")
-    for labeled in k.labels:
-        if labeled not in stateset:
-            violations.append(f"label-unknown-state: {labeled.name}")
-    has_out = {s: False for s in k.states}
-    for a, b in sorted(k.trans, key=lambda e: (e[0].index, e[1].index)):
-        for end in (a, b):
-            if end not in stateset:
-                violations.append(f"trans-unknown-state: {end.name}")
-        if a in has_out:
-            has_out[a] = True
-    for s in k.states:
-        if not has_out[s]:
-            violations.append(f"non-total: {s.name}")
-    return violations
-
-
 def _check_ident(tok: str, line: int, what: str) -> str:
     if not IDENT_RE.match(tok):
         raise KripkeParseError(f"bad {what} identifier {tok!r}", line)

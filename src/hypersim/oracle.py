@@ -20,13 +20,14 @@ from .encoder import SimWitnessAE, SimWitnessEA
 
 
 def validate_witness_ae(
-    kp: KripkeStructure, kq: KripkeStructure, pred: Pred, w: SimWitnessAE
+    kp: KripkeStructure, kq: KripkeStructure, pred: Pred, w: SimWitnessAE, k: int
 ) -> list[str]:
-    """Check the three simulation obligations of a forall-exists witness.
+    """Check every obligation of a forall-exists witness at subset bound k.
 
     Returns the list of violated obligations (empty for a valid witness):
-    every initial P-state related to an initial Q-state, the predicate on
-    every related pair, and successor closure for every related pair.
+    at most k used Q-states, every initial P-state related to an initial
+    Q-state, the predicate on every related pair, and successor closure for
+    every related pair.
     """
     violations: list[str] = []
     rel = set(w.relation)
@@ -43,6 +44,8 @@ def validate_witness_ae(
     for p in sorted(kp.init, key=lambda s: s.index):
         if not any((p, q) in rel for q in kq.sorted_init()):
             violations.append(f"initial: {p.name} has no related initial Q state")
+    if len(w.used_q) > k:
+        violations.append(f"bound: the witness uses {len(w.used_q)} right states, more than k={k}")
     for p, q in sorted(rel, key=lambda pq: (pq[0].index, pq[1].index)):
         if not eval_predicate(pred, kp.label_of(p), kq.label_of(q)):
             violations.append(f"pred: ({p.name},{q.name}) violates the predicate")
@@ -57,23 +60,26 @@ def validate_witness_ae(
 
 
 def validate_witness_ea(
-    kp: KripkeStructure, kq: KripkeStructure, pred: Pred, w: SimWitnessEA
+    kp: KripkeStructure, kq: KripkeStructure, pred: Pred, w: SimWitnessEA, n: int
 ) -> list[str]:
-    """Check an exists-forall witness: valid lasso, predicate on every
-    (position, Q-state) pair, all initial Q states related at position 1, and
-    successor closure with position n+1 wrapping to the loop-back target."""
+    """Check an exists-forall witness at lasso length n: a valid lasso of
+    length n, predicate on every (position, Q-state) pair, all initial Q
+    states related at position 1, and successor closure with the position
+    after the last wrapping to the loop-back target."""
     violations: list[str] = []
     if not w.lasso.is_valid_in(kp):
         violations.append("lasso: not a valid lasso of the P structure")
         return violations
-    n = w.lasso.total_len
-    if sorted(w.pos_relation) != list(range(1, n + 1)):
+    last = w.lasso.total_len
+    if last != n:
+        violations.append(f"bound: the witness lasso has length {last}, not n={n}")
+    if sorted(w.pos_relation) != list(range(1, last + 1)):
         violations.append("positions: posRelation keys must be 1..n")
         return violations
     seq = w.lasso.states_visited()
     wrap_to = len(w.lasso.prefix) + 1
 
-    for i in range(1, n + 1):
+    for i in range(1, last + 1):
         lp = kp.label_of(seq[i - 1])
         for q in sorted(w.pos_relation[i], key=lambda s: s.index):
             if not eval_predicate(pred, lp, kq.label_of(q)):
@@ -81,8 +87,8 @@ def validate_witness_ea(
     for q in kq.sorted_init():
         if q not in w.pos_relation[1]:
             violations.append(f"initial: {q.name} not related at position 1")
-    for i in range(1, n + 1):
-        nxt = i + 1 if i < n else wrap_to
+    for i in range(1, last + 1):
+        nxt = i + 1 if i < last else wrap_to
         for q in sorted(w.pos_relation[i], key=lambda s: s.index):
             for q2 in kq.successors(q):
                 if q2 not in w.pos_relation[nxt]:

@@ -27,6 +27,8 @@ class ProphecyError(Exception):
 
 # build_next_prophecy makes 2^(depth+1) states up front; 10 gives 2048
 MAX_NEXT_PROPHECY_DEPTH = 10
+# sets of automaton states one universality check may visit
+MAX_UNIVERSALITY_SETS = 4096
 
 
 @dataclass(frozen=True)
@@ -93,42 +95,37 @@ def _letters(props: list[str]) -> Iterator[frozenset[str]]:
             yield frozenset(combo)
 
 
-def check_universality(u: ProphecyAutomaton, ap: Iterable[str], depth: int) -> bool:
-    """True iff every length-`depth` sequence over 2^ap is the ap-projection
-    of some initial path of the automaton."""
-    if depth <= 0:
-        return True
+def check_universality(u: ProphecyAutomaton, ap: Iterable[str]) -> bool:
+    """True iff every finite sequence over 2^ap is the ap-projection of some
+    initial path of the automaton.
+
+    Exact, by a saturating search over the sets of automaton states that a
+    common label word reaches: the automaton is universal iff no letter
+    leads from the initial states, or from a reached set, to the empty set.
+    Letters are drawn lazily, so a non-universal automaton is rejected at
+    the first letter it cannot realize.  A search that reaches more than
+    MAX_UNIVERSALITY_SETS sets raises ProphecyError."""
     k = u.structure
     props = frozenset(ap)
     ordered = sorted(props)
-
-    def proj(s: StateId) -> frozenset[str]:
-        return k.label_of(s) & props
-
-    memo: dict[tuple[frozenset[StateId], int], bool] = {}
-
-    def all_suffixes(frontier: frozenset[StateId], remaining: int) -> bool:
-        if remaining == 0:
-            return True
-        key = (frontier, remaining)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        result = True
+    seen: set[frozenset[StateId]] = set()
+    todo = [k.init]  # the states the next letter may lead to
+    while todo:
+        by_letter: dict[frozenset[str], set[StateId]] = {}
+        for t in todo.pop():
+            by_letter.setdefault(k.label_of(t) & props, set()).add(t)
         for letter in _letters(ordered):
-            nxt = frozenset(
-                t for s in frontier for t in k.successors(s) if proj(t) == letter
-            )
-            if not nxt or not all_suffixes(nxt, remaining - 1):
-                result = False
-                break
-        memo[key] = result
-        return result
-
-    for letter in _letters(ordered):
-        start = frozenset(s for s in k.init if proj(s) == letter)
-        if not start or not all_suffixes(start, depth - 1):
-            return False
+            reached = frozenset(by_letter.get(letter, ()))
+            if not reached:
+                return False
+            if reached not in seen:
+                if len(seen) == MAX_UNIVERSALITY_SETS:
+                    raise ProphecyError(
+                        "prophecy automaton too large to check: its universality "
+                        f"search reaches more than {MAX_UNIVERSALITY_SETS} state sets"
+                    )
+                seen.add(reached)
+                todo.append(frozenset(t2 for t in reached for t2 in k.successors(t)))
     return True
 
 

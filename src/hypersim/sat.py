@@ -3,11 +3,12 @@
 The embedded solver is a standard CDCL loop: two-watched-literal propagation,
 first-UIP learning with basic clause minimization, VSIDS-style activities with
 phase saving, Luby restarts, and LBD-guided learnt-clause reduction.  It is
-incremental in the MiniSat style: `solve` takes assumption literals, and
-clauses over new variables can be added between calls, so a sequence of
-related queries keeps its learnt clauses, activities and phases.  External
-solvers are driven through files in DIMACS format and the conventional
-'s SATISFIABLE' / 'v ...' output protocol.
+incremental in the MiniSat style: a solver starts empty and `add_clauses`
+is the one way clauses get in, also between calls; `solve` takes assumption
+literals and answers sat or unsat.  A sequence of related queries so keeps
+its learnt clauses, activities and phases.  External solvers are driven
+through files in DIMACS format and the conventional 's SATISFIABLE' /
+'v ...' output protocol.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ class SolverBackendError(Exception):
 
 @dataclass
 class SatResult:
-    status: str  # "sat", "unsat", or "unknown" (conflict budget exhausted)
+    status: str  # "sat" or "unsat"
     model: dict[int, bool] | None = None
     conflicts: int = 0
     decisions: int = 0
@@ -43,16 +44,16 @@ class CdclSolver:
     _VAR_DECAY = 0.95
     _RESCALE = 1e100
 
-    def __init__(self, num_vars: int, clauses: Sequence[Sequence[int]]):
-        self.nv = num_vars
-        self.assign = bytearray(b"\x02" * num_vars)
-        self.level = [0] * num_vars
-        self.reason: list[list[int] | None] = [None] * num_vars
-        self.polarity = bytearray(b"\x01" * num_vars)  # default phase: false
-        self.activity = [0.0] * num_vars
+    def __init__(self, num_vars: int = 0, clauses: Sequence[Sequence[int]] = ()):
+        self.nv = 0
+        self.assign = bytearray()
+        self.level: list[int] = []
+        self.reason: list[list[int] | None] = []
+        self.polarity = bytearray()  # saved phases; 1 (false) for a new variable
+        self.activity: list[float] = []
         self.var_inc = 1.0
         self.order: list[tuple[float, int]] = []
-        self.watches: list[list[list[int]]] = [[] for _ in range(2 * num_vars)]
+        self.watches: list[list[list[int]]] = []
         self.trail: list[int] = []
         self.trail_lim: list[int] = []
         self.qhead = 0
@@ -61,15 +62,13 @@ class CdclSolver:
         self.reduce_at = 4000  # learnt-clause reduction, over all calls
         self.total_conflicts = 0
         self.ok = True
-        for cl in clauses:
-            self._add_input_clause(cl)
-        for v in range(num_vars):
-            heappush(self.order, (0.0, v))
+        self.add_clauses(num_vars, clauses)
 
     # ---- construction ----
 
     def add_clauses(self, num_vars: int, clauses: Sequence[Sequence[int]]) -> None:
-        """Between solve calls: grow to num_vars variables and add clauses.
+        """Grow to num_vars variables and add clauses; the one way clauses
+        get in, at construction and between solve calls.
 
         The solver then sits at decision level 0, so a literal already
         assigned is fixed for good: a true one satisfies its clause and a
@@ -324,9 +323,7 @@ class CdclSolver:
                 return 1 << (k - 1)
             x = x - (1 << (k - 1)) + 1
 
-    def solve(
-        self, max_conflicts: int | None = None, assumptions: Sequence[int] = ()
-    ) -> SatResult:
+    def solve(self, assumptions: Sequence[int] = ()) -> SatResult:
         """Search for a model that makes every assumption literal true.
 
         The assumptions take the first decision levels, one each.  An
@@ -360,9 +357,6 @@ class CdclSolver:
                 if self.total_conflicts >= self.reduce_at:
                     self._reduce_db()
                     self.reduce_at += 2000 + 500 * len(str(self.total_conflicts))
-                if max_conflicts is not None and conflicts >= max_conflicts:
-                    self._cancel_until(0)
-                    return SatResult("unknown", conflicts=conflicts, decisions=decisions)
                 continue
             if since_restart >= restart_limit:
                 restart_idx += 1
@@ -409,12 +403,11 @@ class EmbeddedBackend:
         self._loaded = 0
 
     def solve_cnf(self, cnf: CnfInstance, assumptions: Sequence[int] = ()) -> SatResult:
-        if cnf is self._cnf:
-            self._solver.add_clauses(cnf.num_vars, cnf.clauses[self._loaded:])
-        else:
-            self._cnf, self._solver = cnf, CdclSolver(cnf.num_vars, cnf.clauses)
+        if cnf is not self._cnf:
+            self._cnf, self._solver, self._loaded = cnf, CdclSolver(), 0
+        self._solver.add_clauses(cnf.num_vars, cnf.clauses[self._loaded:])
         self._loaded = len(cnf.clauses)
-        return self._solver.solve(assumptions=assumptions)
+        return self._solver.solve(assumptions)
 
 
 class ExternalBackend:
@@ -428,10 +421,13 @@ class ExternalBackend:
 
     def solve_cnf(self, cnf: CnfInstance, assumptions: Sequence[int] = ()) -> SatResult:
         """One self-contained DIMACS file per call, the assumptions written
-        as unit clauses after the instance's own."""
+        as unit clauses after the instance's own.  A sat model is checked
+        against that file's clauses, so a model that violates them is a
+        backend failure, never a witness."""
+        written = _with_units(cnf, assumptions)
         with tempfile.TemporaryDirectory(prefix="hypersim-sat-") as tmp:
             path = Path(tmp) / "instance.cnf"
-            path.write_text(export_dimacs(_with_units(cnf, assumptions)))
+            path.write_text(export_dimacs(written))
             try:
                 proc = subprocess.run(
                     self.command + [str(path)],
@@ -441,7 +437,12 @@ class ExternalBackend:
                 )
             except (OSError, subprocess.TimeoutExpired) as exc:
                 raise SolverBackendError(f"solver process failed: {exc}") from exc
-        return _parse_solver_output(proc.stdout, proc.returncode, cnf.num_vars)
+        result = _parse_solver_output(proc.stdout, proc.returncode, cnf.num_vars)
+        if result.is_sat and not check_model(written, result.model):
+            raise SolverBackendError(
+                f"{self.name} answered SATISFIABLE with a model that violates the instance"
+            )
+        return result
 
 
 def _with_units(cnf: CnfInstance, assumptions: Sequence[int]) -> CnfInstance:
@@ -495,21 +496,8 @@ def solve(cnf: CnfInstance, backend=None, assumptions: Sequence[int] = ()) -> Sa
     """Solve a clause set under assumption literals.  The model of a sat
     answer assigns every variable, named or auxiliary, and makes every
     assumption true; unsat means no model does.  Backend failures raise
-    SolverBackendError; they are never conflated with an unsat answer.  A sat
-    answer from any backend but the embedded one is checked clause by clause,
-    so a model that violates the instance is a backend failure too."""
-    backend = backend or EmbeddedBackend()
-    result = backend.solve_cnf(cnf, assumptions)
-    if result.is_sat and result.model is not None:
-        for v in range(1, cnf.num_vars + 1):
-            result.model.setdefault(v, False)
-        if not isinstance(backend, EmbeddedBackend) and not check_model(
-            _with_units(cnf, assumptions), result.model
-        ):
-            raise SolverBackendError(
-                f"{backend.name} answered SATISFIABLE with a model that violates the instance"
-            )
-    return result
+    SolverBackendError; they are never conflated with an unsat answer."""
+    return (backend or EmbeddedBackend()).solve_cnf(cnf, assumptions)
 
 
 def check_model(cnf: CnfInstance, model: Mapping[int, bool]) -> bool:

@@ -2,8 +2,9 @@
 lasso traces, printers for structures and prophecy automata, the pointwise
 semantics of lasso trace pairs, path and lasso listing, the vertex-cover
 reduction with its brute-force answer, the small-graph enumeration behind
-the vertex-cover suite, and reference versions of the falsifiers and the
-counterexample re-check."""
+the vertex-cover suite, the structure invariant check, and reference
+versions of the falsifiers, the counterexample re-check and the prophecy
+universality check."""
 
 from __future__ import annotations
 
@@ -29,9 +30,53 @@ from hypersim.hyperspec import (
     TrueConst,
     eval_predicate,
 )
-from hypersim.kripke import KripkeStructure, LassoPath, StateId, validate_kripke
+from hypersim.kripke import KripkeStructure, LassoPath, StateId
 from hypersim.oracle import Counterexample
 from hypersim.prophecy import ProphecyAutomaton
+
+
+def validate_kripke(k: KripkeStructure) -> list[str]:
+    """Return the list of invariant violations (empty when the structure is valid).
+
+    Checked: dense ordinals, unique names, nonempty init, init/label/transition
+    endpoints drawn from the state set, label props drawn from the declared AP
+    set, and totality of the transition relation.
+    """
+    violations = []
+    names = set()
+    stateset = set(k.states)
+    for pos, s in enumerate(k.states):
+        if s.index != pos:
+            violations.append(f"bad-index: {s.name} has index {s.index}, expected {pos}")
+        if s.name in names:
+            violations.append(f"dup-state: {s.name}")
+        names.add(s.name)
+    if len(set(k.ap)) != len(k.ap):
+        violations.append("dup-prop: " + " ".join(sorted({p for p in k.ap if k.ap.count(p) > 1})))
+    if not k.init:
+        violations.append("empty-init")
+    for s in sorted(k.init, key=lambda s: (s.index, s.name)):
+        if s not in stateset:
+            violations.append(f"init-unknown-state: {s.name}")
+    apset = set(k.ap)
+    for s in k.states:
+        for p in sorted(k.label_of(s)):
+            if p not in apset:
+                violations.append(f"unknown-prop: {s.name} {p}")
+    for labeled in k.labels:
+        if labeled not in stateset:
+            violations.append(f"label-unknown-state: {labeled.name}")
+    has_out = {s: False for s in k.states}
+    for a, b in sorted(k.trans, key=lambda e: (e[0].index, e[1].index)):
+        for end in (a, b):
+            if end not in stateset:
+                violations.append(f"trans-unknown-state: {end.name}")
+        if a in has_out:
+            has_out[a] = True
+    for s in k.states:
+        if not has_out[s]:
+            violations.append(f"non-total: {s.name}")
+    return violations
 
 
 def kripke_to_text(k: KripkeStructure) -> str:
@@ -420,6 +465,64 @@ def falsify_exists_forall_by_layers(
         depth=depth,
         note="every left-model path admits a violating right-model path at this depth; pPath is the sample against the first left path",
     )
+
+
+def universal_to_depth(u: ProphecyAutomaton, ap: Iterable[str], depth: int) -> bool:
+    """True iff every length-`depth` sequence over 2^ap is the ap-projection
+    of some initial path of the automaton: the depth-bounded universality
+    check the package used before its exact one, kept as the reference (it
+    is exact at depth 2^|states|, since a shortest unrealizable word reaches
+    a distinct nonempty state set at each of its proper prefixes)."""
+    if depth <= 0:
+        return True
+    k = u.structure
+    props = frozenset(ap)
+    ordered = sorted(props)
+    letters = [
+        frozenset(combo)
+        for r in range(len(ordered) + 1)
+        for combo in itertools.combinations(ordered, r)
+    ]
+
+    def proj(s: StateId) -> frozenset[str]:
+        return k.label_of(s) & props
+
+    memo: dict[tuple[frozenset[StateId], int], bool] = {}
+
+    def all_suffixes(frontier: frozenset[StateId], remaining: int) -> bool:
+        if remaining == 0:
+            return True
+        key = (frontier, remaining)
+        cached = memo.get(key)
+        if cached is not None:
+            return cached
+        result = True
+        for letter in letters:
+            nxt = frozenset(
+                t for s in frontier for t in k.successors(s) if proj(t) == letter
+            )
+            if not nxt or not all_suffixes(nxt, remaining - 1):
+                result = False
+                break
+        memo[key] = result
+        return result
+
+    for letter in letters:
+        start = frozenset(s for s in k.init if proj(s) == letter)
+        if not start or not all_suffixes(start, depth - 1):
+            return False
+    return True
+
+
+def bounded_runs_text(run: int) -> str:
+    """A prophecy file over {a} realizing every word whose runs of a are at
+    most `run` long: universal to depth `run`, not beyond."""
+    chain = [f"c{i}" for i in range(1, run + 1)]
+    lines = ["states: n " + " ".join(chain), "init: n c1", "ap: a", "trans n -> n", "trans n -> c1"]
+    lines += [f"label {c}: a" for c in chain]
+    lines += [f"trans {a} -> {b}" for a, b in zip(chain, chain[1:])]
+    lines += [f"trans {c} -> n" for c in chain]
+    return "\n".join(lines) + "\n"
 
 
 def refuse_to_build_states(monkeypatch) -> None:

@@ -66,8 +66,7 @@ def intro_pair():
 def solve_enc(enc):
     cnf = enc.to_cnf()
     res = solve(cnf)
-    model = cnf.named_model(res.model) if res.is_sat else None
-    return res.status, model
+    return res.status, res.model
 
 
 def ae_validated(kp, kq, pred, k, label):
@@ -77,7 +76,7 @@ def ae_validated(kp, kq, pred, k, label):
     if status != "sat":
         return status, None
     w = decode_witness_ae(enc, model)
-    WITNESS_LOG.append((label, validate_witness_ae(kp, kq, pred, w)))
+    WITNESS_LOG.append((label, validate_witness_ae(kp, kq, pred, w, k)))
     return status, w
 
 
@@ -87,7 +86,7 @@ def ea_validated(kp, kq, pred, n, label):
     if status != "sat":
         return status, None
     w = decode_witness_ea(enc, model)
-    WITNESS_LOG.append((label, validate_witness_ea(kp, kq, pred, w)))
+    WITNESS_LOG.append((label, validate_witness_ea(kp, kq, pred, w, n)))
     return status, w
 
 
@@ -261,7 +260,7 @@ def test_criterion_6_prophecy_constructions():
     t0 = time.perf_counter()
     for depth in (1, 2, 3):
         u = build_next_prophecy("a", depth)
-        assert check_universality(u, ["a"], depth + 2), f"depth {depth} not universal"
+        assert check_universality(u, ["a"]), f"depth {depth} not universal"
     kp, _ = intro_pair()
     subjects = [kp]
     for seed in range(5):

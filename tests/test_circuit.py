@@ -53,7 +53,7 @@ def test_single_variable_lowered_to_one_unit_clause():
     cnf = lower_parts_to_cnf([("only", [[1]])], ["v"])
     assert cnf.num_vars == 1
     assert cnf.clauses == [[1]]
-    assert cnf.name_to_var["v"] == 1
+    assert cnf.var_names == {1: "v"}
 
 
 def test_contradiction_is_unsat():
@@ -77,8 +77,7 @@ def test_constant_folding():
 def test_var_order_pins_leading_variable_numbers():
     # numbers follow the encoder's allocation order, not first use in clauses
     cnf = lower_parts_to_cnf([("f", [[2, 1]])], ["a", "z"])
-    assert cnf.name_to_var["a"] == 1
-    assert cnf.name_to_var["z"] == 2
+    assert cnf.var_names == {1: "a", 2: "z"}
     assert cnf.clauses == [[2, 1]]
 
 
@@ -104,7 +103,7 @@ def test_sat_model_evaluates_formula_true(seed):
     cnf = lower_parts_to_cnf(parts, names)
     res = solve(cnf)
     if res.status == "sat":
-        named = cnf.named_model(res.model)
+        named = {cnf.var_names[v]: res.model[v] for v in cnf.var_names}
         assert holds_by_name(parts, names, named) is True
 
 

@@ -8,6 +8,7 @@ import pytest
 
 import hypersim.cli
 import hypersim.hyperspec
+import hypersim.prophecy
 import hypersim.sat
 from hypersim.cli import (
     CheckConfig,
@@ -21,9 +22,9 @@ from hypersim.cli import (
 from hypersim.encoder import SimWitnessEA
 from hypersim.hyperspec import parse_property
 from hypersim.kripke import LassoPath, parse_kripke
-from hypersim.oracle import validate_witness_ea
+from hypersim.prophecy import build_next_prophecy
 
-from helpers import refuse_to_build_states
+from helpers import bounded_runs_text, prophecy_to_text, refuse_to_build_states
 
 DATA = Path(__file__).parent / "data"
 CORPUS = Path(__file__).parent.parent / "corpus"
@@ -394,7 +395,8 @@ def test_every_command_prepares_each_decision_once(monkeypatch):
 
 def test_empty_prophecy_product_is_an_input_error(tmp_path, capsys):
     # universal for 4 steps, then only the empty letter: an always-a left
-    # structure has no surviving product state
+    # structure would have no surviving product state, and the exact
+    # universality check rejects the automaton before the product is built
     lines = ["states: " + " ".join(f"u{i}_{b}" for i in range(5) for b in (0, 1)) + " z"]
     lines += ["init: u0_0 u0_1", "ap: a", "trans z -> z"]
     for i in range(5):
@@ -414,7 +416,42 @@ def test_empty_prophecy_product_is_an_input_error(tmp_path, capsys):
         "--prophecy-file", str(automaton),
     ])
     assert code == 3
-    assert "empty product" in capsys.readouterr().err
+    assert "prophecy automaton is not trace-universal over ['a']" in capsys.readouterr().err
+
+
+def test_a_prophecy_that_is_universal_only_to_a_fixed_depth_is_rejected(tmp_path, capsys):
+    # the automaton realizes every word whose runs of a are at most 5 long;
+    # its product would drop the left trace that stays in s1 forever and
+    # turn the violated answer into holds
+    left = tmp_path / "left.kr"
+    left.write_text(
+        "states: s0 s1 s2\ninit: s0\nap: a\nlabel s1: a\n"
+        "trans s0 -> s1\ntrans s0 -> s2\ntrans s1 -> s1\ntrans s2 -> s2\n"
+    )
+    right = tmp_path / "right.kr"
+    right.write_text("states: q0\ninit: q0\nap: b\ntrans q0 -> q0\n")
+    runs = tmp_path / "runs.pr"
+    runs.write_text(bounded_runs_text(5))
+    args = [
+        "check", "--left", str(left), "--right", str(right),
+        "--prop-inline", "forall exists. G (l.a -> r.b)",
+    ]
+    assert main(args) == 1
+    capsys.readouterr()
+    assert main(args + ["--prophecy-file", str(runs)]) == 3
+    assert "is not trace-universal over ['a']" in capsys.readouterr().err
+
+
+def test_an_overlong_universality_search_is_an_input_error(monkeypatch, tmp_path, capsys):
+    # the next:a:2 automaton is universal; with room for one state set the
+    # search cannot finish
+    automaton = tmp_path / "next.pr"
+    automaton.write_text(prophecy_to_text(build_next_prophecy("a", 2)))
+    monkeypatch.setattr(hypersim.prophecy, "MAX_UNIVERSALITY_SETS", 1)
+    assert main(check_args("phi2.hp", "--prophecy-file", str(automaton))) == 3
+    assert "too large to check" in capsys.readouterr().err
+    monkeypatch.undo()
+    assert main(check_args("phi2.hp", "--prophecy-file", str(automaton))) == 0
 
 
 def bidirectional_ring(n: int) -> str:
@@ -499,7 +536,7 @@ def test_a_witness_over_the_bound_is_an_internal_error(monkeypatch, capsys):
 
 def test_a_lasso_of_another_length_is_an_internal_error(monkeypatch, capsys):
     # the decoded lasso with its loop run twice is still a valid witness,
-    # but of length 2n
+    # but of length 2n: the length is the one obligation it breaks
     original = hypersim.cli.decode_witness_ea
 
     def doubled(enc, model):
@@ -510,9 +547,7 @@ def test_a_lasso_of_another_length_is_an_internal_error(monkeypatch, capsys):
         rel = dict(w.pos_relation)
         for i in range(start + 1, n + 1):
             rel[i + n - start] = w.pos_relation[i]
-        w2 = SimWitnessEA(lasso=lasso, pos_relation=rel)
-        assert validate_witness_ea(enc.kp, enc.kq, enc.pred, w2) == []
-        return w2
+        return SimWitnessEA(lasso=lasso, pos_relation=rel)
 
     monkeypatch.setattr(hypersim.cli, "decode_witness_ea", doubled)
     kq = DATA / "k2.kr"
@@ -521,7 +556,9 @@ def test_a_lasso_of_another_length_is_an_internal_error(monkeypatch, capsys):
         "--prop-inline", "exists forall. G (r.a -> l.a)",
     ])
     assert code == 5
-    assert "bound: the witness lasso has length" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "failed validation: bound: the witness lasso has length" in err
+    assert ";" not in err  # no other obligation is broken
 
 
 def test_a_decision_evaluates_each_label_pair_once(monkeypatch):

@@ -47,11 +47,8 @@ def intro():
 
 
 def sat_model(enc):
-    cnf = enc.to_cnf()
-    res = solve(cnf)
-    if res.status != "sat":
-        return None
-    return cnf.named_model(res.model)
+    res = solve(enc.to_cnf())
+    return res.model if res.is_sat else None
 
 
 def test_ea_one_state_pair_lowers_to_a_tiny_cnf():
@@ -60,7 +57,7 @@ def test_ea_one_state_pair_lowers_to_a_tiny_cnf():
     cnf = enc.to_cnf()
     assert (cnf.num_vars, cnf.num_clauses) == (3, 3)
     assert "p cnf 3 3" in export_dimacs(cnf).splitlines()
-    assert sorted(cnf.name_to_var) == ["loop(1)", "pos(1,s)", "sim(1,s)"]
+    assert sorted(cnf.var_names.values()) == ["loop(1)", "pos(1,s)", "sim(1,s)"]
 
 
 def test_ea_one_state_pair_witness():
@@ -72,7 +69,7 @@ def test_ea_one_state_pair_witness():
     assert {q.name for q in w.pos_relation[1]} == {"q"} or {
         q.name for q in w.pos_relation[1]
     } == {"s"}
-    assert validate_witness_ea(ONE_A, ONE_A, IFF_A, w) == []
+    assert validate_witness_ea(ONE_A, ONE_A, IFF_A, w, 1) == []
 
 
 def test_ae_one_state_pair_witness():
@@ -81,7 +78,7 @@ def test_ae_one_state_pair_witness():
     assert model is not None
     w = decode_witness_ae(enc, model)
     assert len(w.relation) == 1 and len(w.used_q) == 1
-    assert validate_witness_ae(ONE_A, ONE_A, IFF_A, w) == []
+    assert validate_witness_ae(ONE_A, ONE_A, IFF_A, w, 1) == []
 
 
 def test_ea_unsat_when_no_q_state_is_compatible():
@@ -135,7 +132,7 @@ def test_intro_ae_sat_after_lookahead_product():
     assert hit is not None
     enc, model = hit
     w = decode_witness_ae(enc, model)
-    assert validate_witness_ae(product, kq, pred, w) == []
+    assert validate_witness_ae(product, kq, pred, w, enc.k) == []
 
 
 def test_ae_rejects_out_of_range_k():
@@ -153,25 +150,29 @@ def test_match_all_must_be_expanded_first():
         encode_sim_ea(ONE_A, ONE_A, MatchAll(), 1)
 
 
+def model_of(enc, *true_names):
+    """The model setting exactly the named variables of enc true."""
+    return {v: name in true_names for v, name in enumerate(enc.var_names, start=1)}
+
+
 def test_decode_rejects_wrong_kind():
     enc = encode_sim_ae(ONE_A, ONE_A, IFF_A, 1)
     with pytest.raises(DecodeError):
-        decode_witness_ea(enc, {})
+        decode_witness_ea(enc, model_of(enc))
 
 
 def test_decode_rejects_non_one_hot_position():
     kp, kq, pred = intro()
     enc = encode_sim_ea(kp, kq, pred, 3)
     with pytest.raises(DecodeError) as exc:
-        decode_witness_ea(enc, {})  # no left state chosen anywhere
+        decode_witness_ea(enc, model_of(enc))  # no left state chosen anywhere
     assert "position 1 is not one-hot" in str(exc.value)
     # position 3 may hold s3 or s4 (both two steps from s1): choose both
-    model = {name: True for name in ("pos(1,s1)", "pos(2,s2)", "pos(3,s3)", "pos(3,s4)", "loop(3)")}
+    chosen = ("pos(1,s1)", "pos(2,s2)", "pos(3,s3)", "loop(3)")
     with pytest.raises(DecodeError) as exc:
-        decode_witness_ea(enc, model)
+        decode_witness_ea(enc, model_of(enc, *chosen, "pos(3,s4)"))
     assert "position 3 is not one-hot" in str(exc.value)
-    del model["pos(3,s4)"]
-    assert [s.name for s in decode_witness_ea(enc, model).lasso.loop] == ["s3"]
+    assert [s.name for s in decode_witness_ea(enc, model_of(enc, *chosen)).lasso.loop] == ["s3"]
 
 
 def test_export_is_deterministic_per_instance():
@@ -201,7 +202,7 @@ def test_ae_satisfiability_is_monotone_in_k(seed):
         verdicts.append(model is not None)
         if model is not None:
             w = decode_witness_ae(enc, model)
-            assert validate_witness_ae(kp, kq, pred, w) == []
+            assert validate_witness_ae(kp, kq, pred, w, k) == []
     for lo, hi in zip(verdicts, verdicts[1:]):
         assert not (lo and not hi)
 
@@ -223,7 +224,7 @@ def test_ea_decoded_positions_cover_the_right_states(seed):
         if model is None:
             continue
         w = decode_witness_ea(enc, model)
-        assert validate_witness_ea(kp, kq, pred, w) == []
+        assert validate_witness_ea(kp, kq, pred, w, n) == []
         covered = {q.name for qs in w.pos_relation.values() for q in qs}
         assert {q.name for q in reachable} <= covered <= kq_names
         break
@@ -300,9 +301,8 @@ def test_sweep_answers_each_bound_like_a_fresh_standalone_instance(seed):
         assert got.status == solve(alone).status, f"k={k}"
         assert sweep.size(k) == (alone.num_vars, alone.num_clauses), f"k={k}"
         if got.is_sat:
-            w = decode_witness_ae(sweep.enc, cnf.named_model(got.model))
-            assert validate_witness_ae(kp, kq, pred, w) == []
-            assert len(w.used_q) <= k
+            w = decode_witness_ae(sweep.enc, got.model)
+            assert validate_witness_ae(kp, kq, pred, w, k) == []
 
 
 def test_sweep_rejects_an_encoding_with_a_counter():
@@ -341,8 +341,7 @@ def test_ae_minimal_k_matches_brute_force_subsets(seed):
         model = sat_model(enc)
         if model is not None:
             w = decode_witness_ae(enc, model)
-            assert validate_witness_ae(kp, kq, pred, w) == []
-            assert len(w.used_q) <= k
+            assert validate_witness_ae(kp, kq, pred, w, k) == []
             swept = k
             break
     assert swept == brute
@@ -389,4 +388,4 @@ def test_ea_sat_matches_lasso_enumeration(seed):
         assert (model is not None) == expected, f"n={n}"
         if model is not None:
             w = decode_witness_ea(enc, model)
-            assert validate_witness_ea(kp, kq, pred, w) == []
+            assert validate_witness_ea(kp, kq, pred, w, n) == []

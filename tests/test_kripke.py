@@ -13,7 +13,6 @@ from hypersim.kripke import (
     StateId,
     parse_kripke,
     reachable_restriction,
-    validate_kripke,
 )
 
 from helpers import (
@@ -25,6 +24,7 @@ from helpers import (
     lasso_state_at,
     structures,
     trace_of,
+    validate_kripke,
 )
 
 ONE_STATE = "states: s\ninit: s\nap: a\nlabel s: a\ntrans s -> s"

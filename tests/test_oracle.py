@@ -92,7 +92,7 @@ def test_validator_ae_accepts_identity_relation():
     k = parse_kripke("states: s t\ninit: s\nap: a\nlabel t: a\ntrans s -> t\ntrans t -> s")
     rel = frozenset((s, s) for s in k.states)
     w = SimWitnessAE(relation=rel, used_q=frozenset(k.states))
-    assert validate_witness_ae(k, k, parse_predicate("l.a <-> r.a"), w) == []
+    assert validate_witness_ae(k, k, parse_predicate("l.a <-> r.a"), w, 2) == []
 
 
 def test_validator_ae_names_broken_obligation():
@@ -100,12 +100,23 @@ def test_validator_ae_names_broken_obligation():
     s, t = k.states
     pred = parse_predicate("true")
     missing_succ = SimWitnessAE(relation=frozenset({(s, s)}), used_q=frozenset({s}))
-    out = validate_witness_ae(k, k, pred, missing_succ)
+    out = validate_witness_ae(k, k, pred, missing_succ, 2)
     assert any(v.startswith("successor: (s,s,t)") for v in out)
     no_init = SimWitnessAE(relation=frozenset({(t, t)}), used_q=frozenset({t}))
-    assert any(v.startswith("initial:") for v in validate_witness_ae(k, k, pred, no_init))
+    assert any(v.startswith("initial:") for v in validate_witness_ae(k, k, pred, no_init, 2))
     bad_used = SimWitnessAE(relation=rel_id(k), used_q=frozenset({s}))
-    assert any("used-q-mismatch" in v for v in validate_witness_ae(k, k, pred, bad_used))
+    assert any("used-q-mismatch" in v for v in validate_witness_ae(k, k, pred, bad_used, 2))
+
+
+def test_validator_ae_rejects_more_used_states_than_the_bound():
+    # the identity relation is a valid simulation, but it uses both states
+    k = parse_kripke("states: s t\ninit: s\nap: a\nlabel t: a\ntrans s -> t\ntrans t -> s")
+    w = SimWitnessAE(relation=rel_id(k), used_q=frozenset(k.states))
+    pred = parse_predicate("l.a <-> r.a")
+    assert validate_witness_ae(k, k, pred, w, 2) == []
+    assert validate_witness_ae(k, k, pred, w, 1) == [
+        "bound: the witness uses 2 right states, more than k=1"
+    ]
 
 
 def rel_id(k):
@@ -117,7 +128,7 @@ def test_validator_ae_rejects_foreign_states():
     k2 = parse_kripke("states: q\ninit: q\nap: a\ntrans q -> q")
     alien = StateId(name="zz", index=7)
     w = SimWitnessAE(relation=frozenset({(alien, k2.states[0])}), used_q=frozenset({k2.states[0]}))
-    out = validate_witness_ae(k1, k2, parse_predicate("true"), w)
+    out = validate_witness_ae(k1, k2, parse_predicate("true"), w, 1)
     assert out and all(v.startswith("foreign-state:") for v in out)
 
 
@@ -125,9 +136,9 @@ def test_validator_ea_accepts_and_rejects():
     k = parse_kripke("states: s\ninit: s\nap: a\nlabel s: a\ntrans s -> s")
     pred = parse_predicate("l.a <-> r.a")
     lasso = LassoPath(prefix=(), loop=(k.states[0],))
-    good = validate_witness_ea(k, k, pred, ea_witness(lasso, {1: {k.states[0]}}))
+    good = validate_witness_ea(k, k, pred, ea_witness(lasso, {1: {k.states[0]}}), 1)
     assert good == []
-    empty_pos = validate_witness_ea(k, k, pred, ea_witness(lasso, {1: set()}))
+    empty_pos = validate_witness_ea(k, k, pred, ea_witness(lasso, {1: set()}), 1)
     assert any(v.startswith("initial:") for v in empty_pos)
 
 
@@ -140,8 +151,18 @@ def ea_witness(lasso, pos):
 def test_validator_ea_checks_position_keys():
     k = parse_kripke("states: s\ninit: s\nap: a\ntrans s -> s")
     lasso = LassoPath(prefix=(), loop=(k.states[0],))
-    out = validate_witness_ea(k, k, parse_predicate("true"), ea_witness(lasso, {2: {k.states[0]}}))
+    out = validate_witness_ea(k, k, parse_predicate("true"), ea_witness(lasso, {2: {k.states[0]}}), 1)
     assert any(v.startswith("positions:") for v in out)
+
+
+def test_validator_ea_rejects_a_lasso_of_another_length():
+    # the one-state loop run twice is a valid witness of length 2, not 1
+    k = parse_kripke("states: s\ninit: s\nap: a\nlabel s: a\ntrans s -> s")
+    s = k.states[0]
+    w = ea_witness(LassoPath(prefix=(), loop=(s, s)), {1: {s}, 2: {s}})
+    pred = parse_predicate("l.a <-> r.a")
+    assert validate_witness_ea(k, k, pred, w, 2) == []
+    assert validate_witness_ea(k, k, pred, w, 1) == ["bound: the witness lasso has length 2, not n=1"]
 
 
 def test_falsifier_ae_finds_the_intro_counterexample():

@@ -1,6 +1,7 @@
 """Lookahead automata: construction, universality, and the product."""
 
 import random
+import time
 from pathlib import Path
 
 import pytest
@@ -8,14 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hypersim.prophecy
-from hypersim.kripke import (
-    KripkeParseError,
-    StateId,
-    parse_kripke,
-    validate_kripke,
-)
+from hypersim.kripke import KripkeParseError, StateId, parse_kripke
 from hypersim.prophecy import (
     MAX_NEXT_PROPHECY_DEPTH,
+    MAX_UNIVERSALITY_SETS,
     ProphecyAutomaton,
     ProphecyError,
     build_next_prophecy,
@@ -25,10 +22,13 @@ from hypersim.prophecy import (
 )
 
 from helpers import (
+    bounded_runs_text,
     label_sequences,
     prophecy_to_text,
     rand_structure,
     refuse_to_build_states,
+    universal_to_depth,
+    validate_kripke,
     validate_prophecy,
 )
 
@@ -70,7 +70,7 @@ def test_annotation_marks_the_last_guess_bit():
 @pytest.mark.parametrize("depth", [1, 2, 3])
 def test_built_automata_are_universal_beyond_their_depth(depth):
     u = build_next_prophecy("a", depth)
-    assert check_universality(u, ["a"], depth + 2)
+    assert check_universality(u, ["a"])
 
 
 def test_universality_counterexamples():
@@ -78,9 +78,58 @@ def test_universality_counterexamples():
         structure=parse_kripke("states: s\ninit: s\nap: a\nlabel s: a\ntrans s -> s"),
         annotation={},
     )
-    assert check_universality(fixed, ["a"], 1) is False
-    assert check_universality(fixed, ["a"], 0) is True  # nothing to realize
-    assert check_universality(fixed, [], 3) is True  # single letter alphabet
+    assert check_universality(fixed, ["a"]) is False
+    assert check_universality(fixed, []) is True  # single letter alphabet
+
+
+def test_universality_is_decided_beyond_any_fixed_depth():
+    for run in (1, 5, 9):
+        u = parse_prophecy(bounded_runs_text(run))
+        assert universal_to_depth(u, ["a"], run)
+        assert not universal_to_depth(u, ["a"], run + 1)
+        assert check_universality(u, ["a"]) is False
+
+
+@given(st.integers(min_value=0, max_value=10**9))
+@settings(max_examples=300, deadline=None)
+def test_universality_matches_the_depth_bounded_reference(seed):
+    # exact at depth 2^|U|: a shortest unrealizable word reaches a distinct
+    # nonempty state set at each of its proper prefixes
+    rng = random.Random(seed)
+    props = rng.choice([("a",), ("a", "b")])
+    k = rand_structure(rng, max_states=3, props=props, edge_prob=rng.choice([0.3, 0.6]))
+    shared = rng.choice([(), ("a",), ("a",), props])
+    u = ProphecyAutomaton(structure=k, annotation={})
+    assert check_universality(u, shared) == universal_to_depth(u, shared, 2 ** len(k.states))
+
+
+def shift_register_automaton(width: int) -> ProphecyAutomaton:
+    """Universal over {a} (state w loops on every letter), but a chain
+    state (i, c, b) records that the letter i steps back was c, so a word
+    reaches a different state set for each of its last `width` letters."""
+    names = ["w0", "w1"]
+    names += [f"r{i}_{c}_{b}" for i in range(1, width + 1) for c in (0, 1) for b in (0, 1)]
+    lines = ["states: " + " ".join(names), "init: w0 w1", "ap: a"]
+    lines += [f"label {n}: a" for n in names if n.endswith("1")]
+    for b in (0, 1):
+        for b2 in (0, 1):
+            lines += [f"trans w{b} -> w{b2}", f"trans w{b} -> r1_{b}_{b2}"]
+    for i in range(1, width + 1):
+        for c in (0, 1):
+            for b in (0, 1):
+                for b2 in (0, 1):
+                    target = f"r{i + 1}_{c}_{b2}" if i < width else f"w{b2}"
+                    lines.append(f"trans r{i}_{c}_{b} -> {target}")
+    return ProphecyAutomaton(structure=parse_kripke("\n".join(lines)), annotation={})
+
+
+def test_universality_search_is_capped():
+    assert check_universality(shift_register_automaton(4), ["a"])
+    assert 2 ** 13 > MAX_UNIVERSALITY_SETS
+    t0 = time.perf_counter()
+    with pytest.raises(ProphecyError, match="more than 4096 state sets"):
+        check_universality(shift_register_automaton(13), ["a"])
+    assert time.perf_counter() - t0 < 2.0
 
 
 def test_universality_rejects_at_the_first_unrealizable_letter(monkeypatch):
@@ -98,7 +147,7 @@ def test_universality_rejects_at_the_first_unrealizable_letter(monkeypatch):
         structure=parse_kripke(f"states: u\ninit: u\nap: {' '.join(props)}\ntrans u -> u"),
         annotation={},
     )
-    assert check_universality(silent, props, 4) is False
+    assert check_universality(silent, props) is False
     assert 0 < len(drawn) <= 10
 
 

@@ -75,11 +75,6 @@ def test_pigeonhole_unsat_embedded():
     assert res.conflicts > 0
 
 
-def test_conflict_budget_reports_unknown():
-    n, clauses = php_clauses(6, 5)
-    assert CdclSolver(n, clauses).solve(max_conflicts=1).status == "unknown"
-
-
 @given(st.integers(min_value=0, max_value=10**9))
 @settings(max_examples=150, deadline=None)
 def test_cdcl_agrees_with_brute_force(seed):
