@@ -278,6 +278,7 @@ def check_pair(
     # and the embedded backend keeps one solver across the ae bounds
     table = PredicateTable(kp, kq, pred)
     backend = backend or EmbeddedBackend()
+    first = 1  # the least sim bound asked
     if mode == "ae":
         # every simulation lies inside the greatest one, so all bounds share
         # it, and only the counter depends on the bound
@@ -291,11 +292,19 @@ def check_pair(
                 f"simulation ({len(relation)} pairs) relates it to no initial right "
                 "state, so every k is unsat"
             )
+        # no model uses fewer right states than the fixpoint's floor
+        floor, forced = sweep.enc.floor, sweep.enc.forced
+        first = min(floor, sim_max)
+        if floor > 1:
+            notes.append(
+                f"the greatest simulation needs at least {floor} right states "
+                f"({len(forced)} forced), so the sweep starts at k={first}"
+            )
     else:
         search = SafeFrontierSearch(kp, kq, pred, table)
 
     for bound in range(1, max(sim_max, max_falsify_depth) + 1):
-        if bound <= sim_max:
+        if first <= bound <= sim_max:
             t0 = time.perf_counter()
             if mode == "ae":
                 enc = sweep.enc

@@ -10,9 +10,12 @@ emitted over integer literals with one named variable per relation entry.
     one variable sim(p,q) per pair of R, one used(q) per right state of R,
     and a sequential counter (Sinz, CP 2005) keeping the used states <= k.
     If R relates some initial left state to no initial right state, the
-    query is unsatisfiable at every k.  Only the counter depends on k, and
-    it grows one column per bound, so a bound sweep (`AeSweep`) keeps one
-    instance and asks for each bound by an assumption literal.
+    query is unsatisfiable at every k.  R also bounds k from below
+    (`subset_floor`): a reachable left state with a single candidate forces
+    that right state in, so the counter only counts the other used states.
+    Only the counter depends on k, and it grows one column per bound, so a
+    bound sweep (`AeSweep`) keeps one instance and asks for each bound by
+    an assumption literal.
   * sim-ea: a lasso of total length n in K_P whose positions jointly simulate
     all of K_Q.  One-hot pos(i,p) choose the left state at position i and
     loop(l) the loop-back target; sim(i,q) holds the right states position i
@@ -27,7 +30,7 @@ from typing import Callable, Mapping
 from . import hyperspec as hs
 from .circuit import Clause, CnfInstance, lower_parts_to_cnf
 from .hyperspec import PredicateTable, predicate_table
-from .kripke import KripkeStructure, LassoPath, StateId
+from .kripke import KripkeStructure, LassoPath, StateId, reachable_states
 
 
 class EncodeError(Exception):
@@ -71,6 +74,10 @@ class Encoding:
     loop: dict[int, int] = field(repr=False)
     parts: list[tuple[str, list[Clause]]] = field(repr=False)
     var_names: list[str] = field(repr=False)  # variable v is var_names[v-1]
+    # sim-ae: no model uses fewer than `floor` right states, and every model
+    # uses the `forced` ones (see subset_floor)
+    floor: int = 1
+    forced: frozenset[StateId] = frozenset()
 
     def to_cnf(self) -> CnfInstance:
         return lower_parts_to_cnf(self.parts, self.var_names)
@@ -201,6 +208,31 @@ def uncovered_initial(kp: KripkeStructure, kq: KripkeStructure, relation: Relati
     ]
 
 
+def subset_floor(kp: KripkeStructure, relation: Relation) -> tuple[int, frozenset[StateId]]:
+    """(L, F): every sub-relation of `relation` that encode_sim_ae accepts
+    uses at least L right states, and uses each state of F.
+
+    Its initial-match and successor-match clauses relate every left state
+    reachable in K_P to one of its candidates C(p) = {q : (p,q) in
+    relation}, so F holds the q with C(p) = {q} for a reachable p.  L
+    counts a greedy family of pairwise disjoint nonempty C(p), taken in
+    the order (|C(p)|, index): the singletons come first, so L >= |F|.  It
+    is at least 1, the least bound there is."""
+    cand: dict[StateId, set[StateId]] = {}
+    for p, q in relation:
+        cand.setdefault(p, set()).add(q)
+    if cand:  # without candidates there is no state to find reachable
+        reached = reachable_states(kp)
+        cand = {p: qs for p, qs in cand.items() if p in reached}
+    floor, picked = 0, set()
+    for p in sorted(cand, key=lambda p: (len(cand[p]), p.index)):
+        if picked.isdisjoint(cand[p]):
+            floor += 1
+            picked |= cand[p]
+    forced = frozenset(q for qs in cand.values() if len(qs) == 1 for q in qs)
+    return max(floor, 1), forced
+
+
 def encode_sim_ae(
     kp: KripkeStructure,
     kq: KripkeStructure,
@@ -213,9 +245,11 @@ def encode_sim_ae(
     `relation` is greatest_simulation(kp, kq, pred); a decision computes it
     once.  Only initial left states and the successors of related ones must
     be related, so unreachable left states are never forced in;
-    reachable-restricting K_P only saves their variables.  The family
-    at-most-k holds the counter columns 1..k+1 and the unit clause
-    -c(m,k+1); it is empty when k is at least the m used states."""
+    reachable-restricting K_P only saves their variables.  The counter
+    runs over the m used states outside the forced set F of subset_floor
+    and bounds them by k - |F|: the family at-most-k holds its columns
+    1..k-|F|+1 and the unit clause -c(m,k-|F|+1).  It is one empty clause
+    when k < |F|, and empty when k reaches the number of used states."""
     _check_common(kp, kq, pred)
     if not 1 <= k <= len(kq.states):
         raise EncodeError(f"subset bound k={k} outside 1..{len(kq.states)}")
@@ -228,6 +262,7 @@ def encode_sim_ae(
     }
     used_states = sorted({q for _, q in sim}, key=lambda q: q.index)
     used = {q: vs.new(f"used({q.name})") for q in used_states}
+    floor, forced = subset_floor(kp, relation)
 
     initial = [
         [sim[(p, q)] for q in kq.sorted_init() if (p, q) in sim] for p in kp.sorted_init()
@@ -240,9 +275,11 @@ def encode_sim_ae(
             if v not in targets:  # a self-loop pair matches itself
                 succ.append([-v] + targets)
     at_most_k: list[Clause] = []
-    if k < len(used):
-        counter = _Counter(list(used.values()), vs.new, "used")
-        bound = counter.at_most(k)
+    if k < len(forced):
+        at_most_k = [[]]
+    elif k < len(used):
+        counter = _Counter(_unforced(used, forced), vs.new, "used")
+        bound = counter.at_most(k - len(forced))
         at_most_k = [c for col in counter.clauses for c in col] + [[bound]]
     parts = [
         ("initial-match", initial),
@@ -253,7 +290,13 @@ def encode_sim_ae(
     return Encoding(
         kind="sim-ae", kq=kq, n=len(kp.states), k=k,
         sim=sim, used=used, pos={}, loop={}, parts=parts, var_names=vs.names,
+        floor=floor, forced=forced,
     )
+
+
+def _unforced(used: dict[StateId, int], forced: frozenset[StateId]) -> list[int]:
+    """The used(q) variables the counter counts: those of unforced q."""
+    return [v for q, v in used.items() if q not in forced]
 
 
 class AeSweep:
@@ -261,10 +304,11 @@ class AeSweep:
     only grows.
 
     `enc` must need no counter (k = |S_Q| does), so its families are the
-    k-independent clauses; they are lowered once.  Bound k then adds any
-    missing counter columns 1..k+1 to the family at-most-k and asks for
-    "at most k used states" by the assumption -c(m,k+1), so one incremental
-    solver answers every bound."""
+    k-independent clauses; they are lowered once.  The counter counts the
+    used states outside the forced set F, as in encode_sim_ae.  Bound k
+    then adds any missing columns 1..k-|F|+1 to the family at-most-k and
+    asks for "at most k used states" by the assumption -c(m,k-|F|+1), so
+    one incremental solver answers every bound."""
 
     def __init__(self, enc: Encoding) -> None:
         if enc.kind != "sim-ae" or enc.k < len(enc.used):
@@ -272,14 +316,20 @@ class AeSweep:
         self.enc = enc
         self.cnf = lower_parts_to_cnf(enc.parts, enc.var_names)
         self.base = (self.cnf.num_vars, self.cnf.num_clauses)
-        self.counter = _Counter(list(enc.used.values()), self.cnf.add_var, "used")
+        self.counter = _Counter(_unforced(enc.used, enc.forced), self.cnf.add_var, "used")
         self._fed = 0  # counter columns already in the instance
 
     def bound(self, k: int) -> tuple[CnfInstance, tuple[int, ...]]:
-        """The instance and the assumptions that ask for at most k used states."""
+        """The instance and the assumptions that ask for at most k used states.
+        Below |F| that is false outright: the assumptions then claim a forced
+        state both used and unused, which leaves the instance as it was."""
+        forced = self.enc.forced
         if k >= len(self.enc.used):
             return self.cnf, ()
-        lit = self.counter.at_most(k)
+        if k < len(forced):
+            lit = self.enc.used[min(forced, key=lambda q: q.index)]
+            return self.cnf, (lit, -lit)
+        lit = self.counter.at_most(k - len(forced))
         cnf = self.cnf
         for clauses in self.counter.clauses[self._fed:]:
             cnf.clauses += clauses
@@ -292,9 +342,12 @@ class AeSweep:
         """(variables, clauses) of encode_sim_ae(..., k) lowered on its own,
         once bound(k) was asked."""
         num_vars, num_clauses = self.base
-        if k < len(self.enc.used):
-            num_vars += sum(map(len, self.counter.columns[: k + 1]))
-            num_clauses += sum(map(len, self.counter.clauses[: k + 1])) + 1
+        forced = len(self.enc.forced)
+        if k < forced:  # the empty clause, lowered to [x], [-x]
+            num_vars, num_clauses = num_vars + 1, num_clauses + 2
+        elif k < len(self.enc.used):
+            num_vars += sum(map(len, self.counter.columns[: k - forced + 1]))
+            num_clauses += sum(map(len, self.counter.clauses[: k - forced + 1])) + 1
         return num_vars, num_clauses
 
 

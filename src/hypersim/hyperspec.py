@@ -16,7 +16,7 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Callable, Iterable
 
 if TYPE_CHECKING:
     from .kripke import KripkeStructure, StateId
@@ -288,13 +288,84 @@ def eval_predicate(pred: Pred, left_labels: frozenset[str] | set[str], right_lab
     raise TypeError(f"not a predicate node: {pred!r}")
 
 
+Labels = frozenset[str] | set[str]
+
+
+def compile_predicate(pred: Pred) -> Callable[[Labels, Labels], bool]:
+    """A closure that agrees with eval_predicate(pred, ., .) on every pair
+    of label sets, built once per predicate.
+
+    Chains of & (and of |) become one node each.  The conjuncts l.p <-> r.p
+    of a chain, what match-all expands to, are checked together as one
+    comparison of the two label sets projected onto their props."""
+    return _compile(pred)
+
+
+def _compile(pred: Pred) -> Callable[[Labels, Labels], bool]:
+    if isinstance(pred, TrueConst):
+        return lambda l, r: True
+    if isinstance(pred, FalseConst):
+        return lambda l, r: False
+    if isinstance(pred, LeftAtom):
+        prop = pred.prop
+        return lambda l, r: prop in l
+    if isinstance(pred, RightAtom):
+        prop = pred.prop
+        return lambda l, r: prop in r
+    if isinstance(pred, Not):
+        arg = _compile(pred.arg)
+        return lambda l, r: not arg(l, r)
+    if isinstance(pred, (And, Or)):
+        return _compile_chain(pred)
+    if isinstance(pred, (Implies, Iff)):
+        a, b = _compile(pred.left), _compile(pred.right)
+        if isinstance(pred, Implies):
+            return lambda l, r: not a(l, r) or b(l, r)
+        return lambda l, r: a(l, r) == b(l, r)
+    if isinstance(pred, MatchAll):
+        raise ValueError("match-all must be expanded against AP sets before evaluation")
+    raise TypeError(f"not a predicate node: {pred!r}")
+
+
+def _compile_chain(pred: And | Or) -> Callable[[Labels, Labels], bool]:
+    """One closure for the maximal chain of pred's connective below pred."""
+    op = type(pred)
+    operands: list[Pred] = []
+    stack: list[Pred] = [pred]
+    while stack:  # left to right, without recursion
+        node = stack.pop()
+        if type(node) is op:
+            stack += [node.right, node.left]
+        else:
+            operands.append(node)
+    if op is Or:
+        checks = [_compile(n) for n in operands]
+        return lambda l, r: any(f(l, r) for f in checks)
+    props = [_agreement_prop(n) for n in operands]
+    checks = [_compile(n) for n, p in zip(operands, props) if p is None]
+    agree = frozenset(p for p in props if p is not None)
+    if agree:
+        checks.insert(0, lambda l, r: l & agree == r & agree)
+    return checks[0] if len(checks) == 1 else lambda l, r: all(f(l, r) for f in checks)
+
+
+def _agreement_prop(pred: Pred) -> str | None:
+    """p when pred is l.p <-> r.p."""
+    if isinstance(pred, Iff) and isinstance(pred.left, LeftAtom):
+        if pred.right == RightAtom(pred.left.prop):
+            return pred.left.prop
+    return None
+
+
 class PredicateTable:
     """The right states each left state admits under a predicate, evaluated
-    once per distinct (left label, right label) pair, so the searches and
-    encodings of one decision share the evaluations."""
+    by its compiled closure once per distinct (left label, right label)
+    pair, so the searches and encodings of one decision share the
+    evaluations."""
 
     def __init__(self, kp: KripkeStructure, kq: KripkeStructure, pred: Pred) -> None:
         self.kp, self.kq, self.pred = kp, kq, pred
+        self._holds = compile_predicate(pred)
         by_label: dict[frozenset[str], list[StateId]] = {}
         for q in kq.states:
             by_label.setdefault(kq.label_of(q), []).append(q)
@@ -306,10 +377,8 @@ class PredicateTable:
         label = self.kp.label_of(p)
         got = self._allowed.get(label)
         if got is None:
-            got = frozenset(
-                q for right, qs in self._right if eval_predicate(self.pred, label, right)
-                for q in qs
-            )
+            holds = self._holds
+            got = frozenset(q for right, qs in self._right if holds(label, right) for q in qs)
             self._allowed[label] = got
         return got
 

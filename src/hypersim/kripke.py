@@ -197,13 +197,8 @@ def parse_kripke(text: str) -> KripkeStructure:
     )
 
 
-def reachable_restriction(k: KripkeStructure) -> KripkeStructure:
-    """Restrict k to the states reachable from init, reindexed densely.
-
-    Keeps the relative state order, so the result is idempotent under a second
-    application.  Totality is preserved (successors of reachable states are
-    reachable).
-    """
+def reachable_states(k: KripkeStructure) -> set[StateId]:
+    """The states some path from an initial state reaches."""
     reached: set[StateId] = set()
     frontier = list(k.sorted_init())
     while frontier:
@@ -212,6 +207,17 @@ def reachable_restriction(k: KripkeStructure) -> KripkeStructure:
             continue
         reached.add(s)
         frontier.extend(t for t in k.successors(s) if t not in reached)
+    return reached
+
+
+def reachable_restriction(k: KripkeStructure) -> KripkeStructure:
+    """Restrict k to the states reachable from init, reindexed densely.
+
+    Keeps the relative state order, so the result is idempotent under a second
+    application.  Totality is preserved (successors of reachable states are
+    reachable).
+    """
+    reached = reachable_states(k)
     kept = [s for s in k.states if s in reached]
     remap = {s: StateId(s.name, i) for i, s in enumerate(kept)}
     return KripkeStructure(

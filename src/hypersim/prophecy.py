@@ -134,60 +134,55 @@ def prophecy_product(k: KripkeStructure, u: ProphecyAutomaton) -> KripkeStructur
     states with no successor to a fixpoint (removal cascades; the result must
     be total).  Labels come from K, so predicates are unaffected; component
     names and annotations go into the state name, so downstream encodings can
-    tell apart states that differ only in the prophecy."""
+    tell apart states that differ only in the prophecy.
+
+    Pruning is one backward pass: each pair counts its live successors, and
+    a pair whose count drops to zero dies and decrements its predecessors."""
     ku = u.structure
     shared = frozenset(k.ap) & frozenset(ku.ap)
 
-    def compatible(s: StateId, us: StateId) -> bool:
-        return (k.label_of(s) & shared) == (ku.label_of(us) & shared)
-
-    pairs = [
-        (s, us) for s in k.states for us in ku.states if compatible(s, us)
+    by_label: dict[frozenset[str], list[StateId]] = {}
+    for us in ku.states:
+        by_label.setdefault(ku.label_of(us) & shared, []).append(us)
+    pairs = [  # the label-compatible pairs, in the order of K and then of U
+        (s, us) for s in k.states for us in by_label.get(k.label_of(s) & shared, ())
     ]
-    alive = set(pairs)
+    nu = len(ku.states)
+    slot = {s.index * nu + us.index: i for i, (s, us) in enumerate(pairs)}
+    succ: list[list[int]] = []  # the compatible successor pairs of each pair
+    for s, us in pairs:
+        keys = (s2.index * nu + u2.index for s2 in k.successors(s) for u2 in ku.successors(us))
+        succ.append([slot[key] for key in keys if key in slot])
+    pre: list[list[int]] = [[] for _ in pairs]
+    for i, js in enumerate(succ):
+        for j in js:
+            pre[j].append(i)
+    live = [len(js) for js in succ]  # live successors of each pair
+    dead = [i for i, n in enumerate(live) if n == 0]
+    for j in dead:  # the list grows while it is walked
+        for i in pre[j]:
+            live[i] -= 1
+            if live[i] == 0:
+                dead.append(i)
+    gone = set(dead)
+    surviving = [i for i in range(len(pairs)) if i not in gone]
 
-    def has_successor(pair: tuple[StateId, StateId]) -> bool:
-        s, us = pair
-        return any(
-            (s2, u2) in alive
-            for s2 in k.successors(s)
-            for u2 in ku.successors(us)
-        )
-
-    while True:
-        dead = [p for p in alive if not has_successor(p)]
-        if not dead:
-            break
-        alive.difference_update(dead)
-
-    init_pairs = [
-        (s, us) for (s, us) in pairs if (s, us) in alive and s in k.init and us in ku.init
-    ]
+    init_pairs = [i for i in surviving if pairs[i][0] in k.init and pairs[i][1] in ku.init]
     if not init_pairs:
         raise ProphecyError("empty product: no initial state survives pruning")
-
-    surviving = [p for p in pairs if p in alive]
 
     def name_of(pair: tuple[StateId, StateId]) -> str:
         s, us = pair
         parts = [s.name, us.name] + sorted(u.annotations_of(us))
         return "__".join(parts)
 
-    ids = {pair: StateId(name_of(pair), i) for i, pair in enumerate(surviving)}
-    labels = {ids[(s, us)]: k.label_of(s) for (s, us) in surviving}
-    trans = set()
-    for (s, us) in surviving:
-        src = ids[(s, us)]
-        for s2 in k.successors(s):
-            for u2 in ku.successors(us):
-                if (s2, u2) in alive:
-                    trans.add((src, ids[(s2, u2)]))
+    ids = {i: StateId(name_of(pairs[i]), n) for n, i in enumerate(surviving)}
     return KripkeStructure(
-        states=tuple(ids[p] for p in surviving),
-        init=frozenset(ids[p] for p in init_pairs),
+        states=tuple(ids.values()),
+        init=frozenset(ids[i] for i in init_pairs),
         ap=k.ap,
-        labels=labels,
-        trans=frozenset(trans),
+        labels={ids[i]: k.label_of(pairs[i][0]) for i in surviving},
+        trans=frozenset((ids[i], ids[j]) for i in surviving for j in succ[i] if j in ids),
     )
 
 

@@ -3,8 +3,8 @@ lasso traces, printers for structures and prophecy automata, the pointwise
 semantics of lasso trace pairs, path and lasso listing, the vertex-cover
 reduction with its brute-force answer, the small-graph enumeration behind
 the vertex-cover suite, the structure invariant check, and reference
-versions of the falsifiers, the counterexample re-check and the prophecy
-universality check."""
+versions of the falsifiers, the counterexample re-check, the prophecy
+universality check and the prophecy product."""
 
 from __future__ import annotations
 
@@ -512,6 +512,66 @@ def universal_to_depth(u: ProphecyAutomaton, ap: Iterable[str], depth: int) -> b
         if not start or not all_suffixes(start, depth - 1):
             return False
     return True
+
+
+def prophecy_product_by_rescans(k: KripkeStructure, u: ProphecyAutomaton) -> KripkeStructure:
+    """The prophecy product the package built before its backward pruning,
+    kept as the reference: it rescans every alive pair for a live successor
+    until a round kills none."""
+    ku = u.structure
+    shared = frozenset(k.ap) & frozenset(ku.ap)
+
+    def compatible(s: StateId, us: StateId) -> bool:
+        return (k.label_of(s) & shared) == (ku.label_of(us) & shared)
+
+    pairs = [
+        (s, us) for s in k.states for us in ku.states if compatible(s, us)
+    ]
+    alive = set(pairs)
+
+    def has_successor(pair: tuple[StateId, StateId]) -> bool:
+        s, us = pair
+        return any(
+            (s2, u2) in alive
+            for s2 in k.successors(s)
+            for u2 in ku.successors(us)
+        )
+
+    while True:
+        dead = [p for p in alive if not has_successor(p)]
+        if not dead:
+            break
+        alive.difference_update(dead)
+
+    init_pairs = [
+        (s, us) for (s, us) in pairs if (s, us) in alive and s in k.init and us in ku.init
+    ]
+    if not init_pairs:
+        raise hypersim.prophecy.ProphecyError("empty product: no initial state survives pruning")
+
+    surviving = [p for p in pairs if p in alive]
+
+    def name_of(pair: tuple[StateId, StateId]) -> str:
+        s, us = pair
+        parts = [s.name, us.name] + sorted(u.annotations_of(us))
+        return "__".join(parts)
+
+    ids = {pair: StateId(name_of(pair), i) for i, pair in enumerate(surviving)}
+    labels = {ids[(s, us)]: k.label_of(s) for (s, us) in surviving}
+    trans = set()
+    for (s, us) in surviving:
+        src = ids[(s, us)]
+        for s2 in k.successors(s):
+            for u2 in ku.successors(us):
+                if (s2, u2) in alive:
+                    trans.add((src, ids[(s2, u2)]))
+    return KripkeStructure(
+        states=tuple(ids[p] for p in surviving),
+        init=frozenset(ids[p] for p in init_pairs),
+        ap=k.ap,
+        labels=labels,
+        trans=frozenset(trans),
+    )
 
 
 def bounded_runs_text(run: int) -> str:

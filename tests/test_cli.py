@@ -13,13 +13,14 @@ import hypersim.sat
 from hypersim.cli import (
     CheckConfig,
     CliInputError,
+    _case_config,
     check_pair,
     export_encoding,
     main,
     run_benchmarks,
     run_check,
 )
-from hypersim.encoder import SimWitnessEA
+from hypersim.encoder import SimWitnessEA, greatest_simulation, subset_floor
 from hypersim.hyperspec import parse_property
 from hypersim.kripke import LassoPath, parse_kripke
 from hypersim.prophecy import build_next_prophecy
@@ -476,12 +477,19 @@ def test_sweep_keeps_only_the_counter_columns_its_bounds_need(monkeypatch):
     monkeypatch.setattr(hypersim.cli, "solve", recording)
     kp = parse_kripke("states: p0 p1\ninit: p0\nap: a\nlabel p0: a\ntrans p0 -> p1\ntrans p1 -> p0")
     kq = parse_kripke(bidirectional_ring(200))
-    report = check_pair(kp, kq, parse_property("forall exists. G (l.a <-> r.a)"))
+    prop = parse_property("forall exists. G (l.a <-> r.a)")
+    report = check_pair(kp, kq, prop)
     assert report.verdict == "holds" and report.minimal_bound == 2
-    m = 200  # every right state is used by the greatest simulation
-    for k, family in enumerate(instances, start=1):
+    # every right state is used by the greatest simulation, and the counter
+    # counts the m of them that no left state forces in
+    relation = greatest_simulation(kp, kq, prop.pred)
+    _, forced = subset_floor(kp, relation)
+    m = 200 - len(forced)
+    bounds = [it.bound for it in report.iterations if it.side == "sim"]
+    assert len(bounds) == len(instances)
+    for k, family in zip(bounds, instances):
         start, end = family["at-most-k"]
-        assert end - start + 1 < 2 * m * (k + 1)
+        assert end - start + 1 < 2 * m * (k - len(forced) + 1)
 
 
 def test_each_ae_decision_builds_one_solver(monkeypatch):
@@ -563,30 +571,78 @@ def test_a_lasso_of_another_length_is_an_internal_error(monkeypatch, capsys):
 
 def test_a_decision_evaluates_each_label_pair_once(monkeypatch):
     # the searches and encodings evaluate the decision's predicate through
-    # its table; the witness and counterexample re-checks keep their own
-    # evaluations (through the name the oracle bound) and are not counted
-    tables = []
+    # the closure its table compiles; the witness and counterexample
+    # re-checks keep their own eval_predicate calls and are not counted
+    compiled = []
     seen = []
-    original_table = hypersim.cli.PredicateTable
-    original_eval = hypersim.hyperspec.eval_predicate
+    original = hypersim.hyperspec.compile_predicate
 
-    def table(*args):
-        tables.append(original_table(*args))
-        return tables[-1]
+    def compile_counting(pred):
+        holds = original(pred)
+        compiled.append(pred)
 
-    def recording(pred, left, right):
-        if pred is tables[-1].pred:
+        def counted(left, right):
             seen.append((left, right))
-        return original_eval(pred, left, right)
+            return holds(left, right)
 
-    monkeypatch.setattr(hypersim.cli, "PredicateTable", table)
-    monkeypatch.setattr(hypersim.hyperspec, "eval_predicate", recording)
+        return counted
+
+    monkeypatch.setattr(hypersim.hyperspec, "compile_predicate", compile_counting)
     ea = CheckConfig(
         left_path=str(DATA / "k2.kr"), right_path=str(DATA / "k1.kr"),
         prop_text="exists forall. G (r.a -> l.a)",
     )
     for cfg in [cfg_for("phi2.hp", prophecy="next:a:2"), cfg_for("phi1.hp"), ea]:
+        compiled.clear()
         seen.clear()
         report = run_check(cfg)
         assert sum(it.side == "sim" for it in report.iterations) > 1
+        assert len(compiled) == 1
         assert seen and len(seen) == len(set(seen))
+
+
+def corpus_config(case: str) -> CheckConfig:
+    return _case_config(CORPUS / case, "embedded")[0]
+
+
+@pytest.mark.parametrize(
+    "cfg, bounds, forced",
+    [
+        (corpus_config("abp"), [9], 9),
+        (corpus_config("mm"), [8], 8),
+        (corpus_config("cbf"), [5, 6, 7], 4),
+        (cfg_for("phi2.hp"), [2, 3, 4, 5], 1),
+        (cfg_for("phi2.hp", prophecy="next:a:2"), [3, 4, 5], 3),
+    ],
+    ids=["abp", "mm", "cbf", "phi2", "phi2-prophecy"],
+)
+def test_the_ae_sweep_starts_at_the_floor_of_the_greatest_simulation(cfg, bounds, forced):
+    report = run_check(cfg)
+    assert [it.bound for it in report.iterations if it.side == "sim"] == bounds
+    note = (
+        f"the greatest simulation needs at least {bounds[0]} right states "
+        f"({forced} forced), so the sweep starts at k={bounds[0]}"
+    )
+    assert note in report.notes
+
+
+@pytest.mark.parametrize(
+    "extra, bound",
+    [(["--prophecy", "next:a:2"], 2), ([], 1)],
+    ids=["below-the-forced-states", "below-the-floor"],
+)
+def test_a_bound_cap_below_the_floor_asks_only_the_cap(extra, bound, tmp_path, capsys):
+    # phi2 with next:a:2 forces 3 right states, so k=2 is false outright;
+    # phi2 alone forces 1 of its floor of 2, so k=1 leaves the counter "at
+    # most 0" over the unforced states.  Either is one unsat sim iteration
+    # whose size is that of the exported instance
+    code = main(check_args("phi2.hp", *extra, "--max-bound", str(bound), "--format", "json"))
+    report = json.loads(capsys.readouterr().out)
+    assert code == 2 and report["verdict"] == "unknown-at-bounds"
+    sims = [it for it in report["iterations"] if it["side"] == "sim"]
+    assert [(it["bound"], it["outcome"]) for it in sims] == [(bound, "unsat")]
+    assert any(f"so the sweep starts at k={bound}" in n for n in report["notes"])
+    out = tmp_path / "k.cnf"
+    assert main(["export", *check_args("phi2.hp", *extra)[1:], "--bound", str(bound), "--out", str(out)]) == 0
+    header = next(line for line in out.read_text().splitlines() if line.startswith("p cnf"))
+    assert header == f"p cnf {sims[0]['vars']} {sims[0]['clauses']}"

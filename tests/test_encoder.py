@@ -22,6 +22,7 @@ from hypersim.encoder import (
     encode_sim_ae,
     encode_sim_ea,
     greatest_simulation,
+    subset_floor,
     uncovered_initial,
 )
 from hypersim.hyperspec import MatchAll, eval_predicate, parse_predicate, parse_property
@@ -294,7 +295,10 @@ def test_sweep_answers_each_bound_like_a_fresh_standalone_instance(seed):
     relation = greatest_simulation(kp, kq, pred)
     sweep = AeSweep(encode_sim_ae(kp, kq, pred, len(kq.states), relation))
     backend = EmbeddedBackend()
-    for k in range(1, len(kq.states) + 1):
+    floor = sweep.enc.floor
+    for k in range(1, floor):
+        assert solve(encode_sim_ae(kp, kq, pred, k, relation).to_cnf()).status == "unsat"
+    for k in range(floor, len(kq.states) + 1):
         cnf, assumptions = sweep.bound(k)
         got = solve(cnf, backend, assumptions)
         alone = encode_sim_ae(kp, kq, pred, k, relation).to_cnf()
@@ -303,6 +307,62 @@ def test_sweep_answers_each_bound_like_a_fresh_standalone_instance(seed):
         if got.is_sat:
             w = decode_witness_ae(sweep.enc, got.model)
             assert validate_witness_ae(kp, kq, pred, w, k) == []
+
+
+@given(st.integers(min_value=0, max_value=10**9))
+@settings(max_examples=100, deadline=None)
+def test_the_floor_is_a_lower_bound_and_forced_states_are_used(seed):
+    # on unrestricted pairs: no k below the floor L is sat, L is at most the
+    # brute-force minimal k, and every model at every bound uses F
+    rng = random.Random(seed)
+    kp = rand_structure(rng, max_states=4)
+    kq = rand_structure(rng, max_states=5)
+    pred = rand_pred(rng, kp.ap, kq.ap)
+    relation = greatest_simulation(kp, kq, pred)
+    floor, forced = subset_floor(kp, relation)
+    assert len(forced) <= floor <= len(kq.states)
+    minimal = None
+    for k in range(1, len(kq.states) + 1):
+        enc = encode_sim_ae(kp, kq, pred, k, relation)
+        assert (enc.floor, enc.forced) == (floor, forced)
+        model = sat_model(enc)
+        if model is None:
+            continue
+        assert k >= floor
+        assert all(model[enc.used[q]] for q in forced)
+        if minimal is None:
+            minimal = k
+    brute = next(
+        (
+            size
+            for size in range(1, len(kq.states) + 1)
+            for subset in itertools.combinations(kq.states, size)
+            if covers_initial(kp, kq, naive_greatest_simulation(kp, kq, pred, subset))
+        ),
+        None,
+    )
+    assert minimal == brute
+    assert brute is None or floor <= brute
+
+
+def test_an_unreachable_left_state_forces_nothing():
+    # p1's only candidate is q1, but no path reaches p1: q1 is not forced,
+    # the floor stays 1, and q0 alone simulates everything reachable
+    kp = parse_kripke(
+        "states: p0 p1\ninit: p0\nap: a b\nlabel p0: a\nlabel p1: b\n"
+        "trans p0 -> p0\ntrans p1 -> p1"
+    )
+    kq = parse_kripke(
+        "states: q0 q1\ninit: q0 q1\nap: a b\nlabel q0: a\nlabel q1: b\n"
+        "trans q0 -> q0\ntrans q1 -> q1"
+    )
+    relation = greatest_simulation(kp, kq, IFF_A)
+    assert (kp.states[1], kq.states[1]) in relation
+    assert subset_floor(kp, relation) == (1, frozenset([kq.states[0]]))
+    enc = encode_sim_ae(kp, kq, IFF_A, 1, relation)
+    model = sat_model(enc)
+    assert model is not None
+    assert validate_witness_ae(kp, kq, IFF_A, decode_witness_ae(enc, model), 1) == []
 
 
 def test_sweep_rejects_an_encoding_with_a_counter():

@@ -1,5 +1,6 @@
 """Predicate parsing, evaluation, and the two-quantifier property grammar."""
 
+import itertools
 import random
 
 import pytest
@@ -19,6 +20,7 @@ from hypersim.hyperspec import (
     RightAtom,
     TrueConst,
     UnsupportedFragmentError,
+    compile_predicate,
     eval_predicate,
     expand_match_all,
     parse_predicate,
@@ -115,6 +117,50 @@ def test_de_morgan_on_random_predicates(seed):
 def test_pred_text_roundtrip(seed):
     p = rand_pred(random.Random(seed), ("a", "b"), ("x",))
     assert parse_predicate(pred_to_text(p)) == p
+
+
+PROPS = ("a", "b", "c")
+LABELS = [frozenset(c) for n in range(4) for c in itertools.combinations(PROPS, n)]
+
+
+@given(st.integers(min_value=0, max_value=10**9))
+@settings(max_examples=300, deadline=None)
+def test_the_compiled_predicate_equals_the_interpreter(seed):
+    # random predicates, some conjoined or disjoined with a match-all over a
+    # random share of the props, on every pair of label sets
+    rng = random.Random(seed)
+    pred = rand_pred(rng, PROPS, PROPS, depth=4)
+    shared = rng.sample(PROPS, rng.randint(0, 3))
+    agree = expand_match_all(MatchAll(), shared, PROPS)
+    pred = rng.choice([pred, And(pred, agree), And(agree, pred), Or(agree, pred), agree])
+    holds = compile_predicate(pred)
+    for left in LABELS:
+        for right in LABELS:
+            assert holds(left, right) == eval_predicate(pred, left, right), (left, right)
+            assert holds(set(left), set(right)) == eval_predicate(pred, left, right)
+
+
+def test_the_compiled_predicate_handles_wide_and_deep_predicates():
+    props = tuple(f"p{i}" for i in range(1500))
+    match_all = expand_match_all(MatchAll(), props, props)
+    holds = compile_predicate(match_all)
+    labels = frozenset(props[::2])
+    assert holds(labels, labels) and holds(frozenset(), frozenset())
+    assert not holds(labels, labels | {"p1"})
+    assert not holds(labels, labels - {"p0"})
+    assert holds(labels | {"other"}, labels)  # props outside the share are ignored
+    mixed = And(Iff(LeftAtom("p3"), RightAtom("p4")), match_all)
+    assert not compile_predicate(mixed)(frozenset({"p3", "p4"}), frozenset({"p3"}))
+    alternating = LeftAtom("a")
+    for _ in range(50):  # 100 levels, the parser's cap, of alternating chains
+        alternating = And(LeftAtom("b"), Or(RightAtom("a"), alternating))
+    for deep in [parse_predicate("!" * 98 + "(l.a <-> r.a)"), alternating]:
+        holds = compile_predicate(deep)
+        for left in LABELS:
+            for right in LABELS:
+                assert holds(left, right) == eval_predicate(deep, left, right)
+    with pytest.raises(ValueError, match="match-all"):
+        compile_predicate(Or(TrueConst(), MatchAll()))
 
 
 def test_parse_property_both_patterns():

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hypersim.prophecy
-from hypersim.kripke import KripkeParseError, StateId, parse_kripke
+from hypersim.kripke import KripkeParseError, KripkeStructure, StateId, parse_kripke
 from hypersim.prophecy import (
     MAX_NEXT_PROPHECY_DEPTH,
     MAX_UNIVERSALITY_SETS,
@@ -24,6 +24,7 @@ from hypersim.prophecy import (
 from helpers import (
     bounded_runs_text,
     label_sequences,
+    prophecy_product_by_rescans,
     prophecy_to_text,
     rand_structure,
     refuse_to_build_states,
@@ -215,6 +216,63 @@ def test_product_preserves_bounded_trace_sets(seed):
     assert validate_kripke(product) == []
     for depth in range(1, 7):
         assert label_sequences(product, depth) == label_sequences(k, depth)
+
+
+def rand_automaton(rng: random.Random) -> ProphecyAutomaton:
+    """A random automaton, universal or not, annotating some of its states."""
+    if rng.random() < 0.25:
+        return build_next_prophecy("a", rng.choice([1, 2, 3]))
+    props = rng.choice([("a",), ("a", "b"), ("b", "c")])
+    structure = rand_structure(rng, max_states=5, props=props, edge_prob=rng.random() * 0.5)
+    annotation = {
+        us: frozenset(rng.sample(["X", "Y"], rng.randint(1, 2)))
+        for us in structure.states
+        if rng.random() < 0.5
+    }
+    return ProphecyAutomaton(structure=structure, annotation=annotation)
+
+
+@given(st.integers(min_value=0, max_value=10**9))
+@settings(max_examples=200, deadline=None)
+def test_backward_pruning_builds_the_rescanning_product(seed):
+    # the greatest fixpoint is unique, so both prunings keep the same pairs;
+    # states, their order and names, init, labels and transitions agree
+    rng = random.Random(seed)
+    k = rand_structure(rng, max_states=5, edge_prob=rng.random() * 0.5)
+    u = rand_automaton(rng)
+    try:
+        expected = prophecy_product_by_rescans(k, u)
+    except ProphecyError as e:
+        with pytest.raises(ProphecyError, match=str(e)):
+            prophecy_product(k, u)
+        return
+    got = prophecy_product(k, u)
+    assert got == expected
+    assert [s.name for s in got.states] == [s.name for s in expected.states]
+
+
+def test_pruning_walks_each_pair_once(monkeypatch):
+    # next:a:10 against the intro structure: each of the 2048 automaton
+    # states agrees with half the left states on `a`, and 6 product states
+    # survive.  Pruning asks for the automaton successors of each
+    # compatible pair once per left successor; the rescanning loop asks
+    # again in every round
+    k1 = parse_kripke((DATA / "k1.kr").read_text())
+    u = build_next_prophecy("a", MAX_NEXT_PROPHECY_DEPTH)
+    asked = []
+    original = KripkeStructure.successors
+
+    def counting(self, s):
+        if self is u.structure:
+            asked.append(s)
+        return original(self, s)
+
+    monkeypatch.setattr(KripkeStructure, "successors", counting)
+    product = prophecy_product(k1, u)
+    assert len(product.states) == 6
+    half = len(u.structure.states) // 2
+    assert len(asked) == sum(half * len(k1.successors(s)) for s in k1.states)
+    assert product == prophecy_product_by_rescans(k1, u)
 
 
 def test_prophecy_text_roundtrip():
