@@ -30,7 +30,7 @@ from typing import Callable, Mapping
 from . import hyperspec as hs
 from .circuit import Clause, CnfInstance, lower_parts_to_cnf
 from .hyperspec import PredicateTable, predicate_table
-from .kripke import KripkeStructure, LassoPath, StateId, reachable_states
+from .kripke import KripkeStructure, LassoPath, StateId, bit_indices, reachable_states, union_of
 
 
 class EncodeError(Exception):
@@ -147,13 +147,6 @@ def _check_common(kp: KripkeStructure, kq: KripkeStructure, pred: hs.Pred) -> No
         raise EncodeError("match-all must be expanded against the AP sets before encoding")
 
 
-def _predecessors(k: KripkeStructure) -> list[list[int]]:
-    pre: list[list[int]] = [[] for _ in k.states]
-    for a, b in k.trans:
-        pre[b.index].append(a.index)
-    return pre
-
-
 def greatest_simulation(
     kp: KripkeStructure,
     kq: KripkeStructure,
@@ -164,41 +157,45 @@ def greatest_simulation(
     and, for (p,q) in R, every successor of p is related to some successor of q.
     `table` is the decision's predicate table, built here when omitted.
 
-    Refinement with counters: cnt[p2][q] counts the successors of q related to
-    p2.  Removing (p2,q2) decrements cnt[p2][q] for each predecessor q of q2;
-    a count reaching zero removes (p,q) for each predecessor p of p2."""
+    Refinement on bitmask rows: rel[p] holds the right states related to p,
+    starting from the states the predicate admits.  A row keeps q while
+    every successor p2 of p has a row that meets q's successors; when a
+    row shrinks, the rows of p's predecessors are refined again."""
     _check_common(kp, kq, pred)
-    table = predicate_table(kp, kq, pred, table)
-    np_, nq = len(kp.states), len(kq.states)
-    succ_q = [[t.index for t in kq.successors(q)] for q in kq.states]
-    pre_p, pre_q = _predecessors(kp), _predecessors(kq)
-    rel = []
-    for p in kp.states:
-        allowed = table.allowed(p)
-        rel.append([q in allowed for q in kq.states])
-    cnt = [[sum(rel[p2][t] for t in succ_q[q]) for q in range(nq)] for p2 in range(np_)]
-    removed: list[tuple[int, int]] = []
+    rel = list(predicate_table(kp, kq, pred, table).allow)
+    succ_p = kp.succ_index
+    pre_p: list[list[int]] = [[] for _ in kp.states]
+    for p, ts in enumerate(succ_p):
+        for p2 in ts:
+            pre_p[p2].append(p)
+    pre_q = [0] * len(kq.states)  # pre_q[j]: the right states with successor j
+    for q, ts in enumerate(kq.succ_index):
+        for j in ts:
+            pre_q[j] |= 1 << q
+    into: dict[int, int] = {}  # row -> the right states with a successor in it
 
-    def kill(p: int, q: int) -> None:
-        if rel[p][q]:
-            rel[p][q] = False
-            removed.append((p, q))
-
-    for p2 in range(np_):
-        for q in range(nq):
-            if cnt[p2][q] == 0:
-                for p in pre_p[p2]:
-                    kill(p, q)
-    while removed:
-        p2, q2 = removed.pop()
-        for q in pre_q[q2]:
-            cnt[p2][q] -= 1
-            if cnt[p2][q] == 0:
-                for p in pre_p[p2]:
-                    kill(p, q)
-    return frozenset(
-        (p, q) for p in kp.states for q in kq.states if rel[p.index][q.index]
-    )
+    work = list(range(len(rel)))
+    queued = [True] * len(rel)
+    while work:
+        p = work.pop()
+        queued[p] = False
+        row = rel[p]
+        for p2 in succ_p[p]:
+            if not row:
+                break
+            target = rel[p2]
+            keep = into.get(target)
+            if keep is None:
+                keep = into[target] = union_of(pre_q, target)
+            row &= keep
+        if row != rel[p]:
+            rel[p] = row
+            for p0 in pre_p[p]:
+                if not queued[p0]:
+                    queued[p0] = True
+                    work.append(p0)
+    qs = kq.states
+    return frozenset((p, qs[j]) for p, row in zip(kp.states, rel) for j in bit_indices(row))
 
 
 def uncovered_initial(kp: KripkeStructure, kq: KripkeStructure, relation: Relation) -> list[StateId]:
@@ -404,13 +401,14 @@ def encode_sim_ea(
             for q, q2 in edges_q
             if not (l == n and q2 == q)
         ]
+    every_q = (1 << len(kq.states)) - 1
     fails: dict[StateId, list[StateId]] = {}  # right states the predicate rejects against p
     pred_part: list[Clause] = []
     for i in range(1, n + 1):
         for p in cand[i - 1]:
             if p not in fails:
-                allowed = table.allowed(p)
-                fails[p] = [q for q in kq.states if q not in allowed]
+                rejects = every_q & ~table.allow[p.index]
+                fails[p] = [kq.states[j] for j in bit_indices(rejects)]
             pred_part += [[-sim[(i, q)], -pos[(i, p)]] for q in fails[p]]
 
     parts = [

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable
 
 if TYPE_CHECKING:
-    from .kripke import KripkeStructure, StateId
+    from .kripke import KripkeStructure
 
 
 class PredicateParseError(Exception):
@@ -358,29 +358,32 @@ def _agreement_prop(pred: Pred) -> str | None:
 
 
 class PredicateTable:
-    """The right states each left state admits under a predicate, evaluated
-    by its compiled closure once per distinct (left label, right label)
-    pair, so the searches and encodings of one decision share the
-    evaluations."""
+    """The right states each left state admits under a predicate, as a
+    bitmask over right state indices: `allow[p.index]` has bit q.index set
+    iff the predicate holds on the labels of p and q.  The compiled closure
+    runs once per distinct (left label, right label) pair, so the searches
+    and encodings of one decision share the evaluations."""
 
     def __init__(self, kp: KripkeStructure, kq: KripkeStructure, pred: Pred) -> None:
         self.kp, self.kq, self.pred = kp, kq, pred
-        self._holds = compile_predicate(pred)
-        by_label: dict[frozenset[str], list[StateId]] = {}
+        holds = compile_predicate(pred)
+        right: dict[frozenset[str], int] = {}
         for q in kq.states:
-            by_label.setdefault(kq.label_of(q), []).append(q)
-        self._right = list(by_label.items())
-        self._allowed: dict[frozenset[str], frozenset[StateId]] = {}
-
-    def allowed(self, p: StateId) -> frozenset[StateId]:
-        """The right states whose label satisfies the predicate against p's."""
-        label = self.kp.label_of(p)
-        got = self._allowed.get(label)
-        if got is None:
-            holds = self._holds
-            got = frozenset(q for right, qs in self._right if holds(label, right) for q in qs)
-            self._allowed[label] = got
-        return got
+            label = kq.label_of(q)
+            right[label] = right.get(label, 0) | 1 << q.index
+        by_label: dict[frozenset[str], int] = {}
+        allow: list[int] = []
+        for p in kp.states:
+            label = kp.label_of(p)
+            mask = by_label.get(label)
+            if mask is None:
+                mask = 0
+                for other, bits in right.items():
+                    if holds(label, other):
+                        mask |= bits
+                by_label[label] = mask
+            allow.append(mask)
+        self.allow = allow
 
 
 def predicate_table(

@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$")
 
@@ -58,19 +58,40 @@ class StateId:
 
 @dataclass(frozen=True, eq=True)
 class KripkeStructure:
+    """States are indexed densely in order: states[i].index == i.  The
+    explicit-state kernels index lists and bitmasks by that ordinal."""
+
     states: tuple[StateId, ...]
     init: frozenset[StateId]
     ap: tuple[str, ...]
     labels: Mapping[StateId, frozenset[str]]
     trans: frozenset[tuple[StateId, StateId]]
 
+    def __post_init__(self) -> None:
+        for i, s in enumerate(self.states):
+            if s.index != i:
+                raise ValueError(
+                    f"state {s.name} has index {s.index} at position {i}; "
+                    "states must be indexed 0, 1, ... in order"
+                )
+
+    @cached_property
+    def succ_index(self) -> tuple[tuple[int, ...], ...]:
+        """The successor indices of each state, by state index, ascending."""
+        out: list[list[int]] = [[] for _ in self.states]
+        for a, b in self.trans:
+            out[a.index].append(b.index)
+        return tuple(tuple(sorted(ts)) for ts in out)
+
+    @cached_property
+    def succ_mask(self) -> tuple[int, ...]:
+        """The successors of each state as a bitmask over state indices."""
+        return tuple(sum(1 << j for j in ts) for ts in self.succ_index)
+
     @cached_property
     def _succ(self) -> dict[StateId, tuple[StateId, ...]]:
-        out: dict[StateId, list[StateId]] = {s: [] for s in self.states}
-        for a, b in self.trans:
-            if a in out:
-                out[a].append(b)
-        return {s: tuple(sorted(ts, key=lambda t: t.index)) for s, ts in out.items()}
+        states = self.states
+        return {s: tuple(states[j] for j in ts) for s, ts in zip(states, self.succ_index)}
 
     def successors(self, s: StateId) -> tuple[StateId, ...]:
         return self._succ[s]
@@ -88,10 +109,43 @@ class KripkeStructure:
         return tuple(sorted(self.init, key=lambda s: s.index))
 
 
+def mask_of(states: Iterable[StateId]) -> int:
+    """The bitmask with bit s.index set for each of the states."""
+    out = 0
+    for s in states:
+        out |= 1 << s.index
+    return out
+
+
+def bit_indices(mask: int) -> Iterator[int]:
+    """The indices of the bits the mask sets, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def union_of(rows: Sequence[int], mask: int) -> int:
+    """The union of the masks rows[i] over the bits i the mask sets."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= rows[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
 def _check_ident(tok: str, line: int, what: str) -> str:
     if not IDENT_RE.match(tok):
         raise KripkeParseError(f"bad {what} identifier {tok!r}", line)
     return tok
+
+
+_ID = r"[A-Za-z_][A-Za-z0-9_]*"
+_TRANS_RE = re.compile(rf"trans\s+({_ID})\s*->\s*({_ID})\s*$")
+_LABEL_RE = re.compile(rf"label\s+({_ID})\s*:\s*(.*)$")
+# the text before a section line's first colon
+_SECTIONS = {"states": "states", "states ": "states", "init": "init", "init ": "init", "ap": "ap", "ap ": "ap"}
 
 
 def parse_kripke(text: str) -> KripkeStructure:
@@ -111,121 +165,138 @@ def parse_kripke(text: str) -> KripkeStructure:
     unknown proposition, non-total state).
     """
     state_names: list[str] = []
-    init_names: list[tuple[str, int]] = []
+    init_names: list[str] = []
     props: list[str] = []
-    label_lines: list[tuple[str, list[str], int]] = []
-    trans_pairs: list[tuple[str, str, int]] = []
+    label_lines: list[tuple[str, list[str]]] = []
+    trans_pairs: list[tuple[str, str]] = []
+    trans_match = _TRANS_RE.match
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if line.startswith("states:") or line.startswith("states :"):
-            for tok in line.split(":", 1)[1].split():
-                state_names.append(_check_ident(tok, lineno, "state"))
-        elif line.startswith("init:") or line.startswith("init :"):
-            for tok in line.split(":", 1)[1].split():
-                init_names.append((_check_ident(tok, lineno, "state"), lineno))
-        elif line.startswith("ap:") or line.startswith("ap :"):
-            for tok in line.split(":", 1)[1].split():
+        if line.startswith("trans"):  # most lines
+            m = trans_match(line)
+            if not m:
+                raise KripkeParseError(f"malformed trans line {line!r}", lineno)
+            trans_pairs.append(m.groups())
+            continue
+        if line.startswith("label"):
+            m = _LABEL_RE.match(line)
+            if not m:
+                raise KripkeParseError(f"malformed label line {line!r}", lineno)
+            label_lines.append((m.group(1), m.group(2).split()))
+            continue
+        head, colon, rest = line.partition(":")
+        section = _SECTIONS.get(head) if colon else None
+        if section is None:
+            raise KripkeParseError(f"unrecognized line {line!r}", lineno)
+        for tok in rest.split():
+            if section == "ap":
                 p = _check_ident(tok, lineno, "proposition")
                 if p not in props:
                     props.append(p)
-        elif line.startswith("label"):
-            m = re.match(r"label\s+([A-Za-z_][A-Za-z0-9_]*)\s*:\s*(.*)$", line)
-            if not m:
-                raise KripkeParseError(f"malformed label line {line!r}", lineno)
-            label_lines.append((m.group(1), m.group(2).split(), lineno))
-        elif line.startswith("trans"):
-            m = re.match(r"trans\s+([A-Za-z_][A-Za-z0-9_]*)\s*->\s*([A-Za-z_][A-Za-z0-9_]*)\s*$", line)
-            if not m:
-                raise KripkeParseError(f"malformed trans line {line!r}", lineno)
-            trans_pairs.append((m.group(1), m.group(2), lineno))
-        else:
-            raise KripkeParseError(f"unrecognized line {line!r}", lineno)
+            else:
+                name = _check_ident(tok, lineno, "state")
+                (state_names if section == "states" else init_names).append(name)
 
     violations: list[str] = []
-    seen: set[str] = set()
-    for name in state_names:
-        if name in seen:
+    index: dict[str, int] = {}  # a duplicate name keeps its first place and its last index
+    for i, name in enumerate(state_names):
+        if name in index:
             violations.append(f"dup-state: {name}")
-        seen.add(name)
+        index[name] = i
 
-    by_name = {name: StateId(name, i) for i, name in enumerate(state_names)}
-
-    def lookup(name: str, ctx: str) -> StateId | None:
-        sid = by_name.get(name)
-        if sid is None:
-            violations.append(f"{ctx}: {name}")
-        return sid
-
-    init = []
-    for name, _ in init_names:
-        sid = lookup(name, "init-unknown-state")
-        if sid is not None:
-            init.append(sid)
-    labels: dict[StateId, set[str]] = {sid: set() for sid in by_name.values()}
-    for name, ps, _ in label_lines:
-        sid = lookup(name, "label-unknown-state")
+    init: list[int] = []
+    for name in init_names:
+        i = index.get(name)
+        if i is None:
+            violations.append(f"init-unknown-state: {name}")
+        else:
+            init.append(i)
+    known_props = set(props)
+    label_sets: list[set[str]] = [set() for _ in state_names]
+    for name, ps in label_lines:
+        i = index.get(name)
+        if i is None:
+            violations.append(f"label-unknown-state: {name}")
         for p in ps:
-            if p not in props:
+            if p not in known_props:
                 violations.append(f"unknown-prop: {name} {p}")
-            elif sid is not None:
-                labels[sid].add(p)
-    trans = set()
-    for a, b, _ in trans_pairs:
-        sa = lookup(a, "trans-unknown-state")
-        sb = lookup(b, "trans-unknown-state")
-        if sa is not None and sb is not None:
-            trans.add((sa, sb))
+            elif i is not None:
+                label_sets[i].add(p)
+    edges: set[tuple[int, int]] = set()
+    for a, b in trans_pairs:
+        ia, ib = index.get(a), index.get(b)
+        if ia is None:
+            violations.append(f"trans-unknown-state: {a}")
+        if ib is None:
+            violations.append(f"trans-unknown-state: {b}")
+        if ia is not None and ib is not None:
+            edges.add((ia, ib))
 
     if not init:
         violations.append("empty-init")
-    with_out = {a for a, _ in trans}
-    for sid in by_name.values():
-        if sid not in with_out:
-            violations.append(f"non-total: {sid.name}")
+    succ: list[list[int]] = [[] for _ in state_names]
+    for a, b in edges:
+        succ[a].append(b)
+    for name, i in index.items():
+        if not succ[i]:
+            violations.append(f"non-total: {name}")
     if violations:
         raise KripkeSemanticError(violations)
 
-    return KripkeStructure(
-        states=tuple(by_name[n] for n in state_names),
-        init=frozenset(init),
+    states = tuple(StateId(name, i) for i, name in enumerate(state_names))
+    k = KripkeStructure(
+        states=states,
+        init=frozenset(states[i] for i in init),
         ap=tuple(props),
-        labels={sid: frozenset(ps) for sid, ps in labels.items()},
-        trans=frozenset(trans),
+        labels={s: frozenset(ps) for s, ps in zip(states, label_sets)},
+        trans=frozenset((states[a], states[b]) for a, b in edges),
     )
+    # fill the cached successor lists from the parse instead of rescanning trans
+    k.__dict__["succ_index"] = tuple(tuple(sorted(ts)) for ts in succ)
+    return k
+
+
+def _reached(k: KripkeStructure) -> list[bool]:
+    """Whether some path from an initial state reaches each state, by index."""
+    succ = k.succ_index
+    reached = [False] * len(k.states)
+    frontier = [s.index for s in k.init]
+    while frontier:
+        i = frontier.pop()
+        if reached[i]:
+            continue
+        reached[i] = True
+        frontier.extend(j for j in succ[i] if not reached[j])
+    return reached
 
 
 def reachable_states(k: KripkeStructure) -> set[StateId]:
     """The states some path from an initial state reaches."""
-    reached: set[StateId] = set()
-    frontier = list(k.sorted_init())
-    while frontier:
-        s = frontier.pop()
-        if s in reached:
-            continue
-        reached.add(s)
-        frontier.extend(t for t in k.successors(s) if t not in reached)
-    return reached
+    return {s for s, hit in zip(k.states, _reached(k)) if hit}
 
 
 def reachable_restriction(k: KripkeStructure) -> KripkeStructure:
     """Restrict k to the states reachable from init, reindexed densely.
 
     Keeps the relative state order, so the result is idempotent under a second
-    application.  Totality is preserved (successors of reachable states are
+    application; a structure whose states are all reachable is returned as it
+    is.  Totality is preserved (successors of reachable states are
     reachable).
     """
-    reached = reachable_states(k)
-    kept = [s for s in k.states if s in reached]
+    reached = _reached(k)
+    if all(reached):
+        return k
+    kept = [s for s, hit in zip(k.states, reached) if hit]
     remap = {s: StateId(s.name, i) for i, s in enumerate(kept)}
     return KripkeStructure(
         states=tuple(remap[s] for s in kept),
-        init=frozenset(remap[s] for s in k.init if s in reached),
+        init=frozenset(remap[s] for s in k.init if s in remap),
         ap=k.ap,
         labels={remap[s]: k.label_of(s) for s in kept},
-        trans=frozenset((remap[a], remap[b]) for a, b in k.trans if a in reached and b in reached),
+        trans=frozenset((remap[a], remap[b]) for a, b in k.trans if a in remap and b in remap),
     )
 
 

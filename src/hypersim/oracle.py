@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .hyperspec import Pred, PredicateTable, eval_predicate, predicate_table
-from .kripke import KripkeStructure, StateId
+from .kripke import KripkeStructure, StateId, bit_indices, mask_of, union_of
 from .encoder import SimWitnessAE, SimWitnessEA
 
 
@@ -107,13 +107,13 @@ class Counterexample:
     note: str
 
 
-LiveNode = tuple[StateId, frozenset[StateId]]
+LiveNode = tuple[int, int]  # (left state index, bitmask of the live right states)
 
 
 class LiveSetSearch:
     """Breadth-first search over nodes (p, L): a left state p and the set L of
     right states still alive after the predicate at p, for the forall-exists
-    falsifier.
+    falsifier.  A node is the pair (p.index, bitmask of L).
 
     Layer i maps each node reachable by a left path of i+1 states to its
     parent in layer i-1, kept from the node's first discovery.  Initial states
@@ -132,24 +132,28 @@ class LiveSetSearch:
         table: PredicateTable | None = None,
     ) -> None:
         self.kp, self.kq, self.pred = kp, kq, pred
-        self.allowed = predicate_table(kp, kq, pred, table).allowed
-        self._post = {q: frozenset(kq.successors(q)) for q in kq.states}
+        self.allow = predicate_table(kp, kq, pred, table).allow
+        self._post: dict[int, int] = {}  # live set -> the union of its successors
         self.layers: list[dict[LiveNode, LiveNode | None]] = []
 
     def layer(self, i: int) -> dict[LiveNode, LiveNode | None]:
         """The nodes after left paths of i+1 states, in least-path order."""
+        allow = self.allow
         if not self.layers:
-            init_q = self.kq.init
+            init_q = mask_of(self.kq.init)
             self.layers.append(
-                {(p, init_q & self.allowed(p)): None for p in self.kp.sorted_init()}
+                {(p.index, init_q & allow[p.index]): None for p in self.kp.sorted_init()}
             )
+        succ, succ_q, memo = self.kp.succ_index, self.kq.succ_mask, self._post
         while len(self.layers) <= i:
             nxt: dict[LiveNode, LiveNode | None] = {}
             for node in self.layers[-1]:
                 p, live = node
-                post = frozenset().union(*(self._post[q] for q in live))
-                for p2 in self.kp.successors(p):
-                    child = (p2, post & self.allowed(p2))
+                post = memo.get(live)
+                if post is None:
+                    post = memo[live] = union_of(succ_q, live)
+                for p2 in succ[p]:
+                    child = (p2, post & allow[p2])
                     if child not in nxt:
                         nxt[child] = node
             self.layers.append(nxt)
@@ -193,7 +197,7 @@ def falsify_forall_exists(
             died_at = next(i for i, (_, live) in enumerate(chain) if not live)
             return Counterexample(
                 side="forall-exists",
-                p_path=tuple(p for p, _ in chain),
+                p_path=tuple(kp.states[p] for p, _ in chain),
                 depth=depth,
                 note=f"every right-model path violates the predicate by position {died_at} against this left path",
             )
@@ -204,12 +208,13 @@ class SafeFrontierSearch:
     """Breadth-first layers for the exists-forall falsifier, grown on demand
     so that one search serves every depth of a decision.
 
-    Right layer i maps each right state reachable in exactly i steps to its
-    parent at first discovery (states visited in index order).  Left
-    frontier i holds the left states at the end of a left path of i+1
-    states that is safe at every position so far: its label satisfies the
-    predicate against every right state of the same layer.  `table` is the
-    decision's predicate table, built here when omitted.
+    Right layer i maps the index of each right state reachable in exactly i
+    steps to its parent's index at first discovery (states visited in index
+    order); `right_masks[i]` holds the same states as a bitmask.  Left
+    frontier i is the bitmask of the left states at the end of a left path
+    of i+1 states that is safe at every position so far: its label
+    satisfies the predicate against every right state of the same layer.
+    `table` is the decision's predicate table, built here when omitted.
     """
 
     def __init__(
@@ -220,32 +225,36 @@ class SafeFrontierSearch:
         table: PredicateTable | None = None,
     ) -> None:
         self.kp, self.kq, self.pred = kp, kq, pred
-        self.allowed = predicate_table(kp, kq, pred, table).allowed
-        self.right: list[dict[StateId, StateId | None]] = [
-            {s: None for s in kq.sorted_init()}
-        ]
-        self.frontiers: list[frozenset[StateId]] = []
+        self.allow = predicate_table(kp, kq, pred, table).allow
+        first = {s.index: None for s in kq.sorted_init()}
+        self.right: list[dict[int, int | None]] = [first]
+        self.right_masks: list[int] = [mask_of(kq.init)]
+        self.frontiers: list[int] = []
 
-    def right_layer(self, i: int) -> dict[StateId, StateId | None]:
+    def right_layer(self, i: int) -> dict[int, int | None]:
+        succ = self.kq.succ_index
         while len(self.right) <= i:
-            nxt: dict[StateId, StateId | None] = {}
-            for s in sorted(self.right[-1], key=lambda s: s.index):
-                for t in self.kq.successors(s):
+            nxt: dict[int, int | None] = {}
+            for s in sorted(self.right[-1]):
+                for t in succ[s]:
                     if t not in nxt:
                         nxt[t] = s
             self.right.append(nxt)
+            self.right_masks.append(sum(1 << t for t in nxt))
         return self.right[i]
 
-    def frontier(self, i: int) -> frozenset[StateId]:
-        """The left states ending a safe left path of i+1 states."""
+    def frontier(self, i: int) -> int:
+        """The left states ending a safe left path of i+1 states, as a bitmask."""
+        allow, succ = self.allow, self.kp.succ_mask
         while len(self.frontiers) <= i:
             j = len(self.frontiers)
-            layer = self.right_layer(j).keys()
+            self.right_layer(j)
+            layer = self.right_masks[j]
             if j == 0:
-                cand = self.kp.init
+                cand = mask_of(self.kp.init)
             else:  # an empty frontier stays empty
-                cand = {p2 for p in self.frontiers[-1] for p2 in self.kp.successors(p)}
-            safe = frozenset(p for p in cand if self.allowed(p).issuperset(layer))
+                cand = union_of(succ, self.frontiers[-1])
+            safe = sum(1 << p for p in bit_indices(cand) if allow[p] & layer == layer)
             self.frontiers.append(safe)
         return self.frontiers[i]
 
@@ -273,28 +282,27 @@ def falsify_exists_forall(
         return None
 
     # sample evidence: a violating right path against the first left path
-    first_p = [kp.sorted_init()[0]]
+    succ_p, succ_q = kp.succ_index, kq.succ_index
+    first_p = [kp.sorted_init()[0].index]
     while len(first_p) < depth:
-        first_p.append(kp.successors(first_p[-1])[0])
-    q_path: tuple[StateId, ...] | None = None
-    for i in range(depth):
-        allowed = search.allowed(first_p[i])
-        layer = search.right_layer(i)
-        hit = next((q for q in sorted(layer, key=lambda s: s.index) if q not in allowed), None)
-        if hit is None:
+        first_p.append(succ_p[first_p[-1]][0])
+    q_path: list[int] | None = None
+    for i in range(depth):  # frontier(depth-1) built the right layers 0..depth-1
+        miss = search.right_masks[i] & ~search.allow[first_p[i]]
+        if not miss:
             continue
-        back = [hit]
+        back = [(miss & -miss).bit_length() - 1]  # the least violating state
         for j in range(i, 0, -1):
-            back.append(search.right_layer(j)[back[-1]])
+            back.append(search.right[j][back[-1]])
         back.reverse()
         while len(back) < depth:
-            back.append(kq.successors(back[-1])[0])
-        q_path = tuple(back)
+            back.append(succ_q[back[-1]][0])
+        q_path = back
         break
     assert q_path is not None, "refutation implies a violating right path exists"
     return Counterexample(
         side="exists-forall",
-        p_path=q_path,
+        p_path=tuple(kq.states[q] for q in q_path),
         depth=depth,
         note="every left-model path admits a violating right-model path at this depth; pPath is the sample against the first left path",
     )

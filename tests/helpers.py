@@ -3,14 +3,15 @@ lasso traces, printers for structures and prophecy automata, the pointwise
 semantics of lasso trace pairs, path and lasso listing, the vertex-cover
 reduction with its brute-force answer, the small-graph enumeration behind
 the vertex-cover suite, the structure invariant check, and reference
-versions of the falsifiers, the counterexample re-check, the prophecy
-universality check and the prophecy product."""
+versions of the structure parser, the falsifiers, the counterexample
+re-check, the prophecy universality check and the prophecy product."""
 
 from __future__ import annotations
 
 import itertools
 import math
 import random
+import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -30,7 +31,14 @@ from hypersim.hyperspec import (
     TrueConst,
     eval_predicate,
 )
-from hypersim.kripke import KripkeStructure, LassoPath, StateId
+from hypersim.kripke import (
+    IDENT_RE,
+    KripkeParseError,
+    KripkeSemanticError,
+    KripkeStructure,
+    LassoPath,
+    StateId,
+)
 from hypersim.oracle import Counterexample
 from hypersim.prophecy import ProphecyAutomaton
 
@@ -91,6 +99,116 @@ def kripke_to_text(k: KripkeStructure) -> str:
     for a, b in sorted(k.trans, key=lambda e: (e[0].index, e[1].index)):
         lines.append(f"trans {a.name} -> {b.name}")
     return "\n".join(lines) + "\n"
+
+
+def _check_ident_by_regex(tok: str, line: int, what: str) -> str:
+    if not IDENT_RE.match(tok):
+        raise KripkeParseError(f"bad {what} identifier {tok!r}", line)
+    return tok
+
+
+def parse_kripke_by_regex(text: str) -> KripkeStructure:
+    """The line-by-line regex parser the package parser must agree with:
+    the same structure, or the same exception class and message.
+
+    Sections (any order, repeatable, '#' starts a comment):
+
+        states: s1 s2 ...
+        init: s1 ...
+        ap: a b ...
+        label s1: a b
+        trans s1 -> s2
+
+    Duplicate transitions are merged silently; duplicate states are an error.
+    Raises KripkeParseError for malformed lines and KripkeSemanticError when
+    the described structure breaks an invariant (empty init, unknown state,
+    unknown proposition, non-total state).
+    """
+    state_names: list[str] = []
+    init_names: list[tuple[str, int]] = []
+    props: list[str] = []
+    label_lines: list[tuple[str, list[str], int]] = []
+    trans_pairs: list[tuple[str, str, int]] = []
+
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if line.startswith("states:") or line.startswith("states :"):
+            for tok in line.split(":", 1)[1].split():
+                state_names.append(_check_ident_by_regex(tok, lineno, "state"))
+        elif line.startswith("init:") or line.startswith("init :"):
+            for tok in line.split(":", 1)[1].split():
+                init_names.append((_check_ident_by_regex(tok, lineno, "state"), lineno))
+        elif line.startswith("ap:") or line.startswith("ap :"):
+            for tok in line.split(":", 1)[1].split():
+                p = _check_ident_by_regex(tok, lineno, "proposition")
+                if p not in props:
+                    props.append(p)
+        elif line.startswith("label"):
+            m = re.match(r"label\s+([A-Za-z_][A-Za-z0-9_]*)\s*:\s*(.*)$", line)
+            if not m:
+                raise KripkeParseError(f"malformed label line {line!r}", lineno)
+            label_lines.append((m.group(1), m.group(2).split(), lineno))
+        elif line.startswith("trans"):
+            m = re.match(r"trans\s+([A-Za-z_][A-Za-z0-9_]*)\s*->\s*([A-Za-z_][A-Za-z0-9_]*)\s*$", line)
+            if not m:
+                raise KripkeParseError(f"malformed trans line {line!r}", lineno)
+            trans_pairs.append((m.group(1), m.group(2), lineno))
+        else:
+            raise KripkeParseError(f"unrecognized line {line!r}", lineno)
+
+    violations: list[str] = []
+    seen: set[str] = set()
+    for name in state_names:
+        if name in seen:
+            violations.append(f"dup-state: {name}")
+        seen.add(name)
+
+    by_name = {name: StateId(name, i) for i, name in enumerate(state_names)}
+
+    def lookup(name: str, ctx: str) -> StateId | None:
+        sid = by_name.get(name)
+        if sid is None:
+            violations.append(f"{ctx}: {name}")
+        return sid
+
+    init = []
+    for name, _ in init_names:
+        sid = lookup(name, "init-unknown-state")
+        if sid is not None:
+            init.append(sid)
+    labels: dict[StateId, set[str]] = {sid: set() for sid in by_name.values()}
+    for name, ps, _ in label_lines:
+        sid = lookup(name, "label-unknown-state")
+        for p in ps:
+            if p not in props:
+                violations.append(f"unknown-prop: {name} {p}")
+            elif sid is not None:
+                labels[sid].add(p)
+    trans = set()
+    for a, b, _ in trans_pairs:
+        sa = lookup(a, "trans-unknown-state")
+        sb = lookup(b, "trans-unknown-state")
+        if sa is not None and sb is not None:
+            trans.add((sa, sb))
+
+    if not init:
+        violations.append("empty-init")
+    with_out = {a for a, _ in trans}
+    for sid in by_name.values():
+        if sid not in with_out:
+            violations.append(f"non-total: {sid.name}")
+    if violations:
+        raise KripkeSemanticError(violations)
+
+    return KripkeStructure(
+        states=tuple(by_name[n] for n in state_names),
+        init=frozenset(init),
+        ap=tuple(props),
+        labels={sid: frozenset(ps) for sid, ps in labels.items()},
+        trans=frozenset(trans),
+    )
 
 
 def prophecy_to_text(u: ProphecyAutomaton) -> str:

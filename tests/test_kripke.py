@@ -1,11 +1,14 @@
 """Structure parsing, validation, restriction, and lasso enumeration."""
 
 import pickle
+import random
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypersim.kripke import (
+    KripkeError,
     KripkeParseError,
     KripkeSemanticError,
     KripkeStructure,
@@ -22,6 +25,8 @@ from helpers import (
     kripke_to_text,
     label_sequences,
     lasso_state_at,
+    parse_kripke_by_regex,
+    rand_structure,
     structures,
     trace_of,
     validate_kripke,
@@ -113,6 +118,34 @@ def test_reachable_restriction_removes_unreachable_sink():
 def test_reachable_restriction_fixpoint_on_reachable_structure():
     k = parse_kripke("states: s t\ninit: s\nap: a\ntrans s -> t\ntrans t -> s")
     assert reachable_restriction(k) == k
+
+
+def test_reachable_restriction_returns_a_fully_reachable_structure_itself():
+    k = parse_kripke("states: s t\ninit: s\nap: a\ntrans s -> t\ntrans t -> s")
+    assert reachable_restriction(k) is k
+
+
+def test_reachable_restriction_reindexes_densely_past_an_unreachable_sink():
+    k = parse_kripke(
+        "states: s dead t\ninit: s\nap: a\nlabel t: a\n"
+        "trans s -> t\ntrans t -> s\ntrans dead -> dead"
+    )
+    r = reachable_restriction(k)
+    assert r.states == (StateId("s", 0), StateId("t", 1))
+    assert r.trans == {(r.states[0], r.states[1]), (r.states[1], r.states[0])}
+    assert r.label_of(r.states[1]) == {"a"}
+    assert r.succ_index == ((1,), (0,))
+    assert validate_kripke(r) == []
+    assert reachable_restriction(r) is r
+
+
+def test_a_structure_whose_indices_have_a_gap_is_rejected():
+    s0, s2 = StateId("s0", 0), StateId("s2", 2)
+    with pytest.raises(ValueError, match="s2 has index 2 at position 1"):
+        KripkeStructure(
+            states=(s0, s2), init=frozenset({s0}), ap=(), labels={},
+            trans=frozenset({(s0, s2), (s2, s0)}),
+        )
 
 
 def test_enumerate_lassos_one_state_self_loop():
@@ -220,3 +253,72 @@ def test_state_ids_keep_value_semantics_with_a_cached_hash():
         a < b  # unordered, as before
     back = pickle.loads(pickle.dumps(a))
     assert back == a and hash(back) == hash(a)
+
+
+# ---------------------------------------------------------------- parser equivalence
+
+FOREIGN = ["9x", "->", ":", "a-b", "trans", "label", "states:", "#", "\u00e9", "x\u00a0y"]
+JUNK = ["junk", "labelx", "transs a -> b", "ap", "init", "states", "states  : s0", "states\t: s0",
+        "label : a", "trans s0 ->", "trans s0 -> s1 s2", "-> s0", "\u00a0"]
+
+
+def mutate(lines: list[str], kind: str, rng: random.Random) -> None:
+    """Apply one random edit of the given kind to the lines, in place."""
+    i = rng.randrange(len(lines))
+    words = lines[i].split(" ")
+    if kind == "drop-token" and len(words) > 1:
+        del words[rng.randrange(len(words))]
+        lines[i] = " ".join(words)
+    elif kind == "foreign-token":
+        words.insert(rng.randrange(len(words) + 1), rng.choice(FOREIGN))
+        lines[i] = " ".join(words)
+    elif kind == "unknown-prop":
+        lines.append(f"label {rng.choice(['s0', 's1', 'nowhere'])}: a zz")
+    elif kind == "duplicate-state":
+        lines.append(f"states: s{rng.randrange(3)}")
+    elif kind == "unknown-endpoint":
+        lines.append(rng.choice(["trans s0 -> ghost", "trans ghost -> s0", "init: ghost"]))
+    elif kind == "section-spacing":
+        head, colon, rest = lines[i].partition(":")
+        if colon and " " not in head:
+            lines[i] = head + rng.choice([" ", "  ", "\t", ""]) + ":" + rest
+    elif kind == "comment":
+        lines[i] = lines[i][: rng.randrange(len(lines[i]) + 1)] + " # " + rng.choice(["c", "trans x", ""])
+    elif kind == "blank":
+        lines.insert(i, rng.choice(["", "   ", "\t", "#"]))
+    elif kind == "junk":
+        lines.insert(i, rng.choice(JUNK))
+    elif kind == "drop-line":
+        del lines[i]
+        if not lines:
+            lines.append("")
+
+
+MUTATIONS = ["drop-token", "foreign-token", "unknown-prop", "duplicate-state", "unknown-endpoint",
+             "section-spacing", "comment", "blank", "junk", "drop-line"]
+
+
+def parse_outcome(parse, text: str):
+    try:
+        return parse(text)
+    except KripkeError as e:
+        return type(e), str(e)
+
+
+@given(
+    st.integers(min_value=0, max_value=10**9),
+    st.lists(st.sampled_from(MUTATIONS), max_size=3),
+)
+@settings(max_examples=400, deadline=None)
+def test_parser_agrees_with_the_regex_reference(seed, kinds):
+    rng = random.Random(seed)
+    lines = kripke_to_text(rand_structure(rng, max_states=5)).splitlines()
+    for kind in kinds:
+        mutate(lines, kind, rng)
+    text = "\n".join(lines) + rng.choice(["", "\n", "\r\n"])
+    got = parse_outcome(parse_kripke, text)
+    assert got == parse_outcome(parse_kripke_by_regex, text)
+    if isinstance(got, KripkeStructure):
+        # the successor lists handed over by the parser are the ones trans gives
+        rebuilt = KripkeStructure(got.states, got.init, got.ap, got.labels, got.trans)
+        assert got.succ_index == rebuilt.succ_index
