@@ -35,6 +35,17 @@ class CnfInstance:
         self.var_names[self.num_vars] = name
         return self.num_vars
 
+    def with_units(self, lits: Sequence[int]) -> CnfInstance:
+        """A copy with each literal as a unit clause at the end of the last
+        family: the instance a query under these assumptions asks, on its
+        own."""
+        clauses = self.clauses + [[lit] for lit in lits]
+        provenance = list(self.provenance)
+        if provenance:
+            family, start, _ = provenance[-1]
+            provenance[-1] = (family, start, len(clauses))
+        return CnfInstance(self.num_vars, clauses, dict(self.var_names), provenance)
+
 
 def lower_parts_to_cnf(parts: Sequence[tuple[str, Sequence[Clause]]], var_names: Sequence[str]) -> CnfInstance:
     """Join (family, clauses) parts into one clause set, recording per-family

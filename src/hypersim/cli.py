@@ -17,7 +17,6 @@ from pathlib import Path
 
 from .circuit import export_dimacs, varmap_text
 from .encoder import (
-    AeSweep,
     DecodeError,
     EncodeError,
     decode_witness_ae,
@@ -283,22 +282,21 @@ def check_pair(
         # every simulation lies inside the greatest one, so all bounds share
         # it, and only the counter depends on the bound
         relation = greatest_simulation(kp, kq, pred, table)
-        sweep = AeSweep(encode_sim_ae(kp, kq, pred, len(kq.states), relation))
+        enc = encode_sim_ae(kp, kq, pred, relation)
         # every falsify depth extends the layers of one live-set search
         search = LiveSetSearch(kp, kq, pred, table)
         for p in uncovered_initial(kp, kq, relation):
             notes.append(
                 f"no right subset can simulate left state {p.name}: the greatest "
-                f"simulation ({len(relation)} pairs) relates it to no initial right "
+                f"simulation ({len(enc.sim)} pairs) relates it to no initial right "
                 "state, so every k is unsat"
             )
         # no model uses fewer right states than the fixpoint's floor
-        floor, forced = sweep.enc.floor, sweep.enc.forced
-        first = min(floor, sim_max)
-        if floor > 1:
+        first = min(enc.floor, sim_max)
+        if enc.floor > 1:
             notes.append(
-                f"the greatest simulation needs at least {floor} right states "
-                f"({len(forced)} forced), so the sweep starts at k={first}"
+                f"the greatest simulation needs at least {enc.floor} right states "
+                f"({enc.forced.bit_count()} forced), so the sweep starts at k={first}"
             )
     else:
         search = SafeFrontierSearch(kp, kq, pred, table)
@@ -307,9 +305,8 @@ def check_pair(
         if first <= bound <= sim_max:
             t0 = time.perf_counter()
             if mode == "ae":
-                enc = sweep.enc
-                cnf, assumptions = sweep.bound(bound)
-                size = sweep.size(bound)
+                cnf, assumptions = enc.bound(bound)
+                size = enc.size(bound)
             else:
                 enc = encode_sim_ea(kp, kq, pred, bound, table)
                 cnf, assumptions = enc.to_cnf(), ()
@@ -380,13 +377,16 @@ def check_pair(
 # ---------------------------------------------------------------- file layer
 
 
-def _load_structure(path: str) -> KripkeStructure:
+def _read(path: str) -> str:
     try:
-        text = Path(path).read_text()
+        return Path(path).read_text()
     except OSError as e:
         raise CliInputError(f"cannot read {path}: {e}") from e
+
+
+def _load_structure(path: str) -> KripkeStructure:
     try:
-        return parse_kripke(text)
+        return parse_kripke(_read(path))
     except KripkeError as e:
         raise CliInputError(f"{path}: {e}") from e
 
@@ -398,10 +398,7 @@ def _load_property(cfg: CheckConfig) -> HyperProperty:
         text = cfg.prop_text
         origin = "--prop-inline"
     elif cfg.prop_path is not None:
-        try:
-            text = Path(cfg.prop_path).read_text()
-        except OSError as e:
-            raise CliInputError(f"cannot read {cfg.prop_path}: {e}") from e
+        text = _read(cfg.prop_path)
         origin = cfg.prop_path
     else:
         raise CliInputError("a property is required (--prop or --prop-inline)")
@@ -432,10 +429,7 @@ def _load_prophecy(cfg: CheckConfig, left: KripkeStructure) -> ProphecyAutomaton
         except ProphecyError as e:
             raise CliInputError(str(e)) from e
     if cfg.prophecy_file:
-        try:
-            text = Path(cfg.prophecy_file).read_text()
-        except OSError as e:
-            raise CliInputError(f"cannot read {cfg.prophecy_file}: {e}") from e
+        text = _read(cfg.prophecy_file)
         try:
             u = parse_prophecy(text)
         except KripkeError as e:
@@ -494,12 +488,12 @@ def export_encoding(cfg: CheckConfig, bound: int) -> tuple[str, str]:
     kp, kq, pred, mode, _ = prepare(*_load(cfg))
     try:
         if mode == "ae":
-            enc = encode_sim_ae(kp, kq, pred, bound)
+            cnf, units = encode_sim_ae(kp, kq, pred).bound(bound)
+            cnf = cnf.with_units(units)
         else:
-            enc = encode_sim_ea(kp, kq, pred, bound)
+            cnf = encode_sim_ea(kp, kq, pred, bound).to_cnf()
     except EncodeError as e:
         raise CliInputError(str(e)) from e
-    cnf = enc.to_cnf()
     return export_dimacs(cnf), varmap_text(cnf)
 
 

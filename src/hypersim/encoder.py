@@ -5,17 +5,18 @@ emitted over integer literals with one named variable per relation entry.
 
   * sim-ae: a subset of at most k states of K_Q simulates all of K_P.  The
     greatest predicate-respecting simulation R (fixpoint refinement after
-    Henzinger, Henzinger & Kopke, FOCS 1995) is computed first; every
-    simulation lies inside it, so the query only picks a sub-relation of R:
-    one variable sim(p,q) per pair of R, one used(q) per right state of R,
-    and a sequential counter (Sinz, CP 2005) keeping the used states <= k.
-    If R relates some initial left state to no initial right state, the
-    query is unsatisfiable at every k.  R also bounds k from below
-    (`subset_floor`): a reachable left state with a single candidate forces
-    that right state in, so the counter only counts the other used states.
-    Only the counter depends on k, and it grows one column per bound, so a
-    bound sweep (`AeSweep`) keeps one instance and asks for each bound by
-    an assumption literal.
+    Henzinger, Henzinger & Kopke, FOCS 1995) is computed first, as one
+    bitmask row of right states per left state; every simulation lies
+    inside it, so the query only picks a sub-relation of R: one variable
+    sim(p,q) per pair of R, one used(q) per right state of R, and a
+    sequential counter (Sinz, CP 2005) keeping the used states <= k.  If R
+    relates some initial left state to no initial right state, the query is
+    unsatisfiable at every k.  R also bounds k from below (`subset_floor`):
+    a reachable left state with a single candidate forces that right state
+    in, so the counter only counts the other used states.  Only the counter
+    depends on k, and it grows one column per bound, so one instance
+    (`AeEncoding`) answers every bound of a decision, each asked by
+    assumption literals (MiniSat-style, Een & Sorensson, SAT 2003).
   * sim-ea: a lasso of total length n in K_P whose positions jointly simulate
     all of K_Q.  One-hot pos(i,p) choose the left state at position i and
     loop(l) the loop-back target; sim(i,q) holds the right states position i
@@ -30,7 +31,15 @@ from typing import Callable, Mapping
 from . import hyperspec as hs
 from .circuit import Clause, CnfInstance, lower_parts_to_cnf
 from .hyperspec import PredicateTable, predicate_table
-from .kripke import KripkeStructure, LassoPath, StateId, bit_indices, reachable_states, union_of
+from .kripke import (
+    KripkeStructure,
+    LassoPath,
+    StateId,
+    bit_indices,
+    mask_of,
+    reachable_mask,
+    union_of,
+)
 
 
 class EncodeError(Exception):
@@ -41,7 +50,7 @@ class DecodeError(Exception):
     pass
 
 
-Relation = frozenset[tuple[StateId, StateId]]
+Rows = list[int]  # a relation as one bitmask of right states per left state
 
 
 @dataclass
@@ -61,23 +70,17 @@ class SimWitnessEA:
 
 
 @dataclass
-class Encoding:
-    kind: str  # "sim-ea" or "sim-ae"
+class EaEncoding:
+    kp: KripkeStructure
     kq: KripkeStructure
     n: int
-    k: int
-    # variable numbers: sim-ae keys sim by (p, q) and has used by q; sim-ea
-    # keys sim by (position, q) and has pos by (position, p) and loop by position
-    sim: dict[tuple, int] = field(repr=False)
-    used: dict[StateId, int] = field(repr=False)
-    pos: dict[tuple[int, StateId], int] = field(repr=False)
+    # variable numbers, keyed by 1-based position and state index: sim by
+    # (position, q), pos by (position, p), loop by position
+    sim: dict[tuple[int, int], int] = field(repr=False)
+    pos: dict[tuple[int, int], int] = field(repr=False)
     loop: dict[int, int] = field(repr=False)
     parts: list[tuple[str, list[Clause]]] = field(repr=False)
     var_names: list[str] = field(repr=False)  # variable v is var_names[v-1]
-    # sim-ae: no model uses fewer than `floor` right states, and every model
-    # uses the `forced` ones (see subset_floor)
-    floor: int = 1
-    forced: frozenset[StateId] = frozenset()
 
     def to_cnf(self) -> CnfInstance:
         return lower_parts_to_cnf(self.parts, self.var_names)
@@ -152,26 +155,20 @@ def greatest_simulation(
     kq: KripkeStructure,
     pred: hs.Pred,
     table: PredicateTable | None = None,
-) -> Relation:
+) -> Rows:
     """The greatest R within S_P x S_Q such that pred holds on every pair of R
-    and, for (p,q) in R, every successor of p is related to some successor of q.
-    `table` is the decision's predicate table, built here when omitted.
+    and, for (p,q) in R, every successor of p is related to some successor
+    of q, as its rows: R[p] is the bitmask of the right states related to
+    the left state with index p.  `table` is the decision's predicate
+    table, built here when omitted.
 
-    Refinement on bitmask rows: rel[p] holds the right states related to p,
-    starting from the states the predicate admits.  A row keeps q while
-    every successor p2 of p has a row that meets q's successors; when a
-    row shrinks, the rows of p's predecessors are refined again."""
+    Refinement starts each row from the right states the predicate admits.
+    A row keeps q while every successor p2 of p has a row that meets q's
+    successors; when a row shrinks, the rows of p's predecessors are refined
+    again."""
     _check_common(kp, kq, pred)
     rel = list(predicate_table(kp, kq, pred, table).allow)
-    succ_p = kp.succ_index
-    pre_p: list[list[int]] = [[] for _ in kp.states]
-    for p, ts in enumerate(succ_p):
-        for p2 in ts:
-            pre_p[p2].append(p)
-    pre_q = [0] * len(kq.states)  # pre_q[j]: the right states with successor j
-    for q, ts in enumerate(kq.succ_index):
-        for j in ts:
-            pre_q[j] |= 1 << q
+    succ_p, pre_p, pre_q = kp.succ_index, kp.pred_mask, kq.pred_mask
     into: dict[int, int] = {}  # row -> the right states with a successor in it
 
     work = list(range(len(rel)))
@@ -190,143 +187,120 @@ def greatest_simulation(
             row &= keep
         if row != rel[p]:
             rel[p] = row
-            for p0 in pre_p[p]:
+            for p0 in bit_indices(pre_p[p]):
                 if not queued[p0]:
                     queued[p0] = True
                     work.append(p0)
-    qs = kq.states
-    return frozenset((p, qs[j]) for p, row in zip(kp.states, rel) for j in bit_indices(row))
+    return rel
 
 
-def uncovered_initial(kp: KripkeStructure, kq: KripkeStructure, relation: Relation) -> list[StateId]:
+def uncovered_initial(kp: KripkeStructure, kq: KripkeStructure, relation: Rows) -> list[StateId]:
     """Initial left states the relation pairs with no initial right state."""
-    return [
-        p for p in kp.sorted_init() if not any((p, q) in relation for q in kq.init)
-    ]
+    init_q = mask_of(kq.init)
+    return [p for p in kp.sorted_init() if not relation[p.index] & init_q]
 
 
-def subset_floor(kp: KripkeStructure, relation: Relation) -> tuple[int, frozenset[StateId]]:
+def subset_floor(kp: KripkeStructure, relation: Rows) -> tuple[int, int]:
     """(L, F): every sub-relation of `relation` that encode_sim_ae accepts
-    uses at least L right states, and uses each state of F.
+    uses at least L right states, and uses each state of the bitmask F.
 
     Its initial-match and successor-match clauses relate every left state
-    reachable in K_P to one of its candidates C(p) = {q : (p,q) in
-    relation}, so F holds the q with C(p) = {q} for a reachable p.  L
-    counts a greedy family of pairwise disjoint nonempty C(p), taken in
-    the order (|C(p)|, index): the singletons come first, so L >= |F|.  It
-    is at least 1, the least bound there is."""
-    cand: dict[StateId, set[StateId]] = {}
-    for p, q in relation:
-        cand.setdefault(p, set()).add(q)
-    if cand:  # without candidates there is no state to find reachable
-        reached = reachable_states(kp)
-        cand = {p: qs for p, qs in cand.items() if p in reached}
-    floor, picked = 0, set()
-    for p in sorted(cand, key=lambda p: (len(cand[p]), p.index)):
-        if picked.isdisjoint(cand[p]):
+    reachable in K_P to one of its candidates C(p) = relation[p], so F
+    holds the q with C(p) = {q} for a reachable p.  L counts a greedy
+    family of pairwise disjoint nonempty C(p), taken in the order (|C(p)|,
+    index): the singletons come first, so L >= |F|.  It is at least 1, the
+    least bound there is."""
+    reached = reachable_mask(kp)
+    cand = sorted(
+        (row.bit_count(), p, row)
+        for p, row in enumerate(relation)
+        if row and reached >> p & 1
+    )
+    floor, picked, forced = 0, 0, 0
+    for size, _, row in cand:
+        if not picked & row:
             floor += 1
-            picked |= cand[p]
-    forced = frozenset(q for qs in cand.values() if len(qs) == 1 for q in qs)
+            picked |= row
+        if size == 1:
+            forced |= row
     return max(floor, 1), forced
 
 
-def encode_sim_ae(
-    kp: KripkeStructure,
-    kq: KripkeStructure,
-    pred: hs.Pred,
-    k: int,
-    relation: Relation | None = None,
-) -> Encoding:
-    """Encode: some subset of at most k states of K_Q simulates all of K_P.
+class AeEncoding:
+    """Encode: some subset of at most k states of K_Q simulates all of K_P,
+    for every k at once.
 
-    `relation` is greatest_simulation(kp, kq, pred); a decision computes it
-    once.  Only initial left states and the successors of related ones must
-    be related, so unreachable left states are never forced in;
-    reachable-restricting K_P only saves their variables.  The counter
-    runs over the m used states outside the forced set F of subset_floor
-    and bounds them by k - |F|: the family at-most-k holds its columns
-    1..k-|F|+1 and the unit clause -c(m,k-|F|+1).  It is one empty clause
-    when k < |F|, and empty when k reaches the number of used states."""
-    _check_common(kp, kq, pred)
-    if not 1 <= k <= len(kq.states):
-        raise EncodeError(f"subset bound k={k} outside 1..{len(kq.states)}")
-    if relation is None:
-        relation = greatest_simulation(kp, kq, pred)
-    vs = _Vars()
-    sim = {
-        (p, q): vs.new(f"sim({p.name},{q.name})")
-        for p, q in sorted(relation, key=lambda pq: (pq[0].index, pq[1].index))
-    }
-    used_states = sorted({q for _, q in sim}, key=lambda q: q.index)
-    used = {q: vs.new(f"used({q.name})") for q in used_states}
-    floor, forced = subset_floor(kp, relation)
+    `relation` is greatest_simulation(kp, kq, pred), as rows.  Variables
+    are keyed by state index: sim(p,q) by (p, q) for each pair of the
+    relation, used(q) by q for each right state in it.  Only initial left
+    states and the successors of related ones must be related, so
+    unreachable left states are never forced in; reachable-restricting K_P
+    only saves their variables.  The families initial-match, used and
+    successor-match do not depend on k and are lowered once; at-most-k
+    starts empty.
 
-    initial = [
-        [sim[(p, q)] for q in kq.sorted_init() if (p, q) in sim] for p in kp.sorted_init()
-    ]
-    uses = [[-v, used[q]] for (_, q), v in sim.items()]
-    succ: list[Clause] = []
-    for (p, q), v in sim.items():
-        for p2 in kp.successors(p):
-            targets = [sim[(p2, q2)] for q2 in kq.successors(q) if (p2, q2) in sim]
-            if v not in targets:  # a self-loop pair matches itself
-                succ.append([-v] + targets)
-    at_most_k: list[Clause] = []
-    if k < len(forced):
-        at_most_k = [[]]
-    elif k < len(used):
-        counter = _Counter(_unforced(used, forced), vs.new, "used")
-        bound = counter.at_most(k - len(forced))
-        at_most_k = [c for col in counter.clauses for c in col] + [[bound]]
-    parts = [
-        ("initial-match", initial),
-        ("used", uses),
-        ("successor-match", succ),
-        ("at-most-k", at_most_k),
-    ]
-    return Encoding(
-        kind="sim-ae", kq=kq, n=len(kp.states), k=k,
-        sim=sim, used=used, pos={}, loop={}, parts=parts, var_names=vs.names,
-        floor=floor, forced=forced,
-    )
+    The counter counts the m used states outside the forced set F of
+    subset_floor, and k is asked as "at most k - |F| of them": bound(k)
+    adds any missing columns 1..k-|F|+1 to at-most-k and returns the
+    assumption -c(m,k-|F|+1), so one incremental solver answers every
+    bound.  Below |F| the assumptions claim the least forced state both
+    used and unused; from the number of used states on there are none.
+    Written as unit clauses at the end of at-most-k
+    (`CnfInstance.with_units`), the assumptions give the instance of
+    bound k on its own."""
 
+    def __init__(self, kp: KripkeStructure, kq: KripkeStructure, relation: Rows) -> None:
+        self.kp, self.kq = kp, kq
+        ps, qs = kp.states, kq.states
+        vs = _Vars()
+        self.sim = {
+            (p, q): vs.new(f"sim({ps[p].name},{qs[q].name})")
+            for p, row in enumerate(relation)
+            for q in bit_indices(row)
+        }
+        used_mask = 0
+        for row in relation:
+            used_mask |= row
+        self.used = {q: vs.new(f"used({qs[q].name})") for q in bit_indices(used_mask)}
+        # no model uses fewer than `floor` right states, and every model uses
+        # the `forced` ones
+        self.floor, self.forced = subset_floor(kp, relation)
 
-def _unforced(used: dict[StateId, int], forced: frozenset[StateId]) -> list[int]:
-    """The used(q) variables the counter counts: those of unforced q."""
-    return [v for q, v in used.items() if q not in forced]
-
-
-class AeSweep:
-    """The bound sweep of one forall-exists decision, on one instance that
-    only grows.
-
-    `enc` must need no counter (k = |S_Q| does), so its families are the
-    k-independent clauses; they are lowered once.  The counter counts the
-    used states outside the forced set F, as in encode_sim_ae.  Bound k
-    then adds any missing columns 1..k-|F|+1 to the family at-most-k and
-    asks for "at most k used states" by the assumption -c(m,k-|F|+1), so
-    one incremental solver answers every bound."""
-
-    def __init__(self, enc: Encoding) -> None:
-        if enc.kind != "sim-ae" or enc.k < len(enc.used):
-            raise EncodeError("a bound sweep starts from a sim-ae encoding without a counter")
-        self.enc = enc
-        self.cnf = lower_parts_to_cnf(enc.parts, enc.var_names)
+        sim, init_q, succ_q = self.sim, mask_of(kq.init), kq.succ_mask
+        initial = [
+            [sim[p, q] for q in bit_indices(relation[p] & init_q)]
+            for p in bit_indices(mask_of(kp.init))
+        ]
+        uses = [[-v, self.used[q]] for (_, q), v in sim.items()]
+        succ: list[Clause] = []
+        for (p, q), v in sim.items():
+            for p2 in kp.succ_index[p]:
+                targets = [sim[p2, q2] for q2 in bit_indices(relation[p2] & succ_q[q])]
+                if v not in targets:  # a self-loop pair matches itself
+                    succ.append([-v] + targets)
+        parts = [
+            ("initial-match", initial),
+            ("used", uses),
+            ("successor-match", succ),
+            ("at-most-k", []),
+        ]
+        self.cnf = lower_parts_to_cnf(parts, vs.names)
         self.base = (self.cnf.num_vars, self.cnf.num_clauses)
-        self.counter = _Counter(_unforced(enc.used, enc.forced), self.cnf.add_var, "used")
+        unforced = [v for q, v in self.used.items() if not self.forced >> q & 1]
+        self.counter = _Counter(unforced, self.cnf.add_var, "used")
         self._fed = 0  # counter columns already in the instance
 
     def bound(self, k: int) -> tuple[CnfInstance, tuple[int, ...]]:
-        """The instance and the assumptions that ask for at most k used states.
-        Below |F| that is false outright: the assumptions then claim a forced
-        state both used and unused, which leaves the instance as it was."""
-        forced = self.enc.forced
-        if k >= len(self.enc.used):
+        """The instance and the assumptions that ask for at most k used states."""
+        if not 1 <= k <= len(self.kq.states):
+            raise EncodeError(f"subset bound k={k} outside 1..{len(self.kq.states)}")
+        forced = self.forced
+        if k >= len(self.used):
             return self.cnf, ()
-        if k < len(forced):
-            lit = self.enc.used[min(forced, key=lambda q: q.index)]
+        if k < forced.bit_count():
+            lit = self.used[(forced & -forced).bit_length() - 1]
             return self.cnf, (lit, -lit)
-        lit = self.counter.at_most(k - len(forced))
+        lit = self.counter.at_most(k - forced.bit_count())
         cnf = self.cnf
         for clauses in self.counter.clauses[self._fed:]:
             cnf.clauses += clauses
@@ -336,16 +310,31 @@ class AeSweep:
         return cnf, (lit,)
 
     def size(self, k: int) -> tuple[int, int]:
-        """(variables, clauses) of encode_sim_ae(..., k) lowered on its own,
-        once bound(k) was asked."""
+        """(variables, clauses) of the instance of bound k on its own, once
+        bound(k) was asked."""
         num_vars, num_clauses = self.base
-        forced = len(self.enc.forced)
-        if k < forced:  # the empty clause, lowered to [x], [-x]
-            num_vars, num_clauses = num_vars + 1, num_clauses + 2
-        elif k < len(self.enc.used):
+        forced = self.forced.bit_count()
+        if k < forced:
+            num_clauses += 2
+        elif k < len(self.used):
             num_vars += sum(map(len, self.counter.columns[: k - forced + 1]))
             num_clauses += sum(map(len, self.counter.clauses[: k - forced + 1])) + 1
         return num_vars, num_clauses
+
+
+def encode_sim_ae(
+    kp: KripkeStructure,
+    kq: KripkeStructure,
+    pred: hs.Pred,
+    relation: Rows | None = None,
+) -> AeEncoding:
+    """The forall-exists instance of (kp, kq, pred) for every subset bound.
+    `relation` is greatest_simulation(kp, kq, pred); a decision computes it
+    once."""
+    _check_common(kp, kq, pred)
+    if relation is None:
+        relation = greatest_simulation(kp, kq, pred)
+    return AeEncoding(kp, kq, relation)
 
 
 def encode_sim_ea(
@@ -354,7 +343,7 @@ def encode_sim_ea(
     pred: hs.Pred,
     n: int,
     table: PredicateTable | None = None,
-) -> Encoding:
+) -> EaEncoding:
     """Encode: a lasso of length n in K_P simulates all of K_Q.  `table` is
     the decision's predicate table, built here when omitted.
 
@@ -365,51 +354,52 @@ def encode_sim_ea(
     _check_common(kp, kq, pred)
     if n < 1:
         raise EncodeError(f"lasso length must be positive, got {n}")
-    table = predicate_table(kp, kq, pred, table)
-    cand = [list(kp.sorted_init())]
+    allow = predicate_table(kp, kq, pred, table).allow
+    ps, qs, succ_p = kp.states, kq.states, kp.succ_index
+    cand = [mask_of(kp.init)]  # cand[i-1]: the left states position i may hold
     for _ in range(1, n):
-        cand.append(sorted({t for s in cand[-1] for t in kp.successors(s)}, key=lambda s: s.index))
+        cand.append(union_of(kp.succ_mask, cand[-1]))
     vs = _Vars()
-    pos = {(i, p): vs.new(f"pos({i},{p.name})") for i in range(1, n + 1) for p in cand[i - 1]}
+    pos = {
+        (i, p): vs.new(f"pos({i},{ps[p].name})")
+        for i in range(1, n + 1)
+        for p in bit_indices(cand[i - 1])
+    }
     loop = {l: vs.new(f"loop({l})") for l in range(1, n + 1)}
-    sim = {(i, q): vs.new(f"sim({i},{q.name})") for i in range(1, n + 1) for q in kq.states}
-    edges_q = [(q, q2) for q in kq.states for q2 in kq.successors(q)]
+    sim = {(i, q): vs.new(f"sim({i},{qs[q].name})") for i in range(1, n + 1) for q in range(len(qs))}
+    edges_q = [(q, q2) for q, ts in enumerate(kq.succ_index) for q2 in ts]
 
     one_hot_pos: list[Clause] = []
     for i in range(1, n + 1):
-        lits = [pos[(i, p)] for p in cand[i - 1]]
+        lits = [pos[i, p] for p in bit_indices(cand[i - 1])]
         one_hot_pos.append(lits)
         one_hot_pos += _at_most_one(lits, vs.new, f"pos{i}")
     loop_lits = list(loop.values())
     one_hot_loop = [loop_lits] + _at_most_one(loop_lits, vs.new, "loop")
-    initial = [[sim[(1, q)]] for q in kq.sorted_init()]
+    initial = [[sim[1, q]] for q in bit_indices(mask_of(kq.init))]
     path: list[Clause] = []
     for i in range(1, n):
-        for p in cand[i - 1]:
-            path.append([-pos[(i, p)]] + [pos[(i + 1, t)] for t in kp.successors(p)])
-        path += [[-sim[(i, q)], sim[(i + 1, q2)]] for q, q2 in edges_q]
+        for p in bit_indices(cand[i - 1]):
+            path.append([-pos[i, p]] + [pos[i + 1, t] for t in succ_p[p]])
+        path += [[-sim[i, q], sim[i + 1, q2]] for q, q2 in edges_q]
     loop_back: list[Clause] = []
     for l in range(1, n + 1):
-        for p in cand[n - 1]:
-            succ = kp.successors(p)
-            if l == n and p in succ:
+        for p in bit_indices(cand[n - 1]):
+            if l == n and p in succ_p[p]:
                 continue  # the clause would hold trivially
-            targets = [pos[(l, t)] for t in succ if (l, t) in pos]
-            loop_back.append([-loop[l], -pos[(n, p)]] + targets)
+            targets = [pos[l, t] for t in succ_p[p] if cand[l - 1] >> t & 1]
+            loop_back.append([-loop[l], -pos[n, p]] + targets)
         loop_back += [
-            [-loop[l], -sim[(n, q)], sim[(l, q2)]]
+            [-loop[l], -sim[n, q], sim[l, q2]]
             for q, q2 in edges_q
             if not (l == n and q2 == q)
         ]
-    every_q = (1 << len(kq.states)) - 1
-    fails: dict[StateId, list[StateId]] = {}  # right states the predicate rejects against p
+    every_q = (1 << len(qs)) - 1
     pred_part: list[Clause] = []
     for i in range(1, n + 1):
-        for p in cand[i - 1]:
-            if p not in fails:
-                rejects = every_q & ~table.allow[p.index]
-                fails[p] = [kq.states[j] for j in bit_indices(rejects)]
-            pred_part += [[-sim[(i, q)], -pos[(i, p)]] for q in fails[p]]
+        for p in bit_indices(cand[i - 1]):
+            rejects = every_q & ~allow[p]  # right states the predicate rejects against p
+            pred_part += [[-sim[i, q], -pos[i, p]] for q in bit_indices(rejects)]
 
     parts = [
         ("one-hot-pos", one_hot_pos),
@@ -419,26 +409,22 @@ def encode_sim_ea(
         ("loop-back", loop_back),
         ("pred", pred_part),
     ]
-    return Encoding(
-        kind="sim-ea", kq=kq, n=n, k=len(kq.states),
-        sim=sim, used={}, pos=pos, loop=loop, parts=parts, var_names=vs.names,
+    return EaEncoding(
+        kp=kp, kq=kq, n=n, sim=sim, pos=pos, loop=loop, parts=parts, var_names=vs.names
     )
 
 
-def decode_witness_ae(enc: Encoding, model: Mapping[int, bool]) -> SimWitnessAE:
+def decode_witness_ae(enc: AeEncoding, model: Mapping[int, bool]) -> SimWitnessAE:
     """The relation a solver's model picks; the model assigns every variable."""
-    if enc.kind != "sim-ae":
-        raise DecodeError(f"expected a sim-ae encoding, got {enc.kind}")
-    relation = frozenset(pq for pq, v in enc.sim.items() if model[v])
+    ps, qs = enc.kp.states, enc.kq.states
+    relation = frozenset((ps[p], qs[q]) for (p, q), v in enc.sim.items() if model[v])
     return SimWitnessAE(relation=relation, used_q=frozenset(q for _, q in relation))
 
 
-def decode_witness_ea(enc: Encoding, model: Mapping[int, bool]) -> SimWitnessEA:
+def decode_witness_ea(enc: EaEncoding, model: Mapping[int, bool]) -> SimWitnessEA:
     """The lasso and position sets a solver's model picks; the model assigns
     every variable."""
-    if enc.kind != "sim-ea":
-        raise DecodeError(f"expected a sim-ea encoding, got {enc.kind}")
-    chosen: dict[int, list[StateId]] = {i: [] for i in range(1, enc.n + 1)}
+    chosen: dict[int, list[int]] = {i: [] for i in range(1, enc.n + 1)}
     for (i, p), v in enc.pos.items():
         if model[v]:
             chosen[i].append(p)
@@ -448,11 +434,12 @@ def decode_witness_ea(enc: Encoding, model: Mapping[int, bool]) -> SimWitnessEA:
     loops = [l for l, v in enc.loop.items() if model[v]]
     if len(loops) != 1:
         raise DecodeError(f"loop-back is not one-hot: {len(loops)} targets chosen")
-    seq = [chosen[i][0] for i in range(1, enc.n + 1)]
+    seq = [enc.kp.states[chosen[i][0]] for i in range(1, enc.n + 1)]
     start = loops[0]
     lasso = LassoPath(prefix=tuple(seq[: start - 1]), loop=tuple(seq[start - 1 :]))
+    qs = enc.kq.states
     pos_relation: dict[int, frozenset[StateId]] = {
-        i: frozenset(q for q in enc.kq.states if model[enc.sim[(i, q)]])
+        i: frozenset(q for q in qs if model[enc.sim[i, q.index]])
         for i in range(1, enc.n + 1)
     }
     return SimWitnessEA(lasso=lasso, pos_relation=pos_relation)

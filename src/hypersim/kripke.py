@@ -89,6 +89,15 @@ class KripkeStructure:
         return tuple(sum(1 << j for j in ts) for ts in self.succ_index)
 
     @cached_property
+    def pred_mask(self) -> tuple[int, ...]:
+        """The predecessors of each state as a bitmask over state indices."""
+        out = [0] * len(self.states)
+        for a, ts in enumerate(self.succ_index):
+            for b in ts:
+                out[b] |= 1 << a
+        return tuple(out)
+
+    @cached_property
     def _succ(self) -> dict[StateId, tuple[StateId, ...]]:
         states = self.states
         return {s: tuple(states[j] for j in ts) for s, ts in zip(states, self.succ_index)}
@@ -259,23 +268,13 @@ def parse_kripke(text: str) -> KripkeStructure:
     return k
 
 
-def _reached(k: KripkeStructure) -> list[bool]:
-    """Whether some path from an initial state reaches each state, by index."""
-    succ = k.succ_index
-    reached = [False] * len(k.states)
-    frontier = [s.index for s in k.init]
+def reachable_mask(k: KripkeStructure) -> int:
+    """The states some path from an initial state reaches, as a bitmask."""
+    reached = frontier = mask_of(k.init)
     while frontier:
-        i = frontier.pop()
-        if reached[i]:
-            continue
-        reached[i] = True
-        frontier.extend(j for j in succ[i] if not reached[j])
+        frontier = union_of(k.succ_mask, frontier) & ~reached
+        reached |= frontier
     return reached
-
-
-def reachable_states(k: KripkeStructure) -> set[StateId]:
-    """The states some path from an initial state reaches."""
-    return {s for s, hit in zip(k.states, _reached(k)) if hit}
 
 
 def reachable_restriction(k: KripkeStructure) -> KripkeStructure:
@@ -286,10 +285,10 @@ def reachable_restriction(k: KripkeStructure) -> KripkeStructure:
     is.  Totality is preserved (successors of reachable states are
     reachable).
     """
-    reached = _reached(k)
-    if all(reached):
+    reached = reachable_mask(k)
+    if reached == (1 << len(k.states)) - 1:
         return k
-    kept = [s for s, hit in zip(k.states, reached) if hit]
+    kept = [s for s in k.states if reached >> s.index & 1]
     remap = {s: StateId(s.name, i) for i, s in enumerate(kept)}
     return KripkeStructure(
         states=tuple(remap[s] for s in kept),

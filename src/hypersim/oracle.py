@@ -208,13 +208,12 @@ class SafeFrontierSearch:
     """Breadth-first layers for the exists-forall falsifier, grown on demand
     so that one search serves every depth of a decision.
 
-    Right layer i maps the index of each right state reachable in exactly i
-    steps to its parent's index at first discovery (states visited in index
-    order); `right_masks[i]` holds the same states as a bitmask.  Left
-    frontier i is the bitmask of the left states at the end of a left path
-    of i+1 states that is safe at every position so far: its label
-    satisfies the predicate against every right state of the same layer.
-    `table` is the decision's predicate table, built here when omitted.
+    `right_masks[i]` is the bitmask of the right states reachable in exactly
+    i steps.  Left frontier i is the bitmask of the left states at the end
+    of a left path of i+1 states that is safe at every position so far: its
+    label satisfies the predicate against every right state of the same
+    layer.  `table` is the decision's predicate table, built here when
+    omitted.
     """
 
     def __init__(
@@ -226,34 +225,19 @@ class SafeFrontierSearch:
     ) -> None:
         self.kp, self.kq, self.pred = kp, kq, pred
         self.allow = predicate_table(kp, kq, pred, table).allow
-        first = {s.index: None for s in kq.sorted_init()}
-        self.right: list[dict[int, int | None]] = [first]
-        self.right_masks: list[int] = [mask_of(kq.init)]
+        self.right_masks: list[int] = []
         self.frontiers: list[int] = []
-
-    def right_layer(self, i: int) -> dict[int, int | None]:
-        succ = self.kq.succ_index
-        while len(self.right) <= i:
-            nxt: dict[int, int | None] = {}
-            for s in sorted(self.right[-1]):
-                for t in succ[s]:
-                    if t not in nxt:
-                        nxt[t] = s
-            self.right.append(nxt)
-            self.right_masks.append(sum(1 << t for t in nxt))
-        return self.right[i]
 
     def frontier(self, i: int) -> int:
         """The left states ending a safe left path of i+1 states, as a bitmask."""
-        allow, succ = self.allow, self.kp.succ_mask
+        allow, succ_p, succ_q = self.allow, self.kp.succ_mask, self.kq.succ_mask
         while len(self.frontiers) <= i:
-            j = len(self.frontiers)
-            self.right_layer(j)
-            layer = self.right_masks[j]
-            if j == 0:
-                cand = mask_of(self.kp.init)
+            if not self.frontiers:
+                cand, layer = mask_of(self.kp.init), mask_of(self.kq.init)
             else:  # an empty frontier stays empty
-                cand = union_of(succ, self.frontiers[-1])
+                cand = union_of(succ_p, self.frontiers[-1])
+                layer = union_of(succ_q, self.right_masks[-1])
+            self.right_masks.append(layer)
             safe = sum(1 << p for p in bit_indices(cand) if allow[p] & layer == layer)
             self.frontiers.append(safe)
         return self.frontiers[i]
@@ -286,14 +270,18 @@ def falsify_exists_forall(
     first_p = [kp.sorted_init()[0].index]
     while len(first_p) < depth:
         first_p.append(succ_p[first_p[-1]][0])
+    right = search.right_masks  # frontier(depth-1) built the layers 0..depth-1
     q_path: list[int] | None = None
-    for i in range(depth):  # frontier(depth-1) built the right layers 0..depth-1
-        miss = search.right_masks[i] & ~search.allow[first_p[i]]
+    for i in range(depth):
+        miss = right[i] & ~search.allow[first_p[i]]
         if not miss:
             continue
         back = [(miss & -miss).bit_length() - 1]  # the least violating state
         for j in range(i, 0, -1):
-            back.append(search.right[j][back[-1]])
+            # the parent at first discovery: the least state of layer j-1
+            # with this successor
+            parents = kq.pred_mask[back[-1]] & right[j - 1]
+            back.append((parents & -parents).bit_length() - 1)
         back.reverse()
         while len(back) < depth:
             back.append(succ_q[back[-1]][0])

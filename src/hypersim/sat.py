@@ -72,7 +72,8 @@ class CdclSolver:
 
         The solver then sits at decision level 0, so a literal already
         assigned is fixed for good: a true one satisfies its clause and a
-        false one is dropped from it."""
+        false one is dropped from it.  A tautology is dropped, a unit clause
+        is assigned at once, and an empty clause makes the clauses unsat."""
         for v in range(self.nv, num_vars):
             self.assign.append(2)
             self.level.append(0)
@@ -82,43 +83,29 @@ class CdclSolver:
             self.watches += [[], []]
             heappush(self.order, (0.0, v))
         self.nv = max(self.nv, num_vars)
-        assign = self.assign
+        assign, watches = self.assign, self.watches
         for cl in clauses:
-            lits = []
+            if not self.ok:
+                return
+            lits: list[int] = []  # internal literals 2v + sign
             for l in cl:
-                val = assign[abs(l) - 1]
+                lit = 2 * abs(l) - 2 + (l < 0)
+                val = assign[lit >> 1]
                 if val == 2:
-                    lits.append(l)
-                elif val == (l < 0):
+                    if lit ^ 1 in lits:
+                        break  # tautology
+                    if lit not in lits:
+                        lits.append(lit)
+                elif val == (lit & 1):
                     break  # satisfied at level 0
             else:
-                self._add_input_clause(lits)
-
-    def _add_input_clause(self, cl: Sequence[int]) -> None:
-        if not self.ok:
-            return
-        seen: set[int] = set()
-        lits: list[int] = []
-        for l in cl:
-            v = abs(l) - 1
-            enc = 2 * v + (1 if l < 0 else 0)
-            if enc ^ 1 in seen:
-                return  # tautology
-            if enc not in seen:
-                seen.add(enc)
-                lits.append(enc)
-        if not lits:
-            self.ok = False
-            return
-        if len(lits) == 1:
-            val = self.assign[lits[0] >> 1]
-            if val == 2:
-                self._enqueue(lits[0], None)
-            elif val != (lits[0] & 1):
-                self.ok = False
-            return
-        self.watches[lits[0]].append(lits)
-        self.watches[lits[1]].append(lits)
+                if len(lits) > 1:
+                    watches[lits[0]].append(lits)
+                    watches[lits[1]].append(lits)
+                elif lits:
+                    self._enqueue(lits[0], None)
+                else:
+                    self.ok = False
 
     # ---- assignment/trail ----
 
@@ -421,10 +408,10 @@ class ExternalBackend:
 
     def solve_cnf(self, cnf: CnfInstance, assumptions: Sequence[int] = ()) -> SatResult:
         """One self-contained DIMACS file per call, the assumptions written
-        as unit clauses after the instance's own.  A sat model is checked
-        against that file's clauses, so a model that violates them is a
-        backend failure, never a witness."""
-        written = _with_units(cnf, assumptions)
+        as unit clauses after the instance's own (`CnfInstance.with_units`).
+        A sat model is checked against that file's clauses, so a model that
+        violates them is a backend failure, never a witness."""
+        written = cnf.with_units(assumptions)
         with tempfile.TemporaryDirectory(prefix="hypersim-sat-") as tmp:
             path = Path(tmp) / "instance.cnf"
             path.write_text(export_dimacs(written))
@@ -443,19 +430,6 @@ class ExternalBackend:
                 f"{self.name} answered SATISFIABLE with a model that violates the instance"
             )
         return result
-
-
-def _with_units(cnf: CnfInstance, assumptions: Sequence[int]) -> CnfInstance:
-    """The instance with the assumptions as unit clauses, for a backend
-    that takes one self-contained instance per call."""
-    if not assumptions:
-        return cnf
-    n = len(cnf.clauses)
-    return CnfInstance(
-        num_vars=cnf.num_vars,
-        clauses=cnf.clauses + [[lit] for lit in assumptions],
-        provenance=cnf.provenance + [("assumptions", n + 1, n + len(assumptions))],
-    )
 
 
 def _parse_solver_output(stdout: str, returncode: int, num_vars: int) -> SatResult:

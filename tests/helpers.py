@@ -2,8 +2,8 @@
 lasso traces, printers for structures and prophecy automata, the pointwise
 semantics of lasso trace pairs, path and lasso listing, the vertex-cover
 reduction with its brute-force answer, the small-graph enumeration behind
-the vertex-cover suite, the structure invariant check, and reference
-versions of the structure parser, the falsifiers, the counterexample
+the vertex-cover suite, the structure invariant check, the forall-exists
+instance of one bound on its own, and reference versions of the structure parser, the falsifiers, the counterexample
 re-check, the prophecy universality check and the prophecy product."""
 
 from __future__ import annotations
@@ -18,6 +18,8 @@ from typing import Iterable, Iterator
 from hypothesis import strategies as st
 
 import hypersim.prophecy
+from hypersim.circuit import CnfInstance
+from hypersim.encoder import AeEncoding, Rows, encode_sim_ae
 from hypersim.hyperspec import (
     And,
     FalseConst,
@@ -298,6 +300,17 @@ class LassoTrace:
         if i < len(self.prefix):
             return self.prefix[i]
         return self.loop[(i - len(self.prefix)) % len(self.loop)]
+
+
+def ae_at(
+    kp: KripkeStructure, kq: KripkeStructure, pred: Pred, k: int, relation: Rows | None = None
+) -> tuple[AeEncoding, CnfInstance]:
+    """A fresh forall-exists encoding asked at subset bound k, and its
+    instance with the bound's assumptions as unit clauses: what
+    `hypersim export --bound k` writes."""
+    enc = encode_sim_ae(kp, kq, pred, relation)
+    cnf, units = enc.bound(k)
+    return enc, cnf.with_units(units)
 
 
 def trace_of(k: KripkeStructure, path: LassoPath) -> LassoTrace:

@@ -14,12 +14,7 @@ import time
 from pathlib import Path
 
 from hypersim.cli import CheckConfig, check_pair, export_encoding, run_benchmarks, run_check
-from hypersim.encoder import (
-    decode_witness_ae,
-    decode_witness_ea,
-    encode_sim_ae,
-    encode_sim_ea,
-)
+from hypersim.encoder import decode_witness_ae, decode_witness_ea, encode_sim_ea
 from hypersim.hyperspec import (
     MatchAll,
     eval_predicate,
@@ -37,6 +32,7 @@ from hypersim.prophecy import build_next_prophecy, check_universality, prophecy_
 from hypersim.sat import solve
 
 from helpers import (
+    ae_at,
     brute_force_vertex_cover,
     check_box_on_pair,
     connected_graphs_upto,
@@ -63,31 +59,25 @@ def intro_pair():
     return kp, kq
 
 
-def solve_enc(enc):
-    cnf = enc.to_cnf()
-    res = solve(cnf)
-    return res.status, res.model
-
-
 def ae_validated(kp, kq, pred, k, label):
     """Solve the subset encoding; on SAT decode, validate, and log."""
-    enc = encode_sim_ae(kp, kq, pred, k)
-    status, model = solve_enc(enc)
-    if status != "sat":
-        return status, None
-    w = decode_witness_ae(enc, model)
+    enc, cnf = ae_at(kp, kq, pred, k)
+    res = solve(cnf)
+    if not res.is_sat:
+        return res.status, None
+    w = decode_witness_ae(enc, res.model)
     WITNESS_LOG.append((label, validate_witness_ae(kp, kq, pred, w, k)))
-    return status, w
+    return res.status, w
 
 
 def ea_validated(kp, kq, pred, n, label):
     enc = encode_sim_ea(kp, kq, pred, n)
-    status, model = solve_enc(enc)
-    if status != "sat":
-        return status, None
-    w = decode_witness_ea(enc, model)
+    res = solve(enc.to_cnf())
+    if not res.is_sat:
+        return res.status, None
+    w = decode_witness_ea(enc, res.model)
     WITNESS_LOG.append((label, validate_witness_ea(kp, kq, pred, w, n)))
-    return status, w
+    return res.status, w
 
 
 def test_criterion_1_intro_suite():
@@ -149,7 +139,7 @@ def test_criterion_2_vertex_cover_equivalence():
         pred = expand_match_all(MatchAll(), k1.ap, k2.ap)
         threshold = len(g.sorted_edges()) + vc_min
         status_at, w = ae_validated(k1, k2, pred, threshold, f"vc-{idx}")
-        status_below, _ = solve_enc(encode_sim_ae(k1, k2, pred, threshold - 1))
+        status_below = solve(ae_at(k1, k2, pred, threshold - 1)[1]).status
         assert status_at == "sat", f"graph {idx}: expected sat at {threshold}"
         assert status_below == "unsat", f"graph {idx}: expected unsat at {threshold - 1}"
         agreements += 1
@@ -311,11 +301,10 @@ def test_criterion_8_corpus():
             if k > 1:
                 pred = expand_match_all(prop.pred, kp.ap, kq.ap)
                 if report.mode == "ae":
-                    enc = encode_sim_ae(reachable_restriction(kp), kq, pred, k - 1)
+                    _, cnf = ae_at(reachable_restriction(kp), kq, pred, k - 1)
                 else:
-                    enc = encode_sim_ea(kp, reachable_restriction(kq), pred, k - 1)
-                status, _ = solve_enc(enc)
-                assert status == "unsat", f"{case_dir.name}: bound {k} is not minimal"
+                    cnf = encode_sim_ea(kp, reachable_restriction(kq), pred, k - 1).to_cnf()
+                assert solve(cnf).status == "unsat", f"{case_dir.name}: bound {k} is not minimal"
         rows.append((case_dir.name, report.verdict, took))
     assert len(rows) == 10
     bench_rows, all_ok = run_benchmarks(str(CORPUS))

@@ -159,3 +159,13 @@ def test_varmap_lists_named_variables():
     cnf = lower_parts_to_cnf([("f", [[1], [2]])], ["a", "b"])
     lines = varmap_text(cnf).splitlines()
     assert "1 a" in lines and "2 b" in lines
+
+
+def test_units_end_the_last_family_of_a_copy():
+    cnf = lower_parts_to_cnf([("f", [[1, 2]]), ("bound", [[-2]])], ["a", "b"])
+    asked = cnf.with_units([-1, 2])
+    assert asked.clauses == [[1, 2], [-2], [-1], [2]]
+    assert asked.provenance == [("f", 1, 1), ("bound", 2, 4)]
+    assert (asked.num_vars, asked.var_names) == (2, {1: "a", 2: "b"})
+    assert cnf.clauses == [[1, 2], [-2]] and cnf.provenance[-1] == ("bound", 2, 2)
+    assert not solve(asked).is_sat

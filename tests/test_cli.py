@@ -316,6 +316,27 @@ def test_export_writes_instance_and_varmap(tmp_path, capsys):
     assert vars_file.exists() and vars_file.read_text()
 
 
+@pytest.mark.parametrize("bound", [3, 2], ids=["at-the-forced-count", "below-it"])
+def test_export_matches_the_golden_files(bound, tmp_path, capsys):
+    """phi2 with next:a:2 forces 3 right states: k=3 counts the other used
+    states, and k=2 is false outright, asked as used(q) and -used(q) for the
+    least forced q.  After a deliberate change of the format, regenerate
+    the files with this command line, and again with 2 in place of 3:
+
+        PYTHONPATH=src python -m hypersim.cli export
+            --left tests/data/k1.kr --right tests/data/k2.kr
+            --prop tests/data/phi2.hp --prophecy next:a:2
+            --bound 3 --out tests/data/intro_ae_next2_k3.cnf
+    """
+    out = tmp_path / "k.cnf"
+    argv = check_args("phi2.hp", "--prophecy", "next:a:2")[1:]
+    assert main(["export", *argv, "--bound", str(bound), "--out", str(out)]) == 0
+    capsys.readouterr()
+    golden = DATA / f"intro_ae_next2_k{bound}.cnf"
+    assert out.read_text() == golden.read_text()
+    assert Path(f"{out}.vars").read_text() == Path(f"{golden}.vars").read_text()
+
+
 def test_export_rejects_invalid_structure_without_writing(tmp_path, capsys):
     broken = tmp_path / "broken.kr"
     broken.write_text("states: s\ninit: s\nap: a\ntrans s ->\n")
@@ -483,13 +504,13 @@ def test_sweep_keeps_only_the_counter_columns_its_bounds_need(monkeypatch):
     # every right state is used by the greatest simulation, and the counter
     # counts the m of them that no left state forces in
     relation = greatest_simulation(kp, kq, prop.pred)
-    _, forced = subset_floor(kp, relation)
-    m = 200 - len(forced)
+    forced = subset_floor(kp, relation)[1].bit_count()
+    m = 200 - forced
     bounds = [it.bound for it in report.iterations if it.side == "sim"]
     assert len(bounds) == len(instances)
     for k, family in zip(bounds, instances):
         start, end = family["at-most-k"]
-        assert end - start + 1 < 2 * m * (k - len(forced) + 1)
+        assert end - start + 1 < 2 * m * (k - forced + 1)
 
 
 def test_each_ae_decision_builds_one_solver(monkeypatch):

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from hypersim.circuit import export_dimacs, lower_parts_to_cnf
 from hypersim.encoder import (
-    AeSweep,
     DecodeError,
     EncodeError,
     _at_most_one,
@@ -26,12 +25,12 @@ from hypersim.encoder import (
     uncovered_initial,
 )
 from hypersim.hyperspec import MatchAll, eval_predicate, parse_predicate, parse_property
-from hypersim.kripke import parse_kripke, reachable_restriction
+from hypersim.kripke import bit_indices, parse_kripke, reachable_restriction
 from hypersim.oracle import validate_witness_ae, validate_witness_ea
 from hypersim.prophecy import build_next_prophecy, prophecy_product
 from hypersim.sat import EmbeddedBackend, solve
 
-from helpers import enumerate_lasso_paths, rand_pred, rand_structure
+from helpers import ae_at, enumerate_lasso_paths, rand_pred, rand_structure
 
 DATA = Path(__file__).parent / "data"
 
@@ -50,6 +49,19 @@ def intro():
 def sat_model(enc):
     res = solve(enc.to_cnf())
     return res.model if res.is_sat else None
+
+
+def ae_model(kp, kq, pred, k, relation=None):
+    """A fresh forall-exists encoding asked at bound k, and a model of its
+    instance on its own, or None when there is none."""
+    enc, cnf = ae_at(kp, kq, pred, k, relation)
+    res = solve(cnf)
+    return enc, res.model if res.is_sat else None
+
+
+def pairs(kp, kq, rows):
+    """The relation the bitmask rows hold, as (left, right) state pairs."""
+    return {(kp.states[p], kq.states[q]) for p, row in enumerate(rows) for q in bit_indices(row)}
 
 
 def test_ea_one_state_pair_lowers_to_a_tiny_cnf():
@@ -74,8 +86,7 @@ def test_ea_one_state_pair_witness():
 
 
 def test_ae_one_state_pair_witness():
-    enc = encode_sim_ae(ONE_A, ONE_A, IFF_A, 1)
-    model = sat_model(enc)
+    enc, model = ae_model(ONE_A, ONE_A, IFF_A, 1)
     assert model is not None
     w = decode_witness_ae(enc, model)
     assert len(w.relation) == 1 and len(w.used_q) == 1
@@ -90,8 +101,8 @@ def test_ea_unsat_when_no_q_state_is_compatible():
 
 
 def test_family_layout_ae():
-    enc = encode_sim_ae(*intro(), 3)
-    families = [fam for fam, _, _ in enc.to_cnf().provenance]
+    _, cnf = ae_at(*intro(), 3)
+    families = [fam for fam, _, _ in cnf.provenance]
     assert families == [
         "initial-match",
         "used",
@@ -116,7 +127,7 @@ def test_family_layout_ea():
 def test_intro_ae_unsat_even_at_full_subset_size():
     kp, kq, pred = intro()
     for k in range(1, len(kq.states) + 1):
-        assert solve(encode_sim_ae(kp, kq, pred, k).to_cnf()).status == "unsat"
+        assert solve(ae_at(kp, kq, pred, k)[1]).status == "unsat"
 
 
 def test_intro_ae_sat_after_lookahead_product():
@@ -125,28 +136,28 @@ def test_intro_ae_sat_after_lookahead_product():
     product = prophecy_product(kp, build_next_prophecy("a", 2))
     hit = None
     for k in range(1, len(kq.states) + 1):
-        enc = encode_sim_ae(product, kq, pred, k)
-        model = sat_model(enc)
+        enc, model = ae_model(product, kq, pred, k)
         if model is not None:
-            hit = (enc, model)
+            hit = (k, enc, model)
             break
     assert hit is not None
-    enc, model = hit
+    k, enc, model = hit
     w = decode_witness_ae(enc, model)
-    assert validate_witness_ae(product, kq, pred, w, enc.k) == []
+    assert validate_witness_ae(product, kq, pred, w, k) == []
 
 
 def test_ae_rejects_out_of_range_k():
     kp, kq, pred = intro()
+    enc = encode_sim_ae(kp, kq, pred)
     with pytest.raises(EncodeError):
-        encode_sim_ae(kp, kq, pred, 0)
+        enc.bound(0)
     with pytest.raises(EncodeError):
-        encode_sim_ae(kp, kq, pred, len(kq.states) + 1)
+        enc.bound(len(kq.states) + 1)
 
 
 def test_match_all_must_be_expanded_first():
     with pytest.raises(EncodeError):
-        encode_sim_ae(ONE_A, ONE_A, MatchAll(), 1)
+        encode_sim_ae(ONE_A, ONE_A, MatchAll())
     with pytest.raises(EncodeError):
         encode_sim_ea(ONE_A, ONE_A, MatchAll(), 1)
 
@@ -154,12 +165,6 @@ def test_match_all_must_be_expanded_first():
 def model_of(enc, *true_names):
     """The model setting exactly the named variables of enc true."""
     return {v: name in true_names for v, name in enumerate(enc.var_names, start=1)}
-
-
-def test_decode_rejects_wrong_kind():
-    enc = encode_sim_ae(ONE_A, ONE_A, IFF_A, 1)
-    with pytest.raises(DecodeError):
-        decode_witness_ea(enc, model_of(enc))
 
 
 def test_decode_rejects_non_one_hot_position():
@@ -180,8 +185,7 @@ def test_export_is_deterministic_per_instance():
     kp, kq, pred = intro()
 
     def build() -> tuple[str, ...]:
-        cnf = encode_sim_ae(kp, kq, pred, 3).to_cnf()
-        return (export_dimacs(cnf),)
+        return (export_dimacs(ae_at(kp, kq, pred, 3)[1]),)
 
     assert build() == build()
     ea_a = export_dimacs(encode_sim_ea(kp, kq, pred, 3).to_cnf())
@@ -198,8 +202,7 @@ def test_ae_satisfiability_is_monotone_in_k(seed):
     pred = rand_pred(rng, kp.ap, kq.ap)
     verdicts = []
     for k in range(1, len(kq.states) + 1):
-        enc = encode_sim_ae(kp, kq, pred, k)
-        model = sat_model(enc)
+        enc, model = ae_model(kp, kq, pred, k)
         verdicts.append(model is not None)
         if model is not None:
             w = decode_witness_ae(enc, model)
@@ -262,7 +265,7 @@ def test_greatest_simulation_matches_naive_refinement(seed, edge_prob):
     kq = rand_structure(rng, max_states=7, edge_prob=edge_prob)
     pred = rand_pred(rng, kp.ap, kq.ap)
     naive = naive_greatest_simulation(kp, kq, pred, kq.states)
-    assert greatest_simulation(kp, kq, pred) == naive
+    assert pairs(kp, kq, greatest_simulation(kp, kq, pred)) == naive
 
 
 def test_at_most_k_counts_exactly():
@@ -295,20 +298,23 @@ def test_sweep_answers_each_bound_like_a_fresh_standalone_instance(seed):
     kp = rand_structure(rng, max_states=3)
     kq = rand_structure(rng, max_states=5)
     pred = rand_pred(rng, kp.ap, kq.ap)
+    # each bound of one encoding, asked in order on one solver, against a
+    # fresh encoding asked only at that bound, its units in the instance
     relation = greatest_simulation(kp, kq, pred)
-    sweep = AeSweep(encode_sim_ae(kp, kq, pred, len(kq.states), relation))
+    sweep = encode_sim_ae(kp, kq, pred, relation)
     backend = EmbeddedBackend()
-    floor = sweep.enc.floor
-    for k in range(1, floor):
-        assert solve(encode_sim_ae(kp, kq, pred, k, relation).to_cnf()).status == "unsat"
-    for k in range(floor, len(kq.states) + 1):
+    for k in range(1, sweep.floor):
+        fresh, alone = ae_at(kp, kq, pred, k, relation)
+        assert solve(alone).status == "unsat"
+        assert fresh.size(k) == (alone.num_vars, alone.num_clauses), f"k={k}"
+    for k in range(sweep.floor, len(kq.states) + 1):
         cnf, assumptions = sweep.bound(k)
         got = solve(cnf, backend, assumptions)
-        alone = encode_sim_ae(kp, kq, pred, k, relation).to_cnf()
+        _, alone = ae_at(kp, kq, pred, k, relation)
         assert got.status == solve(alone).status, f"k={k}"
         assert sweep.size(k) == (alone.num_vars, alone.num_clauses), f"k={k}"
         if got.is_sat:
-            w = decode_witness_ae(sweep.enc, got.model)
+            w = decode_witness_ae(sweep, got.model)
             assert validate_witness_ae(kp, kq, pred, w, k) == []
 
 
@@ -323,16 +329,15 @@ def test_the_floor_is_a_lower_bound_and_forced_states_are_used(seed):
     pred = rand_pred(rng, kp.ap, kq.ap)
     relation = greatest_simulation(kp, kq, pred)
     floor, forced = subset_floor(kp, relation)
-    assert len(forced) <= floor <= len(kq.states)
+    assert forced.bit_count() <= floor <= len(kq.states)
     minimal = None
     for k in range(1, len(kq.states) + 1):
-        enc = encode_sim_ae(kp, kq, pred, k, relation)
+        enc, model = ae_model(kp, kq, pred, k, relation)
         assert (enc.floor, enc.forced) == (floor, forced)
-        model = sat_model(enc)
         if model is None:
             continue
         assert k >= floor
-        assert all(model[enc.used[q]] for q in forced)
+        assert all(model[enc.used[q]] for q in bit_indices(forced))
         if minimal is None:
             minimal = k
     brute = next(
@@ -360,20 +365,11 @@ def test_an_unreachable_left_state_forces_nothing():
         "trans q0 -> q0\ntrans q1 -> q1"
     )
     relation = greatest_simulation(kp, kq, IFF_A)
-    assert (kp.states[1], kq.states[1]) in relation
-    assert subset_floor(kp, relation) == (1, frozenset([kq.states[0]]))
-    enc = encode_sim_ae(kp, kq, IFF_A, 1, relation)
-    model = sat_model(enc)
+    assert relation[1] == 0b10
+    assert subset_floor(kp, relation) == (1, 0b01)
+    enc, model = ae_model(kp, kq, IFF_A, 1, relation)
     assert model is not None
     assert validate_witness_ae(kp, kq, IFF_A, decode_witness_ae(enc, model), 1) == []
-
-
-def test_sweep_rejects_an_encoding_with_a_counter():
-    kp, kq, pred = intro()
-    with pytest.raises(EncodeError):
-        AeSweep(encode_sim_ae(kp, kq, pred, 1))
-    with pytest.raises(EncodeError):
-        AeSweep(encode_sim_ea(kp, kq, pred, 2))
 
 
 def covers_initial(kp, kq, rel) -> bool:
@@ -388,7 +384,7 @@ def test_ae_minimal_k_matches_brute_force_subsets(seed):
     kq = rand_structure(rng, max_states=5)
     pred = rand_pred(rng, kp.ap, kq.ap)
     relation = greatest_simulation(kp, kq, pred)
-    assert relation == naive_greatest_simulation(kp, kq, pred, kq.states)
+    assert pairs(kp, kq, relation) == naive_greatest_simulation(kp, kq, pred, kq.states)
     brute = next(
         (
             size
@@ -400,8 +396,7 @@ def test_ae_minimal_k_matches_brute_force_subsets(seed):
     )
     swept = None
     for k in range(1, len(kq.states) + 1):
-        enc = encode_sim_ae(kp, kq, pred, k, relation)
-        model = sat_model(enc)
+        enc, model = ae_model(kp, kq, pred, k, relation)
         if model is not None:
             w = decode_witness_ae(enc, model)
             assert validate_witness_ae(kp, kq, pred, w, k) == []

@@ -15,6 +15,7 @@ from hypersim.kripke import (
     LassoPath,
     StateId,
     parse_kripke,
+    reachable_mask,
     reachable_restriction,
 )
 
@@ -137,6 +138,15 @@ def test_reachable_restriction_reindexes_densely_past_an_unreachable_sink():
     assert r.succ_index == ((1,), (0,))
     assert validate_kripke(r) == []
     assert reachable_restriction(r) is r
+
+
+def test_predecessor_masks_and_the_reachable_mask():
+    k = parse_kripke(
+        "states: s dead t\ninit: s\nap: a\n"
+        "trans s -> t\ntrans t -> s\ntrans t -> t\ntrans dead -> t"
+    )
+    assert k.pred_mask == (0b100, 0b000, 0b111)
+    assert reachable_mask(k) == 0b101
 
 
 def test_a_structure_whose_indices_have_a_gap_is_rejected():

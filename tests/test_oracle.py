@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hypersim.encoder import SimWitnessAE, encode_sim_ae
+from hypersim.encoder import SimWitnessAE
 from hypersim.hyperspec import eval_predicate, parse_predicate, parse_property
 import hypersim.cli
 from hypersim.cli import check_pair
@@ -28,6 +28,7 @@ from hypersim.sat import solve
 
 from helpers import (
     LassoTrace,
+    ae_at,
     brute_force_vertex_cover,
     build_structure,
     check_box_on_pair,
@@ -401,8 +402,7 @@ def check_vc_threshold(g, k_states):
     from hypersim.hyperspec import expand_match_all, MatchAll
 
     pred = expand_match_all(MatchAll(), k1.ap, k2.ap)
-    enc = encode_sim_ae(k1, k2, pred, k_states)
-    return solve(enc.to_cnf()).status == "sat"
+    return solve(ae_at(k1, k2, pred, k_states)[1]).status == "sat"
 
 
 def test_triangle_cover_thresholds():

@@ -75,6 +75,36 @@ def test_pigeonhole_unsat_embedded():
     assert res.conflicts > 0
 
 
+def test_learnt_clauses_are_reduced_past_the_first_threshold(monkeypatch):
+    # pigeonhole 8 into 7 takes 4465 conflicts, past the 4000 at which the
+    # learnt clauses are first reduced; the answer must not change
+    sizes = []
+    original = CdclSolver._reduce_db
+
+    def counting(self):
+        before = len(self.learnts)
+        original(self)
+        sizes.append((before, len(self.learnts)))
+
+    monkeypatch.setattr(CdclSolver, "_reduce_db", counting)
+    solver = CdclSolver(*php_clauses(8, 7))
+    assert solver.solve().status == "unsat"
+    assert solver.total_conflicts >= 4000
+    assert sizes and all(after < before for before, after in sizes)
+
+
+def test_loading_drops_repeats_tautologies_and_fixed_literals():
+    # [1, 1] is the unit 1; [2, -2, 3] always holds; -1 is false once 1 is
+    # fixed, so [-1, 3, 3] is the unit 3: no clause is left to watch
+    solver = CdclSolver(3, [[1, 1], [2, -2, 3], [-1, 3, 3]])
+    assert not any(solver.watches)
+    res = solver.solve()
+    assert res.status == "sat" and res.model[1] and res.model[3]
+    # every literal of [-1, -3] is false at level 0: the clauses are unsat
+    solver.add_clauses(3, [[-1, -3]])
+    assert solver.solve().status == "unsat"
+
+
 @given(st.integers(min_value=0, max_value=10**9))
 @settings(max_examples=150, deadline=None)
 def test_cdcl_agrees_with_brute_force(seed):
