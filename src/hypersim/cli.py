@@ -23,13 +23,11 @@ from .encoder import (
     decode_witness_ea,
     encode_sim_ae,
     encode_sim_ea,
-    greatest_simulation,
     uncovered_initial,
 )
 from .hyperspec import (
     HyperProperty,
     Pattern,
-    Pred,
     PredicateParseError,
     PredicateTable,
     UnsupportedFragmentError,
@@ -217,10 +215,11 @@ def prepare(
     kq: KripkeStructure,
     prop: HyperProperty,
     prophecy: ProphecyAutomaton | None = None,
-) -> tuple[KripkeStructure, KripkeStructure, Pred, str, list[str]]:
-    """The structures, predicate, mode ("ae" or "ea") and notes every
-    encoding and falsifier of one decision works on: the prophecy product,
-    match-all expanded, and the enumerated side reachable-restricted."""
+) -> tuple[PredicateTable, str, list[str]]:
+    """The predicate table every kernel of one decision is built from, the
+    mode ("ae" or "ea") and the notes.  The table is over the prophecy
+    product and the reachable restriction of the enumerated side, with
+    match-all expanded."""
     mode = _mode_of(prop.pattern)
     if prophecy is not None and mode != "ae":
         raise CliInputError("prophecy enrichment applies to forall-exists checks only")
@@ -239,7 +238,7 @@ def prepare(
         kp = reachable_restriction(kp)
     else:
         kq = reachable_restriction(kq)
-    return kp, kq, pred, mode, notes
+    return PredicateTable(kp, kq, pred), mode, notes
 
 
 def check_pair(
@@ -257,7 +256,8 @@ def check_pair(
         raise CliInputError(f"falsification depth must be >= 1, got {max_falsify_depth}")
     if max_sim_bound is not None and max_sim_bound < 1:
         raise CliInputError(f"simulation bound must be >= 1, got {max_sim_bound}")
-    kp, kq, pred, mode, notes = prepare(kp, kq, prop, prophecy)
+    table, mode, notes = prepare(kp, kq, prop, prophecy)
+    kp, kq, pred = table.kp, table.kq, table.pred
 
     if mode == "ae":
         sim_max = min(max_sim_bound, len(kq.states)) if max_sim_bound else len(kq.states)
@@ -273,19 +273,15 @@ def check_pair(
         notes=notes,
     )
 
-    # the predicate is evaluated once per label pair for the whole decision,
-    # and the embedded backend keeps one solver across the ae bounds
-    table = PredicateTable(kp, kq, pred)
+    # the embedded backend keeps one solver across the ae bounds
     backend = backend or EmbeddedBackend()
     first = 1  # the least sim bound asked
     if mode == "ae":
-        # every simulation lies inside the greatest one, so all bounds share
-        # it, and only the counter depends on the bound
-        relation = greatest_simulation(kp, kq, pred, table)
-        enc = encode_sim_ae(kp, kq, pred, relation)
+        # one instance answers every bound: only its counter depends on it
+        enc = encode_sim_ae(table)
         # every falsify depth extends the layers of one live-set search
-        search = LiveSetSearch(kp, kq, pred, table)
-        for p in uncovered_initial(kp, kq, relation):
+        search = LiveSetSearch(table)
+        for p in uncovered_initial(kp, kq, enc.relation):
             notes.append(
                 f"no right subset can simulate left state {p.name}: the greatest "
                 f"simulation ({len(enc.sim)} pairs) relates it to no initial right "
@@ -299,7 +295,7 @@ def check_pair(
                 f"({enc.forced.bit_count()} forced), so the sweep starts at k={first}"
             )
     else:
-        search = SafeFrontierSearch(kp, kq, pred, table)
+        search = SafeFrontierSearch(table)
 
     for bound in range(1, max(sim_max, max_falsify_depth) + 1):
         if first <= bound <= sim_max:
@@ -308,8 +304,8 @@ def check_pair(
                 cnf, assumptions = enc.bound(bound)
                 size = enc.size(bound)
             else:
-                enc = encode_sim_ea(kp, kq, pred, bound, table)
-                cnf, assumptions = enc.to_cnf(), ()
+                enc = encode_sim_ea(table, bound)
+                cnf, assumptions = enc.cnf, ()
                 size = (cnf.num_vars, cnf.num_clauses)
             res = solve(cnf, backend, assumptions)
             took = time.perf_counter() - t0
@@ -341,9 +337,9 @@ def check_pair(
         if bound <= max_falsify_depth:
             t0 = time.perf_counter()
             if mode == "ae":
-                cex = falsify_forall_exists(kp, kq, pred, bound, search=search)
+                cex = falsify_forall_exists(search, bound)
             else:
-                cex = falsify_exists_forall(kp, kq, pred, bound, search=search)
+                cex = falsify_exists_forall(search, bound)
             took = time.perf_counter() - t0
             report.iterations.append(
                 IterationStat(
@@ -379,8 +375,8 @@ def check_pair(
 
 def _read(path: str) -> str:
     try:
-        return Path(path).read_text()
-    except OSError as e:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as e:
         raise CliInputError(f"cannot read {path}: {e}") from e
 
 
@@ -485,13 +481,13 @@ def run_check(cfg: CheckConfig) -> Report:
 
 def export_encoding(cfg: CheckConfig, bound: int) -> tuple[str, str]:
     """Build the encoding at one bound without solving; returns (dimacs, varmap)."""
-    kp, kq, pred, mode, _ = prepare(*_load(cfg))
+    table, mode, _ = prepare(*_load(cfg))
     try:
         if mode == "ae":
-            cnf, units = encode_sim_ae(kp, kq, pred).bound(bound)
+            cnf, units = encode_sim_ae(table).bound(bound)
             cnf = cnf.with_units(units)
         else:
-            cnf = encode_sim_ea(kp, kq, pred, bound).to_cnf()
+            cnf = encode_sim_ea(table, bound).cnf
     except EncodeError as e:
         raise CliInputError(str(e)) from e
     return export_dimacs(cnf), varmap_text(cnf)

@@ -28,9 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
-from . import hyperspec as hs
 from .circuit import Clause, CnfInstance, lower_parts_to_cnf
-from .hyperspec import PredicateTable, predicate_table
+from .hyperspec import PredicateTable
 from .kripke import (
     KripkeStructure,
     LassoPath,
@@ -79,11 +78,7 @@ class EaEncoding:
     sim: dict[tuple[int, int], int] = field(repr=False)
     pos: dict[tuple[int, int], int] = field(repr=False)
     loop: dict[int, int] = field(repr=False)
-    parts: list[tuple[str, list[Clause]]] = field(repr=False)
-    var_names: list[str] = field(repr=False)  # variable v is var_names[v-1]
-
-    def to_cnf(self) -> CnfInstance:
-        return lower_parts_to_cnf(self.parts, self.var_names)
+    cnf: CnfInstance = field(repr=False)
 
 
 class _Vars:
@@ -143,32 +138,18 @@ class _Counter:
         self.clauses.append(out)
 
 
-def _check_common(kp: KripkeStructure, kq: KripkeStructure, pred: hs.Pred) -> None:
-    if not kp.states or not kq.states:
-        raise EncodeError("both structures must have at least one state")
-    if hs.uses_match_all(pred):
-        raise EncodeError("match-all must be expanded against the AP sets before encoding")
-
-
-def greatest_simulation(
-    kp: KripkeStructure,
-    kq: KripkeStructure,
-    pred: hs.Pred,
-    table: PredicateTable | None = None,
-) -> Rows:
-    """The greatest R within S_P x S_Q such that pred holds on every pair of R
-    and, for (p,q) in R, every successor of p is related to some successor
-    of q, as its rows: R[p] is the bitmask of the right states related to
-    the left state with index p.  `table` is the decision's predicate
-    table, built here when omitted.
+def greatest_simulation(table: PredicateTable) -> Rows:
+    """The greatest R within S_P x S_Q such that the table's predicate holds
+    on every pair of R and, for (p,q) in R, every successor of p is related
+    to some successor of q, as its rows: R[p] is the bitmask of the right
+    states related to the left state with index p.
 
     Refinement starts each row from the right states the predicate admits.
     A row keeps q while every successor p2 of p has a row that meets q's
     successors; when a row shrinks, the rows of p's predecessors are refined
     again."""
-    _check_common(kp, kq, pred)
-    rel = list(predicate_table(kp, kq, pred, table).allow)
-    succ_p, pre_p, pre_q = kp.succ_index, kp.pred_mask, kq.pred_mask
+    rel = list(table.allow)
+    succ_p, pre_p, pre_q = table.kp.succ_index, table.kp.pred_mask, table.kq.pred_mask
     into: dict[int, int] = {}  # row -> the right states with a successor in it
 
     work = list(range(len(rel)))
@@ -230,14 +211,14 @@ class AeEncoding:
     """Encode: some subset of at most k states of K_Q simulates all of K_P,
     for every k at once.
 
-    `relation` is greatest_simulation(kp, kq, pred), as rows.  Variables
-    are keyed by state index: sim(p,q) by (p, q) for each pair of the
-    relation, used(q) by q for each right state in it.  Only initial left
-    states and the successors of related ones must be related, so
-    unreachable left states are never forced in; reachable-restricting K_P
-    only saves their variables.  The families initial-match, used and
-    successor-match do not depend on k and are lowered once; at-most-k
-    starts empty.
+    `relation` is greatest_simulation(table), as rows; every simulation
+    lies inside it.  Variables are keyed by state index: sim(p,q) by (p, q)
+    for each pair of the relation, used(q) by q for each right state in it.
+    Only initial left states and the successors of related ones must be
+    related, so unreachable left states are never forced in;
+    reachable-restricting K_P only saves their variables.  The families
+    initial-match, used and successor-match do not depend on k and are
+    lowered once; at-most-k starts empty.
 
     The counter counts the m used states outside the forced set F of
     subset_floor, and k is asked as "at most k - |F| of them": bound(k)
@@ -249,8 +230,9 @@ class AeEncoding:
     (`CnfInstance.with_units`), the assumptions give the instance of
     bound k on its own."""
 
-    def __init__(self, kp: KripkeStructure, kq: KripkeStructure, relation: Rows) -> None:
-        self.kp, self.kq = kp, kq
+    def __init__(self, table: PredicateTable) -> None:
+        self.kp, self.kq = kp, kq = table.kp, table.kq
+        self.relation = relation = greatest_simulation(table)
         ps, qs = kp.states, kq.states
         vs = _Vars()
         self.sim = {
@@ -322,39 +304,23 @@ class AeEncoding:
         return num_vars, num_clauses
 
 
-def encode_sim_ae(
-    kp: KripkeStructure,
-    kq: KripkeStructure,
-    pred: hs.Pred,
-    relation: Rows | None = None,
-) -> AeEncoding:
-    """The forall-exists instance of (kp, kq, pred) for every subset bound.
-    `relation` is greatest_simulation(kp, kq, pred); a decision computes it
-    once."""
-    _check_common(kp, kq, pred)
-    if relation is None:
-        relation = greatest_simulation(kp, kq, pred)
-    return AeEncoding(kp, kq, relation)
+def encode_sim_ae(table: PredicateTable) -> AeEncoding:
+    """The forall-exists instance of the table's decision for every subset
+    bound."""
+    return AeEncoding(table)
 
 
-def encode_sim_ea(
-    kp: KripkeStructure,
-    kq: KripkeStructure,
-    pred: hs.Pred,
-    n: int,
-    table: PredicateTable | None = None,
-) -> EaEncoding:
-    """Encode: a lasso of length n in K_P simulates all of K_Q.  `table` is
-    the decision's predicate table, built here when omitted.
+def encode_sim_ea(table: PredicateTable, n: int) -> EaEncoding:
+    """Encode: a lasso of length n in K_P simulates all of K_Q, as one
+    lowered instance.
 
     Position 1 answers for every initial right state and each position for
     the successors of the one before, so unreachable right states are never
     forced in; reachable-restricting K_Q only saves their variables.
     Position i may only hold a left state reachable in exactly i-1 steps."""
-    _check_common(kp, kq, pred)
     if n < 1:
         raise EncodeError(f"lasso length must be positive, got {n}")
-    allow = predicate_table(kp, kq, pred, table).allow
+    kp, kq, allow = table.kp, table.kq, table.allow
     ps, qs, succ_p = kp.states, kq.states, kp.succ_index
     cand = [mask_of(kp.init)]  # cand[i-1]: the left states position i may hold
     for _ in range(1, n):
@@ -409,9 +375,8 @@ def encode_sim_ea(
         ("loop-back", loop_back),
         ("pred", pred_part),
     ]
-    return EaEncoding(
-        kp=kp, kq=kq, n=n, sim=sim, pos=pos, loop=loop, parts=parts, var_names=vs.names
-    )
+    cnf = lower_parts_to_cnf(parts, vs.names)
+    return EaEncoding(kp=kp, kq=kq, n=n, sim=sim, pos=pos, loop=loop, cnf=cnf)
 
 
 def decode_witness_ae(enc: AeEncoding, model: Mapping[int, bool]) -> SimWitnessAE:

@@ -361,8 +361,11 @@ class PredicateTable:
     """The right states each left state admits under a predicate, as a
     bitmask over right state indices: `allow[p.index]` has bit q.index set
     iff the predicate holds on the labels of p and q.  The compiled closure
-    runs once per distinct (left label, right label) pair, so the searches
-    and encodings of one decision share the evaluations."""
+    runs once per distinct (left label, right label) pair.
+
+    A decision builds one table, and its fixpoint, encodings and searches
+    are all built from it, so they cannot disagree on the structures or
+    the predicate.  An unexpanded match-all raises ValueError."""
 
     def __init__(self, kp: KripkeStructure, kq: KripkeStructure, pred: Pred) -> None:
         self.kp, self.kq, self.pred = kp, kq, pred
@@ -384,27 +387,6 @@ class PredicateTable:
                 by_label[label] = mask
             allow.append(mask)
         self.allow = allow
-
-
-def predicate_table(
-    kp: KripkeStructure, kq: KripkeStructure, pred: Pred, table: PredicateTable | None = None
-) -> PredicateTable:
-    """`table` if it was built for these inputs, a new table if it is None."""
-    if table is None:
-        return PredicateTable(kp, kq, pred)
-    if (table.kp, table.kq, table.pred) != (kp, kq, pred):
-        raise ValueError("predicate table was built for other structures or predicate")
-    return table
-
-
-def uses_match_all(pred: Pred) -> bool:
-    if isinstance(pred, MatchAll):
-        return True
-    if isinstance(pred, Not):
-        return uses_match_all(pred.arg)
-    if isinstance(pred, (And, Or, Implies, Iff)):
-        return uses_match_all(pred.left) or uses_match_all(pred.right)
-    return False
 
 
 _PROPERTY_RE = re.compile(r"^\s*([a-z]+)\s+([a-z]+)\s*\.\s*G\s+(.*)$", re.DOTALL)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .hyperspec import Pred, PredicateTable, eval_predicate, predicate_table
+from .hyperspec import Pred, PredicateTable, eval_predicate
 from .kripke import KripkeStructure, StateId, bit_indices, mask_of, union_of
 from .encoder import SimWitnessAE, SimWitnessEA
 
@@ -120,19 +120,11 @@ class LiveSetSearch:
     and successors are visited in index order, so layer order is the
     lexicographic order of each node's least path, and parents rebuild that
     path.  Layers are built on demand: one search serves every depth of a
-    decision.  `table` is the decision's predicate table, built here when
-    omitted.
+    decision.
     """
 
-    def __init__(
-        self,
-        kp: KripkeStructure,
-        kq: KripkeStructure,
-        pred: Pred,
-        table: PredicateTable | None = None,
-    ) -> None:
-        self.kp, self.kq, self.pred = kp, kq, pred
-        self.allow = predicate_table(kp, kq, pred, table).allow
+    def __init__(self, table: PredicateTable) -> None:
+        self.kp, self.kq, self.allow = table.kp, table.kq, table.allow
         self._post: dict[int, int] = {}  # live set -> the union of its successors
         self.layers: list[dict[LiveNode, LiveNode | None]] = []
 
@@ -168,13 +160,7 @@ class LiveSetSearch:
         return chain
 
 
-def falsify_forall_exists(
-    kp: KripkeStructure,
-    kq: KripkeStructure,
-    pred: Pred,
-    depth: int,
-    search: LiveSetSearch | None = None,
-) -> Counterexample | None:
+def falsify_forall_exists(search: LiveSetSearch, depth: int) -> Counterexample | None:
     """Search for a depth-bounded refutation of forall-exists G pred: a K_P
     path such that every K_Q path violates the predicate at some position
     before `depth`.  Sound: every infinite right trace extends a refuted
@@ -182,22 +168,16 @@ def falsify_forall_exists(
 
     An empty live set stays empty, so such a path exists iff layer depth-1 of
     the live-set search holds a node with no live right state; the returned
-    path is the least one (lexicographic in state index).  Pass one `search`
-    built for (kp, kq, pred) to every depth of a sweep to share its layers.
+    path is the least one (lexicographic in state index).  Every depth of a
+    sweep asks the one search, which keeps its layers; depth is at least 1.
     """
-    if depth < 1:
-        return None
-    if search is None:
-        search = LiveSetSearch(kp, kq, pred)
-    elif (search.kp, search.kq, search.pred) != (kp, kq, pred):
-        raise ValueError("live-set search was built for other structures or predicate")
     for node in search.layer(depth - 1):
         if not node[1]:
             chain = search.least_path(node, depth - 1)
             died_at = next(i for i, (_, live) in enumerate(chain) if not live)
             return Counterexample(
                 side="forall-exists",
-                p_path=tuple(kp.states[p] for p, _ in chain),
+                p_path=tuple(search.kp.states[p] for p, _ in chain),
                 depth=depth,
                 note=f"every right-model path violates the predicate by position {died_at} against this left path",
             )
@@ -212,19 +192,11 @@ class SafeFrontierSearch:
     i steps.  Left frontier i is the bitmask of the left states at the end
     of a left path of i+1 states that is safe at every position so far: its
     label satisfies the predicate against every right state of the same
-    layer.  `table` is the decision's predicate table, built here when
-    omitted.
+    layer.
     """
 
-    def __init__(
-        self,
-        kp: KripkeStructure,
-        kq: KripkeStructure,
-        pred: Pred,
-        table: PredicateTable | None = None,
-    ) -> None:
-        self.kp, self.kq, self.pred = kp, kq, pred
-        self.allow = predicate_table(kp, kq, pred, table).allow
+    def __init__(self, table: PredicateTable) -> None:
+        self.kp, self.kq, self.allow = table.kp, table.kq, table.allow
         self.right_masks: list[int] = []
         self.frontiers: list[int] = []
 
@@ -243,29 +215,18 @@ class SafeFrontierSearch:
         return self.frontiers[i]
 
 
-def falsify_exists_forall(
-    kp: KripkeStructure,
-    kq: KripkeStructure,
-    pred: Pred,
-    depth: int,
-    search: SafeFrontierSearch | None = None,
-) -> Counterexample | None:
+def falsify_exists_forall(search: SafeFrontierSearch, depth: int) -> Counterexample | None:
     """Search for a depth-bounded refutation of exists-forall G pred: evidence
     that every K_P path of length `depth` admits a violating K_Q path.  The
     returned pPath is a sample violating K_Q path (against the first K_P
-    path); the full evidence is re-derivable by enumeration.  Pass one
-    `search` built for (kp, kq, pred) to every depth of a sweep to share its
-    layers."""
-    if depth < 1:
-        return None
-    if search is None:
-        search = SafeFrontierSearch(kp, kq, pred)
-    elif (search.kp, search.kq, search.pred) != (kp, kq, pred):
-        raise ValueError("safe-frontier search was built for other structures or predicate")
+    path); the full evidence is re-derivable by enumeration.  Every depth of
+    a sweep asks the one search, which keeps its layers; depth is at least
+    1."""
     if search.frontier(depth - 1):
         return None
 
     # sample evidence: a violating right path against the first left path
+    kp, kq = search.kp, search.kq
     succ_p, succ_q = kp.succ_index, kq.succ_index
     first_p = [kp.sorted_init()[0].index]
     while len(first_p) < depth:

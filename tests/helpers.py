@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 import hypersim.prophecy
 from hypersim.circuit import CnfInstance
-from hypersim.encoder import AeEncoding, Rows, encode_sim_ae
+from hypersim.encoder import AeEncoding, encode_sim_ae
 from hypersim.hyperspec import (
     And,
     FalseConst,
@@ -29,6 +29,7 @@ from hypersim.hyperspec import (
     Not,
     Or,
     Pred,
+    PredicateTable,
     RightAtom,
     TrueConst,
     eval_predicate,
@@ -302,13 +303,11 @@ class LassoTrace:
         return self.loop[(i - len(self.prefix)) % len(self.loop)]
 
 
-def ae_at(
-    kp: KripkeStructure, kq: KripkeStructure, pred: Pred, k: int, relation: Rows | None = None
-) -> tuple[AeEncoding, CnfInstance]:
+def ae_at(table: PredicateTable, k: int) -> tuple[AeEncoding, CnfInstance]:
     """A fresh forall-exists encoding asked at subset bound k, and its
     instance with the bound's assumptions as unit clauses: what
     `hypersim export --bound k` writes."""
-    enc = encode_sim_ae(kp, kq, pred, relation)
+    enc = encode_sim_ae(table)
     cnf, units = enc.bound(k)
     return enc, cnf.with_units(units)
 

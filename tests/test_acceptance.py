@@ -17,12 +17,15 @@ from hypersim.cli import CheckConfig, check_pair, export_encoding, run_benchmark
 from hypersim.encoder import decode_witness_ae, decode_witness_ea, encode_sim_ea
 from hypersim.hyperspec import (
     MatchAll,
+    PredicateTable,
     eval_predicate,
     expand_match_all,
     parse_property,
 )
 from hypersim.kripke import parse_kripke, reachable_restriction
 from hypersim.oracle import (
+    LiveSetSearch,
+    SafeFrontierSearch,
     falsify_exists_forall,
     falsify_forall_exists,
     validate_witness_ae,
@@ -61,7 +64,7 @@ def intro_pair():
 
 def ae_validated(kp, kq, pred, k, label):
     """Solve the subset encoding; on SAT decode, validate, and log."""
-    enc, cnf = ae_at(kp, kq, pred, k)
+    enc, cnf = ae_at(PredicateTable(kp, kq, pred), k)
     res = solve(cnf)
     if not res.is_sat:
         return res.status, None
@@ -71,8 +74,8 @@ def ae_validated(kp, kq, pred, k, label):
 
 
 def ea_validated(kp, kq, pred, n, label):
-    enc = encode_sim_ea(kp, kq, pred, n)
-    res = solve(enc.to_cnf())
+    enc = encode_sim_ea(PredicateTable(kp, kq, pred), n)
+    res = solve(enc.cnf)
     if not res.is_sat:
         return res.status, None
     w = decode_witness_ea(enc, res.model)
@@ -139,7 +142,7 @@ def test_criterion_2_vertex_cover_equivalence():
         pred = expand_match_all(MatchAll(), k1.ap, k2.ap)
         threshold = len(g.sorted_edges()) + vc_min
         status_at, w = ae_validated(k1, k2, pred, threshold, f"vc-{idx}")
-        status_below = solve(ae_at(k1, k2, pred, threshold - 1)[1]).status
+        status_below = solve(ae_at(PredicateTable(k1, k2, pred), threshold - 1)[1]).status
         assert status_at == "sat", f"graph {idx}: expected sat at {threshold}"
         assert status_below == "unsat", f"graph {idx}: expected unsat at {threshold - 1}"
         agreements += 1
@@ -168,8 +171,9 @@ def test_criterion_3_encoder_falsifier_soundness():
                 sat_ae = k
                 break
         cex_ae = None
+        live = LiveSetSearch(PredicateTable(kp_r, kq, pred))
         for d in range(1, 7):
-            cex_ae = falsify_forall_exists(kp_r, kq, pred, d)
+            cex_ae = falsify_forall_exists(live, d)
             if cex_ae is not None:
                 break
         if sat_ae is not None and cex_ae is not None:
@@ -183,8 +187,9 @@ def test_criterion_3_encoder_falsifier_soundness():
                 sat_ea = n
                 break
         cex_ea = None
+        safe = SafeFrontierSearch(PredicateTable(kp, kq_r, pred))
         for d in range(1, 7):
-            cex_ea = falsify_exists_forall(kp, kq_r, pred, d)
+            cex_ea = falsify_exists_forall(safe, d)
             if cex_ea is not None:
                 break
         if sat_ea is not None and cex_ea is not None:
@@ -301,9 +306,11 @@ def test_criterion_8_corpus():
             if k > 1:
                 pred = expand_match_all(prop.pred, kp.ap, kq.ap)
                 if report.mode == "ae":
-                    _, cnf = ae_at(reachable_restriction(kp), kq, pred, k - 1)
+                    table = PredicateTable(reachable_restriction(kp), kq, pred)
+                    _, cnf = ae_at(table, k - 1)
                 else:
-                    cnf = encode_sim_ea(kp, reachable_restriction(kq), pred, k - 1).to_cnf()
+                    table = PredicateTable(kp, reachable_restriction(kq), pred)
+                    cnf = encode_sim_ea(table, k - 1).cnf
                 assert solve(cnf).status == "unsat", f"{case_dir.name}: bound {k} is not minimal"
         rows.append((case_dir.name, report.verdict, took))
     assert len(rows) == 10

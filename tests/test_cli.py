@@ -1,6 +1,7 @@
 """Driver behavior end to end: verdicts, exit codes, export, bench."""
 
 import json
+import shutil
 import sys
 from pathlib import Path
 
@@ -21,7 +22,7 @@ from hypersim.cli import (
     run_check,
 )
 from hypersim.encoder import SimWitnessEA, greatest_simulation, subset_floor
-from hypersim.hyperspec import parse_property
+from hypersim.hyperspec import PredicateTable, parse_property
 from hypersim.kripke import LassoPath, parse_kripke
 from hypersim.prophecy import build_next_prophecy
 
@@ -316,23 +317,41 @@ def test_export_writes_instance_and_varmap(tmp_path, capsys):
     assert vars_file.exists() and vars_file.read_text()
 
 
-@pytest.mark.parametrize("bound", [3, 2], ids=["at-the-forced-count", "below-it"])
-def test_export_matches_the_golden_files(bound, tmp_path, capsys):
+GCW = CORPUS / "gcw"
+
+
+@pytest.mark.parametrize(
+    "argv, golden",
+    [
+        (check_args("phi2.hp", "--prophecy", "next:a:2")[1:] + ["--bound", "3"], "intro_ae_next2_k3.cnf"),
+        (check_args("phi2.hp", "--prophecy", "next:a:2")[1:] + ["--bound", "2"], "intro_ae_next2_k2.cnf"),
+        (
+            ["--left", str(GCW / "plan.kr"), "--right", str(GCW / "monitor.kr"),
+             "--prop", str(GCW / "prop.hp"), "--bound", "3"],
+            "gcw_ea_n3.cnf",
+        ),
+    ],
+    ids=["at-the-forced-count", "below-it", "exists-forall"],
+)
+def test_export_matches_the_golden_files(argv, golden, tmp_path, capsys):
     """phi2 with next:a:2 forces 3 right states: k=3 counts the other used
     states, and k=2 is false outright, asked as used(q) and -used(q) for the
-    least forced q.  After a deliberate change of the format, regenerate
-    the files with this command line, and again with 2 in place of 3:
+    least forced q.  corpus/gcw at n=3 pins the exists-forall instance.
+    After a deliberate change of the format, regenerate the files with
+    these command lines, and the first again with 2 in place of 3:
 
         PYTHONPATH=src python -m hypersim.cli export
             --left tests/data/k1.kr --right tests/data/k2.kr
             --prop tests/data/phi2.hp --prophecy next:a:2
             --bound 3 --out tests/data/intro_ae_next2_k3.cnf
+        PYTHONPATH=src python -m hypersim.cli export
+            --left corpus/gcw/plan.kr --right corpus/gcw/monitor.kr
+            --prop corpus/gcw/prop.hp --bound 3 --out tests/data/gcw_ea_n3.cnf
     """
     out = tmp_path / "k.cnf"
-    argv = check_args("phi2.hp", "--prophecy", "next:a:2")[1:]
-    assert main(["export", *argv, "--bound", str(bound), "--out", str(out)]) == 0
+    assert main(["export", *argv, "--out", str(out)]) == 0
     capsys.readouterr()
-    golden = DATA / f"intro_ae_next2_k{bound}.cnf"
+    golden = DATA / golden
     assert out.read_text() == golden.read_text()
     assert Path(f"{out}.vars").read_text() == Path(f"{golden}.vars").read_text()
 
@@ -389,6 +408,36 @@ def test_bench_isolates_broken_manifests(tmp_path, capsys):
     assert lines and lines[0].rstrip().endswith("yes")
     for name in broken:
         assert any(l.startswith(f"{name} ") and " error: " in l for l in out.splitlines())
+
+
+NOT_UTF8 = b"states: s\xff\ninit: s\nap: a\ntrans s -> s\n"
+
+
+@pytest.mark.parametrize("command", ["check", "export"])
+@pytest.mark.parametrize("flag", ["--left", "--right", "--prop", "--prophecy-file"])
+def test_a_file_that_is_not_utf8_is_an_input_error(command, flag, tmp_path, capsys):
+    bad = tmp_path / "bad"
+    bad.write_bytes(NOT_UTF8)
+    argv = check_args("phi2.hp")
+    if flag == "--prophecy-file":
+        argv += [flag, str(bad)]
+    else:
+        argv[argv.index(flag) + 1] = str(bad)
+    if command == "export":
+        argv = ["export", *argv[1:], "--bound", "1", "--out", str(tmp_path / "k.cnf")]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read {bad}: ") and "Traceback" not in err
+
+
+def test_bench_reports_a_file_that_is_not_utf8_as_an_error_row(tmp_path, capsys):
+    for name in ("gcw", "gcw_nosol"):
+        shutil.copytree(CORPUS / name, tmp_path / name)
+    (tmp_path / "gcw" / "plan.kr").write_bytes(NOT_UTF8)
+    assert main(["bench", str(tmp_path)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert any(l.startswith("gcw ") and " error: cannot read " in l for l in lines)
+    assert any(l.startswith("gcw_nosol ") and l.endswith("yes") for l in lines)
 
 
 def test_every_command_prepares_each_decision_once(monkeypatch):
@@ -503,7 +552,7 @@ def test_sweep_keeps_only_the_counter_columns_its_bounds_need(monkeypatch):
     assert report.verdict == "holds" and report.minimal_bound == 2
     # every right state is used by the greatest simulation, and the counter
     # counts the m of them that no left state forces in
-    relation = greatest_simulation(kp, kq, prop.pred)
+    relation = greatest_simulation(PredicateTable(kp, kq, prop.pred))
     forced = subset_floor(kp, relation)[1].bit_count()
     m = 200 - forced
     bounds = [it.bound for it in report.iterations if it.side == "sim"]

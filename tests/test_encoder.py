@@ -24,7 +24,13 @@ from hypersim.encoder import (
     subset_floor,
     uncovered_initial,
 )
-from hypersim.hyperspec import MatchAll, eval_predicate, parse_predicate, parse_property
+from hypersim.hyperspec import (
+    MatchAll,
+    PredicateTable,
+    eval_predicate,
+    parse_predicate,
+    parse_property,
+)
 from hypersim.kripke import bit_indices, parse_kripke, reachable_restriction
 from hypersim.oracle import validate_witness_ae, validate_witness_ea
 from hypersim.prophecy import build_next_prophecy, prophecy_product
@@ -47,14 +53,14 @@ def intro():
 
 
 def sat_model(enc):
-    res = solve(enc.to_cnf())
+    res = solve(enc.cnf)
     return res.model if res.is_sat else None
 
 
-def ae_model(kp, kq, pred, k, relation=None):
+def ae_model(table, k):
     """A fresh forall-exists encoding asked at bound k, and a model of its
     instance on its own, or None when there is none."""
-    enc, cnf = ae_at(kp, kq, pred, k, relation)
+    enc, cnf = ae_at(table, k)
     res = solve(cnf)
     return enc, res.model if res.is_sat else None
 
@@ -66,15 +72,14 @@ def pairs(kp, kq, rows):
 
 def test_ea_one_state_pair_lowers_to_a_tiny_cnf():
     # pos(1,s), loop(1) and sim(1,s): each forced by one unit clause
-    enc = encode_sim_ea(ONE_A, ONE_A, IFF_A, 1)
-    cnf = enc.to_cnf()
+    cnf = encode_sim_ea(PredicateTable(ONE_A, ONE_A, IFF_A), 1).cnf
     assert (cnf.num_vars, cnf.num_clauses) == (3, 3)
     assert "p cnf 3 3" in export_dimacs(cnf).splitlines()
     assert sorted(cnf.var_names.values()) == ["loop(1)", "pos(1,s)", "sim(1,s)"]
 
 
 def test_ea_one_state_pair_witness():
-    enc = encode_sim_ea(ONE_A, ONE_A, IFF_A, 1)
+    enc = encode_sim_ea(PredicateTable(ONE_A, ONE_A, IFF_A), 1)
     model = sat_model(enc)
     assert model is not None
     w = decode_witness_ea(enc, model)
@@ -86,7 +91,7 @@ def test_ea_one_state_pair_witness():
 
 
 def test_ae_one_state_pair_witness():
-    enc, model = ae_model(ONE_A, ONE_A, IFF_A, 1)
+    enc, model = ae_model(PredicateTable(ONE_A, ONE_A, IFF_A), 1)
     assert model is not None
     w = decode_witness_ae(enc, model)
     assert len(w.relation) == 1 and len(w.used_q) == 1
@@ -95,13 +100,13 @@ def test_ae_one_state_pair_witness():
 
 def test_ea_unsat_when_no_q_state_is_compatible():
     # right state carries no label, so a<->a fails on the forced initial pair
+    table = PredicateTable(ONE_A, ONE_EMPTY, IFF_A)
     for n in (1, 2, 3):
-        enc = encode_sim_ea(ONE_A, ONE_EMPTY, IFF_A, n)
-        assert solve(enc.to_cnf()).status == "unsat"
+        assert solve(encode_sim_ea(table, n).cnf).status == "unsat"
 
 
 def test_family_layout_ae():
-    _, cnf = ae_at(*intro(), 3)
+    _, cnf = ae_at(PredicateTable(*intro()), 3)
     families = [fam for fam, _, _ in cnf.provenance]
     assert families == [
         "initial-match",
@@ -112,8 +117,8 @@ def test_family_layout_ae():
 
 
 def test_family_layout_ea():
-    enc = encode_sim_ea(*intro(), 4)
-    families = [fam for fam, _, _ in enc.to_cnf().provenance]
+    enc = encode_sim_ea(PredicateTable(*intro()), 4)
+    families = [fam for fam, _, _ in enc.cnf.provenance]
     assert families == [
         "one-hot-pos",
         "one-hot-loop",
@@ -125,18 +130,19 @@ def test_family_layout_ea():
 
 
 def test_intro_ae_unsat_even_at_full_subset_size():
-    kp, kq, pred = intro()
-    for k in range(1, len(kq.states) + 1):
-        assert solve(ae_at(kp, kq, pred, k)[1]).status == "unsat"
+    table = PredicateTable(*intro())
+    for k in range(1, len(table.kq.states) + 1):
+        assert solve(ae_at(table, k)[1]).status == "unsat"
 
 
 def test_intro_ae_sat_after_lookahead_product():
     # annotating the universal side with two-step lookahead decides the check
     kp, kq, pred = intro()
     product = prophecy_product(kp, build_next_prophecy("a", 2))
+    table = PredicateTable(product, kq, pred)
     hit = None
     for k in range(1, len(kq.states) + 1):
-        enc, model = ae_model(product, kq, pred, k)
+        enc, model = ae_model(table, k)
         if model is not None:
             hit = (k, enc, model)
             break
@@ -148,7 +154,7 @@ def test_intro_ae_sat_after_lookahead_product():
 
 def test_ae_rejects_out_of_range_k():
     kp, kq, pred = intro()
-    enc = encode_sim_ae(kp, kq, pred)
+    enc = encode_sim_ae(PredicateTable(kp, kq, pred))
     with pytest.raises(EncodeError):
         enc.bound(0)
     with pytest.raises(EncodeError):
@@ -156,20 +162,20 @@ def test_ae_rejects_out_of_range_k():
 
 
 def test_match_all_must_be_expanded_first():
-    with pytest.raises(EncodeError):
-        encode_sim_ae(ONE_A, ONE_A, MatchAll())
-    with pytest.raises(EncodeError):
-        encode_sim_ea(ONE_A, ONE_A, MatchAll(), 1)
+    # the table every encoding is built from refuses it, even nested
+    for pred in (MatchAll(), parse_predicate("l.a & !match-all")):
+        with pytest.raises(ValueError, match="match-all must be expanded"):
+            PredicateTable(ONE_A, ONE_A, pred)
 
 
 def model_of(enc, *true_names):
     """The model setting exactly the named variables of enc true."""
-    return {v: name in true_names for v, name in enumerate(enc.var_names, start=1)}
+    names = enc.cnf.var_names
+    return {v: names.get(v) in true_names for v in range(1, enc.cnf.num_vars + 1)}
 
 
 def test_decode_rejects_non_one_hot_position():
-    kp, kq, pred = intro()
-    enc = encode_sim_ea(kp, kq, pred, 3)
+    enc = encode_sim_ea(PredicateTable(*intro()), 3)
     with pytest.raises(DecodeError) as exc:
         decode_witness_ea(enc, model_of(enc))  # no left state chosen anywhere
     assert "position 1 is not one-hot" in str(exc.value)
@@ -182,15 +188,11 @@ def test_decode_rejects_non_one_hot_position():
 
 
 def test_export_is_deterministic_per_instance():
-    kp, kq, pred = intro()
-
     def build() -> tuple[str, ...]:
-        return (export_dimacs(ae_at(kp, kq, pred, 3)[1]),)
+        table = PredicateTable(*intro())
+        return (export_dimacs(ae_at(table, 3)[1]), export_dimacs(encode_sim_ea(table, 3).cnf))
 
     assert build() == build()
-    ea_a = export_dimacs(encode_sim_ea(kp, kq, pred, 3).to_cnf())
-    ea_b = export_dimacs(encode_sim_ea(kp, kq, pred, 3).to_cnf())
-    assert ea_a == ea_b
 
 
 @given(st.integers(min_value=0, max_value=10**9))
@@ -200,9 +202,10 @@ def test_ae_satisfiability_is_monotone_in_k(seed):
     kp = rand_structure(rng, max_states=3)
     kq = rand_structure(rng, max_states=4)
     pred = rand_pred(rng, kp.ap, kq.ap)
+    table = PredicateTable(kp, kq, pred)
     verdicts = []
     for k in range(1, len(kq.states) + 1):
-        enc, model = ae_model(kp, kq, pred, k)
+        enc, model = ae_model(table, k)
         verdicts.append(model is not None)
         if model is not None:
             w = decode_witness_ae(enc, model)
@@ -222,8 +225,9 @@ def test_ea_decoded_positions_cover_the_right_states(seed):
     pred = rand_pred(rng, kp.ap, kq.ap)
     reachable = set(reachable_restriction(kq).states)
     kq_names = {q.name for q in kq.states}
+    table = PredicateTable(kp, kq, pred)
     for n in range(1, 4):
-        enc = encode_sim_ea(kp, kq, pred, n)
+        enc = encode_sim_ea(table, n)
         model = sat_model(enc)
         if model is None:
             continue
@@ -265,7 +269,7 @@ def test_greatest_simulation_matches_naive_refinement(seed, edge_prob):
     kq = rand_structure(rng, max_states=7, edge_prob=edge_prob)
     pred = rand_pred(rng, kp.ap, kq.ap)
     naive = naive_greatest_simulation(kp, kq, pred, kq.states)
-    assert pairs(kp, kq, greatest_simulation(kp, kq, pred)) == naive
+    assert pairs(kp, kq, greatest_simulation(PredicateTable(kp, kq, pred))) == naive
 
 
 def test_at_most_k_counts_exactly():
@@ -300,17 +304,17 @@ def test_sweep_answers_each_bound_like_a_fresh_standalone_instance(seed):
     pred = rand_pred(rng, kp.ap, kq.ap)
     # each bound of one encoding, asked in order on one solver, against a
     # fresh encoding asked only at that bound, its units in the instance
-    relation = greatest_simulation(kp, kq, pred)
-    sweep = encode_sim_ae(kp, kq, pred, relation)
+    table = PredicateTable(kp, kq, pred)
+    sweep = encode_sim_ae(table)
     backend = EmbeddedBackend()
     for k in range(1, sweep.floor):
-        fresh, alone = ae_at(kp, kq, pred, k, relation)
+        fresh, alone = ae_at(table, k)
         assert solve(alone).status == "unsat"
         assert fresh.size(k) == (alone.num_vars, alone.num_clauses), f"k={k}"
     for k in range(sweep.floor, len(kq.states) + 1):
         cnf, assumptions = sweep.bound(k)
         got = solve(cnf, backend, assumptions)
-        _, alone = ae_at(kp, kq, pred, k, relation)
+        _, alone = ae_at(table, k)
         assert got.status == solve(alone).status, f"k={k}"
         assert sweep.size(k) == (alone.num_vars, alone.num_clauses), f"k={k}"
         if got.is_sat:
@@ -327,12 +331,12 @@ def test_the_floor_is_a_lower_bound_and_forced_states_are_used(seed):
     kp = rand_structure(rng, max_states=4)
     kq = rand_structure(rng, max_states=5)
     pred = rand_pred(rng, kp.ap, kq.ap)
-    relation = greatest_simulation(kp, kq, pred)
-    floor, forced = subset_floor(kp, relation)
+    table = PredicateTable(kp, kq, pred)
+    floor, forced = subset_floor(kp, greatest_simulation(table))
     assert forced.bit_count() <= floor <= len(kq.states)
     minimal = None
     for k in range(1, len(kq.states) + 1):
-        enc, model = ae_model(kp, kq, pred, k, relation)
+        enc, model = ae_model(table, k)
         assert (enc.floor, enc.forced) == (floor, forced)
         if model is None:
             continue
@@ -364,10 +368,11 @@ def test_an_unreachable_left_state_forces_nothing():
         "states: q0 q1\ninit: q0 q1\nap: a b\nlabel q0: a\nlabel q1: b\n"
         "trans q0 -> q0\ntrans q1 -> q1"
     )
-    relation = greatest_simulation(kp, kq, IFF_A)
+    table = PredicateTable(kp, kq, IFF_A)
+    relation = greatest_simulation(table)
     assert relation[1] == 0b10
     assert subset_floor(kp, relation) == (1, 0b01)
-    enc, model = ae_model(kp, kq, IFF_A, 1, relation)
+    enc, model = ae_model(table, 1)
     assert model is not None
     assert validate_witness_ae(kp, kq, IFF_A, decode_witness_ae(enc, model), 1) == []
 
@@ -383,7 +388,8 @@ def test_ae_minimal_k_matches_brute_force_subsets(seed):
     kp = rand_structure(rng, max_states=3)
     kq = rand_structure(rng, max_states=5)
     pred = rand_pred(rng, kp.ap, kq.ap)
-    relation = greatest_simulation(kp, kq, pred)
+    table = PredicateTable(kp, kq, pred)
+    relation = greatest_simulation(table)
     assert pairs(kp, kq, relation) == naive_greatest_simulation(kp, kq, pred, kq.states)
     brute = next(
         (
@@ -396,7 +402,7 @@ def test_ae_minimal_k_matches_brute_force_subsets(seed):
     )
     swept = None
     for k in range(1, len(kq.states) + 1):
-        enc, model = ae_model(kp, kq, pred, k, relation)
+        enc, model = ae_model(table, k)
         if model is not None:
             w = decode_witness_ae(enc, model)
             assert validate_witness_ae(kp, kq, pred, w, k) == []
@@ -437,11 +443,12 @@ def test_ea_sat_matches_lasso_enumeration(seed):
     kq = rand_structure(rng, max_states=4)
     pred = rand_pred(rng, kp.ap, kq.ap)
     lassos = list(enumerate_lasso_paths(kp, 4))
+    table = PredicateTable(kp, kq, pred)
     for n in range(1, 5):
         expected = any(
             least_sets_pass(kp, kq, pred, lasso) for lasso in lassos if lasso.total_len == n
         )
-        enc = encode_sim_ea(kp, kq, pred, n)
+        enc = encode_sim_ea(table, n)
         model = sat_model(enc)
         assert (model is not None) == expected, f"n={n}"
         if model is not None:

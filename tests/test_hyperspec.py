@@ -26,7 +26,6 @@ from hypersim.hyperspec import (
     parse_predicate,
     parse_property,
     pred_to_text,
-    uses_match_all,
 )
 
 from helpers import rand_pred
@@ -44,8 +43,8 @@ def test_parse_implication():
 
 def test_parse_constants_and_match_all():
     assert parse_predicate("true") == TrueConst()
-    assert uses_match_all(parse_predicate("match-all"))
-    assert not uses_match_all(parse_predicate("l.a & true"))
+    assert parse_predicate("match-all") == MatchAll()
+    assert parse_predicate("l.a & true") == And(LeftAtom("a"), TrueConst())
 
 
 def test_precedence_not_binds_tighter_than_and():
@@ -207,7 +206,6 @@ def test_expand_match_all_no_shared_props_is_true():
 def test_expand_match_all_rewrites_nested_occurrences():
     p = parse_predicate("l.a -> match-all")
     q = expand_match_all(p, ("a",), ("a",))
-    assert not uses_match_all(q)
     assert q == Implies(
         left=LeftAtom(prop="a"),
         right=Iff(left=LeftAtom(prop="a"), right=RightAtom(prop="a")),

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypersim.encoder import SimWitnessAE
-from hypersim.hyperspec import eval_predicate, parse_predicate, parse_property
+from hypersim.hyperspec import PredicateTable, eval_predicate, parse_predicate, parse_property
 import hypersim.cli
 from hypersim.cli import check_pair
 from hypersim.kripke import StateId, parse_kripke, LassoPath
@@ -166,10 +166,18 @@ def test_validator_ea_rejects_a_lasso_of_another_length():
     assert validate_witness_ea(k, k, pred, w, 1) == ["bound: the witness lasso has length 2, not n=1"]
 
 
+def live(kp, kq, pred) -> LiveSetSearch:
+    return LiveSetSearch(PredicateTable(kp, kq, pred))
+
+
+def safe(kp, kq, pred) -> SafeFrontierSearch:
+    return SafeFrontierSearch(PredicateTable(kp, kq, pred))
+
+
 def test_falsifier_ae_finds_the_intro_counterexample():
     kp, kq = intro()
     pred = parse_property((DATA / "phi1.hp").read_text()).pred
-    cex = falsify_forall_exists(kp, kq, pred, depth=3)
+    cex = falsify_forall_exists(live(kp, kq, pred), depth=3)
     assert cex is not None
     assert [s.name for s in cex.p_path] == ["s1", "s2", "s3"]
     assert cex.depth == 3
@@ -179,13 +187,13 @@ def test_falsifier_ae_finds_the_intro_counterexample():
 def test_falsifier_ae_absent_on_identical_structures():
     kp, _ = intro()
     pred = parse_predicate("l.a <-> r.a")
-    assert falsify_forall_exists(kp, kp, pred, depth=6) is None
+    assert falsify_forall_exists(live(kp, kp, pred), depth=6) is None
 
 
 def test_falsifier_ea_refutes_false_predicate_immediately():
     kp, kq = intro()
     pred = parse_predicate("l.a & !l.a")
-    cex = falsify_exists_forall(kp, kq, pred, depth=1)
+    cex = falsify_exists_forall(safe(kp, kq, pred), depth=1)
     assert cex is not None
     assert cex.depth == 1 and len(cex.p_path) == 1
     assert reverify_counterexample(kp, kq, pred, cex)
@@ -193,13 +201,13 @@ def test_falsifier_ea_refutes_false_predicate_immediately():
 
 def test_falsifier_ea_absent_when_property_holds():
     k = parse_kripke("states: s\ninit: s\nap: a\nlabel s: a\ntrans s -> s")
-    assert falsify_exists_forall(k, k, parse_predicate("l.a <-> r.a"), depth=6) is None
+    assert falsify_exists_forall(safe(k, k, parse_predicate("l.a <-> r.a")), depth=6) is None
 
 
 def test_reverify_rejects_tampered_paths():
     kp, kq = intro()
     pred = parse_property((DATA / "phi1.hp").read_text()).pred
-    cex = falsify_forall_exists(kp, kq, pred, depth=3)
+    cex = falsify_forall_exists(live(kp, kq, pred), depth=3)
     assert cex is not None
     from hypersim.oracle import Counterexample
 
@@ -221,14 +229,15 @@ def rand_pair(seed):
 def test_live_set_falsifier_matches_path_listing(seed):
     kp, kq, pred = rand_pair(seed)
     expected = {d: falsify_forall_exists_by_paths(kp, kq, pred, d) for d in range(1, 8)}
+    table = PredicateTable(kp, kq, pred)
     for d in range(1, 8):
-        assert falsify_forall_exists(kp, kq, pred, d) == expected[d]
-    swept = LiveSetSearch(kp, kq, pred)
+        assert falsify_forall_exists(LiveSetSearch(table), d) == expected[d]
+    swept = LiveSetSearch(table)
     for d in range(1, 8):
-        assert falsify_forall_exists(kp, kq, pred, d, search=swept) == expected[d]
-    out_of_order = LiveSetSearch(kp, kq, pred)
+        assert falsify_forall_exists(swept, d) == expected[d]
+    out_of_order = LiveSetSearch(table)
     for d in (7, 3):
-        assert falsify_forall_exists(kp, kq, pred, d, search=out_of_order) == expected[d]
+        assert falsify_forall_exists(out_of_order, d) == expected[d]
 
 
 def complete_structure(n, labels, init):
@@ -241,27 +250,20 @@ def test_live_set_falsifier_is_polynomial_in_the_depth():
     kp = complete_structure(4, {1: {"a"}, 3: {"a"}}, {0, 1, 2, 3})
     kq = complete_structure(2, {0: {"a"}}, {0, 1})
     pred = parse_predicate("l.a <-> r.a")
-    search = LiveSetSearch(kp, kq, pred)
+    search = live(kp, kq, pred)
     t0 = time.perf_counter()
-    assert falsify_forall_exists(kp, kq, pred, 12, search=search) is None
+    assert falsify_forall_exists(search, 12) is None
     assert time.perf_counter() - t0 < 1.0
     assert all(len(layer) == 4 for layer in search.layers)
-
-
-def test_live_set_search_rejects_a_search_for_other_inputs():
-    kp, kq = intro()
-    search = LiveSetSearch(kp, kq, parse_predicate("l.a <-> r.a"))
-    with pytest.raises(ValueError):
-        falsify_forall_exists(kp, kq, parse_predicate("l.a -> r.b"), 2, search=search)
 
 
 def test_check_pair_calls_the_falsifier_once_per_falsify_iteration(monkeypatch):
     calls = []
     original = hypersim.cli.falsify_forall_exists
 
-    def counting(kp, kq, pred, depth, search=None):
+    def counting(search, depth):
         calls.append((depth, search))
-        return original(kp, kq, pred, depth, search=search)
+        return original(search, depth)
 
     monkeypatch.setattr(hypersim.cli, "falsify_forall_exists", counting)
     kp, kq = intro()
@@ -269,7 +271,7 @@ def test_check_pair_calls_the_falsifier_once_per_falsify_iteration(monkeypatch):
     depths = [it.bound for it in report.iterations if it.side == "falsify"]
     assert len(depths) > 1
     assert [d for d, _ in calls] == depths
-    assert len({id(search) for _, search in calls}) == 1 and calls[0][1] is not None
+    assert len({id(search) for _, search in calls}) == 1
 
 
 @given(st.integers(min_value=0, max_value=10**9))
@@ -277,30 +279,24 @@ def test_check_pair_calls_the_falsifier_once_per_falsify_iteration(monkeypatch):
 def test_shared_exists_forall_falsifier_matches_the_per_depth_one(seed):
     kp, kq, pred = rand_pair(seed)
     expected = {d: falsify_exists_forall_by_layers(kp, kq, pred, d) for d in range(1, 8)}
+    table = PredicateTable(kp, kq, pred)
     for d in range(1, 8):
-        assert falsify_exists_forall(kp, kq, pred, d) == expected[d]
-    swept = SafeFrontierSearch(kp, kq, pred)
+        assert falsify_exists_forall(SafeFrontierSearch(table), d) == expected[d]
+    swept = SafeFrontierSearch(table)
     for d in range(1, 8):
-        assert falsify_exists_forall(kp, kq, pred, d, search=swept) == expected[d]
-    out_of_order = SafeFrontierSearch(kp, kq, pred)
+        assert falsify_exists_forall(swept, d) == expected[d]
+    out_of_order = SafeFrontierSearch(table)
     for d in (7, 3):
-        assert falsify_exists_forall(kp, kq, pred, d, search=out_of_order) == expected[d]
-
-
-def test_safe_frontier_search_rejects_a_search_for_other_inputs():
-    kp, kq = intro()
-    search = SafeFrontierSearch(kp, kq, parse_predicate("l.a <-> r.a"))
-    with pytest.raises(ValueError):
-        falsify_exists_forall(kp, kq, parse_predicate("l.a -> r.b"), 2, search=search)
+        assert falsify_exists_forall(out_of_order, d) == expected[d]
 
 
 def test_check_pair_shares_one_exists_forall_search_across_depths(monkeypatch):
     calls = []
     original = hypersim.cli.falsify_exists_forall
 
-    def counting(kp, kq, pred, depth, search=None):
+    def counting(search, depth):
         calls.append((depth, search))
-        return original(kp, kq, pred, depth, search=search)
+        return original(search, depth)
 
     monkeypatch.setattr(hypersim.cli, "falsify_exists_forall", counting)
     kp, kq = intro()
@@ -308,7 +304,7 @@ def test_check_pair_shares_one_exists_forall_search_across_depths(monkeypatch):
     depths = [it.bound for it in report.iterations if it.side == "falsify"]
     assert len(depths) > 1
     assert [d for d, _ in calls] == depths
-    assert len({id(search) for _, search in calls}) == 1 and calls[0][1] is not None
+    assert len({id(search) for _, search in calls}) == 1
 
 
 @given(st.integers(min_value=0, max_value=10**9))
@@ -318,7 +314,7 @@ def test_exists_forall_reverify_matches_path_listing(seed):
     rng = random.Random(seed)
     for d in range(1, 6):
         sample = tuple(next(initial_paths(kq, d)))
-        found = falsify_exists_forall(kp, kq, pred, d)
+        found = falsify_exists_forall(safe(kp, kq, pred), d)
         forged = sample[:-1] + (rng.choice(kq.states),)
         for path, depth in [
             (sample, d),
@@ -339,7 +335,7 @@ def test_exists_forall_reverify_is_polynomial_in_the_depth():
     kp = complete_structure(4, {1: {"a"}, 3: {"a"}}, {0, 1, 2, 3})
     kq = complete_structure(2, {0: {"a"}}, {0, 1})
     pred = parse_predicate("l.a <-> r.a")
-    cex = falsify_exists_forall(kp, kq, pred, 12)
+    cex = falsify_exists_forall(safe(kp, kq, pred), 12)
     assert cex is not None
     t0 = time.perf_counter()
     assert reverify_counterexample(kp, kq, pred, cex)
@@ -402,7 +398,7 @@ def check_vc_threshold(g, k_states):
     from hypersim.hyperspec import expand_match_all, MatchAll
 
     pred = expand_match_all(MatchAll(), k1.ap, k2.ap)
-    return solve(ae_at(k1, k2, pred, k_states)[1]).status == "sat"
+    return solve(ae_at(PredicateTable(k1, k2, pred), k_states)[1]).status == "sat"
 
 
 def test_triangle_cover_thresholds():
