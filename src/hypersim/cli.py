@@ -19,6 +19,7 @@ from .circuit import export_dimacs, varmap_text
 from .encoder import (
     DecodeError,
     EncodeError,
+    SimWitnessEA,
     decode_witness_ae,
     decode_witness_ea,
     encode_sim_ae,
@@ -191,20 +192,22 @@ def _mode_of(pattern: Pattern) -> str:
     return "ae" if pattern is Pattern.FORALL_EXISTS else "ea"
 
 
-def _lasso_dict(w) -> dict:
+def _lasso_dict(w: SimWitnessEA, kp: KripkeStructure, kq: KripkeStructure) -> dict:
+    ps, qs = kp.states, kq.states
     return {
-        "prefix": [s.name for s in w.lasso.prefix],
-        "loop": [s.name for s in w.lasso.loop],
+        "prefix": [ps[s] for s in w.lasso.prefix],
+        "loop": [ps[s] for s in w.lasso.loop],
         "posRelation": {
-            str(i): sorted(s.name for s in qs) for i, qs in sorted(w.pos_relation.items())
+            str(i): sorted(qs[q] for q in row) for i, row in sorted(w.pos_relation.items())
         },
     }
 
 
-def _cex_dict(cex: Counterexample) -> dict:
+def _cex_dict(cex: Counterexample, kp: KripkeStructure, kq: KripkeStructure) -> dict:
+    names = (kp if cex.side == "forall-exists" else kq).states
     return {
         "side": cex.side,
-        "path": [s.name for s in cex.p_path],
+        "path": [names[s] for s in cex.p_path],
         "depth": cex.depth,
         "note": cex.note,
     }
@@ -283,7 +286,7 @@ def check_pair(
         search = LiveSetSearch(table)
         for p in uncovered_initial(kp, kq, enc.relation):
             notes.append(
-                f"no right subset can simulate left state {p.name}: the greatest "
+                f"no right subset can simulate left state {kp.states[p]}: the greatest "
                 f"simulation ({len(enc.sim)} pairs) relates it to no initial right "
                 "state, so every k is unsat"
             )
@@ -324,11 +327,11 @@ def check_pair(
                     )
                 if mode == "ae":
                     report.witness_relation = sorted(
-                        (p.name, q.name) for p, q in witness.relation
+                        (kp.states[p], kq.states[q]) for p, q in witness.relation
                     )
                     report.used_subset_size = len(witness.used_q)
                 else:
-                    report.witness_lasso = _lasso_dict(witness)
+                    report.witness_lasso = _lasso_dict(witness, kp, kq)
                     report.used_subset_size = len(set(witness.lasso.states_visited()))
                 report.verdict = "holds"
                 report.minimal_bound = bound
@@ -353,7 +356,7 @@ def check_pair(
                     raise InternalSoundnessError(
                         "counterexample failed independent re-verification"
                     )
-                report.counterexample = _cex_dict(cex)
+                report.counterexample = _cex_dict(cex, kp, kq)
                 report.verdict = "violated"
                 return report
 
@@ -378,6 +381,13 @@ def _read(path: str) -> str:
         return Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as e:
         raise CliInputError(f"cannot read {path}: {e}") from e
+
+
+def _write(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text)
+    except OSError as e:
+        raise CliInputError(f"cannot write {path}: {e.strerror or e}") from e
 
 
 def _load_structure(path: str) -> KripkeStructure:
@@ -530,6 +540,9 @@ def _case_config(case_dir: Path, backend: str) -> tuple[CheckConfig, str]:
         raise CliInputError(f"case.json: {e}") from e
     if not isinstance(manifest, dict):
         raise CliInputError("case.json must hold a JSON object")
+    for key in manifest:
+        if key not in _MANIFEST_KEYS:
+            raise CliInputError(f"case.json: unknown key {key!r}")
     for key, (kind, required) in _MANIFEST_KEYS.items():
         value = manifest.get(key)
         if value is None:
@@ -687,10 +700,9 @@ def main(argv: list[str] | None = None) -> int:
             return _VERDICT_EXIT[report.verdict]
         if args.command == "export":
             dimacs, varmap = export_encoding(_cfg_from_args(args), args.bound)
-            out = Path(args.out)
-            out.write_text(dimacs)
-            Path(str(out) + ".vars").write_text(varmap)
-            print(f"wrote {out} and {out}.vars")
+            _write(args.out, dimacs)
+            _write(args.out + ".vars", varmap)
+            print(f"wrote {args.out} and {args.out}.vars")
             return 0
         if args.command == "bench":
             rows, all_ok = run_benchmarks(args.corpus, backend=args.backend)

@@ -30,15 +30,7 @@ from typing import Callable, Mapping
 
 from .circuit import Clause, CnfInstance, lower_parts_to_cnf
 from .hyperspec import PredicateTable
-from .kripke import (
-    KripkeStructure,
-    LassoPath,
-    StateId,
-    bit_indices,
-    mask_of,
-    reachable_mask,
-    union_of,
-)
+from .kripke import KripkeStructure, LassoPath, bit_indices, reachable_mask, union_of
 
 
 class EncodeError(Exception):
@@ -54,10 +46,11 @@ Rows = list[int]  # a relation as one bitmask of right states per left state
 
 @dataclass
 class SimWitnessAE:
-    """A predicate-compatible simulation relation from K_P into K_Q."""
+    """A predicate-compatible simulation relation from K_P into K_Q, as
+    (left state, right state) pairs."""
 
-    relation: frozenset[tuple[StateId, StateId]]
-    used_q: frozenset[StateId]
+    relation: frozenset[tuple[int, int]]
+    used_q: frozenset[int]
 
 
 @dataclass
@@ -65,7 +58,7 @@ class SimWitnessEA:
     """A lasso in K_P together with the per-position sets of simulated Q states."""
 
     lasso: LassoPath
-    pos_relation: dict[int, frozenset[StateId]]  # 1-based lasso positions
+    pos_relation: dict[int, frozenset[int]]  # 1-based lasso positions
 
 
 @dataclass
@@ -73,7 +66,7 @@ class EaEncoding:
     kp: KripkeStructure
     kq: KripkeStructure
     n: int
-    # variable numbers, keyed by 1-based position and state index: sim by
+    # variable numbers, keyed by 1-based position and state: sim by
     # (position, q), pos by (position, p), loop by position
     sim: dict[tuple[int, int], int] = field(repr=False)
     pos: dict[tuple[int, int], int] = field(repr=False)
@@ -142,14 +135,14 @@ def greatest_simulation(table: PredicateTable) -> Rows:
     """The greatest R within S_P x S_Q such that the table's predicate holds
     on every pair of R and, for (p,q) in R, every successor of p is related
     to some successor of q, as its rows: R[p] is the bitmask of the right
-    states related to the left state with index p.
+    states related to the left state p.
 
     Refinement starts each row from the right states the predicate admits.
     A row keeps q while every successor p2 of p has a row that meets q's
     successors; when a row shrinks, the rows of p's predecessors are refined
     again."""
     rel = list(table.allow)
-    succ_p, pre_p, pre_q = table.kp.succ_index, table.kp.pred_mask, table.kq.pred_mask
+    succ_p, pre_p, pre_q = table.kp.succ, table.kp.pred_mask, table.kq.pred_mask
     into: dict[int, int] = {}  # row -> the right states with a successor in it
 
     work = list(range(len(rel)))
@@ -175,10 +168,9 @@ def greatest_simulation(table: PredicateTable) -> Rows:
     return rel
 
 
-def uncovered_initial(kp: KripkeStructure, kq: KripkeStructure, relation: Rows) -> list[StateId]:
+def uncovered_initial(kp: KripkeStructure, kq: KripkeStructure, relation: Rows) -> list[int]:
     """Initial left states the relation pairs with no initial right state."""
-    init_q = mask_of(kq.init)
-    return [p for p in kp.sorted_init() if not relation[p.index] & init_q]
+    return [p for p in bit_indices(kp.init) if not relation[p] & kq.init]
 
 
 def subset_floor(kp: KripkeStructure, relation: Rows) -> tuple[int, int]:
@@ -212,7 +204,7 @@ class AeEncoding:
     for every k at once.
 
     `relation` is greatest_simulation(table), as rows; every simulation
-    lies inside it.  Variables are keyed by state index: sim(p,q) by (p, q)
+    lies inside it.  Variables are keyed by state: sim(p,q) by (p, q)
     for each pair of the relation, used(q) by q for each right state in it.
     Only initial left states and the successors of related ones must be
     related, so unreachable left states are never forced in;
@@ -236,27 +228,27 @@ class AeEncoding:
         ps, qs = kp.states, kq.states
         vs = _Vars()
         self.sim = {
-            (p, q): vs.new(f"sim({ps[p].name},{qs[q].name})")
+            (p, q): vs.new(f"sim({ps[p]},{qs[q]})")
             for p, row in enumerate(relation)
             for q in bit_indices(row)
         }
         used_mask = 0
         for row in relation:
             used_mask |= row
-        self.used = {q: vs.new(f"used({qs[q].name})") for q in bit_indices(used_mask)}
+        self.used = {q: vs.new(f"used({qs[q]})") for q in bit_indices(used_mask)}
         # no model uses fewer than `floor` right states, and every model uses
         # the `forced` ones
         self.floor, self.forced = subset_floor(kp, relation)
 
-        sim, init_q, succ_q = self.sim, mask_of(kq.init), kq.succ_mask
+        sim, succ_q = self.sim, kq.succ_mask
         initial = [
-            [sim[p, q] for q in bit_indices(relation[p] & init_q)]
-            for p in bit_indices(mask_of(kp.init))
+            [sim[p, q] for q in bit_indices(relation[p] & kq.init)]
+            for p in bit_indices(kp.init)
         ]
         uses = [[-v, self.used[q]] for (_, q), v in sim.items()]
         succ: list[Clause] = []
         for (p, q), v in sim.items():
-            for p2 in kp.succ_index[p]:
+            for p2 in kp.succ[p]:
                 targets = [sim[p2, q2] for q2 in bit_indices(relation[p2] & succ_q[q])]
                 if v not in targets:  # a self-loop pair matches itself
                     succ.append([-v] + targets)
@@ -321,19 +313,19 @@ def encode_sim_ea(table: PredicateTable, n: int) -> EaEncoding:
     if n < 1:
         raise EncodeError(f"lasso length must be positive, got {n}")
     kp, kq, allow = table.kp, table.kq, table.allow
-    ps, qs, succ_p = kp.states, kq.states, kp.succ_index
-    cand = [mask_of(kp.init)]  # cand[i-1]: the left states position i may hold
+    ps, qs, succ_p = kp.states, kq.states, kp.succ
+    cand = [kp.init]  # cand[i-1]: the left states position i may hold
     for _ in range(1, n):
         cand.append(union_of(kp.succ_mask, cand[-1]))
     vs = _Vars()
     pos = {
-        (i, p): vs.new(f"pos({i},{ps[p].name})")
+        (i, p): vs.new(f"pos({i},{ps[p]})")
         for i in range(1, n + 1)
         for p in bit_indices(cand[i - 1])
     }
     loop = {l: vs.new(f"loop({l})") for l in range(1, n + 1)}
-    sim = {(i, q): vs.new(f"sim({i},{qs[q].name})") for i in range(1, n + 1) for q in range(len(qs))}
-    edges_q = [(q, q2) for q, ts in enumerate(kq.succ_index) for q2 in ts]
+    sim = {(i, q): vs.new(f"sim({i},{qs[q]})") for i in range(1, n + 1) for q in range(len(qs))}
+    edges_q = [(q, q2) for q, ts in enumerate(kq.succ) for q2 in ts]
 
     one_hot_pos: list[Clause] = []
     for i in range(1, n + 1):
@@ -342,7 +334,7 @@ def encode_sim_ea(table: PredicateTable, n: int) -> EaEncoding:
         one_hot_pos += _at_most_one(lits, vs.new, f"pos{i}")
     loop_lits = list(loop.values())
     one_hot_loop = [loop_lits] + _at_most_one(loop_lits, vs.new, "loop")
-    initial = [[sim[1, q]] for q in bit_indices(mask_of(kq.init))]
+    initial = [[sim[1, q]] for q in bit_indices(kq.init)]
     path: list[Clause] = []
     for i in range(1, n):
         for p in bit_indices(cand[i - 1]):
@@ -381,8 +373,7 @@ def encode_sim_ea(table: PredicateTable, n: int) -> EaEncoding:
 
 def decode_witness_ae(enc: AeEncoding, model: Mapping[int, bool]) -> SimWitnessAE:
     """The relation a solver's model picks; the model assigns every variable."""
-    ps, qs = enc.kp.states, enc.kq.states
-    relation = frozenset((ps[p], qs[q]) for (p, q), v in enc.sim.items() if model[v])
+    relation = frozenset(pq for pq, v in enc.sim.items() if model[v])
     return SimWitnessAE(relation=relation, used_q=frozenset(q for _, q in relation))
 
 
@@ -399,12 +390,11 @@ def decode_witness_ea(enc: EaEncoding, model: Mapping[int, bool]) -> SimWitnessE
     loops = [l for l, v in enc.loop.items() if model[v]]
     if len(loops) != 1:
         raise DecodeError(f"loop-back is not one-hot: {len(loops)} targets chosen")
-    seq = [enc.kp.states[chosen[i][0]] for i in range(1, enc.n + 1)]
+    seq = [chosen[i][0] for i in range(1, enc.n + 1)]
     start = loops[0]
     lasso = LassoPath(prefix=tuple(seq[: start - 1]), loop=tuple(seq[start - 1 :]))
-    qs = enc.kq.states
-    pos_relation: dict[int, frozenset[StateId]] = {
-        i: frozenset(q for q in qs if model[enc.sim[i, q.index]])
+    pos_relation = {
+        i: frozenset(q for q in range(len(enc.kq.states)) if model[enc.sim[i, q]])
         for i in range(1, enc.n + 1)
     }
     return SimWitnessEA(lasso=lasso, pos_relation=pos_relation)

@@ -359,7 +359,7 @@ def _agreement_prop(pred: Pred) -> str | None:
 
 class PredicateTable:
     """The right states each left state admits under a predicate, as a
-    bitmask over right state indices: `allow[p.index]` has bit q.index set
+    bitmask over right states: `allow[p]` has bit q set
     iff the predicate holds on the labels of p and q.  The compiled closure
     runs once per distinct (left label, right label) pair.
 
@@ -371,13 +371,11 @@ class PredicateTable:
         self.kp, self.kq, self.pred = kp, kq, pred
         holds = compile_predicate(pred)
         right: dict[frozenset[str], int] = {}
-        for q in kq.states:
-            label = kq.label_of(q)
-            right[label] = right.get(label, 0) | 1 << q.index
+        for q, label in enumerate(kq.labels):
+            right[label] = right.get(label, 0) | 1 << q
         by_label: dict[frozenset[str], int] = {}
         allow: list[int] = []
-        for p in kp.states:
-            label = kp.label_of(p)
+        for label in kp.labels:
             mask = by_label.get(label)
             if mask is None:
                 mask = 0

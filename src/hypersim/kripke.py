@@ -9,9 +9,9 @@ of the infinite traces the checker reasons about.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterator, Sequence
 
 IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$")
 
@@ -33,97 +33,31 @@ class KripkeSemanticError(KripkeError):
 
 
 @dataclass(frozen=True)
-class StateId:
-    """A state handle: display name plus dense ordinal within its structure.
-    Its hash is computed once: states are set members and dict keys in every
-    search."""
-
-    name: str
-    index: int
-    _hash: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash((self.name, self.index)))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __reduce__(self):
-        # rehash on unpickling: string hashes differ between processes
-        return StateId, (self.name, self.index)
-
-    def __repr__(self) -> str:
-        return f"StateId({self.name!r}, {self.index})"
-
-
-@dataclass(frozen=True, eq=True)
 class KripkeStructure:
-    """States are indexed densely in order: states[i].index == i.  The
-    explicit-state kernels index lists and bitmasks by that ordinal."""
+    """A structure whose states are the ints 0 .. n-1: `states[i]` is the
+    name of state i, `labels[i]` its label and `succ[i]` its successors,
+    ascending; `init` is the bitmask of the initial states.  The
+    explicit-state kernels index lists and bitmasks by state."""
 
-    states: tuple[StateId, ...]
-    init: frozenset[StateId]
+    states: tuple[str, ...]
+    init: int
     ap: tuple[str, ...]
-    labels: Mapping[StateId, frozenset[str]]
-    trans: frozenset[tuple[StateId, StateId]]
-
-    def __post_init__(self) -> None:
-        for i, s in enumerate(self.states):
-            if s.index != i:
-                raise ValueError(
-                    f"state {s.name} has index {s.index} at position {i}; "
-                    "states must be indexed 0, 1, ... in order"
-                )
-
-    @cached_property
-    def succ_index(self) -> tuple[tuple[int, ...], ...]:
-        """The successor indices of each state, by state index, ascending."""
-        out: list[list[int]] = [[] for _ in self.states]
-        for a, b in self.trans:
-            out[a.index].append(b.index)
-        return tuple(tuple(sorted(ts)) for ts in out)
+    labels: tuple[frozenset[str], ...]
+    succ: tuple[tuple[int, ...], ...]
 
     @cached_property
     def succ_mask(self) -> tuple[int, ...]:
-        """The successors of each state as a bitmask over state indices."""
-        return tuple(sum(1 << j for j in ts) for ts in self.succ_index)
+        """The successors of each state as a bitmask over states."""
+        return tuple(sum(1 << j for j in ts) for ts in self.succ)
 
     @cached_property
     def pred_mask(self) -> tuple[int, ...]:
-        """The predecessors of each state as a bitmask over state indices."""
+        """The predecessors of each state as a bitmask over states."""
         out = [0] * len(self.states)
-        for a, ts in enumerate(self.succ_index):
+        for a, ts in enumerate(self.succ):
             for b in ts:
                 out[b] |= 1 << a
         return tuple(out)
-
-    @cached_property
-    def _succ(self) -> dict[StateId, tuple[StateId, ...]]:
-        states = self.states
-        return {s: tuple(states[j] for j in ts) for s, ts in zip(states, self.succ_index)}
-
-    def successors(self, s: StateId) -> tuple[StateId, ...]:
-        return self._succ[s]
-
-    def label_of(self, s: StateId) -> frozenset[str]:
-        return self.labels.get(s, frozenset())
-
-    def state_by_name(self, name: str) -> StateId:
-        for s in self.states:
-            if s.name == name:
-                return s
-        raise KeyError(name)
-
-    def sorted_init(self) -> tuple[StateId, ...]:
-        return tuple(sorted(self.init, key=lambda s: s.index))
-
-
-def mask_of(states: Iterable[StateId]) -> int:
-    """The bitmask with bit s.index set for each of the states."""
-    out = 0
-    for s in states:
-        out |= 1 << s.index
-    return out
 
 
 def bit_indices(mask: int) -> Iterator[int]:
@@ -216,13 +150,13 @@ def parse_kripke(text: str) -> KripkeStructure:
             violations.append(f"dup-state: {name}")
         index[name] = i
 
-    init: list[int] = []
+    init = 0
     for name in init_names:
         i = index.get(name)
         if i is None:
             violations.append(f"init-unknown-state: {name}")
         else:
-            init.append(i)
+            init |= 1 << i
     known_props = set(props)
     label_sets: list[set[str]] = [set() for _ in state_names]
     for name, ps in label_lines:
@@ -234,7 +168,7 @@ def parse_kripke(text: str) -> KripkeStructure:
                 violations.append(f"unknown-prop: {name} {p}")
             elif i is not None:
                 label_sets[i].add(p)
-    edges: set[tuple[int, int]] = set()
+    succ: list[set[int]] = [set() for _ in state_names]
     for a, b in trans_pairs:
         ia, ib = index.get(a), index.get(b)
         if ia is None:
@@ -242,35 +176,28 @@ def parse_kripke(text: str) -> KripkeStructure:
         if ib is None:
             violations.append(f"trans-unknown-state: {b}")
         if ia is not None and ib is not None:
-            edges.add((ia, ib))
+            succ[ia].add(ib)
 
     if not init:
         violations.append("empty-init")
-    succ: list[list[int]] = [[] for _ in state_names]
-    for a, b in edges:
-        succ[a].append(b)
     for name, i in index.items():
         if not succ[i]:
             violations.append(f"non-total: {name}")
     if violations:
         raise KripkeSemanticError(violations)
 
-    states = tuple(StateId(name, i) for i, name in enumerate(state_names))
-    k = KripkeStructure(
-        states=states,
-        init=frozenset(states[i] for i in init),
+    return KripkeStructure(
+        states=tuple(state_names),
+        init=init,
         ap=tuple(props),
-        labels={s: frozenset(ps) for s, ps in zip(states, label_sets)},
-        trans=frozenset((states[a], states[b]) for a, b in edges),
+        labels=tuple(map(frozenset, label_sets)),
+        succ=tuple(tuple(sorted(ts)) for ts in succ),
     )
-    # fill the cached successor lists from the parse instead of rescanning trans
-    k.__dict__["succ_index"] = tuple(tuple(sorted(ts)) for ts in succ)
-    return k
 
 
 def reachable_mask(k: KripkeStructure) -> int:
     """The states some path from an initial state reaches, as a bitmask."""
-    reached = frontier = mask_of(k.init)
+    reached = frontier = k.init
     while frontier:
         frontier = union_of(k.succ_mask, frontier) & ~reached
         reached |= frontier
@@ -278,7 +205,7 @@ def reachable_mask(k: KripkeStructure) -> int:
 
 
 def reachable_restriction(k: KripkeStructure) -> KripkeStructure:
-    """Restrict k to the states reachable from init, reindexed densely.
+    """Restrict k to the states reachable from init, renumbered densely.
 
     Keeps the relative state order, so the result is idempotent under a second
     application; a structure whose states are all reachable is returned as it
@@ -288,40 +215,39 @@ def reachable_restriction(k: KripkeStructure) -> KripkeStructure:
     reached = reachable_mask(k)
     if reached == (1 << len(k.states)) - 1:
         return k
-    kept = [s for s in k.states if reached >> s.index & 1]
-    remap = {s: StateId(s.name, i) for i, s in enumerate(kept)}
+    kept = list(bit_indices(reached))
+    new = {old: i for i, old in enumerate(kept)}  # keeps the order, so succ stays ascending
     return KripkeStructure(
-        states=tuple(remap[s] for s in kept),
-        init=frozenset(remap[s] for s in k.init if s in remap),
+        states=tuple(k.states[i] for i in kept),
+        init=sum(1 << new[i] for i in bit_indices(k.init)),
         ap=k.ap,
-        labels={remap[s]: k.label_of(s) for s in kept},
-        trans=frozenset((remap[a], remap[b]) for a, b in k.trans if a in remap and b in remap),
+        labels=tuple(k.labels[i] for i in kept),
+        succ=tuple(tuple(new[j] for j in k.succ[i]) for i in kept),
     )
 
 
 @dataclass(frozen=True)
 class LassoPath:
-    """A finite path prefix followed by a nonempty loop, both over one structure."""
+    """A finite path prefix followed by a nonempty loop, both over the states
+    of one structure."""
 
-    prefix: tuple[StateId, ...]
-    loop: tuple[StateId, ...]
+    prefix: tuple[int, ...]
+    loop: tuple[int, ...]
 
     @property
     def total_len(self) -> int:
         return len(self.prefix) + len(self.loop)
 
-    def states_visited(self) -> tuple[StateId, ...]:
+    def states_visited(self) -> tuple[int, ...]:
         return self.prefix + self.loop
 
     def is_valid_in(self, k: KripkeStructure) -> bool:
         """Loop nonempty, first state initial, consecutive steps and the
-        loop-back step all transitions of k."""
+        loop-back step all transitions of k; every state must be one of k's."""
         if not self.loop:
             return False
         seq = self.states_visited()
-        if seq[0] not in k.init:
+        if not k.init >> seq[0] & 1:
             return False
-        for a, b in zip(seq, seq[1:]):
-            if (a, b) not in k.trans:
-                return False
-        return (seq[-1], self.loop[0]) in k.trans
+        succ = k.succ_mask
+        return all(succ[a] >> b & 1 for a, b in zip(seq, seq[1:] + self.loop[:1]))

@@ -12,11 +12,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .hyperspec import Pred, PredicateTable, eval_predicate
-from .kripke import KripkeStructure, StateId, bit_indices, mask_of, union_of
+from .kripke import KripkeStructure, bit_indices, union_of
 from .encoder import SimWitnessAE, SimWitnessEA
 
 
 # ---------------------------------------------------------------- validators
+
+
+def _foreign(states, k: KripkeStructure, side: str) -> list[str]:
+    """A violation for each of the states that is not a state of k."""
+    n = len(k.states)
+    return [f"foreign-state: {s} not in the {side} structure" for s in states if not 0 <= s < n]
 
 
 def validate_witness_ae(
@@ -29,30 +35,24 @@ def validate_witness_ae(
     Q-state, the predicate on every related pair, and successor closure for
     every related pair.
     """
-    violations: list[str] = []
-    rel = set(w.relation)
-    pstates = set(kp.states)
-    qstates = set(kq.states)
-    for p, q in sorted(rel, key=lambda pq: (pq[0].index, pq[1].index)):
-        if p not in pstates:
-            violations.append(f"foreign-state: {p.name} not in the P structure")
-        if q not in qstates:
-            violations.append(f"foreign-state: {q.name} not in the Q structure")
+    rel = sorted(set(w.relation))
+    violations = _foreign([p for p, _ in rel], kp, "P") + _foreign([q for _, q in rel], kq, "Q")
     if violations:
         return violations
 
-    for p in sorted(kp.init, key=lambda s: s.index):
-        if not any((p, q) in rel for q in kq.sorted_init()):
-            violations.append(f"initial: {p.name} has no related initial Q state")
+    ps, qs, pairs = kp.states, kq.states, set(rel)
+    for p in bit_indices(kp.init):
+        if not any((p, q) in pairs for q in bit_indices(kq.init)):
+            violations.append(f"initial: {ps[p]} has no related initial Q state")
     if len(w.used_q) > k:
         violations.append(f"bound: the witness uses {len(w.used_q)} right states, more than k={k}")
-    for p, q in sorted(rel, key=lambda pq: (pq[0].index, pq[1].index)):
-        if not eval_predicate(pred, kp.label_of(p), kq.label_of(q)):
-            violations.append(f"pred: ({p.name},{q.name}) violates the predicate")
-    for p, q in sorted(rel, key=lambda pq: (pq[0].index, pq[1].index)):
-        for p2 in kp.successors(p):
-            if not any((p2, q2) in rel for q2 in kq.successors(q)):
-                violations.append(f"successor: ({p.name},{q.name},{p2.name}) has no matching Q successor")
+    for p, q in rel:
+        if not eval_predicate(pred, kp.labels[p], kq.labels[q]):
+            violations.append(f"pred: ({ps[p]},{qs[q]}) violates the predicate")
+    for p, q in rel:
+        for p2 in kp.succ[p]:
+            if not any((p2, q2) in pairs for q2 in kq.succ[q]):
+                violations.append(f"successor: ({ps[p]},{qs[q]},{ps[p2]}) has no matching Q successor")
     actual_used = frozenset(q for _, q in rel)
     if actual_used != w.used_q:
         violations.append("used-q-mismatch: usedQ differs from the states referenced by the relation")
@@ -66,7 +66,10 @@ def validate_witness_ea(
     length n, predicate on every (position, Q-state) pair, all initial Q
     states related at position 1, and successor closure with the position
     after the last wrapping to the loop-back target."""
-    violations: list[str] = []
+    seq = w.lasso.states_visited()
+    violations = _foreign(seq, kp, "P")
+    if violations:
+        return violations
     if not w.lasso.is_valid_in(kp):
         violations.append("lasso: not a valid lasso of the P structure")
         return violations
@@ -76,23 +79,30 @@ def validate_witness_ea(
     if sorted(w.pos_relation) != list(range(1, last + 1)):
         violations.append("positions: posRelation keys must be 1..n")
         return violations
-    seq = w.lasso.states_visited()
+    rows = {i: sorted(qs) for i, qs in w.pos_relation.items()}
+    for i in range(1, last + 1):
+        violations += _foreign(rows[i], kq, "Q")
+    if violations:
+        return violations
     wrap_to = len(w.lasso.prefix) + 1
 
     for i in range(1, last + 1):
-        lp = kp.label_of(seq[i - 1])
-        for q in sorted(w.pos_relation[i], key=lambda s: s.index):
-            if not eval_predicate(pred, lp, kq.label_of(q)):
-                violations.append(f"pred: position {i} with {q.name} violates the predicate")
-    for q in kq.sorted_init():
+        lp = kp.labels[seq[i - 1]]
+        for q in rows[i]:
+            if not eval_predicate(pred, lp, kq.labels[q]):
+                violations.append(f"pred: position {i} with {kq.states[q]} violates the predicate")
+    for q in bit_indices(kq.init):
         if q not in w.pos_relation[1]:
-            violations.append(f"initial: {q.name} not related at position 1")
+            violations.append(f"initial: {kq.states[q]} not related at position 1")
     for i in range(1, last + 1):
         nxt = i + 1 if i < last else wrap_to
-        for q in sorted(w.pos_relation[i], key=lambda s: s.index):
-            for q2 in kq.successors(q):
+        for q in rows[i]:
+            for q2 in kq.succ[q]:
                 if q2 not in w.pos_relation[nxt]:
-                    violations.append(f"successor: position {i} state {q.name} successor {q2.name} missing at position {nxt}")
+                    violations.append(
+                        f"successor: position {i} state {kq.states[q]} successor "
+                        f"{kq.states[q2]} missing at position {nxt}"
+                    )
     return violations
 
 
@@ -102,18 +112,20 @@ def validate_witness_ea(
 @dataclass(frozen=True)
 class Counterexample:
     side: str  # "forall-exists" or "exists-forall"
-    p_path: tuple[StateId, ...]  # a path in the universally quantified model
+    # a path of states: of the left model for forall-exists, of the right
+    # model for exists-forall
+    p_path: tuple[int, ...]
     depth: int
     note: str
 
 
-LiveNode = tuple[int, int]  # (left state index, bitmask of the live right states)
+LiveNode = tuple[int, int]  # (left state, bitmask of the live right states)
 
 
 class LiveSetSearch:
     """Breadth-first search over nodes (p, L): a left state p and the set L of
     right states still alive after the predicate at p, for the forall-exists
-    falsifier.  A node is the pair (p.index, bitmask of L).
+    falsifier.  A node is the pair (p, bitmask of L).
 
     Layer i maps each node reachable by a left path of i+1 states to its
     parent in layer i-1, kept from the node's first discovery.  Initial states
@@ -132,11 +144,8 @@ class LiveSetSearch:
         """The nodes after left paths of i+1 states, in least-path order."""
         allow = self.allow
         if not self.layers:
-            init_q = mask_of(self.kq.init)
-            self.layers.append(
-                {(p.index, init_q & allow[p.index]): None for p in self.kp.sorted_init()}
-            )
-        succ, succ_q, memo = self.kp.succ_index, self.kq.succ_mask, self._post
+            self.layers.append({(p, self.kq.init & allow[p]): None for p in bit_indices(self.kp.init)})
+        succ, succ_q, memo = self.kp.succ, self.kq.succ_mask, self._post
         while len(self.layers) <= i:
             nxt: dict[LiveNode, LiveNode | None] = {}
             for node in self.layers[-1]:
@@ -168,7 +177,7 @@ def falsify_forall_exists(search: LiveSetSearch, depth: int) -> Counterexample |
 
     An empty live set stays empty, so such a path exists iff layer depth-1 of
     the live-set search holds a node with no live right state; the returned
-    path is the least one (lexicographic in state index).  Every depth of a
+    path is the least one (lexicographic in state).  Every depth of a
     sweep asks the one search, which keeps its layers; depth is at least 1.
     """
     for node in search.layer(depth - 1):
@@ -177,7 +186,7 @@ def falsify_forall_exists(search: LiveSetSearch, depth: int) -> Counterexample |
             died_at = next(i for i, (_, live) in enumerate(chain) if not live)
             return Counterexample(
                 side="forall-exists",
-                p_path=tuple(search.kp.states[p] for p, _ in chain),
+                p_path=tuple(p for p, _ in chain),
                 depth=depth,
                 note=f"every right-model path violates the predicate by position {died_at} against this left path",
             )
@@ -205,7 +214,7 @@ class SafeFrontierSearch:
         allow, succ_p, succ_q = self.allow, self.kp.succ_mask, self.kq.succ_mask
         while len(self.frontiers) <= i:
             if not self.frontiers:
-                cand, layer = mask_of(self.kp.init), mask_of(self.kq.init)
+                cand, layer = self.kp.init, self.kq.init
             else:  # an empty frontier stays empty
                 cand = union_of(succ_p, self.frontiers[-1])
                 layer = union_of(succ_q, self.right_masks[-1])
@@ -227,8 +236,8 @@ def falsify_exists_forall(search: SafeFrontierSearch, depth: int) -> Counterexam
 
     # sample evidence: a violating right path against the first left path
     kp, kq = search.kp, search.kq
-    succ_p, succ_q = kp.succ_index, kq.succ_index
-    first_p = [kp.sorted_init()[0].index]
+    succ_p, succ_q = kp.succ, kq.succ
+    first_p = [(kp.init & -kp.init).bit_length() - 1]
     while len(first_p) < depth:
         first_p.append(succ_p[first_p[-1]][0])
     right = search.right_masks  # frontier(depth-1) built the layers 0..depth-1
@@ -251,17 +260,17 @@ def falsify_exists_forall(search: SafeFrontierSearch, depth: int) -> Counterexam
     assert q_path is not None, "refutation implies a violating right path exists"
     return Counterexample(
         side="exists-forall",
-        p_path=tuple(kq.states[q] for q in q_path),
+        p_path=tuple(q_path),
         depth=depth,
         note="every left-model path admits a violating right-model path at this depth; pPath is the sample against the first left path",
     )
 
 
-def _reach_layers(k: KripkeStructure, n: int) -> list[frozenset[StateId]]:
+def _reach_layers(k: KripkeStructure, n: int) -> list[frozenset[int]]:
     """The states reachable from init in exactly i steps, for i = 0..n."""
-    layers = [frozenset(k.init)]
+    layers = [frozenset(bit_indices(k.init))]
     for _ in range(n):
-        layers.append(frozenset(t for s in layers[-1] for t in k.successors(s)))
+        layers.append(frozenset(t for s in layers[-1] for t in k.succ[s]))
     return layers
 
 
@@ -272,50 +281,44 @@ def reverify_counterexample(
     one backward pass over the positions, working with sets of the states
     reachable in exactly i steps, so its depth costs no stack.
 
-    Forall-exists: S[i] holds the right states at position i from which some
-    right path satisfies the predicate against the left path at positions
-    i..d-1; the path is refuted iff S[0] is empty.  Exists-forall: T[i] holds
-    the left states at position i from which some left path is safe at
-    positions i..d-1 against every right state at the same position; the
-    property is refuted iff T[0] is empty.
+    The path must be an initial path of `depth` states of the structure it
+    names states of.  Forall-exists: S[i] holds the right states at position
+    i from which some right path satisfies the predicate against the left
+    path at positions i..d-1; the path is refuted iff S[0] is empty.
+    Exists-forall: T[i] holds the left states at position i from which some
+    left path is safe at positions i..d-1 against every right state at the
+    same position; the property is refuted iff T[0] is empty.
     """
-    d = cex.depth
+    d, path = cex.depth, cex.p_path
+    k = {"forall-exists": kp, "exists-forall": kq}.get(cex.side)
+    if k is None or len(path) != d or d < 1:
+        return False
+    if not all(0 <= s < len(k.states) for s in path) or not k.init >> path[0] & 1:
+        return False
+    if not all(b in k.succ[a] for a, b in zip(path, path[1:])):
+        return False
+
     if cex.side == "forall-exists":
-        path = cex.p_path
-        if len(path) != d or path[0] not in kp.init:
-            return False
-        for a, b in zip(path, path[1:]):
-            if (a, b) not in kp.trans:
-                return False
         reach = _reach_layers(kq, d)
         alive = reach[d]  # nothing constrains the states after position d-1
         for i in range(d - 1, -1, -1):
-            lp = kp.label_of(path[i])
+            lp = kp.labels[path[i]]
             alive = frozenset(
                 q for q in reach[i]
-                if not alive.isdisjoint(kq.successors(q))
-                and eval_predicate(pred, lp, kq.label_of(q))
+                if not alive.isdisjoint(kq.succ[q])
+                and eval_predicate(pred, lp, kq.labels[q])
             )
         return not alive
 
-    if cex.side == "exists-forall":
-        sample = cex.p_path
-        if len(sample) != d or sample[0] not in kq.init:
-            return False
-        for a, b in zip(sample, sample[1:]):
-            if (a, b) not in kq.trans:
-                return False
-        # a left path admits a violation iff at some position i its label fails
-        # against a right state reachable in exactly i steps
-        reach_q = _reach_layers(kq, d - 1)
-        reach_p = _reach_layers(kp, d)
-        safe = reach_p[d]
-        for i in range(d - 1, -1, -1):
-            safe = frozenset(
-                p for p in reach_p[i]
-                if not safe.isdisjoint(kp.successors(p))
-                and all(eval_predicate(pred, kp.label_of(p), kq.label_of(q)) for q in reach_q[i])
-            )
-        return not safe
-
-    return False
+    # a left path admits a violation iff at some position i its label fails
+    # against a right state reachable in exactly i steps
+    reach_q = _reach_layers(kq, d - 1)
+    reach_p = _reach_layers(kp, d)
+    safe = reach_p[d]
+    for i in range(d - 1, -1, -1):
+        safe = frozenset(
+            p for p in reach_p[i]
+            if not safe.isdisjoint(kp.succ[p])
+            and all(eval_predicate(pred, kp.labels[p], kq.labels[q]) for q in reach_q[i])
+        )
+    return not safe

@@ -11,14 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator
 
-from .kripke import (
-    KripkeParseError,
-    KripkeStructure,
-    StateId,
-    parse_kripke,
-)
+from .kripke import KripkeParseError, KripkeStructure, bit_indices, parse_kripke, union_of
 
 
 class ProphecyError(Exception):
@@ -34,10 +29,7 @@ MAX_UNIVERSALITY_SETS = 4096
 @dataclass(frozen=True)
 class ProphecyAutomaton:
     structure: KripkeStructure
-    annotation: Mapping[StateId, frozenset[str]]
-
-    def annotations_of(self, u: StateId) -> frozenset[str]:
-        return self.annotation.get(u, frozenset())
+    annotation: tuple[frozenset[str], ...]  # the prophecy names of each state
 
 
 def build_next_prophecy(prop: str, depth: int) -> ProphecyAutomaton:
@@ -57,34 +49,23 @@ def build_next_prophecy(prop: str, depth: int) -> ProphecyAutomaton:
         )
     width = depth + 1
     count = 1 << width
-
-    def bits_of(code: int) -> tuple[int, ...]:
-        return tuple((code >> pos) & 1 for pos in range(width))
-
-    states = tuple(
-        StateId("u" + "".join(str(b) for b in bits_of(code)), code) for code in range(count)
-    )
-    labels = {
-        s: (frozenset([prop]) if bits_of(s.index)[0] else frozenset()) for s in states
-    }
-    ann_name = f"X{depth}_{prop}"
-    annotation = {
-        s: (frozenset([ann_name]) if bits_of(s.index)[depth] else frozenset())
-        for s in states
-    }
-    trans = set()
-    for s in states:
-        shifted = s.index >> 1  # drop b0; b1..bd slide down
-        for guess in (0, 1):
-            trans.add((s, states[shifted | (guess << depth)]))
+    names = tuple(_state_name(code, width) for code in range(count))
+    label, ann_name = frozenset([prop]), frozenset([f"X{depth}_{prop}"])
     structure = KripkeStructure(
-        states=states,
-        init=frozenset(states),
+        states=names,
+        init=(1 << count) - 1,
         ap=(prop,),
-        labels=labels,
-        trans=frozenset(trans),
+        labels=tuple(label if code & 1 else frozenset() for code in range(count)),
+        # drop b0, slide b1..bd down and guess a new bd
+        succ=tuple((code >> 1, code >> 1 | 1 << depth) for code in range(count)),
     )
+    annotation = tuple(ann_name if code >> depth & 1 else frozenset() for code in range(count))
     return ProphecyAutomaton(structure=structure, annotation=annotation)
+
+
+def _state_name(code: int, width: int) -> str:
+    """'u' followed by the bits b0..bd of an automaton state."""
+    return "u" + "".join(str(code >> pos & 1) for pos in range(width))
 
 
 def _letters(props: list[str]) -> Iterator[frozenset[str]]:
@@ -108,14 +89,15 @@ def check_universality(u: ProphecyAutomaton, ap: Iterable[str]) -> bool:
     k = u.structure
     props = frozenset(ap)
     ordered = sorted(props)
-    seen: set[frozenset[StateId]] = set()
-    todo = [k.init]  # the states the next letter may lead to
+    seen: set[int] = set()
+    todo = [k.init]  # bitmasks of the states the next letter may lead to
     while todo:
-        by_letter: dict[frozenset[str], set[StateId]] = {}
-        for t in todo.pop():
-            by_letter.setdefault(k.label_of(t) & props, set()).add(t)
+        by_letter: dict[frozenset[str], int] = {}
+        for t in bit_indices(todo.pop()):
+            letter = k.labels[t] & props
+            by_letter[letter] = by_letter.get(letter, 0) | 1 << t
         for letter in _letters(ordered):
-            reached = frozenset(by_letter.get(letter, ()))
+            reached = by_letter.get(letter, 0)
             if not reached:
                 return False
             if reached not in seen:
@@ -125,7 +107,7 @@ def check_universality(u: ProphecyAutomaton, ap: Iterable[str]) -> bool:
                         f"search reaches more than {MAX_UNIVERSALITY_SETS} state sets"
                     )
                 seen.add(reached)
-                todo.append(frozenset(t2 for t in reached for t2 in k.successors(t)))
+                todo.append(union_of(k.succ_mask, reached))
     return True
 
 
@@ -141,17 +123,17 @@ def prophecy_product(k: KripkeStructure, u: ProphecyAutomaton) -> KripkeStructur
     ku = u.structure
     shared = frozenset(k.ap) & frozenset(ku.ap)
 
-    by_label: dict[frozenset[str], list[StateId]] = {}
-    for us in ku.states:
-        by_label.setdefault(ku.label_of(us) & shared, []).append(us)
+    by_label: dict[frozenset[str], list[int]] = {}
+    for us, label in enumerate(ku.labels):
+        by_label.setdefault(label & shared, []).append(us)
     pairs = [  # the label-compatible pairs, in the order of K and then of U
-        (s, us) for s in k.states for us in by_label.get(k.label_of(s) & shared, ())
+        (s, us) for s, label in enumerate(k.labels) for us in by_label.get(label & shared, ())
     ]
     nu = len(ku.states)
-    slot = {s.index * nu + us.index: i for i, (s, us) in enumerate(pairs)}
-    succ: list[list[int]] = []  # the compatible successor pairs of each pair
+    slot = {s * nu + us: i for i, (s, us) in enumerate(pairs)}
+    succ: list[list[int]] = []  # the compatible successor pairs of each pair, ascending
     for s, us in pairs:
-        keys = (s2.index * nu + u2.index for s2 in k.successors(s) for u2 in ku.successors(us))
+        keys = (s2 * nu + u2 for s2 in k.succ[s] for u2 in ku.succ[us])
         succ.append([slot[key] for key in keys if key in slot])
     pre: list[list[int]] = [[] for _ in pairs]
     for i, js in enumerate(succ):
@@ -166,23 +148,25 @@ def prophecy_product(k: KripkeStructure, u: ProphecyAutomaton) -> KripkeStructur
                 dead.append(i)
     gone = set(dead)
     surviving = [i for i in range(len(pairs)) if i not in gone]
+    new = {i: n for n, i in enumerate(surviving)}
 
-    init_pairs = [i for i in surviving if pairs[i][0] in k.init and pairs[i][1] in ku.init]
-    if not init_pairs:
+    init = 0
+    for i in surviving:
+        s, us = pairs[i]
+        if k.init >> s & 1 and ku.init >> us & 1:
+            init |= 1 << new[i]
+    if not init:
         raise ProphecyError("empty product: no initial state survives pruning")
 
-    def name_of(pair: tuple[StateId, StateId]) -> str:
-        s, us = pair
-        parts = [s.name, us.name] + sorted(u.annotations_of(us))
-        return "__".join(parts)
+    def name_of(s: int, us: int) -> str:
+        return "__".join([k.states[s], ku.states[us]] + sorted(u.annotation[us]))
 
-    ids = {i: StateId(name_of(pairs[i]), n) for n, i in enumerate(surviving)}
     return KripkeStructure(
-        states=tuple(ids.values()),
-        init=frozenset(ids[i] for i in init_pairs),
+        states=tuple(name_of(*pairs[i]) for i in surviving),
+        init=init,
         ap=k.ap,
-        labels={ids[i]: k.label_of(pairs[i][0]) for i in surviving},
-        trans=frozenset((ids[i], ids[j]) for i in surviving for j in succ[i] if j in ids),
+        labels=tuple(k.labels[pairs[i][0]] for i in surviving),
+        succ=tuple(tuple(new[j] for j in succ[i] if j in new) for i in surviving),
     )
 
 
@@ -198,22 +182,18 @@ def parse_prophecy(text: str) -> ProphecyAutomaton:
         else:
             kr_lines.append(raw)
     structure = parse_kripke("\n".join(kr_lines))
-    annotation: dict[StateId, set[str]] = {}
+    index = {name: i for i, name in enumerate(structure.states)}
+    annotation: list[set[str]] = [set() for _ in structure.states]
     for lineno, line in annot_lines:
         body = line[len("annot"):].strip()
         if ":" not in body:
             raise KripkeParseError("annot line needs '<state>: <names>'", lineno)
         state_name, _, names = body.partition(":")
         state_name = state_name.strip()
-        try:
-            state = structure.state_by_name(state_name)
-        except KeyError:
+        if state_name not in index:
             raise KripkeParseError(f"annot references unknown state {state_name!r}", lineno)
         got = names.split()
         if not got:
             raise KripkeParseError("annot line lists no prophecy names", lineno)
-        annotation.setdefault(state, set()).update(got)
-    return ProphecyAutomaton(
-        structure=structure,
-        annotation={s: frozenset(v) for s, v in annotation.items()},
-    )
+        annotation[index[state_name]].update(got)
+    return ProphecyAutomaton(structure=structure, annotation=tuple(map(frozenset, annotation)))

@@ -40,7 +40,7 @@ from hypersim.kripke import (
     KripkeSemanticError,
     KripkeStructure,
     LassoPath,
-    StateId,
+    bit_indices,
 )
 from hypersim.oracle import Counterexample
 from hypersim.prophecy import ProphecyAutomaton
@@ -49,58 +49,53 @@ from hypersim.prophecy import ProphecyAutomaton
 def validate_kripke(k: KripkeStructure) -> list[str]:
     """Return the list of invariant violations (empty when the structure is valid).
 
-    Checked: dense ordinals, unique names, nonempty init, init/label/transition
-    endpoints drawn from the state set, label props drawn from the declared AP
-    set, and totality of the transition relation.
+    Checked: one name, label and successor tuple per state, unique names,
+    unique props, init a nonempty bitmask over the states, label props drawn
+    from the declared AP set, and successor tuples that are ascending, drawn
+    from the states and nonempty (the transition relation is total).
     """
     violations = []
+    n = len(k.states)
+    if not len(k.labels) == len(k.succ) == n:
+        violations.append(f"shape: {n} states, {len(k.labels)} labels, {len(k.succ)} successor tuples")
+        return violations
     names = set()
-    stateset = set(k.states)
-    for pos, s in enumerate(k.states):
-        if s.index != pos:
-            violations.append(f"bad-index: {s.name} has index {s.index}, expected {pos}")
-        if s.name in names:
-            violations.append(f"dup-state: {s.name}")
-        names.add(s.name)
+    for name in k.states:
+        if name in names:
+            violations.append(f"dup-state: {name}")
+        names.add(name)
     if len(set(k.ap)) != len(k.ap):
         violations.append("dup-prop: " + " ".join(sorted({p for p in k.ap if k.ap.count(p) > 1})))
-    if not k.init:
+    if k.init <= 0:
         violations.append("empty-init")
-    for s in sorted(k.init, key=lambda s: (s.index, s.name)):
-        if s not in stateset:
-            violations.append(f"init-unknown-state: {s.name}")
+    elif k.init >> n:
+        violations.append(f"init-unknown-state: {k.init.bit_length() - 1}")
     apset = set(k.ap)
-    for s in k.states:
-        for p in sorted(k.label_of(s)):
+    for name, label in zip(k.states, k.labels):
+        for p in sorted(label):
             if p not in apset:
-                violations.append(f"unknown-prop: {s.name} {p}")
-    for labeled in k.labels:
-        if labeled not in stateset:
-            violations.append(f"label-unknown-state: {labeled.name}")
-    has_out = {s: False for s in k.states}
-    for a, b in sorted(k.trans, key=lambda e: (e[0].index, e[1].index)):
-        for end in (a, b):
-            if end not in stateset:
-                violations.append(f"trans-unknown-state: {end.name}")
-        if a in has_out:
-            has_out[a] = True
-    for s in k.states:
-        if not has_out[s]:
-            violations.append(f"non-total: {s.name}")
+                violations.append(f"unknown-prop: {name} {p}")
+    for name, ts in zip(k.states, k.succ):
+        if not ts:
+            violations.append(f"non-total: {name}")
+        if any(not 0 <= t < n for t in ts):
+            violations.append(f"trans-unknown-state: {name} -> {ts}")
+        if list(ts) != sorted(set(ts)):
+            violations.append(f"unsorted-succ: {name} -> {ts}")
     return violations
 
 
 def kripke_to_text(k: KripkeStructure) -> str:
     """Canonical printer; parse_kripke(kripke_to_text(k)) reconstructs k exactly."""
     lines = []
-    lines.append("states: " + " ".join(s.name for s in k.states))
-    lines.append("init: " + " ".join(s.name for s in k.sorted_init()))
+    lines.append("states: " + " ".join(k.states))
+    lines.append("init: " + " ".join(k.states[s] for s in bit_indices(k.init)))
     lines.append("ap: " + " ".join(k.ap))
-    for s in k.states:
-        props = [p for p in k.ap if p in k.label_of(s)]
-        lines.append(f"label {s.name}: " + " ".join(props))
-    for a, b in sorted(k.trans, key=lambda e: (e[0].index, e[1].index)):
-        lines.append(f"trans {a.name} -> {b.name}")
+    for name, label in zip(k.states, k.labels):
+        props = [p for p in k.ap if p in label]
+        lines.append(f"label {name}: " + " ".join(props))
+    for a, ts in enumerate(k.succ):
+        lines += [f"trans {k.states[a]} -> {k.states[b]}" for b in ts]
     return "\n".join(lines) + "\n"
 
 
@@ -168,20 +163,20 @@ def parse_kripke_by_regex(text: str) -> KripkeStructure:
             violations.append(f"dup-state: {name}")
         seen.add(name)
 
-    by_name = {name: StateId(name, i) for i, name in enumerate(state_names)}
+    by_name = {name: i for i, name in enumerate(state_names)}
 
-    def lookup(name: str, ctx: str) -> StateId | None:
+    def lookup(name: str, ctx: str) -> int | None:
         sid = by_name.get(name)
         if sid is None:
             violations.append(f"{ctx}: {name}")
         return sid
 
-    init = []
+    init = set()
     for name, _ in init_names:
         sid = lookup(name, "init-unknown-state")
         if sid is not None:
-            init.append(sid)
-    labels: dict[StateId, set[str]] = {sid: set() for sid in by_name.values()}
+            init.add(sid)
+    labels: dict[int, set[str]] = {sid: set() for sid in by_name.values()}
     for name, ps, _ in label_lines:
         sid = lookup(name, "label-unknown-state")
         for p in ps:
@@ -199,40 +194,39 @@ def parse_kripke_by_regex(text: str) -> KripkeStructure:
     if not init:
         violations.append("empty-init")
     with_out = {a for a, _ in trans}
-    for sid in by_name.values():
+    for name, sid in by_name.items():
         if sid not in with_out:
-            violations.append(f"non-total: {sid.name}")
+            violations.append(f"non-total: {name}")
     if violations:
         raise KripkeSemanticError(violations)
 
     return KripkeStructure(
-        states=tuple(by_name[n] for n in state_names),
-        init=frozenset(init),
+        states=tuple(state_names),
+        init=sum(1 << sid for sid in init),
         ap=tuple(props),
-        labels={sid: frozenset(ps) for sid, ps in labels.items()},
-        trans=frozenset(trans),
+        labels=tuple(frozenset(labels[sid]) for sid in range(len(state_names))),
+        succ=tuple(tuple(sorted(b for a, b in trans if a == sid)) for sid in range(len(state_names))),
     )
 
 
 def prophecy_to_text(u: ProphecyAutomaton) -> str:
     lines = [kripke_to_text(u.structure).rstrip("\n")]
-    for s in u.structure.states:
-        anns = sorted(u.annotations_of(s))
+    for name, anns in zip(u.structure.states, u.annotation):
         if anns:
-            lines.append(f"annot {s.name}: {' '.join(anns)}")
+            lines.append(f"annot {name}: {' '.join(sorted(anns))}")
     return "\n".join(lines) + "\n"
 
 
 def validate_prophecy(u: ProphecyAutomaton) -> list[str]:
     violations = list(validate_kripke(u.structure))
-    known = set(u.structure.states)
-    for s in u.annotation:
-        if s not in known:
-            violations.append(f"annot-unknown-state: {s.name}")
+    for s in range(len(u.structure.states), len(u.annotation)):
+        violations.append(f"annot-unknown-state: {s}")
+    if len(u.annotation) < len(u.structure.states):
+        violations.append(f"annot-missing: {len(u.annotation)} annotations")
     return violations
 
 
-def lasso_state_at(path: LassoPath, i: int) -> StateId:
+def lasso_state_at(path: LassoPath, i: int) -> int:
     """The state at 0-based position i of the infinite run of the lasso."""
     p, l = len(path.prefix), len(path.loop)
     return path.prefix[i] if i < p else path.loop[(i - p) % l]
@@ -245,13 +239,13 @@ def build_structure(
     edges: set[tuple[int, int]],
     init: set[int],
 ) -> KripkeStructure:
-    states = tuple(StateId(f"s{i}", i) for i in range(n))
+    """The structure over states s0 .. s(n-1) with the given edges."""
     return KripkeStructure(
-        states=states,
-        init=frozenset(states[i] for i in init),
+        states=tuple(f"s{i}" for i in range(n)),
+        init=sum(1 << i for i in init),
         ap=ap,
-        labels={states[i]: frozenset(labels.get(i, set())) for i in range(n)},
-        trans=frozenset((states[a], states[b]) for a, b in edges),
+        labels=tuple(frozenset(labels.get(i, set())) for i in range(n)),
+        succ=tuple(tuple(sorted(b for a, b in edges if a == i)) for i in range(n)),
     )
 
 
@@ -314,8 +308,8 @@ def ae_at(table: PredicateTable, k: int) -> tuple[AeEncoding, CnfInstance]:
 
 def trace_of(k: KripkeStructure, path: LassoPath) -> LassoTrace:
     return LassoTrace(
-        prefix=tuple(k.label_of(s) for s in path.prefix),
-        loop=tuple(k.label_of(s) for s in path.loop),
+        prefix=tuple(k.labels[s] for s in path.prefix),
+        loop=tuple(k.labels[s] for s in path.loop),
     )
 
 
@@ -352,7 +346,7 @@ def check_box_on_pair(pred: Pred, t1: LassoTrace, t2: LassoTrace) -> bool:
 # ---------------------------------------------------------------- path listing
 
 
-def _primitive(loop: tuple[StateId, ...]) -> bool:
+def _primitive(loop: tuple[int, ...]) -> bool:
     n = len(loop)
     for d in range(1, n):
         if n % d == 0 and loop == loop[:d] * (n // d):
@@ -367,32 +361,32 @@ def enumerate_lasso_paths(k: KripkeStructure, max_total_len: int) -> Iterator[La
     induce no traces the primitive form does not, and a primitive form of
     smaller total length always exists within the bound.  Each remaining
     lasso is yielded exactly once, total lengths are nondecreasing, and the
-    order is deterministic (paths in lexicographic state-index order, then
+    order is deterministic (paths in lexicographic state order, then
     loop start ascending).
     """
     for total in range(1, max_total_len + 1):
         for path in _paths_of_length(k, total):
             last = path[-1]
             for start in range(total):
-                if (last, path[start]) in k.trans:
+                if path[start] in k.succ[last]:
                     loop = tuple(path[start:])
                     if _primitive(loop):
                         yield LassoPath(prefix=tuple(path[:start]), loop=loop)
 
 
-def _paths_of_length(k: KripkeStructure, n: int) -> Iterator[list[StateId]]:
-    def extend(path: list[StateId]) -> Iterator[list[StateId]]:
+def _paths_of_length(k: KripkeStructure, n: int) -> Iterator[list[int]]:
+    def extend(path: list[int]) -> Iterator[list[int]]:
         if len(path) == n:
             yield path
             return
-        for t in k.successors(path[-1]):
+        for t in k.succ[path[-1]]:
             yield from extend(path + [t])
 
-    for s in k.sorted_init():
+    for s in bit_indices(k.init):
         yield from extend([s])
 
 
-def initial_paths(k: KripkeStructure, depth: int) -> Iterator[list[StateId]]:
+def initial_paths(k: KripkeStructure, depth: int) -> Iterator[list[int]]:
     """All paths of exactly `depth` states starting in an initial state."""
     yield from _paths_of_length(k, depth)
 
@@ -402,20 +396,20 @@ def label_sequences(k: KripkeStructure, depth: int, ap: Iterable[str] | None = N
     optionally projected to a subset of propositions."""
     project = frozenset(ap) if ap is not None else None
 
-    def lab(s: StateId) -> frozenset[str]:
-        l = k.label_of(s)
+    def lab(s: int) -> frozenset[str]:
+        l = k.labels[s]
         return l if project is None else l & project
 
     out: set[tuple[frozenset[str], ...]] = set()
     # breadth-first over (sequence-so-far -> reachable end states), deduped
-    layer: dict[tuple[frozenset[str], ...], set[StateId]] = {}
-    for s in k.sorted_init():
+    layer: dict[tuple[frozenset[str], ...], set[int]] = {}
+    for s in bit_indices(k.init):
         layer.setdefault((lab(s),), set()).add(s)
     for _ in range(depth - 1):
-        nxt: dict[tuple[frozenset[str], ...], set[StateId]] = {}
+        nxt: dict[tuple[frozenset[str], ...], set[int]] = {}
         for seq, ends in layer.items():
             for s in ends:
-                for t in k.successors(s):
+                for t in k.succ[s]:
                     nxt.setdefault(seq + (lab(t),), set()).add(t)
         layer = nxt
     if depth >= 1:
@@ -479,17 +473,17 @@ def falsify_forall_exists_by_paths(
         return None
     for p_path in initial_paths(kp, depth):
         frontier = {
-            q for q in kq.init if eval_predicate(pred, kp.label_of(p_path[0]), kq.label_of(q))
+            q for q in bit_indices(kq.init) if eval_predicate(pred, kp.labels[p_path[0]], kq.labels[q])
         }
         died_at = 0 if not frontier else -1
         if died_at < 0:
             for i in range(1, depth):
-                lp = kp.label_of(p_path[i])
+                lp = kp.labels[p_path[i]]
                 frontier = {
                     q2
                     for q in frontier
-                    for q2 in kq.successors(q)
-                    if eval_predicate(pred, lp, kq.label_of(q2))
+                    for q2 in kq.succ[q]
+                    if eval_predicate(pred, lp, kq.labels[q2])
                 }
                 if not frontier:
                     died_at = i
@@ -512,26 +506,26 @@ def reverify_exists_forall_by_paths(
     against each."""
     d = cex.depth
     sample = cex.p_path
-    if len(sample) != d or sample[0] not in kq.init:
+    if len(sample) != d or not kq.init >> sample[0] & 1:
         return False
     for a, b in zip(sample, sample[1:]):
-        if (a, b) not in kq.trans:
+        if b not in kq.succ[a]:
             return False
 
-    def admits_violation(p_path: tuple[StateId, ...]) -> bool:
-        memo: dict[tuple[StateId, int], bool] = {}
+    def admits_violation(p_path: tuple[int, ...]) -> bool:
+        memo: dict[tuple[int, int], bool] = {}
 
-        def violated(q: StateId, i: int) -> bool:
+        def violated(q: int, i: int) -> bool:
             key = (q, i)
             if key in memo:
                 return memo[key]
-            ok = not eval_predicate(pred, kp.label_of(p_path[i]), kq.label_of(q))
+            ok = not eval_predicate(pred, kp.labels[p_path[i]], kq.labels[q])
             if not ok and i < d - 1:
-                ok = any(violated(q2, i + 1) for q2 in kq.successors(q))
+                ok = any(violated(q2, i + 1) for q2 in kq.succ[q])
             memo[key] = ok
             return ok
 
-        return any(violated(q, 0) for q in kq.init)
+        return any(violated(q, 0) for q in bit_indices(kq.init))
 
     return all(admits_violation(tuple(p)) for p in initial_paths(kp, d))
 
@@ -543,39 +537,39 @@ def falsify_exists_forall_by_layers(
     its left frontier anew for each depth; quadratic over a depth sweep."""
     if depth < 1:
         return None
-    q_layers: list[dict[StateId, StateId | None]] = [{s: None for s in kq.sorted_init()}]
+    q_layers: list[dict[int, int | None]] = [{s: None for s in bit_indices(kq.init)}]
     for _ in range(depth - 1):
-        nxt: dict[StateId, StateId | None] = {}
-        for s in sorted(q_layers[-1], key=lambda s: s.index):
-            for t in kq.successors(s):
+        nxt: dict[int, int | None] = {}
+        for s in sorted(q_layers[-1]):
+            for t in kq.succ[s]:
                 if t not in nxt:
                     nxt[t] = s
         q_layers.append(nxt)
 
     def safe(label: frozenset[str], i: int) -> bool:
-        return all(eval_predicate(pred, label, kq.label_of(q)) for q in q_layers[i])
+        return all(eval_predicate(pred, label, kq.labels[q]) for q in q_layers[i])
 
-    frontier = {p for p in kp.init if safe(kp.label_of(p), 0)}
+    frontier = {p for p in bit_indices(kp.init) if safe(kp.labels[p], 0)}
     alive = bool(frontier)
     for i in range(1, depth):
         if not alive:
             break
         frontier = {
-            p2 for p in frontier for p2 in kp.successors(p) if safe(kp.label_of(p2), i)
+            p2 for p in frontier for p2 in kp.succ[p] if safe(kp.labels[p2], i)
         }
         alive = bool(frontier)
     if alive:
         return None
 
-    first_p = [kp.sorted_init()[0]]
+    first_p = [min(bit_indices(kp.init))]
     while len(first_p) < depth:
-        first_p.append(kp.successors(first_p[-1])[0])
-    q_path: tuple[StateId, ...] | None = None
+        first_p.append(kp.succ[first_p[-1]][0])
+    q_path: tuple[int, ...] | None = None
     for i in range(depth):
-        lp = kp.label_of(first_p[i])
+        lp = kp.labels[first_p[i]]
         hit = None
-        for q in sorted(q_layers[i], key=lambda s: s.index):
-            if not eval_predicate(pred, lp, kq.label_of(q)):
+        for q in sorted(q_layers[i]):
+            if not eval_predicate(pred, lp, kq.labels[q]):
                 hit = q
                 break
         if hit is None:
@@ -585,7 +579,7 @@ def falsify_exists_forall_by_layers(
             back.append(q_layers[j][back[-1]])
         back.reverse()
         while len(back) < depth:
-            back.append(kq.successors(back[-1])[0])
+            back.append(kq.succ[back[-1]][0])
         q_path = tuple(back)
         break
     assert q_path is not None, "refutation implies a violating right path exists"
@@ -614,12 +608,12 @@ def universal_to_depth(u: ProphecyAutomaton, ap: Iterable[str], depth: int) -> b
         for combo in itertools.combinations(ordered, r)
     ]
 
-    def proj(s: StateId) -> frozenset[str]:
-        return k.label_of(s) & props
+    def proj(s: int) -> frozenset[str]:
+        return k.labels[s] & props
 
-    memo: dict[tuple[frozenset[StateId], int], bool] = {}
+    memo: dict[tuple[frozenset[int], int], bool] = {}
 
-    def all_suffixes(frontier: frozenset[StateId], remaining: int) -> bool:
+    def all_suffixes(frontier: frozenset[int], remaining: int) -> bool:
         if remaining == 0:
             return True
         key = (frontier, remaining)
@@ -629,7 +623,7 @@ def universal_to_depth(u: ProphecyAutomaton, ap: Iterable[str], depth: int) -> b
         result = True
         for letter in letters:
             nxt = frozenset(
-                t for s in frontier for t in k.successors(s) if proj(t) == letter
+                t for s in frontier for t in k.succ[s] if proj(t) == letter
             )
             if not nxt or not all_suffixes(nxt, remaining - 1):
                 result = False
@@ -638,7 +632,7 @@ def universal_to_depth(u: ProphecyAutomaton, ap: Iterable[str], depth: int) -> b
         return result
 
     for letter in letters:
-        start = frozenset(s for s in k.init if proj(s) == letter)
+        start = frozenset(s for s in bit_indices(k.init) if proj(s) == letter)
         if not start or not all_suffixes(start, depth - 1):
             return False
     return True
@@ -651,20 +645,20 @@ def prophecy_product_by_rescans(k: KripkeStructure, u: ProphecyAutomaton) -> Kri
     ku = u.structure
     shared = frozenset(k.ap) & frozenset(ku.ap)
 
-    def compatible(s: StateId, us: StateId) -> bool:
-        return (k.label_of(s) & shared) == (ku.label_of(us) & shared)
+    def compatible(s: int, us: int) -> bool:
+        return (k.labels[s] & shared) == (ku.labels[us] & shared)
 
     pairs = [
-        (s, us) for s in k.states for us in ku.states if compatible(s, us)
+        (s, us) for s in range(len(k.states)) for us in range(len(ku.states)) if compatible(s, us)
     ]
     alive = set(pairs)
 
-    def has_successor(pair: tuple[StateId, StateId]) -> bool:
+    def has_successor(pair: tuple[int, int]) -> bool:
         s, us = pair
         return any(
             (s2, u2) in alive
-            for s2 in k.successors(s)
-            for u2 in ku.successors(us)
+            for s2 in k.succ[s]
+            for u2 in ku.succ[us]
         )
 
     while True:
@@ -674,34 +668,52 @@ def prophecy_product_by_rescans(k: KripkeStructure, u: ProphecyAutomaton) -> Kri
         alive.difference_update(dead)
 
     init_pairs = [
-        (s, us) for (s, us) in pairs if (s, us) in alive and s in k.init and us in ku.init
+        (s, us) for (s, us) in pairs
+        if (s, us) in alive and k.init >> s & 1 and ku.init >> us & 1
     ]
     if not init_pairs:
         raise hypersim.prophecy.ProphecyError("empty product: no initial state survives pruning")
 
     surviving = [p for p in pairs if p in alive]
 
-    def name_of(pair: tuple[StateId, StateId]) -> str:
+    def name_of(pair: tuple[int, int]) -> str:
         s, us = pair
-        parts = [s.name, us.name] + sorted(u.annotations_of(us))
+        parts = [k.states[s], ku.states[us]] + sorted(u.annotation[us])
         return "__".join(parts)
 
-    ids = {pair: StateId(name_of(pair), i) for i, pair in enumerate(surviving)}
-    labels = {ids[(s, us)]: k.label_of(s) for (s, us) in surviving}
-    trans = set()
+    ids = {pair: i for i, pair in enumerate(surviving)}
+    trans: set[tuple[int, int]] = set()
     for (s, us) in surviving:
         src = ids[(s, us)]
-        for s2 in k.successors(s):
-            for u2 in ku.successors(us):
+        for s2 in k.succ[s]:
+            for u2 in ku.succ[us]:
                 if (s2, u2) in alive:
                     trans.add((src, ids[(s2, u2)]))
     return KripkeStructure(
-        states=tuple(ids[p] for p in surviving),
-        init=frozenset(ids[p] for p in init_pairs),
+        states=tuple(name_of(p) for p in surviving),
+        init=sum(1 << ids[p] for p in init_pairs),
         ap=k.ap,
-        labels=labels,
-        trans=frozenset(trans),
+        labels=tuple(k.labels[s] for s, _ in surviving),
+        succ=tuple(tuple(sorted(b for a, b in trans if a == i)) for i in range(len(surviving))),
     )
+
+
+def plain_automaton(k: KripkeStructure) -> ProphecyAutomaton:
+    """k as a prophecy automaton that annotates none of its states."""
+    return ProphecyAutomaton(structure=k, annotation=(frozenset(),) * len(k.states))
+
+
+def rand_automaton(rng: random.Random) -> ProphecyAutomaton:
+    """A random automaton, universal or not, annotating some of its states."""
+    if rng.random() < 0.25:
+        return hypersim.prophecy.build_next_prophecy("a", rng.choice([1, 2, 3]))
+    props = rng.choice([("a",), ("a", "b"), ("b", "c")])
+    structure = rand_structure(rng, max_states=5, props=props, edge_prob=rng.random() * 0.5)
+    annotation = tuple(
+        frozenset(rng.sample(["X", "Y"], rng.randint(1, 2))) if rng.random() < 0.5 else frozenset()
+        for _ in structure.states
+    )
+    return ProphecyAutomaton(structure=structure, annotation=annotation)
 
 
 def bounded_runs_text(run: int) -> str:
@@ -722,7 +734,7 @@ def refuse_to_build_states(monkeypatch) -> None:
     def no_states(*args):
         raise AssertionError("a capped prophecy must fail before building states")
 
-    monkeypatch.setattr(hypersim.prophecy, "StateId", no_states)
+    monkeypatch.setattr(hypersim.prophecy, "_state_name", no_states)
 
 
 # ---------------------------------------------------------------- graphs
@@ -765,41 +777,23 @@ def gen_vertex_cover_instance(g: Graph) -> tuple[KripkeStructure, KripkeStructur
         raise ValueError("vertex cover reduction needs at least one edge")
     ap = ("q",) + tuple(_edge_prop(u, v) for u, v in edges)
 
-    hub = StateId("hub", 0)
-    k1_states = [hub] + [StateId(_edge_prop(u, v), i + 1) for i, (u, v) in enumerate(edges)]
-    k1_labels = {hub: frozenset(["q"])}
-    k1_trans = set()
-    for i, (u, v) in enumerate(edges):
-        e = k1_states[i + 1]
-        k1_labels[e] = frozenset([_edge_prop(u, v)])
-        k1_trans.add((hub, e))
-        k1_trans.add((e, hub))
+    # left: the hub is state 0, edge i is state i + 1
     k1 = KripkeStructure(
-        states=tuple(k1_states),
-        init=frozenset([hub]),
+        states=("hub",) + tuple(_edge_prop(u, v) for u, v in edges),
+        init=1,
         ap=ap,
-        labels=k1_labels,
-        trans=frozenset(k1_trans),
+        labels=(frozenset(["q"]),) + tuple(frozenset([_edge_prop(u, v)]) for u, v in edges),
+        succ=(tuple(range(1, len(edges) + 1)),) + ((0,),) * len(edges),
     )
 
-    edge_ids = [StateId(_edge_prop(u, v), i) for i, (u, v) in enumerate(edges)]
-    vert_ids = [StateId(f"v{i}", len(edges) + i) for i in range(g.n)]
-    k2_labels: dict[StateId, frozenset[str]] = {}
-    k2_trans = set()
-    for eid, (u, v) in zip(edge_ids, edges):
-        k2_labels[eid] = frozenset([_edge_prop(u, v)])
-        k2_trans.add((eid, vert_ids[u]))
-        k2_trans.add((eid, vert_ids[v]))
-    for vid in vert_ids:
-        k2_labels[vid] = frozenset(["q"])
-        for eid in edge_ids:
-            k2_trans.add((vid, eid))
+    # right: edge i is state i, vertex v is state m + v
+    m = len(edges)
     k2 = KripkeStructure(
-        states=tuple(edge_ids + vert_ids),
-        init=frozenset(vert_ids),
+        states=tuple(_edge_prop(u, v) for u, v in edges) + tuple(f"v{i}" for i in range(g.n)),
+        init=((1 << g.n) - 1) << m,
         ap=ap,
-        labels=k2_labels,
-        trans=frozenset(k2_trans),
+        labels=tuple(frozenset([_edge_prop(u, v)]) for u, v in edges) + (frozenset(["q"]),) * g.n,
+        succ=tuple((m + u, m + v) for u, v in edges) + (tuple(range(m)),) * g.n,
     )
     return k1, k2
 

@@ -373,6 +373,22 @@ def test_export_rejects_invalid_structure_without_writing(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("target", ["missing/k.cnf", "."], ids=["missing-directory", "a-directory"])
+def test_export_to_an_unwritable_path_is_an_input_error(target, tmp_path, capsys):
+    out = tmp_path / target  # "." names tmp_path itself
+    code = main([
+        "export",
+        "--left", str(DATA / "k1.kr"),
+        "--right", str(DATA / "k2.kr"),
+        "--prop", str(DATA / "phi1.hp"),
+        "--bound", "1",
+        "--out", str(out),
+    ])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith(f"error: cannot write {out}: ") and "Traceback" not in err
+
+
 def test_bench_empty_corpus(tmp_path, capsys):
     assert main(["bench", str(tmp_path)]) == 0
     capsys.readouterr()
@@ -393,6 +409,10 @@ def test_bench_isolates_broken_manifests(tmp_path, capsys):
             "left": "m.kr", "right": "m.kr", "property": "prop.hp", "expect": "holds",
             "max_depth": "8",
         }),
+        "misspelt": json.dumps({
+            "left": "m.kr", "right": "m.kr", "property": "prop.hp", "expect": "holds",
+            "max_depht": 1,
+        }),
     }
     for name, text in broken.items():
         bad = tmp_path / name
@@ -408,6 +428,7 @@ def test_bench_isolates_broken_manifests(tmp_path, capsys):
     assert lines and lines[0].rstrip().endswith("yes")
     for name in broken:
         assert any(l.startswith(f"{name} ") and " error: " in l for l in out.splitlines())
+    assert "error: case.json: unknown key 'max_depht'" in out
 
 
 NOT_UTF8 = b"states: s\xff\ninit: s\nap: a\ntrans s -> s\n"

@@ -31,7 +31,7 @@ from hypersim.hyperspec import (
     parse_predicate,
     parse_property,
 )
-from hypersim.kripke import bit_indices, parse_kripke, reachable_restriction
+from hypersim.kripke import LassoPath, bit_indices, parse_kripke, reachable_restriction
 from hypersim.oracle import validate_witness_ae, validate_witness_ea
 from hypersim.prophecy import build_next_prophecy, prophecy_product
 from hypersim.sat import EmbeddedBackend, solve
@@ -65,9 +65,9 @@ def ae_model(table, k):
     return enc, res.model if res.is_sat else None
 
 
-def pairs(kp, kq, rows):
+def pairs(rows):
     """The relation the bitmask rows hold, as (left, right) state pairs."""
-    return {(kp.states[p], kq.states[q]) for p, row in enumerate(rows) for q in bit_indices(row)}
+    return {(p, q) for p, row in enumerate(rows) for q in bit_indices(row)}
 
 
 def test_ea_one_state_pair_lowers_to_a_tiny_cnf():
@@ -83,10 +83,8 @@ def test_ea_one_state_pair_witness():
     model = sat_model(enc)
     assert model is not None
     w = decode_witness_ea(enc, model)
-    assert w.lasso.prefix == () and [s.name for s in w.lasso.loop] == ["s"]
-    assert {q.name for q in w.pos_relation[1]} == {"q"} or {
-        q.name for q in w.pos_relation[1]
-    } == {"s"}
+    assert w.lasso == LassoPath(prefix=(), loop=(0,))
+    assert w.pos_relation == {1: frozenset({0})}
     assert validate_witness_ea(ONE_A, ONE_A, IFF_A, w, 1) == []
 
 
@@ -184,7 +182,7 @@ def test_decode_rejects_non_one_hot_position():
     with pytest.raises(DecodeError) as exc:
         decode_witness_ea(enc, model_of(enc, *chosen, "pos(3,s4)"))
     assert "position 3 is not one-hot" in str(exc.value)
-    assert [s.name for s in decode_witness_ea(enc, model_of(enc, *chosen)).lasso.loop] == ["s3"]
+    assert decode_witness_ea(enc, model_of(enc, *chosen)).lasso.loop == (2,)  # s3
 
 
 def test_export_is_deterministic_per_instance():
@@ -224,7 +222,7 @@ def test_ea_decoded_positions_cover_the_right_states(seed):
     kq = rand_structure(rng, max_states=4)
     pred = rand_pred(rng, kp.ap, kq.ap)
     reachable = set(reachable_restriction(kq).states)
-    kq_names = {q.name for q in kq.states}
+    kq_names = set(kq.states)
     table = PredicateTable(kp, kq, pred)
     for n in range(1, 4):
         enc = encode_sim_ea(table, n)
@@ -233,8 +231,8 @@ def test_ea_decoded_positions_cover_the_right_states(seed):
             continue
         w = decode_witness_ea(enc, model)
         assert validate_witness_ea(kp, kq, pred, w, n) == []
-        covered = {q.name for qs in w.pos_relation.values() for q in qs}
-        assert {q.name for q in reachable} <= covered <= kq_names
+        covered = {kq.states[q] for qs in w.pos_relation.values() for q in qs}
+        assert reachable <= covered <= kq_names
         break
 
 
@@ -243,16 +241,16 @@ def naive_greatest_simulation(kp, kq, pred, allowed):
     `allowed`, by plain iteration to a fixpoint."""
     rel = {
         (p, q)
-        for p in kp.states
+        for p in range(len(kp.states))
         for q in allowed
-        if eval_predicate(pred, kp.label_of(p), kq.label_of(q))
+        if eval_predicate(pred, kp.labels[p], kq.labels[q])
     }
     changed = True
     while changed:
         changed = False
-        for p, q in sorted(rel, key=lambda pq: (pq[0].index, pq[1].index)):
+        for p, q in sorted(rel):
             if not all(
-                any((p2, q2) in rel for q2 in kq.successors(q)) for p2 in kp.successors(p)
+                any((p2, q2) in rel for q2 in kq.succ[q]) for p2 in kp.succ[p]
             ):
                 rel.discard((p, q))
                 changed = True
@@ -268,8 +266,8 @@ def test_greatest_simulation_matches_naive_refinement(seed, edge_prob):
     kp = rand_structure(rng, max_states=7, edge_prob=edge_prob)
     kq = rand_structure(rng, max_states=7, edge_prob=edge_prob)
     pred = rand_pred(rng, kp.ap, kq.ap)
-    naive = naive_greatest_simulation(kp, kq, pred, kq.states)
-    assert pairs(kp, kq, greatest_simulation(PredicateTable(kp, kq, pred))) == naive
+    naive = naive_greatest_simulation(kp, kq, pred, range(len(kq.states)))
+    assert pairs(greatest_simulation(PredicateTable(kp, kq, pred))) == naive
 
 
 def test_at_most_k_counts_exactly():
@@ -348,7 +346,7 @@ def test_the_floor_is_a_lower_bound_and_forced_states_are_used(seed):
         (
             size
             for size in range(1, len(kq.states) + 1)
-            for subset in itertools.combinations(kq.states, size)
+            for subset in itertools.combinations(range(len(kq.states)), size)
             if covers_initial(kp, kq, naive_greatest_simulation(kp, kq, pred, subset))
         ),
         None,
@@ -378,7 +376,9 @@ def test_an_unreachable_left_state_forces_nothing():
 
 
 def covers_initial(kp, kq, rel) -> bool:
-    return all(any((p, q) in rel for q in kq.init) for p in kp.init)
+    return all(
+        any((p, q) in rel for q in bit_indices(kq.init)) for p in bit_indices(kp.init)
+    )
 
 
 @given(st.integers(min_value=0, max_value=10**9))
@@ -390,12 +390,12 @@ def test_ae_minimal_k_matches_brute_force_subsets(seed):
     pred = rand_pred(rng, kp.ap, kq.ap)
     table = PredicateTable(kp, kq, pred)
     relation = greatest_simulation(table)
-    assert pairs(kp, kq, relation) == naive_greatest_simulation(kp, kq, pred, kq.states)
+    assert pairs(relation) == naive_greatest_simulation(kp, kq, pred, range(len(kq.states)))
     brute = next(
         (
             size
             for size in range(1, len(kq.states) + 1)
-            for subset in itertools.combinations(kq.states, size)
+            for subset in itertools.combinations(range(len(kq.states)), size)
             if covers_initial(kp, kq, naive_greatest_simulation(kp, kq, pred, subset))
         ),
         None,
@@ -418,18 +418,18 @@ def least_sets_pass(kp, kq, pred, lasso) -> bool:
     seq = lasso.states_visited()
     n, l = len(seq), len(lasso.prefix) + 1
     sets = {i: set() for i in range(1, n + 1)}
-    sets[1] |= kq.init
+    sets[1] |= set(bit_indices(kq.init))
     changed = True
     while changed:
         changed = False
         for i in range(1, n + 1):
             nxt = i + 1 if i < n else l
-            post = {q2 for q in sets[i] for q2 in kq.successors(q)}
+            post = {q2 for q in sets[i] for q2 in kq.succ[q]}
             if not post <= sets[nxt]:
                 sets[nxt] |= post
                 changed = True
     return all(
-        eval_predicate(pred, kp.label_of(seq[i - 1]), kq.label_of(q))
+        eval_predicate(pred, kp.labels[seq[i - 1]], kq.labels[q])
         for i in range(1, n + 1)
         for q in sets[i]
     )

@@ -1,7 +1,7 @@
 """Structure parsing, validation, restriction, and lasso enumeration."""
 
-import pickle
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -13,11 +13,11 @@ from hypersim.kripke import (
     KripkeSemanticError,
     KripkeStructure,
     LassoPath,
-    StateId,
     parse_kripke,
     reachable_mask,
     reachable_restriction,
 )
+from hypersim.prophecy import ProphecyError, build_next_prophecy, prophecy_product
 
 from helpers import (
     build_structure,
@@ -27,6 +27,7 @@ from helpers import (
     label_sequences,
     lasso_state_at,
     parse_kripke_by_regex,
+    rand_automaton,
     rand_structure,
     structures,
     trace_of,
@@ -36,15 +37,15 @@ from helpers import (
 ONE_STATE = "states: s\ninit: s\nap: a\nlabel s: a\ntrans s -> s"
 
 
-def lasso_names(p: LassoPath) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    return tuple(s.name for s in p.prefix), tuple(s.name for s in p.loop)
+def lasso_names(k: KripkeStructure, p: LassoPath) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    return tuple(k.states[s] for s in p.prefix), tuple(k.states[s] for s in p.loop)
 
 
 def test_parse_smallest_legal_structure():
     k = parse_kripke(ONE_STATE)
     assert len(k.states) == 1
     assert k.ap == ("a",)
-    assert k.label_of(k.states[0]) == frozenset({"a"})
+    assert k.labels[0] == frozenset({"a"})
     assert validate_kripke(k) == []
 
 
@@ -71,34 +72,35 @@ def test_parse_syntax_error_carries_line_number():
 
 def test_parse_merges_duplicate_transitions():
     text = ONE_STATE + "\ntrans s -> s"
-    assert len(parse_kripke(text).trans) == 1
+    assert parse_kripke(text).succ == ((0,),)
 
 
 def test_parse_comments_and_section_order():
     text = "# header\ntrans s -> s\nap: a\ninit: s\nstates: s  # trailing"
     k = parse_kripke(text)
-    assert [s.name for s in k.states] == ["s"]
+    assert k.states == ("s",)
 
 
 def test_validate_empty_init():
-    k = parse_kripke(ONE_STATE)
-    broken = KripkeStructure(
-        states=k.states, init=frozenset(), ap=k.ap, labels=k.labels, trans=k.trans
-    )
+    broken = replace(parse_kripke(ONE_STATE), init=0)
     assert validate_kripke(broken) == ["empty-init"]
 
 
 def test_validate_unknown_prop_names_state_and_prop():
-    k = parse_kripke(ONE_STATE)
-    s = k.states[0]
-    broken = KripkeStructure(
-        states=k.states,
-        init=k.init,
-        ap=k.ap,
-        labels={s: frozenset({"a", "zz"})},
-        trans=k.trans,
-    )
+    broken = replace(parse_kripke(ONE_STATE), labels=(frozenset({"a", "zz"}),))
     assert validate_kripke(broken) == ["unknown-prop: s zz"]
+
+
+def test_validate_flags_successor_tuples_out_of_order_or_range():
+    k = parse_kripke("states: s t\ninit: s\nap: a\ntrans s -> t\ntrans t -> s")
+    assert validate_kripke(replace(k, succ=((1, 0), (0,)))) == ["unsorted-succ: s -> (1, 0)"]
+    assert validate_kripke(replace(k, succ=((2,), ()))) == [
+        "trans-unknown-state: s -> (2,)", "non-total: t",
+    ]
+    assert validate_kripke(replace(k, init=0b100)) == ["init-unknown-state: 2"]
+    assert validate_kripke(replace(k, labels=(frozenset(),))) == [
+        "shape: 2 states, 1 labels, 2 successor tuples"
+    ]
 
 
 def test_validate_ok_on_valid_structure():
@@ -112,7 +114,7 @@ def test_reachable_restriction_removes_unreachable_sink():
     )
     k = parse_kripke(text)
     r = reachable_restriction(k)
-    assert [s.name for s in r.states] == ["s"]
+    assert r.states == ("s",)
     assert validate_kripke(r) == []
 
 
@@ -132,10 +134,9 @@ def test_reachable_restriction_reindexes_densely_past_an_unreachable_sink():
         "trans s -> t\ntrans t -> s\ntrans dead -> dead"
     )
     r = reachable_restriction(k)
-    assert r.states == (StateId("s", 0), StateId("t", 1))
-    assert r.trans == {(r.states[0], r.states[1]), (r.states[1], r.states[0])}
-    assert r.label_of(r.states[1]) == {"a"}
-    assert r.succ_index == ((1,), (0,))
+    assert r.states == ("s", "t") and r.init == 0b01
+    assert r.labels == (frozenset(), frozenset({"a"}))
+    assert r.succ == ((1,), (0,))
     assert validate_kripke(r) == []
     assert reachable_restriction(r) is r
 
@@ -149,24 +150,15 @@ def test_predecessor_masks_and_the_reachable_mask():
     assert reachable_mask(k) == 0b101
 
 
-def test_a_structure_whose_indices_have_a_gap_is_rejected():
-    s0, s2 = StateId("s0", 0), StateId("s2", 2)
-    with pytest.raises(ValueError, match="s2 has index 2 at position 1"):
-        KripkeStructure(
-            states=(s0, s2), init=frozenset({s0}), ap=(), labels={},
-            trans=frozenset({(s0, s2), (s2, s0)}),
-        )
-
-
 def test_enumerate_lassos_one_state_self_loop():
     k = parse_kripke(ONE_STATE)
-    got = [lasso_names(p) for p in enumerate_lasso_paths(k, 2)]
+    got = [lasso_names(k, p) for p in enumerate_lasso_paths(k, 2)]
     assert got == [((), ("s",)), (("s",), ("s",))]
 
 
 def test_enumerate_lassos_two_cycle():
     k = parse_kripke("states: s t\ninit: s\nap: a\ntrans s -> t\ntrans t -> s")
-    got = [lasso_names(p) for p in enumerate_lasso_paths(k, 2)]
+    got = [lasso_names(k, p) for p in enumerate_lasso_paths(k, 2)]
     assert ((), ("s", "t")) in got
 
 
@@ -177,7 +169,7 @@ def test_enumerate_lassos_intro_branch_path():
         "trans s1 -> s2\ntrans s2 -> s3\ntrans s2 -> s4\n"
         "trans s3 -> s3\ntrans s4 -> s4"
     )
-    got = [lasso_names(p) for p in enumerate_lasso_paths(k, 4)]
+    got = [lasso_names(k, p) for p in enumerate_lasso_paths(k, 4)]
     assert (("s1", "s2"), ("s3",)) in got
 
 
@@ -185,15 +177,15 @@ def test_lasso_state_at_wraps_into_loop():
     k = parse_kripke(
         "states: s t u\ninit: s\nap: a\ntrans s -> t\ntrans t -> u\ntrans u -> t"
     )
-    p = LassoPath(prefix=(k.states[0],), loop=(k.states[1], k.states[2]))
+    p = LassoPath(prefix=(0,), loop=(1, 2))
     assert p.is_valid_in(k)
-    names = [lasso_state_at(p, i).name for i in range(6)]
+    names = [k.states[lasso_state_at(p, i)] for i in range(6)]
     assert names == ["s", "t", "u", "t", "u", "t"]
 
 
 def test_initial_paths_exact_depth():
     k = parse_kripke("states: s t\ninit: s\nap: a\ntrans s -> t\ntrans t -> s")
-    got = [[s.name for s in p] for p in initial_paths(k, 3)]
+    got = [[k.states[s] for s in p] for p in initial_paths(k, 3)]
     assert got == [["s", "t", "s"]]
 
 
@@ -241,7 +233,7 @@ def test_enumerated_lassos_are_valid_unique_and_ordered(k):
 
 def test_trace_of_projects_labels():
     k = parse_kripke(ONE_STATE)
-    t = trace_of(k, LassoPath(prefix=(), loop=(k.states[0],)))
+    t = trace_of(k, LassoPath(prefix=(), loop=(0,)))
     assert t.prefix == () and t.loop == (frozenset({"a"}),)
     assert t.at(0) == t.at(7) == frozenset({"a"})
 
@@ -251,18 +243,6 @@ def test_build_structure_helper_produces_valid_structures():
         2, ("a",), {0: {"a"}}, {(0, 1), (1, 0)}, {0}
     )
     assert validate_kripke(k) == []
-
-
-def test_state_ids_keep_value_semantics_with_a_cached_hash():
-    a, b = StateId("s", 1), StateId("s", 1)
-    assert a == b and a is not b and hash(a) == hash(b) == hash(("s", 1))
-    assert a != StateId("s", 2) and a != StateId("t", 1)
-    assert repr(a) == "StateId('s', 1)"
-    assert {a: 1}[b] == 1
-    with pytest.raises(TypeError):
-        a < b  # unordered, as before
-    back = pickle.loads(pickle.dumps(a))
-    assert back == a and hash(back) == hash(a)
 
 
 # ---------------------------------------------------------------- parser equivalence
@@ -328,7 +308,35 @@ def test_parser_agrees_with_the_regex_reference(seed, kinds):
     text = "\n".join(lines) + rng.choice(["", "\n", "\r\n"])
     got = parse_outcome(parse_kripke, text)
     assert got == parse_outcome(parse_kripke_by_regex, text)
-    if isinstance(got, KripkeStructure):
-        # the successor lists handed over by the parser are the ones trans gives
-        rebuilt = KripkeStructure(got.states, got.init, got.ap, got.labels, got.trans)
-        assert got.succ_index == rebuilt.succ_index
+
+
+@given(
+    st.integers(min_value=0, max_value=10**9),
+    st.lists(st.sampled_from(MUTATIONS), max_size=2),
+)
+@settings(max_examples=200, deadline=None)
+def test_every_built_structure_keeps_the_invariants(seed, kinds):
+    # what parsing, restriction and the product build: one name, label and
+    # successor tuple per state, successors ascending, in range and
+    # nonempty, init a nonempty bitmask over the states, and a restriction
+    # that a second application leaves as it is
+    rng = random.Random(seed)
+    lines = kripke_to_text(rand_structure(rng, max_states=5)).splitlines()
+    for kind in kinds:
+        mutate(lines, kind, rng)
+    try:
+        k = parse_kripke("\n".join(lines))
+    except KripkeError:
+        k = rand_structure(rng, max_states=5)
+    built = [k]
+    for u in (rand_automaton(rng), build_next_prophecy("a", rng.randint(1, 3))):
+        try:
+            built.append(prophecy_product(k, u))
+        except ProphecyError:
+            pass
+    for b in built:
+        r = reachable_restriction(b)
+        for got in (b, r):
+            assert validate_kripke(got) == []
+            assert 0 < got.init < 1 << len(got.states)
+        assert reachable_restriction(r) is r

@@ -9,11 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hypersim.encoder import SimWitnessAE
+from hypersim.encoder import SimWitnessAE, SimWitnessEA
 from hypersim.hyperspec import PredicateTable, eval_predicate, parse_predicate, parse_property
 import hypersim.cli
 from hypersim.cli import check_pair
-from hypersim.kripke import StateId, parse_kripke, LassoPath
+from hypersim.kripke import LassoPath, parse_kripke
 from hypersim.oracle import (
     Counterexample,
     LiveSetSearch,
@@ -91,14 +91,13 @@ def test_check_box_agrees_with_pointwise_evaluation(seed):
 
 def test_validator_ae_accepts_identity_relation():
     k = parse_kripke("states: s t\ninit: s\nap: a\nlabel t: a\ntrans s -> t\ntrans t -> s")
-    rel = frozenset((s, s) for s in k.states)
-    w = SimWitnessAE(relation=rel, used_q=frozenset(k.states))
+    w = SimWitnessAE(relation=rel_id(k), used_q=frozenset({0, 1}))
     assert validate_witness_ae(k, k, parse_predicate("l.a <-> r.a"), w, 2) == []
 
 
 def test_validator_ae_names_broken_obligation():
     k = parse_kripke("states: s t\ninit: s\nap: a\ntrans s -> t\ntrans t -> s")
-    s, t = k.states
+    s, t = 0, 1
     pred = parse_predicate("true")
     missing_succ = SimWitnessAE(relation=frozenset({(s, s)}), used_q=frozenset({s}))
     out = validate_witness_ae(k, k, pred, missing_succ, 2)
@@ -112,7 +111,7 @@ def test_validator_ae_names_broken_obligation():
 def test_validator_ae_rejects_more_used_states_than_the_bound():
     # the identity relation is a valid simulation, but it uses both states
     k = parse_kripke("states: s t\ninit: s\nap: a\nlabel t: a\ntrans s -> t\ntrans t -> s")
-    w = SimWitnessAE(relation=rel_id(k), used_q=frozenset(k.states))
+    w = SimWitnessAE(relation=rel_id(k), used_q=frozenset({0, 1}))
     pred = parse_predicate("l.a <-> r.a")
     assert validate_witness_ae(k, k, pred, w, 2) == []
     assert validate_witness_ae(k, k, pred, w, 1) == [
@@ -121,46 +120,88 @@ def test_validator_ae_rejects_more_used_states_than_the_bound():
 
 
 def rel_id(k):
-    return frozenset((s, s) for s in k.states)
+    return frozenset((s, s) for s in range(len(k.states)))
 
 
 def test_validator_ae_rejects_foreign_states():
     k1 = parse_kripke("states: s\ninit: s\nap: a\ntrans s -> s")
     k2 = parse_kripke("states: q\ninit: q\nap: a\ntrans q -> q")
-    alien = StateId(name="zz", index=7)
-    w = SimWitnessAE(relation=frozenset({(alien, k2.states[0])}), used_q=frozenset({k2.states[0]}))
+    w = SimWitnessAE(relation=frozenset({(7, 0)}), used_q=frozenset({0}))
     out = validate_witness_ae(k1, k2, parse_predicate("true"), w, 1)
-    assert out and all(v.startswith("foreign-state:") for v in out)
+    assert out == ["foreign-state: 7 not in the P structure"]
+
+
+TWO_CYCLE = "states: {0} {1}\ninit: {0}\nap: a\ntrans {0} -> {1}\ntrans {1} -> {0}"
+
+
+@pytest.mark.parametrize("beyond", [False, True], ids=["minus-one", "n"])
+@pytest.mark.parametrize(
+    "slot", ["ae-left", "ae-right", "ea-lasso", "ea-pos", "forall-exists", "exists-forall"]
+)
+def test_a_state_outside_the_structure_is_a_violation_not_a_crash(slot, beyond):
+    # every slot first holds a valid entry; swapping in -1 or n must give a
+    # foreign-state violation from the validators or False from the re-check
+    kp = parse_kripke(TWO_CYCLE.format("s", "t"))
+    kq = parse_kripke(TWO_CYCLE.format("q", "r"))
+    bad = 2 if beyond else -1
+    true, false = parse_predicate("true"), parse_predicate("false")
+
+    def foreign_only(out):
+        return bool(out) and all(v.startswith("foreign-state:") for v in out)
+
+    if slot.startswith("ae"):
+        def ae(pair):
+            rel = frozenset({(0, 0), (1, 1), pair})
+            return validate_witness_ae(kp, kq, true, SimWitnessAE(rel, frozenset(q for _, q in rel)), 3)
+
+        assert ae((0, 0)) == []
+        assert foreign_only(ae((bad, 0) if slot == "ae-left" else (0, bad)))
+    elif slot.startswith("ea"):
+        def ea(loop, row):
+            w = SimWitnessEA(LassoPath(prefix=(), loop=loop), {1: frozenset(row), 2: frozenset({1})})
+            return validate_witness_ea(kp, kq, true, w, 2)
+
+        assert ea((0, 1), {0}) == []
+        if slot == "ea-lasso":
+            assert foreign_only(ea((bad, 1), {0}))
+            assert foreign_only(ea((0, bad), {0}))
+        else:
+            assert foreign_only(ea((0, 1), {0, bad}))
+    else:
+        def recheck(path):
+            return reverify_counterexample(kp, kq, false, Counterexample(slot, path, len(path), ""))
+
+        assert recheck((0, 1)) is True
+        assert recheck((bad, 1)) is False
+        assert recheck((0, bad)) is False
+        assert recheck(()) is False
 
 
 def test_validator_ea_accepts_and_rejects():
     k = parse_kripke("states: s\ninit: s\nap: a\nlabel s: a\ntrans s -> s")
     pred = parse_predicate("l.a <-> r.a")
-    lasso = LassoPath(prefix=(), loop=(k.states[0],))
-    good = validate_witness_ea(k, k, pred, ea_witness(lasso, {1: {k.states[0]}}), 1)
+    lasso = LassoPath(prefix=(), loop=(0,))
+    good = validate_witness_ea(k, k, pred, ea_witness(lasso, {1: {0}}), 1)
     assert good == []
     empty_pos = validate_witness_ea(k, k, pred, ea_witness(lasso, {1: set()}), 1)
     assert any(v.startswith("initial:") for v in empty_pos)
 
 
 def ea_witness(lasso, pos):
-    from hypersim.encoder import SimWitnessEA
-
     return SimWitnessEA(lasso=lasso, pos_relation={i: frozenset(s) for i, s in pos.items()})
 
 
 def test_validator_ea_checks_position_keys():
     k = parse_kripke("states: s\ninit: s\nap: a\ntrans s -> s")
-    lasso = LassoPath(prefix=(), loop=(k.states[0],))
-    out = validate_witness_ea(k, k, parse_predicate("true"), ea_witness(lasso, {2: {k.states[0]}}), 1)
+    lasso = LassoPath(prefix=(), loop=(0,))
+    out = validate_witness_ea(k, k, parse_predicate("true"), ea_witness(lasso, {2: {0}}), 1)
     assert any(v.startswith("positions:") for v in out)
 
 
 def test_validator_ea_rejects_a_lasso_of_another_length():
     # the one-state loop run twice is a valid witness of length 2, not 1
     k = parse_kripke("states: s\ninit: s\nap: a\nlabel s: a\ntrans s -> s")
-    s = k.states[0]
-    w = ea_witness(LassoPath(prefix=(), loop=(s, s)), {1: {s}, 2: {s}})
+    w = ea_witness(LassoPath(prefix=(), loop=(0, 0)), {1: {0}, 2: {0}})
     pred = parse_predicate("l.a <-> r.a")
     assert validate_witness_ea(k, k, pred, w, 2) == []
     assert validate_witness_ea(k, k, pred, w, 1) == ["bound: the witness lasso has length 2, not n=1"]
@@ -179,7 +220,7 @@ def test_falsifier_ae_finds_the_intro_counterexample():
     pred = parse_property((DATA / "phi1.hp").read_text()).pred
     cex = falsify_forall_exists(live(kp, kq, pred), depth=3)
     assert cex is not None
-    assert [s.name for s in cex.p_path] == ["s1", "s2", "s3"]
+    assert [kp.states[s] for s in cex.p_path] == ["s1", "s2", "s3"]
     assert cex.depth == 3
     assert reverify_counterexample(kp, kq, pred, cex)
 
@@ -209,11 +250,7 @@ def test_reverify_rejects_tampered_paths():
     pred = parse_property((DATA / "phi1.hp").read_text()).pred
     cex = falsify_forall_exists(live(kp, kq, pred), depth=3)
     assert cex is not None
-    from hypersim.oracle import Counterexample
-
-    forged = Counterexample(
-        side=cex.side, p_path=cex.p_path[:-1] + (kp.states[3],), depth=cex.depth, note=""
-    )
+    forged = Counterexample(side=cex.side, p_path=cex.p_path[:-1] + (3,), depth=cex.depth, note="")
     assert reverify_counterexample(kp, kq, pred, forged) is False
 
 
@@ -315,7 +352,7 @@ def test_exists_forall_reverify_matches_path_listing(seed):
     for d in range(1, 6):
         sample = tuple(next(initial_paths(kq, d)))
         found = falsify_exists_forall(safe(kp, kq, pred), d)
-        forged = sample[:-1] + (rng.choice(kq.states),)
+        forged = sample[:-1] + (rng.choice(range(len(kq.states))),)
         for path, depth in [
             (sample, d),
             (forged, d),

@@ -2,6 +2,7 @@
 
 import random
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hypersim.prophecy
-from hypersim.kripke import KripkeParseError, KripkeStructure, StateId, parse_kripke
+from hypersim.kripke import KripkeParseError, parse_kripke
 from hypersim.prophecy import (
     MAX_NEXT_PROPHECY_DEPTH,
     MAX_UNIVERSALITY_SETS,
@@ -24,8 +25,10 @@ from hypersim.prophecy import (
 from helpers import (
     bounded_runs_text,
     label_sequences,
+    plain_automaton,
     prophecy_product_by_rescans,
     prophecy_to_text,
+    rand_automaton,
     rand_structure,
     refuse_to_build_states,
     universal_to_depth,
@@ -45,27 +48,26 @@ def test_depth_one_automaton_shape():
     u = build_next_prophecy("a", 1)
     k = u.structure
     assert len(k.states) == 4
-    assert k.init == frozenset(k.states)
-    for s in k.states:
-        assert len(k.successors(s)) == 2
-        assert ("a" in k.label_of(s)) == bool(bits_of(s.name)[0])
+    assert k.init == 0b1111
+    for name, label, ts in zip(k.states, k.labels, k.succ):
+        assert len(ts) == 2
+        assert ("a" in label) == bool(bits_of(name)[0])
 
 
 def test_depth_two_successors_shift_the_guess_window():
     u = build_next_prophecy("a", 2)
     k = u.structure
     assert len(k.states) == 8
-    for s in k.states:
-        b = bits_of(s.name)
-        for t in k.successors(s):
-            assert bits_of(t.name)[:2] == b[1:]
+    for name, ts in zip(k.states, k.succ):
+        for t in ts:
+            assert bits_of(k.states[t])[:2] == bits_of(name)[1:]
 
 
 def test_annotation_marks_the_last_guess_bit():
     u = build_next_prophecy("b", 2)
-    for s in u.structure.states:
-        expected = frozenset({"X2_b"}) if bits_of(s.name)[2] else frozenset()
-        assert u.annotations_of(s) == expected
+    for name, annotation in zip(u.structure.states, u.annotation):
+        expected = frozenset({"X2_b"}) if bits_of(name)[2] else frozenset()
+        assert annotation == expected
 
 
 @pytest.mark.parametrize("depth", [1, 2, 3])
@@ -75,10 +77,7 @@ def test_built_automata_are_universal_beyond_their_depth(depth):
 
 
 def test_universality_counterexamples():
-    fixed = ProphecyAutomaton(
-        structure=parse_kripke("states: s\ninit: s\nap: a\nlabel s: a\ntrans s -> s"),
-        annotation={},
-    )
+    fixed = plain_automaton(parse_kripke("states: s\ninit: s\nap: a\nlabel s: a\ntrans s -> s"))
     assert check_universality(fixed, ["a"]) is False
     assert check_universality(fixed, []) is True  # single letter alphabet
 
@@ -100,7 +99,7 @@ def test_universality_matches_the_depth_bounded_reference(seed):
     props = rng.choice([("a",), ("a", "b")])
     k = rand_structure(rng, max_states=3, props=props, edge_prob=rng.choice([0.3, 0.6]))
     shared = rng.choice([(), ("a",), ("a",), props])
-    u = ProphecyAutomaton(structure=k, annotation={})
+    u = plain_automaton(k)
     assert check_universality(u, shared) == universal_to_depth(u, shared, 2 ** len(k.states))
 
 
@@ -121,7 +120,7 @@ def shift_register_automaton(width: int) -> ProphecyAutomaton:
                 for b2 in (0, 1):
                     target = f"r{i + 1}_{c}_{b2}" if i < width else f"w{b2}"
                     lines.append(f"trans r{i}_{c}_{b} -> {target}")
-    return ProphecyAutomaton(structure=parse_kripke("\n".join(lines)), annotation={})
+    return plain_automaton(parse_kripke("\n".join(lines)))
 
 
 def test_universality_search_is_capped():
@@ -144,9 +143,8 @@ def test_universality_rejects_at_the_first_unrealizable_letter(monkeypatch):
 
     monkeypatch.setattr(hypersim.prophecy, "combinations", counting)
     props = [f"p{i}" for i in range(18)]
-    silent = ProphecyAutomaton(
-        structure=parse_kripke(f"states: u\ninit: u\nap: {' '.join(props)}\ntrans u -> u"),
-        annotation={},
+    silent = plain_automaton(
+        parse_kripke(f"states: u\ninit: u\nap: {' '.join(props)}\ntrans u -> u")
     )
     assert check_universality(silent, props) is False
     assert 0 < len(drawn) <= 10
@@ -170,38 +168,31 @@ def test_product_splits_states_on_the_prophesied_future():
     k1 = parse_kripke((DATA / "k1.kr").read_text())
     product = prophecy_product(k1, build_next_prophecy("a", 2))
     assert validate_kripke(product) == []
-    s1_copies = sorted(s.name for s in product.states if s.name.startswith("s1__"))
+    s1_copies = sorted(name for name in product.states if name.startswith("s1__"))
     assert s1_copies == ["s1__u000", "s1__u001__X2_a"]
-    for s in product.states:
-        assert ("a" in product.label_of(s)) == s.name.startswith("s3__")
+    for name, label in zip(product.states, product.labels):
+        assert ("a" in label) == name.startswith("s3__")
 
 
 def test_identity_product_is_a_renaming():
     # the full one-letter-memory automaton constrains nothing
-    ident = ProphecyAutomaton(
-        structure=parse_kripke(
-            "states: u0 u1\ninit: u0 u1\nap: a\nlabel u1: a\n"
-            "trans u0 -> u0\ntrans u0 -> u1\ntrans u1 -> u0\ntrans u1 -> u1"
-        ),
-        annotation={},
-    )
+    ident = plain_automaton(parse_kripke(
+        "states: u0 u1\ninit: u0 u1\nap: a\nlabel u1: a\n"
+        "trans u0 -> u0\ntrans u0 -> u1\ntrans u1 -> u0\ntrans u1 -> u1"
+    ))
     k1 = parse_kripke((DATA / "k1.kr").read_text())
     product = prophecy_product(k1, ident)
     assert len(product.states) == len(k1.states)
-    assert len(product.trans) == len(k1.trans)
-    assert len(product.init) == len(k1.init)
-    mapping = {s: p for s, p in zip(sorted(x.name for x in k1.states),
-                                    sorted(x.name for x in product.states))}
-    for s in k1.states:
-        assert mapping[s.name].startswith(s.name + "__")
+    assert sum(map(len, product.succ)) == sum(map(len, k1.succ))
+    assert product.init.bit_count() == k1.init.bit_count()
+    mapping = dict(zip(sorted(k1.states), sorted(product.states)))
+    for name in k1.states:
+        assert mapping[name].startswith(name + "__")
 
 
 def test_empty_product_is_an_error():
     k = parse_kripke("states: s\ninit: s\nap: a\ntrans s -> s")
-    always_a = ProphecyAutomaton(
-        structure=parse_kripke("states: u\ninit: u\nap: a\nlabel u: a\ntrans u -> u"),
-        annotation={},
-    )
+    always_a = plain_automaton(parse_kripke("states: u\ninit: u\nap: a\nlabel u: a\ntrans u -> u"))
     with pytest.raises(ProphecyError):
         prophecy_product(k, always_a)
 
@@ -216,20 +207,6 @@ def test_product_preserves_bounded_trace_sets(seed):
     assert validate_kripke(product) == []
     for depth in range(1, 7):
         assert label_sequences(product, depth) == label_sequences(k, depth)
-
-
-def rand_automaton(rng: random.Random) -> ProphecyAutomaton:
-    """A random automaton, universal or not, annotating some of its states."""
-    if rng.random() < 0.25:
-        return build_next_prophecy("a", rng.choice([1, 2, 3]))
-    props = rng.choice([("a",), ("a", "b"), ("b", "c")])
-    structure = rand_structure(rng, max_states=5, props=props, edge_prob=rng.random() * 0.5)
-    annotation = {
-        us: frozenset(rng.sample(["X", "Y"], rng.randint(1, 2)))
-        for us in structure.states
-        if rng.random() < 0.5
-    }
-    return ProphecyAutomaton(structure=structure, annotation=annotation)
 
 
 @given(st.integers(min_value=0, max_value=10**9))
@@ -248,7 +225,6 @@ def test_backward_pruning_builds_the_rescanning_product(seed):
         return
     got = prophecy_product(k, u)
     assert got == expected
-    assert [s.name for s in got.states] == [s.name for s in expected.states]
 
 
 def test_pruning_walks_each_pair_once(monkeypatch):
@@ -260,18 +236,17 @@ def test_pruning_walks_each_pair_once(monkeypatch):
     k1 = parse_kripke((DATA / "k1.kr").read_text())
     u = build_next_prophecy("a", MAX_NEXT_PROPHECY_DEPTH)
     asked = []
-    original = KripkeStructure.successors
 
-    def counting(self, s):
-        if self is u.structure:
+    class Counting(tuple):
+        def __getitem__(self, s):
             asked.append(s)
-        return original(self, s)
+            return tuple.__getitem__(self, s)
 
-    monkeypatch.setattr(KripkeStructure, "successors", counting)
-    product = prophecy_product(k1, u)
+    counted = ProphecyAutomaton(replace(u.structure, succ=Counting(u.structure.succ)), u.annotation)
+    product = prophecy_product(k1, counted)
     assert len(product.states) == 6
     half = len(u.structure.states) // 2
-    assert len(asked) == sum(half * len(k1.successors(s)) for s in k1.states)
+    assert len(asked) == sum(half * len(ts) for ts in k1.succ)
     assert product == prophecy_product_by_rescans(k1, u)
 
 
@@ -279,9 +254,7 @@ def test_prophecy_text_roundtrip():
     u = build_next_prophecy("a", 1)
     back = parse_prophecy(prophecy_to_text(u))
     assert back.structure == u.structure
-    full = {s: u.annotations_of(s) for s in u.structure.states if u.annotations_of(s)}
-    got = {s: back.annotations_of(s) for s in back.structure.states if back.annotations_of(s)}
-    assert got == full
+    assert back.annotation == u.annotation
 
 
 def test_parse_prophecy_error_lines():
@@ -296,7 +269,5 @@ def test_parse_prophecy_error_lines():
 
 def test_validate_prophecy_flags_unknown_annotated_state():
     k = parse_kripke("states: s\ninit: s\nap: a\ntrans s -> s")
-    u = ProphecyAutomaton(
-        structure=k, annotation={StateId("ghost", 9): frozenset({"X"})}
-    )
-    assert validate_prophecy(u) == ["annot-unknown-state: ghost"]
+    u = ProphecyAutomaton(structure=k, annotation=(frozenset(), frozenset({"X"})))
+    assert validate_prophecy(u) == ["annot-unknown-state: 1"]
