@@ -276,11 +276,11 @@ def check_pair(
         notes=notes,
     )
 
-    # the embedded backend keeps one solver across the ae bounds
+    # one instance answers every bound, so the embedded backend keeps one
+    # solver across the bounds
     backend = backend or EmbeddedBackend()
     first = 1  # the least sim bound asked
     if mode == "ae":
-        # one instance answers every bound: only its counter depends on it
         enc = encode_sim_ae(table)
         # every falsify depth extends the layers of one live-set search
         search = LiveSetSearch(table)
@@ -298,20 +298,16 @@ def check_pair(
                 f"({enc.forced.bit_count()} forced), so the sweep starts at k={first}"
             )
     else:
+        enc = encode_sim_ea(table)
         search = SafeFrontierSearch(table)
 
     for bound in range(1, max(sim_max, max_falsify_depth) + 1):
         if first <= bound <= sim_max:
             t0 = time.perf_counter()
-            if mode == "ae":
-                cnf, assumptions = enc.bound(bound)
-                size = enc.size(bound)
-            else:
-                enc = encode_sim_ea(table, bound)
-                cnf, assumptions = enc.cnf, ()
-                size = (cnf.num_vars, cnf.num_clauses)
+            cnf, assumptions = enc.bound(bound)
             res = solve(cnf, backend, assumptions)
             took = time.perf_counter() - t0
+            size = enc.size(bound)
             report.iterations.append(IterationStat("sim", bound, res.status, took, *size))
             report.sim_bound_reached = bound
             if res.is_sat:
@@ -378,7 +374,7 @@ def check_pair(
 
 def _read(path: str) -> str:
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_bytes().decode("utf-8")
     except (OSError, UnicodeDecodeError) as e:
         raise CliInputError(f"cannot read {path}: {e}") from e
 
@@ -492,14 +488,12 @@ def run_check(cfg: CheckConfig) -> Report:
 def export_encoding(cfg: CheckConfig, bound: int) -> tuple[str, str]:
     """Build the encoding at one bound without solving; returns (dimacs, varmap)."""
     table, mode, _ = prepare(*_load(cfg))
+    enc = encode_sim_ae(table) if mode == "ae" else encode_sim_ea(table)
     try:
-        if mode == "ae":
-            cnf, units = encode_sim_ae(table).bound(bound)
-            cnf = cnf.with_units(units)
-        else:
-            cnf = encode_sim_ea(table, bound).cnf
+        cnf, units = enc.bound(bound)
     except EncodeError as e:
         raise CliInputError(str(e)) from e
+    cnf = cnf.with_units(units)
     return export_dimacs(cnf), varmap_text(cnf)
 
 

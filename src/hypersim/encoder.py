@@ -20,12 +20,20 @@ emitted over integer literals with one named variable per relation entry.
   * sim-ea: a lasso of total length n in K_P whose positions jointly simulate
     all of K_Q.  One-hot pos(i,p) choose the left state at position i and
     loop(l) the loop-back target; sim(i,q) holds the right states position i
-    must answer for.  Satisfiable iff such a lasso exists at length n.
+    must answer for.  Satisfiable iff such a lasso exists at length n.  One
+    instance (`EaEncoding`) answers every n, growing one position per bound
+    (incremental BMC, Een & Sorensson, "Temporal induction by incremental
+    SAT solving", BMC 2003).  A position's clauses hold at every later n;
+    only "some loop(l), l <= n" and the loop-back from position n belong to
+    bound n, each carrying -act(n) and asked by the assumption act(n).
+    Moving past bound n adds the unit -act(n), so an instance grown
+    straight to n equals one swept through 1..n, and the iteration sizes a
+    check reports count the switched-off clauses of the bounds below n.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Mapping
 
 from .circuit import Clause, CnfInstance, lower_parts_to_cnf
@@ -59,19 +67,6 @@ class SimWitnessEA:
 
     lasso: LassoPath
     pos_relation: dict[int, frozenset[int]]  # 1-based lasso positions
-
-
-@dataclass
-class EaEncoding:
-    kp: KripkeStructure
-    kq: KripkeStructure
-    n: int
-    # variable numbers, keyed by 1-based position and state: sim by
-    # (position, q), pos by (position, p), loop by position
-    sim: dict[tuple[int, int], int] = field(repr=False)
-    pos: dict[tuple[int, int], int] = field(repr=False)
-    loop: dict[int, int] = field(repr=False)
-    cnf: CnfInstance = field(repr=False)
 
 
 class _Vars:
@@ -302,73 +297,126 @@ def encode_sim_ae(table: PredicateTable) -> AeEncoding:
     return AeEncoding(table)
 
 
-def encode_sim_ea(table: PredicateTable, n: int) -> EaEncoding:
-    """Encode: a lasso of length n in K_P simulates all of K_Q, as one
-    lowered instance.
+class EaEncoding:
+    """Encode: a lasso of length n in K_P simulates all of K_Q, for every n
+    at once.
 
-    Position 1 answers for every initial right state and each position for
-    the successors of the one before, so unreachable right states are never
-    forced in; reachable-restricting K_Q only saves their variables.
-    Position i may only hold a left state reachable in exactly i-1 steps."""
-    if n < 1:
-        raise EncodeError(f"lasso length must be positive, got {n}")
-    kp, kq, allow = table.kp, table.kq, table.allow
-    ps, qs, succ_p = kp.states, kq.states, kp.succ
-    cand = [kp.init]  # cand[i-1]: the left states position i may hold
-    for _ in range(1, n):
-        cand.append(union_of(kp.succ_mask, cand[-1]))
-    vs = _Vars()
-    pos = {
-        (i, p): vs.new(f"pos({i},{ps[p]})")
-        for i in range(1, n + 1)
-        for p in bit_indices(cand[i - 1])
-    }
-    loop = {l: vs.new(f"loop({l})") for l in range(1, n + 1)}
-    sim = {(i, q): vs.new(f"sim({i},{qs[q]})") for i in range(1, n + 1) for q in range(len(qs))}
-    edges_q = [(q, q2) for q, ts in enumerate(kq.succ) for q2 in ts]
+    Variables are keyed by 1-based position and state: pos by (i, p), sim
+    by (i, q), loop by l.  Position 1 answers for every initial right state
+    and each position for the successors of the one before, so unreachable
+    right states are never forced in; reachable-restricting K_Q only saves
+    their variables.  Position i may only hold a left state reachable in
+    exactly i-1 steps.
 
-    one_hot_pos: list[Clause] = []
-    for i in range(1, n + 1):
-        lits = [pos[i, p] for p in bit_indices(cand[i - 1])]
-        one_hot_pos.append(lits)
-        one_hot_pos += _at_most_one(lits, vs.new, f"pos{i}")
-    loop_lits = list(loop.values())
-    one_hot_loop = [loop_lits] + _at_most_one(loop_lits, vs.new, "loop")
-    initial = [[sim[1, q]] for q in bit_indices(kq.init)]
-    path: list[Clause] = []
-    for i in range(1, n):
-        for p in bit_indices(cand[i - 1]):
-            path.append([-pos[i, p]] + [pos[i + 1, t] for t in succ_p[p]])
-        path += [[-sim[i, q], sim[i + 1, q2]] for q, q2 in edges_q]
-    loop_back: list[Clause] = []
-    for l in range(1, n + 1):
-        for p in bit_indices(cand[n - 1]):
-            if l == n and p in succ_p[p]:
-                continue  # the clause would hold trivially
-            targets = [pos[l, t] for t in succ_p[p] if cand[l - 1] >> t & 1]
-            loop_back.append([-loop[l], -pos[n, p]] + targets)
-        loop_back += [
-            [-loop[l], -sim[n, q], sim[l, q2]]
-            for q, q2 in edges_q
-            if not (l == n and q2 == q)
-        ]
-    every_q = (1 << len(qs)) - 1
-    pred_part: list[Clause] = []
-    for i in range(1, n + 1):
-        for p in bit_indices(cand[i - 1]):
-            rejects = every_q & ~allow[p]  # right states the predicate rejects against p
-            pred_part += [[-sim[i, q], -pos[i, p]] for q in bit_indices(rejects)]
+    Position i is added once, as the family position-i (lowered for i = 1,
+    appended after): its variables, its one-hot, the path step into it (at
+    i = 1 the initial right states), its pred clauses and one rung of the
+    at-most-one ladder over the loop targets.  Bound n appends the family
+    bound-n, whose clauses each carry -act(n): some loop(l) with l <= n,
+    and the loop-back from position n.  bound(n) returns the assumption
+    act(n), and moving past bound n ends its family with the unit -act(n).
+    Written with its assumption as a unit clause (`CnfInstance.with_units`),
+    the instance is that of bound n on its own."""
 
-    parts = [
-        ("one-hot-pos", one_hot_pos),
-        ("one-hot-loop", one_hot_loop),
-        ("initial-sim", initial),
-        ("path-step", path),
-        ("loop-back", loop_back),
-        ("pred", pred_part),
-    ]
-    cnf = lower_parts_to_cnf(parts, vs.names)
-    return EaEncoding(kp=kp, kq=kq, n=n, sim=sim, pos=pos, loop=loop, cnf=cnf)
+    def __init__(self, table: PredicateTable) -> None:
+        self.kp, self.kq, self.allow = table.kp, table.kq, table.allow
+        self.n = 0  # the last bound asked
+        self.pos: dict[tuple[int, int], int] = {}
+        self.sim: dict[tuple[int, int], int] = {}
+        self.loop: dict[int, int] = {}
+        self.cand = [self.kp.init]  # cand[i-1]: the left states position i may hold
+        self.edges_q = [(q, q2) for q, ts in enumerate(self.kq.succ) for q2 in ts]
+        self.register = 0  # the loop ladder's last register: some loop(l) before the last position
+        self.act = 0  # act(n) of the last bound asked
+        self.sizes: dict[int, tuple[int, int]] = {}
+        vs = _Vars()
+        self.cnf = lower_parts_to_cnf([("position-1", self._position(1, vs.new))], vs.names)
+
+    def bound(self, n: int) -> tuple[CnfInstance, tuple[int, ...]]:
+        """The instance and the assumption that ask for a lasso of length n.
+        Bounds are asked in increasing order."""
+        if n < 1:
+            raise EncodeError(f"lasso length must be positive, got {n}")
+        if n < self.n:
+            raise EncodeError(f"lasso length {n} asked after {self.n}")
+        cnf = self.cnf
+        while self.n < n:
+            if self.n:
+                cnf.clauses.append([-self.act])
+                family, start, _ = cnf.provenance[-1]
+                cnf.provenance[-1] = (family, start, len(cnf.clauses))
+                self._append(f"position-{self.n + 1}", self._position(self.n + 1, cnf.add_var))
+            self.n += 1
+            self._append(f"bound-{self.n}", self._close(self.n))
+            self.sizes[self.n] = (cnf.num_vars, cnf.num_clauses + 1)
+        return cnf, (self.act,)
+
+    def size(self, n: int) -> tuple[int, int]:
+        """(variables, clauses) of the instance of bound n on its own, once
+        bound(n) was asked."""
+        return self.sizes[n]
+
+    def _append(self, family: str, clauses: list[Clause]) -> None:
+        cnf = self.cnf
+        start = len(cnf.clauses) + 1
+        cnf.clauses += clauses
+        cnf.provenance.append((family, start, len(cnf.clauses)))
+
+    def _position(self, i: int, new_var: Callable[[str], int]) -> list[Clause]:
+        """Position i's variables, and its clauses."""
+        kp, qs, pos, sim, loop = self.kp, self.kq.states, self.pos, self.sim, self.loop
+        if i > 1:
+            self.cand.append(union_of(kp.succ_mask, self.cand[-1]))
+        here = list(bit_indices(self.cand[i - 1]))
+        for p in here:
+            pos[i, p] = new_var(f"pos({i},{kp.states[p]})")
+        loop[i] = new_var(f"loop({i})")
+        for q in range(len(qs)):
+            sim[i, q] = new_var(f"sim({i},{qs[q]})")
+
+        lits = [pos[i, p] for p in here]
+        out = [lits] + _at_most_one(lits, new_var, f"pos{i}")
+        if i > 1:  # the ladder's register for loop(1..i-1), and its rung
+            c = new_var(f"loop_count({i - 1},1)")
+            out.append([-loop[i - 1], c])
+            if self.register:
+                out.append([-self.register, c])
+            out.append([-loop[i], -c])
+            self.register = c
+            for p in bit_indices(self.cand[i - 2]):
+                out.append([-pos[i - 1, p]] + [pos[i, t] for t in kp.succ[p]])
+            out += [[-sim[i - 1, q], sim[i, q2]] for q, q2 in self.edges_q]
+        else:
+            out += [[sim[1, q]] for q in bit_indices(self.kq.init)]
+        every_q = (1 << len(qs)) - 1
+        for p in here:
+            rejects = every_q & ~self.allow[p]  # right states the predicate rejects against p
+            out += [[-sim[i, q], -pos[i, p]] for q in bit_indices(rejects)]
+        return out
+
+    def _close(self, n: int) -> list[Clause]:
+        """act(n), and bound n's clauses, each switched on by it."""
+        self.act = act = self.cnf.add_var(f"act({n})")
+        pos, sim, loop, cand, succ_p = self.pos, self.sim, self.loop, self.cand, self.kp.succ
+        out = [[-act] + [loop[l] for l in range(1, n + 1)]]
+        for l in range(1, n + 1):
+            for p in bit_indices(cand[n - 1]):
+                if l == n and p in succ_p[p]:
+                    continue  # the clause would hold trivially
+                targets = [pos[l, t] for t in succ_p[p] if cand[l - 1] >> t & 1]
+                out.append([-act, -loop[l], -pos[n, p]] + targets)
+            out += [
+                [-act, -loop[l], -sim[n, q], sim[l, q2]]
+                for q, q2 in self.edges_q
+                if not (l == n and q2 == q)
+            ]
+        return out
+
+
+def encode_sim_ea(table: PredicateTable) -> EaEncoding:
+    """The exists-forall instance of the table's decision for every lasso
+    length."""
+    return EaEncoding(table)
 
 
 def decode_witness_ae(enc: AeEncoding, model: Mapping[int, bool]) -> SimWitnessAE:

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 import hypersim.prophecy
 from hypersim.circuit import CnfInstance
-from hypersim.encoder import AeEncoding, encode_sim_ae
+from hypersim.encoder import AeEncoding, EaEncoding, encode_sim_ae, encode_sim_ea
 from hypersim.hyperspec import (
     And,
     FalseConst,
@@ -303,6 +303,15 @@ def ae_at(table: PredicateTable, k: int) -> tuple[AeEncoding, CnfInstance]:
     `hypersim export --bound k` writes."""
     enc = encode_sim_ae(table)
     cnf, units = enc.bound(k)
+    return enc, cnf.with_units(units)
+
+
+def ea_at(table: PredicateTable, n: int) -> tuple[EaEncoding, CnfInstance]:
+    """A fresh exists-forall encoding asked at lasso length n, and its
+    instance with the bound's assumption as a unit clause: what
+    `hypersim export --bound n` writes."""
+    enc = encode_sim_ea(table)
+    cnf, units = enc.bound(n)
     return enc, cnf.with_units(units)
 
 

@@ -14,7 +14,7 @@ import time
 from pathlib import Path
 
 from hypersim.cli import CheckConfig, check_pair, export_encoding, run_benchmarks, run_check
-from hypersim.encoder import decode_witness_ae, decode_witness_ea, encode_sim_ea
+from hypersim.encoder import decode_witness_ae, decode_witness_ea
 from hypersim.hyperspec import (
     MatchAll,
     PredicateTable,
@@ -39,6 +39,7 @@ from helpers import (
     brute_force_vertex_cover,
     check_box_on_pair,
     connected_graphs_upto,
+    ea_at,
     gen_vertex_cover_instance,
     label_sequences,
     rand_graph,
@@ -74,8 +75,8 @@ def ae_validated(kp, kq, pred, k, label):
 
 
 def ea_validated(kp, kq, pred, n, label):
-    enc = encode_sim_ea(PredicateTable(kp, kq, pred), n)
-    res = solve(enc.cnf)
+    enc, cnf = ea_at(PredicateTable(kp, kq, pred), n)
+    res = solve(cnf)
     if not res.is_sat:
         return res.status, None
     w = decode_witness_ea(enc, res.model)
@@ -310,7 +311,7 @@ def test_criterion_8_corpus():
                     _, cnf = ae_at(table, k - 1)
                 else:
                     table = PredicateTable(kp, reachable_restriction(kq), pred)
-                    cnf = encode_sim_ea(table, k - 1).cnf
+                    _, cnf = ea_at(table, k - 1)
                 assert solve(cnf).status == "unsat", f"{case_dir.name}: bound {k} is not minimal"
         rows.append((case_dir.name, report.verdict, took))
     assert len(rows) == 10

@@ -27,6 +27,7 @@ from hypersim.kripke import LassoPath, parse_kripke
 from hypersim.prophecy import build_next_prophecy
 
 from helpers import bounded_runs_text, prophecy_to_text, refuse_to_build_states
+from test_golden_reports import cases as golden_cases
 
 DATA = Path(__file__).parent / "data"
 CORPUS = Path(__file__).parent.parent / "corpus"
@@ -245,7 +246,7 @@ def test_missing_files_are_input_errors(capsys):
         "--prop", str(DATA / "phi1.hp"),
     ])
     assert code == 3
-    capsys.readouterr()
+    assert capsys.readouterr().err.startswith("error: cannot read no-such-file.kr: ")
 
 
 def test_property_must_come_from_exactly_one_source(capsys):
@@ -451,6 +452,26 @@ def test_a_file_that_is_not_utf8_is_an_input_error(command, flag, tmp_path, caps
     assert err.startswith(f"error: cannot read {bad}: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("case", ["abp", "gcw"])
+def test_a_case_with_crlf_line_ends_gets_the_same_report(case, tmp_path):
+    # the structures and the property read as bytes and decoded: "\r\n"
+    # reaches the parsers as it is on disk
+    shutil.copytree(CORPUS / case, tmp_path / case)
+    for path in (tmp_path / case).iterdir():
+        if path.suffix in (".kr", ".hp"):
+            text = path.read_bytes()
+            assert b"\r" not in text
+            path.write_bytes(text.replace(b"\n", b"\r\n"))
+
+    def report(case_dir):
+        out = run_check(_case_config(case_dir, "embedded")[0]).to_dict()
+        for it in out["iterations"]:
+            del it["seconds"]
+        return out
+
+    assert report(tmp_path / case) == report(CORPUS / case)
+
+
 def test_bench_reports_a_file_that_is_not_utf8_as_an_error_row(tmp_path, capsys):
     for name in ("gcw", "gcw_nosol"):
         shutil.copytree(CORPUS / name, tmp_path / name)
@@ -604,6 +625,31 @@ def test_each_ae_decision_builds_one_solver(monkeypatch):
         assert len(built) == 1
 
 
+def test_each_ea_decision_encodes_once_on_one_solver(monkeypatch):
+    built, encoded = [], []
+
+    class Counting(hypersim.sat.CdclSolver):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    original = hypersim.cli.encode_sim_ea
+
+    def counting(table):
+        encoded.append(table)
+        return original(table)
+
+    monkeypatch.setattr(hypersim.sat, "CdclSolver", Counting)
+    monkeypatch.setattr(hypersim.cli, "encode_sim_ea", counting)
+    for case, verdict in [("gcw", "holds"), ("gcw_nosol", "violated"), ("rp", "holds")]:
+        built.clear()
+        encoded.clear()
+        report = run_check(_case_config(CORPUS / case, "embedded")[0])
+        assert (report.mode, report.verdict) == ("ea", verdict)
+        assert sum(it.side == "sim" for it in report.iterations) > 1
+        assert (len(encoded), len(built)) == (1, 1)
+
+
 @pytest.mark.parametrize(
     "prop_file, extra",
     [("phi2.hp", ["--prophecy", "next:a:2"]), ("phi2.hp", []), ("phi1.hp", [])],
@@ -620,6 +666,19 @@ def test_export_has_the_size_of_each_sim_iteration(prop_file, extra, tmp_path, c
         header = next(line for line in out.read_text().splitlines() if line.startswith("p cnf"))
         assert header == f"p cnf {it['vars']} {it['clauses']}"
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("name", sorted(golden_cases()))
+def test_every_sim_iteration_has_the_size_of_its_export(name):
+    # for both quantifier orders, an iteration's vars and clauses are those
+    # of the instance `export --bound` writes at its bound
+    cfg = golden_cases()[name]
+    for it in run_check(cfg).iterations:
+        if it.side != "sim":
+            continue
+        dimacs, _ = export_encoding(cfg, it.bound)
+        header = next(line for line in dimacs.splitlines() if line.startswith("p cnf"))
+        assert header == f"p cnf {it.num_vars} {it.num_clauses}", f"bound {it.bound}"
 
 
 def test_a_witness_over_the_bound_is_an_internal_error(monkeypatch, capsys):

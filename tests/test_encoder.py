@@ -36,7 +36,7 @@ from hypersim.oracle import validate_witness_ae, validate_witness_ea
 from hypersim.prophecy import build_next_prophecy, prophecy_product
 from hypersim.sat import EmbeddedBackend, solve
 
-from helpers import ae_at, enumerate_lasso_paths, rand_pred, rand_structure
+from helpers import ae_at, ea_at, enumerate_lasso_paths, rand_pred, rand_structure
 
 DATA = Path(__file__).parent / "data"
 
@@ -52,9 +52,12 @@ def intro():
     return kp, kq, pred
 
 
-def sat_model(enc):
-    res = solve(enc.cnf)
-    return res.model if res.is_sat else None
+def ea_model(table, n):
+    """A fresh exists-forall encoding asked at lasso length n, and a model of
+    its instance on its own, or None when there is none."""
+    enc, cnf = ea_at(table, n)
+    res = solve(cnf)
+    return enc, res.model if res.is_sat else None
 
 
 def ae_model(table, k):
@@ -71,16 +74,18 @@ def pairs(rows):
 
 
 def test_ea_one_state_pair_lowers_to_a_tiny_cnf():
-    # pos(1,s), loop(1) and sim(1,s): each forced by one unit clause
-    cnf = encode_sim_ea(PredicateTable(ONE_A, ONE_A, IFF_A), 1).cnf
-    assert (cnf.num_vars, cnf.num_clauses) == (3, 3)
-    assert "p cnf 3 3" in export_dimacs(cnf).splitlines()
-    assert sorted(cnf.var_names.values()) == ["loop(1)", "pos(1,s)", "sim(1,s)"]
+    # pos(1,s) and sim(1,s) are forced by units, loop(1) by the clause
+    # -act(1) | loop(1) of bound 1, whose assumption act(1) ends the
+    # instance; the self-loop leaves no loop-back clause
+    _, cnf = ea_at(PredicateTable(ONE_A, ONE_A, IFF_A), 1)
+    assert (cnf.num_vars, cnf.num_clauses) == (4, 4)
+    assert "p cnf 4 4" in export_dimacs(cnf).splitlines()
+    assert sorted(cnf.var_names.values()) == ["act(1)", "loop(1)", "pos(1,s)", "sim(1,s)"]
+    assert cnf.clauses == [[1], [3], [-4, 2], [4]]
 
 
 def test_ea_one_state_pair_witness():
-    enc = encode_sim_ea(PredicateTable(ONE_A, ONE_A, IFF_A), 1)
-    model = sat_model(enc)
+    enc, model = ea_model(PredicateTable(ONE_A, ONE_A, IFF_A), 1)
     assert model is not None
     w = decode_witness_ea(enc, model)
     assert w.lasso == LassoPath(prefix=(), loop=(0,))
@@ -100,7 +105,7 @@ def test_ea_unsat_when_no_q_state_is_compatible():
     # right state carries no label, so a<->a fails on the forced initial pair
     table = PredicateTable(ONE_A, ONE_EMPTY, IFF_A)
     for n in (1, 2, 3):
-        assert solve(encode_sim_ea(table, n).cnf).status == "unsat"
+        assert solve(ea_at(table, n)[1]).status == "unsat"
 
 
 def test_family_layout_ae():
@@ -115,16 +120,33 @@ def test_family_layout_ae():
 
 
 def test_family_layout_ea():
-    enc = encode_sim_ea(PredicateTable(*intro()), 4)
-    families = [fam for fam, _, _ in enc.cnf.provenance]
+    # one family per position and per bound, in the order they were grown;
+    # every clause of bound n carries -act(n), and the bounds passed end
+    # with the unit -act(n), the bound asked with the unit act(n)
+    enc, cnf = ea_at(PredicateTable(*intro()), 4)
+    families = [fam for fam, _, _ in cnf.provenance]
     assert families == [
-        "one-hot-pos",
-        "one-hot-loop",
-        "initial-sim",
-        "path-step",
-        "loop-back",
-        "pred",
+        "position-1",
+        "bound-1",
+        "position-2",
+        "bound-2",
+        "position-3",
+        "bound-3",
+        "position-4",
+        "bound-4",
     ]
+    names = {name: v for v, name in cnf.var_names.items()}
+    for family, start, end in cnf.provenance:
+        if family.startswith("bound-"):
+            n = int(family[len("bound-"):])
+            act = names[f"act({n})"]
+            *own, last = cnf.clauses[start - 1 : end]
+            assert all(-act in clause for clause in own)
+            assert last == ([-act] if n < enc.n else [act])
+    assert [start for _, start, _ in cnf.provenance] == [1] + [
+        end + 1 for _, _, end in cnf.provenance[:-1]
+    ]
+    assert cnf.provenance[-1][2] == cnf.num_clauses
 
 
 def test_intro_ae_unsat_even_at_full_subset_size():
@@ -159,6 +181,16 @@ def test_ae_rejects_out_of_range_k():
         enc.bound(len(kq.states) + 1)
 
 
+def test_ea_asks_positive_lengths_in_increasing_order():
+    enc = encode_sim_ea(PredicateTable(*intro()))
+    with pytest.raises(EncodeError, match="must be positive"):
+        enc.bound(0)
+    cnf, assumptions = enc.bound(3)
+    assert enc.bound(3) == (cnf, assumptions)
+    with pytest.raises(EncodeError, match="asked after 3"):
+        enc.bound(2)
+
+
 def test_match_all_must_be_expanded_first():
     # the table every encoding is built from refuses it, even nested
     for pred in (MatchAll(), parse_predicate("l.a & !match-all")):
@@ -173,7 +205,8 @@ def model_of(enc, *true_names):
 
 
 def test_decode_rejects_non_one_hot_position():
-    enc = encode_sim_ea(PredicateTable(*intro()), 3)
+    enc = encode_sim_ea(PredicateTable(*intro()))
+    enc.bound(3)
     with pytest.raises(DecodeError) as exc:
         decode_witness_ea(enc, model_of(enc))  # no left state chosen anywhere
     assert "position 1 is not one-hot" in str(exc.value)
@@ -188,7 +221,7 @@ def test_decode_rejects_non_one_hot_position():
 def test_export_is_deterministic_per_instance():
     def build() -> tuple[str, ...]:
         table = PredicateTable(*intro())
-        return (export_dimacs(ae_at(table, 3)[1]), export_dimacs(encode_sim_ea(table, 3).cnf))
+        return (export_dimacs(ae_at(table, 3)[1]), export_dimacs(ea_at(table, 3)[1]))
 
     assert build() == build()
 
@@ -225,8 +258,7 @@ def test_ea_decoded_positions_cover_the_right_states(seed):
     kq_names = set(kq.states)
     table = PredicateTable(kp, kq, pred)
     for n in range(1, 4):
-        enc = encode_sim_ea(table, n)
-        model = sat_model(enc)
+        enc, model = ea_model(table, n)
         if model is None:
             continue
         w = decode_witness_ea(enc, model)
@@ -444,13 +476,20 @@ def test_ea_sat_matches_lasso_enumeration(seed):
     pred = rand_pred(rng, kp.ap, kq.ap)
     lassos = list(enumerate_lasso_paths(kp, 4))
     table = PredicateTable(kp, kq, pred)
+    # n = 1..4 asked in order on one instance and one solver, as a decision
+    # sweeps them, and each n asked on a fresh instance on its own
+    sweep = encode_sim_ea(table)
+    backend = EmbeddedBackend()
     for n in range(1, 5):
         expected = any(
             least_sets_pass(kp, kq, pred, lasso) for lasso in lassos if lasso.total_len == n
         )
-        enc = encode_sim_ea(table, n)
-        model = sat_model(enc)
-        assert (model is not None) == expected, f"n={n}"
-        if model is not None:
-            w = decode_witness_ea(enc, model)
-            assert validate_witness_ea(kp, kq, pred, w, n) == []
+        cnf, assumptions = sweep.bound(n)
+        fresh, alone = ea_at(table, n)
+        assert export_dimacs(cnf.with_units(assumptions)) == export_dimacs(alone), f"n={n}"
+        assert sweep.size(n) == (alone.num_vars, alone.num_clauses), f"n={n}"
+        for enc, res in ((sweep, solve(cnf, backend, assumptions)), (fresh, solve(alone))):
+            assert res.is_sat == expected, f"n={n}"
+            if res.is_sat:
+                w = decode_witness_ea(enc, res.model)
+                assert validate_witness_ea(kp, kq, pred, w, n) == []
