@@ -374,7 +374,8 @@ def check_pair(
 
 def _read(path: str) -> str:
     try:
-        return Path(path).read_bytes().decode("utf-8")
+        with open(path, "rb") as f:
+            return f.read().decode("utf-8")
     except (OSError, UnicodeDecodeError) as e:
         raise CliInputError(f"cannot read {path}: {e}") from e
 

@@ -264,26 +264,32 @@ def expand_match_all(pred: Pred, left_ap: Iterable[str], right_ap: Iterable[str]
 
 
 def eval_predicate(pred: Pred, left_labels: frozenset[str] | set[str], right_labels: frozenset[str] | set[str]) -> bool:
-    """Evaluate a (match-all-free) predicate on one pair of label sets."""
-    if isinstance(pred, TrueConst):
-        return True
-    if isinstance(pred, FalseConst):
-        return False
-    if isinstance(pred, LeftAtom):
+    """Evaluate a (match-all-free) predicate on one pair of label sets.
+
+    A plain tree interpreter, kept apart from the compiler behind
+    PredicateTable so that the witness and counterexample re-checks do not
+    share its code.  It dispatches on the exact node type, the atoms and
+    the binary chains first: the node classes have no subclasses."""
+    t = type(pred)
+    if t is LeftAtom:
         return pred.prop in left_labels
-    if isinstance(pred, RightAtom):
+    if t is RightAtom:
         return pred.prop in right_labels
-    if isinstance(pred, Not):
-        return not eval_predicate(pred.arg, left_labels, right_labels)
-    if isinstance(pred, And):
+    if t is And:
         return eval_predicate(pred.left, left_labels, right_labels) and eval_predicate(pred.right, left_labels, right_labels)
-    if isinstance(pred, Or):
+    if t is Or:
         return eval_predicate(pred.left, left_labels, right_labels) or eval_predicate(pred.right, left_labels, right_labels)
-    if isinstance(pred, Implies):
+    if t is Not:
+        return not eval_predicate(pred.arg, left_labels, right_labels)
+    if t is Implies:
         return (not eval_predicate(pred.left, left_labels, right_labels)) or eval_predicate(pred.right, left_labels, right_labels)
-    if isinstance(pred, Iff):
+    if t is Iff:
         return eval_predicate(pred.left, left_labels, right_labels) == eval_predicate(pred.right, left_labels, right_labels)
-    if isinstance(pred, MatchAll):
+    if t is TrueConst:
+        return True
+    if t is FalseConst:
+        return False
+    if t is MatchAll:
         raise ValueError("match-all must be expanded against AP sets before evaluation")
     raise TypeError(f"not a predicate node: {pred!r}")
 
@@ -291,62 +297,92 @@ def eval_predicate(pred: Pred, left_labels: frozenset[str] | set[str], right_lab
 Labels = frozenset[str] | set[str]
 
 
-def compile_predicate(pred: Pred) -> Callable[[Labels, Labels], bool]:
-    """A closure that agrees with eval_predicate(pred, ., .) on every pair
-    of label sets, built once per predicate.
+def compile_predicate(pred: Pred, kq: KripkeStructure) -> Callable[[Labels], int]:
+    """A closure that maps a left label to the bitmask of the right states
+    of kq it admits: bit q is set iff eval_predicate(pred, label,
+    kq.labels[q]).  Built once per decision, against the right structure.
 
-    Chains of & (and of |) become one node each.  The conjuncts l.p <-> r.p
-    of a chain, what match-all expands to, are checked together as one
-    comparison of the two label sets projected onto their props."""
-    return _compile(pred)
+    Every node denotes a mask of right states.  `r.x` is the mask of the
+    states labelled x and `l.x` is all of them or none; `!`, `&`, `|`, `->`
+    and `<->` are the bitwise complement, and, or, `(full ^ a) | b` and
+    `full ^ a ^ b`.  Chains of & (and of |) become one node each.  The
+    conjuncts l.p <-> r.p of a chain, what match-all expands to, become one
+    dict lookup: the right states are grouped by their label projected onto
+    those props, and a left label selects the group that agrees with its
+    own projection."""
+    full = (1 << len(kq.labels)) - 1
+    labelled: dict[str, int] = {}
+    for q, label in enumerate(kq.labels):
+        for prop in label:
+            labelled[prop] = labelled.get(prop, 0) | 1 << q
 
+    def node(n: Pred) -> Callable[[Labels], int]:
+        t = type(n)
+        if t is LeftAtom:
+            prop = n.prop
+            return lambda l: full if prop in l else 0
+        if t is RightAtom:
+            mask = labelled.get(n.prop, 0)
+            return lambda l: mask
+        if t is And or t is Or:
+            return chain(n)
+        if t is Not:
+            a = node(n.arg)
+            return lambda l: full ^ a(l)
+        if t is Implies:
+            a, b = node(n.left), node(n.right)
+            return lambda l: (full ^ a(l)) | b(l)
+        if t is Iff:
+            a, b = node(n.left), node(n.right)
+            return lambda l: full ^ a(l) ^ b(l)
+        if t is TrueConst:
+            return lambda l: full
+        if t is FalseConst:
+            return lambda l: 0
+        if t is MatchAll:
+            raise ValueError("match-all must be expanded against AP sets before evaluation")
+        raise TypeError(f"not a predicate node: {n!r}")
 
-def _compile(pred: Pred) -> Callable[[Labels, Labels], bool]:
-    if isinstance(pred, TrueConst):
-        return lambda l, r: True
-    if isinstance(pred, FalseConst):
-        return lambda l, r: False
-    if isinstance(pred, LeftAtom):
-        prop = pred.prop
-        return lambda l, r: prop in l
-    if isinstance(pred, RightAtom):
-        prop = pred.prop
-        return lambda l, r: prop in r
-    if isinstance(pred, Not):
-        arg = _compile(pred.arg)
-        return lambda l, r: not arg(l, r)
-    if isinstance(pred, (And, Or)):
-        return _compile_chain(pred)
-    if isinstance(pred, (Implies, Iff)):
-        a, b = _compile(pred.left), _compile(pred.right)
-        if isinstance(pred, Implies):
-            return lambda l, r: not a(l, r) or b(l, r)
-        return lambda l, r: a(l, r) == b(l, r)
-    if isinstance(pred, MatchAll):
-        raise ValueError("match-all must be expanded against AP sets before evaluation")
-    raise TypeError(f"not a predicate node: {pred!r}")
+    def chain(n: And | Or) -> Callable[[Labels], int]:
+        """One closure for the maximal chain of n's connective below n."""
+        op = type(n)
+        operands: list[Pred] = []
+        stack: list[Pred] = [n]
+        while stack:  # left to right, without recursion
+            m = stack.pop()
+            if type(m) is op:
+                stack += [m.right, m.left]
+            else:
+                operands.append(m)
+        if op is Or:
+            parts = [node(m) for m in operands]
 
+            def any_of(l: Labels) -> int:
+                mask = 0
+                for f in parts:
+                    mask |= f(l)
+                return mask
 
-def _compile_chain(pred: And | Or) -> Callable[[Labels, Labels], bool]:
-    """One closure for the maximal chain of pred's connective below pred."""
-    op = type(pred)
-    operands: list[Pred] = []
-    stack: list[Pred] = [pred]
-    while stack:  # left to right, without recursion
-        node = stack.pop()
-        if type(node) is op:
-            stack += [node.right, node.left]
-        else:
-            operands.append(node)
-    if op is Or:
-        checks = [_compile(n) for n in operands]
-        return lambda l, r: any(f(l, r) for f in checks)
-    props = [_agreement_prop(n) for n in operands]
-    checks = [_compile(n) for n, p in zip(operands, props) if p is None]
-    agree = frozenset(p for p in props if p is not None)
-    if agree:
-        checks.insert(0, lambda l, r: l & agree == r & agree)
-    return checks[0] if len(checks) == 1 else lambda l, r: all(f(l, r) for f in checks)
+            return parts[0] if len(parts) == 1 else any_of
+        props = [_agreement_prop(m) for m in operands]
+        parts = [node(m) for m, p in zip(operands, props) if p is None]
+        agree = frozenset(p for p in props if p is not None)
+        if agree:
+            groups: dict[frozenset[str], int] = {}
+            for q, label in enumerate(kq.labels):
+                key = label & agree
+                groups[key] = groups.get(key, 0) | 1 << q
+            parts.insert(0, lambda l: groups.get(agree & l, 0))
+
+        def all_of(l: Labels) -> int:
+            mask = full
+            for f in parts:
+                mask &= f(l)
+            return mask
+
+        return parts[0] if len(parts) == 1 else all_of
+
+    return node(pred)
 
 
 def _agreement_prop(pred: Pred) -> str | None:
@@ -359,9 +395,10 @@ def _agreement_prop(pred: Pred) -> str | None:
 
 class PredicateTable:
     """The right states each left state admits under a predicate, as a
-    bitmask over right states: `allow[p]` has bit q set
-    iff the predicate holds on the labels of p and q.  The compiled closure
-    runs once per distinct (left label, right label) pair.
+    bitmask over right states: `allow[p]` has bit q set iff the predicate
+    holds on the labels of p and q.  The predicate is compiled once against
+    the right structure, and the compiled closure runs once per distinct
+    left label.
 
     A decision builds one table, and its fixpoint, encodings and searches
     are all built from it, so they cannot disagree on the structures or
@@ -369,22 +406,9 @@ class PredicateTable:
 
     def __init__(self, kp: KripkeStructure, kq: KripkeStructure, pred: Pred) -> None:
         self.kp, self.kq, self.pred = kp, kq, pred
-        holds = compile_predicate(pred)
-        right: dict[frozenset[str], int] = {}
-        for q, label in enumerate(kq.labels):
-            right[label] = right.get(label, 0) | 1 << q
-        by_label: dict[frozenset[str], int] = {}
-        allow: list[int] = []
-        for label in kp.labels:
-            mask = by_label.get(label)
-            if mask is None:
-                mask = 0
-                for other, bits in right.items():
-                    if holds(label, other):
-                        mask |= bits
-                by_label[label] = mask
-            allow.append(mask)
-        self.allow = allow
+        admitted = compile_predicate(pred, kq)
+        by_label = {label: admitted(label) for label in set(kp.labels)}
+        self.allow = [by_label[label] for label in kp.labels]
 
 
 _PROPERTY_RE = re.compile(r"^\s*([a-z]+)\s+([a-z]+)\s*\.\s*G\s+(.*)$", re.DOTALL)

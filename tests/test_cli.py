@@ -719,21 +719,23 @@ def test_a_lasso_of_another_length_is_an_internal_error(monkeypatch, capsys):
     assert ";" not in err  # no other obligation is broken
 
 
-def test_a_decision_evaluates_each_label_pair_once(monkeypatch):
-    # the searches and encodings evaluate the decision's predicate through
-    # the closure its table compiles; the witness and counterexample
-    # re-checks keep their own eval_predicate calls and are not counted
+def test_a_decision_compiles_once_and_evaluates_each_left_label_once(monkeypatch):
+    # the searches and encodings take the decision's predicate from the
+    # table, which compiles it once against the right structure and asks
+    # the closure once per distinct left label; the witness and
+    # counterexample re-checks keep their own eval_predicate calls and are
+    # not counted
     compiled = []
     seen = []
     original = hypersim.hyperspec.compile_predicate
 
-    def compile_counting(pred):
-        holds = original(pred)
+    def compile_counting(pred, kq):
+        admitted = original(pred, kq)
         compiled.append(pred)
 
-        def counted(left, right):
-            seen.append((left, right))
-            return holds(left, right)
+        def counted(label):
+            seen.append(label)
+            return admitted(label)
 
         return counted
 

@@ -17,6 +17,7 @@ from hypersim.hyperspec import (
     Or,
     Pattern,
     PredicateParseError,
+    PredicateTable,
     RightAtom,
     TrueConst,
     UnsupportedFragmentError,
@@ -28,7 +29,9 @@ from hypersim.hyperspec import (
     pred_to_text,
 )
 
-from helpers import rand_pred
+from hypersim.kripke import KripkeStructure
+
+from helpers import build_structure, rand_pred, rand_structure
 
 
 def test_parse_iff_atoms():
@@ -122,44 +125,76 @@ PROPS = ("a", "b", "c")
 LABELS = [frozenset(c) for n in range(4) for c in itertools.combinations(PROPS, n)]
 
 
+def labelled(*labels: frozenset[str]) -> KripkeStructure:
+    """A structure whose state i carries labels[i]."""
+    ap = tuple(sorted(set().union(*labels)))
+    n = len(labels)
+    return build_structure(n, ap, dict(enumerate(labels)), {(i, i) for i in range(n)}, {0})
+
+
+def admitted_by_pairs(pred, left: frozenset[str], kq: KripkeStructure) -> int:
+    """The right states whose labels satisfy pred against left, one pair at a time."""
+    return sum(1 << q for q, right in enumerate(kq.labels) if eval_predicate(pred, left, right))
+
+
 @given(st.integers(min_value=0, max_value=10**9))
 @settings(max_examples=300, deadline=None)
 def test_the_compiled_predicate_equals_the_interpreter(seed):
     # random predicates, some conjoined or disjoined with a match-all over a
-    # random share of the props, on every pair of label sets
+    # random share of the props, on every left label against every right
+    # state of a random structure
     rng = random.Random(seed)
     pred = rand_pred(rng, PROPS, PROPS, depth=4)
     shared = rng.sample(PROPS, rng.randint(0, 3))
     agree = expand_match_all(MatchAll(), shared, PROPS)
     pred = rng.choice([pred, And(pred, agree), And(agree, pred), Or(agree, pred), agree])
-    holds = compile_predicate(pred)
+    kq = rand_structure(rng, max_states=8, props=PROPS)
+    admitted = compile_predicate(pred, kq)
     for left in LABELS:
-        for right in LABELS:
-            assert holds(left, right) == eval_predicate(pred, left, right), (left, right)
-            assert holds(set(left), set(right)) == eval_predicate(pred, left, right)
+        mask = admitted(left)
+        assert mask == admitted_by_pairs(pred, left, kq), left
+        assert admitted(set(left)) == mask
 
 
 def test_the_compiled_predicate_handles_wide_and_deep_predicates():
     props = tuple(f"p{i}" for i in range(1500))
     match_all = expand_match_all(MatchAll(), props, props)
-    holds = compile_predicate(match_all)
     labels = frozenset(props[::2])
-    assert holds(labels, labels) and holds(frozenset(), frozenset())
-    assert not holds(labels, labels | {"p1"})
-    assert not holds(labels, labels - {"p0"})
-    assert holds(labels | {"other"}, labels)  # props outside the share are ignored
+    kq = labelled(labels, frozenset(), labels | {"p1"}, labels - {"p0"})
+    admitted = compile_predicate(match_all, kq)
+    assert admitted(labels) == 0b0001 and admitted(frozenset()) == 0b0010
+    assert admitted(labels | {"other"}) == 0b0001  # props outside the share are ignored
     mixed = And(Iff(LeftAtom("p3"), RightAtom("p4")), match_all)
-    assert not compile_predicate(mixed)(frozenset({"p3", "p4"}), frozenset({"p3"}))
+    both = frozenset({"p3", "p4"})
+    assert compile_predicate(mixed, labelled(frozenset({"p3"}), both))(both) == 0b10
     alternating = LeftAtom("a")
     for _ in range(50):  # 100 levels, the parser's cap, of alternating chains
         alternating = And(LeftAtom("b"), Or(RightAtom("a"), alternating))
+    every_label = labelled(*LABELS)
     for deep in [parse_predicate("!" * 98 + "(l.a <-> r.a)"), alternating]:
-        holds = compile_predicate(deep)
+        admitted = compile_predicate(deep, every_label)
         for left in LABELS:
-            for right in LABELS:
-                assert holds(left, right) == eval_predicate(deep, left, right)
+            assert admitted(left) == admitted_by_pairs(deep, left, every_label)
     with pytest.raises(ValueError, match="match-all"):
-        compile_predicate(Or(TrueConst(), MatchAll()))
+        compile_predicate(Or(TrueConst(), MatchAll()), every_label)
+
+
+@given(st.integers(min_value=0, max_value=10**9))
+@settings(max_examples=300, deadline=None)
+def test_the_table_admits_exactly_the_pairs_the_predicate_holds_on(seed):
+    # small label alphabets repeat labels and leave some empty; the right
+    # structure has a prop the left one lacks, and match-all shares only
+    # the left props
+    rng = random.Random(seed)
+    kp = rand_structure(rng, max_states=6, props=("a", "b"))
+    kq = rand_structure(rng, max_states=6, props=PROPS)
+    pred = rand_pred(rng, PROPS, PROPS, depth=4)
+    agree = expand_match_all(MatchAll(), rng.sample(kp.ap, rng.randint(0, 2)), kq.ap)
+    pred = rng.choice([pred, And(pred, agree), Or(agree, pred), Not(agree), agree])
+    allow = PredicateTable(kp, kq, pred).allow
+    assert len(allow) == len(kp.states)
+    for p, left in enumerate(kp.labels):
+        assert allow[p] == admitted_by_pairs(pred, left, kq), p
 
 
 def test_parse_property_both_patterns():
