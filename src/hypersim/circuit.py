@@ -2,23 +2,25 @@
 
 Encoders emit clauses directly over integer literals (DIMACS conventions:
 variable v is the literal v, its negation -v) and name every variable they
-create.  Lowering concatenates the clause families into one instance,
-records which clause range each family produced, and folds empty clauses into
-a contradiction.  It is deterministic: variable numbers are the encoder's
-allocation order, so the exported DIMACS text is byte-stable across runs.
+create.  An instance grows by families of clauses: it records which clause
+range each family produced and folds empty clauses into a contradiction.
+It is deterministic: variable numbers are the encoder's allocation order,
+so the exported DIMACS text is byte-stable across runs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterable, Sequence
 
 Clause = list[int]
 
 
 @dataclass
 class CnfInstance:
-    """Clause set in DIMACS conventions: variables 1..num_vars, no empty clauses."""
+    """Clause set in DIMACS conventions: variables 1..num_vars, no empty
+    clauses.  Clauses enter through `add`, which keeps the 1-based inclusive
+    clause range of each family (`provenance`) in step."""
 
     num_vars: int = 0
     clauses: list[list[int]] = field(default_factory=list)
@@ -35,37 +37,39 @@ class CnfInstance:
         self.var_names[self.num_vars] = name
         return self.num_vars
 
+    def add(self, clauses: Iterable[Clause], family: str | None = None) -> None:
+        """Append clauses: a named family starts a new range, and otherwise
+        they extend the last one.  An empty clause (a family that is false
+        outright) becomes the pair of unit clauses [x], [-x] over one extra
+        unnamed variable, so the instance stays unsatisfiable."""
+        out = self.clauses
+        if family is not None:
+            self.provenance.append((family, len(out) + 1, len(out)))
+        for clause in clauses:
+            if clause:
+                out.append(clause)
+            else:
+                self.num_vars += 1
+                out += [[self.num_vars], [-self.num_vars]]
+        if self.provenance:
+            name, start, _ = self.provenance[-1]
+            self.provenance[-1] = (name, start, len(out))
+
     def with_units(self, lits: Sequence[int]) -> CnfInstance:
         """A copy with each literal as a unit clause at the end of the last
         family: the instance a query under these assumptions asks, on its
         own."""
-        clauses = self.clauses + [[lit] for lit in lits]
-        provenance = list(self.provenance)
-        if provenance:
-            family, start, _ = provenance[-1]
-            provenance[-1] = (family, start, len(clauses))
-        return CnfInstance(self.num_vars, clauses, dict(self.var_names), provenance)
+        copy = CnfInstance(self.num_vars, list(self.clauses), dict(self.var_names), list(self.provenance))
+        copy.add([lit] for lit in lits)
+        return copy
 
 
 def lower_parts_to_cnf(parts: Sequence[tuple[str, Sequence[Clause]]], var_names: Sequence[str]) -> CnfInstance:
-    """Join (family, clauses) parts into one clause set, recording per-family
-    clause ranges (1-based, inclusive).  Variable v is named var_names[v-1].
-    An empty clause (a family that is false outright) becomes the pair of
-    unit clauses [x], [-x] over one extra unnamed variable, so the instance
-    holds no empty clause and stays unsatisfiable."""
-    cnf = CnfInstance(num_vars=len(var_names))
-    cnf.var_names = {v: name for v, name in enumerate(var_names, start=1)}
-    clauses = cnf.clauses
+    """Join (family, clauses) parts into one clause set, one family each.
+    Variable v is named var_names[v-1]."""
+    cnf = CnfInstance(len(var_names), var_names=dict(enumerate(var_names, start=1)))
     for family, part in parts:
-        start = len(clauses) + 1
-        for clause in part:
-            if clause:
-                clauses.append(clause)
-            else:
-                cnf.num_vars += 1
-                clauses.append([cnf.num_vars])
-                clauses.append([-cnf.num_vars])
-        cnf.provenance.append((family, start, len(clauses)))
+        cnf.add(part, family)
     return cnf
 
 

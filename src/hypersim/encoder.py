@@ -97,14 +97,14 @@ def _at_most_one(xs: list[int], new_var: Callable[[str], int], tag: str) -> list
 
 class _Counter:
     """Sinz's sequential counter over the literals xs, built one column at a
-    time.  Register c(i,j), for j <= i <= m, is forced true when at least j
-    of x_1..x_i are, so the literal -c(m,k+1) bounds the count by k.  Column
-    j reads only column j-1, so bound k needs just the columns 1..k+1."""
+    time into the last family of cnf.  Register c(i,j), for j <= i <= m, is
+    forced true when at least j of x_1..x_i are, so the literal -c(m,k+1)
+    bounds the count by k.  Column j reads only column j-1, so bound k needs
+    just the columns 1..k+1."""
 
-    def __init__(self, xs: list[int], new_var: Callable[[str], int], tag: str) -> None:
-        self.xs, self.new_var, self.tag = xs, new_var, tag
+    def __init__(self, xs: list[int], cnf: CnfInstance, tag: str) -> None:
+        self.xs, self.cnf, self.tag = xs, cnf, tag
         self.columns: list[list[int]] = []  # columns[j-1][i-j] is c(i,j)
-        self.clauses: list[list[Clause]] = []  # the clauses of each column
 
     def at_most(self, k: int) -> int:
         """The literal -c(m,k+1), for k < m, adding columns up to k+1."""
@@ -114,7 +114,7 @@ class _Counter:
 
     def _grow(self) -> None:
         xs, j = self.xs, len(self.columns) + 1
-        col = [self.new_var(f"{self.tag}_count({i},{j})") for i in range(j, len(xs) + 1)]
+        col = [self.cnf.add_var(f"{self.tag}_count({i},{j})") for i in range(j, len(xs) + 1)]
         prev = self.columns[-1] if self.columns else None
         out: list[Clause] = []
         for t, c in enumerate(col):  # c is c(j+t, j); prev[t] is c(j+t-1, j-1)
@@ -123,7 +123,7 @@ class _Counter:
             if t:
                 out.append([-col[t - 1], c])
         self.columns.append(col)
-        self.clauses.append(out)
+        self.cnf.add(out)
 
 
 def greatest_simulation(table: PredicateTable) -> Rows:
@@ -256,8 +256,7 @@ class AeEncoding:
         self.cnf = lower_parts_to_cnf(parts, vs.names)
         self.base = (self.cnf.num_vars, self.cnf.num_clauses)
         unforced = [v for q, v in self.used.items() if not self.forced >> q & 1]
-        self.counter = _Counter(unforced, self.cnf.add_var, "used")
-        self._fed = 0  # counter columns already in the instance
+        self.counter = _Counter(unforced, self.cnf, "used")
 
     def bound(self, k: int) -> tuple[CnfInstance, tuple[int, ...]]:
         """The instance and the assumptions that ask for at most k used states."""
@@ -269,26 +268,16 @@ class AeEncoding:
         if k < forced.bit_count():
             lit = self.used[(forced & -forced).bit_length() - 1]
             return self.cnf, (lit, -lit)
-        lit = self.counter.at_most(k - forced.bit_count())
-        cnf = self.cnf
-        for clauses in self.counter.clauses[self._fed:]:
-            cnf.clauses += clauses
-        self._fed = len(self.counter.clauses)
-        family, start, _ = cnf.provenance[-1]
-        cnf.provenance[-1] = (family, start, len(cnf.clauses))
-        return cnf, (lit,)
+        return self.cnf, (self.counter.at_most(k - forced.bit_count()),)
 
     def size(self, k: int) -> tuple[int, int]:
-        """(variables, clauses) of the instance of bound k on its own, once
-        bound(k) was asked."""
-        num_vars, num_clauses = self.base
-        forced = self.forced.bit_count()
-        if k < forced:
-            num_clauses += 2
-        elif k < len(self.used):
-            num_vars += sum(map(len, self.counter.columns[: k - forced + 1]))
-            num_clauses += sum(map(len, self.counter.clauses[: k - forced + 1])) + 1
-        return num_vars, num_clauses
+        """(variables, clauses) of the instance of bound k on its own: the
+        base from the number of used states on, else the instance with its
+        assumptions as unit clauses.  Valid only right after bound(k) in an
+        increasing sweep, as check_pair asks."""
+        if k >= len(self.used):
+            return self.base
+        return self.cnf.num_vars, self.cnf.num_clauses + (2 if k < self.forced.bit_count() else 1)
 
 
 def encode_sim_ae(table: PredicateTable) -> AeEncoding:
@@ -328,7 +317,6 @@ class EaEncoding:
         self.edges_q = [(q, q2) for q, ts in enumerate(self.kq.succ) for q2 in ts]
         self.register = 0  # the loop ladder's last register: some loop(l) before the last position
         self.act = 0  # act(n) of the last bound asked
-        self.sizes: dict[int, tuple[int, int]] = {}
         vs = _Vars()
         self.cnf = lower_parts_to_cnf([("position-1", self._position(1, vs.new))], vs.names)
 
@@ -342,25 +330,17 @@ class EaEncoding:
         cnf = self.cnf
         while self.n < n:
             if self.n:
-                cnf.clauses.append([-self.act])
-                family, start, _ = cnf.provenance[-1]
-                cnf.provenance[-1] = (family, start, len(cnf.clauses))
-                self._append(f"position-{self.n + 1}", self._position(self.n + 1, cnf.add_var))
+                cnf.add([[-self.act]])
+                cnf.add(self._position(self.n + 1, cnf.add_var), f"position-{self.n + 1}")
             self.n += 1
-            self._append(f"bound-{self.n}", self._close(self.n))
-            self.sizes[self.n] = (cnf.num_vars, cnf.num_clauses + 1)
+            cnf.add(self._close(self.n), f"bound-{self.n}")
         return cnf, (self.act,)
 
     def size(self, n: int) -> tuple[int, int]:
-        """(variables, clauses) of the instance of bound n on its own, once
-        bound(n) was asked."""
-        return self.sizes[n]
-
-    def _append(self, family: str, clauses: list[Clause]) -> None:
-        cnf = self.cnf
-        start = len(cnf.clauses) + 1
-        cnf.clauses += clauses
-        cnf.provenance.append((family, start, len(cnf.clauses)))
+        """(variables, clauses) of the instance of bound n on its own, its
+        assumption as a unit clause.  Valid only right after bound(n) in an
+        increasing sweep, as check_pair asks."""
+        return self.cnf.num_vars, self.cnf.num_clauses + 1
 
     def _position(self, i: int, new_var: Callable[[str], int]) -> list[Clause]:
         """Position i's variables, and its clauses."""

@@ -8,7 +8,7 @@ The supported property shapes are exactly
 where <pred> is a Boolean combination of atoms `l.p` (prop p on the
 universally/left trace) and `r.p` (prop p on the right trace).  The keyword
 `match-all` abbreviates the conjunction of l.p <-> r.p over all props shared
-by the two structures under check.
+by the two structures under check, kept as one node that holds them.
 """
 
 from __future__ import annotations
@@ -87,7 +87,10 @@ class Iff(Pred):
 
 @dataclass(frozen=True)
 class MatchAll(Pred):
-    """Placeholder expanded against concrete AP sets before evaluation."""
+    """Every prop in `props` agrees between the two labels; `props` is
+    unset until expand_match_all, and evaluation refuses it unset."""
+
+    props: frozenset[str] | None = None
 
 
 class Pattern(enum.Enum):
@@ -236,24 +239,13 @@ def parse_predicate(text: str) -> Pred:
 
 
 def expand_match_all(pred: Pred, left_ap: Iterable[str], right_ap: Iterable[str]) -> Pred:
-    """Replace every match-all node by the conjunction of l.p <-> r.p over the
-    props shared by the two AP sets (constant true when the share is empty).
-    The conjunction is a balanced tree, so its depth grows with the log of
-    the number of shared props and evaluating it never recurses deeply."""
-    shared = [p for p in left_ap if p in set(right_ap)]
-
-    def build() -> Pred:
-        nodes: list[Pred] = [Iff(LeftAtom(p), RightAtom(p)) for p in shared]
-        if not nodes:
-            return TrueConst()
-        while len(nodes) > 1:
-            paired: list[Pred] = [And(a, b) for a, b in zip(nodes[::2], nodes[1::2])]
-            nodes = paired + nodes[len(paired) * 2 :]
-        return nodes[0]
+    """Replace every match-all node by MatchAll over the props shared by
+    the two AP sets (true when the share is empty)."""
+    shared = MatchAll(frozenset(left_ap) & frozenset(right_ap))
 
     def walk(n: Pred) -> Pred:
         if isinstance(n, MatchAll):
-            return build()
+            return shared
         if isinstance(n, Not):
             return Not(walk(n.arg))
         if isinstance(n, (And, Or, Implies, Iff)):
@@ -264,12 +256,13 @@ def expand_match_all(pred: Pred, left_ap: Iterable[str], right_ap: Iterable[str]
 
 
 def eval_predicate(pred: Pred, left_labels: frozenset[str] | set[str], right_labels: frozenset[str] | set[str]) -> bool:
-    """Evaluate a (match-all-free) predicate on one pair of label sets.
+    """Evaluate an expanded predicate on one pair of label sets.
 
     A plain tree interpreter, kept apart from the compiler behind
     PredicateTable so that the witness and counterexample re-checks do not
     share its code.  It dispatches on the exact node type, the atoms and
-    the binary chains first: the node classes have no subclasses."""
+    `&`, `|` first: the node classes have no subclasses.  An expanded
+    match-all compares the two labels projected onto its props."""
     t = type(pred)
     if t is LeftAtom:
         return pred.prop in left_labels
@@ -290,7 +283,9 @@ def eval_predicate(pred: Pred, left_labels: frozenset[str] | set[str], right_lab
     if t is FalseConst:
         return False
     if t is MatchAll:
-        raise ValueError("match-all must be expanded against AP sets before evaluation")
+        if pred.props is None:
+            raise ValueError("match-all must be expanded against AP sets before evaluation")
+        return left_labels & pred.props == right_labels & pred.props
     raise TypeError(f"not a predicate node: {pred!r}")
 
 
@@ -305,11 +300,9 @@ def compile_predicate(pred: Pred, kq: KripkeStructure) -> Callable[[Labels], int
     Every node denotes a mask of right states.  `r.x` is the mask of the
     states labelled x and `l.x` is all of them or none; `!`, `&`, `|`, `->`
     and `<->` are the bitwise complement, and, or, `(full ^ a) | b` and
-    `full ^ a ^ b`.  Chains of & (and of |) become one node each.  The
-    conjuncts l.p <-> r.p of a chain, what match-all expands to, become one
-    dict lookup: the right states are grouped by their label projected onto
-    those props, and a left label selects the group that agrees with its
-    own projection."""
+    `full ^ a ^ b`.  An expanded match-all is one dict lookup: the right
+    states are grouped by their label projected onto its props, and a left
+    label selects the group that agrees with its own projection."""
     full = (1 << len(kq.labels)) - 1
     labelled: dict[str, int] = {}
     for q, label in enumerate(kq.labels):
@@ -324,11 +317,15 @@ def compile_predicate(pred: Pred, kq: KripkeStructure) -> Callable[[Labels], int
         if t is RightAtom:
             mask = labelled.get(n.prop, 0)
             return lambda l: mask
-        if t is And or t is Or:
-            return chain(n)
         if t is Not:
             a = node(n.arg)
             return lambda l: full ^ a(l)
+        if t is And:
+            a, b = node(n.left), node(n.right)
+            return lambda l: a(l) & b(l)
+        if t is Or:
+            a, b = node(n.left), node(n.right)
+            return lambda l: a(l) | b(l)
         if t is Implies:
             a, b = node(n.left), node(n.right)
             return lambda l: (full ^ a(l)) | b(l)
@@ -340,57 +337,17 @@ def compile_predicate(pred: Pred, kq: KripkeStructure) -> Callable[[Labels], int
         if t is FalseConst:
             return lambda l: 0
         if t is MatchAll:
-            raise ValueError("match-all must be expanded against AP sets before evaluation")
-        raise TypeError(f"not a predicate node: {n!r}")
-
-    def chain(n: And | Or) -> Callable[[Labels], int]:
-        """One closure for the maximal chain of n's connective below n."""
-        op = type(n)
-        operands: list[Pred] = []
-        stack: list[Pred] = [n]
-        while stack:  # left to right, without recursion
-            m = stack.pop()
-            if type(m) is op:
-                stack += [m.right, m.left]
-            else:
-                operands.append(m)
-        if op is Or:
-            parts = [node(m) for m in operands]
-
-            def any_of(l: Labels) -> int:
-                mask = 0
-                for f in parts:
-                    mask |= f(l)
-                return mask
-
-            return parts[0] if len(parts) == 1 else any_of
-        props = [_agreement_prop(m) for m in operands]
-        parts = [node(m) for m, p in zip(operands, props) if p is None]
-        agree = frozenset(p for p in props if p is not None)
-        if agree:
+            props = n.props
+            if props is None:
+                raise ValueError("match-all must be expanded against AP sets before evaluation")
             groups: dict[frozenset[str], int] = {}
             for q, label in enumerate(kq.labels):
-                key = label & agree
+                key = label & props
                 groups[key] = groups.get(key, 0) | 1 << q
-            parts.insert(0, lambda l: groups.get(agree & l, 0))
-
-        def all_of(l: Labels) -> int:
-            mask = full
-            for f in parts:
-                mask &= f(l)
-            return mask
-
-        return parts[0] if len(parts) == 1 else all_of
+            return lambda l: groups.get(props & l, 0)
+        raise TypeError(f"not a predicate node: {n!r}")
 
     return node(pred)
-
-
-def _agreement_prop(pred: Pred) -> str | None:
-    """p when pred is l.p <-> r.p."""
-    if isinstance(pred, Iff) and isinstance(pred.left, LeftAtom):
-        if pred.right == RightAtom(pred.left.prop):
-            return pred.left.prop
-    return None
 
 
 class PredicateTable:
@@ -402,7 +359,8 @@ class PredicateTable:
 
     A decision builds one table, and its fixpoint, encodings and searches
     are all built from it, so they cannot disagree on the structures or
-    the predicate.  An unexpanded match-all raises ValueError."""
+    the predicate.  An expanded match-all costs one dict lookup per
+    distinct left label; an unexpanded one raises ValueError."""
 
     def __init__(self, kp: KripkeStructure, kq: KripkeStructure, pred: Pred) -> None:
         self.kp, self.kq, self.pred = kp, kq, pred

@@ -287,13 +287,11 @@ class CdclSolver:
     # ---- main loop ----
 
     def _pick_branch(self) -> int:
+        # a variable is pushed when created and when _cancel_until unassigns it
         order = self.order
         assign = self.assign
         while order:
             _, v = heappop(order)
-            if assign[v] == 2:
-                return v
-        for v in range(self.nv):
             if assign[v] == 2:
                 return v
         return -1

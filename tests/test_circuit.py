@@ -169,3 +169,23 @@ def test_units_end_the_last_family_of_a_copy():
     assert (asked.num_vars, asked.var_names) == (2, {1: "a", 2: "b"})
     assert cnf.clauses == [[1, 2], [-2]] and cnf.provenance[-1] == ("bound", 2, 2)
     assert not solve(asked).is_sat
+
+
+def test_add_starts_a_family_extends_the_last_and_folds_an_empty_clause():
+    cnf = CnfInstance()
+    a, b = cnf.add_var("a"), cnf.add_var("b")
+    cnf.add([[a, b]])  # before any family: clauses only
+    assert cnf.clauses == [[a, b]] and cnf.provenance == []
+    cnf.add([[-a]], "first")
+    assert cnf.provenance == [("first", 2, 2)]
+    cnf.add([[-b], [a, -b]])  # no name: the last family grows
+    assert cnf.provenance == [("first", 2, 4)]
+    cnf.add([], "second")
+    assert cnf.provenance == [("first", 2, 4), ("second", 5, 4)]
+    c = cnf.add_var("c")
+    cnf.add([[c], []])  # the empty clause becomes [x], [-x] over a new variable
+    assert cnf.num_vars == 4 and 4 not in cnf.var_names
+    assert cnf.clauses[4:] == [[c], [4], [-4]]
+    assert cnf.provenance == [("first", 2, 4), ("second", 5, 7)]
+    assert cnf.add_var("d") == 5
+    assert solve(cnf).status == "unsat"

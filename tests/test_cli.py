@@ -3,6 +3,7 @@
 import json
 import shutil
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -259,6 +260,27 @@ def test_property_must_come_from_exactly_one_source(capsys):
 def test_external_backend_end_to_end(capsys):
     assert main(check_args("phi1.hp", "--backend", SATCLI_BACKEND)) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("name", ["intro_phi2_next2", "rp"])
+def test_external_backend_decides_holds_like_the_embedded_one(name):
+    # forall-exists, asked up to k = 5 >= |used| where no assumption is
+    # left, and exists-forall: each bound is written with its assumptions
+    # as unit clauses and gets a fresh solver, so only the witness may
+    # differ from the golden report
+    golden = json.loads((DATA / "golden_reports.json").read_text())[name]
+    report = run_check(replace(golden_cases()[name], backend=SATCLI_BACKEND)).to_dict()
+    assert report["verdict"] == golden["verdict"] == "holds"
+    assert report["minimalBound"] == golden["minimalBound"]
+
+    def sims(r: dict) -> list[tuple]:
+        return [
+            (it["bound"], it["outcome"], it["vars"], it["clauses"])
+            for it in r["iterations"]
+            if it["side"] == "sim"
+        ]
+
+    assert sims(report) == sims(golden)
 
 
 def test_lying_external_solver_is_a_backend_error(tmp_path, capsys):

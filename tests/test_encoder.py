@@ -9,13 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hypersim.circuit import export_dimacs, lower_parts_to_cnf
+from hypersim.circuit import CnfInstance, export_dimacs
 from hypersim.encoder import (
     DecodeError,
     EncodeError,
     _at_most_one,
     _Counter,
-    _Vars,
     decode_witness_ae,
     decode_witness_ea,
     encode_sim_ae,
@@ -305,24 +304,34 @@ def test_greatest_simulation_matches_naive_refinement(seed, edge_prob):
 def test_at_most_k_counts_exactly():
     # every assignment of m inputs extends to a model iff at most k are
     # true: at-most-one for the lasso positions, and for the used states the
-    # counter columns 1..k+1 with the unit -c(m,k+1)
+    # counter columns 1..k+1, grown into the last family of an instance,
+    # with the unit -c(m,k+1)
+    def inputs(m: int) -> tuple[CnfInstance, list[int]]:
+        cnf = CnfInstance()
+        return cnf, [cnf.add_var(f"x{i}") for i in range(1, m + 1)]
+
     for m in range(1, 7):
         for k in range(1, m + 1):
-            vs = _Vars()
-            xs = [vs.new(f"x{i}") for i in range(1, m + 1)]
-            cases = [(1, _at_most_one(xs, vs.new, "one"))] if k == 1 else []
+            cases = []
+            if k == 1:
+                cnf, xs = inputs(m)
+                cnf.add(_at_most_one(xs, cnf.add_var, "one"), "count")
+                cases.append((1, xs, cnf))
             if k < m:
-                counter = _Counter(xs, vs.new, "t")
+                cnf, xs = inputs(m)
+                cnf.add([], "count")
+                counter = _Counter(xs, cnf, "t")
                 bound = counter.at_most(k)
                 assert len(counter.columns) == k + 1
-                clauses = [c for col in counter.clauses for c in col]
-                assert len(clauses) < 2 * m * (k + 1)
-                cases.append((k, clauses + [[bound]]))
-            for limit, clauses in cases:
+                assert cnf.num_clauses < 2 * m * (k + 1)
+                assert cnf.provenance == [("count", 1, cnf.num_clauses)]
+                grown = cnf.num_clauses
+                assert counter.at_most(k) == bound and cnf.num_clauses == grown
+                cases.append((k, xs, cnf.with_units([bound])))
+            for limit, xs, cnf in cases:
                 for bits in itertools.product((False, True), repeat=m):
-                    units = [[x if b else -x] for x, b in zip(xs, bits)]
-                    cnf = lower_parts_to_cnf([("count", clauses), ("fix", units)], vs.names)
-                    assert (solve(cnf).status == "sat") == (sum(bits) <= limit), (m, k, bits)
+                    fixed = cnf.with_units([x if b else -x for x, b in zip(xs, bits)])
+                    assert (solve(fixed).status == "sat") == (sum(bits) <= limit), (m, k, bits)
 
 
 @given(st.integers(min_value=0, max_value=10**9))

@@ -218,32 +218,44 @@ def test_parse_property_requires_box_body():
 
 
 def test_expand_match_all_shared_props():
-    p = expand_match_all(MatchAll(), ("a", "b", "c"), ("b", "a"))
-    assert p == And(
-        left=Iff(left=LeftAtom(prop="a"), right=RightAtom(prop="a")),
-        right=Iff(left=LeftAtom(prop="b"), right=RightAtom(prop="b")),
-    )
+    p = expand_match_all(MatchAll(), ("a", "b", "c"), ("b", "a", "d"))
+    assert p == MatchAll(frozenset({"a", "b"}))
+    assert pred_to_text(p) == "match-all"
+    assert eval_predicate(p, frozenset({"a", "c"}), frozenset({"a", "d"}))
+    assert not eval_predicate(p, frozenset({"a", "c"}), frozenset({"a", "b"}))
 
 
 def test_expand_match_all_stays_shallow_over_many_props():
+    # one node however many props are shared, read by the interpreter and
+    # by the table without walking a tree
     props = tuple(f"p{i}" for i in range(1500))
     p = expand_match_all(MatchAll(), props, props)
+    assert p == MatchAll(frozenset(props))
     labels = frozenset(props[::2])
     assert eval_predicate(p, labels, labels)
     assert not eval_predicate(p, labels, labels | {"p1"})
-    assert len(pred_to_text(p)) > 1500
+    assert eval_predicate(p, labels | {"other"}, labels)
+    kp = labelled(labels, labels | {"p1"})
+    kq = labelled(labels, labels | {"p1"}, labels - {"p0"}, labels | {"other"})
+    assert PredicateTable(kp, kq, p).allow == [0b1001, 0b0010]
 
 
 def test_expand_match_all_no_shared_props_is_true():
-    assert expand_match_all(MatchAll(), ("a",), ("b",)) == TrueConst()
+    p = expand_match_all(MatchAll(), ("a",), ("b",))
+    assert p == MatchAll(frozenset())
+    assert all(eval_predicate(p, l, r) for l, r in itertools.product(LABELS, repeat=2))
+    every_label = labelled(*LABELS)
+    full = (1 << len(LABELS)) - 1
+    assert PredicateTable(every_label, every_label, p).allow == [full] * len(LABELS)
 
 
 def test_expand_match_all_rewrites_nested_occurrences():
+    shared = MatchAll(frozenset({"a"}))
     p = parse_predicate("l.a -> match-all")
-    q = expand_match_all(p, ("a",), ("a",))
-    assert q == Implies(
-        left=LeftAtom(prop="a"),
-        right=Iff(left=LeftAtom(prop="a"), right=RightAtom(prop="a")),
+    assert expand_match_all(p, ("a",), ("a",)) == Implies(LeftAtom("a"), shared)
+    p = parse_predicate("!match-all & (l.b | (match-all -> r.a)) <-> match-all")
+    assert expand_match_all(p, ("a", "b"), ("a",)) == Iff(
+        And(Not(shared), Or(LeftAtom("b"), Implies(shared, RightAtom("a")))), shared
     )
 
 
