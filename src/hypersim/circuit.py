@@ -92,7 +92,9 @@ def varmap_text(cnf: CnfInstance) -> str:
 
 
 def parse_dimacs(text: str) -> CnfInstance:
-    """Read a DIMACS file (comments ignored; used by the solver CLI and tests)."""
+    """Read a DIMACS file (comments ignored; used by the solver CLI and tests).
+    An empty clause (a lone 0) is loaded as `CnfInstance.add` folds it, so
+    the instance stays unsatisfiable."""
     num_vars = 0
     clauses: list[list[int]] = []
     cur: list[int] = []
@@ -111,9 +113,8 @@ def parse_dimacs(text: str) -> CnfInstance:
         for tok in line.split():
             lit = int(tok)
             if lit == 0:
-                if cur:
-                    clauses.append(cur)
-                    cur = []
+                clauses.append(cur)
+                cur = []
             else:
                 cur.append(lit)
                 num_vars = max(num_vars, abs(lit))
@@ -121,4 +122,6 @@ def parse_dimacs(text: str) -> CnfInstance:
         clauses.append(cur)
     if not saw_header:
         raise ValueError("missing DIMACS header")
-    return CnfInstance(num_vars=num_vars, clauses=clauses)
+    cnf = CnfInstance(num_vars=num_vars)
+    cnf.add(clauses)
+    return cnf

@@ -298,8 +298,9 @@ def check_pair(
                 f"({enc.forced.bit_count()} forced), so the sweep starts at k={first}"
             )
     else:
-        enc = encode_sim_ea(table)
+        # the falsifier's safe frontiers also bound the lasso instance
         search = SafeFrontierSearch(table)
+        enc = encode_sim_ea(table, search)
 
     for bound in range(1, max(sim_max, max_falsify_depth) + 1):
         if first <= bound <= sim_max:

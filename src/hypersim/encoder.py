@@ -20,7 +20,13 @@ emitted over integer literals with one named variable per relation entry.
   * sim-ea: a lasso of total length n in K_P whose positions jointly simulate
     all of K_Q.  One-hot pos(i,p) choose the left state at position i and
     loop(l) the loop-back target; sim(i,q) holds the right states position i
-    must answer for.  Satisfiable iff such a lasso exists at length n.  One
+    must answer for.  Satisfiable iff such a lasso exists at length n.
+    Position i answers for at least R_{i-1}, the right states reachable in
+    exactly i-1 steps, so it may only hold a left state of the safe
+    frontier F_{i-1} that the exists-forall falsifier's search grows (a
+    left path each of whose states admits its whole layer R), and it only
+    ever needs sim(i,q) for the q reachable from R_{i-1}.  Both cuts are
+    exact, and an empty frontier makes every longer length unsat.  One
     instance (`EaEncoding`) answers every n, growing one position per bound
     (incremental BMC, Een & Sorensson, "Temporal induction by incremental
     SAT solving", BMC 2003).  A position's clauses hold at every later n;
@@ -39,6 +45,7 @@ from typing import Callable, Mapping
 from .circuit import Clause, CnfInstance, lower_parts_to_cnf
 from .hyperspec import PredicateTable
 from .kripke import KripkeStructure, LassoPath, bit_indices, reachable_mask, union_of
+from .oracle import SafeFrontierSearch
 
 
 class EncodeError(Exception):
@@ -292,10 +299,16 @@ class EaEncoding:
 
     Variables are keyed by 1-based position and state: pos by (i, p), sim
     by (i, q), loop by l.  Position 1 answers for every initial right state
-    and each position for the successors of the one before, so unreachable
-    right states are never forced in; reachable-restricting K_Q only saves
-    their variables.  Position i may only hold a left state reachable in
-    exactly i-1 steps.
+    and each position for the successors of the one before, so position i
+    answers for at least R_{i-1}, the right states reachable in exactly i-1
+    steps (`search.right_masks`).  Its left state must then admit all of
+    R_{i-1} and end a left path that did so at every position before, so
+    pos(i,p) exists only for p in the falsifier's safe frontier
+    `search.frontier(i-1)`; an empty frontier leaves an empty one-hot,
+    which makes every length from i on unsat.  The least position sets of
+    a lasso never leave the right states reachable from R_{i-1}
+    (`KripkeStructure.reach_mask`), so sim(i,q) exists only for those q.
+    Both cuts keep exactly the lengths and lassos that have a witness.
 
     Position i is added once, as the family position-i (lowered for i = 1,
     appended after): its variables, its one-hot, the path step into it (at
@@ -307,14 +320,14 @@ class EaEncoding:
     Written with its assumption as a unit clause (`CnfInstance.with_units`),
     the instance is that of bound n on its own."""
 
-    def __init__(self, table: PredicateTable) -> None:
+    def __init__(self, table: PredicateTable, search: SafeFrontierSearch) -> None:
         self.kp, self.kq, self.allow = table.kp, table.kq, table.allow
+        self.search = search
         self.n = 0  # the last bound asked
         self.pos: dict[tuple[int, int], int] = {}
         self.sim: dict[tuple[int, int], int] = {}
         self.loop: dict[int, int] = {}
-        self.cand = [self.kp.init]  # cand[i-1]: the left states position i may hold
-        self.edges_q = [(q, q2) for q, ts in enumerate(self.kq.succ) for q2 in ts]
+        self.right: list[int] = []  # right[i-1]: the right states position i may answer for
         self.register = 0  # the loop ladder's last register: some loop(l) before the last position
         self.act = 0  # act(n) of the last bound asked
         vs = _Vars()
@@ -344,15 +357,14 @@ class EaEncoding:
 
     def _position(self, i: int, new_var: Callable[[str], int]) -> list[Clause]:
         """Position i's variables, and its clauses."""
-        kp, qs, pos, sim, loop = self.kp, self.kq.states, self.pos, self.sim, self.loop
-        if i > 1:
-            self.cand.append(union_of(kp.succ_mask, self.cand[-1]))
-        here = list(bit_indices(self.cand[i - 1]))
+        kp, kq, pos, sim, loop = self.kp, self.kq, self.pos, self.sim, self.loop
+        here = list(bit_indices(self.search.frontier(i - 1)))
+        self.right.append(union_of(kq.reach_mask, self.search.right_masks[i - 1]))
         for p in here:
             pos[i, p] = new_var(f"pos({i},{kp.states[p]})")
         loop[i] = new_var(f"loop({i})")
-        for q in range(len(qs)):
-            sim[i, q] = new_var(f"sim({i},{qs[q]})")
+        for q in bit_indices(self.right[-1]):
+            sim[i, q] = new_var(f"sim({i},{kq.states[q]})")
 
         lits = [pos[i, p] for p in here]
         out = [lits] + _at_most_one(lits, new_var, f"pos{i}")
@@ -363,40 +375,49 @@ class EaEncoding:
                 out.append([-self.register, c])
             out.append([-loop[i], -c])
             self.register = c
-            for p in bit_indices(self.cand[i - 2]):
-                out.append([-pos[i - 1, p]] + [pos[i, t] for t in kp.succ[p]])
-            out += [[-sim[i - 1, q], sim[i, q2]] for q, q2 in self.edges_q]
+            ahead = self.search.frontiers[i - 1]
+            for p in bit_indices(self.search.frontiers[i - 2]):
+                out.append([-pos[i - 1, p]] + [pos[i, t] for t in kp.succ[p] if ahead >> t & 1])
+            out += [
+                [-sim[i - 1, q], sim[i, q2]]
+                for q in bit_indices(self.right[i - 2])
+                for q2 in kq.succ[q]
+            ]
         else:
-            out += [[sim[1, q]] for q in bit_indices(self.kq.init)]
-        every_q = (1 << len(qs)) - 1
+            out += [[sim[1, q]] for q in bit_indices(kq.init)]
         for p in here:
-            rejects = every_q & ~self.allow[p]  # right states the predicate rejects against p
+            rejects = self.right[-1] & ~self.allow[p]  # right states the predicate rejects against p
             out += [[-sim[i, q], -pos[i, p]] for q in bit_indices(rejects)]
         return out
 
     def _close(self, n: int) -> list[Clause]:
         """act(n), and bound n's clauses, each switched on by it."""
         self.act = act = self.cnf.add_var(f"act({n})")
-        pos, sim, loop, cand, succ_p = self.pos, self.sim, self.loop, self.cand, self.kp.succ
+        pos, sim, loop, succ_p, succ_q = self.pos, self.sim, self.loop, self.kp.succ, self.kq.succ
+        frontiers = self.search.frontiers
+        last = list(bit_indices(frontiers[n - 1]))
+        edges = [(q, q2) for q in bit_indices(self.right[n - 1]) for q2 in succ_q[q]]
         out = [[-act] + [loop[l] for l in range(1, n + 1)]]
         for l in range(1, n + 1):
-            for p in bit_indices(cand[n - 1]):
+            at = frontiers[l - 1]
+            for p in last:
                 if l == n and p in succ_p[p]:
                     continue  # the clause would hold trivially
-                targets = [pos[l, t] for t in succ_p[p] if cand[l - 1] >> t & 1]
+                targets = [pos[l, t] for t in succ_p[p] if at >> t & 1]
                 out.append([-act, -loop[l], -pos[n, p]] + targets)
             out += [
                 [-act, -loop[l], -sim[n, q], sim[l, q2]]
-                for q, q2 in self.edges_q
+                for q, q2 in edges
                 if not (l == n and q2 == q)
             ]
         return out
 
 
-def encode_sim_ea(table: PredicateTable) -> EaEncoding:
+def encode_sim_ea(table: PredicateTable, search: SafeFrontierSearch | None = None) -> EaEncoding:
     """The exists-forall instance of the table's decision for every lasso
-    length."""
-    return EaEncoding(table)
+    length, inside the layers of `search`, the decision's exists-forall
+    falsifier search (a new one when omitted)."""
+    return EaEncoding(table, SafeFrontierSearch(table) if search is None else search)
 
 
 def decode_witness_ae(enc: AeEncoding, model: Mapping[int, bool]) -> SimWitnessAE:
@@ -422,7 +443,7 @@ def decode_witness_ea(enc: EaEncoding, model: Mapping[int, bool]) -> SimWitnessE
     start = loops[0]
     lasso = LassoPath(prefix=tuple(seq[: start - 1]), loop=tuple(seq[start - 1 :]))
     pos_relation = {
-        i: frozenset(q for q in range(len(enc.kq.states)) if model[enc.sim[i, q]])
+        i: frozenset(q for q in bit_indices(enc.right[i - 1]) if model[enc.sim[i, q]])
         for i in range(1, enc.n + 1)
     }
     return SimWitnessEA(lasso=lasso, pos_relation=pos_relation)

@@ -2,7 +2,8 @@
 
 Everything here works by direct evaluation or search over explicit
 structures.  The falsifiers read the decision's predicate table, which the
-encodings read too; the validators and re-checks evaluate the predicate
+encodings read too, and the exists-forall encoding is built inside the
+layers of the falsifier's SafeFrontierSearch; the validators and re-checks evaluate the predicate
 themselves and share nothing with the propositional encoding path, so
 agreement between the two is meaningful evidence.
 """
@@ -10,10 +11,13 @@ agreement between the two is meaningful evidence.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .hyperspec import Pred, PredicateTable, eval_predicate
 from .kripke import KripkeStructure, bit_indices, union_of
-from .encoder import SimWitnessAE, SimWitnessEA
+
+if TYPE_CHECKING:  # annotations only: the encoder imports SafeFrontierSearch from here
+    from .encoder import SimWitnessAE, SimWitnessEA
 
 
 # ---------------------------------------------------------------- validators
@@ -201,7 +205,8 @@ class SafeFrontierSearch:
     i steps.  Left frontier i is the bitmask of the left states at the end
     of a left path of i+1 states that is safe at every position so far: its
     label satisfies the predicate against every right state of the same
-    layer.
+    layer.  The exists-forall encoding of the same decision reads both
+    lists too: lasso position i holds only a state of frontier i-1.
     """
 
     def __init__(self, table: PredicateTable) -> None:

@@ -126,6 +126,17 @@ def test_dimacs_roundtrip():
     assert back.clauses == cnf.clauses
 
 
+def test_parse_dimacs_keeps_an_empty_clause_unsatisfiable():
+    # a lone 0 is the empty clause: it folds into [x], [-x] over a variable
+    # after every variable the file names, wherever it stands
+    cnf = parse_dimacs("p cnf 1 2\n1 0\n0\n")
+    assert (cnf.num_vars, cnf.clauses) == (2, [[1], [2], [-2]])
+    assert solve(cnf).status == "unsat"
+    cnf = parse_dimacs("p cnf 3 3\n0\n1 -3 0\n2 0\n")
+    assert (cnf.num_vars, cnf.clauses) == (4, [[4], [-4], [1, -3], [2]])
+    assert solve(cnf).status == "unsat"
+
+
 def test_lower_parts_records_disjoint_covering_provenance():
     parts = [
         ("alpha", [[1]]),

@@ -12,6 +12,7 @@ import hypersim.cli
 import hypersim.hyperspec
 import hypersim.prophecy
 import hypersim.sat
+import hypersim.satcli
 from hypersim.cli import (
     CheckConfig,
     CliInputError,
@@ -22,10 +23,12 @@ from hypersim.cli import (
     run_benchmarks,
     run_check,
 )
-from hypersim.encoder import SimWitnessEA, greatest_simulation, subset_floor
+from hypersim.encoder import SimWitnessEA, encode_sim_ea, greatest_simulation, subset_floor
 from hypersim.hyperspec import PredicateTable, parse_property
 from hypersim.kripke import LassoPath, parse_kripke
+from hypersim.oracle import SafeFrontierSearch
 from hypersim.prophecy import build_next_prophecy
+from hypersim.sat import solve
 
 from helpers import bounded_runs_text, prophecy_to_text, refuse_to_build_states
 from test_golden_reports import cases as golden_cases
@@ -648,28 +651,37 @@ def test_each_ae_decision_builds_one_solver(monkeypatch):
 
 
 def test_each_ea_decision_encodes_once_on_one_solver(monkeypatch):
-    built, encoded = [], []
+    # and the instance is built inside the falsifier's one search
+    built, encoded, searches = [], [], []
 
     class Counting(hypersim.sat.CdclSolver):
         def __init__(self, *args):
             built.append(args)
             super().__init__(*args)
 
+    class CountingSearch(hypersim.cli.SafeFrontierSearch):
+        def __init__(self, table):
+            searches.append(self)
+            super().__init__(table)
+
     original = hypersim.cli.encode_sim_ea
 
-    def counting(table):
-        encoded.append(table)
-        return original(table)
+    def counting(table, search):
+        encoded.append(search)
+        return original(table, search)
 
     monkeypatch.setattr(hypersim.sat, "CdclSolver", Counting)
+    monkeypatch.setattr(hypersim.cli, "SafeFrontierSearch", CountingSearch)
     monkeypatch.setattr(hypersim.cli, "encode_sim_ea", counting)
     for case, verdict in [("gcw", "holds"), ("gcw_nosol", "violated"), ("rp", "holds")]:
         built.clear()
         encoded.clear()
+        searches.clear()
         report = run_check(_case_config(CORPUS / case, "embedded")[0])
         assert (report.mode, report.verdict) == ("ea", verdict)
         assert sum(it.side == "sim" for it in report.iterations) > 1
         assert (len(encoded), len(built)) == (1, 1)
+        assert encoded == searches
 
 
 @pytest.mark.parametrize(
@@ -701,6 +713,50 @@ def test_every_sim_iteration_has_the_size_of_its_export(name):
         dimacs, _ = export_encoding(cfg, it.bound)
         header = next(line for line in dimacs.splitlines() if line.startswith("p cnf"))
         assert header == f"p cnf {it.num_vars} {it.num_clauses}", f"bound {it.bound}"
+
+
+def solve_export(cfg: CheckConfig, bound: int, path: Path, capsys) -> int:
+    """The exit code of hypersim-sat on the file `export --bound` writes."""
+    path.write_text(export_encoding(cfg, bound)[0])
+    code = hypersim.satcli.main([str(path)])
+    capsys.readouterr()
+    return code
+
+
+@pytest.mark.parametrize("name", sorted(golden_cases()))
+def test_every_sim_iteration_export_solves_to_its_outcome(name, tmp_path, capsys):
+    # the file export writes at a bound, solved on its own, answers what
+    # the check's sweep answered there: exit 10 for sat, 20 for unsat
+    # (abp_bug's falsifier answers before any sim bound is asked)
+    cfg = golden_cases()[name]
+    for it in (it for it in run_check(cfg).iterations if it.side == "sim"):
+        code = solve_export(cfg, it.bound, tmp_path / f"k{it.bound}.cnf", capsys)
+        assert code == {"sat": 10, "unsat": 20}[it.outcome], f"bound {it.bound}"
+
+
+def test_an_empty_first_frontier_makes_every_lasso_length_unsat(tmp_path, capsys):
+    # each initial left state rejects one initial right state under the
+    # predicate, so no left state can open a lasso: frontier 0 is empty
+    left = "states: s1 s2\ninit: s1 s2\nap: a b\nlabel s1: a\nlabel s2: b\ntrans s1 -> s2\ntrans s2 -> s1\n"
+    right = "states: q1 q2\ninit: q1 q2\nap: a b\nlabel q1: a\nlabel q2: b\ntrans q1 -> q1\ntrans q2 -> q2\n"
+    prop = "exists forall. G (l.a <-> r.a)"
+    (tmp_path / "l.kr").write_text(left)
+    (tmp_path / "r.kr").write_text(right)
+    cfg = CheckConfig(str(tmp_path / "l.kr"), str(tmp_path / "r.kr"), prop_text=prop)
+    table, mode, _ = hypersim.cli.prepare(parse_kripke(left), parse_kripke(right), parse_property(prop))
+    assert mode == "ea" and SafeFrontierSearch(table).frontier(0) == 0
+    enc = encode_sim_ea(table)
+    for n in range(1, 6):
+        cnf, assumptions = enc.bound(n)
+        assert solve(cnf, None, assumptions).status == "unsat", f"n={n}"
+    report = run_check(cfg)
+    assert report.verdict == "violated"
+    assert [(it.side, it.bound, it.outcome) for it in report.iterations] == [
+        ("sim", 1, "unsat"),
+        ("falsify", 1, "counterexample"),
+    ]
+    assert report.counterexample["depth"] == 1
+    assert solve_export(cfg, 1, tmp_path / "k1.cnf", capsys) == 20
 
 
 def test_a_witness_over_the_bound_is_an_internal_error(monkeypatch, capsys):

@@ -204,12 +204,15 @@ def model_of(enc, *true_names):
 
 
 def test_decode_rejects_non_one_hot_position():
-    enc = encode_sim_ea(PredicateTable(*intro()))
+    # under `true` every left path is safe, so the frontier of position 3
+    # holds both states two steps from s1
+    kp, kq, _ = intro()
+    enc = encode_sim_ea(PredicateTable(kp, kq, parse_predicate("true")))
     enc.bound(3)
     with pytest.raises(DecodeError) as exc:
         decode_witness_ea(enc, model_of(enc))  # no left state chosen anywhere
     assert "position 1 is not one-hot" in str(exc.value)
-    # position 3 may hold s3 or s4 (both two steps from s1): choose both
+    # position 3 may hold s3 or s4: choose both
     chosen = ("pos(1,s1)", "pos(2,s2)", "pos(3,s3)", "loop(3)")
     with pytest.raises(DecodeError) as exc:
         decode_witness_ea(enc, model_of(enc, *chosen, "pos(3,s4)"))
@@ -502,3 +505,50 @@ def test_ea_sat_matches_lasso_enumeration(seed):
             if res.is_sat:
                 w = decode_witness_ea(enc, res.model)
                 assert validate_witness_ea(kp, kq, pred, w, n) == []
+
+
+def safe_layers(kp, kq, pred, n):
+    """For j < n, by plain set iteration: R_j, the right states reachable
+    in exactly j steps, and F_j, the left states ending a left path of j+1
+    states each of whose states satisfies the predicate against its whole
+    layer R."""
+    right = [set(bit_indices(kq.init))]
+    ends = set(bit_indices(kp.init))
+    frontier = []
+    for j in range(n):
+        if j:
+            right.append({q2 for q in right[-1] for q2 in kq.succ[q]})
+            ends = {p2 for p in frontier[-1] for p2 in kp.succ[p]}
+        frontier.append({
+            p for p in ends
+            if all(eval_predicate(pred, kp.labels[p], kq.labels[q]) for q in right[j])
+        })
+    return right, frontier
+
+
+def reached(k, start):
+    """The states some path from a state of `start` reaches, those included."""
+    seen, todo = set(start), list(start)
+    while todo:
+        for t in k.succ[todo.pop()]:
+            if t not in seen:
+                seen.add(t)
+                todo.append(t)
+    return seen
+
+
+@given(st.integers(min_value=0, max_value=10**9), st.sampled_from([0.2, 0.4, 0.7]))
+@settings(max_examples=150, deadline=None)
+def test_ea_positions_hold_the_safe_frontier_and_answer_for_the_right_closure(seed, edge_prob):
+    # position i has pos(i,p) for exactly the p of frontier(i-1) and
+    # sim(i,q) for exactly the q reachable from R_{i-1}
+    rng = random.Random(seed)
+    kp = rand_structure(rng, max_states=6, edge_prob=edge_prob)
+    kq = rand_structure(rng, max_states=6, edge_prob=edge_prob)
+    pred = rand_pred(rng, kp.ap, kq.ap)
+    enc = encode_sim_ea(PredicateTable(kp, kq, pred))
+    enc.bound(5)
+    right, frontier = safe_layers(kp, kq, pred, 5)
+    for i in range(1, 6):
+        assert {p for j, p in enc.pos if j == i} == frontier[i - 1], f"position {i}"
+        assert {q for j, q in enc.sim if j == i} == reached(kq, right[i - 1]), f"position {i}"

@@ -48,6 +48,26 @@ def cases() -> dict[str, CheckConfig]:
     return out
 
 
+def exports() -> dict[str, tuple[CheckConfig, int]]:
+    """The DIMACS goldens under tests/data, by file name: the check and the
+    bound `export` writes each from."""
+    gcw = ROOT / "corpus" / "gcw"
+    next2 = _intro("phi2.hp", "next:a:2")
+    return {
+        "intro_ae_k5.cnf": (_intro("phi2.hp"), 5),
+        "intro_ae_next2_k2.cnf": (next2, 2),
+        "intro_ae_next2_k3.cnf": (next2, 3),
+        "gcw_ea_n3.cnf": (
+            CheckConfig(
+                left_path=str(gcw / "plan.kr"),
+                right_path=str(gcw / "monitor.kr"),
+                prop_path=str(gcw / "prop.hp"),
+            ),
+            3,
+        ),
+    }
+
+
 def report_without_seconds(cfg: CheckConfig) -> dict:
     """The `check --format json` report of cfg, less the iteration times."""
     report = json.loads(json.dumps(run_check(cfg).to_dict()))
@@ -63,6 +83,10 @@ def golden() -> dict:
 
 def test_the_golden_file_covers_every_case(golden):
     assert sorted(golden) == sorted(cases())
+
+
+def test_every_dimacs_golden_names_the_export_that_writes_it():
+    assert sorted(exports()) == sorted(p.name for p in DATA.glob("*.cnf"))
 
 
 @pytest.mark.parametrize("name", sorted(cases()))

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hypersim import satcli
 from hypersim.circuit import CnfInstance
 from hypersim.sat import (
     CdclSolver,
@@ -265,3 +266,19 @@ def test_external_backend_gets_assumptions_as_unit_clauses():
     res = solve(cnf, backend, assumptions=[-1])
     assert res.status == "sat" and res.model[2] is True
     assert solve(cnf, backend, assumptions=[-1, -2]).status == "unsat"
+
+
+@pytest.mark.parametrize(
+    "text, code, status",
+    [
+        ("p cnf 1 2\n1 0\n0\n", 20, "s UNSATISFIABLE"),
+        ("p cnf 1 1\n0\n", 20, "s UNSATISFIABLE"),
+        ("p cnf 1 1\n1 0\n", 10, "s SATISFIABLE"),
+    ],
+    ids=["an-empty-clause-after-a-unit", "only-an-empty-clause", "a-unit"],
+)
+def test_satcli_answers_an_empty_clause_unsat(text, code, status, tmp_path, capsys):
+    path = tmp_path / "k.cnf"
+    path.write_text(text)
+    assert satcli.main([str(path)]) == code
+    assert status in capsys.readouterr().out.splitlines()
