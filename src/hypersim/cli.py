@@ -40,7 +40,6 @@ from .kripke import KripkeError, KripkeStructure, parse_kripke, reachable_restri
 from .oracle import (
     Counterexample,
     LiveSetSearch,
-    SafeFrontierSearch,
     falsify_exists_forall,
     falsify_forall_exists,
     reverify_counterexample,
@@ -298,19 +297,22 @@ def check_pair(
                 f"({enc.forced.bit_count()} forced), so the sweep starts at k={first}"
             )
     else:
-        # the falsifier's safe frontiers also bound the lasso instance
-        search = SafeFrontierSearch(table)
-        enc = encode_sim_ea(table, search)
+        enc = encode_sim_ea(table)
+        search = enc.search  # the falsifier grows the frontiers the lasso lies in
 
     for bound in range(1, max(sim_max, max_falsify_depth) + 1):
+        if bound > sim_max and bound > max_falsify_depth:
+            break  # the sim side stopped early
         if first <= bound <= sim_max:
             t0 = time.perf_counter()
             cnf, assumptions = enc.bound(bound)
             res = solve(cnf, backend, assumptions)
             took = time.perf_counter() - t0
-            size = enc.size(bound)
+            size = cnf.num_vars, cnf.num_clauses + len(assumptions)  # what the solver got
             report.iterations.append(IterationStat("sim", bound, res.status, took, *size))
             report.sim_bound_reached = bound
+            if mode == "ea" and not res.is_sat and not search.frontiers[bound - 1]:
+                sim_max = bound  # position `bound` has an empty one-hot, as has every longer lasso
             if res.is_sat:
                 if mode == "ae":
                     witness = decode_witness_ae(enc, res.model)
@@ -361,6 +363,11 @@ def check_pair(
         report.notes.append(
             "no subset simulation exists at any k <= |S_Q|; the property may still "
             "hold (simulation is sound, not complete) - prophecy enrichment may decide it"
+        )
+    elif mode == "ea" and not search.frontiers[sim_max - 1]:
+        report.notes.append(
+            f"the safe frontier at depth {sim_max - 1} is empty, so every lasso length "
+            f"n >= {sim_max} is unsat: the simulation search stopped at n={sim_max}"
         )
     else:
         report.notes.append("simulation search exhausted its bound without an answer")
@@ -413,9 +420,9 @@ def _load_property(cfg: CheckConfig) -> HyperProperty:
 
 
 def _load_prophecy(cfg: CheckConfig, left: KripkeStructure) -> ProphecyAutomaton | None:
-    if cfg.prophecy and cfg.prophecy_file:
+    if cfg.prophecy is not None and cfg.prophecy_file is not None:
         raise CliInputError("give either --prophecy or --prophecy-file, not both")
-    if cfg.prophecy:
+    if cfg.prophecy is not None:
         parts = cfg.prophecy.split(":")
         if len(parts) != 3 or parts[0] != "next":
             raise CliInputError(
@@ -432,7 +439,7 @@ def _load_prophecy(cfg: CheckConfig, left: KripkeStructure) -> ProphecyAutomaton
             return build_next_prophecy(prop, depth)
         except ProphecyError as e:
             raise CliInputError(str(e)) from e
-    if cfg.prophecy_file:
+    if cfg.prophecy_file is not None:
         text = _read(cfg.prophecy_file)
         try:
             u = parse_prophecy(text)

@@ -32,9 +32,9 @@ emitted over integer literals with one named variable per relation entry.
     SAT solving", BMC 2003).  A position's clauses hold at every later n;
     only "some loop(l), l <= n" and the loop-back from position n belong to
     bound n, each carrying -act(n) and asked by the assumption act(n).
-    Moving past bound n adds the unit -act(n), so an instance grown
-    straight to n equals one swept through 1..n, and the iteration sizes a
-    check reports count the switched-off clauses of the bounds below n.
+    Moving past bound n adds the unit -act(n).
+
+For both, an instance asked straight at a bound equals one swept to it.
 """
 
 from __future__ import annotations
@@ -115,22 +115,24 @@ class _Counter:
 
     def at_most(self, k: int) -> int:
         """The literal -c(m,k+1), for k < m, adding columns up to k+1."""
-        while len(self.columns) <= k:
-            self._grow()
+        self.grow(k + 1)
         return -self.columns[k][-1]
 
-    def _grow(self) -> None:
-        xs, j = self.xs, len(self.columns) + 1
-        col = [self.cnf.add_var(f"{self.tag}_count({i},{j})") for i in range(j, len(xs) + 1)]
-        prev = self.columns[-1] if self.columns else None
-        out: list[Clause] = []
-        for t, c in enumerate(col):  # c is c(j+t, j); prev[t] is c(j+t-1, j-1)
-            x = xs[j + t - 1]
-            out.append([-x, c] if prev is None else [-x, -prev[t], c])
-            if t:
-                out.append([-col[t - 1], c])
-        self.columns.append(col)
-        self.cnf.add(out)
+    def grow(self, last: int) -> None:
+        """Add the missing columns up to column `last`."""
+        xs = self.xs
+        while len(self.columns) < last:
+            j = len(self.columns) + 1
+            col = [self.cnf.add_var(f"{self.tag}_count({i},{j})") for i in range(j, len(xs) + 1)]
+            prev = self.columns[-1] if self.columns else None
+            out: list[Clause] = []
+            for t, c in enumerate(col):  # c is c(j+t, j); prev[t] is c(j+t-1, j-1)
+                x = xs[j + t - 1]
+                out.append([-x, c] if prev is None else [-x, -prev[t], c])
+                if t:
+                    out.append([-col[t - 1], c])
+            self.columns.append(col)
+            self.cnf.add(out)
 
 
 def greatest_simulation(table: PredicateTable) -> Rows:
@@ -219,10 +221,10 @@ class AeEncoding:
     adds any missing columns 1..k-|F|+1 to at-most-k and returns the
     assumption -c(m,k-|F|+1), so one incremental solver answers every
     bound.  Below |F| the assumptions claim the least forced state both
-    used and unused; from the number of used states on there are none.
-    Written as unit clauses at the end of at-most-k
-    (`CnfInstance.with_units`), the assumptions give the instance of
-    bound k on its own."""
+    used and unused.  From the number of used states on there are none
+    and the counter holds all m columns, as every increasing sweep has
+    grown them by then.  As unit clauses at the end of at-most-k
+    (`CnfInstance.with_units`), the assumptions give the instance of k."""
 
     def __init__(self, table: PredicateTable) -> None:
         self.kp, self.kq = kp, kq = table.kp, table.kq
@@ -261,7 +263,6 @@ class AeEncoding:
             ("at-most-k", []),
         ]
         self.cnf = lower_parts_to_cnf(parts, vs.names)
-        self.base = (self.cnf.num_vars, self.cnf.num_clauses)
         unforced = [v for q, v in self.used.items() if not self.forced >> q & 1]
         self.counter = _Counter(unforced, self.cnf, "used")
 
@@ -269,22 +270,14 @@ class AeEncoding:
         """The instance and the assumptions that ask for at most k used states."""
         if not 1 <= k <= len(self.kq.states):
             raise EncodeError(f"subset bound k={k} outside 1..{len(self.kq.states)}")
-        forced = self.forced
+        forced, counter = self.forced, self.counter
         if k >= len(self.used):
+            counter.grow(len(counter.xs))
             return self.cnf, ()
         if k < forced.bit_count():
             lit = self.used[(forced & -forced).bit_length() - 1]
             return self.cnf, (lit, -lit)
-        return self.cnf, (self.counter.at_most(k - forced.bit_count()),)
-
-    def size(self, k: int) -> tuple[int, int]:
-        """(variables, clauses) of the instance of bound k on its own: the
-        base from the number of used states on, else the instance with its
-        assumptions as unit clauses.  Valid only right after bound(k) in an
-        increasing sweep, as check_pair asks."""
-        if k >= len(self.used):
-            return self.base
-        return self.cnf.num_vars, self.cnf.num_clauses + (2 if k < self.forced.bit_count() else 1)
+        return self.cnf, (counter.at_most(k - forced.bit_count()),)
 
 
 def encode_sim_ae(table: PredicateTable) -> AeEncoding:
@@ -320,9 +313,9 @@ class EaEncoding:
     Written with its assumption as a unit clause (`CnfInstance.with_units`),
     the instance is that of bound n on its own."""
 
-    def __init__(self, table: PredicateTable, search: SafeFrontierSearch) -> None:
+    def __init__(self, table: PredicateTable) -> None:
         self.kp, self.kq, self.allow = table.kp, table.kq, table.allow
-        self.search = search
+        self.search = SafeFrontierSearch(table)  # the decision's falsifier asks it too
         self.n = 0  # the last bound asked
         self.pos: dict[tuple[int, int], int] = {}
         self.sim: dict[tuple[int, int], int] = {}
@@ -348,12 +341,6 @@ class EaEncoding:
             self.n += 1
             cnf.add(self._close(self.n), f"bound-{self.n}")
         return cnf, (self.act,)
-
-    def size(self, n: int) -> tuple[int, int]:
-        """(variables, clauses) of the instance of bound n on its own, its
-        assumption as a unit clause.  Valid only right after bound(n) in an
-        increasing sweep, as check_pair asks."""
-        return self.cnf.num_vars, self.cnf.num_clauses + 1
 
     def _position(self, i: int, new_var: Callable[[str], int]) -> list[Clause]:
         """Position i's variables, and its clauses."""
@@ -413,11 +400,11 @@ class EaEncoding:
         return out
 
 
-def encode_sim_ea(table: PredicateTable, search: SafeFrontierSearch | None = None) -> EaEncoding:
+def encode_sim_ea(table: PredicateTable) -> EaEncoding:
     """The exists-forall instance of the table's decision for every lasso
-    length, inside the layers of `search`, the decision's exists-forall
-    falsifier search (a new one when omitted)."""
-    return EaEncoding(table, SafeFrontierSearch(table) if search is None else search)
+    length, inside the layers of its own safe frontier search (`enc.search`),
+    which the decision's falsifier shares."""
+    return EaEncoding(table)
 
 
 def decode_witness_ae(enc: AeEncoding, model: Mapping[int, bool]) -> SimWitnessAE:

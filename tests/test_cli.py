@@ -236,6 +236,25 @@ def test_bad_prophecy_arguments_are_input_errors(text, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        (["--prophecy", ""], "prophecy must have the form next:<prop>:<depth>, got ''"),
+        (["--prophecy-file", ""], "cannot read : "),
+        (
+            ["--prophecy", "next:a:2", "--prophecy-file", ""],
+            "give either --prophecy or --prophecy-file, not both",
+        ),
+    ],
+    ids=["prophecy", "prophecy-file", "both"],
+)
+def test_empty_prophecy_arguments_are_input_errors(extra, message, capsys):
+    # an empty argument is given, not absent: it never runs the check
+    # without a prophecy
+    assert main(check_args("phi2.hp", *extra)) == 3
+    assert message in capsys.readouterr().err
+
+
 def test_oversized_prophecy_depth_is_an_input_error(monkeypatch, capsys):
     refuse_to_build_states(monkeypatch)
     assert main(check_args("phi2.hp", "--prophecy", "next:a:40")) == 3
@@ -284,6 +303,40 @@ def test_external_backend_decides_holds_like_the_embedded_one(name):
         ]
 
     assert sims(report) == sims(golden)
+
+
+# an external solver that keeps a copy of each instance file it is given,
+# numbered in the order given, and then solves it with hypersim-sat
+RECORDING_SOLVER = """\
+import shutil, sys
+from pathlib import Path
+from hypersim.satcli import main
+keep = Path(sys.argv[1])
+shutil.copyfile(sys.argv[2], keep / f"{len(list(keep.iterdir())) + 1}.cnf")
+sys.exit(main([sys.argv[2]]))
+"""
+
+
+@pytest.mark.parametrize(
+    "name, bounds", [("intro_phi2_next2", [3, 4, 5]), ("gcw", list(range(1, 9)))]
+)
+def test_every_sim_line_sizes_the_file_the_solver_was_given(name, bounds, tmp_path):
+    # forall-exists up to k = 5 >= |used|, and exists-forall: each line's
+    # vars/clauses are the header of the file the solver parsed at its
+    # bound, and that file is the one `export --bound` writes there
+    solver, kept = tmp_path / "record.py", tmp_path / "kept"
+    solver.write_text(RECORDING_SOLVER)
+    kept.mkdir()
+    cfg = golden_cases()[name]
+    backend = f"external:{sys.executable} {solver} {kept}"
+    sims = [it for it in run_check(replace(cfg, backend=backend)).iterations if it.side == "sim"]
+    assert [it.bound for it in sims] == bounds
+    assert len(list(kept.iterdir())) == len(sims)
+    for i, it in enumerate(sims, start=1):
+        given = (kept / f"{i}.cnf").read_text()
+        header = next(line for line in given.splitlines() if line.startswith("p cnf"))
+        assert header == f"p cnf {it.num_vars} {it.num_clauses}", f"bound {it.bound}"
+        assert given == export_encoding(cfg, it.bound)[0], f"bound {it.bound}"
 
 
 def test_lying_external_solver_is_a_backend_error(tmp_path, capsys):
@@ -439,6 +492,10 @@ def test_bench_isolates_broken_manifests(tmp_path, capsys):
             "left": "m.kr", "right": "m.kr", "property": "prop.hp", "expect": "holds",
             "max_depht": 1,
         }),
+        "noprophecy": json.dumps({
+            "left": "m.kr", "right": "m.kr", "property": "prop.hp", "expect": "holds",
+            "prophecy": "",
+        }),
     }
     for name, text in broken.items():
         bad = tmp_path / name
@@ -455,6 +512,7 @@ def test_bench_isolates_broken_manifests(tmp_path, capsys):
     for name in broken:
         assert any(l.startswith(f"{name} ") and " error: " in l for l in out.splitlines())
     assert "error: case.json: unknown key 'max_depht'" in out
+    assert "error: prophecy must have the form next:<prop>:<depth>, got ''" in out
 
 
 NOT_UTF8 = b"states: s\xff\ninit: s\nap: a\ntrans s -> s\n"
@@ -651,37 +709,36 @@ def test_each_ae_decision_builds_one_solver(monkeypatch):
 
 
 def test_each_ea_decision_encodes_once_on_one_solver(monkeypatch):
-    # and the instance is built inside the falsifier's one search
-    built, encoded, searches = [], [], []
+    # and the falsifier asks the one search the instance is built inside
+    built, encoded, asked = [], [], []
 
     class Counting(hypersim.sat.CdclSolver):
         def __init__(self, *args):
             built.append(args)
             super().__init__(*args)
 
-    class CountingSearch(hypersim.cli.SafeFrontierSearch):
-        def __init__(self, table):
-            searches.append(self)
-            super().__init__(table)
+    encode, falsify = hypersim.cli.encode_sim_ea, hypersim.cli.falsify_exists_forall
 
-    original = hypersim.cli.encode_sim_ea
+    def encode_counting(table):
+        encoded.append(encode(table))
+        return encoded[-1]
 
-    def counting(table, search):
-        encoded.append(search)
-        return original(table, search)
+    def falsify_counting(search, depth):
+        asked.append(search)
+        return falsify(search, depth)
 
     monkeypatch.setattr(hypersim.sat, "CdclSolver", Counting)
-    monkeypatch.setattr(hypersim.cli, "SafeFrontierSearch", CountingSearch)
-    monkeypatch.setattr(hypersim.cli, "encode_sim_ea", counting)
+    monkeypatch.setattr(hypersim.cli, "encode_sim_ea", encode_counting)
+    monkeypatch.setattr(hypersim.cli, "falsify_exists_forall", falsify_counting)
     for case, verdict in [("gcw", "holds"), ("gcw_nosol", "violated"), ("rp", "holds")]:
         built.clear()
         encoded.clear()
-        searches.clear()
+        asked.clear()
         report = run_check(_case_config(CORPUS / case, "embedded")[0])
         assert (report.mode, report.verdict) == ("ea", verdict)
         assert sum(it.side == "sim" for it in report.iterations) > 1
         assert (len(encoded), len(built)) == (1, 1)
-        assert encoded == searches
+        assert asked and all(search is encoded[0].search for search in asked)
 
 
 @pytest.mark.parametrize(
@@ -757,6 +814,27 @@ def test_an_empty_first_frontier_makes_every_lasso_length_unsat(tmp_path, capsys
     ]
     assert report.counterexample["depth"] == 1
     assert solve_export(cfg, 1, tmp_path / "k1.cnf", capsys) == 20
+
+
+@pytest.mark.parametrize("max_bound", [None, 1000000])
+def test_the_ea_sweep_stops_after_an_unsat_bound_at_an_empty_frontier(max_bound):
+    # gcw_nosol's safe frontier at depth 1 is empty, so lasso length 2 is
+    # unsat and so is every longer one; the falsifier stops at depth 1
+    # before it could see the empty frontier
+    cfg = replace(corpus_config("gcw_nosol"), max_falsify_depth=1, max_sim_bound=max_bound)
+    report = run_check(cfg)
+    assert report.verdict == "unknown-at-bounds"
+    assert [(it.side, it.bound, it.outcome) for it in report.iterations] == [
+        ("sim", 1, "unsat"),
+        ("falsify", 1, "none"),
+        ("sim", 2, "unsat"),
+    ]
+    assert report.sim_bound_reached == 2
+    assert report.notes == [
+        "the safe frontier at depth 1 is empty, so every lasso length n >= 2 is unsat: "
+        "the simulation search stopped at n=2",
+        "falsification exhausted at depth 1 without a counterexample",
+    ]
 
 
 def test_a_witness_over_the_bound_is_an_internal_error(monkeypatch, capsys):

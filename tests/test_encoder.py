@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hypersim.circuit import CnfInstance, export_dimacs
+from hypersim.circuit import CnfInstance, export_dimacs, varmap_text
 from hypersim.encoder import (
     DecodeError,
     EncodeError,
@@ -344,21 +344,22 @@ def test_sweep_answers_each_bound_like_a_fresh_standalone_instance(seed):
     kp = rand_structure(rng, max_states=3)
     kq = rand_structure(rng, max_states=5)
     pred = rand_pred(rng, kp.ap, kq.ap)
-    # each bound of one encoding, asked in order on one solver, against a
-    # fresh encoding asked only at that bound, its units in the instance
+    # each bound of one encoding, asked in order on one solver from the
+    # floor, as a decision sweeps them, is the instance of a fresh encoding
+    # asked only at that bound, its units in the instance
     table = PredicateTable(kp, kq, pred)
     sweep = encode_sim_ae(table)
     backend = EmbeddedBackend()
     for k in range(1, sweep.floor):
-        fresh, alone = ae_at(table, k)
-        assert solve(alone).status == "unsat"
-        assert fresh.size(k) == (alone.num_vars, alone.num_clauses), f"k={k}"
+        assert solve(ae_at(table, k)[1]).status == "unsat"
     for k in range(sweep.floor, len(kq.states) + 1):
         cnf, assumptions = sweep.bound(k)
-        got = solve(cnf, backend, assumptions)
+        asked = cnf.with_units(assumptions)
         _, alone = ae_at(table, k)
+        assert export_dimacs(asked) == export_dimacs(alone), f"k={k}"
+        assert varmap_text(asked) == varmap_text(alone), f"k={k}"
+        got = solve(cnf, backend, assumptions)
         assert got.status == solve(alone).status, f"k={k}"
-        assert sweep.size(k) == (alone.num_vars, alone.num_clauses), f"k={k}"
         if got.is_sat:
             w = decode_witness_ae(sweep, got.model)
             assert validate_witness_ae(kp, kq, pred, w, k) == []
@@ -499,7 +500,6 @@ def test_ea_sat_matches_lasso_enumeration(seed):
         cnf, assumptions = sweep.bound(n)
         fresh, alone = ea_at(table, n)
         assert export_dimacs(cnf.with_units(assumptions)) == export_dimacs(alone), f"n={n}"
-        assert sweep.size(n) == (alone.num_vars, alone.num_clauses), f"n={n}"
         for enc, res in ((sweep, solve(cnf, backend, assumptions)), (fresh, solve(alone))):
             assert res.is_sat == expected, f"n={n}"
             if res.is_sat:
