@@ -275,27 +275,36 @@ def check_pair(
         notes=notes,
     )
 
-    # one instance answers every bound, so the embedded backend keeps one
-    # solver across the bounds
+    # a forall-exists instance answers every bound, so the embedded backend
+    # keeps one solver across the bounds
     backend = backend or EmbeddedBackend()
     first = 1  # the least sim bound asked
     if mode == "ae":
         enc = encode_sim_ae(table)
         # every falsify depth extends the layers of one live-set search
         search = LiveSetSearch(table)
-        for p in uncovered_initial(kp, kq, enc.relation):
+        uncovered = uncovered_initial(kp, kq, enc.relation)
+        for p in uncovered:
             notes.append(
                 f"no right subset can simulate left state {kp.states[p]}: the greatest "
                 f"simulation ({len(enc.sim)} pairs) relates it to no initial right "
                 "state, so every k is unsat"
             )
-        # no model uses fewer right states than the fixpoint's floor
-        first = min(enc.floor, sim_max)
-        if enc.floor > 1:
+        if uncovered:
+            # satisfiability is monotone in k: the weakest bound answers for all
+            first = sim_max
             notes.append(
-                f"the greatest simulation needs at least {enc.floor} right states "
-                f"({enc.forced.bit_count()} forced), so the sweep starts at k={first}"
+                f"the sweep asks only k={sim_max}, the weakest bound: its unsat answer "
+                "covers every smaller k"
             )
+        else:
+            # no model uses fewer right states than the fixpoint's floor
+            first = min(enc.floor, sim_max)
+            if enc.floor > 1:
+                notes.append(
+                    f"the greatest simulation needs at least {enc.floor} right states "
+                    f"({enc.forced.bit_count()} forced), so the sweep starts at k={first}"
+                )
     else:
         enc = encode_sim_ea(table)
         search = enc.search  # the falsifier grows the frontiers the lasso lies in
@@ -303,7 +312,12 @@ def check_pair(
     for bound in range(1, max(sim_max, max_falsify_depth) + 1):
         if bound > sim_max and bound > max_falsify_depth:
             break  # the sim side stopped early
-        if first <= bound <= sim_max:
+        if first <= bound <= sim_max and mode == "ea" and not search.has_lasso(bound):
+            # the right layers settle this length: no lasso of it has a witness
+            report.sim_bound_reached = bound
+            if not search.frontiers[bound - 1]:
+                sim_max = bound  # every longer lasso has a position in this empty frontier
+        elif first <= bound <= sim_max:
             t0 = time.perf_counter()
             cnf, assumptions = enc.bound(bound)
             res = solve(cnf, backend, assumptions)
@@ -311,8 +325,11 @@ def check_pair(
             size = cnf.num_vars, cnf.num_clauses + len(assumptions)  # what the solver got
             report.iterations.append(IterationStat("sim", bound, res.status, took, *size))
             report.sim_bound_reached = bound
-            if mode == "ea" and not res.is_sat and not search.frontiers[bound - 1]:
-                sim_max = bound  # position `bound` has an empty one-hot, as has every longer lasso
+            if mode == "ea" and not res.is_sat:
+                raise InternalSoundnessError(
+                    f"the solver found no lasso of length {bound}, although the right "
+                    "layers admit one"
+                )
             if res.is_sat:
                 if mode == "ae":
                     witness = decode_witness_ae(enc, res.model)
@@ -368,6 +385,11 @@ def check_pair(
         report.notes.append(
             f"the safe frontier at depth {sim_max - 1} is empty, so every lasso length "
             f"n >= {sim_max} is unsat: the simulation search stopped at n={sim_max}"
+        )
+    elif mode == "ea":
+        report.notes.append(
+            f"the right layers admit no lasso of any length n <= {sim_max}, so the "
+            "solver was not asked"
         )
     else:
         report.notes.append("simulation search exhausted its bound without an answer")

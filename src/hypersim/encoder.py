@@ -26,15 +26,16 @@ emitted over integer literals with one named variable per relation entry.
     frontier F_{i-1} that the exists-forall falsifier's search grows (a
     left path each of whose states admits its whole layer R), and it only
     ever needs sim(i,q) for the q reachable from R_{i-1}.  Both cuts are
-    exact, and an empty frontier makes every longer length unsat.  One
-    instance (`EaEncoding`) answers every n, growing one position per bound
-    (incremental BMC, Een & Sorensson, "Temporal induction by incremental
-    SAT solving", BMC 2003).  A position's clauses hold at every later n;
-    only "some loop(l), l <= n" and the loop-back from position n belong to
-    bound n, each carrying -act(n) and asked by the assumption act(n).
-    Moving past bound n adds the unit -act(n).
+    exact.  The instance of length n (`EaEncoding.bound`) is positions
+    1..n and the one loop family of n, with no assumption.  The least
+    position sets of a lasso depend only on n and its loop start, so the
+    same search settles whether the instance is satisfiable
+    (`SafeFrontierSearch.has_lasso`), and a decision asks the solver only
+    at a length it admits (lasso loop conditions after Biere, Cimatti,
+    Clarke & Zhu, TACAS 1999).
 
-For both, an instance asked straight at a bound equals one swept to it.
+For forall-exists, an instance asked straight at a bound equals one swept
+to it.
 """
 
 from __future__ import annotations
@@ -287,8 +288,7 @@ def encode_sim_ae(table: PredicateTable) -> AeEncoding:
 
 
 class EaEncoding:
-    """Encode: a lasso of length n in K_P simulates all of K_Q, for every n
-    at once.
+    """Encode: a lasso of length n in K_P simulates all of K_Q.
 
     Variables are keyed by 1-based position and state: pos by (i, p), sim
     by (i, q), loop by l.  Position 1 answers for every initial right state
@@ -298,49 +298,41 @@ class EaEncoding:
     R_{i-1} and end a left path that did so at every position before, so
     pos(i,p) exists only for p in the falsifier's safe frontier
     `search.frontier(i-1)`; an empty frontier leaves an empty one-hot,
-    which makes every length from i on unsat.  The least position sets of
-    a lasso never leave the right states reachable from R_{i-1}
+    which makes the instance unsat.  The least position sets of a lasso
+    never leave the right states reachable from R_{i-1}
     (`KripkeStructure.reach_mask`), so sim(i,q) exists only for those q.
-    Both cuts keep exactly the lengths and lassos that have a witness.
+    Both cuts keep exactly the lassos that have a witness, and
+    `search.has_lasso(n)` answers from the same layers whether any does.
 
-    Position i is added once, as the family position-i (lowered for i = 1,
-    appended after): its variables, its one-hot, the path step into it (at
-    i = 1 the initial right states), its pred clauses and one rung of the
-    at-most-one ladder over the loop targets.  Bound n appends the family
-    bound-n, whose clauses each carry -act(n): some loop(l) with l <= n,
-    and the loop-back from position n.  bound(n) returns the assumption
-    act(n), and moving past bound n ends its family with the unit -act(n).
-    Written with its assumption as a unit clause (`CnfInstance.with_units`),
-    the instance is that of bound n on its own."""
+    bound(n) builds the instance once: the families position-1 ..
+    position-n, each with its variables, its one-hot, the path step into
+    it (at i = 1 the initial right states) and its pred clauses, and then
+    the loop family bound-n: exactly one loop(l), and the loop-back from
+    position n.  It has no assumptions, so it is also the instance
+    `export --bound n` writes."""
 
     def __init__(self, table: PredicateTable) -> None:
         self.kp, self.kq, self.allow = table.kp, table.kq, table.allow
         self.search = SafeFrontierSearch(table)  # the decision's falsifier asks it too
-        self.n = 0  # the last bound asked
+        self.n = 0  # the lasso length of the instance, once built
         self.pos: dict[tuple[int, int], int] = {}
         self.sim: dict[tuple[int, int], int] = {}
         self.loop: dict[int, int] = {}
         self.right: list[int] = []  # right[i-1]: the right states position i may answer for
-        self.register = 0  # the loop ladder's last register: some loop(l) before the last position
-        self.act = 0  # act(n) of the last bound asked
-        vs = _Vars()
-        self.cnf = lower_parts_to_cnf([("position-1", self._position(1, vs.new))], vs.names)
 
     def bound(self, n: int) -> tuple[CnfInstance, tuple[int, ...]]:
-        """The instance and the assumption that ask for a lasso of length n.
-        Bounds are asked in increasing order."""
+        """The instance that asks for a lasso of length n, and no
+        assumptions; one encoding builds one instance."""
         if n < 1:
             raise EncodeError(f"lasso length must be positive, got {n}")
-        if n < self.n:
-            raise EncodeError(f"lasso length {n} asked after {self.n}")
-        cnf = self.cnf
-        while self.n < n:
-            if self.n:
-                cnf.add([[-self.act]])
-                cnf.add(self._position(self.n + 1, cnf.add_var), f"position-{self.n + 1}")
-            self.n += 1
-            cnf.add(self._close(self.n), f"bound-{self.n}")
-        return cnf, (self.act,)
+        if self.n:
+            raise EncodeError(f"the encoding already holds the instance of lasso length {self.n}")
+        self.n = n
+        vs = _Vars()
+        parts = [(f"position-{i}", self._position(i, vs.new)) for i in range(1, n + 1)]
+        parts.append((f"bound-{n}", self._close(n, vs.new)))
+        self.cnf = lower_parts_to_cnf(parts, vs.names)
+        return self.cnf, ()
 
     def _position(self, i: int, new_var: Callable[[str], int]) -> list[Clause]:
         """Position i's variables, and its clauses."""
@@ -355,13 +347,7 @@ class EaEncoding:
 
         lits = [pos[i, p] for p in here]
         out = [lits] + _at_most_one(lits, new_var, f"pos{i}")
-        if i > 1:  # the ladder's register for loop(1..i-1), and its rung
-            c = new_var(f"loop_count({i - 1},1)")
-            out.append([-loop[i - 1], c])
-            if self.register:
-                out.append([-self.register, c])
-            out.append([-loop[i], -c])
-            self.register = c
+        if i > 1:
             ahead = self.search.frontiers[i - 1]
             for p in bit_indices(self.search.frontiers[i - 2]):
                 out.append([-pos[i - 1, p]] + [pos[i, t] for t in kp.succ[p] if ahead >> t & 1])
@@ -377,23 +363,24 @@ class EaEncoding:
             out += [[-sim[i, q], -pos[i, p]] for q in bit_indices(rejects)]
         return out
 
-    def _close(self, n: int) -> list[Clause]:
-        """act(n), and bound n's clauses, each switched on by it."""
-        self.act = act = self.cnf.add_var(f"act({n})")
-        pos, sim, loop, succ_p, succ_q = self.pos, self.sim, self.loop, self.kp.succ, self.kq.succ
+    def _close(self, n: int, new_var: Callable[[str], int]) -> list[Clause]:
+        """The loop family of length n: one loop(l), and the loop-back from
+        position n to position l."""
+        pos, sim, succ_p, succ_q = self.pos, self.sim, self.kp.succ, self.kq.succ
+        loops = [self.loop[l] for l in range(1, n + 1)]
         frontiers = self.search.frontiers
         last = list(bit_indices(frontiers[n - 1]))
         edges = [(q, q2) for q in bit_indices(self.right[n - 1]) for q2 in succ_q[q]]
-        out = [[-act] + [loop[l] for l in range(1, n + 1)]]
-        for l in range(1, n + 1):
+        out = [loops] + _at_most_one(loops, new_var, "loop")
+        for l, back in enumerate(loops, start=1):
             at = frontiers[l - 1]
             for p in last:
                 if l == n and p in succ_p[p]:
                     continue  # the clause would hold trivially
                 targets = [pos[l, t] for t in succ_p[p] if at >> t & 1]
-                out.append([-act, -loop[l], -pos[n, p]] + targets)
+                out.append([-back, -pos[n, p]] + targets)
             out += [
-                [-act, -loop[l], -sim[n, q], sim[l, q2]]
+                [-back, -sim[n, q], sim[l, q2]]
                 for q, q2 in edges
                 if not (l == n and q2 == q)
             ]
@@ -401,9 +388,10 @@ class EaEncoding:
 
 
 def encode_sim_ea(table: PredicateTable) -> EaEncoding:
-    """The exists-forall instance of the table's decision for every lasso
-    length, inside the layers of its own safe frontier search (`enc.search`),
-    which the decision's falsifier shares."""
+    """The exists-forall encoding of the table's decision, whose bound(n)
+    builds the instance of one lasso length inside the layers of its own
+    safe frontier search (`enc.search`), which the decision's falsifier
+    shares."""
     return EaEncoding(table)
 
 

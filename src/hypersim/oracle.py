@@ -3,9 +3,11 @@
 Everything here works by direct evaluation or search over explicit
 structures.  The falsifiers read the decision's predicate table, which the
 encodings read too, and the exists-forall encoding is built inside the
-layers of the falsifier's SafeFrontierSearch; the validators and re-checks evaluate the predicate
-themselves and share nothing with the propositional encoding path, so
-agreement between the two is meaningful evidence.
+layers of the falsifier's SafeFrontierSearch, which also settles which
+lasso lengths the solver is asked at; the validators and re-checks
+evaluate the predicate themselves and share nothing with the
+propositional encoding path, so agreement between the two is meaningful
+evidence.
 """
 
 from __future__ import annotations
@@ -201,32 +203,106 @@ class SafeFrontierSearch:
     """Breadth-first layers for the exists-forall falsifier, grown on demand
     so that one search serves every depth of a decision.
 
-    `right_masks[i]` is the bitmask of the right states reachable in exactly
-    i steps.  Left frontier i is the bitmask of the left states at the end
-    of a left path of i+1 states that is safe at every position so far: its
-    label satisfies the predicate against every right state of the same
-    layer.  The exists-forall encoding of the same decision reads both
+    `right_masks[i]` is R_i, the bitmask of the right states reachable in
+    exactly i steps.  Left frontier i is the bitmask of the left states at
+    the end of a left path of i+1 states that is safe at every position so
+    far: its label satisfies the predicate against every right state of the
+    same layer.  The exists-forall encoding of the same decision reads both
     lists too: lasso position i holds only a state of frontier i-1.
+
+    `has_lasso(n)` says from the same layers whether the encoding's
+    instance at lasso length n is satisfiable, so that a decision asks the
+    solver only at a length that has a witness.
     """
 
     def __init__(self, table: PredicateTable) -> None:
         self.kp, self.kq, self.allow = table.kp, table.kq, table.allow
         self.right_masks: list[int] = []
         self.frontiers: list[int] = []
+        self._post: dict[int, int] = {}  # right-state mask -> the union of its successors
+        self._admits: dict[int, int] = {}  # right-state mask -> the left states admitting all of it
+        self._orbit_lists: dict[int, list[int]] = {}  # period -> its `_orbits`
 
     def frontier(self, i: int) -> int:
         """The left states ending a safe left path of i+1 states, as a bitmask."""
-        allow, succ_p, succ_q = self.allow, self.kp.succ_mask, self.kq.succ_mask
+        allow, succ_p = self.allow, self.kp.succ_mask
         while len(self.frontiers) <= i:
-            if not self.frontiers:
-                cand, layer = self.kp.init, self.kq.init
-            else:  # an empty frontier stays empty
-                cand = union_of(succ_p, self.frontiers[-1])
-                layer = union_of(succ_q, self.right_masks[-1])
-            self.right_masks.append(layer)
+            j = len(self.frontiers)
+            # an empty frontier stays empty
+            cand = union_of(succ_p, self.frontiers[-1]) if j else self.kp.init
+            layer = self._right(j)
             safe = sum(1 << p for p in bit_indices(cand) if allow[p] & layer == layer)
             self.frontiers.append(safe)
         return self.frontiers[i]
+
+    def has_lasso(self, n: int) -> bool:
+        """Is there a left lasso of total length n >= 1 whose positions pass
+        the predicate against its least position sets?
+
+        A lasso with loop start l needs position i to answer for S_i: R_{i-1}
+        before the loop, and on it the union of R_{i-1+t(n-l+1)} over t >= 0,
+        the states that reach position i around the loop.  These sets depend
+        only on n and l, and every model of the encoding's instance at n has
+        sim(i) >= S_i, so that instance is satisfiable iff some l admits a
+        left path p_1..p_n from an initial state, with p_l a successor of
+        p_n and allow[p_i] >= S_i at every i.  Its prefix is a safe path, so
+        p_l lies in frontier l-1; each candidate p_l is walked forward
+        around the loop as a bitmask."""
+        if not self.frontier(n - 1):  # position n has no left state
+            return False
+        succ, pred = self.kp.succ_mask, self.kp.pred_mask
+        back = union_of(succ, self.frontiers[n - 1])  # where position n can loop back to
+        for l in range(1, n + 1):
+            if not back & self.frontiers[l - 1]:
+                continue
+            sets = self._orbits(n - l + 1, n)
+            start = back & self.frontiers[l - 1] & self._admitting(sets[l - 1])
+            for x in bit_indices(start):
+                here = 1 << x
+                for i in range(l, n):
+                    here = union_of(succ, here) & self._admitting(sets[i])
+                    if not here:
+                        break
+                if here & pred[x]:  # the walk closes its loop back to x
+                    return True
+        return False
+
+    def _orbits(self, period: int, n: int) -> list[int]:
+        """For j < n, the union of R_{j+t*period} over t >= 0.  For j = 0
+        it stops at the first R_{t*period} inside the union so far: from
+        there on post^period maps the union into itself.  Each next one is
+        the image of the one before."""
+        out = self._orbit_lists.setdefault(period, [])
+        if not out:
+            union, t = self._right(0), period
+            while self._right(t) | union != union:
+                union |= self._right(t)
+                t += period
+            out.append(union)
+        while len(out) < n:
+            out.append(self._post_q(out[-1]))
+        return out
+
+    def _right(self, j: int) -> int:
+        """R_j, growing `right_masks` to it."""
+        masks = self.right_masks
+        while len(masks) <= j:
+            masks.append(self._post_q(masks[-1]) if masks else self.kq.init)
+        return masks[j]
+
+    def _post_q(self, mask: int) -> int:
+        post = self._post.get(mask)
+        if post is None:
+            post = self._post[mask] = union_of(self.kq.succ_mask, mask)
+        return post
+
+    def _admitting(self, mask: int) -> int:
+        out = self._admits.get(mask)
+        if out is None:
+            out = self._admits[mask] = sum(
+                1 << p for p, row in enumerate(self.allow) if row & mask == mask
+            )
+        return out
 
 
 def falsify_exists_forall(search: SafeFrontierSearch, depth: int) -> Counterexample | None:

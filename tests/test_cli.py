@@ -28,7 +28,7 @@ from hypersim.hyperspec import PredicateTable, parse_property
 from hypersim.kripke import LassoPath, parse_kripke
 from hypersim.oracle import SafeFrontierSearch
 from hypersim.prophecy import build_next_prophecy
-from hypersim.sat import solve
+from hypersim.sat import SatResult, solve
 
 from helpers import bounded_runs_text, prophecy_to_text, refuse_to_build_states
 from test_golden_reports import cases as golden_cases
@@ -317,13 +317,12 @@ sys.exit(main([sys.argv[2]]))
 """
 
 
-@pytest.mark.parametrize(
-    "name, bounds", [("intro_phi2_next2", [3, 4, 5]), ("gcw", list(range(1, 9)))]
-)
+@pytest.mark.parametrize("name, bounds", [("intro_phi2_next2", [3, 4, 5]), ("gcw", [8])])
 def test_every_sim_line_sizes_the_file_the_solver_was_given(name, bounds, tmp_path):
-    # forall-exists up to k = 5 >= |used|, and exists-forall: each line's
-    # vars/clauses are the header of the file the solver parsed at its
-    # bound, and that file is the one `export --bound` writes there
+    # forall-exists up to k = 5 >= |used|, and exists-forall, asked only at
+    # the one length the right layers admit: each line's vars/clauses are
+    # the header of the file the solver parsed at its bound, and that file
+    # is the one `export --bound` writes there
     solver, kept = tmp_path / "record.py", tmp_path / "kept"
     solver.write_text(RECORDING_SOLVER)
     kept.mkdir()
@@ -696,20 +695,23 @@ def test_each_ae_decision_builds_one_solver(monkeypatch):
             super().__init__(*args)
 
     monkeypatch.setattr(hypersim.sat, "CdclSolver", Counting)
-    for prop, extra, verdict in [
-        ("phi2.hp", {"prophecy": "next:a:2"}, "holds"),
-        ("phi2.hp", {}, "unknown-at-bounds"),
-        ("phi1.hp", {}, "violated"),
+    next2 = cfg_for("phi2.hp", prophecy="next:a:2")
+    for cfg, verdict, bounds in [
+        (next2, "holds", [3, 4, 5]),
+        (corpus_config("cbf"), "holds", [5, 6, 7]),
+        (replace(next2, max_sim_bound=4), "unknown-at-bounds", [3, 4]),
     ]:
         built.clear()
-        report = run_check(cfg_for(prop, **extra))
+        report = run_check(cfg)
         assert report.verdict == verdict
-        assert sum(it.side == "sim" for it in report.iterations) > 1
+        assert [it.bound for it in report.iterations if it.side == "sim"] == bounds
         assert len(built) == 1
 
 
 def test_each_ea_decision_encodes_once_on_one_solver(monkeypatch):
-    # and the falsifier asks the one search the instance is built inside
+    # and asks it once, at the one length the right layers admit, which is
+    # sat; a decision they admit none at builds no solver.  The falsifier
+    # asks the one search the instance is built inside
     built, encoded, asked = [], [], []
 
     class Counting(hypersim.sat.CdclSolver):
@@ -730,14 +732,20 @@ def test_each_ea_decision_encodes_once_on_one_solver(monkeypatch):
     monkeypatch.setattr(hypersim.sat, "CdclSolver", Counting)
     monkeypatch.setattr(hypersim.cli, "encode_sim_ea", encode_counting)
     monkeypatch.setattr(hypersim.cli, "falsify_exists_forall", falsify_counting)
-    for case, verdict in [("gcw", "holds"), ("gcw_nosol", "violated"), ("rp", "holds")]:
+    for case, verdict, sims in [
+        ("gcw", "holds", [(8, "sat")]),
+        ("gcw_nosol", "violated", []),
+        ("rp", "holds", [(3, "sat")]),
+        ("rp_nosol", "violated", []),
+    ]:
         built.clear()
         encoded.clear()
         asked.clear()
-        report = run_check(_case_config(CORPUS / case, "embedded")[0])
+        report = run_check(corpus_config(case))
         assert (report.mode, report.verdict) == ("ea", verdict)
-        assert sum(it.side == "sim" for it in report.iterations) > 1
-        assert (len(encoded), len(built)) == (1, 1)
+        assert [(it.bound, it.outcome) for it in report.iterations if it.side == "sim"] == sims
+        assert (len(encoded), len(built)) == (1, len(sims))
+        assert encoded[0].n == (sims[0][0] if sims else 0)
         assert asked and all(search is encoded[0].search for search in asked)
 
 
@@ -746,10 +754,12 @@ def test_each_ea_decision_encodes_once_on_one_solver(monkeypatch):
     [("phi2.hp", ["--prophecy", "next:a:2"]), ("phi2.hp", []), ("phi1.hp", [])],
 )
 def test_export_has_the_size_of_each_sim_iteration(prop_file, extra, tmp_path, capsys):
-    main(check_args(prop_file, *extra, "--format", "json"))
+    # at depth 2 the falsifier leaves phi1 unrefuted, so it reaches the one
+    # bound an uncovered initial state asks, k = |S_Q|, as phi2 does
+    main(check_args(prop_file, *extra, "--max-depth", "2", "--format", "json"))
     iterations = json.loads(capsys.readouterr().out)["iterations"]
     sims = [it for it in iterations if it["side"] == "sim"]
-    assert len(sims) > 1
+    assert [it["bound"] for it in sims] == ([3, 4, 5] if extra else [5])
     for it in sims:
         out = tmp_path / f"k{it['bound']}.cnf"
         args = check_args(prop_file, *extra)[1:]
@@ -801,35 +811,54 @@ def test_an_empty_first_frontier_makes_every_lasso_length_unsat(tmp_path, capsys
     (tmp_path / "r.kr").write_text(right)
     cfg = CheckConfig(str(tmp_path / "l.kr"), str(tmp_path / "r.kr"), prop_text=prop)
     table, mode, _ = hypersim.cli.prepare(parse_kripke(left), parse_kripke(right), parse_property(prop))
-    assert mode == "ea" and SafeFrontierSearch(table).frontier(0) == 0
-    enc = encode_sim_ea(table)
+    search = SafeFrontierSearch(table)
+    assert mode == "ea" and search.frontier(0) == 0
     for n in range(1, 6):
-        cnf, assumptions = enc.bound(n)
+        cnf, assumptions = encode_sim_ea(table).bound(n)
         assert solve(cnf, None, assumptions).status == "unsat", f"n={n}"
+        assert not search.has_lasso(n), f"n={n}"
+    # so the decision asks the solver nothing, and settles n=1 from the
+    # layers before the falsifier refutes at depth 1
     report = run_check(cfg)
     assert report.verdict == "violated"
     assert [(it.side, it.bound, it.outcome) for it in report.iterations] == [
-        ("sim", 1, "unsat"),
         ("falsify", 1, "counterexample"),
     ]
+    assert report.sim_bound_reached == 1
     assert report.counterexample["depth"] == 1
     assert solve_export(cfg, 1, tmp_path / "k1.cnf", capsys) == 20
 
 
+def test_an_ea_export_grows_linearly_with_its_bound():
+    # gcw_nosol's frontier is empty from depth 1 on, so every position past
+    # it adds only its own variables and clauses and one loop-back target:
+    # four times the bound gives at most 4.5 times the clauses, where one
+    # switched-off loop family per shorter length made it 15 times
+    def clauses(n: int) -> int:
+        dimacs, _ = export_encoding(corpus_config("gcw_nosol"), n)
+        header = next(line for line in dimacs.splitlines() if line.startswith("p cnf"))
+        return int(header.split()[3])
+
+    small, large = clauses(200), clauses(800)
+    assert large <= 4.5 * small
+
+
 @pytest.mark.parametrize("max_bound", [None, 1000000])
-def test_the_ea_sweep_stops_after_an_unsat_bound_at_an_empty_frontier(max_bound):
+def test_the_ea_sweep_stops_after_an_unsat_bound_at_an_empty_frontier(max_bound, tmp_path, capsys):
     # gcw_nosol's safe frontier at depth 1 is empty, so lasso length 2 is
     # unsat and so is every longer one; the falsifier stops at depth 1
-    # before it could see the empty frontier
+    # before it could see the empty frontier.  The right layers settle
+    # lengths 1 and 2, which the solver answers unsat too, without a
+    # solver call
     cfg = replace(corpus_config("gcw_nosol"), max_falsify_depth=1, max_sim_bound=max_bound)
     report = run_check(cfg)
     assert report.verdict == "unknown-at-bounds"
     assert [(it.side, it.bound, it.outcome) for it in report.iterations] == [
-        ("sim", 1, "unsat"),
         ("falsify", 1, "none"),
-        ("sim", 2, "unsat"),
     ]
     assert report.sim_bound_reached == 2
+    for n in (1, 2):
+        assert solve_export(cfg, n, tmp_path / f"n{n}.cnf", capsys) == 20
     assert report.notes == [
         "the safe frontier at depth 1 is empty, so every lasso length n >= 2 is unsat: "
         "the simulation search stopped at n=2",
@@ -846,6 +875,19 @@ def test_a_witness_over_the_bound_is_an_internal_error(monkeypatch, capsys):
     )
     assert main(check_args("phi2.hp", "--prophecy", "next:a:2")) == 5
     assert "bound: the witness uses" in capsys.readouterr().err
+
+
+def test_an_unsat_answer_at_an_admitted_lasso_length_is_an_internal_error(monkeypatch, capsys):
+    # the right layers admit a lasso of length 8 on corpus gcw, so a solver
+    # that answers unsat there contradicts them
+    monkeypatch.setattr(hypersim.cli, "solve", lambda cnf, backend=None, assumptions=(): SatResult("unsat"))
+    gcw = CORPUS / "gcw"
+    code = main([
+        "check", "--left", str(gcw / "plan.kr"), "--right", str(gcw / "monitor.kr"),
+        "--prop", str(gcw / "prop.hp"),
+    ])
+    assert code == 5
+    assert "the solver found no lasso of length 8" in capsys.readouterr().err
 
 
 def test_a_lasso_of_another_length_is_an_internal_error(monkeypatch, capsys):
@@ -900,11 +942,13 @@ def test_a_decision_compiles_once_and_evaluates_each_left_label_once(monkeypatch
         left_path=str(DATA / "k2.kr"), right_path=str(DATA / "k1.kr"),
         prop_text="exists forall. G (r.a -> l.a)",
     )
-    for cfg in [cfg_for("phi2.hp", prophecy="next:a:2"), cfg_for("phi1.hp"), ea]:
+    # the exists-forall decision asks one length, after two falsify depths
+    for cfg, sims in [(cfg_for("phi2.hp", prophecy="next:a:2"), 3), (corpus_config("cbf"), 3), (ea, 1)]:
         compiled.clear()
         seen.clear()
         report = run_check(cfg)
-        assert sum(it.side == "sim" for it in report.iterations) > 1
+        assert sum(it.side == "sim" for it in report.iterations) == sims
+        assert sum(it.side == "falsify" for it in report.iterations) > 1
         assert len(compiled) == 1
         assert seen and len(seen) == len(set(seen))
 
@@ -919,10 +963,9 @@ def corpus_config(case: str) -> CheckConfig:
         (corpus_config("abp"), [9], 9),
         (corpus_config("mm"), [8], 8),
         (corpus_config("cbf"), [5, 6, 7], 4),
-        (cfg_for("phi2.hp"), [2, 3, 4, 5], 1),
         (cfg_for("phi2.hp", prophecy="next:a:2"), [3, 4, 5], 3),
     ],
-    ids=["abp", "mm", "cbf", "phi2", "phi2-prophecy"],
+    ids=["abp", "mm", "cbf", "phi2-prophecy"],
 )
 def test_the_ae_sweep_starts_at_the_floor_of_the_greatest_simulation(cfg, bounds, forced):
     report = run_check(cfg)
@@ -935,21 +978,52 @@ def test_the_ae_sweep_starts_at_the_floor_of_the_greatest_simulation(cfg, bounds
 
 
 @pytest.mark.parametrize(
-    "extra, bound",
-    [(["--prophecy", "next:a:2"], 2), ([], 1)],
+    "cfg, asked",
+    [
+        (cfg_for("phi2.hp"), [(5, "unsat")]),
+        (cfg_for("phi1.hp"), []),
+        (replace(cfg_for("phi1.hp"), max_falsify_depth=2), [(5, "unsat")]),
+        (corpus_config("cbf_bug"), []),
+    ],
+    ids=["phi2", "phi1", "phi1-depth2", "cbf_bug"],
+)
+def test_an_uncovered_initial_state_asks_only_the_weakest_bound(cfg, asked, tmp_path, capsys):
+    # an initial left state that the greatest simulation relates to no
+    # initial right state makes every k unsat, and satisfiability is
+    # monotone in k: the sweep asks only k = |S_Q|, at that round, which a
+    # falsifier that refutes earlier never reaches; the note says so in
+    # place of the floor note
+    report = run_check(cfg)
+    top = report.right_states
+    assert [(it.bound, it.outcome) for it in report.iterations if it.side == "sim"] == asked
+    assert report.sim_bound_reached == (asked[-1][0] if asked else 0)
+    note = f"the sweep asks only k={top}, the weakest bound: its unsat answer covers every smaller k"
+    assert note in report.notes
+    assert not any("so the sweep starts at" in n for n in report.notes)
+    for k in range(1, top + 1):
+        assert solve_export(cfg, k, tmp_path / f"k{k}.cnf", capsys) == 20, f"k={k}"
+
+
+@pytest.mark.parametrize(
+    "extra, bound, note",
+    [
+        (["--prophecy", "next:a:2"], 2, "so the sweep starts at k=2"),
+        ([], 1, "the sweep asks only k=1, the weakest bound"),
+    ],
     ids=["below-the-forced-states", "below-the-floor"],
 )
-def test_a_bound_cap_below_the_floor_asks_only_the_cap(extra, bound, tmp_path, capsys):
+def test_a_bound_cap_below_the_floor_asks_only_the_cap(extra, bound, note, tmp_path, capsys):
     # phi2 with next:a:2 forces 3 right states, so k=2 is false outright;
     # phi2 alone forces 1 of its floor of 2, so k=1 leaves the counter "at
-    # most 0" over the unforced states.  Either is one unsat sim iteration
+    # most 0" over the unforced states, and its uncovered initial state
+    # makes the cap the one bound asked.  Either is one unsat sim iteration
     # whose size is that of the exported instance
     code = main(check_args("phi2.hp", *extra, "--max-bound", str(bound), "--format", "json"))
     report = json.loads(capsys.readouterr().out)
     assert code == 2 and report["verdict"] == "unknown-at-bounds"
     sims = [it for it in report["iterations"] if it["side"] == "sim"]
     assert [(it["bound"], it["outcome"]) for it in sims] == [(bound, "unsat")]
-    assert any(f"so the sweep starts at k={bound}" in n for n in report["notes"])
+    assert any(note in n for n in report["notes"])
     out = tmp_path / "k.cnf"
     assert main(["export", *check_args("phi2.hp", *extra)[1:], "--bound", str(bound), "--out", str(out)]) == 0
     header = next(line for line in out.read_text().splitlines() if line.startswith("p cnf"))

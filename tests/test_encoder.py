@@ -31,7 +31,7 @@ from hypersim.hyperspec import (
     parse_property,
 )
 from hypersim.kripke import LassoPath, bit_indices, parse_kripke, reachable_restriction
-from hypersim.oracle import validate_witness_ae, validate_witness_ea
+from hypersim.oracle import SafeFrontierSearch, validate_witness_ae, validate_witness_ea
 from hypersim.prophecy import build_next_prophecy, prophecy_product
 from hypersim.sat import EmbeddedBackend, solve
 
@@ -73,14 +73,16 @@ def pairs(rows):
 
 
 def test_ea_one_state_pair_lowers_to_a_tiny_cnf():
-    # pos(1,s) and sim(1,s) are forced by units, loop(1) by the clause
-    # -act(1) | loop(1) of bound 1, whose assumption act(1) ends the
-    # instance; the self-loop leaves no loop-back clause
-    _, cnf = ea_at(PredicateTable(ONE_A, ONE_A, IFF_A), 1)
-    assert (cnf.num_vars, cnf.num_clauses) == (4, 4)
-    assert "p cnf 4 4" in export_dimacs(cnf).splitlines()
-    assert sorted(cnf.var_names.values()) == ["act(1)", "loop(1)", "pos(1,s)", "sim(1,s)"]
-    assert cnf.clauses == [[1], [3], [-4, 2], [4]]
+    # pos(1,s) and sim(1,s) are forced by units, and so is loop(1), the one
+    # loop target of bound 1; the self-loop leaves no loop-back clause, and
+    # no literal switches a family on or off
+    enc, cnf = ea_at(PredicateTable(ONE_A, ONE_A, IFF_A), 1)
+    assert (cnf.num_vars, cnf.num_clauses) == (3, 3)
+    assert "p cnf 3 3" in export_dimacs(cnf).splitlines()
+    assert sorted(cnf.var_names.values()) == ["loop(1)", "pos(1,s)", "sim(1,s)"]
+    assert cnf.clauses == [[1], [3], [2]]
+    assert cnf.provenance == [("position-1", 1, 2), ("bound-1", 3, 3)]
+    assert enc.search.has_lasso(1)
 
 
 def test_ea_one_state_pair_witness():
@@ -119,33 +121,27 @@ def test_family_layout_ae():
 
 
 def test_family_layout_ea():
-    # one family per position and per bound, in the order they were grown;
-    # every clause of bound n carries -act(n), and the bounds passed end
-    # with the unit -act(n), the bound asked with the unit act(n)
+    # one family per position, then the loop family of the length asked,
+    # tiling the clauses; no literal switches a family on or off
     enc, cnf = ea_at(PredicateTable(*intro()), 4)
     families = [fam for fam, _, _ in cnf.provenance]
-    assert families == [
-        "position-1",
-        "bound-1",
-        "position-2",
-        "bound-2",
-        "position-3",
-        "bound-3",
-        "position-4",
-        "bound-4",
-    ]
-    names = {name: v for v, name in cnf.var_names.items()}
-    for family, start, end in cnf.provenance:
-        if family.startswith("bound-"):
-            n = int(family[len("bound-"):])
-            act = names[f"act({n})"]
-            *own, last = cnf.clauses[start - 1 : end]
-            assert all(-act in clause for clause in own)
-            assert last == ([-act] if n < enc.n else [act])
+    assert families == ["position-1", "position-2", "position-3", "position-4", "bound-4"]
     assert [start for _, start, _ in cnf.provenance] == [1] + [
         end + 1 for _, _, end in cnf.provenance[:-1]
     ]
     assert cnf.provenance[-1][2] == cnf.num_clauses
+    names = cnf.var_names
+    assert not [name for name in names.values() if name.startswith("act(")]
+    # the loop family is some loop(l), the at-most-one ladder over
+    # loop(1..4), and the loop-back clauses, each under one -loop(l)
+    loops = [enc.loop[l] for l in range(1, 5)]
+    _, start, end = cnf.provenance[-1]
+    first, *rest = cnf.clauses[start - 1 : end]
+    assert first == loops
+    ladder = [c for c in rest if any(names[abs(lit)].startswith("loop_count(") for lit in c)]
+    assert len(ladder) == 8 and rest[: len(ladder)] == ladder
+    for clause in rest[len(ladder) :]:
+        assert [lit for lit in clause if -lit in loops] == clause[:1]
 
 
 def test_intro_ae_unsat_even_at_full_subset_size():
@@ -180,14 +176,17 @@ def test_ae_rejects_out_of_range_k():
         enc.bound(len(kq.states) + 1)
 
 
-def test_ea_asks_positive_lengths_in_increasing_order():
+def test_ea_asks_one_positive_length():
+    # an encoding builds the instance of one length, with no assumptions
     enc = encode_sim_ea(PredicateTable(*intro()))
     with pytest.raises(EncodeError, match="must be positive"):
         enc.bound(0)
     cnf, assumptions = enc.bound(3)
-    assert enc.bound(3) == (cnf, assumptions)
-    with pytest.raises(EncodeError, match="asked after 3"):
-        enc.bound(2)
+    assert assumptions == () and enc.n == 3
+    for n in (2, 3, 4):
+        with pytest.raises(EncodeError, match="already holds the instance of lasso length 3"):
+            enc.bound(n)
+    assert export_dimacs(cnf) == export_dimacs(ea_at(PredicateTable(*intro()), 3)[1])
 
 
 def test_match_all_must_be_expanded_first():
@@ -489,22 +488,40 @@ def test_ea_sat_matches_lasso_enumeration(seed):
     pred = rand_pred(rng, kp.ap, kq.ap)
     lassos = list(enumerate_lasso_paths(kp, 4))
     table = PredicateTable(kp, kq, pred)
-    # n = 1..4 asked in order on one instance and one solver, as a decision
-    # sweeps them, and each n asked on a fresh instance on its own
-    sweep = encode_sim_ea(table)
-    backend = EmbeddedBackend()
+    # each n = 1..4 asked on its own instance, and by the decision's one
+    # search from the right layers
+    search = SafeFrontierSearch(table)
     for n in range(1, 5):
         expected = any(
             least_sets_pass(kp, kq, pred, lasso) for lasso in lassos if lasso.total_len == n
         )
-        cnf, assumptions = sweep.bound(n)
-        fresh, alone = ea_at(table, n)
-        assert export_dimacs(cnf.with_units(assumptions)) == export_dimacs(alone), f"n={n}"
-        for enc, res in ((sweep, solve(cnf, backend, assumptions)), (fresh, solve(alone))):
-            assert res.is_sat == expected, f"n={n}"
-            if res.is_sat:
-                w = decode_witness_ea(enc, res.model)
-                assert validate_witness_ea(kp, kq, pred, w, n) == []
+        assert search.has_lasso(n) == expected, f"n={n}"
+        enc, alone = ea_at(table, n)
+        res = solve(alone)
+        assert res.is_sat == expected, f"n={n}"
+        if res.is_sat:
+            w = decode_witness_ea(enc, res.model)
+            assert validate_witness_ea(kp, kq, pred, w, n) == []
+
+
+def test_has_lasso_answers_each_length_as_the_solver_does():
+    # seeded random pairs of up to 6 states a side, unrestricted, at three
+    # edge densities: the right layers settle every length n = 1..8 exactly
+    # as the solver does on the instance of n
+    asked = sat = 0
+    for seed in range(1200):
+        rng = random.Random(seed)
+        density = (0.2, 0.4, 0.7)[seed % 3]
+        kp = rand_structure(rng, max_states=6, edge_prob=density)
+        kq = rand_structure(rng, max_states=6, edge_prob=density)
+        table = PredicateTable(kp, kq, rand_pred(rng, kp.ap, kq.ap))
+        search = SafeFrontierSearch(table)
+        for n in range(1, 9):
+            expected = solve(ea_at(table, n)[1]).is_sat
+            assert search.has_lasso(n) == expected, f"seed {seed}, n={n}"
+            asked += 1
+            sat += expected
+    assert asked == 9600 and 0.3 < sat / asked < 0.7
 
 
 def safe_layers(kp, kq, pred, n):
