@@ -11,9 +11,12 @@ emitted over integer literals with one named variable per relation entry.
     sim(p,q) per pair of R, one used(q) per right state of R, and a
     sequential counter (Sinz, CP 2005) keeping the used states <= k.  If R
     relates some initial left state to no initial right state, the query is
-    unsatisfiable at every k.  R also bounds k from below (`subset_floor`):
-    a reachable left state with a single candidate forces that right state
-    in, so the counter only counts the other used states.  Only the counter
+    unsatisfiable at every k.  R also bounds k from below.  A reachable
+    left state with a single candidate forces that right state in
+    (`forced_states`), so the counter only counts the other used states.
+    Sets of right states of which every model uses one, read off the
+    initial-match and successor-match clauses, and pairwise disjoint,
+    give the first bound a decision asks (`subset_floor`).  Only the counter
     depends on k, and it grows one column per bound, so one instance
     (`AeEncoding`) answers every bound of a decision, each asked by
     assumption literals (MiniSat-style, Een & Sorensson, SAT 2003).
@@ -41,11 +44,12 @@ to it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from functools import cached_property
+from typing import Callable, Iterable, Mapping
 
 from .circuit import Clause, CnfInstance, lower_parts_to_cnf
 from .hyperspec import PredicateTable
-from .kripke import KripkeStructure, LassoPath, bit_indices, reachable_mask, union_of
+from .kripke import KripkeStructure, LassoPath, bit_indices, union_of
 from .oracle import SafeFrontierSearch
 
 
@@ -178,30 +182,108 @@ def uncovered_initial(kp: KripkeStructure, kq: KripkeStructure, relation: Rows) 
     return [p for p in bit_indices(kp.init) if not relation[p] & kq.init]
 
 
-def subset_floor(kp: KripkeStructure, relation: Rows) -> tuple[int, int]:
-    """(L, F): every sub-relation of `relation` that encode_sim_ae accepts
-    uses at least L right states, and uses each state of the bitmask F.
+def _single(row: int) -> bool:
+    return row != 0 and not row & (row - 1)
+
+
+def forced_states(kp: KripkeStructure, relation: Rows) -> int:
+    """The bitmask F of right states that every sub-relation of `relation`
+    that encode_sim_ae accepts uses.
 
     Its initial-match and successor-match clauses relate every left state
     reachable in K_P to one of its candidates C(p) = relation[p], so F
-    holds the q with C(p) = {q} for a reachable p.  L counts a greedy
-    family of pairwise disjoint nonempty C(p), taken in the order (|C(p)|,
-    index): the singletons come first, so L >= |F|.  It is at least 1, the
-    least bound there is."""
-    reached = reachable_mask(kp)
-    cand = sorted(
-        (row.bit_count(), p, row)
-        for p, row in enumerate(relation)
-        if row and reached >> p & 1
-    )
-    floor, picked, forced = 0, 0, 0
-    for size, _, row in cand:
-        if not picked & row:
-            floor += 1
-            picked |= row
-        if size == 1:
+    holds the q with C(p) = {q} for a reachable p."""
+    forced = 0
+    for p in bit_indices(kp.reached):
+        row = relation[p]
+        if row and not row & (row - 1):
             forced |= row
-    return max(floor, 1), forced
+    return forced
+
+
+def _packing(sets: Iterable[int], key: Callable[[int], object]) -> int:
+    """The size of the greedy family of pairwise disjoint sets, taken in
+    the order of key."""
+    count, picked = 0, 0
+    for row in sorted(sets, key=key):
+        if not picked & row:
+            count += 1
+            picked |= row
+    return count
+
+
+def subset_floor(kp: KripkeStructure, kq: KripkeStructure, relation: Rows) -> int:
+    """A bound L such that every sub-relation of `relation` that
+    encode_sim_ae accepts uses at least L right states.
+
+    L counts pairwise disjoint must-hit sets: nonempty sets of right states
+    of which every model at every k uses one.  Each is read off a clause:
+      * C(p) = relation[p] for each reachable left state p, as in
+        forced_states;
+      * initial-match: relation[p] & Init_Q for each initial p;
+      * successor-match: relation[p2] & succ(q) for each successor p2 of a
+        pair (p, q) that every model holds: one whose C(p) or initial row
+        is {q}, or the one pair a held pair's successor set leaves.
+    On the vertex-cover reduction these are the edge states and, below the
+    hub, each edge's two end vertices, so L is |E| plus the size of a
+    matching, which König's theorem makes the cover size on bipartite
+    graphs.
+
+    L is the larger of two greedy families of disjoint sets: all must-hit
+    sets smallest first, ties by the least sum of how many sets hold each
+    member (so a greedy matching prefers edges of low degree) and then by
+    mask; and the rows C(p) alone in the order (|C(p)|, p).  Greedy
+    packing is not monotone in the family: an initial row that meets two
+    disjoint rows C(p) would otherwise block both.  The singletons come
+    first in both, so L >= |F|.  L is at least 1, the least bound there
+    is."""
+    reached = list(bit_indices(kp.reached))
+    rows = [relation[p] for p in reached]
+    sets = set(rows)
+    held = [(p, row) for p, row in zip(reached, rows) if _single(row)]
+    for p in bit_indices(kp.init):
+        row = relation[p] & kq.init
+        sets.add(row)
+        if _single(row):
+            held.append((p, row))
+    seen = set(held)
+    while held:
+        p, only = held.pop()  # every model relates p to the one right state of `only`
+        succ_q = kq.succ_mask[only.bit_length() - 1]
+        for p2 in kp.succ[p]:
+            row = relation[p2] & succ_q
+            if row != relation[p2]:  # C(p2) is a set already, and held if single
+                sets.add(row)
+                if _single(row) and (p2, row) not in seen:
+                    seen.add((p2, row))
+                    held.append((p2, row))
+    sets.discard(0)
+
+    # Both greedy families take every distinct singleton first and never
+    # a wider set that meets one, so only the other wider sets are ordered;
+    # a singleton adds to the count of no state those sets hold.
+    singles, wide = 0, []
+    for row in sets:
+        if row & (row - 1):
+            wide.append(row)
+        else:
+            singles |= row
+    held_by = [0] * len(kq.states)  # how many wider must-hit sets hold each right state
+    for row in wide:
+        for q in bit_indices(row):
+            held_by[q] += 1
+
+    def smallest_least_held(row: int) -> tuple[int, int, int]:
+        return row.bit_count(), sum(held_by[q] for q in bit_indices(row)), row
+
+    forced = forced_states(kp, relation)
+    packed = singles.bit_count() + _packing(
+        [row for row in wide if not row & singles], smallest_least_held
+    )
+    by_rows = forced.bit_count() + _packing(
+        [row for row in rows if row & (row - 1) and not row & forced], int.bit_count
+    )
+    return max(packed, by_rows, 1)
 
 
 class AeEncoding:
@@ -217,8 +299,8 @@ class AeEncoding:
     initial-match, used and successor-match do not depend on k and are
     lowered once; at-most-k starts empty.
 
-    The counter counts the m used states outside the forced set F of
-    subset_floor, and k is asked as "at most k - |F| of them": bound(k)
+    The counter counts the m used states outside the forced set F
+    (`forced_states`), and k is asked as "at most k - |F| of them": bound(k)
     adds any missing columns 1..k-|F|+1 to at-most-k and returns the
     assumption -c(m,k-|F|+1), so one incremental solver answers every
     bound.  Below |F| the assumptions claim the least forced state both
@@ -241,9 +323,7 @@ class AeEncoding:
         for row in relation:
             used_mask |= row
         self.used = {q: vs.new(f"used({qs[q]})") for q in bit_indices(used_mask)}
-        # no model uses fewer than `floor` right states, and every model uses
-        # the `forced` ones
-        self.floor, self.forced = subset_floor(kp, relation)
+        self.forced = forced_states(kp, relation)  # every model uses these
 
         sim, succ_q = self.sim, kq.succ_mask
         initial = [
@@ -266,6 +346,12 @@ class AeEncoding:
         self.cnf = lower_parts_to_cnf(parts, vs.names)
         unforced = [v for q, v in self.used.items() if not self.forced >> q & 1]
         self.counter = _Counter(unforced, self.cnf, "used")
+
+    @cached_property
+    def floor(self) -> int:
+        """No model uses fewer right states (`subset_floor`), computed on
+        first use: a decision with an uncovered initial state never asks."""
+        return subset_floor(self.kp, self.kq, self.relation)
 
     def bound(self, k: int) -> tuple[CnfInstance, tuple[int, ...]]:
         """The instance and the assumptions that ask for at most k used states."""

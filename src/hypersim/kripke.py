@@ -72,6 +72,16 @@ class KripkeStructure:
                     out[s] = reach | out[k]
         return tuple(out)
 
+    @cached_property
+    def reached(self) -> int:
+        """The states some path from an initial state reaches, as a
+        bitmask."""
+        reached = frontier = self.init
+        while frontier:
+            frontier = union_of(self.succ_mask, frontier) & ~reached
+            reached |= frontier
+        return reached
+
 
 def bit_indices(mask: int) -> Iterator[int]:
     """The indices of the bits the mask sets, ascending."""
@@ -208,15 +218,6 @@ def parse_kripke(text: str) -> KripkeStructure:
     )
 
 
-def reachable_mask(k: KripkeStructure) -> int:
-    """The states some path from an initial state reaches, as a bitmask."""
-    reached = frontier = k.init
-    while frontier:
-        frontier = union_of(k.succ_mask, frontier) & ~reached
-        reached |= frontier
-    return reached
-
-
 def reachable_restriction(k: KripkeStructure) -> KripkeStructure:
     """Restrict k to the states reachable from init, renumbered densely.
 
@@ -225,7 +226,7 @@ def reachable_restriction(k: KripkeStructure) -> KripkeStructure:
     is.  Totality is preserved (successors of reachable states are
     reachable).
     """
-    reached = reachable_mask(k)
+    reached = k.reached
     if reached == (1 << len(k.states)) - 1:
         return k
     kept = list(bit_indices(reached))

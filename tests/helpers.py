@@ -3,8 +3,10 @@ lasso traces, printers for structures and prophecy automata, the pointwise
 semantics of lasso trace pairs, path and lasso listing, the vertex-cover
 reduction with its brute-force answer, the small-graph enumeration behind
 the vertex-cover suite, the structure invariant check, the forall-exists
-instance of one bound on its own, and reference versions of the structure parser, the falsifiers, the counterexample
-re-check, the prophecy universality check and the prophecy product."""
+instance of one bound on its own, and reference versions of the structure
+parser, the falsifiers, the counterexample re-check, the prophecy
+universality check, the prophecy product and the single-candidate subset
+floor."""
 
 from __future__ import annotations
 
@@ -304,6 +306,31 @@ def ae_at(table: PredicateTable, k: int) -> tuple[AeEncoding, CnfInstance]:
     enc = encode_sim_ae(table)
     cnf, units = enc.bound(k)
     return enc, cnf.with_units(units)
+
+
+def single_candidate_floor(kp: KripkeStructure, relation: list[int]) -> int:
+    """The subset floor from candidate sets alone: a greedy family of
+    pairwise disjoint nonempty candidate sets C(p) = relation[p] of the
+    left states reachable in kp, taken in the order (|C(p)|, p); at least 1.
+    A reference the encoder's must-hit floor may never fall below."""
+    reached, todo = set(), [p for p in range(len(kp.states)) if kp.init >> p & 1]
+    while todo:
+        p = todo.pop()
+        if p not in reached:
+            reached.add(p)
+            todo.extend(kp.succ[p])
+    cand = sorted(
+        (len(c), p, c)
+        for p in reached
+        if (c := frozenset(bit_indices(relation[p])))
+    )
+    picked: set[int] = set()
+    floor = 0
+    for _, _, c in cand:
+        if picked.isdisjoint(c):
+            picked |= c
+            floor += 1
+    return max(floor, 1)
 
 
 def ea_at(table: PredicateTable, n: int) -> tuple[EaEncoding, CnfInstance]:

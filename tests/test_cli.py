@@ -1,5 +1,6 @@
 """Driver behavior end to end: verdicts, exit codes, export, bench."""
 
+import itertools
 import json
 import shutil
 import sys
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import hypersim.cli
+import hypersim.encoder
 import hypersim.hyperspec
 import hypersim.prophecy
 import hypersim.sat
@@ -23,14 +25,21 @@ from hypersim.cli import (
     run_benchmarks,
     run_check,
 )
-from hypersim.encoder import SimWitnessEA, encode_sim_ea, greatest_simulation, subset_floor
+from hypersim.encoder import SimWitnessEA, encode_sim_ea, forced_states, greatest_simulation
 from hypersim.hyperspec import PredicateTable, parse_property
 from hypersim.kripke import LassoPath, parse_kripke
 from hypersim.oracle import SafeFrontierSearch
 from hypersim.prophecy import build_next_prophecy
 from hypersim.sat import SatResult, solve
 
-from helpers import bounded_runs_text, prophecy_to_text, refuse_to_build_states
+from helpers import (
+    bounded_runs_text,
+    brute_force_vertex_cover,
+    gen_vertex_cover_instance,
+    make_graph,
+    prophecy_to_text,
+    refuse_to_build_states,
+)
 from test_golden_reports import cases as golden_cases
 
 DATA = Path(__file__).parent / "data"
@@ -55,6 +64,14 @@ def check_args(prop_file: str, *extra: str) -> list[str]:
         "--prop", str(DATA / prop_file),
         *extra,
     ]
+
+
+CBF = CORPUS / "cbf"
+CBF_ARGS = [
+    "--left", str(CBF / "impl.kr"),
+    "--right", str(CBF / "circuit.kr"),
+    "--prop", str(CBF / "prop.hp"),
+]
 
 
 def test_implication_property_is_violated():
@@ -317,12 +334,15 @@ sys.exit(main([sys.argv[2]]))
 """
 
 
-@pytest.mark.parametrize("name, bounds", [("intro_phi2_next2", [3, 4, 5]), ("gcw", [8])])
+@pytest.mark.parametrize(
+    "name, bounds", [("intro_phi2_next2", [5]), ("gcw", [8]), ("cbf", [5, 6, 7])]
+)
 def test_every_sim_line_sizes_the_file_the_solver_was_given(name, bounds, tmp_path):
-    # forall-exists up to k = 5 >= |used|, and exists-forall, asked only at
-    # the one length the right layers admit: each line's vars/clauses are
-    # the header of the file the solver parsed at its bound, and that file
-    # is the one `export --bound` writes there
+    # forall-exists at k = 5 >= |used|, where no assumption is left,
+    # exists-forall, asked only at the one length the right layers admit,
+    # and forall-exists at k = 5, 6, 7 < |used| on one growing counter: each
+    # line's vars/clauses are the header of the file the solver parsed at
+    # its bound, and that file is the one `export --bound` writes there
     solver, kept = tmp_path / "record.py", tmp_path / "kept"
     solver.write_text(RECORDING_SOLVER)
     kept.mkdir()
@@ -677,7 +697,7 @@ def test_sweep_keeps_only_the_counter_columns_its_bounds_need(monkeypatch):
     # every right state is used by the greatest simulation, and the counter
     # counts the m of them that no left state forces in
     relation = greatest_simulation(PredicateTable(kp, kq, prop.pred))
-    forced = subset_floor(kp, relation)[1].bit_count()
+    forced = forced_states(kp, relation).bit_count()
     m = 200 - forced
     bounds = [it.bound for it in report.iterations if it.side == "sim"]
     assert len(bounds) == len(instances)
@@ -696,10 +716,12 @@ def test_each_ae_decision_builds_one_solver(monkeypatch):
 
     monkeypatch.setattr(hypersim.sat, "CdclSolver", Counting)
     next2 = cfg_for("phi2.hp", prophecy="next:a:2")
+    cbf = corpus_config("cbf")
     for cfg, verdict, bounds in [
-        (next2, "holds", [3, 4, 5]),
-        (corpus_config("cbf"), "holds", [5, 6, 7]),
-        (replace(next2, max_sim_bound=4), "unknown-at-bounds", [3, 4]),
+        (next2, "holds", [5]),
+        (cbf, "holds", [5, 6, 7]),
+        (replace(next2, max_sim_bound=4), "unknown-at-bounds", [4]),
+        (replace(cbf, max_sim_bound=6), "unknown-at-bounds", [5, 6]),
     ]:
         built.clear()
         report = run_check(cfg)
@@ -751,19 +773,21 @@ def test_each_ea_decision_encodes_once_on_one_solver(monkeypatch):
 
 @pytest.mark.parametrize(
     "prop_file, extra",
-    [("phi2.hp", ["--prophecy", "next:a:2"]), ("phi2.hp", []), ("phi1.hp", [])],
+    [("phi2.hp", ["--prophecy", "next:a:2"]), ("phi2.hp", []), ("phi1.hp", []), ("cbf", [])],
 )
 def test_export_has_the_size_of_each_sim_iteration(prop_file, extra, tmp_path, capsys):
     # at depth 2 the falsifier leaves phi1 unrefuted, so it reaches the one
-    # bound an uncovered initial state asks, k = |S_Q|, as phi2 does
-    main(check_args(prop_file, *extra, "--max-depth", "2", "--format", "json"))
+    # bound an uncovered initial state asks, k = |S_Q|, as phi2 does; the
+    # prophecy product's floor is k = 5; "cbf" is the corpus case, which
+    # sweeps three bounds
+    inputs = CBF_ARGS if prop_file == "cbf" else check_args(prop_file, *extra)[1:]
+    main(["check", *inputs, "--max-depth", "2", "--format", "json"])
     iterations = json.loads(capsys.readouterr().out)["iterations"]
     sims = [it for it in iterations if it["side"] == "sim"]
-    assert [it["bound"] for it in sims] == ([3, 4, 5] if extra else [5])
+    assert [it["bound"] for it in sims] == ([5, 6, 7] if prop_file == "cbf" else [5])
     for it in sims:
         out = tmp_path / f"k{it['bound']}.cnf"
-        args = check_args(prop_file, *extra)[1:]
-        assert main(["export", *args, "--bound", str(it["bound"]), "--out", str(out)]) == 0
+        assert main(["export", *inputs, "--bound", str(it["bound"]), "--out", str(out)]) == 0
         header = next(line for line in out.read_text().splitlines() if line.startswith("p cnf"))
         assert header == f"p cnf {it['vars']} {it['clauses']}"
     capsys.readouterr()
@@ -868,12 +892,13 @@ def test_the_ea_sweep_stops_after_an_unsat_bound_at_an_empty_frontier(max_bound,
 
 def test_a_witness_over_the_bound_is_an_internal_error(monkeypatch, capsys):
     # a solver that drops the assumption answers every bound without the
-    # at-most-k limit: the first witness uses more than k=1 right states
+    # at-most-k limit: cbf's first bound is k=5, and no witness uses fewer
+    # than 7 right states
     original = hypersim.cli.solve
     monkeypatch.setattr(
         hypersim.cli, "solve", lambda cnf, backend=None, assumptions=(): original(cnf, backend)
     )
-    assert main(check_args("phi2.hp", "--prophecy", "next:a:2")) == 5
+    assert main(["check", *CBF_ARGS]) == 5
     assert "bound: the witness uses" in capsys.readouterr().err
 
 
@@ -942,8 +967,9 @@ def test_a_decision_compiles_once_and_evaluates_each_left_label_once(monkeypatch
         left_path=str(DATA / "k2.kr"), right_path=str(DATA / "k1.kr"),
         prop_text="exists forall. G (r.a -> l.a)",
     )
-    # the exists-forall decision asks one length, after two falsify depths
-    for cfg, sims in [(cfg_for("phi2.hp", prophecy="next:a:2"), 3), (corpus_config("cbf"), 3), (ea, 1)]:
+    # the prophecy decision asks its floor k = 5 and cbf three bounds; the
+    # exists-forall decision asks one length, after two falsify depths
+    for cfg, sims in [(cfg_for("phi2.hp", prophecy="next:a:2"), 1), (corpus_config("cbf"), 3), (ea, 1)]:
         compiled.clear()
         seen.clear()
         report = run_check(cfg)
@@ -963,7 +989,7 @@ def corpus_config(case: str) -> CheckConfig:
         (corpus_config("abp"), [9], 9),
         (corpus_config("mm"), [8], 8),
         (corpus_config("cbf"), [5, 6, 7], 4),
-        (cfg_for("phi2.hp", prophecy="next:a:2"), [3, 4, 5], 3),
+        (cfg_for("phi2.hp", prophecy="next:a:2"), [5], 3),
     ],
     ids=["abp", "mm", "cbf", "phi2-prophecy"],
 )
@@ -978,6 +1004,36 @@ def test_the_ae_sweep_starts_at_the_floor_of_the_greatest_simulation(cfg, bounds
 
 
 @pytest.mark.parametrize(
+    "n, edges, asked",
+    [
+        (4, [(0, 1), (1, 2), (2, 3), (0, 3)], [6]),
+        (4, [(0, 1), (1, 2), (0, 2), (2, 3)], [6]),
+        (5, [(0, 1), (1, 2), (2, 3), (3, 4)], [6]),
+        (5, [(0, 1), (1, 2), (2, 3), (1, 4)], [6]),
+        (5, [(0, 1), (0, 2), (0, 3), (0, 4)], [5]),
+        (5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)], [7, 8]),
+        (6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)], [8]),
+        (6, [(0, 1), (1, 2), (2, 3), (1, 4), (4, 5)], [8]),
+    ],
+    ids=["4-cycle", "triangle-pendant", "path-5", "chair", "star", "5-cycle", "path-6", "spider"],
+)
+def test_each_vertex_cover_class_asks_only_from_edges_plus_a_matching(n, edges, asked):
+    # the reduction needs |E| + (least cover) right states; the floor counts
+    # the edge states and a greedy matching of the edges below the hub, which
+    # on these graphs is a largest one under every relabelling of the
+    # vertices.  A largest matching is as large as the least cover on all
+    # but the 5-cycle (matching 2, cover 3; König's theorem for the
+    # bipartite ones), so that class alone asks an unsat bound
+    prop = parse_property("forall exists. G match-all")
+    for perm in itertools.permutations(range(n)):
+        g = make_graph(n, [(perm[u], perm[v]) for u, v in edges])
+        report = check_pair(*gen_vertex_cover_instance(g), prop)
+        assert report.minimal_bound == len(edges) + brute_force_vertex_cover(g, n) == asked[-1]
+        sims = [(it.bound, it.outcome) for it in report.iterations if it.side == "sim"]
+        assert sims == [(k, "unsat") for k in asked[:-1]] + [(asked[-1], "sat")], perm
+
+
+@pytest.mark.parametrize(
     "cfg, asked",
     [
         (cfg_for("phi2.hp"), [(5, "unsat")]),
@@ -987,12 +1043,18 @@ def test_the_ae_sweep_starts_at_the_floor_of_the_greatest_simulation(cfg, bounds
     ],
     ids=["phi2", "phi1", "phi1-depth2", "cbf_bug"],
 )
-def test_an_uncovered_initial_state_asks_only_the_weakest_bound(cfg, asked, tmp_path, capsys):
+def test_an_uncovered_initial_state_asks_only_the_weakest_bound(
+    cfg, asked, tmp_path, capsys, monkeypatch
+):
     # an initial left state that the greatest simulation relates to no
     # initial right state makes every k unsat, and satisfiability is
     # monotone in k: the sweep asks only k = |S_Q|, at that round, which a
     # falsifier that refutes earlier never reaches; the note says so in
-    # place of the floor note
+    # place of the floor note, and the floor is never computed
+    def no_floor(*args):
+        raise AssertionError("the floor was computed")
+
+    monkeypatch.setattr(hypersim.encoder, "subset_floor", no_floor)
     report = run_check(cfg)
     top = report.right_states
     assert [(it.bound, it.outcome) for it in report.iterations if it.side == "sim"] == asked

@@ -19,6 +19,7 @@ from hypersim.encoder import (
     decode_witness_ea,
     encode_sim_ae,
     encode_sim_ea,
+    forced_states,
     greatest_simulation,
     subset_floor,
     uncovered_initial,
@@ -35,7 +36,14 @@ from hypersim.oracle import SafeFrontierSearch, validate_witness_ae, validate_wi
 from hypersim.prophecy import build_next_prophecy, prophecy_product
 from hypersim.sat import EmbeddedBackend, solve
 
-from helpers import ae_at, ea_at, enumerate_lasso_paths, rand_pred, rand_structure
+from helpers import (
+    ae_at,
+    ea_at,
+    enumerate_lasso_paths,
+    rand_pred,
+    rand_structure,
+    single_candidate_floor,
+)
 
 DATA = Path(__file__).parent / "data"
 
@@ -374,7 +382,8 @@ def test_the_floor_is_a_lower_bound_and_forced_states_are_used(seed):
     kq = rand_structure(rng, max_states=5)
     pred = rand_pred(rng, kp.ap, kq.ap)
     table = PredicateTable(kp, kq, pred)
-    floor, forced = subset_floor(kp, greatest_simulation(table))
+    relation = greatest_simulation(table)
+    floor, forced = subset_floor(kp, kq, relation), forced_states(kp, relation)
     assert forced.bit_count() <= floor <= len(kq.states)
     minimal = None
     for k in range(1, len(kq.states) + 1):
@@ -386,15 +395,7 @@ def test_the_floor_is_a_lower_bound_and_forced_states_are_used(seed):
         assert all(model[enc.used[q]] for q in bit_indices(forced))
         if minimal is None:
             minimal = k
-    brute = next(
-        (
-            size
-            for size in range(1, len(kq.states) + 1)
-            for subset in itertools.combinations(range(len(kq.states)), size)
-            if covers_initial(kp, kq, naive_greatest_simulation(kp, kq, pred, subset))
-        ),
-        None,
-    )
+    brute = least_simulating_subset(kp, kq, pred)
     assert minimal == brute
     assert brute is None or floor <= brute
 
@@ -413,15 +414,75 @@ def test_an_unreachable_left_state_forces_nothing():
     table = PredicateTable(kp, kq, IFF_A)
     relation = greatest_simulation(table)
     assert relation[1] == 0b10
-    assert subset_floor(kp, relation) == (1, 0b01)
+    assert (subset_floor(kp, kq, relation), forced_states(kp, relation)) == (1, 0b01)
     enc, model = ae_model(table, 1)
     assert model is not None
     assert validate_witness_ae(kp, kq, IFF_A, decode_witness_ae(enc, model), 1) == []
 
 
+def test_the_floor_lies_between_the_single_candidate_rule_and_the_least_subset():
+    # 2400 seeded unrestricted pairs at three edge densities: the must-hit
+    # floor is never below the floor of disjoint candidate sets alone, never
+    # above the least subset that simulates K_P, and the sets it adds make
+    # it both larger and exact more often (105 raised; exact on 1132 of the
+    # 1201 pairs some subset simulates, against 1035)
+    raised = exact = exact_before = 0
+    for seed in range(2400):
+        rng = random.Random(seed)
+        density = (0.2, 0.4, 0.7)[seed % 3]
+        kp = rand_structure(rng, max_states=4, edge_prob=density)
+        kq = rand_structure(rng, max_states=5, edge_prob=density)
+        pred = rand_pred(rng, kp.ap, kq.ap)
+        relation = greatest_simulation(PredicateTable(kp, kq, pred))
+        floor, before = subset_floor(kp, kq, relation), single_candidate_floor(kp, relation)
+        least = least_simulating_subset(kp, kq, pred)
+        assert before <= floor, f"seed {seed}"
+        assert least is None or floor <= least, f"seed {seed}"
+        raised += floor > before
+        exact += floor == least
+        exact_before += before == least
+    assert raised > 0 and exact > exact_before
+
+
+def test_a_small_initial_row_does_not_lower_the_floor_of_the_candidate_rows():
+    # C(p1) = {q0,q2,q4} and C(p2) = {q1,q3,q5} are disjoint, so no model
+    # uses fewer than 2 right states; the initial row {q0,q1} of p0 is the
+    # smallest must-hit set and meets both, so packing it first would leave
+    # the floor at 1
+    kp = parse_kripke(
+        "states: p0 p1 p2\ninit: p0\nap: a b\nlabel p1: a\nlabel p2: b\n"
+        "trans p0 -> p1\ntrans p0 -> p2\ntrans p1 -> p1\ntrans p2 -> p2"
+    )
+    states = [f"q{i}" for i in range(6)]
+    kq = parse_kripke(
+        f"states: {' '.join(states)}\ninit: q0 q1\nap: a b\n"
+        + "".join(f"label {q}: {'ab'[i % 2]}\n" for i, q in enumerate(states))
+        + "".join(f"trans {q} -> {q2}\n" for q in states for q2 in states)
+    )
+    pred = parse_predicate("(l.a -> r.a) & (l.b -> r.b)")
+    relation = greatest_simulation(PredicateTable(kp, kq, pred))
+    assert relation == [0b111111, 0b010101, 0b101010]
+    assert subset_floor(kp, kq, relation) == 2 == least_simulating_subset(kp, kq, pred)
+
+
 def covers_initial(kp, kq, rel) -> bool:
     return all(
         any((p, q) in rel for q in bit_indices(kq.init)) for p in bit_indices(kp.init)
+    )
+
+
+def least_simulating_subset(kp, kq, pred) -> int | None:
+    """The fewest right states whose greatest simulation relates every
+    initial left state to an initial right state, by trying every subset,
+    or None when no subset does."""
+    return next(
+        (
+            size
+            for size in range(1, len(kq.states) + 1)
+            for subset in itertools.combinations(range(len(kq.states)), size)
+            if covers_initial(kp, kq, naive_greatest_simulation(kp, kq, pred, subset))
+        ),
+        None,
     )
 
 
@@ -435,15 +496,7 @@ def test_ae_minimal_k_matches_brute_force_subsets(seed):
     table = PredicateTable(kp, kq, pred)
     relation = greatest_simulation(table)
     assert pairs(relation) == naive_greatest_simulation(kp, kq, pred, range(len(kq.states)))
-    brute = next(
-        (
-            size
-            for size in range(1, len(kq.states) + 1)
-            for subset in itertools.combinations(range(len(kq.states)), size)
-            if covers_initial(kp, kq, naive_greatest_simulation(kp, kq, pred, subset))
-        ),
-        None,
-    )
+    brute = least_simulating_subset(kp, kq, pred)
     swept = None
     for k in range(1, len(kq.states) + 1):
         enc, model = ae_model(table, k)

@@ -14,7 +14,6 @@ from hypersim.kripke import (
     KripkeStructure,
     LassoPath,
     parse_kripke,
-    reachable_mask,
     reachable_restriction,
 )
 from hypersim.prophecy import ProphecyError, build_next_prophecy, prophecy_product
@@ -147,7 +146,7 @@ def test_predecessor_masks_and_the_reachable_mask():
         "trans s -> t\ntrans t -> s\ntrans t -> t\ntrans dead -> t"
     )
     assert k.pred_mask == (0b100, 0b000, 0b111)
-    assert reachable_mask(k) == 0b101
+    assert k.reached == 0b101
 
 
 def test_enumerate_lassos_one_state_self_loop():
