@@ -315,7 +315,7 @@ def check_pair(
         if first <= bound <= sim_max and mode == "ea" and not search.has_lasso(bound):
             # the right layers settle this length: no lasso of it has a witness
             report.sim_bound_reached = bound
-            if not search.frontiers[bound - 1]:
+            if not search.frontier(bound - 1):
                 sim_max = bound  # every longer lasso has a position in this empty frontier
         elif first <= bound <= sim_max:
             t0 = time.perf_counter()
@@ -381,7 +381,7 @@ def check_pair(
             "no subset simulation exists at any k <= |S_Q|; the property may still "
             "hold (simulation is sound, not complete) - prophecy enrichment may decide it"
         )
-    elif mode == "ea" and not search.frontiers[sim_max - 1]:
+    elif mode == "ea" and not search.frontier(sim_max - 1):
         report.notes.append(
             f"the safe frontier at depth {sim_max - 1} is empty, so every lasso length "
             f"n >= {sim_max} is unsat: the simulation search stopped at n={sim_max}"

@@ -28,14 +28,14 @@ emitted over integer literals with one named variable per relation entry.
     exactly i-1 steps, so it may only hold a left state of the safe
     frontier F_{i-1} that the exists-forall falsifier's search grows (a
     left path each of whose states admits its whole layer R), and it only
-    ever needs sim(i,q) for the q reachable from R_{i-1}.  Both cuts are
-    exact.  The instance of length n (`EaEncoding.bound`) is positions
-    1..n and the one loop family of n, with no assumption.  The least
-    position sets of a lasso depend only on n and its loop start, so the
-    same search settles whether the instance is satisfiable
-    (`SafeFrontierSearch.has_lasso`), and a decision asks the solver only
-    at a length it admits (lasso loop conditions after Biere, Cimatti,
-    Clarke & Zhu, TACAS 1999).
+    ever needs sim(i,q) for the q reachable from R_{i-1}, which the same
+    search gives (`SafeFrontierSearch.reach`).  Both cuts are exact.  The
+    instance of length n (`EaEncoding.bound`) is positions 1..n and the
+    one loop family of n, with no assumption.  The least position sets of
+    a lasso depend only on n and its loop start, so the same search
+    settles whether the instance is satisfiable (`has_lasso`), and a
+    decision asks the solver only at a length it admits (lasso loop
+    conditions after Biere, Cimatti, Clarke & Zhu, TACAS 1999).
 
 For forall-exists, an instance asked straight at a bound equals one swept
 to it.
@@ -212,9 +212,10 @@ def _packing(sets: Iterable[int], key: Callable[[int], object]) -> int:
     return count
 
 
-def subset_floor(kp: KripkeStructure, kq: KripkeStructure, relation: Rows) -> int:
+def subset_floor(kp: KripkeStructure, kq: KripkeStructure, relation: Rows, forced: int) -> int:
     """A bound L such that every sub-relation of `relation` that
-    encode_sim_ae accepts uses at least L right states.
+    encode_sim_ae accepts uses at least L right states; `forced` is
+    forced_states(kp, relation).
 
     L counts pairwise disjoint must-hit sets: nonempty sets of right states
     of which every model at every k uses one.  Each is read off a clause:
@@ -276,7 +277,6 @@ def subset_floor(kp: KripkeStructure, kq: KripkeStructure, relation: Rows) -> in
     def smallest_least_held(row: int) -> tuple[int, int, int]:
         return row.bit_count(), sum(held_by[q] for q in bit_indices(row)), row
 
-    forced = forced_states(kp, relation)
     packed = singles.bit_count() + _packing(
         [row for row in wide if not row & singles], smallest_least_held
     )
@@ -351,7 +351,7 @@ class AeEncoding:
     def floor(self) -> int:
         """No model uses fewer right states (`subset_floor`), computed on
         first use: a decision with an uncovered initial state never asks."""
-        return subset_floor(self.kp, self.kq, self.relation)
+        return subset_floor(self.kp, self.kq, self.relation, self.forced)
 
     def bound(self, k: int) -> tuple[CnfInstance, tuple[int, ...]]:
         """The instance and the assumptions that ask for at most k used states."""
@@ -380,13 +380,12 @@ class EaEncoding:
     by (i, q), loop by l.  Position 1 answers for every initial right state
     and each position for the successors of the one before, so position i
     answers for at least R_{i-1}, the right states reachable in exactly i-1
-    steps (`search.right_masks`).  Its left state must then admit all of
-    R_{i-1} and end a left path that did so at every position before, so
-    pos(i,p) exists only for p in the falsifier's safe frontier
-    `search.frontier(i-1)`; an empty frontier leaves an empty one-hot,
-    which makes the instance unsat.  The least position sets of a lasso
-    never leave the right states reachable from R_{i-1}
-    (`KripkeStructure.reach_mask`), so sim(i,q) exists only for those q.
+    steps.  Its left state must then admit all of R_{i-1} and end a left
+    path that did so at every position before, so pos(i,p) exists only for
+    p in the falsifier's safe frontier `search.frontier(i-1)`; an empty
+    frontier leaves an empty one-hot, which makes the instance unsat.  The
+    least position sets of a lasso never leave the right states reachable
+    from R_{i-1}, `search.reach(i-1)`, so sim(i,q) exists only for those q.
     Both cuts keep exactly the lassos that have a witness, and
     `search.has_lasso(n)` answers from the same layers whether any does.
 
@@ -404,7 +403,6 @@ class EaEncoding:
         self.pos: dict[tuple[int, int], int] = {}
         self.sim: dict[tuple[int, int], int] = {}
         self.loop: dict[int, int] = {}
-        self.right: list[int] = []  # right[i-1]: the right states position i may answer for
 
     def bound(self, n: int) -> tuple[CnfInstance, tuple[int, ...]]:
         """The instance that asks for a lasso of length n, and no
@@ -423,29 +421,27 @@ class EaEncoding:
     def _position(self, i: int, new_var: Callable[[str], int]) -> list[Clause]:
         """Position i's variables, and its clauses."""
         kp, kq, pos, sim, loop = self.kp, self.kq, self.pos, self.sim, self.loop
-        here = list(bit_indices(self.search.frontier(i - 1)))
-        self.right.append(union_of(kq.reach_mask, self.search.right_masks[i - 1]))
-        for p in here:
+        ahead, right = self.search.frontier(i - 1), self.search.reach(i - 1)
+        for p in bit_indices(ahead):
             pos[i, p] = new_var(f"pos({i},{kp.states[p]})")
         loop[i] = new_var(f"loop({i})")
-        for q in bit_indices(self.right[-1]):
+        for q in bit_indices(right):
             sim[i, q] = new_var(f"sim({i},{kq.states[q]})")
 
-        lits = [pos[i, p] for p in here]
+        lits = [pos[i, p] for p in bit_indices(ahead)]
         out = [lits] + _at_most_one(lits, new_var, f"pos{i}")
         if i > 1:
-            ahead = self.search.frontiers[i - 1]
-            for p in bit_indices(self.search.frontiers[i - 2]):
+            for p in bit_indices(self.search.frontier(i - 2)):
                 out.append([-pos[i - 1, p]] + [pos[i, t] for t in kp.succ[p] if ahead >> t & 1])
             out += [
                 [-sim[i - 1, q], sim[i, q2]]
-                for q in bit_indices(self.right[i - 2])
+                for q in bit_indices(self.search.reach(i - 2))
                 for q2 in kq.succ[q]
             ]
         else:
             out += [[sim[1, q]] for q in bit_indices(kq.init)]
-        for p in here:
-            rejects = self.right[-1] & ~self.allow[p]  # right states the predicate rejects against p
+        for p in bit_indices(ahead):
+            rejects = right & ~self.allow[p]  # right states the predicate rejects against p
             out += [[-sim[i, q], -pos[i, p]] for q in bit_indices(rejects)]
         return out
 
@@ -454,12 +450,12 @@ class EaEncoding:
         position n to position l."""
         pos, sim, succ_p, succ_q = self.pos, self.sim, self.kp.succ, self.kq.succ
         loops = [self.loop[l] for l in range(1, n + 1)]
-        frontiers = self.search.frontiers
-        last = list(bit_indices(frontiers[n - 1]))
-        edges = [(q, q2) for q in bit_indices(self.right[n - 1]) for q2 in succ_q[q]]
+        search = self.search
+        last = list(bit_indices(search.frontier(n - 1)))
+        edges = [(q, q2) for q in bit_indices(search.reach(n - 1)) for q2 in succ_q[q]]
         out = [loops] + _at_most_one(loops, new_var, "loop")
         for l, back in enumerate(loops, start=1):
-            at = frontiers[l - 1]
+            at = search.frontier(l - 1)
             for p in last:
                 if l == n and p in succ_p[p]:
                     continue  # the clause would hold trivially
@@ -491,9 +487,13 @@ def decode_witness_ea(enc: EaEncoding, model: Mapping[int, bool]) -> SimWitnessE
     """The lasso and position sets a solver's model picks; the model assigns
     every variable."""
     chosen: dict[int, list[int]] = {i: [] for i in range(1, enc.n + 1)}
+    rows: dict[int, set[int]] = {i: set() for i in chosen}
     for (i, p), v in enc.pos.items():
         if model[v]:
             chosen[i].append(p)
+    for (i, q), v in enc.sim.items():
+        if model[v]:
+            rows[i].add(q)
     for i, ps in chosen.items():
         if len(ps) != 1:
             raise DecodeError(f"position {i} is not one-hot: {len(ps)} left states chosen")
@@ -503,8 +503,4 @@ def decode_witness_ea(enc: EaEncoding, model: Mapping[int, bool]) -> SimWitnessE
     seq = [chosen[i][0] for i in range(1, enc.n + 1)]
     start = loops[0]
     lasso = LassoPath(prefix=tuple(seq[: start - 1]), loop=tuple(seq[start - 1 :]))
-    pos_relation = {
-        i: frozenset(q for q in bit_indices(enc.right[i - 1]) if model[enc.sim[i, q]])
-        for i in range(1, enc.n + 1)
-    }
-    return SimWitnessEA(lasso=lasso, pos_relation=pos_relation)
+    return SimWitnessEA(lasso=lasso, pos_relation={i: frozenset(qs) for i, qs in rows.items()})

@@ -60,19 +60,6 @@ class KripkeStructure:
         return tuple(out)
 
     @cached_property
-    def reach_mask(self) -> tuple[int, ...]:
-        """The states each state reaches, itself included, as a bitmask.
-        Warshall's closure over bitmask rows: after round k, a row holds
-        every state reached by a path whose inner states are at most k."""
-        out = [succ | 1 << s for s, succ in enumerate(self.succ_mask)]
-        for k in range(len(out)):
-            bit = 1 << k
-            for s, reach in enumerate(out):
-                if reach & bit:
-                    out[s] = reach | out[k]
-        return tuple(out)
-
-    @cached_property
     def reached(self) -> int:
         """The states some path from an initial state reaches, as a
         bitmask."""

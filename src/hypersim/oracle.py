@@ -203,12 +203,14 @@ class SafeFrontierSearch:
     """Breadth-first layers for the exists-forall falsifier, grown on demand
     so that one search serves every depth of a decision.
 
-    `right_masks[i]` is R_i, the bitmask of the right states reachable in
-    exactly i steps.  Left frontier i is the bitmask of the left states at
-    the end of a left path of i+1 states that is safe at every position so
-    far: its label satisfies the predicate against every right state of the
-    same layer.  The exists-forall encoding of the same decision reads both
-    lists too: lasso position i holds only a state of frontier i-1.
+    R_i is the bitmask of the right states reachable in exactly i steps.
+    `frontier(i)` is the bitmask of the left states at the end of a left
+    path of i+1 states that is safe at every position so far: its label
+    satisfies the predicate against every right state of the same layer.
+    `reach(i)` is the union of R_j over j >= i, the right states reachable
+    from R_i.  The exists-forall encoding of the same decision reads both:
+    lasso position i holds only a state of frontier(i-1) and answers only
+    for states of reach(i-1).
 
     `has_lasso(n)` says from the same layers whether the encoding's
     instance at lasso length n is satisfiable, so that a decision asks the
@@ -217,8 +219,8 @@ class SafeFrontierSearch:
 
     def __init__(self, table: PredicateTable) -> None:
         self.kp, self.kq, self.allow = table.kp, table.kq, table.allow
-        self.right_masks: list[int] = []
-        self.frontiers: list[int] = []
+        self._right_masks: list[int] = []  # R_0, R_1, ...
+        self._frontiers: list[int] = []
         self._post: dict[int, int] = {}  # right-state mask -> the union of its successors
         self._admits: dict[int, int] = {}  # right-state mask -> the left states admitting all of it
         self._orbit_lists: dict[int, list[int]] = {}  # period -> its `_orbits`
@@ -226,14 +228,19 @@ class SafeFrontierSearch:
     def frontier(self, i: int) -> int:
         """The left states ending a safe left path of i+1 states, as a bitmask."""
         allow, succ_p = self.allow, self.kp.succ_mask
-        while len(self.frontiers) <= i:
-            j = len(self.frontiers)
+        while len(self._frontiers) <= i:
+            j = len(self._frontiers)
             # an empty frontier stays empty
-            cand = union_of(succ_p, self.frontiers[-1]) if j else self.kp.init
+            cand = union_of(succ_p, self._frontiers[-1]) if j else self.kp.init
             layer = self._right(j)
             safe = sum(1 << p for p in bit_indices(cand) if allow[p] & layer == layer)
-            self.frontiers.append(safe)
-        return self.frontiers[i]
+            self._frontiers.append(safe)
+        return self._frontiers[i]
+
+    def reach(self, i: int) -> int:
+        """The right states reachable from R_i, R_i included, as a bitmask:
+        the period-1 orbit of `_orbits`."""
+        return self._orbits(1, i + 1)[i]
 
     def has_lasso(self, n: int) -> bool:
         """Is there a left lasso of total length n >= 1 whose positions pass
@@ -251,12 +258,12 @@ class SafeFrontierSearch:
         if not self.frontier(n - 1):  # position n has no left state
             return False
         succ, pred = self.kp.succ_mask, self.kp.pred_mask
-        back = union_of(succ, self.frontiers[n - 1])  # where position n can loop back to
+        back = union_of(succ, self._frontiers[n - 1])  # where position n can loop back to
         for l in range(1, n + 1):
-            if not back & self.frontiers[l - 1]:
+            if not back & self._frontiers[l - 1]:
                 continue
             sets = self._orbits(n - l + 1, n)
-            start = back & self.frontiers[l - 1] & self._admitting(sets[l - 1])
+            start = back & self._frontiers[l - 1] & self._admitting(sets[l - 1])
             for x in bit_indices(start):
                 here = 1 << x
                 for i in range(l, n):
@@ -284,8 +291,8 @@ class SafeFrontierSearch:
         return out
 
     def _right(self, j: int) -> int:
-        """R_j, growing `right_masks` to it."""
-        masks = self.right_masks
+        """R_j, growing the layers to it."""
+        masks = self._right_masks
         while len(masks) <= j:
             masks.append(self._post_q(masks[-1]) if masks else self.kq.init)
         return masks[j]
@@ -321,7 +328,7 @@ def falsify_exists_forall(search: SafeFrontierSearch, depth: int) -> Counterexam
     first_p = [(kp.init & -kp.init).bit_length() - 1]
     while len(first_p) < depth:
         first_p.append(succ_p[first_p[-1]][0])
-    right = search.right_masks  # frontier(depth-1) built the layers 0..depth-1
+    right = search._right_masks  # frontier(depth-1) built the layers 0..depth-1
     q_path: list[int] | None = None
     for i in range(depth):
         miss = right[i] & ~search.allow[first_p[i]]

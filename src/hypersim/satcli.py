@@ -7,7 +7,10 @@ a standalone solver:
     hypersim-sat instance.cnf
 
 Prints 's SATISFIABLE' with 'v ...' model lines (exit 10) or
-'s UNSATISFIABLE' (exit 20).
+'s UNSATISFIABLE' (exit 20).  The solver sees only the variables the
+clauses use, renumbered densely, so neither the header's variable count nor
+a large literal costs time or memory; the model lines give those variables,
+in the file's own numbering, and every other variable is free.
 """
 
 from __future__ import annotations
@@ -31,13 +34,16 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    result = CdclSolver(cnf.num_vars, cnf.clauses).solve()
+    used = sorted({abs(lit) for clause in cnf.clauses for lit in clause})
+    dense = {v: i for i, v in enumerate(used, start=1)}
+    clauses = [[dense[lit] if lit > 0 else -dense[-lit] for lit in c] for c in cnf.clauses]
+    result = CdclSolver(len(used), clauses).solve()
     print("c hypersim-sat")
     if not result.is_sat:
         print("s UNSATISFIABLE")
         return 20
     print("s SATISFIABLE")
-    lits = [v if result.model.get(v, False) else -v for v in range(1, cnf.num_vars + 1)]
+    lits = [v if result.model.get(i, False) else -v for i, v in enumerate(used, start=1)]
     lits.append(0)
     for i in range(0, len(lits), 20):
         print("v " + " ".join(str(l) for l in lits[i : i + 20]))

@@ -383,7 +383,8 @@ def test_the_floor_is_a_lower_bound_and_forced_states_are_used(seed):
     pred = rand_pred(rng, kp.ap, kq.ap)
     table = PredicateTable(kp, kq, pred)
     relation = greatest_simulation(table)
-    floor, forced = subset_floor(kp, kq, relation), forced_states(kp, relation)
+    forced = forced_states(kp, relation)
+    floor = subset_floor(kp, kq, relation, forced)
     assert forced.bit_count() <= floor <= len(kq.states)
     minimal = None
     for k in range(1, len(kq.states) + 1):
@@ -414,7 +415,8 @@ def test_an_unreachable_left_state_forces_nothing():
     table = PredicateTable(kp, kq, IFF_A)
     relation = greatest_simulation(table)
     assert relation[1] == 0b10
-    assert (subset_floor(kp, kq, relation), forced_states(kp, relation)) == (1, 0b01)
+    forced = forced_states(kp, relation)
+    assert (subset_floor(kp, kq, relation, forced), forced) == (1, 0b01)
     enc, model = ae_model(table, 1)
     assert model is not None
     assert validate_witness_ae(kp, kq, IFF_A, decode_witness_ae(enc, model), 1) == []
@@ -434,7 +436,8 @@ def test_the_floor_lies_between_the_single_candidate_rule_and_the_least_subset()
         kq = rand_structure(rng, max_states=5, edge_prob=density)
         pred = rand_pred(rng, kp.ap, kq.ap)
         relation = greatest_simulation(PredicateTable(kp, kq, pred))
-        floor, before = subset_floor(kp, kq, relation), single_candidate_floor(kp, relation)
+        floor = subset_floor(kp, kq, relation, forced_states(kp, relation))
+        before = single_candidate_floor(kp, relation)
         least = least_simulating_subset(kp, kq, pred)
         assert before <= floor, f"seed {seed}"
         assert least is None or floor <= least, f"seed {seed}"
@@ -462,7 +465,8 @@ def test_a_small_initial_row_does_not_lower_the_floor_of_the_candidate_rows():
     pred = parse_predicate("(l.a -> r.a) & (l.b -> r.b)")
     relation = greatest_simulation(PredicateTable(kp, kq, pred))
     assert relation == [0b111111, 0b010101, 0b101010]
-    assert subset_floor(kp, kq, relation) == 2 == least_simulating_subset(kp, kq, pred)
+    floor = subset_floor(kp, kq, relation, forced_states(kp, relation))
+    assert floor == 2 == least_simulating_subset(kp, kq, pred)
 
 
 def covers_initial(kp, kq, rel) -> bool:

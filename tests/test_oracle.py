@@ -13,7 +13,7 @@ from hypersim.encoder import SimWitnessAE, SimWitnessEA
 from hypersim.hyperspec import PredicateTable, eval_predicate, parse_predicate, parse_property
 import hypersim.cli
 from hypersim.cli import check_pair
-from hypersim.kripke import LassoPath, parse_kripke
+from hypersim.kripke import LassoPath, bit_indices, parse_kripke, reachable_restriction
 from hypersim.oracle import (
     Counterexample,
     LiveSetSearch,
@@ -327,6 +327,44 @@ def test_shared_exists_forall_falsifier_matches_the_per_depth_one(seed):
         assert falsify_exists_forall(out_of_order, d) == expected[d]
 
 
+def closure(kq, layer: set[int]) -> int:
+    """The right states a depth-first search over kq.succ reaches from the
+    layer, the layer included, as a bitmask."""
+    seen, stack = set(layer), list(layer)
+    while stack:
+        for q2 in kq.succ[stack.pop()]:
+            if q2 not in seen:
+                seen.add(q2)
+                stack.append(q2)
+    return sum(1 << q for q in seen)
+
+
+@pytest.mark.parametrize("restrict", [False, True], ids=["unreachable-right-states", "all-reachable"])
+def test_reach_is_the_closure_of_each_right_layer(restrict):
+    # reach(i) is every right state reachable from R_i, the states reachable
+    # in exactly i steps, for i = 0..8, whether it is asked upward, downward
+    # or once; the unrestricted structures include some with right states
+    # that no path reaches
+    unreachable = 0
+    for seed in range(300):
+        rng = random.Random(seed)
+        kp = rand_structure(rng, max_states=3)
+        kq = rand_structure(rng, max_states=7, edge_prob=0.15)
+        if restrict:
+            kq = reachable_restriction(kq)
+        unreachable += kq.reached != (1 << len(kq.states)) - 1
+        table = PredicateTable(kp, kq, rand_pred(rng, kp.ap, kq.ap))
+        layer, expected = set(bit_indices(kq.init)), []
+        for i in range(9):
+            expected.append(closure(kq, layer))
+            layer = {q2 for q in layer for q2 in kq.succ[q]}
+        upward, downward = SafeFrontierSearch(table), SafeFrontierSearch(table)
+        assert [upward.reach(i) for i in range(9)] == expected, f"seed {seed}"
+        assert [downward.reach(i) for i in reversed(range(9))] == expected[::-1], f"seed {seed}"
+        assert SafeFrontierSearch(table).reach(8) == expected[8], f"seed {seed}"
+    assert (unreachable == 0) == restrict
+
+
 def test_check_pair_shares_one_exists_forall_search_across_depths(monkeypatch):
     calls = []
     original = hypersim.cli.falsify_exists_forall
@@ -410,6 +448,23 @@ def test_exists_forall_depth_sweep_is_linear():
     report = check_pair(chain, loop, prop, max_sim_bound=1, max_falsify_depth=1200)
     assert time.perf_counter() - t0 < 0.5
     assert report.verdict == "violated" and report.counterexample["depth"] == n
+
+
+def test_exists_forall_against_a_long_right_chain_is_fast():
+    # one self-loop left state against a 3000-state right chain: the lasso
+    # of length 1 answers for every right state, and the right states
+    # reachable from each layer come from the search's own layers, not a
+    # closure over every pair of right states
+    n = 3000
+    loop = build_structure(1, ("b",), {}, {(0, 0)}, {0})
+    chain = build_structure(
+        n, ("b",), {n - 1: {"b"}}, {(i, i + 1) for i in range(n - 1)} | {(n - 1, n - 1)}, {0}
+    )
+    prop = parse_property("exists forall. G !l.b")
+    t0 = time.perf_counter()
+    report = check_pair(loop, chain, prop, max_sim_bound=1, max_falsify_depth=1)
+    assert time.perf_counter() - t0 < 0.5
+    assert report.verdict == "holds" and report.minimal_bound == 1
 
 
 # ------------------------------------------------------- vertex cover bridge

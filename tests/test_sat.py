@@ -3,6 +3,7 @@
 import itertools
 import random
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -282,3 +283,25 @@ def test_satcli_answers_an_empty_clause_unsat(text, code, status, tmp_path, caps
     path.write_text(text)
     assert satcli.main([str(path)]) == code
     assert status in capsys.readouterr().out.splitlines()
+
+
+@pytest.mark.parametrize(
+    "text, model",
+    [
+        ("p cnf 2000000 1\n1 0\n", "v 1 0"),
+        ("p cnf 1 1\n1500000 0\n", "v 1500000 0"),
+        ("p cnf 10 2\n-7 0\n3 7 0\n", "v 3 -7 0"),
+    ],
+    ids=["a-huge-header", "a-huge-literal", "sparse-variables"],
+)
+def test_satcli_sizes_the_solver_by_the_variables_the_clauses_use(text, model, tmp_path, capsys):
+    # neither a header's variable count nor a large literal costs time or
+    # memory: the solver sees the used variables renumbered densely, and
+    # the model line gives them in the file's own numbering
+    path = tmp_path / "k.cnf"
+    path.write_text(text)
+    t0 = time.perf_counter()
+    assert satcli.main([str(path)]) == 10
+    assert time.perf_counter() - t0 < 1.0
+    out = capsys.readouterr().out.splitlines()
+    assert out[1:] == ["s SATISFIABLE", model]
