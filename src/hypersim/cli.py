@@ -24,7 +24,6 @@ from .encoder import (
     decode_witness_ea,
     encode_sim_ae,
     encode_sim_ea,
-    uncovered_initial,
 )
 from .hyperspec import (
     HyperProperty,
@@ -283,14 +282,13 @@ def check_pair(
         enc = encode_sim_ae(table)
         # every falsify depth extends the layers of one live-set search
         search = LiveSetSearch(table)
-        uncovered = uncovered_initial(kp, kq, enc.relation)
-        for p in uncovered:
+        for p in enc.uncovered:
             notes.append(
                 f"no right subset can simulate left state {kp.states[p]}: the greatest "
-                f"simulation ({len(enc.sim)} pairs) relates it to no initial right "
-                "state, so every k is unsat"
+                f"simulation ({sum(map(int.bit_count, enc.relation))} pairs) relates it "
+                "to no initial right state, so every k is unsat"
             )
-        if uncovered:
+        if enc.uncovered:
             # satisfiability is monotone in k: the weakest bound answers for all
             first = sim_max
             notes.append(

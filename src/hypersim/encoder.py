@@ -7,19 +7,21 @@ emitted over integer literals with one named variable per relation entry.
     greatest predicate-respecting simulation R (fixpoint refinement after
     Henzinger, Henzinger & Kopke, FOCS 1995) is computed first, as one
     bitmask row of right states per left state; every simulation lies
-    inside it, so the query only picks a sub-relation of R: one variable
-    sim(p,q) per pair of R, one used(q) per right state of R, and a
-    sequential counter (Sinz, CP 2005) keeping the used states <= k.  If R
-    relates some initial left state to no initial right state, the query is
-    unsatisfiable at every k.  R also bounds k from below.  A reachable
-    left state with a single candidate forces that right state in
-    (`forced_states`), so the counter only counts the other used states.
-    Sets of right states of which every model uses one, read off the
-    initial-match and successor-match clauses, and pairwise disjoint,
-    give the first bound a decision asks (`subset_floor`).  Only the counter
-    depends on k, and it grows one column per bound, so one instance
-    (`AeEncoding`) answers every bound of a decision, each asked by
-    assumption literals (MiniSat-style, Een & Sorensson, SAT 2003).
+    inside it, so the query only picks a sub-relation of R.  Some pairs of
+    R are in every such sub-relation (`held_pairs`): a left state's only
+    candidate, or only initial candidate, and the only successor candidate
+    a held pair leaves.  The query takes them as true and asks about the
+    rest: one variable sim(p,q) per other pair of R, one used(q) per right
+    state of R no held pair forces in, and a sequential counter (Sinz, CP
+    2005) keeping the used states <= k.  If R relates some initial left
+    state to no initial right state, the query is that contradiction, at
+    every k.  R also bounds k from below: sets of right states of which
+    every model uses one, read off the initial-match and successor-match
+    clauses, and pairwise disjoint, give the first bound a decision asks
+    (`subset_floor`).  Only the counter depends on k, and it grows one
+    column per bound, so one instance (`AeEncoding`) answers every bound of
+    a decision, each asked by assumption literals (MiniSat-style, Een &
+    Sorensson, SAT 2003).
   * sim-ea: a lasso of total length n in K_P whose positions jointly simulate
     all of K_Q.  One-hot pos(i,p) choose the left state at position i and
     loop(l) the loop-back target; sim(i,q) holds the right states position i
@@ -186,19 +188,34 @@ def _single(row: int) -> bool:
     return row != 0 and not row & (row - 1)
 
 
-def forced_states(kp: KripkeStructure, relation: Rows) -> int:
-    """The bitmask F of right states that every sub-relation of `relation`
-    that encode_sim_ae accepts uses.
+def held_pairs(kp: KripkeStructure, kq: KripkeStructure, relation: Rows) -> Rows:
+    """The pairs of `relation` that every sub-relation encode_sim_ae
+    accepts holds, at every k, as rows: one p may be held to two q.
 
     Its initial-match and successor-match clauses relate every left state
-    reachable in K_P to one of its candidates C(p) = relation[p], so F
-    holds the q with C(p) = {q} for a reachable p."""
-    forced = 0
+    reachable in K_P to one of its candidates C(p) = relation[p], each
+    initial p to one of relation[p] & Init_Q, and each successor p2 of a
+    held pair (p, q) to one of relation[p2] & succ(q).  So (p, q) is held
+    when one of these sets is {q}: a singleton C(p) of a reachable p, a
+    singleton initial row, or a singleton successor row of a held pair."""
+    held = [0] * len(relation)
+    todo: list[tuple[int, int]] = []
+
+    def hold(p: int, row: int) -> None:
+        if _single(row) and not held[p] & row:
+            held[p] |= row
+            todo.append((p, row))
+
     for p in bit_indices(kp.reached):
-        row = relation[p]
-        if row and not row & (row - 1):
-            forced |= row
-    return forced
+        hold(p, relation[p])
+    for p in bit_indices(kp.init):
+        hold(p, relation[p] & kq.init)
+    while todo:
+        p, only = todo.pop()
+        succ_q = kq.succ_mask[only.bit_length() - 1]
+        for p2 in kp.succ[p]:
+            hold(p2, relation[p2] & succ_q)
+    return held
 
 
 def _packing(sets: Iterable[int], key: Callable[[int], object]) -> int:
@@ -212,63 +229,39 @@ def _packing(sets: Iterable[int], key: Callable[[int], object]) -> int:
     return count
 
 
-def subset_floor(kp: KripkeStructure, kq: KripkeStructure, relation: Rows, forced: int) -> int:
+def subset_floor(kp: KripkeStructure, kq: KripkeStructure, relation: Rows, held: Rows) -> int:
     """A bound L such that every sub-relation of `relation` that
-    encode_sim_ae accepts uses at least L right states; `forced` is
-    forced_states(kp, relation).
+    encode_sim_ae accepts uses at least L right states; `held` is
+    held_pairs(kp, kq, relation).
 
     L counts pairwise disjoint must-hit sets: nonempty sets of right states
     of which every model at every k uses one.  Each is read off a clause:
-      * C(p) = relation[p] for each reachable left state p, as in
-        forced_states;
+      * C(p) = relation[p] for each reachable left state p;
       * initial-match: relation[p] & Init_Q for each initial p;
       * successor-match: relation[p2] & succ(q) for each successor p2 of a
-        pair (p, q) that every model holds: one whose C(p) or initial row
-        is {q}, or the one pair a held pair's successor set leaves.
-    On the vertex-cover reduction these are the edge states and, below the
-    hub, each edge's two end vertices, so L is |E| plus the size of a
-    matching, which König's theorem makes the cover size on bipartite
-    graphs.
+        held pair (p, q).
+    The singletons among them are the forced states F, the right states of
+    the held pairs.  On the vertex-cover reduction these are the edge
+    states and, below the hub, each edge's two end vertices, so L is |E|
+    plus the size of a matching, which König's theorem makes the cover size
+    on bipartite graphs.
 
-    L is the larger of two greedy families of disjoint sets: all must-hit
-    sets smallest first, ties by the least sum of how many sets hold each
-    member (so a greedy matching prefers edges of low degree) and then by
-    mask; and the rows C(p) alone in the order (|C(p)|, p).  Greedy
-    packing is not monotone in the family: an initial row that meets two
-    disjoint rows C(p) would otherwise block both.  The singletons come
-    first in both, so L >= |F|.  L is at least 1, the least bound there
-    is."""
-    reached = list(bit_indices(kp.reached))
-    rows = [relation[p] for p in reached]
+    L is the larger of two greedy families of disjoint sets, each F and then
+    wider sets that miss F: all must-hit sets smallest first, ties by the
+    least sum of how many sets hold each member (so a greedy matching
+    prefers edges of low degree) and then by mask; and the rows C(p) alone
+    in the order (|C(p)|, p).  Greedy packing is not monotone in the
+    family: an initial row that meets two disjoint rows C(p) would
+    otherwise block both.  So L >= |F|, and L is at least 1, the least
+    bound there is."""
+    forced = union_of(held, (1 << len(held)) - 1)
+    rows = [relation[p] for p in bit_indices(kp.reached)]
     sets = set(rows)
-    held = [(p, row) for p, row in zip(reached, rows) if _single(row)]
-    for p in bit_indices(kp.init):
-        row = relation[p] & kq.init
-        sets.add(row)
-        if _single(row):
-            held.append((p, row))
-    seen = set(held)
-    while held:
-        p, only = held.pop()  # every model relates p to the one right state of `only`
-        succ_q = kq.succ_mask[only.bit_length() - 1]
-        for p2 in kp.succ[p]:
-            row = relation[p2] & succ_q
-            if row != relation[p2]:  # C(p2) is a set already, and held if single
-                sets.add(row)
-                if _single(row) and (p2, row) not in seen:
-                    seen.add((p2, row))
-                    held.append((p2, row))
-    sets.discard(0)
-
-    # Both greedy families take every distinct singleton first and never
-    # a wider set that meets one, so only the other wider sets are ordered;
-    # a singleton adds to the count of no state those sets hold.
-    singles, wide = 0, []
-    for row in sets:
-        if row & (row - 1):
-            wide.append(row)
-        else:
-            singles |= row
+    sets.update(relation[p] & kq.init for p in bit_indices(kp.init))
+    for p, row in enumerate(held):
+        for q in bit_indices(row):
+            sets.update(relation[p2] & kq.succ_mask[q] for p2 in kp.succ[p])
+    wide = [row for row in sets if row & (row - 1)]
     held_by = [0] * len(kq.states)  # how many wider must-hit sets hold each right state
     for row in wide:
         for q in bit_indices(row):
@@ -277,13 +270,9 @@ def subset_floor(kp: KripkeStructure, kq: KripkeStructure, relation: Rows, force
     def smallest_least_held(row: int) -> tuple[int, int, int]:
         return row.bit_count(), sum(held_by[q] for q in bit_indices(row)), row
 
-    packed = singles.bit_count() + _packing(
-        [row for row in wide if not row & singles], smallest_least_held
-    )
-    by_rows = forced.bit_count() + _packing(
-        [row for row in rows if row & (row - 1) and not row & forced], int.bit_count
-    )
-    return max(packed, by_rows, 1)
+    packed = _packing([row for row in wide if not row & forced], smallest_least_held)
+    by_rows = _packing([row for row in rows if row & (row - 1) and not row & forced], int.bit_count)
+    return max(forced.bit_count() + max(packed, by_rows), 1)
 
 
 class AeEncoding:
@@ -291,52 +280,43 @@ class AeEncoding:
     for every k at once.
 
     `relation` is greatest_simulation(table), as rows; every simulation
-    lies inside it.  Variables are keyed by state: sim(p,q) by (p, q)
-    for each pair of the relation, used(q) by q for each right state in it.
-    Only initial left states and the successors of related ones must be
-    related, so unreachable left states are never forced in;
+    lies inside it.  Its held pairs (`held_pairs`, kept as `held`) are in
+    every model, so the instance takes them as true: variables are keyed
+    by state, sim(p,q) by (p, q) for each other pair of the relation,
+    used(q) by q for each right state in it that no held pair forces in
+    (the forced set F, `forced`).  A clause a held pair satisfies is
+    dropped, and a held pair's successor-match clause keeps only its
+    targets, so the instance has the same models, less the held pairs,
+    at every k.  Only initial left states and the successors of related
+    ones must be related, so unreachable left states are never forced in;
     reachable-restricting K_P only saves their variables.  The families
     initial-match, used and successor-match do not depend on k and are
-    lowered once; at-most-k starts empty.
+    lowered once; at-most-k starts empty.  If the relation leaves an
+    initial left state uncovered (`uncovered`), its initial-match clause
+    is empty, every k is unsat, and that contradiction is the instance.
 
-    The counter counts the m used states outside the forced set F
-    (`forced_states`), and k is asked as "at most k - |F| of them": bound(k)
-    adds any missing columns 1..k-|F|+1 to at-most-k and returns the
-    assumption -c(m,k-|F|+1), so one incremental solver answers every
-    bound.  Below |F| the assumptions claim the least forced state both
-    used and unused.  From the number of used states on there are none
-    and the counter holds all m columns, as every increasing sweep has
-    grown them by then.  As unit clauses at the end of at-most-k
+    The counter counts the m used states outside F, and k is asked as "at
+    most k - |F| of them": bound(k) adds any missing columns 1..k-|F|+1 to
+    at-most-k and returns the assumption -c(m,k-|F|+1), so one incremental
+    solver answers every bound.  Below |F| it returns a copy of the
+    instance with the contradiction at the end of at-most-k, and leaves
+    the instance the sweep asks alone.  From |F| + m on there are no
+    assumptions and the counter holds all m columns, as every increasing
+    sweep has grown them by then.  As unit clauses at the end of at-most-k
     (`CnfInstance.with_units`), the assumptions give the instance of k."""
 
     def __init__(self, table: PredicateTable) -> None:
         self.kp, self.kq = kp, kq = table.kp, table.kq
         self.relation = relation = greatest_simulation(table)
-        ps, qs = kp.states, kq.states
+        self.uncovered = uncovered_initial(kp, kq, relation)
+        # an uncovered initial state's empty initial-match clause is the
+        # whole instance, and it leaves nothing to hold
+        self.held = [0] * len(relation) if self.uncovered else held_pairs(kp, kq, relation)
+        self.forced = union_of(self.held, (1 << len(relation)) - 1)  # every model uses these
+        self.sim: dict[tuple[int, int], int] = {}
+        self.used: dict[int, int] = {}
         vs = _Vars()
-        self.sim = {
-            (p, q): vs.new(f"sim({ps[p]},{qs[q]})")
-            for p, row in enumerate(relation)
-            for q in bit_indices(row)
-        }
-        used_mask = 0
-        for row in relation:
-            used_mask |= row
-        self.used = {q: vs.new(f"used({qs[q]})") for q in bit_indices(used_mask)}
-        self.forced = forced_states(kp, relation)  # every model uses these
-
-        sim, succ_q = self.sim, kq.succ_mask
-        initial = [
-            [sim[p, q] for q in bit_indices(relation[p] & kq.init)]
-            for p in bit_indices(kp.init)
-        ]
-        uses = [[-v, self.used[q]] for (_, q), v in sim.items()]
-        succ: list[Clause] = []
-        for (p, q), v in sim.items():
-            for p2 in kp.succ[p]:
-                targets = [sim[p2, q2] for q2 in bit_indices(relation[p2] & succ_q[q])]
-                if v not in targets:  # a self-loop pair matches itself
-                    succ.append([-v] + targets)
+        initial, uses, succ = ([[]], [], []) if self.uncovered else self._clauses(vs.new)
         parts = [
             ("initial-match", initial),
             ("used", uses),
@@ -344,27 +324,55 @@ class AeEncoding:
             ("at-most-k", []),
         ]
         self.cnf = lower_parts_to_cnf(parts, vs.names)
-        unforced = [v for q, v in self.used.items() if not self.forced >> q & 1]
-        self.counter = _Counter(unforced, self.cnf, "used")
+        self.counter = _Counter(list(self.used.values()), self.cnf, "used")
+
+    def _clauses(self, new_var: Callable[[str], int]) -> tuple[list[Clause], ...]:
+        """The variables sim(p,q) of the pairs that are not held and used(q)
+        of the right states that are not forced, and the initial-match, used
+        and successor-match clauses over them."""
+        kp, kq, relation, held, forced = self.kp, self.kq, self.relation, self.held, self.forced
+        sim, used = self.sim, self.used
+        for p, row in enumerate(relation):
+            for q in bit_indices(row & ~held[p]):
+                sim[p, q] = new_var(f"sim({kp.states[p]},{kq.states[q]})")
+        for q in bit_indices(union_of(relation, (1 << len(relation)) - 1) & ~forced):
+            used[q] = new_var(f"used({kq.states[q]})")
+
+        def match(p: int, row: int) -> Clause | None:
+            """p is related to some state of row, or None when a held pair is."""
+            return None if held[p] & row else [sim[p, q] for q in bit_indices(row)]
+
+        initial = [match(p, relation[p] & kq.init) for p in bit_indices(kp.init)]
+        uses = [[-v, used[q]] for (_, q), v in sim.items() if q in used]
+        succ: list[Clause] = []
+        for p, row in enumerate(relation):
+            for q in bit_indices(row):
+                v = sim.get((p, q))  # None for a held pair, which is true
+                for p2 in kp.succ[p]:
+                    targets = match(p2, relation[p2] & kq.succ_mask[q])
+                    if targets is not None and v not in targets:  # a self-loop pair matches itself
+                        succ.append(targets if v is None else [-v] + targets)
+        return [c for c in initial if c is not None], uses, succ
 
     @cached_property
     def floor(self) -> int:
         """No model uses fewer right states (`subset_floor`), computed on
         first use: a decision with an uncovered initial state never asks."""
-        return subset_floor(self.kp, self.kq, self.relation, self.forced)
+        return subset_floor(self.kp, self.kq, self.relation, self.held)
 
     def bound(self, k: int) -> tuple[CnfInstance, tuple[int, ...]]:
         """The instance and the assumptions that ask for at most k used states."""
         if not 1 <= k <= len(self.kq.states):
             raise EncodeError(f"subset bound k={k} outside 1..{len(self.kq.states)}")
-        forced, counter = self.forced, self.counter
-        if k >= len(self.used):
+        counter, unforced = self.counter, k - self.forced.bit_count()
+        if unforced >= len(counter.xs):
             counter.grow(len(counter.xs))
             return self.cnf, ()
-        if k < forced.bit_count():
-            lit = self.used[(forced & -forced).bit_length() - 1]
-            return self.cnf, (lit, -lit)
-        return self.cnf, (counter.at_most(k - forced.bit_count()),)
+        if unforced < 0:
+            below = self.cnf.with_units(())
+            below.add([[]])  # at most a negative number of the other states
+            return below, ()
+        return self.cnf, (counter.at_most(unforced),)
 
 
 def encode_sim_ae(table: PredicateTable) -> AeEncoding:
@@ -478,8 +486,11 @@ def encode_sim_ea(table: PredicateTable) -> EaEncoding:
 
 
 def decode_witness_ae(enc: AeEncoding, model: Mapping[int, bool]) -> SimWitnessAE:
-    """The relation a solver's model picks; the model assigns every variable."""
-    relation = frozenset(pq for pq, v in enc.sim.items() if model[v])
+    """The relation a solver's model picks, with the held pairs every model
+    holds; the model assigns every variable."""
+    relation = frozenset(pq for pq, v in enc.sim.items() if model[v]).union(
+        (p, q) for p, row in enumerate(enc.held) for q in bit_indices(row)
+    )
     return SimWitnessAE(relation=relation, used_q=frozenset(q for _, q in relation))
 
 

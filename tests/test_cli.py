@@ -19,18 +19,20 @@ from hypersim.cli import (
     CheckConfig,
     CliInputError,
     _case_config,
+    _load,
     check_pair,
     export_encoding,
     main,
+    prepare,
     run_benchmarks,
     run_check,
 )
-from hypersim.encoder import SimWitnessEA, encode_sim_ea, forced_states, greatest_simulation
+from hypersim.encoder import SimWitnessEA, decode_witness_ae, encode_sim_ae, encode_sim_ea
 from hypersim.hyperspec import PredicateTable, parse_property
-from hypersim.kripke import LassoPath, parse_kripke
-from hypersim.oracle import SafeFrontierSearch
+from hypersim.kripke import LassoPath, bit_indices, parse_kripke
+from hypersim.oracle import SafeFrontierSearch, validate_witness_ae
 from hypersim.prophecy import build_next_prophecy
-from hypersim.sat import SatResult, solve
+from hypersim.sat import EmbeddedBackend, SatResult, solve
 
 from helpers import (
     bounded_runs_text,
@@ -421,7 +423,7 @@ GCW = CORPUS / "gcw"
 @pytest.mark.parametrize(
     "argv, golden",
     [
-        (check_args("phi2.hp", "--prophecy", "next:a:2")[1:] + ["--bound", "3"], "intro_ae_next2_k3.cnf"),
+        (check_args("phi2.hp", "--prophecy", "next:a:2")[1:] + ["--bound", "5"], "intro_ae_next2_k5.cnf"),
         (check_args("phi2.hp", "--prophecy", "next:a:2")[1:] + ["--bound", "2"], "intro_ae_next2_k2.cnf"),
         (
             ["--left", str(GCW / "plan.kr"), "--right", str(GCW / "monitor.kr"),
@@ -432,16 +434,17 @@ GCW = CORPUS / "gcw"
     ids=["at-the-forced-count", "below-it", "exists-forall"],
 )
 def test_export_matches_the_golden_files(argv, golden, tmp_path, capsys):
-    """phi2 with next:a:2 forces 3 right states: k=3 counts the other used
-    states, and k=2 is false outright, asked as used(q) and -used(q) for the
-    least forced q.  corpus/gcw at n=3 pins the exists-forall instance.
-    After a deliberate change of the format, regenerate the files with
-    these command lines, and the first again with 2 in place of 3:
+    """phi2 with next:a:2 holds pairs into all 5 right states: k=5 leaves
+    no used state to count, and k=2 is false outright, the instance with an
+    empty clause at the end of at-most-k.  corpus/gcw at n=3 pins the
+    exists-forall instance.  After a deliberate change of the format,
+    regenerate the files with these command lines, and the first again
+    with 2 in place of 5:
 
         PYTHONPATH=src python -m hypersim.cli export
             --left tests/data/k1.kr --right tests/data/k2.kr
             --prop tests/data/phi2.hp --prophecy next:a:2
-            --bound 3 --out tests/data/intro_ae_next2_k3.cnf
+            --bound 5 --out tests/data/intro_ae_next2_k5.cnf
         PYTHONPATH=src python -m hypersim.cli export
             --left corpus/gcw/plan.kr --right corpus/gcw/monitor.kr
             --prop corpus/gcw/prop.hp --bound 3 --out tests/data/gcw_ea_n3.cnf
@@ -695,9 +698,8 @@ def test_sweep_keeps_only_the_counter_columns_its_bounds_need(monkeypatch):
     report = check_pair(kp, kq, prop)
     assert report.verdict == "holds" and report.minimal_bound == 2
     # every right state is used by the greatest simulation, and the counter
-    # counts the m of them that no left state forces in
-    relation = greatest_simulation(PredicateTable(kp, kq, prop.pred))
-    forced = forced_states(kp, relation).bit_count()
+    # counts the m of them that no held pair forces in
+    forced = encode_sim_ae(PredicateTable(kp, kq, prop.pred)).forced.bit_count()
     m = 200 - forced
     bounds = [it.bound for it in report.iterations if it.side == "sim"]
     assert len(bounds) == len(instances)
@@ -989,7 +991,7 @@ def corpus_config(case: str) -> CheckConfig:
         (corpus_config("abp"), [9], 9),
         (corpus_config("mm"), [8], 8),
         (corpus_config("cbf"), [5, 6, 7], 4),
-        (cfg_for("phi2.hp", prophecy="next:a:2"), [5], 3),
+        (cfg_for("phi2.hp", prophecy="next:a:2"), [5], 5),
     ],
     ids=["abp", "mm", "cbf", "phi2-prophecy"],
 )
@@ -1066,6 +1068,70 @@ def test_an_uncovered_initial_state_asks_only_the_weakest_bound(
         assert solve_export(cfg, k, tmp_path / f"k{k}.cnf", capsys) == 20, f"k={k}"
 
 
+@pytest.mark.parametrize("case", ["abp_bug", "mm_bug", "cbf_bug"])
+def test_an_uncovered_initial_state_lowers_only_its_empty_clause(case, monkeypatch):
+    # the one instance a decision with an uncovered initial state lowers is
+    # the contradiction of one unnamed variable, whether or not it asks it
+    lowered = []
+    original = hypersim.encoder.lower_parts_to_cnf
+
+    def recording(parts, var_names):
+        cnf = original(parts, var_names)
+        lowered.append((cnf.num_vars, cnf.num_clauses, cnf.clauses))
+        return cnf
+
+    monkeypatch.setattr(hypersim.encoder, "lower_parts_to_cnf", recording)
+    run_check(corpus_config(case))
+    assert lowered == [(1, 2, [[1], [-1]])]
+
+
+@pytest.mark.parametrize("case", ["abp", "mm"])
+def test_a_relation_the_fixpoint_holds_whole_asks_a_0_variable_instance(case):
+    # every pair of the greatest simulation is held, so the instance at the
+    # floor has no variable and no clause; its empty model decodes to the
+    # held relation, which the witness validator accepts at that bound
+    table = prepare(*_load(corpus_config(case)))[0]
+    enc = encode_sim_ae(table)
+    cnf, assumptions = enc.bound(enc.floor)
+    assert (cnf.num_vars, cnf.num_clauses, assumptions) == (0, 0, ())
+    res = solve(cnf)
+    assert res.is_sat
+    witness = decode_witness_ae(enc, res.model)
+    held = {(p, q) for p, row in enumerate(enc.held) for q in bit_indices(row)}
+    assert witness.relation == held
+    assert held == {(p, q) for p, row in enumerate(enc.relation) for q in bit_indices(row)}
+    assert len(witness.used_q) == enc.floor == enc.forced.bit_count()
+    assert validate_witness_ae(table.kp, table.kq, table.pred, witness, enc.floor) == []
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [corpus_config("abp"), corpus_config("cbf"), cfg_for("phi2.hp", prophecy="next:a:2")],
+    ids=["abp", "cbf", "phi2-prophecy"],
+)
+def test_a_bound_below_the_forced_states_leaves_the_sweep_alone(cfg):
+    # below |F| the encoding answers with a copy of its instance that ends
+    # in a contradiction; asked between two asks of the sweep's instance on
+    # one backend, it is unsat, and the sweep's instance, which it left as
+    # it was, answers the minimal bound sat both times
+    table = prepare(*_load(cfg))[0]
+    enc = encode_sim_ae(table)
+    minimal = run_check(cfg).minimal_bound
+    backend = EmbeddedBackend()
+    sizes = []
+    for k in (minimal, enc.forced.bit_count() - 1, minimal):
+        cnf, assumptions = enc.bound(k)
+        res = solve(cnf, backend, assumptions)
+        if k < enc.forced.bit_count():
+            assert cnf is not enc.cnf and assumptions == () and res.status == "unsat"
+            continue
+        assert cnf is enc.cnf and res.is_sat
+        sizes.append((cnf.num_vars, cnf.num_clauses))
+        witness = decode_witness_ae(enc, res.model)
+        assert validate_witness_ae(table.kp, table.kq, table.pred, witness, k) == []
+    assert sizes[0] == sizes[1]
+
+
 @pytest.mark.parametrize(
     "extra, bound, note",
     [
@@ -1075,11 +1141,10 @@ def test_an_uncovered_initial_state_asks_only_the_weakest_bound(
     ids=["below-the-forced-states", "below-the-floor"],
 )
 def test_a_bound_cap_below_the_floor_asks_only_the_cap(extra, bound, note, tmp_path, capsys):
-    # phi2 with next:a:2 forces 3 right states, so k=2 is false outright;
-    # phi2 alone forces 1 of its floor of 2, so k=1 leaves the counter "at
-    # most 0" over the unforced states, and its uncovered initial state
-    # makes the cap the one bound asked.  Either is one unsat sim iteration
-    # whose size is that of the exported instance
+    # phi2 with next:a:2 forces all 5 right states, so k=2 is false
+    # outright; phi2 alone has an uncovered initial state, which makes
+    # every k unsat and the cap the one bound asked.  Either is one unsat
+    # sim iteration whose size is that of the exported instance
     code = main(check_args("phi2.hp", *extra, "--max-bound", str(bound), "--format", "json"))
     report = json.loads(capsys.readouterr().out)
     assert code == 2 and report["verdict"] == "unknown-at-bounds"

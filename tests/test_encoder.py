@@ -19,8 +19,8 @@ from hypersim.encoder import (
     decode_witness_ea,
     encode_sim_ae,
     encode_sim_ea,
-    forced_states,
     greatest_simulation,
+    held_pairs,
     subset_floor,
     uncovered_initial,
 )
@@ -31,7 +31,7 @@ from hypersim.hyperspec import (
     parse_predicate,
     parse_property,
 )
-from hypersim.kripke import LassoPath, bit_indices, parse_kripke, reachable_restriction
+from hypersim.kripke import LassoPath, bit_indices, parse_kripke, reachable_restriction, union_of
 from hypersim.oracle import SafeFrontierSearch, validate_witness_ae, validate_witness_ea
 from hypersim.prophecy import build_next_prophecy, prophecy_product
 from hypersim.sat import EmbeddedBackend, solve
@@ -280,12 +280,22 @@ def test_ea_decoded_positions_cover_the_right_states(seed):
 def naive_greatest_simulation(kp, kq, pred, allowed):
     """Greatest predicate-respecting simulation into the right states
     `allowed`, by plain iteration to a fixpoint."""
-    rel = {
-        (p, q)
-        for p in range(len(kp.states))
-        for q in allowed
-        if eval_predicate(pred, kp.labels[p], kq.labels[q])
-    }
+    return naive_greatest_within(
+        kp,
+        kq,
+        {
+            (p, q)
+            for p in range(len(kp.states))
+            for q in allowed
+            if eval_predicate(pred, kp.labels[p], kq.labels[q])
+        },
+    )
+
+
+def naive_greatest_within(kp, kq, rel):
+    """Greatest simulation inside the (left, right) pairs rel, by plain
+    iteration to a fixpoint."""
+    rel = set(rel)
     changed = True
     while changed:
         changed = False
@@ -376,34 +386,46 @@ def test_sweep_answers_each_bound_like_a_fresh_standalone_instance(seed):
 @settings(max_examples=100, deadline=None)
 def test_the_floor_is_a_lower_bound_and_forced_states_are_used(seed):
     # on unrestricted pairs: no k below the floor L is sat, L is at most the
-    # brute-force minimal k, and every model at every bound uses F
+    # brute-force minimal k, and every model at every bound uses F, the
+    # right states of the held pairs: each right subset that simulates K_P
+    # holds F, and every model's relation lies in the greatest simulation
+    # into the right states it uses
     rng = random.Random(seed)
     kp = rand_structure(rng, max_states=4)
     kq = rand_structure(rng, max_states=5)
     pred = rand_pred(rng, kp.ap, kq.ap)
     table = PredicateTable(kp, kq, pred)
     relation = greatest_simulation(table)
-    forced = forced_states(kp, relation)
-    floor = subset_floor(kp, kq, relation, forced)
+    held = held_pairs(kp, kq, relation)
+    forced = union_of(held, (1 << len(held)) - 1)
+    floor = subset_floor(kp, kq, relation, held)
     assert forced.bit_count() <= floor <= len(kq.states)
     minimal = None
     for k in range(1, len(kq.states) + 1):
         enc, model = ae_model(table, k)
-        assert (enc.floor, enc.forced) == (floor, forced)
+        if enc.uncovered:  # nothing to hold: the instance is a contradiction
+            assert (enc.forced, model) == (0, None)
+            continue
+        assert (enc.floor, enc.forced, enc.held) == (floor, forced, held)
         if model is None:
             continue
         assert k >= floor
-        assert all(model[enc.used[q]] for q in bit_indices(forced))
+        used = decode_witness_ae(enc, model).used_q
+        assert set(bit_indices(forced)) <= used
         if minimal is None:
             minimal = k
-    brute = least_simulating_subset(kp, kq, pred)
+    subsets = [set(subset) for subset, _ in simulating_subsets(kp, kq, pred)]
+    brute = len(subsets[0]) if subsets else None
     assert minimal == brute
     assert brute is None or floor <= brute
+    for subset in subsets:
+        assert set(bit_indices(forced)) <= subset
 
 
 def test_an_unreachable_left_state_forces_nothing():
-    # p1's only candidate is q1, but no path reaches p1: q1 is not forced,
-    # the floor stays 1, and q0 alone simulates everything reachable
+    # p1's only candidate is q1, but no path reaches p1: (p1,q1) is not
+    # held and q1 not forced, the floor stays 1, and q0 alone simulates
+    # everything reachable
     kp = parse_kripke(
         "states: p0 p1\ninit: p0\nap: a b\nlabel p0: a\nlabel p1: b\n"
         "trans p0 -> p0\ntrans p1 -> p1"
@@ -415,8 +437,9 @@ def test_an_unreachable_left_state_forces_nothing():
     table = PredicateTable(kp, kq, IFF_A)
     relation = greatest_simulation(table)
     assert relation[1] == 0b10
-    forced = forced_states(kp, relation)
-    assert (subset_floor(kp, kq, relation, forced), forced) == (1, 0b01)
+    held = held_pairs(kp, kq, relation)
+    assert held == [0b01, 0]
+    assert subset_floor(kp, kq, relation, held) == 1
     enc, model = ae_model(table, 1)
     assert model is not None
     assert validate_witness_ae(kp, kq, IFF_A, decode_witness_ae(enc, model), 1) == []
@@ -436,7 +459,7 @@ def test_the_floor_lies_between_the_single_candidate_rule_and_the_least_subset()
         kq = rand_structure(rng, max_states=5, edge_prob=density)
         pred = rand_pred(rng, kp.ap, kq.ap)
         relation = greatest_simulation(PredicateTable(kp, kq, pred))
-        floor = subset_floor(kp, kq, relation, forced_states(kp, relation))
+        floor = subset_floor(kp, kq, relation, held_pairs(kp, kq, relation))
         before = single_candidate_floor(kp, relation)
         least = least_simulating_subset(kp, kq, pred)
         assert before <= floor, f"seed {seed}"
@@ -465,7 +488,7 @@ def test_a_small_initial_row_does_not_lower_the_floor_of_the_candidate_rows():
     pred = parse_predicate("(l.a -> r.a) & (l.b -> r.b)")
     relation = greatest_simulation(PredicateTable(kp, kq, pred))
     assert relation == [0b111111, 0b010101, 0b101010]
-    floor = subset_floor(kp, kq, relation, forced_states(kp, relation))
+    floor = subset_floor(kp, kq, relation, held_pairs(kp, kq, relation))
     assert floor == 2 == least_simulating_subset(kp, kq, pred)
 
 
@@ -475,19 +498,42 @@ def covers_initial(kp, kq, rel) -> bool:
     )
 
 
+def simulating_subsets(kp, kq, pred):
+    """Each subset of right states, smallest first, whose greatest
+    simulation relates every initial left state to an initial right state,
+    with that simulation, by trying every subset."""
+    for size in range(1, len(kq.states) + 1):
+        for subset in itertools.combinations(range(len(kq.states)), size):
+            rel = naive_greatest_simulation(kp, kq, pred, subset)
+            if covers_initial(kp, kq, rel):
+                yield subset, rel
+
+
 def least_simulating_subset(kp, kq, pred) -> int | None:
     """The fewest right states whose greatest simulation relates every
     initial left state to an initial right state, by trying every subset,
     or None when no subset does."""
-    return next(
-        (
-            size
-            for size in range(1, len(kq.states) + 1)
-            for subset in itertools.combinations(range(len(kq.states)), size)
-            if covers_initial(kp, kq, naive_greatest_simulation(kp, kq, pred, subset))
-        ),
-        None,
-    )
+    return next((len(subset) for subset, _ in simulating_subsets(kp, kq, pred)), None)
+
+
+@given(st.integers(min_value=0, max_value=10**9))
+@settings(max_examples=100, deadline=None)
+def test_every_held_pair_lies_in_every_subset_simulation(seed):
+    # random pairs of up to 4 states a side: the greatest simulation into
+    # each right subset that simulates K_P holds every held pair, and no
+    # simulation that covers the initial states avoids one, since the
+    # greatest simulation inside the relation less that pair covers none
+    rng = random.Random(seed)
+    kp = rand_structure(rng, max_states=4)
+    kq = rand_structure(rng, max_states=4)
+    pred = rand_pred(rng, kp.ap, kq.ap)
+    relation = greatest_simulation(PredicateTable(kp, kq, pred))
+    held = pairs(held_pairs(kp, kq, relation))
+    assert held <= pairs(relation)
+    for _, rel in simulating_subsets(kp, kq, pred):
+        assert held <= rel
+    for pair in held:
+        assert not covers_initial(kp, kq, naive_greatest_within(kp, kq, pairs(relation) - {pair}))
 
 
 @given(st.integers(min_value=0, max_value=10**9))

@@ -56,7 +56,7 @@ def exports() -> dict[str, tuple[CheckConfig, int]]:
     return {
         "intro_ae_k5.cnf": (_intro("phi2.hp"), 5),
         "intro_ae_next2_k2.cnf": (next2, 2),
-        "intro_ae_next2_k3.cnf": (next2, 3),
+        "intro_ae_next2_k5.cnf": (next2, 5),
         "gcw_ea_n3.cnf": (
             CheckConfig(
                 left_path=str(gcw / "plan.kr"),
