@@ -1,9 +1,15 @@
 """Driver: bound scheduling, verdict reporting, DIMACS export, benchmark runner.
 
-The check loop runs the two complementary procedures side by side, one bound
-step each per round: the simulation search (SAT side) proves the property,
-the bounded falsifier disproves it.  Neither is complete at desk bounds, so
-exhausting both yields an explicit unknown verdict rather than a guess.
+A decision is one loop, `sweep`, over one part per quantifier order
+(`ForallExists`, `ExistsForall`).  At each bound the loop asks the part's
+simulation search (SAT side), which proves the property, and then its
+bounded falsifier, which disproves it; it re-checks a counterexample and
+writes the verdict.  The part, built from the decision's PredicateTable and
+the sim cap, owns what differs between the orders: its bound range, notes,
+encoding, validator and falsifier.  It calls every layer through the names
+this module binds, so patching a name here reaches its calls.  Neither side
+is complete at desk bounds, so exhausting both yields an explicit unknown
+verdict rather than a guess.
 """
 
 from __future__ import annotations
@@ -17,9 +23,10 @@ from pathlib import Path
 
 from .circuit import export_dimacs, varmap_text
 from .encoder import (
+    AeEncoding,
     DecodeError,
+    EaEncoding,
     EncodeError,
-    SimWitnessEA,
     decode_witness_ae,
     decode_witness_ea,
     encode_sim_ae,
@@ -186,29 +193,132 @@ class Report:
         return "\n".join(lines) + "\n"
 
 
-def _mode_of(pattern: Pattern) -> str:
-    return "ae" if pattern is Pattern.FORALL_EXISTS else "ea"
+# ---------------------------------------------------------------- the parts
 
 
-def _lasso_dict(w: SimWitnessEA, kp: KripkeStructure, kq: KripkeStructure) -> dict:
-    ps, qs = kp.states, kq.states
-    return {
-        "prefix": [ps[s] for s in w.lasso.prefix],
-        "loop": [ps[s] for s in w.lasso.loop],
-        "posRelation": {
-            str(i): sorted(qs[q] for q in row) for i, row in sorted(w.pos_relation.items())
-        },
-    }
+def _solve_at(part, bound: int, backend, report: Report, decode, validate):
+    """Build and solve the part's instance at bound and add its sim line; on
+    sat, the decoded witness, which validate must accept, else None."""
+    t0 = time.perf_counter()
+    cnf, assumptions = part.enc.bound(bound)
+    res = solve(cnf, backend, assumptions)
+    took = time.perf_counter() - t0
+    size = cnf.num_vars, cnf.num_clauses + len(assumptions)  # what the solver got
+    report.iterations.append(IterationStat("sim", bound, res.status, took, *size))
+    if not res.is_sat:
+        return None
+    witness = decode(part.enc, res.model)
+    problems = validate(part.table.kp, part.table.kq, part.table.pred, witness, bound)
+    if problems:
+        raise InternalSoundnessError("decoded witness failed validation: " + "; ".join(problems))
+    return witness
 
 
-def _cex_dict(cex: Counterexample, kp: KripkeStructure, kq: KripkeStructure) -> dict:
-    names = (kp if cex.side == "forall-exists" else kq).states
-    return {
-        "side": cex.side,
-        "path": [names[s] for s in cex.p_path],
-        "depth": cex.depth,
-        "note": cex.note,
-    }
+class ForallExists:
+    """Subset simulations over at most k right states, and the live-set
+    falsifier.  The sweep starts at the greatest simulation's floor, or asks
+    only the weakest k when an initial left state is uncovered."""
+
+    mode = "ae"
+
+    @staticmethod
+    def encode(table: PredicateTable) -> AeEncoding:
+        return encode_sim_ae(table)
+
+    def __init__(self, table: PredicateTable, max_sim_bound: int | None):
+        self.table = table
+        self.enc = enc = self.encode(table)
+        self.search = LiveSetSearch(table)  # every falsify depth extends its layers
+        size = len(table.kq.states)
+        self.last = min(max_sim_bound, size) if max_sim_bound else size
+        self.notes = [
+            f"no right subset can simulate left state {table.kp.states[p]}: the greatest "
+            f"simulation ({sum(map(int.bit_count, enc.relation))} pairs) relates it "
+            "to no initial right state, so every k is unsat"
+            for p in enc.uncovered
+        ]
+        if enc.uncovered:
+            # satisfiability is monotone in k: the weakest bound answers for all
+            self.first = self.last
+            self.notes.append(
+                f"the sweep asks only k={self.last}, the weakest bound: its unsat answer "
+                "covers every smaller k"
+            )
+        else:
+            # no model uses fewer right states than the fixpoint's floor
+            self.first = min(enc.floor, self.last)
+            if enc.floor > 1:
+                self.notes.append(
+                    f"the greatest simulation needs at least {enc.floor} right states "
+                    f"({enc.forced.bit_count()} forced), so the sweep starts at k={self.first}"
+                )
+
+    def settle(self, bound: int, backend, report: Report) -> bool:
+        w = _solve_at(self, bound, backend, report, decode_witness_ae, validate_witness_ae)
+        if w is not None:
+            ps, qs = self.table.kp.states, self.table.kq.states
+            report.witness_relation = sorted((ps[p], qs[q]) for p, q in w.relation)
+            report.used_subset_size = len(w.used_q)
+        return w is not None
+
+    def falsify(self, depth: int) -> tuple[Counterexample | None, int | None]:
+        return falsify_forall_exists(self.search, depth), len(self.search.layer(depth - 1))
+
+    def closing_notes(self) -> list[str]:
+        if self.last == len(self.table.kq.states):
+            return ["no subset simulation exists at any k <= |S_Q|; the property may still hold "
+                    "(simulation is sound, not complete) - prophecy enrichment may decide it"]
+        return ["simulation search exhausted its bound without an answer"]
+
+
+class ExistsForall:
+    """Left lassos of total length n, and the safe-frontier falsifier.  The
+    right layers settle each length first: the solver is asked only at a
+    length they admit a lasso of, and must answer sat there."""
+
+    mode = "ea"
+
+    @staticmethod
+    def encode(table: PredicateTable) -> EaEncoding:
+        return encode_sim_ea(table)
+
+    def __init__(self, table: PredicateTable, max_sim_bound: int | None):
+        self.table = table
+        self.enc = self.encode(table)
+        self.search = self.enc.search  # the falsifier grows the frontiers the lasso lies in
+        self.first, self.last = 1, max_sim_bound or DEFAULT_EA_BOUND
+        self.notes: list[str] = []
+
+    def settle(self, bound: int, backend, report: Report) -> bool:
+        if not self.search.has_lasso(bound):
+            # the right layers settle this length: no lasso of it has a witness
+            if not self.search.frontier(bound - 1):
+                self.last = bound  # every longer lasso has a position in this empty frontier
+            return False
+        w = _solve_at(self, bound, backend, report, decode_witness_ea, validate_witness_ea)
+        if w is None:
+            raise InternalSoundnessError(
+                f"the solver found no lasso of length {bound}, although the right layers admit one"
+            )
+        ps, qs = self.table.kp.states, self.table.kq.states
+        positions = {str(i): sorted(qs[q] for q in row) for i, row in sorted(w.pos_relation.items())}
+        report.witness_lasso = {
+            "prefix": [ps[s] for s in w.lasso.prefix],
+            "loop": [ps[s] for s in w.lasso.loop],
+            "posRelation": positions,
+        }
+        report.used_subset_size = len(set(w.lasso.states_visited()))
+        return True
+
+    def falsify(self, depth: int) -> tuple[Counterexample | None, int | None]:
+        return falsify_exists_forall(self.search, depth), None
+
+    def closing_notes(self) -> list[str]:
+        if not self.search.frontier(self.last - 1):
+            return [f"the safe frontier at depth {self.last - 1} is empty, so every lasso length "
+                    f"n >= {self.last} is unsat: the simulation search stopped at n={self.last}"]
+        return [f"the right layers admit no lasso of any length n <= {self.last}, so the "
+                "solver was not asked"]
 
 
 def prepare(
@@ -216,13 +326,13 @@ def prepare(
     kq: KripkeStructure,
     prop: HyperProperty,
     prophecy: ProphecyAutomaton | None = None,
-) -> tuple[PredicateTable, str, list[str]]:
+) -> tuple[PredicateTable, type, list[str]]:
     """The predicate table every kernel of one decision is built from, the
-    mode ("ae" or "ea") and the notes.  The table is over the prophecy
-    product and the reachable restriction of the enumerated side, with
-    match-all expanded."""
-    mode = _mode_of(prop.pattern)
-    if prophecy is not None and mode != "ae":
+    part class of its quantifier order and the notes.  The table is over the
+    prophecy product and the reachable restriction of the enumerated side,
+    with match-all expanded."""
+    part = ForallExists if prop.pattern is Pattern.FORALL_EXISTS else ExistsForall
+    if prophecy is not None and part.mode != "ae":
         raise CliInputError("prophecy enrichment applies to forall-exists checks only")
     notes: list[str] = []
     if prophecy is not None:
@@ -235,11 +345,49 @@ def prepare(
     # the exhaustively enumerated (universal) side is reachable-restricted;
     # the existential side must keep unreachable states (they are legitimate
     # simulation partners)
-    if mode == "ae":
+    if part.mode == "ae":
         kp = reachable_restriction(kp)
     else:
         kq = reachable_restriction(kq)
-    return PredicateTable(kp, kq, pred), mode, notes
+    return PredicateTable(kp, kq, pred), part, notes
+
+
+def sweep(part, report: Report, max_falsify_depth: int, backend) -> Report:
+    """The decision loop, the same for every part.  At each bound the part
+    settles the sim side, asked only on [part.first, part.last], and then
+    runs its falsifier, asked only up to max_falsify_depth.  The first
+    witness or re-verified counterexample decides; a sweep with neither
+    ends with the part's closing notes."""
+    kp, kq, pred = part.table.kp, part.table.kq, part.table.pred
+    bound = 0
+    while bound < max(part.last, max_falsify_depth):  # settle may lower part.last
+        bound += 1
+        if part.first <= bound <= part.last:
+            report.sim_bound_reached = bound
+            if part.settle(bound, backend, report):
+                report.verdict, report.minimal_bound = "holds", bound
+                return report
+        if bound <= max_falsify_depth:
+            t0 = time.perf_counter()
+            cex, nodes = part.falsify(bound)
+            took = time.perf_counter() - t0
+            outcome = "counterexample" if cex else "none"
+            report.iterations.append(IterationStat("falsify", bound, outcome, took, nodes=nodes))
+            report.falsify_depth_reached = bound
+            if cex is not None:
+                if not reverify_counterexample(kp, kq, pred, cex):
+                    raise InternalSoundnessError("counterexample failed independent re-verification")
+                names = (kp if cex.side == "forall-exists" else kq).states
+                path = [names[s] for s in cex.p_path]
+                report.counterexample = {"side": cex.side, "path": path, "depth": cex.depth,
+                                         "note": cex.note}
+                report.verdict = "violated"
+                return report
+    report.notes += part.closing_notes()
+    report.notes.append(
+        f"falsification exhausted at depth {max_falsify_depth} without a counterexample"
+    )
+    return report
 
 
 def check_pair(
@@ -252,149 +400,24 @@ def check_pair(
     max_falsify_depth: int = DEFAULT_FALSIFY_DEPTH,
     backend=None,
 ) -> Report:
-    """Decide prop on (kp, kq) by interleaved simulation search / falsification."""
+    """Decide prop on (kp, kq): `sweep` the part of its quantifier order."""
     if max_falsify_depth < 1:
         raise CliInputError(f"falsification depth must be >= 1, got {max_falsify_depth}")
     if max_sim_bound is not None and max_sim_bound < 1:
         raise CliInputError(f"simulation bound must be >= 1, got {max_sim_bound}")
-    table, mode, notes = prepare(kp, kq, prop, prophecy)
-    kp, kq, pred = table.kp, table.kq, table.pred
-
-    if mode == "ae":
-        sim_max = min(max_sim_bound, len(kq.states)) if max_sim_bound else len(kq.states)
-    else:
-        sim_max = max_sim_bound if max_sim_bound else DEFAULT_EA_BOUND
-
+    table, part_class, notes = prepare(kp, kq, prop, prophecy)
+    part = part_class(table, max_sim_bound)
     report = Report(
-        mode=mode,
+        mode=part.mode,
         property_text=f"{prop.pattern.value}: G {pred_to_text(prop.pred)}",
         verdict="unknown-at-bounds",
-        left_states=len(kp.states),
-        right_states=len(kq.states),
-        notes=notes,
+        left_states=len(table.kp.states),
+        right_states=len(table.kq.states),
+        notes=notes + part.notes,
     )
-
     # a forall-exists instance answers every bound, so the embedded backend
     # keeps one solver across the bounds
-    backend = backend or EmbeddedBackend()
-    first = 1  # the least sim bound asked
-    if mode == "ae":
-        enc = encode_sim_ae(table)
-        # every falsify depth extends the layers of one live-set search
-        search = LiveSetSearch(table)
-        for p in enc.uncovered:
-            notes.append(
-                f"no right subset can simulate left state {kp.states[p]}: the greatest "
-                f"simulation ({sum(map(int.bit_count, enc.relation))} pairs) relates it "
-                "to no initial right state, so every k is unsat"
-            )
-        if enc.uncovered:
-            # satisfiability is monotone in k: the weakest bound answers for all
-            first = sim_max
-            notes.append(
-                f"the sweep asks only k={sim_max}, the weakest bound: its unsat answer "
-                "covers every smaller k"
-            )
-        else:
-            # no model uses fewer right states than the fixpoint's floor
-            first = min(enc.floor, sim_max)
-            if enc.floor > 1:
-                notes.append(
-                    f"the greatest simulation needs at least {enc.floor} right states "
-                    f"({enc.forced.bit_count()} forced), so the sweep starts at k={first}"
-                )
-    else:
-        enc = encode_sim_ea(table)
-        search = enc.search  # the falsifier grows the frontiers the lasso lies in
-
-    for bound in range(1, max(sim_max, max_falsify_depth) + 1):
-        if bound > sim_max and bound > max_falsify_depth:
-            break  # the sim side stopped early
-        if first <= bound <= sim_max and mode == "ea" and not search.has_lasso(bound):
-            # the right layers settle this length: no lasso of it has a witness
-            report.sim_bound_reached = bound
-            if not search.frontier(bound - 1):
-                sim_max = bound  # every longer lasso has a position in this empty frontier
-        elif first <= bound <= sim_max:
-            t0 = time.perf_counter()
-            cnf, assumptions = enc.bound(bound)
-            res = solve(cnf, backend, assumptions)
-            took = time.perf_counter() - t0
-            size = cnf.num_vars, cnf.num_clauses + len(assumptions)  # what the solver got
-            report.iterations.append(IterationStat("sim", bound, res.status, took, *size))
-            report.sim_bound_reached = bound
-            if mode == "ea" and not res.is_sat:
-                raise InternalSoundnessError(
-                    f"the solver found no lasso of length {bound}, although the right "
-                    "layers admit one"
-                )
-            if res.is_sat:
-                if mode == "ae":
-                    witness = decode_witness_ae(enc, res.model)
-                    problems = validate_witness_ae(kp, kq, pred, witness, bound)
-                else:
-                    witness = decode_witness_ea(enc, res.model)
-                    problems = validate_witness_ea(kp, kq, pred, witness, bound)
-                if problems:
-                    raise InternalSoundnessError(
-                        "decoded witness failed validation: " + "; ".join(problems)
-                    )
-                if mode == "ae":
-                    report.witness_relation = sorted(
-                        (kp.states[p], kq.states[q]) for p, q in witness.relation
-                    )
-                    report.used_subset_size = len(witness.used_q)
-                else:
-                    report.witness_lasso = _lasso_dict(witness, kp, kq)
-                    report.used_subset_size = len(set(witness.lasso.states_visited()))
-                report.verdict = "holds"
-                report.minimal_bound = bound
-                return report
-
-        if bound <= max_falsify_depth:
-            t0 = time.perf_counter()
-            if mode == "ae":
-                cex = falsify_forall_exists(search, bound)
-            else:
-                cex = falsify_exists_forall(search, bound)
-            took = time.perf_counter() - t0
-            report.iterations.append(
-                IterationStat(
-                    "falsify", bound, "counterexample" if cex else "none", took,
-                    nodes=len(search.layer(bound - 1)) if mode == "ae" else None,
-                )
-            )
-            report.falsify_depth_reached = bound
-            if cex is not None:
-                if not reverify_counterexample(kp, kq, pred, cex):
-                    raise InternalSoundnessError(
-                        "counterexample failed independent re-verification"
-                    )
-                report.counterexample = _cex_dict(cex, kp, kq)
-                report.verdict = "violated"
-                return report
-
-    if mode == "ae" and sim_max == len(kq.states):
-        report.notes.append(
-            "no subset simulation exists at any k <= |S_Q|; the property may still "
-            "hold (simulation is sound, not complete) - prophecy enrichment may decide it"
-        )
-    elif mode == "ea" and not search.frontier(sim_max - 1):
-        report.notes.append(
-            f"the safe frontier at depth {sim_max - 1} is empty, so every lasso length "
-            f"n >= {sim_max} is unsat: the simulation search stopped at n={sim_max}"
-        )
-    elif mode == "ea":
-        report.notes.append(
-            f"the right layers admit no lasso of any length n <= {sim_max}, so the "
-            "solver was not asked"
-        )
-    else:
-        report.notes.append("simulation search exhausted its bound without an answer")
-    report.notes.append(
-        f"falsification exhausted at depth {max_falsify_depth} without a counterexample"
-    )
-    return report
+    return sweep(part, report, max_falsify_depth, backend or EmbeddedBackend())
 
 
 # ---------------------------------------------------------------- file layer
@@ -426,11 +449,9 @@ def _load_property(cfg: CheckConfig) -> HyperProperty:
     if cfg.prop_text is not None and cfg.prop_path is not None:
         raise CliInputError("give the property either as --prop or --prop-inline, not both")
     if cfg.prop_text is not None:
-        text = cfg.prop_text
-        origin = "--prop-inline"
+        text, origin = cfg.prop_text, "--prop-inline"
     elif cfg.prop_path is not None:
-        text = _read(cfg.prop_path)
-        origin = cfg.prop_path
+        text, origin = _read(cfg.prop_path), cfg.prop_path
     else:
         raise CliInputError("a property is required (--prop or --prop-inline)")
     try:
@@ -503,21 +524,14 @@ def _load(
 
 def run_check(cfg: CheckConfig) -> Report:
     left, right, prop, prophecy = _load(cfg)
-    return check_pair(
-        left,
-        right,
-        prop,
-        prophecy=prophecy,
-        max_sim_bound=cfg.max_sim_bound,
-        max_falsify_depth=cfg.max_falsify_depth,
-        backend=_backend_of(cfg.backend),
-    )
+    return check_pair(left, right, prop, prophecy=prophecy, max_sim_bound=cfg.max_sim_bound,
+                      max_falsify_depth=cfg.max_falsify_depth, backend=_backend_of(cfg.backend))
 
 
 def export_encoding(cfg: CheckConfig, bound: int) -> tuple[str, str]:
     """Build the encoding at one bound without solving; returns (dimacs, varmap)."""
-    table, mode, _ = prepare(*_load(cfg))
-    enc = encode_sim_ae(table) if mode == "ae" else encode_sim_ea(table)
+    table, part, _ = prepare(*_load(cfg))
+    enc = part.encode(table)  # no notes, no floor
     try:
         cnf, units = enc.bound(bound)
     except EncodeError as e:
@@ -594,7 +608,6 @@ def run_benchmarks(corpus_dir: str, backend: str = "embedded") -> tuple[list[Ben
         raise CliInputError(f"corpus directory not found: {corpus_dir}")
     _backend_of(backend)  # a bad backend fails the run, not every case
     rows: list[BenchRow] = []
-    all_ok = True
     for case_dir in sorted(p for p in root.iterdir() if p.is_dir()):
         if not (case_dir / "case.json").is_file():
             continue
@@ -602,30 +615,15 @@ def run_benchmarks(corpus_dir: str, backend: str = "embedded") -> tuple[list[Ben
         t0 = time.perf_counter()
         try:
             cfg, expected = _case_config(case_dir, backend)
-            report = run_check(cfg)
+            r = run_check(cfg)
         except CliInputError as e:
-            rows.append(
-                BenchRow(name, None, None, "error", "?", None, time.perf_counter() - t0,
-                         ok=False, error=str(e))
-            )
-            all_ok = False
+            took = time.perf_counter() - t0
+            rows.append(BenchRow(name, None, None, "error", "?", None, took, False, str(e)))
             continue
         took = time.perf_counter() - t0
-        ok = report.verdict == expected
-        all_ok = all_ok and ok
-        rows.append(
-            BenchRow(
-                case=name,
-                left_states=report.left_states,
-                right_states=report.right_states,
-                verdict=report.verdict,
-                expected=expected,
-                subset=report.used_subset_size,
-                seconds=took,
-                ok=ok,
-            )
-        )
-    return rows, all_ok
+        rows.append(BenchRow(name, r.left_states, r.right_states, r.verdict, expected,
+                             r.used_subset_size, took, r.verdict == expected))
+    return rows, all(row.ok for row in rows)
 
 
 def render_bench_table(rows: list[BenchRow]) -> str:

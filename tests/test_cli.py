@@ -18,6 +18,9 @@ import hypersim.satcli
 from hypersim.cli import (
     CheckConfig,
     CliInputError,
+    InternalSoundnessError,
+    IterationStat,
+    Report,
     _case_config,
     _load,
     check_pair,
@@ -26,11 +29,12 @@ from hypersim.cli import (
     prepare,
     run_benchmarks,
     run_check,
+    sweep,
 )
 from hypersim.encoder import SimWitnessEA, decode_witness_ae, encode_sim_ae, encode_sim_ea
 from hypersim.hyperspec import PredicateTable, parse_property
 from hypersim.kripke import LassoPath, bit_indices, parse_kripke
-from hypersim.oracle import SafeFrontierSearch, validate_witness_ae
+from hypersim.oracle import LiveSetSearch, SafeFrontierSearch, falsify_forall_exists, validate_witness_ae
 from hypersim.prophecy import build_next_prophecy
 from hypersim.sat import EmbeddedBackend, SatResult, solve
 
@@ -836,9 +840,9 @@ def test_an_empty_first_frontier_makes_every_lasso_length_unsat(tmp_path, capsys
     (tmp_path / "l.kr").write_text(left)
     (tmp_path / "r.kr").write_text(right)
     cfg = CheckConfig(str(tmp_path / "l.kr"), str(tmp_path / "r.kr"), prop_text=prop)
-    table, mode, _ = hypersim.cli.prepare(parse_kripke(left), parse_kripke(right), parse_property(prop))
+    table, part, _ = hypersim.cli.prepare(parse_kripke(left), parse_kripke(right), parse_property(prop))
     search = SafeFrontierSearch(table)
-    assert mode == "ea" and search.frontier(0) == 0
+    assert part is hypersim.cli.ExistsForall and search.frontier(0) == 0
     for n in range(1, 6):
         cnf, assumptions = encode_sim_ea(table).bound(n)
         assert solve(cnf, None, assumptions).status == "unsat", f"n={n}"
@@ -1155,3 +1159,104 @@ def test_a_bound_cap_below_the_floor_asks_only_the_cap(extra, bound, note, tmp_p
     assert main(["export", *check_args("phi2.hp", *extra)[1:], "--bound", str(bound), "--out", str(out)]) == 0
     header = next(line for line in out.read_text().splitlines() if line.startswith("p cnf"))
     assert header == f"p cnf {sims[0]['vars']} {sims[0]['clauses']}"
+
+
+class ScriptedPart:
+    """A stand-in part with scripted answers: settle is sat at sat_at and
+    lowers `last` to lower_at, falsify finds cex at cex_at; every call is
+    logged in order."""
+
+    mode = "ae"
+
+    def __init__(self, table, first, last, sat_at=None, lower_at=None, cex_at=None, cex=None):
+        self.table, self.first, self.last = table, first, last
+        self.sat_at, self.lower_at, self.cex_at, self.cex = sat_at, lower_at, cex_at, cex
+        self.notes, self.log = [], []
+
+    def settle(self, bound, backend, report):
+        self.log.append(("sim", bound))
+        if bound == self.lower_at:
+            self.last = bound
+        outcome = "sat" if bound == self.sat_at else "unsat"
+        report.iterations.append(IterationStat("sim", bound, outcome, 0.0))
+        return outcome == "sat"
+
+    def falsify(self, depth):
+        self.log.append(("falsify", depth))
+        return (self.cex if depth == self.cex_at else None), None
+
+    def closing_notes(self):
+        return ["closing note"]
+
+
+def intro_phi1():
+    """Intro phi1's table and its real counterexample, found at depth 3."""
+    kp, kq = (parse_kripke((DATA / name).read_text()) for name in ("k1.kr", "k2.kr"))
+    table = prepare(kp, kq, parse_property((DATA / "phi1.hp").read_text()))[0]
+    cex = falsify_forall_exists(LiveSetSearch(table), 3)
+    assert cex is not None
+    return table, cex
+
+
+def sweep_scripted(max_falsify_depth, **script):
+    table, cex = intro_phi1()
+    part = ScriptedPart(table, cex=cex, **script)
+    report = Report("ae", "scripted", "unknown-at-bounds", len(table.kp.states), len(table.kq.states))
+    return part, sweep(part, report, max_falsify_depth, None)
+
+
+S, F = "sim", "falsify"
+
+
+@pytest.mark.parametrize(
+    "script, depth, log",
+    [
+        # sim only on [first, last], each before that bound's falsifier
+        (dict(first=2, last=4), 6, [(F, 1), (S, 2), (F, 2), (S, 3), (F, 3), (S, 4), (F, 4), (F, 5), (F, 6)]),
+        # falsify only up to its cap
+        (dict(first=1, last=4), 2, [(S, 1), (F, 1), (S, 2), (F, 2), (S, 3), (S, 4)]),
+        # a settle that lowers last stops the sim side
+        (dict(first=1, last=8, lower_at=3), 2, [(S, 1), (F, 1), (S, 2), (F, 2), (S, 3)]),
+        (dict(first=1, last=8, lower_at=2), 4, [(S, 1), (F, 1), (S, 2), (F, 2), (F, 3), (F, 4)]),
+    ],
+    ids=["first-to-last", "depth-cap", "lowered-last", "lowered-below-the-depth-cap"],
+)
+def test_the_loop_exhausts_both_sides_in_bound_order(script, depth, log):
+    part, report = sweep_scripted(depth, **script)
+    assert part.log == log
+    assert [(it.side, it.bound) for it in report.iterations] == log
+    assert report.verdict == "unknown-at-bounds" and report.minimal_bound is None
+    assert report.sim_bound_reached == max(b for side, b in log if side == S)
+    assert report.falsify_depth_reached == depth
+    assert report.notes == [
+        "closing note",
+        f"falsification exhausted at depth {depth} without a counterexample",
+    ]
+
+
+def test_the_first_sat_settle_decides():
+    part, report = sweep_scripted(8, first=1, last=8, sat_at=3, cex_at=4)
+    assert part.log == [(S, 1), (F, 1), (S, 2), (F, 2), (S, 3)]
+    assert (report.verdict, report.minimal_bound, report.sim_bound_reached) == ("holds", 3, 3)
+    assert report.notes == [] and report.counterexample is None
+
+
+def test_the_first_counterexample_decides_once_rechecked():
+    part, report = sweep_scripted(8, first=3, last=8, sat_at=4, cex_at=3)
+    assert part.log == [(F, 1), (F, 2), (S, 3), (F, 3)]
+    assert (report.verdict, report.falsify_depth_reached, report.minimal_bound) == ("violated", 3, None)
+    assert report.counterexample == {
+        "side": "forall-exists",
+        "path": ["s1", "s2", "s3"],
+        "depth": 3,
+        "note": part.cex.note,
+    }
+    assert report.notes == []
+
+
+def test_a_counterexample_the_recheck_rejects_is_an_internal_error():
+    table, cex = intro_phi1()
+    part = ScriptedPart(table, 1, 4, cex=replace(cex, p_path=cex.p_path[:1] * 3), cex_at=3)
+    report = Report("ae", "scripted", "unknown-at-bounds", len(table.kp.states), len(table.kq.states))
+    with pytest.raises(InternalSoundnessError, match="re-verification"):
+        sweep(part, report, 8, None)

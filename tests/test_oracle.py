@@ -294,21 +294,48 @@ def test_live_set_falsifier_is_polynomial_in_the_depth():
     assert all(len(layer) == 4 for layer in search.layers)
 
 
-def test_check_pair_calls_the_falsifier_once_per_falsify_iteration(monkeypatch):
-    calls = []
-    original = hypersim.cli.falsify_forall_exists
+@pytest.mark.parametrize("order", ["forall-exists", "exists-forall"])
+def test_check_pair_calls_each_layer_once_per_iteration(order, monkeypatch):
+    # the falsifier once per falsify line, always on the decision's one
+    # search, and the solver once per sim line; an exists-forall length the
+    # right layers rule out has no line and asks the solver nothing
+    falsifier = {"forall-exists": "falsify_forall_exists", "exists-forall": "falsify_exists_forall"}[order]
+    calls, solved, lassos = [], [], []
+    original_falsify, original_solve = getattr(hypersim.cli, falsifier), hypersim.cli.solve
+    original_has_lasso = SafeFrontierSearch.has_lasso
 
     def counting(search, depth):
         calls.append((depth, search))
-        return original(search, depth)
+        return original_falsify(search, depth)
 
-    monkeypatch.setattr(hypersim.cli, "falsify_forall_exists", counting)
+    def solving(cnf, backend=None, assumptions=()):
+        solved.append(cnf)
+        return original_solve(cnf, backend, assumptions)
+
+    def has_lasso(search, n):
+        lassos.append((n, original_has_lasso(search, n)))
+        return lassos[-1][1]
+
+    monkeypatch.setattr(hypersim.cli, falsifier, counting)
+    monkeypatch.setattr(hypersim.cli, "solve", solving)
+    monkeypatch.setattr(SafeFrontierSearch, "has_lasso", has_lasso)
     kp, kq = intro()
-    report = check_pair(kp, kq, parse_property("forall exists. G (l.a <-> r.a)"))
+    if order == "forall-exists":
+        report = check_pair(kp, kq, parse_property("forall exists. G (l.a <-> r.a)"))
+    else:
+        report = check_pair(kq, kp, parse_property("exists forall. G (r.a -> l.a)"))
     depths = [it.bound for it in report.iterations if it.side == "falsify"]
     assert len(depths) > 1
     assert [d for d, _ in calls] == depths
     assert len({id(search) for _, search in calls}) == 1
+    sims = [it.bound for it in report.iterations if it.side == "sim"]
+    assert sims and len(solved) == len(sims)
+    if order == "exists-forall":
+        assert [n for n, admitted in lassos] == list(range(1, sims[-1] + 1))
+        assert [n for n, admitted in lassos if admitted] == sims
+        assert any(not admitted for _, admitted in lassos)
+    else:
+        assert lassos == []
 
 
 @given(st.integers(min_value=0, max_value=10**9))
@@ -363,23 +390,6 @@ def test_reach_is_the_closure_of_each_right_layer(restrict):
         assert [downward.reach(i) for i in reversed(range(9))] == expected[::-1], f"seed {seed}"
         assert SafeFrontierSearch(table).reach(8) == expected[8], f"seed {seed}"
     assert (unreachable == 0) == restrict
-
-
-def test_check_pair_shares_one_exists_forall_search_across_depths(monkeypatch):
-    calls = []
-    original = hypersim.cli.falsify_exists_forall
-
-    def counting(search, depth):
-        calls.append((depth, search))
-        return original(search, depth)
-
-    monkeypatch.setattr(hypersim.cli, "falsify_exists_forall", counting)
-    kp, kq = intro()
-    report = check_pair(kq, kp, parse_property("exists forall. G (r.a -> l.a)"))
-    depths = [it.bound for it in report.iterations if it.side == "falsify"]
-    assert len(depths) > 1
-    assert [d for d, _ in calls] == depths
-    assert len({id(search) for _, search in calls}) == 1
 
 
 @given(st.integers(min_value=0, max_value=10**9))
