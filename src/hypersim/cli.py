@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -60,7 +61,7 @@ from .prophecy import (
     parse_prophecy,
     prophecy_product,
 )
-from .sat import EmbeddedBackend, ExternalBackend, SolverBackendError, solve
+from .sat import EmbeddedBackend, ExternalBackend, SatResult, SolverBackendError, solve
 
 DEFAULT_EA_BOUND = 16
 DEFAULT_FALSIFY_DEPTH = 8
@@ -196,12 +197,19 @@ class Report:
 # ---------------------------------------------------------------- the parts
 
 
-def _solve_at(part, bound: int, backend, report: Report, decode, validate):
-    """Build and solve the part's instance at bound and add its sim line; on
-    sat, the decoded witness, which validate must accept, else None."""
+def _solve_at(part, bound: int, backend, report: Report, decode, validate, known=None):
+    """Build the part's instance at bound and add its sim line; on sat, the
+    decoded witness, which validate must accept, else None.  The solver is
+    asked only when `known`, the answer the part has without one, is None;
+    a known sat instance has the all-false model."""
     t0 = time.perf_counter()
     cnf, assumptions = part.enc.bound(bound)
-    res = solve(cnf, backend, assumptions)
+    if known is None:
+        res = solve(cnf, backend, assumptions)
+    elif known:
+        res = SatResult("sat", dict.fromkeys(range(1, cnf.num_vars + 1), False))
+    else:
+        res = SatResult("unsat")
     took = time.perf_counter() - t0
     size = cnf.num_vars, cnf.num_clauses + len(assumptions)  # what the solver got
     report.iterations.append(IterationStat("sim", bound, res.status, took, *size))
@@ -217,7 +225,11 @@ def _solve_at(part, bound: int, backend, report: Report, decode, validate):
 class ForallExists:
     """Subset simulations over at most k right states, and the live-set
     falsifier.  The sweep starts at the greatest simulation's floor, or asks
-    only the weakest k when an initial left state is uncovered."""
+    only the weakest k when an initial left state is uncovered.  A bound
+    the fixpoint settles (`AeEncoding.settled`) asks no solver: an
+    uncovered initial state or k below the forced states is unsat, and an
+    instance without an all-positive clause is sat with the held relation
+    as its witness.  Its sim line is the one a solver's answer gives."""
 
     mode = "ae"
 
@@ -254,7 +266,8 @@ class ForallExists:
                 )
 
     def settle(self, bound: int, backend, report: Report) -> bool:
-        w = _solve_at(self, bound, backend, report, decode_witness_ae, validate_witness_ae)
+        w = _solve_at(self, bound, backend, report, decode_witness_ae, validate_witness_ae,
+                      self.enc.settled(bound))
         if w is not None:
             ps, qs = self.table.kp.states, self.table.kq.states
             report.witness_relation = sorted((ps[p], qs[q]) for p, q in w.relation)
@@ -424,9 +437,18 @@ def check_pair(
 
 
 def _read(path: str) -> str:
+    """The file's text, by raw reads without a buffered file object."""
     try:
-        with open(path, "rb") as f:
-            return f.read().decode("utf-8")
+        fd = os.open(path, os.O_RDONLY)
+        try:
+            chunks = [os.read(fd, os.fstat(fd).st_size + 1)]  # the whole of a regular file
+            while chunks[-1]:
+                chunks.append(os.read(fd, 1 << 16))
+        except OSError as e:  # a read error names no file, as open()'s does
+            raise OSError(e.errno, e.strerror, path) from None
+        finally:
+            os.close(fd)
+        return b"".join(chunks).decode("utf-8")
     except (OSError, UnicodeDecodeError) as e:
         raise CliInputError(f"cannot read {path}: {e}") from e
 

@@ -294,6 +294,8 @@ class AeEncoding:
     lowered once; at-most-k starts empty.  If the relation leaves an
     initial left state uncovered (`uncovered`), its initial-match clause
     is empty, every k is unsat, and that contradiction is the instance.
+    `settled(k)` gives the answers the fixpoint already knows, so a
+    decision asks no solver for them.
 
     The counter counts the m used states outside F, and k is asked as "at
     most k - |F| of them": bound(k) adds any missing columns 1..k-|F|+1 to
@@ -317,6 +319,10 @@ class AeEncoding:
         self.used: dict[int, int] = {}
         vs = _Vars()
         initial, uses, succ = ([[]], [], []) if self.uncovered else self._clauses(vs.new)
+        # no used, at-most-k clause or assumption is all positive, so without
+        # such an initial-match or successor-match clause the all-false
+        # assignment, the held relation alone, is a model at every k >= |F|
+        self.all_false = not self.uncovered and all(min(c) < 0 for c in initial + succ)
         parts = [
             ("initial-match", initial),
             ("used", uses),
@@ -359,6 +365,15 @@ class AeEncoding:
         """No model uses fewer right states (`subset_floor`), computed on
         first use: a decision with an uncovered initial state never asks."""
         return subset_floor(self.kp, self.kq, self.relation, self.held)
+
+    def settled(self, k: int) -> bool | None:
+        """Whether the instance at k is satisfiable, where the fixpoint alone
+        answers: an uncovered initial state, or k below the forced states,
+        makes it unsat, and `all_false` makes every other k sat.  None when
+        only a solver can tell."""
+        if self.uncovered or k < self.forced.bit_count():
+            return False
+        return True if self.all_false else None
 
     def bound(self, k: int) -> tuple[CnfInstance, tuple[int, ...]]:
         """The instance and the assumptions that ask for at most k used states."""

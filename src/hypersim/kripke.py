@@ -113,7 +113,10 @@ def parse_kripke(text: str) -> KripkeStructure:
         trans s1 -> s2
 
     Duplicate transitions are merged silently; duplicate states are an error.
-    Raises KripkeParseError for malformed lines and KripkeSemanticError when
+    A well-formed `trans s1 -> s2` line, four words of which the second and
+    fourth are ASCII identifiers, is read by splitting it; every other line,
+    `trans s1->s2` included, goes through the regular expressions, which
+    give each error its message and line number.  Raises KripkeParseError for malformed lines and KripkeSemanticError when
     the described structure breaks an invariant (empty init, unknown state,
     unknown proposition, non-total state).
     """
@@ -125,10 +128,16 @@ def parse_kripke(text: str) -> KripkeStructure:
     trans_match = _TRANS_RE.match
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
+        words = raw.split()
+        if len(words) == 4 and words[0] == "trans" and words[2] == "->":  # most lines
+            a, b = words[1], words[3]
+            if a.isascii() and a.isidentifier() and b.isascii() and b.isidentifier():
+                trans_pairs.append((a, b))
+                continue
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if line.startswith("trans"):  # most lines
+        if line.startswith("trans"):
             m = trans_match(line)
             if not m:
                 raise KripkeParseError(f"malformed trans line {line!r}", lineno)

@@ -344,33 +344,66 @@ sys.exit(main([sys.argv[2]]))
     "name, bounds", [("intro_phi2_next2", [5]), ("gcw", [8]), ("cbf", [5, 6, 7])]
 )
 def test_every_sim_line_sizes_the_file_the_solver_was_given(name, bounds, tmp_path):
-    # forall-exists at k = 5 >= |used|, where no assumption is left,
+    # forall-exists at k = 5 >= |used|, which the fixpoint settles (the
+    # all-false assignment is a model) so no solver is given a file,
     # exists-forall, asked only at the one length the right layers admit,
     # and forall-exists at k = 5, 6, 7 < |used| on one growing counter: each
-    # line's vars/clauses are the header of the file the solver parsed at
-    # its bound, and that file is the one `export --bound` writes there
+    # line's vars/clauses are the header of the file `export --bound` writes
+    # at its bound, and each line a solver answered was given that file
     solver, kept = tmp_path / "record.py", tmp_path / "kept"
     solver.write_text(RECORDING_SOLVER)
     kept.mkdir()
     cfg = golden_cases()[name]
+    asked = {"intro_phi2_next2": [], "gcw": [8], "cbf": [5, 6, 7]}[name]
     backend = f"external:{sys.executable} {solver} {kept}"
     sims = [it for it in run_check(replace(cfg, backend=backend)).iterations if it.side == "sim"]
     assert [it.bound for it in sims] == bounds
-    assert len(list(kept.iterdir())) == len(sims)
-    for i, it in enumerate(sims, start=1):
-        given = (kept / f"{i}.cnf").read_text()
-        header = next(line for line in given.splitlines() if line.startswith("p cnf"))
+    assert len(list(kept.iterdir())) == len(asked)
+    for it in sims:
+        exported = export_encoding(cfg, it.bound)[0]
+        header = next(line for line in exported.splitlines() if line.startswith("p cnf"))
         assert header == f"p cnf {it.num_vars} {it.num_clauses}", f"bound {it.bound}"
-        assert given == export_encoding(cfg, it.bound)[0], f"bound {it.bound}"
+        if it.bound in asked:
+            given = (kept / f"{asked.index(it.bound) + 1}.cnf").read_text()
+            assert given == exported, f"bound {it.bound}"
 
 
 def test_lying_external_solver_is_a_backend_error(tmp_path, capsys):
-    # claims every instance satisfiable with the all-false model
+    # claims every instance satisfiable with the all-false model; cbf's
+    # first bound has an all-positive clause, so only a solver answers it
     liar = tmp_path / "liar.py"
     liar.write_text("print('s SATISFIABLE')\nprint('v 0')\n")
     backend = f"external:{sys.executable} {liar}"
-    assert main(check_args("phi2.hp", "--backend", backend)) == 4
+    assert main(["check", *CBF_ARGS, "--backend", backend]) == 4
     assert "violates the instance" in capsys.readouterr().err
+
+
+def test_a_bound_the_fixpoint_settles_starts_no_external_solver(capsys):
+    # intro phi2 has an uncovered initial state, so its one sim line is
+    # unsat without a solver and the decision ends unknown; cbf needs one
+    assert main(check_args("phi2.hp", "--backend", "external:false")) == 2
+    out, err = capsys.readouterr()
+    assert "sim bound=5: unsat" in out and err == ""
+    assert main(["check", *CBF_ARGS, "--backend", "external:false"]) == 4
+    assert capsys.readouterr().err.startswith("backend error: ")
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory", "invalid-utf8"])
+def test_an_unreadable_input_file_is_an_input_error(kind, tmp_path, capsys):
+    path = tmp_path / "left.kr"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "invalid-utf8":
+        path.write_bytes(b"states: s\xff\n")
+    reason = {
+        "missing": f"[Errno 2] No such file or directory: '{path}'",
+        "directory": f"[Errno 21] Is a directory: '{path}'",
+        "invalid-utf8": "'utf-8' codec can't decode byte 0xff in position 9: invalid start byte",
+    }[kind]
+    args = check_args("phi1.hp")
+    args[args.index("--left") + 1] = str(path)
+    assert main(args) == 3
+    assert capsys.readouterr().err == f"error: cannot read {path}: {reason}\n"
 
 
 def test_unknown_backend_is_an_input_error(capsys):
@@ -723,17 +756,19 @@ def test_each_ae_decision_builds_one_solver(monkeypatch):
     monkeypatch.setattr(hypersim.sat, "CdclSolver", Counting)
     next2 = cfg_for("phi2.hp", prophecy="next:a:2")
     cbf = corpus_config("cbf")
-    for cfg, verdict, bounds in [
-        (next2, "holds", [5]),
-        (cbf, "holds", [5, 6, 7]),
-        (replace(next2, max_sim_bound=4), "unknown-at-bounds", [4]),
-        (replace(cbf, max_sim_bound=6), "unknown-at-bounds", [5, 6]),
+    # the fixpoint settles next:a:2 at every bound: k=4 is below its 5
+    # forced states, and at k=5 the all-false assignment is a model
+    for cfg, verdict, bounds, solvers in [
+        (next2, "holds", [5], 0),
+        (cbf, "holds", [5, 6, 7], 1),
+        (replace(next2, max_sim_bound=4), "unknown-at-bounds", [4], 0),
+        (replace(cbf, max_sim_bound=6), "unknown-at-bounds", [5, 6], 1),
     ]:
         built.clear()
         report = run_check(cfg)
         assert report.verdict == verdict
         assert [it.bound for it in report.iterations if it.side == "sim"] == bounds
-        assert len(built) == 1
+        assert len(built) == solvers
 
 
 def test_each_ea_decision_encodes_once_on_one_solver(monkeypatch):

@@ -249,6 +249,11 @@ def test_build_structure_helper_produces_valid_structures():
 FOREIGN = ["9x", "->", ":", "a-b", "trans", "label", "states:", "#", "\u00e9", "x\u00a0y"]
 JUNK = ["junk", "labelx", "transs a -> b", "ap", "init", "states", "states  : s0", "states\t: s0",
         "label : a", "trans s0 ->", "trans s0 -> s1 s2", "-> s0", "\u00a0"]
+# trans lines next to the well-formed `trans a -> b` the parser splits
+# itself: the regex path must give each its old structure or message
+TRANS_SHAPES = ["trans {a}->{b}", "trans\t{a} -> {b}", "trans {a} -> {b} # c", "trans \u00e9 -> {b}",
+                "trans {a} -> {b} -> {a}", "trans {a}\t->\t{b}", "\ttrans {a} -> {b} "]
+SEPARATORS = [" ", "  ", "\t", "\u00a0", "\u2003"]
 
 
 def mutate(lines: list[str], kind: str, rng: random.Random) -> None:
@@ -277,6 +282,14 @@ def mutate(lines: list[str], kind: str, rng: random.Random) -> None:
         lines.insert(i, rng.choice(["", "   ", "\t", "#"]))
     elif kind == "junk":
         lines.insert(i, rng.choice(JUNK))
+    elif kind == "trans-shape":
+        a, b = rng.choice(["s0", "s1", "ghost"]), rng.choice(["s0", "s1", "ghost"])
+        lines.insert(i, rng.choice(TRANS_SHAPES).format(a=a, b=b))
+    elif kind == "trans-separator":
+        trans = [j for j, line in enumerate(lines) if line.startswith("trans")]
+        if trans:
+            j = rng.choice(trans)
+            lines[j] = lines[j].replace(" ", rng.choice(SEPARATORS))
     elif kind == "drop-line":
         del lines[i]
         if not lines:
@@ -284,7 +297,7 @@ def mutate(lines: list[str], kind: str, rng: random.Random) -> None:
 
 
 MUTATIONS = ["drop-token", "foreign-token", "unknown-prop", "duplicate-state", "unknown-endpoint",
-             "section-spacing", "comment", "blank", "junk", "drop-line"]
+             "section-spacing", "comment", "blank", "junk", "trans-shape", "trans-separator", "drop-line"]
 
 
 def parse_outcome(parse, text: str):

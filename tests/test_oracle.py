@@ -297,12 +297,13 @@ def test_live_set_falsifier_is_polynomial_in_the_depth():
 @pytest.mark.parametrize("order", ["forall-exists", "exists-forall"])
 def test_check_pair_calls_each_layer_once_per_iteration(order, monkeypatch):
     # the falsifier once per falsify line, always on the decision's one
-    # search, and the solver once per sim line; an exists-forall length the
-    # right layers rule out has no line and asks the solver nothing
+    # search, and the solver once per sim line the fixpoint does not
+    # settle; an exists-forall length the right layers rule out has no line
+    # and asks the solver nothing
     falsifier = {"forall-exists": "falsify_forall_exists", "exists-forall": "falsify_exists_forall"}[order]
-    calls, solved, lassos = [], [], []
+    calls, solved, lassos, encoded = [], [], [], []
     original_falsify, original_solve = getattr(hypersim.cli, falsifier), hypersim.cli.solve
-    original_has_lasso = SafeFrontierSearch.has_lasso
+    original_has_lasso, original_encode = SafeFrontierSearch.has_lasso, hypersim.cli.encode_sim_ae
 
     def counting(search, depth):
         calls.append((depth, search))
@@ -318,7 +319,12 @@ def test_check_pair_calls_each_layer_once_per_iteration(order, monkeypatch):
 
     monkeypatch.setattr(hypersim.cli, falsifier, counting)
     monkeypatch.setattr(hypersim.cli, "solve", solving)
+    def encoding(table):
+        encoded.append(original_encode(table))
+        return encoded[-1]
+
     monkeypatch.setattr(SafeFrontierSearch, "has_lasso", has_lasso)
+    monkeypatch.setattr(hypersim.cli, "encode_sim_ae", encoding)
     kp, kq = intro()
     if order == "forall-exists":
         report = check_pair(kp, kq, parse_property("forall exists. G (l.a <-> r.a)"))
@@ -329,12 +335,15 @@ def test_check_pair_calls_each_layer_once_per_iteration(order, monkeypatch):
     assert [d for d, _ in calls] == depths
     assert len({id(search) for _, search in calls}) == 1
     sims = [it.bound for it in report.iterations if it.side == "sim"]
-    assert sims and len(solved) == len(sims)
+    assert sims
     if order == "exists-forall":
+        assert len(solved) == len(sims)
         assert [n for n, admitted in lassos] == list(range(1, sims[-1] + 1))
         assert [n for n, admitted in lassos if admitted] == sims
         assert any(not admitted for _, admitted in lassos)
     else:
+        [enc] = encoded
+        assert len(solved) == sum(enc.settled(k) is None for k in sims)
         assert lassos == []
 
 
