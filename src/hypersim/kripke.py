@@ -8,12 +8,9 @@ of the infinite traces the checker reasons about.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Sequence
-
-IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$")
 
 
 class KripkeError(Exception):
@@ -88,23 +85,12 @@ def union_of(rows: Sequence[int], mask: int) -> int:
     return out
 
 
-def _check_ident(tok: str, line: int, what: str) -> str:
-    if not IDENT_RE.match(tok):
-        raise KripkeParseError(f"bad {what} identifier {tok!r}", line)
-    return tok
-
-
-_ID = r"[A-Za-z_][A-Za-z0-9_]*"
-_TRANS_RE = re.compile(rf"trans\s+({_ID})\s*->\s*({_ID})\s*$")
-_LABEL_RE = re.compile(rf"label\s+({_ID})\s*:\s*(.*)$")
-# the text before a section line's first colon
-_SECTIONS = {"states": "states", "states ": "states", "init": "init", "init ": "init", "ap": "ap", "ap ": "ap"}
-
-
 def parse_kripke(text: str) -> KripkeStructure:
     """Parse the line-oriented structure format.
 
-    Sections (any order, repeatable, '#' starts a comment):
+    Each line, once a '#' and all after it are cut off and whitespace is
+    stripped from both ends, is blank or one of these (sections come in any
+    order and may repeat):
 
         states: s1 s2 ...
         init: s1 ...
@@ -112,55 +98,50 @@ def parse_kripke(text: str) -> KripkeStructure:
         label s1: a b
         trans s1 -> s2
 
-    Duplicate transitions are merged silently; duplicate states are an error.
-    A well-formed `trans s1 -> s2` line, four words of which the second and
-    fourth are ASCII identifiers, is read by splitting it; every other line,
-    `trans s1->s2` included, goes through the regular expressions, which
-    give each error its message and line number.  Raises KripkeParseError for malformed lines and KripkeSemanticError when
-    the described structure breaks an invariant (empty init, unknown state,
-    unknown proposition, non-total state).
+    At most one space may come before a section's colon; `label` and `trans`
+    are followed by whitespace, and any whitespace may surround the colon of
+    a label line and the arrow.  Every state and proposition name is an ASCII
+    identifier.  Duplicate transitions are merged silently; duplicate states
+    are an error.  Raises KripkeParseError for malformed lines and
+    KripkeSemanticError when the described structure breaks an invariant
+    (empty init, unknown state, unknown proposition, non-total state).
     """
     state_names: list[str] = []
     init_names: list[str] = []
-    props: list[str] = []
+    props: list[str] = []  # with repeats until the loop ends
+    sections = {"states": state_names, "init": init_names, "ap": props}
     label_lines: list[tuple[str, list[str]]] = []
     trans_pairs: list[tuple[str, str]] = []
-    trans_match = _TRANS_RE.match
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        words = raw.split()
-        if len(words) == 4 and words[0] == "trans" and words[2] == "->":  # most lines
-            a, b = words[1], words[3]
-            if a.isascii() and a.isidentifier() and b.isascii() and b.isidentifier():
-                trans_pairs.append((a, b))
-                continue
-        line = raw.split("#", 1)[0].strip()
+        line = raw.partition("#")[0].strip() if "#" in raw else raw.strip()
         if not line:
             continue
-        if line.startswith("trans"):
-            m = trans_match(line)
-            if not m:
+        head, rest = line[:5], line[5:]
+        if head == "trans":
+            a, arrow, b = rest.partition("->")
+            a, b = a.strip(), b.strip()
+            if not (rest[:1].isspace() and arrow and a.isascii() and a.isidentifier()
+                    and b.isascii() and b.isidentifier()):
                 raise KripkeParseError(f"malformed trans line {line!r}", lineno)
-            trans_pairs.append(m.groups())
-            continue
-        if line.startswith("label"):
-            m = _LABEL_RE.match(line)
-            if not m:
+            trans_pairs.append((a, b))
+        elif head == "label":
+            name, colon, ps = rest.partition(":")
+            name = name.strip()
+            if not (rest[:1].isspace() and colon and name.isascii() and name.isidentifier()):
                 raise KripkeParseError(f"malformed label line {line!r}", lineno)
-            label_lines.append((m.group(1), m.group(2).split()))
-            continue
-        head, colon, rest = line.partition(":")
-        section = _SECTIONS.get(head) if colon else None
-        if section is None:
-            raise KripkeParseError(f"unrecognized line {line!r}", lineno)
-        for tok in rest.split():
-            if section == "ap":
-                p = _check_ident(tok, lineno, "proposition")
-                if p not in props:
-                    props.append(p)
-            else:
-                name = _check_ident(tok, lineno, "state")
-                (state_names if section == "states" else init_names).append(name)
+            label_lines.append((name, ps.split()))
+        else:
+            section, colon, listed = line.partition(":")
+            names = sections.get(section.removesuffix(" ")) if colon else None
+            if names is None:
+                raise KripkeParseError(f"unrecognized line {line!r}", lineno)
+            for name in listed.split():
+                if not (name.isascii() and name.isidentifier()):
+                    what = "proposition" if names is props else "state"
+                    raise KripkeParseError(f"bad {what} identifier {name!r}", lineno)
+                names.append(name)
+    props = list(dict.fromkeys(props))
 
     violations: list[str] = []
     index: dict[str, int] = {}  # a duplicate name keeps its first place and its last index

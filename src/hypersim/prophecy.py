@@ -171,12 +171,13 @@ def prophecy_product(k: KripkeStructure, u: ProphecyAutomaton) -> KripkeStructur
 
 
 def parse_prophecy(text: str) -> ProphecyAutomaton:
-    """Structure-file grammar plus 'annot <state>: <name> ...' lines."""
+    """Structure-file grammar plus 'annot <state>: <name> ...' lines, with
+    any whitespace after `annot` as after `label` and `trans`."""
     kr_lines: list[str] = []
     annot_lines: list[tuple[int, str]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.split("#", 1)[0].strip()
-        if stripped.startswith("annot ") or stripped == "annot":
+        if stripped.split(None, 1)[:1] == ["annot"]:  # the first word, whatever whitespace follows
             annot_lines.append((lineno, stripped))
             kr_lines.append("")
         else:

@@ -37,7 +37,6 @@ from hypersim.hyperspec import (
     eval_predicate,
 )
 from hypersim.kripke import (
-    IDENT_RE,
     KripkeParseError,
     KripkeSemanticError,
     KripkeStructure,
@@ -99,6 +98,9 @@ def kripke_to_text(k: KripkeStructure) -> str:
     for a, ts in enumerate(k.succ):
         lines += [f"trans {k.states[a]} -> {k.states[b]}" for b in ts]
     return "\n".join(lines) + "\n"
+
+
+IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$")
 
 
 def _check_ident_by_regex(tok: str, line: int, what: str) -> str:

@@ -249,11 +249,21 @@ def test_build_structure_helper_produces_valid_structures():
 FOREIGN = ["9x", "->", ":", "a-b", "trans", "label", "states:", "#", "\u00e9", "x\u00a0y"]
 JUNK = ["junk", "labelx", "transs a -> b", "ap", "init", "states", "states  : s0", "states\t: s0",
         "label : a", "trans s0 ->", "trans s0 -> s1 s2", "-> s0", "\u00a0"]
-# trans lines next to the well-formed `trans a -> b` the parser splits
-# itself: the regex path must give each its old structure or message
+# trans lines next to the well-formed `trans a -> b`
 TRANS_SHAPES = ["trans {a}->{b}", "trans\t{a} -> {b}", "trans {a} -> {b} # c", "trans \u00e9 -> {b}",
                 "trans {a} -> {b} -> {a}", "trans {a}\t->\t{b}", "\ttrans {a} -> {b} "]
 SEPARATORS = [" ", "  ", "\t", "\u00a0", "\u2003"]
+# the heads of section, label and trans lines on both sides of each keyword's rule
+LINE_HEADS = ["states :{a}", "states\t: {a}", "states  : {a}", "ap :", "init :{a}",
+              "label {a}:{p}", "label {a} :{p}", "label\t{a}: {p}", "labelx {a}: {p}", "label {a}",
+              "label{a}: {p}", "transfoo {a} -> {b}", "trans{a} -> {b}", "trans: {a}", "trans->{b}",
+              "trans {a} - > {b}", "\ttrans {a}->{b} # c"]
+# str.splitlines ends a line at each of these
+LINE_ENDS = ["\x0b", "\x1c", "\u2028"]
+# identifiers, but not ASCII ones, as state, label and proposition tokens
+NON_ASCII = ["\u00e9", "\uff53", "s\u00e9"]
+NON_ASCII_LINES = ["states: {a} {x}", "init: {x}", "ap: {x}", "label {x}: {p}", "label {a}: {x}",
+                   "trans {x} -> {a}", "trans {a} -> {x}"]
 
 
 def mutate(lines: list[str], kind: str, rng: random.Random) -> None:
@@ -290,6 +300,21 @@ def mutate(lines: list[str], kind: str, rng: random.Random) -> None:
         if trans:
             j = rng.choice(trans)
             lines[j] = lines[j].replace(" ", rng.choice(SEPARATORS))
+    elif kind == "line-head":
+        lines.insert(i, rng.choice(LINE_HEADS).format(a=rng.choice(["s0", "s1"]), b="s0", p=rng.choice("ab")))
+    elif kind == "unicode-space":
+        spaced = [j for j, line in enumerate(lines) if not line.startswith("trans") and " " in line]
+        if spaced:
+            j = rng.choice(spaced)
+            lines[j] = lines[j].replace(" ", rng.choice(["\u00a0", "\u2003"]), rng.choice([1, -1]))
+    elif kind == "line-end":
+        at = rng.randrange(len(lines[i]) + 1)
+        lines[i] = lines[i][:at] + rng.choice(LINE_ENDS) + lines[i][at:]
+    elif kind == "bom":
+        lines[0] = "\ufeff" + lines[0]
+    elif kind == "non-ascii-name":
+        line = rng.choice(NON_ASCII_LINES).format(a=rng.choice(["s0", "s1"]), p=rng.choice("ab"), x=rng.choice(NON_ASCII))
+        lines.insert(i, line)
     elif kind == "drop-line":
         del lines[i]
         if not lines:
@@ -297,7 +322,8 @@ def mutate(lines: list[str], kind: str, rng: random.Random) -> None:
 
 
 MUTATIONS = ["drop-token", "foreign-token", "unknown-prop", "duplicate-state", "unknown-endpoint",
-             "section-spacing", "comment", "blank", "junk", "trans-shape", "trans-separator", "drop-line"]
+             "section-spacing", "comment", "blank", "junk", "trans-shape", "trans-separator", "line-head",
+             "unicode-space", "line-end", "bom", "non-ascii-name", "drop-line"]
 
 
 def parse_outcome(parse, text: str):
@@ -320,6 +346,18 @@ def test_parser_agrees_with_the_regex_reference(seed, kinds):
     text = "\n".join(lines) + rng.choice(["", "\n", "\r\n"])
     got = parse_outcome(parse_kripke, text)
     assert got == parse_outcome(parse_kripke_by_regex, text)
+
+
+@pytest.mark.parametrize(
+    "line",
+    [head.format(a="s0", b="s0", p="a") for head in LINE_HEADS]
+    + [line.format(a="s0", p="a", x=x) for line in NON_ASCII_LINES for x in NON_ASCII]
+    + ["states:\u00a0s0", "label\u2003s0:\u00a0a", "ap:\u2003a\u00a0b", "\ufeffstates: s0"]
+    + [f"label s0: a{end}b" for end in LINE_ENDS],
+)
+def test_parser_agrees_with_the_regex_reference_on_each_line_head(line):
+    text = f"states: s0\ninit: s0\nap: a b\n{line}\ntrans s0 -> s0\n"
+    assert parse_outcome(parse_kripke, text) == parse_outcome(parse_kripke_by_regex, text)
 
 
 @given(

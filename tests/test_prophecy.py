@@ -267,6 +267,21 @@ def test_parse_prophecy_error_lines():
         parse_prophecy(base + "annot s:\n")
 
 
+@pytest.mark.parametrize("sep", [" ", "  ", "\t", "\u00a0", "\u2003"])
+def test_any_whitespace_after_annot_makes_an_annot_line(sep):
+    # as after `label` and `trans`
+    u = parse_prophecy(f"states: s\ninit: s\nap: a\ntrans s -> s\nannot{sep}s: X Y # c\n")
+    assert u.annotation == (frozenset({"X", "Y"}),)
+
+
+@pytest.mark.parametrize("line", ["annot: x", "annotx s: X", "annot:s X"])
+def test_a_line_whose_first_word_is_not_annot_is_a_structure_line(line):
+    base = "states: s\ninit: s\nap: a\ntrans s -> s\n"
+    with pytest.raises(KripkeParseError) as e:
+        parse_prophecy(base + line + "\n")
+    assert str(e.value) == f"line 5: unrecognized line {line!r}"
+
+
 def test_validate_prophecy_flags_unknown_annotated_state():
     k = parse_kripke("states: s\ninit: s\nap: a\ntrans s -> s")
     u = ProphecyAutomaton(structure=k, annotation=(frozenset(), frozenset({"X"})))
