@@ -44,15 +44,7 @@ from .hyperspec import (
     pred_to_text,
 )
 from .kripke import KripkeError, KripkeStructure, parse_kripke, reachable_restriction
-from .oracle import (
-    Counterexample,
-    LiveSetSearch,
-    falsify_exists_forall,
-    falsify_forall_exists,
-    reverify_counterexample,
-    validate_witness_ae,
-    validate_witness_ea,
-)
+from .oracle import Counterexample, reverify_counterexample, validate_witness_ae, validate_witness_ea
 from .prophecy import (
     ProphecyAutomaton,
     ProphecyError,
@@ -62,6 +54,7 @@ from .prophecy import (
     prophecy_product,
 )
 from .sat import EmbeddedBackend, ExternalBackend, SatResult, SolverBackendError, solve
+from .search import LiveSetSearch, falsify_exists_forall, falsify_forall_exists
 
 DEFAULT_EA_BOUND = 16
 DEFAULT_FALSIFY_DEPTH = 8
@@ -437,7 +430,7 @@ def check_pair(
 
 
 def _read(path: str) -> str:
-    """The file's text, by raw reads without a buffered file object."""
+    """The file's text, by raw reads without a buffered file object, less a BOM."""
     try:
         fd = os.open(path, os.O_RDONLY)
         try:
@@ -448,7 +441,7 @@ def _read(path: str) -> str:
             raise OSError(e.errno, e.strerror, path) from None
         finally:
             os.close(fd)
-        return b"".join(chunks).decode("utf-8")
+        return b"".join(chunks).decode("utf-8-sig")
     except (OSError, UnicodeDecodeError) as e:
         raise CliInputError(f"cannot read {path}: {e}") from e
 
@@ -594,8 +587,8 @@ _MANIFEST_KEYS = {
 def _case_config(case_dir: Path, backend: str) -> tuple[CheckConfig, str]:
     """The check a case.json describes, and its expected verdict."""
     try:
-        manifest = json.loads((case_dir / "case.json").read_text())
-    except (OSError, ValueError) as e:
+        manifest = json.loads(_read(str(case_dir / "case.json")))
+    except ValueError as e:
         raise CliInputError(f"case.json: {e}") from e
     if not isinstance(manifest, dict):
         raise CliInputError("case.json must hold a JSON object")

@@ -1,43 +1,35 @@
-"""Propositional encodings of the two simulation queries.
+"""Propositional encodings of the two simulation queries, and the decoding
+of a solver's model into a witness.
 
 Both encodings name the states of the two structures directly; clauses are
 emitted over integer literals with one named variable per relation entry.
+The explicit-state facts each instance is cut to come from `search`.
 
-  * sim-ae: a subset of at most k states of K_Q simulates all of K_P.  The
-    greatest predicate-respecting simulation R (fixpoint refinement after
-    Henzinger, Henzinger & Kopke, FOCS 1995) is computed first, as one
-    bitmask row of right states per left state; every simulation lies
-    inside it, so the query only picks a sub-relation of R.  Some pairs of
-    R are in every such sub-relation (`held_pairs`): a left state's only
-    candidate, or only initial candidate, and the only successor candidate
-    a held pair leaves.  The query takes them as true and asks about the
-    rest: one variable sim(p,q) per other pair of R, one used(q) per right
-    state of R no held pair forces in, and a sequential counter (Sinz, CP
-    2005) keeping the used states <= k.  If R relates some initial left
-    state to no initial right state, the query is that contradiction, at
-    every k.  R also bounds k from below: sets of right states of which
-    every model uses one, read off the initial-match and successor-match
-    clauses, and pairwise disjoint, give the first bound a decision asks
-    (`subset_floor`).  Only the counter depends on k, and it grows one
-    column per bound, so one instance (`AeEncoding`) answers every bound of
-    a decision, each asked by assumption literals (MiniSat-style, Een &
-    Sorensson, SAT 2003).
+  * sim-ae: a subset of at most k states of K_Q simulates all of K_P.  Every
+    simulation lies inside the greatest one, R (`greatest_simulation`), so
+    the query only picks a sub-relation of R.  It takes the pairs every such
+    sub-relation holds (`held_pairs`) as true and asks about the rest: one
+    variable sim(p,q) per other pair of R, one used(q) per right state of R
+    no held pair forces in, and a sequential counter (Sinz, CP 2005)
+    keeping the used states <= k.  If R relates some initial left state to
+    no initial right state, the query is that contradiction, at every k.
+    Only the counter depends on k, and it grows one column per bound, so
+    one instance (`AeEncoding`) answers every bound of a decision from
+    `subset_floor` on, each asked by assumption literals (MiniSat-style,
+    Een & Sorensson, SAT 2003).
   * sim-ea: a lasso of total length n in K_P whose positions jointly simulate
     all of K_Q.  One-hot pos(i,p) choose the left state at position i and
     loop(l) the loop-back target; sim(i,q) holds the right states position i
     must answer for.  Satisfiable iff such a lasso exists at length n.
     Position i answers for at least R_{i-1}, the right states reachable in
     exactly i-1 steps, so it may only hold a left state of the safe
-    frontier F_{i-1} that the exists-forall falsifier's search grows (a
-    left path each of whose states admits its whole layer R), and it only
-    ever needs sim(i,q) for the q reachable from R_{i-1}, which the same
-    search gives (`SafeFrontierSearch.reach`).  Both cuts are exact.  The
-    instance of length n (`EaEncoding.bound`) is positions 1..n and the
-    one loop family of n, with no assumption.  The least position sets of
-    a lasso depend only on n and its loop start, so the same search
-    settles whether the instance is satisfiable (`has_lasso`), and a
-    decision asks the solver only at a length it admits (lasso loop
-    conditions after Biere, Cimatti, Clarke & Zhu, TACAS 1999).
+    frontier F_{i-1} (`SafeFrontierSearch.frontier`), and it only ever
+    needs sim(i,q) for the q reachable from R_{i-1} (`reach`).  Both cuts
+    are exact.  The instance of length n (`EaEncoding.bound`) is positions
+    1..n and the one loop family of n, with no assumption.  The same search
+    settles whether it is satisfiable (`has_lasso`), so a decision asks the
+    solver only at a length it admits (lasso loop conditions after Biere,
+    Cimatti, Clarke & Zhu, TACAS 1999).
 
 For forall-exists, an instance asked straight at a bound equals one swept
 to it.
@@ -45,14 +37,14 @@ to it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Mapping
 
 from .circuit import Clause, CnfInstance, lower_parts_to_cnf
 from .hyperspec import PredicateTable
-from .kripke import KripkeStructure, LassoPath, bit_indices, union_of
-from .oracle import SafeFrontierSearch
+from .kripke import LassoPath, bit_indices, union_of
+from .oracle import SimWitnessAE, SimWitnessEA
+from .search import SafeFrontierSearch, greatest_simulation, held_pairs, subset_floor, uncovered_initial
 
 
 class EncodeError(Exception):
@@ -61,26 +53,6 @@ class EncodeError(Exception):
 
 class DecodeError(Exception):
     pass
-
-
-Rows = list[int]  # a relation as one bitmask of right states per left state
-
-
-@dataclass
-class SimWitnessAE:
-    """A predicate-compatible simulation relation from K_P into K_Q, as
-    (left state, right state) pairs."""
-
-    relation: frozenset[tuple[int, int]]
-    used_q: frozenset[int]
-
-
-@dataclass
-class SimWitnessEA:
-    """A lasso in K_P together with the per-position sets of simulated Q states."""
-
-    lasso: LassoPath
-    pos_relation: dict[int, frozenset[int]]  # 1-based lasso positions
 
 
 class _Vars:
@@ -140,139 +112,6 @@ class _Counter:
                     out.append([-col[t - 1], c])
             self.columns.append(col)
             self.cnf.add(out)
-
-
-def greatest_simulation(table: PredicateTable) -> Rows:
-    """The greatest R within S_P x S_Q such that the table's predicate holds
-    on every pair of R and, for (p,q) in R, every successor of p is related
-    to some successor of q, as its rows: R[p] is the bitmask of the right
-    states related to the left state p.
-
-    Refinement starts each row from the right states the predicate admits.
-    A row keeps q while every successor p2 of p has a row that meets q's
-    successors; when a row shrinks, the rows of p's predecessors are refined
-    again."""
-    rel = list(table.allow)
-    succ_p, pre_p, pre_q = table.kp.succ, table.kp.pred_mask, table.kq.pred_mask
-    into: dict[int, int] = {}  # row -> the right states with a successor in it
-
-    work = list(range(len(rel)))
-    queued = [True] * len(rel)
-    while work:
-        p = work.pop()
-        queued[p] = False
-        row = rel[p]
-        for p2 in succ_p[p]:
-            if not row:
-                break
-            target = rel[p2]
-            keep = into.get(target)
-            if keep is None:
-                keep = into[target] = union_of(pre_q, target)
-            row &= keep
-        if row != rel[p]:
-            rel[p] = row
-            for p0 in bit_indices(pre_p[p]):
-                if not queued[p0]:
-                    queued[p0] = True
-                    work.append(p0)
-    return rel
-
-
-def uncovered_initial(kp: KripkeStructure, kq: KripkeStructure, relation: Rows) -> list[int]:
-    """Initial left states the relation pairs with no initial right state."""
-    return [p for p in bit_indices(kp.init) if not relation[p] & kq.init]
-
-
-def _single(row: int) -> bool:
-    return row != 0 and not row & (row - 1)
-
-
-def held_pairs(kp: KripkeStructure, kq: KripkeStructure, relation: Rows) -> Rows:
-    """The pairs of `relation` that every sub-relation encode_sim_ae
-    accepts holds, at every k, as rows: one p may be held to two q.
-
-    Its initial-match and successor-match clauses relate every left state
-    reachable in K_P to one of its candidates C(p) = relation[p], each
-    initial p to one of relation[p] & Init_Q, and each successor p2 of a
-    held pair (p, q) to one of relation[p2] & succ(q).  So (p, q) is held
-    when one of these sets is {q}: a singleton C(p) of a reachable p, a
-    singleton initial row, or a singleton successor row of a held pair."""
-    held = [0] * len(relation)
-    todo: list[tuple[int, int]] = []
-
-    def hold(p: int, row: int) -> None:
-        if _single(row) and not held[p] & row:
-            held[p] |= row
-            todo.append((p, row))
-
-    for p in bit_indices(kp.reached):
-        hold(p, relation[p])
-    for p in bit_indices(kp.init):
-        hold(p, relation[p] & kq.init)
-    while todo:
-        p, only = todo.pop()
-        succ_q = kq.succ_mask[only.bit_length() - 1]
-        for p2 in kp.succ[p]:
-            hold(p2, relation[p2] & succ_q)
-    return held
-
-
-def _packing(sets: Iterable[int], key: Callable[[int], object]) -> int:
-    """The size of the greedy family of pairwise disjoint sets, taken in
-    the order of key."""
-    count, picked = 0, 0
-    for row in sorted(sets, key=key):
-        if not picked & row:
-            count += 1
-            picked |= row
-    return count
-
-
-def subset_floor(kp: KripkeStructure, kq: KripkeStructure, relation: Rows, held: Rows) -> int:
-    """A bound L such that every sub-relation of `relation` that
-    encode_sim_ae accepts uses at least L right states; `held` is
-    held_pairs(kp, kq, relation).
-
-    L counts pairwise disjoint must-hit sets: nonempty sets of right states
-    of which every model at every k uses one.  Each is read off a clause:
-      * C(p) = relation[p] for each reachable left state p;
-      * initial-match: relation[p] & Init_Q for each initial p;
-      * successor-match: relation[p2] & succ(q) for each successor p2 of a
-        held pair (p, q).
-    The singletons among them are the forced states F, the right states of
-    the held pairs.  On the vertex-cover reduction these are the edge
-    states and, below the hub, each edge's two end vertices, so L is |E|
-    plus the size of a matching, which König's theorem makes the cover size
-    on bipartite graphs.
-
-    L is the larger of two greedy families of disjoint sets, each F and then
-    wider sets that miss F: all must-hit sets smallest first, ties by the
-    least sum of how many sets hold each member (so a greedy matching
-    prefers edges of low degree) and then by mask; and the rows C(p) alone
-    in the order (|C(p)|, p).  Greedy packing is not monotone in the
-    family: an initial row that meets two disjoint rows C(p) would
-    otherwise block both.  So L >= |F|, and L is at least 1, the least
-    bound there is."""
-    forced = union_of(held, (1 << len(held)) - 1)
-    rows = [relation[p] for p in bit_indices(kp.reached)]
-    sets = set(rows)
-    sets.update(relation[p] & kq.init for p in bit_indices(kp.init))
-    for p, row in enumerate(held):
-        for q in bit_indices(row):
-            sets.update(relation[p2] & kq.succ_mask[q] for p2 in kp.succ[p])
-    wide = [row for row in sets if row & (row - 1)]
-    held_by = [0] * len(kq.states)  # how many wider must-hit sets hold each right state
-    for row in wide:
-        for q in bit_indices(row):
-            held_by[q] += 1
-
-    def smallest_least_held(row: int) -> tuple[int, int, int]:
-        return row.bit_count(), sum(held_by[q] for q in bit_indices(row)), row
-
-    packed = _packing([row for row in wide if not row & forced], smallest_least_held)
-    by_rows = _packing([row for row in rows if row & (row - 1) and not row & forced], int.bit_count)
-    return max(forced.bit_count() + max(packed, by_rows), 1)
 
 
 class AeEncoding:

@@ -23,16 +23,10 @@ from hypersim.hyperspec import (
     parse_property,
 )
 from hypersim.kripke import parse_kripke, reachable_restriction
-from hypersim.oracle import (
-    LiveSetSearch,
-    SafeFrontierSearch,
-    falsify_exists_forall,
-    falsify_forall_exists,
-    validate_witness_ae,
-    validate_witness_ea,
-)
+from hypersim.oracle import validate_witness_ae, validate_witness_ea
 from hypersim.prophecy import build_next_prophecy, check_universality, prophecy_product
 from hypersim.sat import solve
+from hypersim.search import LiveSetSearch, SafeFrontierSearch, falsify_exists_forall, falsify_forall_exists
 
 from helpers import (
     ae_at,

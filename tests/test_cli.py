@@ -31,12 +31,13 @@ from hypersim.cli import (
     run_check,
     sweep,
 )
-from hypersim.encoder import SimWitnessEA, decode_witness_ae, encode_sim_ae, encode_sim_ea
+from hypersim.encoder import decode_witness_ae, encode_sim_ae, encode_sim_ea
 from hypersim.hyperspec import PredicateTable, parse_property
 from hypersim.kripke import LassoPath, bit_indices, parse_kripke
-from hypersim.oracle import LiveSetSearch, SafeFrontierSearch, falsify_forall_exists, validate_witness_ae
+from hypersim.oracle import SimWitnessEA, validate_witness_ae
 from hypersim.prophecy import build_next_prophecy
 from hypersim.sat import EmbeddedBackend, SatResult, solve
+from hypersim.search import LiveSetSearch, SafeFrontierSearch, falsify_forall_exists
 
 from helpers import (
     bounded_runs_text,
@@ -594,15 +595,45 @@ def test_a_file_that_is_not_utf8_is_an_input_error(command, flag, tmp_path, caps
     assert err.startswith(f"error: cannot read {bad}: ") and "Traceback" not in err
 
 
-@pytest.mark.parametrize("case", ["abp", "gcw"])
-def test_a_case_with_crlf_line_ends_gets_the_same_report(case, tmp_path):
+INTRO_PHI1 = {"left": "k1.kr", "right": "k2.kr", "property": "phi1.hp", "expect": "violated"}
+
+
+def copy_case(case: str, to: Path) -> Path:
+    """A corpus case, or "intro", the intro pair under phi1 written as a
+    case, copied to the directory `to`."""
+    if case != "intro":
+        return Path(shutil.copytree(CORPUS / case, to))
+    to.mkdir()
+    for name in ("k1.kr", "k2.kr", "phi1.hp"):
+        shutil.copy(DATA / name, to / name)
+    (to / "case.json").write_text(json.dumps(INTRO_PHI1))
+    return to
+
+
+def tabs_and_comments(line: bytes) -> bytes:
+    """A .kr line spelt another way the reader accepts: `states :`, a tab
+    after `label` and `trans` and around the arrow, and a comment."""
+    for word, spelt in ((b"states:", b"states :"), (b"label ", b"label\t"), (b"trans ", b"trans\t")):
+        if line.startswith(word):
+            line = spelt + line[len(word):]
+    return line.replace(b" -> ", b"\t->\t", 1) + b" # note"
+
+
+@pytest.mark.parametrize(
+    "case, respell",
+    [("abp", None), ("gcw", None), ("intro", tabs_and_comments)],
+    ids=["abp", "gcw", "intro-tabs-and-comments"],
+)
+def test_a_case_with_crlf_line_ends_gets_the_same_report(case, respell, tmp_path):
     # the structures and the property read as bytes and decoded: "\r\n"
-    # reaches the parsers as it is on disk
-    shutil.copytree(CORPUS / case, tmp_path / case)
-    for path in (tmp_path / case).iterdir():
+    # reaches the parsers as it is on disk; respell, if any, rewrites each
+    # line of the structures first
+    for path in copy_case(case, tmp_path / case).iterdir():
         if path.suffix in (".kr", ".hp"):
             text = path.read_bytes()
             assert b"\r" not in text
+            if respell and path.suffix == ".kr":
+                text = b"".join(respell(line) + b"\n" for line in text.splitlines())
             path.write_bytes(text.replace(b"\n", b"\r\n"))
 
     def report(case_dir):
@@ -611,7 +642,32 @@ def test_a_case_with_crlf_line_ends_gets_the_same_report(case, tmp_path):
             del it["seconds"]
         return out
 
-    assert report(tmp_path / case) == report(CORPUS / case)
+    assert report(tmp_path / case) == report(copy_case(case, tmp_path / "plain"))
+    if respell:
+        lines = (tmp_path / case / "k1.kr").read_bytes().split(b"\n")
+        assert b"states : s1 s2 s3 s4 # note\r" in lines and b"trans\ts1\t->\ts2 # note\r" in lines
+
+
+def test_a_file_that_starts_with_a_byte_order_mark_gets_the_same_report(tmp_path, capsys):
+    # files are decoded as utf-8-sig, so a BOM an editor put first is
+    # dropped, here before a structure and a case.json; parse_kripke
+    # itself still rejects U+FEFF
+    bom = b"\xef\xbb\xbf"
+    case = copy_case("intro", tmp_path / "intro")
+    for name in ("k1.kr", "case.json"):
+        (case / name).write_bytes(bom + (case / name).read_bytes())
+    reports = []
+    for left in (DATA / "k1.kr", case / "k1.kr"):
+        argv = check_args("phi1.hp", "--format", "json")
+        argv[argv.index("--left") + 1] = str(left)
+        assert main(argv) == 1
+        reports.append(json.loads(capsys.readouterr().out))
+    for report in reports:
+        for it in report["iterations"]:
+            del it["seconds"]
+    assert reports[0] == reports[1]
+    cfg, expected = _case_config(case, "embedded")
+    assert expected == "violated" and run_check(cfg).verdict == "violated"
 
 
 def test_bench_reports_a_file_that_is_not_utf8_as_an_error_row(tmp_path, capsys):

@@ -19,10 +19,6 @@ from hypersim.encoder import (
     decode_witness_ea,
     encode_sim_ae,
     encode_sim_ea,
-    greatest_simulation,
-    held_pairs,
-    subset_floor,
-    uncovered_initial,
 )
 from hypersim.hyperspec import (
     MatchAll,
@@ -32,9 +28,10 @@ from hypersim.hyperspec import (
     parse_property,
 )
 from hypersim.kripke import LassoPath, bit_indices, parse_kripke, reachable_restriction, union_of
-from hypersim.oracle import SafeFrontierSearch, validate_witness_ae, validate_witness_ea
+from hypersim.oracle import validate_witness_ae, validate_witness_ea
 from hypersim.prophecy import build_next_prophecy, prophecy_product
 from hypersim.sat import EmbeddedBackend, solve
+from hypersim.search import SafeFrontierSearch, greatest_simulation, held_pairs, subset_floor, uncovered_initial
 
 from helpers import (
     ae_at,

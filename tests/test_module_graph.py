@@ -1,0 +1,60 @@
+"""Which package module imports which: the checkers in `oracle` share no
+code with the searches or the encodings, and the import graph has no
+cycle."""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).parent.parent / "src" / "hypersim"
+
+
+def package_imports(path: Path) -> set[str]:
+    """The package modules a source file imports, wherever the import
+    stands: at the top, inside a function or under `if TYPE_CHECKING`."""
+    found: set[str] = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = ".".join(["hypersim"] * (node.level > 0) + [node.module or ""]).rstrip(".")
+            names = [f"{module}.{a.name}" for a in node.names] if module == "hypersim" else [module]
+        else:
+            continue
+        found.update(name.split(".")[1] for name in names if name.startswith("hypersim."))
+    return found
+
+
+def module_graph() -> dict[str, set[str]]:
+    return {path.stem: package_imports(path) for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def test_the_reader_sees_every_kind_of_import():
+    graph = module_graph()
+    assert {"cli", "encoder", "oracle", "search"} <= set(graph)
+    assert "kripke" in graph["hyperspec"]  # imported only under TYPE_CHECKING
+    assert package_imports(PACKAGE / "cli.py") >= {"encoder", "oracle", "search", "sat"}
+
+
+def test_oracle_imports_only_hyperspec_and_kripke():
+    assert module_graph()["oracle"] <= {"hyperspec", "kripke"}
+
+
+def test_search_imports_no_encoding_solver_or_driver():
+    assert not module_graph()["search"] & {"encoder", "circuit", "sat", "cli"}
+
+
+def test_the_import_graph_has_no_cycle():
+    graph = module_graph()
+    done: set[str] = set()
+
+    def visit(module: str, path: list[str]) -> None:
+        if module in path:
+            raise AssertionError("import cycle: " + " -> ".join(path[path.index(module):] + [module]))
+        if module in done:
+            return
+        for target in sorted(graph.get(module, ())):
+            visit(target, path + [module])
+        done.add(module)
+
+    for module in graph:
+        visit(module, [])

@@ -9,22 +9,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hypersim.encoder import SimWitnessAE, SimWitnessEA
 from hypersim.hyperspec import PredicateTable, eval_predicate, parse_predicate, parse_property
 import hypersim.cli
 from hypersim.cli import check_pair
 from hypersim.kripke import LassoPath, bit_indices, parse_kripke, reachable_restriction
 from hypersim.oracle import (
     Counterexample,
-    LiveSetSearch,
-    SafeFrontierSearch,
-    falsify_exists_forall,
-    falsify_forall_exists,
+    SimWitnessAE,
+    SimWitnessEA,
     reverify_counterexample,
     validate_witness_ae,
     validate_witness_ea,
 )
 from hypersim.sat import solve
+from hypersim.search import LiveSetSearch, SafeFrontierSearch, falsify_exists_forall, falsify_forall_exists
 
 from helpers import (
     LassoTrace,

@@ -289,10 +289,11 @@ def test_satcli_answers_an_empty_clause_unsat(text, code, status, tmp_path, caps
     "text, model",
     [
         ("p cnf 2000000 1\n1 0\n", "v 1 0"),
+        ("p cnf 1000000000 1\n1 0\n", "v 1 0"),
         ("p cnf 1 1\n1500000 0\n", "v 1500000 0"),
         ("p cnf 10 2\n-7 0\n3 7 0\n", "v 3 -7 0"),
     ],
-    ids=["a-huge-header", "a-huge-literal", "sparse-variables"],
+    ids=["a-huge-header", "a-billion-variable-header", "a-huge-literal", "sparse-variables"],
 )
 def test_satcli_sizes_the_solver_by_the_variables_the_clauses_use(text, model, tmp_path, capsys):
     # neither a header's variable count nor a large literal costs time or
