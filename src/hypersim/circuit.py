@@ -10,22 +10,23 @@ so the exported DIMACS text is byte-stable across runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 Clause = list[int]
 
 
-@dataclass
 class CnfInstance:
     """Clause set in DIMACS conventions: variables 1..num_vars, no empty
     clauses.  Clauses enter through `add`, which keeps the 1-based inclusive
     clause range of each family (`provenance`) in step."""
 
-    num_vars: int = 0
-    clauses: list[list[int]] = field(default_factory=list)
-    var_names: dict[int, str] = field(default_factory=dict)
-    provenance: list[tuple[str, int, int]] = field(default_factory=list)
+    def __init__(self, num_vars: int = 0, clauses: list[list[int]] | None = None,
+                 var_names: dict[int, str] | None = None,
+                 provenance: list[tuple[str, int, int]] | None = None) -> None:
+        self.num_vars = num_vars
+        self.clauses = [] if clauses is None else clauses
+        self.var_names = {} if var_names is None else var_names
+        self.provenance = [] if provenance is None else provenance
 
     @property
     def num_clauses(self) -> int:

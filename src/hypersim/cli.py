@@ -15,12 +15,10 @@ verdict rather than a guess.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field
-from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .circuit import export_dimacs, varmap_text
 from .encoder import (
@@ -56,6 +54,9 @@ from .prophecy import (
 from .sat import EmbeddedBackend, ExternalBackend, SatResult, SolverBackendError, solve
 from .search import LiveSetSearch, falsify_exists_forall, falsify_forall_exists
 
+if TYPE_CHECKING:
+    from pathlib import Path
+
 DEFAULT_EA_BOUND = 16
 DEFAULT_FALSIFY_DEPTH = 8
 
@@ -69,46 +70,57 @@ class InternalSoundnessError(Exception):
     Indicates a defect in the encoder/decoder/falsifier, never user error."""
 
 
-@dataclass
 class CheckConfig:
-    left_path: str
-    right_path: str
-    prop_path: str | None = None
-    prop_text: str | None = None
-    prophecy: str | None = None  # "next:<prop>:<depth>"
-    prophecy_file: str | None = None
-    max_sim_bound: int | None = None
-    max_falsify_depth: int = DEFAULT_FALSIFY_DEPTH
-    backend: str = "embedded"  # "embedded" or "external:<path>"
+    def __init__(self, left_path: str, right_path: str, prop_path: str | None = None,
+                 prop_text: str | None = None, prophecy: str | None = None,
+                 prophecy_file: str | None = None, max_sim_bound: int | None = None,
+                 max_falsify_depth: int = DEFAULT_FALSIFY_DEPTH, backend: str = "embedded") -> None:
+        self.left_path = left_path
+        self.right_path = right_path
+        self.prop_path = prop_path
+        self.prop_text = prop_text
+        self.prophecy = prophecy  # "next:<prop>:<depth>"
+        self.prophecy_file = prophecy_file
+        self.max_sim_bound = max_sim_bound
+        self.max_falsify_depth = max_falsify_depth
+        self.backend = backend  # "embedded" or "external:<path>"
 
 
-@dataclass
 class IterationStat:
-    side: str  # "sim" or "falsify"
-    bound: int
-    outcome: str  # sim: "sat"/"unsat"; falsify: "counterexample"/"none"
-    seconds: float
-    num_vars: int = 0
-    num_clauses: int = 0
-    nodes: int | None = None  # forall-exists falsify: live-set nodes at this depth
+    def __init__(self, side: str, bound: int, outcome: str, seconds: float,
+                 num_vars: int = 0, num_clauses: int = 0, nodes: int | None = None) -> None:
+        self.side = side  # "sim" or "falsify"
+        self.bound = bound
+        self.outcome = outcome  # sim: "sat"/"unsat"; falsify: "counterexample"/"none"
+        self.seconds = seconds
+        self.num_vars = num_vars
+        self.num_clauses = num_clauses
+        self.nodes = nodes  # forall-exists falsify: live-set nodes at this depth
 
 
-@dataclass
 class Report:
-    mode: str  # "ae" or "ea"
-    property_text: str
-    verdict: str  # "holds", "violated", "unknown-at-bounds"
-    left_states: int
-    right_states: int
-    minimal_bound: int | None = None
-    used_subset_size: int | None = None
-    witness_relation: list[tuple[str, str]] | None = None  # ae
-    witness_lasso: dict | None = None  # ea: prefix/loop/posRelation
-    counterexample: dict | None = None
-    sim_bound_reached: int = 0
-    falsify_depth_reached: int = 0
-    iterations: list[IterationStat] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
+    def __init__(self, mode: str, property_text: str, verdict: str, left_states: int,
+                 right_states: int, minimal_bound: int | None = None,
+                 used_subset_size: int | None = None,
+                 witness_relation: list[tuple[str, str]] | None = None,
+                 witness_lasso: dict | None = None, counterexample: dict | None = None,
+                 sim_bound_reached: int = 0, falsify_depth_reached: int = 0,
+                 iterations: list[IterationStat] | None = None,
+                 notes: list[str] | None = None) -> None:
+        self.mode = mode  # "ae" or "ea"
+        self.property_text = property_text
+        self.verdict = verdict  # "holds", "violated", "unknown-at-bounds"
+        self.left_states = left_states
+        self.right_states = right_states
+        self.minimal_bound = minimal_bound
+        self.used_subset_size = used_subset_size
+        self.witness_relation = witness_relation  # ae
+        self.witness_lasso = witness_lasso  # ea: prefix/loop/posRelation
+        self.counterexample = counterexample
+        self.sim_bound_reached = sim_bound_reached
+        self.falsify_depth_reached = falsify_depth_reached
+        self.iterations = [] if iterations is None else iterations
+        self.notes = [] if notes is None else notes
 
     def to_dict(self) -> dict:
         return {
@@ -448,7 +460,8 @@ def _read(path: str) -> str:
 
 def _write(path: str, text: str) -> None:
     try:
-        Path(path).write_text(text)
+        with open(path, "w") as f:
+            f.write(text)
     except OSError as e:
         raise CliInputError(f"cannot write {path}: {e.strerror or e}") from e
 
@@ -558,17 +571,19 @@ def export_encoding(cfg: CheckConfig, bound: int) -> tuple[str, str]:
 # ---------------------------------------------------------------- benchmarks
 
 
-@dataclass
 class BenchRow:
-    case: str
-    left_states: int | None
-    right_states: int | None
-    verdict: str
-    expected: str
-    subset: int | None
-    seconds: float
-    ok: bool
-    error: str | None = None
+    def __init__(self, case: str, left_states: int | None, right_states: int | None,
+                 verdict: str, expected: str, subset: int | None, seconds: float, ok: bool,
+                 error: str | None = None) -> None:
+        self.case = case
+        self.left_states = left_states
+        self.right_states = right_states
+        self.verdict = verdict
+        self.expected = expected
+        self.subset = subset
+        self.seconds = seconds
+        self.ok = ok
+        self.error = error
 
 
 # manifest key -> (type, required); file names are relative to the case directory
@@ -586,6 +601,8 @@ _MANIFEST_KEYS = {
 
 def _case_config(case_dir: Path, backend: str) -> tuple[CheckConfig, str]:
     """The check a case.json describes, and its expected verdict."""
+    import json
+
     try:
         manifest = json.loads(_read(str(case_dir / "case.json")))
     except ValueError as e:
@@ -618,6 +635,8 @@ def _case_config(case_dir: Path, backend: str) -> tuple[CheckConfig, str]:
 
 
 def run_benchmarks(corpus_dir: str, backend: str = "embedded") -> tuple[list[BenchRow], bool]:
+    from pathlib import Path
+
     root = Path(corpus_dir)
     if not root.is_dir():
         raise CliInputError(f"corpus directory not found: {corpus_dir}")
@@ -730,6 +749,8 @@ def main(argv: list[str] | None = None) -> int:
                 backend=args.backend,
             ))
             if args.fmt == "json":
+                import json
+
                 print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
             else:
                 print(report.render_text(), end="")

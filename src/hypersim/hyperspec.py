@@ -15,11 +15,9 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterable
+from typing import Callable, Iterable
 
-if TYPE_CHECKING:
-    from .kripke import KripkeStructure
+from .kripke import KripkeStructure, Value
 
 
 class PredicateParseError(Exception):
@@ -30,67 +28,74 @@ class UnsupportedFragmentError(Exception):
     """Raised for any property outside the two supported quantifier shapes."""
 
 
-class Pred:
+class Pred(Value):
     """Base class for relational predicate AST nodes."""
 
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class TrueConst(Pred):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class FalseConst(Pred):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class LeftAtom(Pred):
-    prop: str
+    __slots__ = _fields = ("prop",)
+
+    def __init__(self, prop: str) -> None:
+        self._init(prop)
 
 
-@dataclass(frozen=True)
 class RightAtom(Pred):
-    prop: str
+    __slots__ = _fields = ("prop",)
+
+    def __init__(self, prop: str) -> None:
+        self._init(prop)
 
 
-@dataclass(frozen=True)
 class Not(Pred):
-    arg: Pred
+    __slots__ = _fields = ("arg",)
+
+    def __init__(self, arg: Pred) -> None:
+        self._init(arg)
 
 
-@dataclass(frozen=True)
-class And(Pred):
-    left: Pred
-    right: Pred
+class _Binary(Pred):
+    """The shape the four binary connectives share."""
+
+    __slots__ = _fields = ("left", "right")
+
+    def __init__(self, left: Pred, right: Pred) -> None:
+        self._init(left, right)
 
 
-@dataclass(frozen=True)
-class Or(Pred):
-    left: Pred
-    right: Pred
+class And(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Implies(Pred):
-    left: Pred
-    right: Pred
+class Or(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Iff(Pred):
-    left: Pred
-    right: Pred
+class Implies(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
+class Iff(_Binary):
+    __slots__ = ()
+
+
 class MatchAll(Pred):
     """Every prop in `props` agrees between the two labels; `props` is
     unset until expand_match_all, and evaluation refuses it unset."""
 
-    props: frozenset[str] | None = None
+    __slots__ = _fields = ("props",)
+
+    def __init__(self, props: frozenset[str] | None = None) -> None:
+        self._init(props)
 
 
 class Pattern(enum.Enum):
@@ -98,10 +103,11 @@ class Pattern(enum.Enum):
     EXISTS_FORALL = "exists-forall"
 
 
-@dataclass(frozen=True)
-class HyperProperty:
-    pattern: Pattern
-    pred: Pred
+class HyperProperty(Value):
+    __slots__ = _fields = ("pattern", "pred")
+
+    def __init__(self, pattern: Pattern, pred: Pred) -> None:
+        self._init(pattern, pred)
 
 
 _TOKEN_RE = re.compile(
@@ -145,7 +151,7 @@ def _depth(pred: Pred) -> int:
         best = max(best, d)
         if isinstance(node, Not):
             stack.append((node.arg, d + 1))
-        elif isinstance(node, (And, Or, Implies, Iff)):
+        elif isinstance(node, _Binary):
             stack.append((node.left, d + 1))
             stack.append((node.right, d + 1))
     return best
@@ -248,7 +254,7 @@ def expand_match_all(pred: Pred, left_ap: Iterable[str], right_ap: Iterable[str]
             return shared
         if isinstance(n, Not):
             return Not(walk(n.arg))
-        if isinstance(n, (And, Or, Implies, Iff)):
+        if isinstance(n, _Binary):
             return type(n)(walk(n.left), walk(n.right))
         return n
 

@@ -4,11 +4,14 @@ A structure is a finite set of named states with a total transition relation,
 a nonempty set of initial states, and a labeling of states with atomic
 propositions.  Lassos (finite prefix + nonempty loop) are the finite carriers
 of the infinite traces the checker reasons about.
+
+This is the package's leaf module, so it also holds `Value`, the base of every
+immutable record in the package: structures, lassos, predicate nodes,
+properties, counterexamples and prophecy automata.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Sequence
 
@@ -29,18 +32,55 @@ class KripkeSemanticError(KripkeError):
         self.violations = violations
 
 
-@dataclass(frozen=True)
-class KripkeStructure:
+class Value:
+    """An immutable record whose fields a subclass names in `_fields` and
+    sets in `__init__` through `_init`.  Two values are equal when they have
+    exactly the same type and equal fields, and equal values hash equal; the
+    repr reads `Name(field=value, ...)`; assignment and `del` raise
+    AttributeError.  A subclass declares its fields as `__slots__` unless it
+    needs a `__dict__`."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _init(self, *values) -> None:
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to {name!r}: {type(self).__name__} is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete {name!r}: {type(self).__name__} is immutable")
+
+
+class KripkeStructure(Value):
     """A structure whose states are the ints 0 .. n-1: `states[i]` is the
     name of state i, `labels[i]` its label and `succ[i]` its successors,
     ascending; `init` is the bitmask of the initial states.  The
-    explicit-state kernels index lists and bitmasks by state."""
+    explicit-state kernels index lists and bitmasks by state.  The masks
+    derived from `succ` are computed once each and kept in `__dict__`."""
 
-    states: tuple[str, ...]
-    init: int
-    ap: tuple[str, ...]
-    labels: tuple[frozenset[str], ...]
-    succ: tuple[tuple[int, ...], ...]
+    _fields = ("states", "init", "ap", "labels", "succ")
+
+    def __init__(self, states: tuple[str, ...], init: int, ap: tuple[str, ...],
+                 labels: tuple[frozenset[str], ...], succ: tuple[tuple[int, ...], ...]) -> None:
+        self._init(states, init, ap, labels, succ)
 
     @cached_property
     def succ_mask(self) -> tuple[int, ...]:
@@ -217,13 +257,14 @@ def reachable_restriction(k: KripkeStructure) -> KripkeStructure:
     )
 
 
-@dataclass(frozen=True)
-class LassoPath:
+class LassoPath(Value):
     """A finite path prefix followed by a nonempty loop, both over the states
     of one structure."""
 
-    prefix: tuple[int, ...]
-    loop: tuple[int, ...]
+    __slots__ = _fields = ("prefix", "loop")
+
+    def __init__(self, prefix: tuple[int, ...], loop: tuple[int, ...]) -> None:
+        self._init(prefix, loop)
 
     @property
     def total_len(self) -> int:

@@ -10,37 +10,36 @@ and `kripke`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .hyperspec import Pred, eval_predicate
-from .kripke import KripkeStructure, LassoPath, bit_indices
+from .kripke import KripkeStructure, LassoPath, Value, bit_indices
 
 
-@dataclass(frozen=True)
-class Counterexample:
-    side: str  # "forall-exists" or "exists-forall"
-    # a path of states: of the left model for forall-exists, of the right
-    # model for exists-forall
-    p_path: tuple[int, ...]
-    depth: int
-    note: str
+class Counterexample(Value):
+    """`side` is "forall-exists" or "exists-forall"; `p_path` is a path of
+    states of the left model for forall-exists and of the right model for
+    exists-forall."""
+
+    __slots__ = _fields = ("side", "p_path", "depth", "note")
+
+    def __init__(self, side: str, p_path: tuple[int, ...], depth: int, note: str) -> None:
+        self._init(side, p_path, depth, note)
 
 
-@dataclass
 class SimWitnessAE:
     """A predicate-compatible simulation relation from K_P into K_Q, as
     (left state, right state) pairs."""
 
-    relation: frozenset[tuple[int, int]]
-    used_q: frozenset[int]
+    def __init__(self, relation: frozenset[tuple[int, int]], used_q: frozenset[int]) -> None:
+        self.relation = relation
+        self.used_q = used_q
 
 
-@dataclass
 class SimWitnessEA:
     """A lasso in K_P together with the per-position sets of simulated Q states."""
 
-    lasso: LassoPath
-    pos_relation: dict[int, frozenset[int]]  # 1-based lasso positions
+    def __init__(self, lasso: LassoPath, pos_relation: dict[int, frozenset[int]]) -> None:
+        self.lasso = lasso
+        self.pos_relation = pos_relation  # 1-based lasso positions
 
 
 def _foreign(states, k: KripkeStructure, side: str) -> list[str]:

@@ -9,11 +9,10 @@ what lets the subset-simulation encoding resolve choices that depend on it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Iterator
 
-from .kripke import KripkeParseError, KripkeStructure, bit_indices, parse_kripke, union_of
+from .kripke import KripkeParseError, KripkeStructure, Value, bit_indices, parse_kripke, union_of
 
 
 class ProphecyError(Exception):
@@ -26,10 +25,13 @@ MAX_NEXT_PROPHECY_DEPTH = 10
 MAX_UNIVERSALITY_SETS = 4096
 
 
-@dataclass(frozen=True)
-class ProphecyAutomaton:
-    structure: KripkeStructure
-    annotation: tuple[frozenset[str], ...]  # the prophecy names of each state
+class ProphecyAutomaton(Value):
+    """A structure and, for each of its states, the prophecy names it holds."""
+
+    __slots__ = _fields = ("structure", "annotation")
+
+    def __init__(self, structure: KripkeStructure, annotation: tuple[frozenset[str], ...]) -> None:
+        self._init(structure, annotation)
 
 
 def build_next_prophecy(prop: str, depth: int) -> ProphecyAutomaton:

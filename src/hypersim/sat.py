@@ -13,12 +13,7 @@ through files in DIMACS format and the conventional 's SATISFIABLE' /
 
 from __future__ import annotations
 
-import shlex
-import subprocess
-import tempfile
-from dataclasses import dataclass
 from heapq import heappush, heappop
-from pathlib import Path
 from typing import Mapping, Sequence
 
 from .circuit import CnfInstance, export_dimacs
@@ -28,12 +23,13 @@ class SolverBackendError(Exception):
     """Backend failed to produce an answer (distinct from UNSAT)."""
 
 
-@dataclass
 class SatResult:
-    status: str  # "sat" or "unsat"
-    model: dict[int, bool] | None = None
-    conflicts: int = 0
-    decisions: int = 0
+    def __init__(self, status: str, model: dict[int, bool] | None = None,
+                 conflicts: int = 0, decisions: int = 0) -> None:
+        self.status = status  # "sat" or "unsat"
+        self.model = model
+        self.conflicts = conflicts
+        self.decisions = decisions
 
     @property
     def is_sat(self) -> bool:
@@ -396,9 +392,14 @@ class EmbeddedBackend:
 
 
 class ExternalBackend:
-    """Subprocess backend speaking the DIMACS file / 's ...'+'v ...' protocol."""
+    """Subprocess backend speaking the DIMACS file / 's ...'+'v ...' protocol.
+    Only this backend uses `shlex`, `subprocess`, `tempfile` and `pathlib`,
+    so its methods import them: a check on the embedded solver never loads
+    them."""
 
     def __init__(self, command: Sequence[str] | str):
+        import shlex
+
         self.command = shlex.split(command) if isinstance(command, str) else list(command)
         if not self.command:
             raise SolverBackendError("external solver command is empty")
@@ -409,6 +410,10 @@ class ExternalBackend:
         as unit clauses after the instance's own (`CnfInstance.with_units`).
         A sat model is checked against that file's clauses, so a model that
         violates them is a backend failure, never a witness."""
+        import subprocess
+        import tempfile
+        from pathlib import Path
+
         written = cnf.with_units(assumptions)
         with tempfile.TemporaryDirectory(prefix="hypersim-sat-") as tmp:
             path = Path(tmp) / "instance.cnf"

@@ -1,8 +1,9 @@
-"""Shared generators and test-only oracles: random structures, predicates and
-lasso traces, printers for structures and prophecy automata, the pointwise
-semantics of lasso trace pairs, path and lasso listing, the vertex-cover
-reduction with its brute-force answer, the small-graph enumeration behind
-the vertex-cover suite, the structure invariant check, the forall-exists
+"""Shared generators and test-only oracles: a `replace` for package records,
+random structures, predicates and lasso traces, printers for structures and
+prophecy automata, the pointwise semantics of lasso trace pairs, path and
+lasso listing, the vertex-cover reduction with its brute-force answer, the
+small-graph enumeration behind the vertex-cover suite, the structure
+invariant check, the forall-exists
 instance of one bound on its own, and reference versions of the structure
 parser, the falsifiers, the counterexample re-check, the prophecy
 universality check, the prophecy product and the single-candidate subset
@@ -10,6 +11,7 @@ floor."""
 
 from __future__ import annotations
 
+import inspect
 import itertools
 import math
 import random
@@ -45,6 +47,17 @@ from hypersim.kripke import (
 )
 from hypersim.oracle import Counterexample
 from hypersim.prophecy import ProphecyAutomaton
+
+
+def replace(obj, **changes):
+    """A copy of `obj` with the named fields changed, built again through
+    its class's `__init__`: a parameter not named takes the attribute of
+    the same name.  A name that is no parameter raises TypeError."""
+    params = inspect.signature(type(obj)).parameters
+    unknown = sorted(changes.keys() - params.keys())
+    if unknown:
+        raise TypeError(f"{type(obj).__name__} has no parameter {', '.join(unknown)}")
+    return type(obj)(**{name: changes[name] if name in changes else getattr(obj, name) for name in params})
 
 
 def validate_kripke(k: KripkeStructure) -> list[str]:

@@ -4,7 +4,6 @@ import itertools
 import json
 import shutil
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -46,6 +45,7 @@ from helpers import (
     make_graph,
     prophecy_to_text,
     refuse_to_build_states,
+    replace,
 )
 from test_golden_reports import cases as golden_cases
 

@@ -1,7 +1,6 @@
 """Structure parsing, validation, restriction, and lasso enumeration."""
 
 import random
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -28,6 +27,7 @@ from helpers import (
     parse_kripke_by_regex,
     rand_automaton,
     rand_structure,
+    replace,
     structures,
     trace_of,
     validate_kripke,

@@ -1,8 +1,10 @@
 """Which package module imports which: the checkers in `oracle` share no
-code with the searches or the encodings, and the import graph has no
-cycle."""
+code with the searches or the encodings, the import graph has no cycle, and
+importing the driver loads no stdlib module that only one command uses."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).parent.parent / "src" / "hypersim"
@@ -31,7 +33,7 @@ def module_graph() -> dict[str, set[str]]:
 def test_the_reader_sees_every_kind_of_import():
     graph = module_graph()
     assert {"cli", "encoder", "oracle", "search"} <= set(graph)
-    assert "kripke" in graph["hyperspec"]  # imported only under TYPE_CHECKING
+    assert "kripke" in graph["hyperspec"]
     assert package_imports(PACKAGE / "cli.py") >= {"encoder", "oracle", "search", "sat"}
 
 
@@ -58,3 +60,16 @@ def test_the_import_graph_has_no_cycle():
 
     for module in graph:
         visit(module, [])
+
+
+def test_importing_the_driver_loads_only_what_a_check_runs():
+    """No dataclass machinery, nothing of the external solver backend, and
+    neither the JSON output nor the corpus walk of `bench`."""
+    code = "import sys; sys.path.insert(0, sys.argv[1]); import hypersim.cli; print(*sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code, str(PACKAGE.parent)],
+        capture_output=True, text=True, check=True,
+    ).stdout
+    loaded = set(out.split())
+    assert "hypersim.cli" in loaded
+    assert not loaded & {"dataclasses", "inspect", "subprocess", "shlex", "tempfile", "json", "pathlib"}

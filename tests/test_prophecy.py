@@ -2,7 +2,6 @@
 
 import random
 import time
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -31,6 +30,7 @@ from helpers import (
     rand_automaton,
     rand_structure,
     refuse_to_build_states,
+    replace,
     universal_to_depth,
     validate_kripke,
     validate_prophecy,
