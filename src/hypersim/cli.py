@@ -6,7 +6,8 @@ simulation search (SAT side), which proves the property, and then its
 bounded falsifier, which disproves it; it re-checks a counterexample and
 writes the verdict.  The part, built from the decision's PredicateTable and
 the sim cap, owns what differs between the orders: its bound range, notes,
-encoding, validator and falsifier.  It calls every layer through the names
+encoding, validator and falsifier; `export` builds the same part and writes
+its encoding at one bound.  The part calls every layer through the names
 this module binds, so patching a name here reaches its calls.  Neither side
 is complete at desk bounds, so exhausting both yields an explicit unknown
 verdict rather than a guess.
@@ -22,9 +23,7 @@ from typing import TYPE_CHECKING
 
 from .circuit import export_dimacs, varmap_text
 from .encoder import (
-    AeEncoding,
     DecodeError,
-    EaEncoding,
     EncodeError,
     decode_witness_ae,
     decode_witness_ea,
@@ -33,7 +32,6 @@ from .encoder import (
 )
 from .hyperspec import (
     HyperProperty,
-    Pattern,
     PredicateParseError,
     PredicateTable,
     UnsupportedFragmentError,
@@ -68,6 +66,15 @@ class CliInputError(Exception):
 class InternalSoundnessError(Exception):
     """A witness failed validation or a counterexample failed re-verification.
     Indicates a defect in the encoder/decoder/falsifier, never user error."""
+
+
+def _input(fn, *args, errors: type | tuple[type, ...], origin: str | None = None):
+    """fn(*args), with an error of the types `errors` re-raised as an input
+    error, its message prefixed by `origin` (a path or case.json) if given."""
+    try:
+        return fn(*args)
+    except errors as e:
+        raise CliInputError(str(e) if origin is None else f"{origin}: {e}") from e
 
 
 class CheckConfig:
@@ -238,13 +245,9 @@ class ForallExists:
 
     mode = "ae"
 
-    @staticmethod
-    def encode(table: PredicateTable) -> AeEncoding:
-        return encode_sim_ae(table)
-
     def __init__(self, table: PredicateTable, max_sim_bound: int | None):
         self.table = table
-        self.enc = enc = self.encode(table)
+        self.enc = enc = encode_sim_ae(table)
         self.search = LiveSetSearch(table)  # every falsify depth extends its layers
         size = len(table.kq.states)
         self.last = min(max_sim_bound, size) if max_sim_bound else size
@@ -296,13 +299,9 @@ class ExistsForall:
 
     mode = "ea"
 
-    @staticmethod
-    def encode(table: PredicateTable) -> EaEncoding:
-        return encode_sim_ea(table)
-
     def __init__(self, table: PredicateTable, max_sim_bound: int | None):
         self.table = table
-        self.enc = self.encode(table)
+        self.enc = encode_sim_ea(table)
         self.search = self.enc.search  # the falsifier grows the frontiers the lasso lies in
         self.first, self.last = 1, max_sim_bound or DEFAULT_EA_BOUND
         self.notes: list[str] = []
@@ -349,15 +348,12 @@ def prepare(
     part class of its quantifier order and the notes.  The table is over the
     prophecy product and the reachable restriction of the enumerated side,
     with match-all expanded."""
-    part = ForallExists if prop.pattern is Pattern.FORALL_EXISTS else ExistsForall
+    part = ForallExists if prop.pattern == "forall-exists" else ExistsForall
     if prophecy is not None and part.mode != "ae":
         raise CliInputError("prophecy enrichment applies to forall-exists checks only")
     notes: list[str] = []
     if prophecy is not None:
-        try:
-            kp = prophecy_product(kp, prophecy)
-        except ProphecyError as e:
-            raise CliInputError(str(e)) from e
+        kp = _input(prophecy_product, kp, prophecy, errors=ProphecyError)
         notes.append(f"left structure enriched by prophecy product: {len(kp.states)} states")
     pred = expand_match_all(prop.pred, kp.ap, kq.ap)
     # the exhaustively enumerated (universal) side is reachable-restricted;
@@ -427,7 +423,7 @@ def check_pair(
     part = part_class(table, max_sim_bound)
     report = Report(
         mode=part.mode,
-        property_text=f"{prop.pattern.value}: G {pred_to_text(prop.pred)}",
+        property_text=f"{prop.pattern}: G {pred_to_text(prop.pred)}",
         verdict="unknown-at-bounds",
         left_states=len(table.kp.states),
         right_states=len(table.kq.states),
@@ -466,13 +462,6 @@ def _write(path: str, text: str) -> None:
         raise CliInputError(f"cannot write {path}: {e.strerror or e}") from e
 
 
-def _load_structure(path: str) -> KripkeStructure:
-    try:
-        return parse_kripke(_read(path))
-    except KripkeError as e:
-        raise CliInputError(f"{path}: {e}") from e
-
-
 def _load_property(cfg: CheckConfig) -> HyperProperty:
     if cfg.prop_text is not None and cfg.prop_path is not None:
         raise CliInputError("give the property either as --prop or --prop-inline, not both")
@@ -482,10 +471,8 @@ def _load_property(cfg: CheckConfig) -> HyperProperty:
         text, origin = _read(cfg.prop_path), cfg.prop_path
     else:
         raise CliInputError("a property is required (--prop or --prop-inline)")
-    try:
-        return parse_property(text)
-    except (UnsupportedFragmentError, PredicateParseError) as e:
-        raise CliInputError(f"{origin}: {e}") from e
+    return _input(parse_property, text, errors=(UnsupportedFragmentError, PredicateParseError),
+                  origin=origin)
 
 
 def _load_prophecy(cfg: CheckConfig, left: KripkeStructure) -> ProphecyAutomaton | None:
@@ -504,25 +491,15 @@ def _load_prophecy(cfg: CheckConfig, left: KripkeStructure) -> ProphecyAutomaton
             raise CliInputError(f"prophecy depth must be an integer, got {depth_text!r}")
         if prop not in left.ap:
             raise CliInputError(f"prophecy proposition {prop!r} not in the left structure's AP")
-        try:
-            return build_next_prophecy(prop, depth)
-        except ProphecyError as e:
-            raise CliInputError(str(e)) from e
+        return _input(build_next_prophecy, prop, depth, errors=ProphecyError)
     if cfg.prophecy_file is not None:
-        text = _read(cfg.prophecy_file)
-        try:
-            u = parse_prophecy(text)
-        except KripkeError as e:
-            raise CliInputError(f"{cfg.prophecy_file}: {e}") from e
+        path = cfg.prophecy_file
+        u = _input(parse_prophecy, _read(path), errors=KripkeError, origin=path)
         shared = sorted(set(left.ap) & set(u.structure.ap))
-        try:
-            universal = check_universality(u, shared)
-        except ProphecyError as e:
-            raise CliInputError(f"{cfg.prophecy_file}: {e}") from e
-        if not universal:
+        if not _input(check_universality, u, shared, errors=ProphecyError, origin=path):
             raise CliInputError(
-                f"{cfg.prophecy_file}: prophecy automaton is not trace-universal over "
-                f"{shared}; the product would drop traces and the method would be unsound"
+                f"{path}: prophecy automaton is not trace-universal over {shared}; "
+                "the product would drop traces and the method would be unsound"
             )
         return u
     return None
@@ -545,8 +522,8 @@ def _backend_of(backend: str):
 def _load(
     cfg: CheckConfig,
 ) -> tuple[KripkeStructure, KripkeStructure, HyperProperty, ProphecyAutomaton | None]:
-    left = _load_structure(cfg.left_path)
-    right = _load_structure(cfg.right_path)
+    left, right = (_input(parse_kripke, _read(path), errors=KripkeError, origin=path)
+                   for path in (cfg.left_path, cfg.right_path))
     return left, right, _load_property(cfg), _load_prophecy(cfg, left)
 
 
@@ -557,13 +534,10 @@ def run_check(cfg: CheckConfig) -> Report:
 
 
 def export_encoding(cfg: CheckConfig, bound: int) -> tuple[str, str]:
-    """Build the encoding at one bound without solving; returns (dimacs, varmap)."""
+    """Build the encoding at one bound without solving, as the part of the
+    check builds it; returns (dimacs, varmap)."""
     table, part, _ = prepare(*_load(cfg))
-    enc = part.encode(table)  # no notes, no floor
-    try:
-        cnf, units = enc.bound(bound)
-    except EncodeError as e:
-        raise CliInputError(str(e)) from e
+    cnf, units = _input(part(table, None).enc.bound, bound, errors=EncodeError)
     cnf = cnf.with_units(units)
     return export_dimacs(cnf), varmap_text(cnf)
 
@@ -603,10 +577,8 @@ def _case_config(case_dir: Path, backend: str) -> tuple[CheckConfig, str]:
     """The check a case.json describes, and its expected verdict."""
     import json
 
-    try:
-        manifest = json.loads(_read(str(case_dir / "case.json")))
-    except ValueError as e:
-        raise CliInputError(f"case.json: {e}") from e
+    manifest = _input(json.loads, _read(str(case_dir / "case.json")), errors=ValueError,
+                      origin="case.json")
     if not isinstance(manifest, dict):
         raise CliInputError("case.json must hold a JSON object")
     for key in manifest:

@@ -229,12 +229,6 @@ class AeEncoding:
         return self.cnf, (counter.at_most(unforced),)
 
 
-def encode_sim_ae(table: PredicateTable) -> AeEncoding:
-    """The forall-exists instance of the table's decision for every subset
-    bound."""
-    return AeEncoding(table)
-
-
 class EaEncoding:
     """Encode: a lasso of length n in K_P simulates all of K_Q.
 
@@ -331,12 +325,8 @@ class EaEncoding:
         return out
 
 
-def encode_sim_ea(table: PredicateTable) -> EaEncoding:
-    """The exists-forall encoding of the table's decision, whose bound(n)
-    builds the instance of one lasso length inside the layers of its own
-    safe frontier search (`enc.search`), which the decision's falsifier
-    shares."""
-    return EaEncoding(table)
+# the names the driver builds a decision's encoding by, one per quantifier order
+encode_sim_ae, encode_sim_ea = AeEncoding, EaEncoding
 
 
 def decode_witness_ae(enc: AeEncoding, model: Mapping[int, bool]) -> SimWitnessAE:

@@ -13,7 +13,6 @@ by the two structures under check, kept as one node that holds them.
 
 from __future__ import annotations
 
-import enum
 import re
 from typing import Callable, Iterable
 
@@ -98,15 +97,12 @@ class MatchAll(Pred):
         self._init(props)
 
 
-class Pattern(enum.Enum):
-    FORALL_EXISTS = "forall-exists"
-    EXISTS_FORALL = "exists-forall"
-
-
 class HyperProperty(Value):
+    """`pattern` is "forall-exists" or "exists-forall", the quantifier order."""
+
     __slots__ = _fields = ("pattern", "pred")
 
-    def __init__(self, pattern: Pattern, pred: Pred) -> None:
+    def __init__(self, pattern: str, pred: Pred) -> None:
         self._init(pattern, pred)
 
 
@@ -391,15 +387,11 @@ def parse_property(text: str) -> HyperProperty:
             "property must have the shape '<quant> <quant>. G <pred>'"
         )
     q1, q2, body = m.group(1), m.group(2), m.group(3)
-    if (q1, q2) == ("forall", "exists"):
-        pattern = Pattern.FORALL_EXISTS
-    elif (q1, q2) == ("exists", "forall"):
-        pattern = Pattern.EXISTS_FORALL
-    else:
+    if (q1, q2) not in (("forall", "exists"), ("exists", "forall")):
         raise UnsupportedFragmentError(
             f"unsupported quantifier prefix '{q1} {q2}': only 'forall exists' and 'exists forall' are handled"
         )
-    return HyperProperty(pattern=pattern, pred=parse_predicate(body))
+    return HyperProperty(pattern=f"{q1}-{q2}", pred=parse_predicate(body))
 
 
 def pred_to_text(pred: Pred) -> str:

@@ -313,9 +313,6 @@ class CdclSolver:
         too.  The solver returns to level 0, ready for `add_clauses`."""
         if not self.ok:
             return SatResult("unsat")
-        if self._propagate() is not None:
-            self.ok = False
-            return SatResult("unsat")
         assumed = [2 * (abs(a) - 1) + (a < 0) for a in assumptions]
         conflicts = 0
         decisions = 0

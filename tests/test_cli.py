@@ -575,6 +575,76 @@ def test_bench_isolates_broken_manifests(tmp_path, capsys):
     assert "error: prophecy must have the form next:<prop>:<depth>, got ''" in out
 
 
+# inputs that each library layer rejects, written to the test's directory
+REJECTED_INPUTS = {
+    "bad.kr": "states: s\ninit: t\nap: a\ntrans s -> s\n",
+    "bad.hp": "forall forall. G l.a\n",
+    "annot.pr": "states: u\ninit: u\nap: a\ntrans u -> u\nannot u\n",
+    "never_a.pr": "states: u\ninit: u\nap: a\ntrans u -> u\n",
+    "next2.pr": prophecy_to_text(build_next_prophecy("a", 2)),
+    "always_a.kr": "states: s\ninit: s\nap: a\nlabel s: a\ntrans s -> s\n",
+}
+K1, K2, PHI1, PHI2 = (str(DATA / name) for name in ("k1.kr", "k2.kr", "phi1.hp", "phi2.hp"))
+INTRO = ["--left", K1, "--right", K2]
+EA_INLINE = ["--prop-inline", "exists forall. G (l.a -> r.b)"]
+EXPORT_0 = ["--bound", "0", "--out", "{tmp}/never.cnf"]
+
+
+@pytest.mark.parametrize(
+    "argv, patch, message",
+    [
+        (["check", "--left", "{tmp}/bad.kr", "--right", K2, "--prop", PHI1], None,
+         "{tmp}/bad.kr: init-unknown-state: t; empty-init"),
+        (["check", "--left", K1, "--right", "{tmp}/bad.kr", "--prop", PHI1], None,
+         "{tmp}/bad.kr: init-unknown-state: t; empty-init"),
+        (["check", *INTRO, "--prop", "{tmp}/bad.hp"], None,
+         "{tmp}/bad.hp: unsupported quantifier prefix 'forall forall': only 'forall exists' "
+         "and 'exists forall' are handled"),
+        (["check", *INTRO, "--prop-inline", "forall exists. G l.a &"], None,
+         "--prop-inline: unexpected end of input"),
+        (["check", *INTRO, "--prop", PHI2, "--prophecy", "next:a:0"], None,
+         "prophecy depth must be >= 1, got 0"),
+        (["check", *INTRO, "--prop", PHI2, "--prophecy-file", "{tmp}/annot.pr"], None,
+         "{tmp}/annot.pr: line 5: annot line needs '<state>: <names>'"),
+        (["check", *INTRO, "--prop", PHI2, "--prophecy-file", "{tmp}/never_a.pr"], None,
+         "{tmp}/never_a.pr: prophecy automaton is not trace-universal over ['a']; the product "
+         "would drop traces and the method would be unsound"),
+        (["check", *INTRO, "--prop", PHI2, "--prophecy-file", "{tmp}/next2.pr"],
+         ("hypersim.prophecy.MAX_UNIVERSALITY_SETS", 1),
+         "{tmp}/next2.pr: prophecy automaton too large to check: its universality search "
+         "reaches more than 1 state sets"),
+        (["check", "--left", "{tmp}/always_a.kr", "--right", "{tmp}/always_a.kr",
+          "--prop-inline", "forall exists. G (l.a <-> r.a)", "--prophecy-file", "{tmp}/never_a.pr"],
+         ("hypersim.cli.check_universality", lambda u, ap: True),
+         "empty product: no initial state survives pruning"),
+        (["export", *INTRO, "--prop", PHI1, *EXPORT_0], None, "subset bound k=0 outside 1..5"),
+        (["export", *INTRO, *EA_INLINE, *EXPORT_0], None, "lasso length must be positive, got 0"),
+    ],
+    ids=["left-kr", "right-kr", "prop", "prop-inline", "next-depth-0", "prophecy-file-annot",
+         "prophecy-not-universal", "prophecy-too-large", "empty-product", "export-ae-bound-0",
+         "export-ea-bound-0"],
+)
+def test_every_input_error_prints_its_exact_line(argv, patch, message, tmp_path, monkeypatch, capsys):
+    for name, text in REJECTED_INPUTS.items():
+        (tmp_path / name).write_text(text)
+    if patch is not None:
+        monkeypatch.setattr(*patch)
+    assert main([arg.format(tmp=tmp_path) for arg in argv]) == 3
+    assert capsys.readouterr() == ("", f"error: {message.format(tmp=tmp_path)}\n")
+    assert not (tmp_path / "never.cnf").exists()
+
+
+def test_a_case_json_that_is_not_json_is_an_exact_error_row(tmp_path, capsys):
+    copy_case("intro", tmp_path / "intro")
+    (tmp_path / "broken").mkdir()
+    (tmp_path / "broken" / "case.json").write_text("{not json")
+    assert main(["bench", str(tmp_path)]) == 1
+    rows = capsys.readouterr().out.splitlines()[2:]
+    assert rows[0] == ("broken       error: case.json: Expecting property name enclosed in "
+                       "double quotes: line 1 column 2 (char 1)")
+    assert rows[1].startswith("intro ") and rows[1].endswith("  yes")
+
+
 NOT_UTF8 = b"states: s\xff\ninit: s\nap: a\ntrans s -> s\n"
 
 

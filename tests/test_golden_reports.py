@@ -13,6 +13,7 @@ change of output is intended:
 from __future__ import annotations
 
 import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -92,6 +93,13 @@ def test_every_dimacs_golden_names_the_export_that_writes_it():
 @pytest.mark.parametrize("name", sorted(cases()))
 def test_report_equals_the_golden_one(name, golden):
     assert report_without_seconds(cases()[name]) == golden[name]
+
+
+def test_the_golden_diff_tool_reproduces_every_entry():
+    # CI runs the tool only when a test fails: this keeps it running
+    done = subprocess.run([sys.executable, str(ROOT / "tools" / "golden_diff.py")],
+                          capture_output=True, text=True, timeout=300)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "every golden entry is reproduced\n", "")
 
 
 if __name__ == "__main__":

@@ -15,7 +15,6 @@ from hypersim.hyperspec import (
     MatchAll,
     Not,
     Or,
-    Pattern,
     PredicateParseError,
     PredicateTable,
     RightAtom,
@@ -199,9 +198,9 @@ def test_the_table_admits_exactly_the_pairs_the_predicate_holds_on(seed):
 
 def test_parse_property_both_patterns():
     ae = parse_property("forall exists. G (l.a -> r.b)")
-    assert ae.pattern is Pattern.FORALL_EXISTS
+    assert ae.pattern == "forall-exists"
     ea = parse_property("exists forall. G !(l.a & r.a)")
-    assert ea.pattern is Pattern.EXISTS_FORALL
+    assert ea.pattern == "exists-forall"
     assert ea.pred == Not(arg=And(left=LeftAtom(prop="a"), right=RightAtom(prop="a")))
 
 

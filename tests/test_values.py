@@ -16,7 +16,6 @@ from hypersim.hyperspec import (
     MatchAll,
     Not,
     Or,
-    Pattern,
     RightAtom,
     TrueConst,
 )
@@ -45,7 +44,7 @@ SAMPLES = {
     Implies: (X, Y),
     Iff: (X, Y),
     MatchAll: (frozenset({"a"}),),
-    HyperProperty: (Pattern.FORALL_EXISTS, And(X, Not(Y))),
+    HyperProperty: ("forall-exists", And(X, Not(Y))),
     KripkeStructure: (K.states, K.init, K.ap, K.labels, K.succ),
     LassoPath: ((0,), (1, 0)),
     Counterexample: ("forall-exists", (0, 1), 2, "a note"),
