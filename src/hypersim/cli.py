@@ -21,7 +21,6 @@ import sys
 import time
 from typing import TYPE_CHECKING
 
-from .circuit import export_dimacs, varmap_text
 from .encoder import (
     DecodeError,
     EncodeError,
@@ -49,7 +48,7 @@ from .prophecy import (
     parse_prophecy,
     prophecy_product,
 )
-from .sat import EmbeddedBackend, ExternalBackend, SatResult, SolverBackendError, solve
+from .sat import EmbeddedBackend, ExternalBackend, SatResult, SolverBackendError, export_dimacs, solve, varmap_text
 from .search import LiveSetSearch, falsify_exists_forall, falsify_forall_exists
 
 if TYPE_CHECKING:
@@ -107,27 +106,22 @@ class IterationStat:
 
 class Report:
     def __init__(self, mode: str, property_text: str, verdict: str, left_states: int,
-                 right_states: int, minimal_bound: int | None = None,
-                 used_subset_size: int | None = None,
-                 witness_relation: list[tuple[str, str]] | None = None,
-                 witness_lasso: dict | None = None, counterexample: dict | None = None,
-                 sim_bound_reached: int = 0, falsify_depth_reached: int = 0,
-                 iterations: list[IterationStat] | None = None,
-                 notes: list[str] | None = None) -> None:
+                 right_states: int, notes: list[str] | None = None) -> None:
         self.mode = mode  # "ae" or "ea"
         self.property_text = property_text
         self.verdict = verdict  # "holds", "violated", "unknown-at-bounds"
         self.left_states = left_states
         self.right_states = right_states
-        self.minimal_bound = minimal_bound
-        self.used_subset_size = used_subset_size
-        self.witness_relation = witness_relation  # ae
-        self.witness_lasso = witness_lasso  # ea: prefix/loop/posRelation
-        self.counterexample = counterexample
-        self.sim_bound_reached = sim_bound_reached
-        self.falsify_depth_reached = falsify_depth_reached
-        self.iterations = [] if iterations is None else iterations
         self.notes = [] if notes is None else notes
+        # what the decision finds, set by `sweep` and the part that decides
+        self.minimal_bound: int | None = None
+        self.used_subset_size: int | None = None
+        self.witness_relation: list[tuple[str, str]] | None = None  # ae
+        self.witness_lasso: dict | None = None  # ea: prefix/loop/posRelation
+        self.counterexample: dict | None = None
+        self.sim_bound_reached = 0
+        self.falsify_depth_reached = 0
+        self.iterations: list[IterationStat] = []
 
     def to_dict(self) -> dict:
         return {

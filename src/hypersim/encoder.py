@@ -3,7 +3,10 @@ of a solver's model into a witness.
 
 Both encodings name the states of the two structures directly; clauses are
 emitted over integer literals with one named variable per relation entry.
-The explicit-state facts each instance is cut to come from `search`.
+Each encoding makes its variables with `CnfInstance.add_var` before it adds
+its families (`lower_parts_to_cnf`), so the contradiction an empty clause
+folds into takes a number after them.  The explicit-state facts each
+instance is cut to come from `search`.
 
   * sim-ae: a subset of at most k states of K_Q simulates all of K_P.  Every
     simulation lies inside the greatest one, R (`greatest_simulation`), so
@@ -38,12 +41,12 @@ to it.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Callable, Mapping
+from typing import Callable, Mapping, Sequence
 
-from .circuit import Clause, CnfInstance, lower_parts_to_cnf
 from .hyperspec import PredicateTable
 from .kripke import LassoPath, bit_indices, union_of
 from .oracle import SimWitnessAE, SimWitnessEA
+from .sat import Clause, CnfInstance
 from .search import SafeFrontierSearch, greatest_simulation, held_pairs, subset_floor, uncovered_initial
 
 
@@ -55,15 +58,12 @@ class DecodeError(Exception):
     pass
 
 
-class _Vars:
-    """Allocates variables 1, 2, ... and remembers their names."""
-
-    def __init__(self) -> None:
-        self.names: list[str] = []
-
-    def new(self, name: str) -> int:
-        self.names.append(name)
-        return len(self.names)
+def lower_parts_to_cnf(parts: Sequence[tuple[str, Sequence[Clause]]], cnf: CnfInstance) -> CnfInstance:
+    """Add (family, clauses) parts to cnf, whose variables already exist,
+    one family each, and return it."""
+    for family, part in parts:
+        cnf.add(part, family)
+    return cnf
 
 
 def _at_most_one(xs: list[int], new_var: Callable[[str], int], tag: str) -> list[Clause]:
@@ -156,8 +156,8 @@ class AeEncoding:
         self.forced = union_of(self.held, (1 << len(relation)) - 1)  # every model uses these
         self.sim: dict[tuple[int, int], int] = {}
         self.used: dict[int, int] = {}
-        vs = _Vars()
-        initial, uses, succ = ([[]], [], []) if self.uncovered else self._clauses(vs.new)
+        cnf = CnfInstance()
+        initial, uses, succ = ([[]], [], []) if self.uncovered else self._clauses(cnf.add_var)
         # no used, at-most-k clause or assumption is all positive, so without
         # such an initial-match or successor-match clause the all-false
         # assignment, the held relation alone, is a model at every k >= |F|
@@ -168,7 +168,7 @@ class AeEncoding:
             ("successor-match", succ),
             ("at-most-k", []),
         ]
-        self.cnf = lower_parts_to_cnf(parts, vs.names)
+        self.cnf = lower_parts_to_cnf(parts, cnf)
         self.counter = _Counter(list(self.used.values()), self.cnf, "used")
 
     def _clauses(self, new_var: Callable[[str], int]) -> tuple[list[Clause], ...]:
@@ -268,10 +268,10 @@ class EaEncoding:
         if self.n:
             raise EncodeError(f"the encoding already holds the instance of lasso length {self.n}")
         self.n = n
-        vs = _Vars()
-        parts = [(f"position-{i}", self._position(i, vs.new)) for i in range(1, n + 1)]
-        parts.append((f"bound-{n}", self._close(n, vs.new)))
-        self.cnf = lower_parts_to_cnf(parts, vs.names)
+        cnf = CnfInstance()
+        parts = [(f"position-{i}", self._position(i, cnf.add_var)) for i in range(1, n + 1)]
+        parts.append((f"bound-{n}", self._close(n, cnf.add_var)))
+        self.cnf = lower_parts_to_cnf(parts, cnf)
         return self.cnf, ()
 
     def _position(self, i: int, new_var: Callable[[str], int]) -> list[Clause]:

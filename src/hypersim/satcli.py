@@ -18,8 +18,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .circuit import parse_dimacs
-from .sat import CdclSolver
+from .sat import CdclSolver, parse_dimacs
 
 
 def main(argv: list[str] | None = None) -> int:

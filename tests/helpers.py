@@ -22,7 +22,6 @@ from typing import Iterable, Iterator
 from hypothesis import strategies as st
 
 import hypersim.prophecy
-from hypersim.circuit import CnfInstance
 from hypersim.encoder import AeEncoding, EaEncoding, encode_sim_ae, encode_sim_ea
 from hypersim.hyperspec import (
     And,
@@ -47,6 +46,7 @@ from hypersim.kripke import (
 )
 from hypersim.oracle import Counterexample
 from hypersim.prophecy import ProphecyAutomaton
+from hypersim.sat import CnfInstance
 
 
 def replace(obj, **changes):

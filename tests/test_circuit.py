@@ -1,4 +1,5 @@
-"""Clause-set lowering, provenance, and DIMACS serialization."""
+"""Clause-set lowering (`encoder.lower_parts_to_cnf`, the layer the benchmark
+times as `circuit`), provenance, and DIMACS serialization."""
 
 import itertools
 import random
@@ -6,16 +7,18 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hypersim.circuit import (
-    CnfInstance,
-    export_dimacs,
-    lower_parts_to_cnf,
-    parse_dimacs,
-    varmap_text,
-)
-from hypersim.sat import check_model, solve
+from hypersim.encoder import lower_parts_to_cnf
+from hypersim.sat import CnfInstance, check_model, export_dimacs, parse_dimacs, solve, varmap_text
 
 NAMES = ["a", "b", "c", "d", "e", "g"]
+
+
+def named(names: list[str]) -> CnfInstance:
+    """An instance with no clauses yet, variable v named names[v-1]."""
+    cnf = CnfInstance()
+    for name in names:
+        cnf.add_var(name)
+    return cnf
 
 
 def brute_sat(cnf: CnfInstance) -> bool:
@@ -50,14 +53,15 @@ def holds_by_name(parts, names, assignment: dict[str, bool]) -> bool:
 
 
 def test_single_variable_lowered_to_one_unit_clause():
-    cnf = lower_parts_to_cnf([("only", [[1]])], ["v"])
-    assert cnf.num_vars == 1
+    given = named(["v"])
+    cnf = lower_parts_to_cnf([("only", [[1]])], given)
+    assert cnf is given and cnf.num_vars == 1
     assert cnf.clauses == [[1]]
     assert cnf.var_names == {1: "v"}
 
 
 def test_contradiction_is_unsat():
-    cnf = lower_parts_to_cnf([("both", [[1], [-1]])], ["v"])
+    cnf = lower_parts_to_cnf([("both", [[1], [-1]])], named(["v"]))
     assert solve(cnf).status == "unsat"
 
 
@@ -65,7 +69,7 @@ def test_constant_folding():
     # a family that is false outright (an empty clause) becomes a contradiction
     # over one extra unnamed variable; a family that is true (no clauses) adds
     # nothing but still records its empty range
-    cnf = lower_parts_to_cnf([("false", [[]]), ("true", [])], ["a"])
+    cnf = lower_parts_to_cnf([("false", [[]]), ("true", [])], named(["a"]))
     assert cnf.num_vars == 2
     assert cnf.clauses == [[2], [-2]]
     assert 2 not in cnf.var_names
@@ -76,7 +80,7 @@ def test_constant_folding():
 
 def test_var_order_pins_leading_variable_numbers():
     # numbers follow the encoder's allocation order, not first use in clauses
-    cnf = lower_parts_to_cnf([("f", [[2, 1]])], ["a", "z"])
+    cnf = lower_parts_to_cnf([("f", [[2, 1]])], named(["a", "z"]))
     assert cnf.var_names == {1: "a", 2: "z"}
     assert cnf.clauses == [[2, 1]]
 
@@ -86,7 +90,7 @@ def test_var_order_pins_leading_variable_numbers():
 def test_lowering_is_equisatisfiable(seed):
     rng = random.Random(seed)
     parts = rand_parts(rng, len(NAMES))
-    cnf = lower_parts_to_cnf(parts, NAMES)
+    cnf = lower_parts_to_cnf(parts, named(NAMES))
     truth = any(
         holds_by_name(parts, NAMES, dict(zip(NAMES, bits)))
         for bits in itertools.product((False, True), repeat=len(NAMES))
@@ -100,11 +104,11 @@ def test_sat_model_evaluates_formula_true(seed):
     rng = random.Random(seed)
     names = NAMES[:4]
     parts = rand_parts(rng, len(names))
-    cnf = lower_parts_to_cnf(parts, names)
+    cnf = lower_parts_to_cnf(parts, named(names))
     res = solve(cnf)
     if res.status == "sat":
-        named = {cnf.var_names[v]: res.model[v] for v in cnf.var_names}
-        assert holds_by_name(parts, names, named) is True
+        by_name = {cnf.var_names[v]: res.model[v] for v in cnf.var_names}
+        assert holds_by_name(parts, names, by_name) is True
 
 
 def test_export_dimacs_empty_instance():
@@ -119,7 +123,7 @@ def test_export_dimacs_clause_lines():
 
 def test_dimacs_roundtrip():
     cnf = lower_parts_to_cnf(
-        [("iff", [[-1, 2, -3], [1, -2], [1, 3]])], ["a", "b", "c"]
+        [("iff", [[-1, 2, -3], [1, -2], [1, 3]])], named(["a", "b", "c"])
     )
     back = parse_dimacs(export_dimacs(cnf))
     assert back.num_vars == cnf.num_vars
@@ -144,7 +148,7 @@ def test_lower_parts_records_disjoint_covering_provenance():
         ("gamma", []),
         ("delta", [[]]),
     ]
-    cnf = lower_parts_to_cnf(parts, ["a", "b"])
+    cnf = lower_parts_to_cnf(parts, named(["a", "b"]))
     assert [fam for fam, _, _ in cnf.provenance] == ["alpha", "beta", "gamma", "delta"]
     covered = []
     for _, start, end in cnf.provenance:
@@ -153,7 +157,7 @@ def test_lower_parts_records_disjoint_covering_provenance():
 
 
 def test_provenance_comments_in_dimacs():
-    cnf = lower_parts_to_cnf([("only", [[1]])], ["x"])
+    cnf = lower_parts_to_cnf([("only", [[1]])], named(["x"]))
     lines = export_dimacs(cnf).splitlines()
     assert "c family only clauses 1-1" in lines
 
@@ -161,19 +165,19 @@ def test_provenance_comments_in_dimacs():
 def test_lowering_is_deterministic():
     def build() -> str:
         parts = [("eq", [[-1, 2], [1, -2]]), ("some", [[3, 1, -3], [3]])]
-        return export_dimacs(lower_parts_to_cnf(parts, ["p", "q", "r"]))
+        return export_dimacs(lower_parts_to_cnf(parts, named(["p", "q", "r"])))
 
     assert build() == build()
 
 
 def test_varmap_lists_named_variables():
-    cnf = lower_parts_to_cnf([("f", [[1], [2]])], ["a", "b"])
+    cnf = lower_parts_to_cnf([("f", [[1], [2]])], named(["a", "b"]))
     lines = varmap_text(cnf).splitlines()
     assert "1 a" in lines and "2 b" in lines
 
 
 def test_units_end_the_last_family_of_a_copy():
-    cnf = lower_parts_to_cnf([("f", [[1, 2]]), ("bound", [[-2]])], ["a", "b"])
+    cnf = lower_parts_to_cnf([("f", [[1, 2]]), ("bound", [[-2]])], named(["a", "b"]))
     asked = cnf.with_units([-1, 2])
     assert asked.clauses == [[1, 2], [-2], [-1], [2]]
     assert asked.provenance == [("f", 1, 1), ("bound", 2, 4)]

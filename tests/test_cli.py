@@ -34,7 +34,7 @@ from hypersim.encoder import decode_witness_ae, encode_sim_ae, encode_sim_ea
 from hypersim.hyperspec import PredicateTable, parse_property
 from hypersim.kripke import LassoPath, bit_indices, parse_kripke
 from hypersim.oracle import SimWitnessEA, validate_witness_ae
-from hypersim.prophecy import build_next_prophecy
+from hypersim.prophecy import build_next_prophecy, parse_prophecy
 from hypersim.sat import EmbeddedBackend, SatResult, solve
 from hypersim.search import LiveSetSearch, SafeFrontierSearch, falsify_forall_exists
 
@@ -163,6 +163,21 @@ def test_text_report_mentions_the_counterexample(capsys):
     out = capsys.readouterr().out
     assert "verdict: violated" in out
     assert "s1 s2 s3" in out
+
+
+def test_text_report_prints_the_exists_forall_witness(capsys):
+    gcw = CORPUS / "gcw"
+    assert main(["check", "--left", str(gcw / "plan.kr"), "--right", str(gcw / "monitor.kr"),
+                 "--prop", str(gcw / "prop.hp")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    lasso = json.loads((DATA / "golden_reports.json").read_text())["gcw"]["witnessLasso"]
+    assert lasso["loop"] == ["s1111"] and len(lasso["posRelation"]) == 8
+    start = lines.index("minimal bound: n=8")
+    assert lines[start + 2:start + 12] == [
+        f"witness lasso: prefix {lasso['prefix']} loop ['s1111']",
+        "position relation:",
+        *(f"  {i}: {lasso['posRelation'][str(i)]}" for i in range(1, 9)),
+    ]
 
 
 def test_inline_property(capsys):
@@ -613,15 +628,15 @@ EXPORT_0 = ["--bound", "0", "--out", "{tmp}/never.cnf"]
          ("hypersim.prophecy.MAX_UNIVERSALITY_SETS", 1),
          "{tmp}/next2.pr: prophecy automaton too large to check: its universality search "
          "reaches more than 1 state sets"),
-        (["check", "--left", "{tmp}/always_a.kr", "--right", "{tmp}/always_a.kr",
-          "--prop-inline", "forall exists. G (l.a <-> r.a)", "--prophecy-file", "{tmp}/never_a.pr"],
-         ("hypersim.cli.check_universality", lambda u, ap: True),
-         "empty product: no initial state survives pruning"),
+        (["check", *INTRO, "--prop", PHI1, "--max-depth", "0"], None,
+         "falsification depth must be >= 1, got 0"),
+        (["check", *INTRO, "--prop", PHI1, "--max-bound", "0"], None,
+         "simulation bound must be >= 1, got 0"),
         (["export", *INTRO, "--prop", PHI1, *EXPORT_0], None, "subset bound k=0 outside 1..5"),
         (["export", *INTRO, *EA_INLINE, *EXPORT_0], None, "lasso length must be positive, got 0"),
     ],
     ids=["left-kr", "right-kr", "prop", "prop-inline", "next-depth-0", "prophecy-file-annot",
-         "prophecy-not-universal", "prophecy-too-large", "empty-product", "export-ae-bound-0",
+         "prophecy-not-universal", "prophecy-too-large", "max-depth-0", "max-bound-0", "export-ae-bound-0",
          "export-ea-bound-0"],
 )
 def test_every_input_error_prints_its_exact_line(argv, patch, message, tmp_path, monkeypatch, capsys):
@@ -632,6 +647,17 @@ def test_every_input_error_prints_its_exact_line(argv, patch, message, tmp_path,
     assert main([arg.format(tmp=tmp_path) for arg in argv]) == 3
     assert capsys.readouterr() == ("", f"error: {message.format(tmp=tmp_path)}\n")
     assert not (tmp_path / "never.cnf").exists()
+
+
+def test_an_empty_prophecy_product_is_an_input_error():
+    # a universal automaton cannot empty the product, so `main` never gets
+    # here; the library takes never_a.pr as it is, and its one state, which
+    # never sees a, matches no state of always_a.kr
+    always_a = parse_kripke(REJECTED_INPUTS["always_a.kr"])
+    never_a = parse_prophecy(REJECTED_INPUTS["never_a.pr"])
+    prop = parse_property("forall exists. G (l.a <-> r.a)")
+    with pytest.raises(CliInputError, match="^empty product: no initial state survives pruning$"):
+        check_pair(always_a, always_a, prop, prophecy=never_a)
 
 
 def test_a_case_json_that_is_not_json_is_an_exact_error_row(tmp_path, capsys):
@@ -774,7 +800,7 @@ def test_every_command_prepares_each_decision_once(monkeypatch):
     assert len(rows) == 10 and all(r.ok for r in rows)
 
 
-def test_empty_prophecy_product_is_an_input_error(tmp_path, capsys):
+def test_a_prophecy_that_would_empty_the_product_fails_universality(tmp_path, capsys):
     # universal for 4 steps, then only the empty letter: an always-a left
     # structure would have no surviving product state, and the exact
     # universality check rejects the automaton before the product is built

@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hypersim.circuit import CnfInstance, export_dimacs, varmap_text
 from hypersim.encoder import (
     DecodeError,
     EncodeError,
@@ -30,7 +29,7 @@ from hypersim.hyperspec import (
 from hypersim.kripke import LassoPath, bit_indices, parse_kripke, reachable_restriction, union_of
 from hypersim.oracle import validate_witness_ae, validate_witness_ea
 from hypersim.prophecy import build_next_prophecy, prophecy_product
-from hypersim.sat import EmbeddedBackend, solve
+from hypersim.sat import CnfInstance, EmbeddedBackend, export_dimacs, solve, varmap_text
 from hypersim.search import SafeFrontierSearch, greatest_simulation, held_pairs, subset_floor, uncovered_initial
 
 from helpers import (

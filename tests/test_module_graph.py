@@ -1,13 +1,16 @@
 """Which package module imports which: the checkers in `oracle` share no
-code with the searches or the encodings, the import graph has no cycle, and
-importing the driver loads no stdlib module that only one command uses."""
+code with the searches or the encodings, the clause sets and solvers of
+`sat` stand alone, the import graph has no cycle, and importing the driver
+loads no stdlib module that only one command uses."""
 
 import ast
+import re
 import subprocess
 import sys
 from pathlib import Path
 
-PACKAGE = Path(__file__).parent.parent / "src" / "hypersim"
+ROOT = Path(__file__).parent.parent
+PACKAGE = ROOT / "src" / "hypersim"
 
 
 def package_imports(path: Path) -> set[str]:
@@ -45,6 +48,11 @@ def test_search_imports_no_encoding_solver_or_driver():
     assert not module_graph()["search"] & {"encoder", "circuit", "sat", "cli"}
 
 
+def test_sat_imports_no_other_package_module():
+    # the instance, its DIMACS file and the solver answers are one protocol
+    assert module_graph()["sat"] == set()
+
+
 def test_the_import_graph_has_no_cycle():
     graph = module_graph()
     done: set[str] = set()
@@ -73,3 +81,16 @@ def test_importing_the_driver_loads_only_what_a_check_runs():
     loaded = set(out.split())
     assert "hypersim.cli" in loaded
     assert not loaded & {"dataclasses", "inspect", "subprocess", "shlex", "tempfile", "json", "pathlib"}
+
+
+def test_import_cost_compares_a_checkout_with_itself():
+    # a smoke run of the start-up tool: both copies answer the intro check
+    # alike and load the same stdlib modules
+    out = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "import_cost.py"), str(ROOT), str(ROOT), "--runs", "2"],
+        capture_output=True, text=True,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.count("check answered: exit 1, verdict: violated\n") == 2
+    counts = re.findall(r"stdlib modules loaded by a python -S import of hypersim.cli: (\d+)", out.stdout)
+    assert len(counts) == 2 and counts[0] == counts[1]

@@ -13,6 +13,7 @@ from hypersim.hyperspec import PredicateTable, eval_predicate, parse_predicate, 
 import hypersim.cli
 from hypersim.cli import check_pair
 from hypersim.kripke import LassoPath, bit_indices, parse_kripke, reachable_restriction
+from hypersim.prophecy import build_next_prophecy
 from hypersim.oracle import (
     Counterexample,
     SimWitnessAE,
@@ -43,6 +44,7 @@ from helpers import (
 )
 
 DATA = Path(__file__).parent / "data"
+CORPUS = Path(__file__).parent.parent / "corpus"
 
 
 def intro():
@@ -203,6 +205,79 @@ def test_validator_ea_rejects_a_lasso_of_another_length():
     pred = parse_predicate("l.a <-> r.a")
     assert validate_witness_ea(k, k, pred, w, 2) == []
     assert validate_witness_ea(k, k, pred, w, 1) == ["bound: the witness lasso has length 2, not n=1"]
+
+
+def validated(monkeypatch, validator: str, kp, kq, prop, **kw) -> tuple:
+    """The arguments (kp, kq, pred, witness, bound) of the one witness check
+    that a `check_pair` decision, which must hold, made and passed."""
+    seen = []
+    check = getattr(hypersim.cli, validator)
+    monkeypatch.setattr(hypersim.cli, validator, lambda *args: seen.append(args) or check(*args))
+    assert check_pair(kp, kq, prop, **kw).verdict == "holds"
+    [args] = seen
+    assert check(*args) == []
+    return args
+
+
+def test_validator_ae_rejects_a_pair_the_predicate_rejects(monkeypatch):
+    # phi2 holds on the intro pair under next:a:2; relating the product's
+    # s4__u000 (no a) to q4 (a) also breaks l.a <-> r.a, and q4 is used and
+    # every successor of s4__u000 is matched, so that is the one violation
+    kp, kq = intro()
+    prop = parse_property((DATA / "phi2.hp").read_text())
+    P, Q, pred, w, k = validated(monkeypatch, "validate_witness_ae", kp, kq, prop,
+                                 prophecy=build_next_prophecy("a", 2))
+    p, q = P.states.index("s4__u000"), Q.states.index("q4")
+    assert q in w.used_q and (p, q) not in w.relation
+    broken = SimWitnessAE(relation=w.relation | {(p, q)}, used_q=w.used_q)
+    assert validate_witness_ae(P, Q, pred, broken, k) == ["pred: (s4__u000,q4) violates the predicate"]
+
+
+def gcw_witness(monkeypatch) -> tuple:
+    """The exists-forall witness the decision on corpus gcw validated: the
+    plan s0000 s1010 s0010 s1110 s0100 s1101 s0101, then s1111 forever,
+    position i answering for the deadline clock's m{i-1}."""
+    gcw = CORPUS / "gcw"
+    kp, kq = (parse_kripke((gcw / name).read_text()) for name in ("plan.kr", "monitor.kr"))
+    args = validated(monkeypatch, "validate_witness_ea", kp, kq,
+                     parse_property((gcw / "prop.hp").read_text()))
+    P, Q, _, w, n = args
+    assert [P.states[s] for s in w.lasso.states_visited()] == [
+        "s0000", "s1010", "s0010", "s1110", "s0100", "s1101", "s0101", "s1111"]
+    assert n == 8 and {i: [Q.states[q] for q in qs] for i, qs in w.pos_relation.items()} == {
+        i: [f"m{i - 1}"] for i in range(1, 9)}
+    return args
+
+
+def test_validator_ea_rejects_a_left_state_the_predicate_rejects(monkeypatch):
+    # the farmer takes the goat back and crosses with the wolf: s1100 is a
+    # path of the plan, but it leaves the goat with the cabbage, and the
+    # label of position 4 is not safe
+    P, Q, pred, w, n = gcw_witness(monkeypatch)
+    states = dict(zip(P.states, range(len(P.states))))
+    seq = w.lasso.states_visited()
+    prefix = seq[:2] + (states["s0000"], states["s1100"]) + seq[4:7]
+    broken = SimWitnessEA(LassoPath(prefix=prefix, loop=w.lasso.loop), w.pos_relation)
+    assert validate_witness_ea(P, Q, pred, broken, n) == ["pred: position 4 with m3 violates the predicate"]
+
+
+def test_validator_ea_rejects_a_position_set_without_a_successor(monkeypatch):
+    # m4, the successor of m3, leaves position 5
+    P, Q, pred, w, n = gcw_witness(monkeypatch)
+    rows = dict(w.pos_relation)
+    rows[5] = rows[5] - {Q.states.index("m4")}
+    broken = SimWitnessEA(w.lasso, rows)
+    assert validate_witness_ea(P, Q, pred, broken, n) == [
+        "successor: position 4 state m3 successor m4 missing at position 5"
+    ]
+
+
+def test_validator_ea_rejects_a_lasso_that_is_not_a_path(monkeypatch):
+    # looping the whole plan back to s0000: the absorbing s1111 has no
+    # transition there
+    P, Q, pred, w, n = gcw_witness(monkeypatch)
+    broken = SimWitnessEA(LassoPath(prefix=(), loop=tuple(w.lasso.states_visited())), w.pos_relation)
+    assert validate_witness_ea(P, Q, pred, broken, n) == ["lasso: not a valid lasso of the P structure"]
 
 
 def live(kp, kq, pred) -> LiveSetSearch:

@@ -10,9 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypersim import satcli
-from hypersim.circuit import CnfInstance
 from hypersim.sat import (
     CdclSolver,
+    CnfInstance,
     EmbeddedBackend,
     ExternalBackend,
     SolverBackendError,
