@@ -243,18 +243,19 @@ def parse_predicate(text: str) -> Pred:
 def expand_match_all(pred: Pred, left_ap: Iterable[str], right_ap: Iterable[str]) -> Pred:
     """Replace every match-all node by MatchAll over the props shared by
     the two AP sets (true when the share is empty)."""
-    shared = MatchAll(frozenset(left_ap) & frozenset(right_ap))
+    return _expand(pred, MatchAll(frozenset(left_ap) & frozenset(right_ap)))
 
-    def walk(n: Pred) -> Pred:
-        if isinstance(n, MatchAll):
-            return shared
-        if isinstance(n, Not):
-            return Not(walk(n.arg))
-        if isinstance(n, _Binary):
-            return type(n)(walk(n.left), walk(n.right))
-        return n
 
-    return walk(pred)
+def _expand(n: Pred, shared: MatchAll) -> Pred:
+    # a module-level function, not a closure: a recursive closure holds
+    # itself, and each decision would leave that cycle to the collector
+    if isinstance(n, MatchAll):
+        return shared
+    if isinstance(n, Not):
+        return Not(_expand(n.arg, shared))
+    if isinstance(n, _Binary):
+        return type(n)(_expand(n.left, shared), _expand(n.right, shared))
+    return n
 
 
 def eval_predicate(pred: Pred, left_labels: frozenset[str] | set[str], right_labels: frozenset[str] | set[str]) -> bool:
@@ -310,46 +311,47 @@ def compile_predicate(pred: Pred, kq: KripkeStructure) -> Callable[[Labels], int
     for q, label in enumerate(kq.labels):
         for prop in label:
             labelled[prop] = labelled.get(prop, 0) | 1 << q
+    return _compile_node(pred, kq.labels, full, labelled)
 
-    def node(n: Pred) -> Callable[[Labels], int]:
-        t = type(n)
-        if t is LeftAtom:
-            prop = n.prop
-            return lambda l: full if prop in l else 0
-        if t is RightAtom:
-            mask = labelled.get(n.prop, 0)
-            return lambda l: mask
-        if t is Not:
-            a = node(n.arg)
-            return lambda l: full ^ a(l)
+
+def _compile_node(n: Pred, labels: tuple[frozenset[str], ...], full: int,
+                  labelled: dict[str, int]) -> Callable[[Labels], int]:
+    """The closure of one node of compile_predicate's tree.  A module-level
+    function, as `_expand` is, so that a decision leaves no cycle behind."""
+    t = type(n)
+    if t is LeftAtom:
+        prop = n.prop
+        return lambda l: full if prop in l else 0
+    if t is RightAtom:
+        mask = labelled.get(n.prop, 0)
+        return lambda l: mask
+    if t is Not:
+        a = _compile_node(n.arg, labels, full, labelled)
+        return lambda l: full ^ a(l)
+    if t in (And, Or, Implies, Iff):
+        a = _compile_node(n.left, labels, full, labelled)
+        b = _compile_node(n.right, labels, full, labelled)
         if t is And:
-            a, b = node(n.left), node(n.right)
             return lambda l: a(l) & b(l)
         if t is Or:
-            a, b = node(n.left), node(n.right)
             return lambda l: a(l) | b(l)
         if t is Implies:
-            a, b = node(n.left), node(n.right)
             return lambda l: (full ^ a(l)) | b(l)
-        if t is Iff:
-            a, b = node(n.left), node(n.right)
-            return lambda l: full ^ a(l) ^ b(l)
-        if t is TrueConst:
-            return lambda l: full
-        if t is FalseConst:
-            return lambda l: 0
-        if t is MatchAll:
-            props = n.props
-            if props is None:
-                raise ValueError("match-all must be expanded against AP sets before evaluation")
-            groups: dict[frozenset[str], int] = {}
-            for q, label in enumerate(kq.labels):
-                key = label & props
-                groups[key] = groups.get(key, 0) | 1 << q
-            return lambda l: groups.get(props & l, 0)
-        raise TypeError(f"not a predicate node: {n!r}")
-
-    return node(pred)
+        return lambda l: full ^ a(l) ^ b(l)
+    if t is TrueConst:
+        return lambda l: full
+    if t is FalseConst:
+        return lambda l: 0
+    if t is MatchAll:
+        props = n.props
+        if props is None:
+            raise ValueError("match-all must be expanded against AP sets before evaluation")
+        groups: dict[frozenset[str], int] = {}
+        for q, label in enumerate(labels):
+            key = label & props
+            groups[key] = groups.get(key, 0) | 1 << q
+        return lambda l: groups.get(props & l, 0)
+    raise TypeError(f"not a predicate node: {n!r}")
 
 
 class PredicateTable:

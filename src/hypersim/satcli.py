@@ -1,8 +1,8 @@
 """DIMACS command-line front end for the embedded solver.
 
-Speaks the conventional solver protocol, so it can serve as the external
-backend of the checker itself (useful for exercising the wire protocol) or as
-a standalone solver:
+Reads its file with `hypersim.dimacs` and speaks the conventional solver
+protocol, so it can serve as the external backend of the checker itself
+(useful for exercising the wire protocol) or as a standalone solver:
 
     hypersim-sat instance.cnf
 
@@ -18,7 +18,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .sat import CdclSolver, parse_dimacs
+from .dimacs import parse_dimacs
+from .sat import CdclSolver
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -13,7 +13,8 @@ import random
 import time
 from pathlib import Path
 
-from hypersim.cli import CheckConfig, check_pair, export_encoding, run_benchmarks, run_check
+from hypersim.cli import CheckConfig, check_pair, export_encoding, run_check
+from hypersim.commands import run_benchmarks
 from hypersim.encoder import decode_witness_ae, decode_witness_ea
 from hypersim.hyperspec import (
     MatchAll,

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypersim.encoder import lower_parts_to_cnf
-from hypersim.sat import CnfInstance, check_model, export_dimacs, parse_dimacs, solve, varmap_text
+from hypersim.dimacs import check_model, export_dimacs, parse_dimacs, varmap_text
+from hypersim.sat import CnfInstance, solve
 
 NAMES = ["a", "b", "c", "d", "e", "g"]
 

@@ -1,5 +1,6 @@
 """Driver behavior end to end: verdicts, exit codes, export, bench."""
 
+import gc
 import itertools
 import json
 import shutil
@@ -20,16 +21,14 @@ from hypersim.cli import (
     InternalSoundnessError,
     IterationStat,
     Report,
-    _case_config,
     _load,
     check_pair,
     export_encoding,
-    main,
     prepare,
-    run_benchmarks,
     run_check,
     sweep,
 )
+from hypersim.commands import _case_config, main, run_benchmarks
 from hypersim.encoder import decode_witness_ae, encode_sim_ae, encode_sim_ea
 from hypersim.hyperspec import PredicateTable, parse_property
 from hypersim.kripke import LassoPath, bit_indices, parse_kripke
@@ -494,11 +493,11 @@ def test_export_matches_the_golden_files(argv, golden, tmp_path, capsys):
     regenerate the files with these command lines, and the first again
     with 2 in place of 5:
 
-        PYTHONPATH=src python -m hypersim.cli export
+        PYTHONPATH=src python -m hypersim.commands export
             --left tests/data/k1.kr --right tests/data/k2.kr
             --prop tests/data/phi2.hp --prophecy next:a:2
             --bound 5 --out tests/data/intro_ae_next2_k5.cnf
-        PYTHONPATH=src python -m hypersim.cli export
+        PYTHONPATH=src python -m hypersim.commands export
             --left corpus/gcw/plan.kr --right corpus/gcw/monitor.kr
             --prop corpus/gcw/prop.hp --bound 3 --out tests/data/gcw_ea_n3.cnf
     """
@@ -1170,6 +1169,25 @@ def test_a_decision_compiles_once_and_evaluates_each_left_label_once(monkeypatch
         assert sum(it.side == "falsify" for it in report.iterations) > 1
         assert len(compiled) == 1
         assert seen and len(seen) == len(set(seen))
+
+
+def test_a_decision_leaves_no_reference_cycle():
+    # a decision's objects die by reference counting alone: a recursive
+    # closure, which holds itself through its own cell, would hand the
+    # right structure, its labels and the compiled predicate to the cyclic
+    # collector after every decision
+    run_check(cfg_for("phi1.hp"))  # a first run may fill caches that live on
+    gc.collect()
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for cfg in [cfg_for("phi1.hp"), cfg_for("phi2.hp", prophecy="next:a:2"),
+                    corpus_config("gcw"), corpus_config("mm")]:  # mm: forall exists. G match-all
+            run_check(cfg)
+        assert gc.collect() == 0
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def corpus_config(case: str) -> CheckConfig:

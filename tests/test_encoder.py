@@ -29,7 +29,8 @@ from hypersim.hyperspec import (
 from hypersim.kripke import LassoPath, bit_indices, parse_kripke, reachable_restriction, union_of
 from hypersim.oracle import validate_witness_ae, validate_witness_ea
 from hypersim.prophecy import build_next_prophecy, prophecy_product
-from hypersim.sat import CnfInstance, EmbeddedBackend, export_dimacs, solve, varmap_text
+from hypersim.dimacs import export_dimacs, varmap_text
+from hypersim.sat import CnfInstance, EmbeddedBackend, solve
 from hypersim.search import SafeFrontierSearch, greatest_simulation, held_pairs, subset_floor, uncovered_initial
 
 from helpers import (

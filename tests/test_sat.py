@@ -10,13 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypersim import satcli
+from hypersim.dimacs import ExternalBackend, check_model
 from hypersim.sat import (
     CdclSolver,
     CnfInstance,
     EmbeddedBackend,
-    ExternalBackend,
     SolverBackendError,
-    check_model,
     solve,
 )
 

@@ -8,7 +8,8 @@ from pathlib import Path
 
 import hypersim.cli
 import hypersim.encoder
-from hypersim.cli import CheckConfig, _case_config, run_check
+from hypersim.cli import CheckConfig, run_check
+from hypersim.commands import _case_config
 
 ROOT = Path(__file__).resolve().parent.parent
 DATA = ROOT / "tests" / "data"
