@@ -111,8 +111,7 @@ class CdclSolver:
         self.trail: list[int] = []
         self.trail_lim: list[int] = []
         self.qhead = 0
-        self.learnts: list[list[int]] = []
-        self.lbd: dict[int, int] = {}
+        self.learnts: list[tuple[int, list[int]]] = []  # (LBD, clause), learning order
         self.reduce_at = 4000  # learnt-clause reduction, over all calls
         self.total_conflicts = 0
         self.ok = True
@@ -241,18 +240,16 @@ class CdclSolver:
     # ---- learning ----
 
     def _bump(self, v: int) -> None:
+        # v is assigned: _cancel_until pushes it into `order` when it unassigns it
         self.activity[v] += self.var_inc
         if self.activity[v] > self._RESCALE:
             inv = 1.0 / self._RESCALE
             for u in range(self.nv):
                 self.activity[u] *= inv
             self.var_inc *= inv
-        if self.assign[v] == 2:
-            heappush(self.order, (-self.activity[v], v))
 
     def _analyze(self, confl: list[int]) -> tuple[list[int], int, int]:
         nv_seen = bytearray(self.nv)
-        to_clear: list[int] = []
         learnt: list[int] = []
         path = 0
         p = -1
@@ -264,7 +261,6 @@ class CdclSolver:
                 v = q >> 1
                 if not nv_seen[v] and self.level[v] > 0:
                     nv_seen[v] = 1
-                    to_clear.append(v)
                     self._bump(v)
                     if self.level[v] >= cur:
                         path += 1
@@ -292,8 +288,6 @@ class CdclSolver:
                     kept.append(q)
                     break
         learnt = [p ^ 1] + kept
-        for v in to_clear:
-            nv_seen[v] = 0
         if len(learnt) == 1:
             bt = 0
         else:
@@ -312,43 +306,34 @@ class CdclSolver:
             return
         self.watches[learnt[0]].append(learnt)
         self.watches[learnt[1]].append(learnt)
-        self.learnts.append(learnt)
-        self.lbd[id(learnt)] = lbd
+        self.learnts.append((lbd, learnt))
         self._enqueue(learnt[0], learnt)
 
     def _reduce_db(self) -> None:
+        """Delete the worse half of the learnt clauses, ranked by (LBD,
+        length) with ties in learning order, except those of LBD <= 3 and
+        those that are the reason of an assignment."""
         locked = {id(r) for r in self.reason if r is not None}
-        scored = sorted(
-            self.learnts,
-            key=lambda c: (self.lbd.get(id(c), 99), len(c)),
-        )
-        keep_n = len(scored) // 2
-        keep: list[list[int]] = []
-        dead: set[int] = set()
-        for i, c in enumerate(scored):
-            if i < keep_n or self.lbd.get(id(c), 99) <= 3 or id(c) in locked:
-                keep.append(c)
-            else:
-                dead.add(id(c))
+        scored = sorted(self.learnts, key=lambda e: (e[0], len(e[1])))
+        dead = {id(c) for lbd, c in scored[len(scored) // 2:] if lbd > 3 and id(c) not in locked}
         if not dead:
             return
-        self.learnts = keep
-        for d in dead:
-            self.lbd.pop(d, None)
+        self.learnts = [e for e in self.learnts if id(e[1]) not in dead]
         for ws in self.watches:
             ws[:] = [c for c in ws if id(c) not in dead]
 
     # ---- main loop ----
 
     def _pick_branch(self) -> int:
-        # a variable is pushed when created and when _cancel_until unassigns it
+        # every unassigned variable has an entry: one is pushed when a
+        # variable is created and whenever _cancel_until unassigns it, and
+        # a popped variable that is unassigned gets assigned at once
         order = self.order
         assign = self.assign
-        while order:
+        while True:
             _, v = heappop(order)
             if assign[v] == 2:
                 return v
-        return -1
 
     @staticmethod
     def _luby(i: int) -> int:
@@ -414,8 +399,6 @@ class CdclSolver:
             if len(self.trail) == self.nv:
                 return self._model(conflicts, decisions)
             v = self._pick_branch()
-            if v < 0:
-                return self._model(conflicts, decisions)
             decisions += 1
             self.trail_lim.append(len(self.trail))
             self._enqueue(2 * v + self.polarity[v], None)
@@ -430,8 +413,6 @@ class EmbeddedBackend:
     """In-process CDCL solver.  Asked about the same instance again, after
     clauses were appended to it, the loaded solver takes only the new
     clauses and keeps what it learnt; any other instance gets a fresh one."""
-
-    name = "embedded"
 
     def __init__(self) -> None:
         self._cnf: CnfInstance | None = None

@@ -265,14 +265,11 @@ class SafeFrontierSearch:
 
     def frontier(self, i: int) -> int:
         """The left states ending a safe left path of i+1 states, as a bitmask."""
-        allow, succ_p = self.allow, self.kp.succ_mask
         while len(self._frontiers) <= i:
             j = len(self._frontiers)
             # an empty frontier stays empty
-            cand = union_of(succ_p, self._frontiers[-1]) if j else self.kp.init
-            layer = self.right(j)
-            safe = sum(1 << p for p in bit_indices(cand) if allow[p] & layer == layer)
-            self._frontiers.append(safe)
+            cand = union_of(self.kp.succ_mask, self._frontiers[-1]) if j else self.kp.init
+            self._frontiers.append(cand & self._admitting(self.right(j)))
         return self._frontiers[i]
 
     def reach(self, i: int) -> int:

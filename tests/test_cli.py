@@ -403,6 +403,27 @@ def test_a_bound_the_fixpoint_settles_starts_no_external_solver(capsys):
     assert capsys.readouterr().err.startswith("backend error: ")
 
 
+@pytest.mark.parametrize(
+    "solver, line",
+    [
+        (None, "solver process failed: [Errno 2] No such file or directory: '/nonexistent/solver'"),
+        ("print('s UNKNOWN')\n", "unrecognized answer line 's UNKNOWN'"),
+        ("print('s SATISFIABLE')\nprint('v 1 x 0')\n", "malformed model line 'v 1 x 0'"),
+    ],
+    ids=["cannot-start", "unknown-answer", "non-integer-model"],
+)
+def test_a_failing_external_solver_is_a_backend_error(solver, line, tmp_path, capsys):
+    # corpus gcw asks the solver at lasso length 8; no verdict is printed
+    backend = "external:/nonexistent/solver"
+    if solver is not None:
+        (tmp_path / "solver.py").write_text(solver)
+        backend = f"external:{sys.executable} {tmp_path / 'solver.py'}"
+    argv = ["check", "--left", str(GCW / "plan.kr"), "--right", str(GCW / "monitor.kr"),
+            "--prop", str(GCW / "prop.hp"), "--backend", backend]
+    assert main(argv) == 4
+    assert capsys.readouterr() == ("", f"backend error: {line}\n")
+
+
 @pytest.mark.parametrize("kind", ["missing", "directory", "invalid-utf8"])
 def test_an_unreadable_input_file_is_an_input_error(kind, tmp_path, capsys):
     path = tmp_path / "left.kr"
@@ -633,10 +654,13 @@ EXPORT_0 = ["--bound", "0", "--out", "{tmp}/never.cnf"]
          "simulation bound must be >= 1, got 0"),
         (["export", *INTRO, "--prop", PHI1, *EXPORT_0], None, "subset bound k=0 outside 1..5"),
         (["export", *INTRO, *EA_INLINE, *EXPORT_0], None, "lasso length must be positive, got 0"),
+        (["check", *INTRO, "--prop", PHI1, "--backend", "external:  "], None,
+         "external backend needs a command: external:<command>"),
+        (["bench", "{tmp}/nowhere"], None, "corpus directory not found: {tmp}/nowhere"),
     ],
     ids=["left-kr", "right-kr", "prop", "prop-inline", "next-depth-0", "prophecy-file-annot",
          "prophecy-not-universal", "prophecy-too-large", "max-depth-0", "max-bound-0", "export-ae-bound-0",
-         "export-ea-bound-0"],
+         "export-ea-bound-0", "blank-external-command", "bench-missing-corpus"],
 )
 def test_every_input_error_prints_its_exact_line(argv, patch, message, tmp_path, monkeypatch, capsys):
     for name, text in REJECTED_INPUTS.items():
@@ -668,6 +692,23 @@ def test_a_case_json_that_is_not_json_is_an_exact_error_row(tmp_path, capsys):
     assert rows[0] == ("broken       error: case.json: Expecting property name enclosed in "
                        "double quotes: line 1 column 2 (char 1)")
     assert rows[1].startswith("intro ") and rows[1].endswith("  yes")
+
+
+@pytest.mark.parametrize("key", ["left", "right", "property", "expect"])
+def test_a_case_json_without_a_required_key_is_an_exact_error_row(key, tmp_path, capsys):
+    case = copy_case("intro", tmp_path / "intro")
+    (case / "case.json").write_text(json.dumps({k: v for k, v in INTRO_PHI1.items() if k != key}))
+    assert main(["bench", str(tmp_path)]) == 1
+    assert capsys.readouterr().out.splitlines()[2:] == [f"intro        error: case.json lacks {key!r}"]
+
+
+def test_bench_skips_a_directory_without_case_json(tmp_path, capsys):
+    copy_case("intro", tmp_path / "intro")
+    (tmp_path / "notes").mkdir()
+    (tmp_path / "notes" / "readme.txt").write_text("not a case\n")
+    assert main(["bench", str(tmp_path)]) == 0
+    rows = capsys.readouterr().out.splitlines()[2:]
+    assert len(rows) == 1 and rows[0].startswith("intro ") and rows[0].endswith("  yes")
 
 
 NOT_UTF8 = b"states: s\xff\ninit: s\nap: a\ntrans s -> s\n"

@@ -221,6 +221,11 @@ def test_decode_rejects_non_one_hot_position():
     with pytest.raises(DecodeError) as exc:
         decode_witness_ea(enc, model_of(enc, *chosen, "pos(3,s4)"))
     assert "position 3 is not one-hot" in str(exc.value)
+    # no loop-back target, and two
+    for loops in ((), ("loop(2)", "loop(3)")):
+        with pytest.raises(DecodeError) as exc:
+            decode_witness_ea(enc, model_of(enc, *chosen[:3], *loops))
+        assert str(exc.value) == f"loop-back is not one-hot: {len(loops)} targets chosen"
     assert decode_witness_ea(enc, model_of(enc, *chosen)).lasso.loop == (2,)  # s3
 
 

@@ -280,6 +280,17 @@ def test_validator_ea_rejects_a_lasso_that_is_not_a_path(monkeypatch):
     assert validate_witness_ea(P, Q, pred, broken, n) == ["lasso: not a valid lasso of the P structure"]
 
 
+@pytest.mark.parametrize("prefix, loop", [((0,), ()), ((), (1,))], ids=["empty-loop", "starts-at-t"])
+def test_validator_ea_rejects_a_lasso_that_never_loops_or_starts_uninitial(prefix, loop):
+    # s -> t -> t with s initial: (s) alone never loops back, and the loop
+    # on t is a path but does not start at an initial state
+    k = parse_kripke("states: s t\ninit: s\nap: a\ntrans s -> t\ntrans t -> t")
+    w = ea_witness(LassoPath(prefix=prefix, loop=loop), {1: {0}})
+    assert validate_witness_ea(k, k, parse_predicate("true"), w, 1) == [
+        "lasso: not a valid lasso of the P structure"
+    ]
+
+
 def live(kp, kq, pred) -> LiveSetSearch:
     return LiveSetSearch(PredicateTable(kp, kq, pred))
 

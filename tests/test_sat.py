@@ -94,6 +94,69 @@ def test_learnt_clauses_are_reduced_past_the_first_threshold(monkeypatch):
     assert sizes and all(after < before for before, after in sizes)
 
 
+def random_3sat(rng: random.Random, n: int, m: int) -> list[list[int]]:
+    return [[v if rng.random() < 0.5 else -v for v in rng.sample(range(1, n + 1), 3)]
+            for _ in range(m)]
+
+
+def random_lits(rng: random.Random, n: int, k: int) -> list[int]:
+    return [v if rng.random() < 0.5 else -v for v in rng.sample(range(1, n + 1), k)]
+
+
+@pytest.mark.parametrize(
+    "n, seed, calls",
+    [
+        (90, 1, [
+            ("sat", 267, 348, 241, "0x1f7f0b96da2ca65987299d4"),
+            ("unsat", 50, 64, 291, None),
+            ("unsat", 72, 80, 187, None),
+            ("sat", 92, 131, 154, "0xc3f6f4b86da2cce5987289c4"),
+        ]),
+        (90, 10, [
+            ("sat", 83, 110, 56, "0x24d4a54f7d3cfb971ca839c"),
+            ("unsat", 61, 74, 59, None),
+            ("unsat", 70, 77, 70, None),
+            ("sat", 115, 148, 122, "0x34d4a54c7b3cfad714a879c"),
+        ]),
+        (100, 1, [
+            ("sat", 18, 43, 18, "0xed4ca8bd888d122d56c1d1200"),
+            ("unsat", 191, 233, 171, None),
+            ("unsat", 144, 170, 199, None),
+            ("sat", 253, 311, 322, "0x8ed4ca8bd8a8c032d16c1f1200"),
+        ]),
+    ],
+)
+def test_search_trajectory_is_pinned(n, seed, calls):
+    # random 3-SAT at 4.26 clauses a variable, asked without assumptions,
+    # under three, under two after eight clauses over ten new variables
+    # came in, and without again.  Each call's first learnt-clause
+    # reduction is moved to 60 conflicts into it, so that three or more
+    # reductions run and the later ones rank clauses the earlier ones kept.
+    # Each call's status, conflicts, decisions, learnt-clause count and
+    # model (the true variables as a bitmask) are the solver's search as it
+    # stands: a change to any decision, learnt clause or deletion shows here
+    rng = random.Random(seed)
+    solver = CdclSolver(n, random_3sat(rng, n, round(4.26 * n)))
+    got = []
+    reductions = 0
+
+    def call(assumptions):
+        nonlocal reductions
+        solver.reduce_at = limit = solver.total_conflicts + 60
+        res = solver.solve(assumptions)
+        reductions += solver.reduce_at != limit
+        model = res.model and hex(sum(1 << (v - 1) for v, b in res.model.items() if b))
+        got.append((res.status, res.conflicts, res.decisions, len(solver.learnts), model))
+
+    call([])
+    call(random_lits(rng, n, 3))
+    solver.add_clauses(n + 10, random_3sat(rng, n + 10, 8))
+    call(random_lits(rng, n + 10, 2))
+    call([])
+    assert got == calls
+    assert reductions >= 3
+
+
 def test_loading_drops_repeats_tautologies_and_fixed_literals():
     # [1, 1] is the unit 1; [2, -2, 3] always holds; -1 is false once 1 is
     # fixed, so [-1, 3, 3] is the unit 3: no clause is left to watch
@@ -305,3 +368,35 @@ def test_satcli_sizes_the_solver_by_the_variables_the_clauses_use(text, model, t
     assert time.perf_counter() - t0 < 1.0
     out = capsys.readouterr().out.splitlines()
     assert out[1:] == ["s SATISFIABLE", model]
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("p cnf 2\n1 0\n", "malformed DIMACS header: 'p cnf 2'"),
+        ("1 2 0\n", "missing DIMACS header"),
+        (None, "[Errno 2] No such file or directory: '{path}'"),
+    ],
+    ids=["short-header", "no-header", "missing-file"],
+)
+def test_satcli_reports_a_file_it_cannot_read(text, message, tmp_path, capsys):
+    path = tmp_path / "k.cnf"
+    if text is not None:
+        path.write_text(text)
+    assert satcli.main([str(path)]) == 1
+    assert capsys.readouterr() == ("", f"error: {message.format(path=path)}\n")
+
+
+@pytest.mark.parametrize(
+    "text, code, answer",
+    [
+        ("p cnf 1 2\n1 0\n-1", 20, ["s UNSATISFIABLE"]),
+        ("p cnf 2 2\n-1 0\n1 2\n", 10, ["s SATISFIABLE", "v -1 2 0"]),
+    ],
+    ids=["unsat", "sat"],
+)
+def test_satcli_keeps_a_last_clause_without_its_closing_zero(text, code, answer, tmp_path, capsys):
+    path = tmp_path / "k.cnf"
+    path.write_text(text)
+    assert satcli.main([str(path)]) == code
+    assert capsys.readouterr().out.splitlines()[1:] == answer
