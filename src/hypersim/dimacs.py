@@ -12,6 +12,7 @@ loads it.
 
 from __future__ import annotations
 
+import re
 from typing import Mapping, Sequence
 
 from .sat import CnfInstance, SatResult, SolverBackendError
@@ -35,26 +36,37 @@ def varmap_text(cnf: CnfInstance) -> str:
     return "\n".join(lines) + "\n"
 
 
+_COUNT_RE = re.compile(r"[0-9]+")
+_LITERAL_RE = re.compile(r"[0-9]+|-[0-9]*[1-9][0-9]*")  # no -0
+
+
 def parse_dimacs(text: str) -> CnfInstance:
     """Read a DIMACS file (comments ignored; used by the solver CLI and tests).
-    An empty clause (a lone 0) is loaded as `CnfInstance.add` folds it, so
-    the instance stays unsatisfiable."""
+    A literal is ASCII digits with an optional `-`, but never `-0`; the
+    header's two counts are ASCII digits.  Anything else is a ValueError
+    that names the line.  A header count below the variables used and a
+    last clause without its `0` are accepted.  An empty clause (a lone 0)
+    is loaded as `CnfInstance.add` folds it, so the instance stays
+    unsatisfiable."""
     num_vars = 0
     clauses: list[list[int]] = []
     cur: list[int] = []
     saw_header = False
-    for raw in text.splitlines():
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("c"):
             continue
         if line.startswith("p"):
             fields = line.split()
-            if len(fields) != 4 or fields[1] != "cnf":
+            if (len(fields) != 4 or fields[1] != "cnf"
+                    or not all(_COUNT_RE.fullmatch(f) for f in fields[2:])):
                 raise ValueError(f"malformed DIMACS header: {line!r}")
             num_vars = int(fields[2])
             saw_header = True
             continue
         for tok in line.split():
+            if not _LITERAL_RE.fullmatch(tok):
+                raise ValueError(f"line {lineno}: bad literal {tok!r}")
             lit = int(tok)
             if lit == 0:
                 clauses.append(cur)

@@ -138,26 +138,13 @@ def _nesting_error() -> UnsupportedFragmentError:
     return UnsupportedFragmentError(f"predicate nests deeper than {MAX_PRED_DEPTH} levels")
 
 
-def _depth(pred: Pred) -> int:
-    """Height of the predicate tree, computed without recursion."""
-    best = 0
-    stack = [(pred, 1)]
-    while stack:
-        node, d = stack.pop()
-        best = max(best, d)
-        if isinstance(node, Not):
-            stack.append((node.arg, d + 1))
-        elif isinstance(node, _Binary):
-            stack.append((node.left, d + 1))
-            stack.append((node.right, d + 1))
-    return best
-
-
 class _PredParser:
     """Precedence climbing: ! binds tightest, then & then | then -> then <->.
     Implication is right-associative, the rest left.  Prefix `!` chains are
     read in a loop; parentheses and right operands recurse, at most
-    MAX_PRED_DEPTH levels deep."""
+    MAX_PRED_DEPTH levels deep.  Each parse method returns a node with the
+    height of its tree, and parse() refuses a tree taller than
+    MAX_PRED_DEPTH once the input is read to its end."""
 
     BINARY = {"and": (40, And), "or": (30, Or), "implies": (20, Implies), "iff": (10, Iff)}
     RIGHT_ASSOC = {"implies"}
@@ -176,57 +163,59 @@ class _PredParser:
         return tok
 
     def parse(self) -> Pred:
-        node = self.parse_expr(0)
+        node, height = self.parse_expr(0)
         kind, val = self.peek()
         if kind != "eof":
             raise PredicateParseError(f"trailing input at {val!r}")
+        if height > MAX_PRED_DEPTH:
+            raise _nesting_error()
         return node
 
-    def parse_expr(self, min_prec: int) -> Pred:
+    def parse_expr(self, min_prec: int) -> tuple[Pred, int]:
         self.nesting += 1
         if self.nesting > MAX_PRED_DEPTH:
             raise _nesting_error()
-        node = self.parse_unary()
+        node, height = self.parse_unary()
         while True:
             kind, _ = self.peek()
             if kind not in self.BINARY or self.BINARY[kind][0] < min_prec:
                 self.nesting -= 1
-                return node
+                return node, height
             prec, ctor = self.BINARY[kind]
             self.take()
             next_min = prec if kind in self.RIGHT_ASSOC else prec + 1
-            rhs = self.parse_expr(next_min)
-            node = ctor(node, rhs)
+            rhs, rhs_height = self.parse_expr(next_min)
+            node, height = ctor(node, rhs), max(height, rhs_height) + 1
 
-    def parse_unary(self) -> Pred:
+    def parse_unary(self) -> tuple[Pred, int]:
         negations = 0
         while self.peek()[0] == "not":
             self.take()
             negations += 1
-        node = self.parse_primary()
+        node, height = self.parse_primary()
         for _ in range(negations):
             node = Not(node)
-        return node
+        return node, height + negations
 
-    def parse_primary(self) -> Pred:
+    def parse_primary(self) -> tuple[Pred, int]:
         kind, val = self.take()
         if kind == "lparen":
-            node = self.parse_expr(0)
+            node, height = self.parse_expr(0)
             k, v = self.take()
             if k != "rparen":
                 raise PredicateParseError(f"expected ')' but found {v!r}")
-            return node
+            return node, height
         if kind == "latom":
-            return LeftAtom(val[2:])
+            return LeftAtom(val[2:]), 1
         if kind == "ratom":
-            return RightAtom(val[2:])
+            return RightAtom(val[2:]), 1
         if kind == "word":
             if val == "true":
-                return TrueConst()
+                return TrueConst(), 1
             if val == "false":
-                return FalseConst()
+                return FalseConst(), 1
             if val == "match-all":
-                return MatchAll()
+                return MatchAll(), 1
             raise PredicateParseError(f"unknown atom {val!r} (props are written l.{val} or r.{val})")
         raise PredicateParseError(f"unexpected token {val!r}" if val else "unexpected end of input")
 
@@ -234,10 +223,7 @@ class _PredParser:
 def parse_predicate(text: str) -> Pred:
     """Parse a relational predicate.  `match-all` stays symbolic; expand it
     with expand_match_all before evaluation or encoding."""
-    pred = _PredParser(_tokenize(text)).parse()
-    if _depth(pred) > MAX_PRED_DEPTH:
-        raise _nesting_error()
-    return pred
+    return _PredParser(_tokenize(text)).parse()
 
 
 def expand_match_all(pred: Pred, left_ap: Iterable[str], right_ap: Iterable[str]) -> Pred:

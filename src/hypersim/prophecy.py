@@ -9,8 +9,7 @@ what lets the subset-simulation encoding resolve choices that depend on it.
 
 from __future__ import annotations
 
-from itertools import combinations
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .kripke import KripkeParseError, KripkeStructure, Value, bit_indices, parse_kripke, union_of
 
@@ -70,14 +69,6 @@ def _state_name(code: int, width: int) -> str:
     return "u" + "".join(str(code >> pos & 1) for pos in range(width))
 
 
-def _letters(props: list[str]) -> Iterator[frozenset[str]]:
-    """Every subset of props, drawn lazily: a non-universal automaton is
-    rejected at the first letter it cannot realize, not after 2^|props|."""
-    for r in range(len(props) + 1):
-        for combo in combinations(props, r):
-            yield frozenset(combo)
-
-
 def check_universality(u: ProphecyAutomaton, ap: Iterable[str]) -> bool:
     """True iff every finite sequence over 2^ap is the ap-projection of some
     initial path of the automaton.
@@ -85,12 +76,12 @@ def check_universality(u: ProphecyAutomaton, ap: Iterable[str]) -> bool:
     Exact, by a saturating search over the sets of automaton states that a
     common label word reaches: the automaton is universal iff no letter
     leads from the initial states, or from a reached set, to the empty set.
-    Letters are drawn lazily, so a non-universal automaton is rejected at
-    the first letter it cannot realize.  A search that reaches more than
-    MAX_UNIVERSALITY_SETS sets raises ProphecyError."""
+    A set is grouped by the letters its own labels carry, so a set that
+    carries fewer than 2^|ap| letters is rejected at once.  A search that reaches more than MAX_UNIVERSALITY_SETS
+    sets raises ProphecyError."""
     k = u.structure
     props = frozenset(ap)
-    ordered = sorted(props)
+    letters = 1 << len(props)
     seen: set[int] = set()
     todo = [k.init]  # bitmasks of the states the next letter may lead to
     while todo:
@@ -98,10 +89,9 @@ def check_universality(u: ProphecyAutomaton, ap: Iterable[str]) -> bool:
         for t in bit_indices(todo.pop()):
             letter = k.labels[t] & props
             by_letter[letter] = by_letter.get(letter, 0) | 1 << t
-        for letter in _letters(ordered):
-            reached = by_letter.get(letter, 0)
-            if not reached:
-                return False
+        if len(by_letter) < letters:
+            return False  # some letter leads to the empty set
+        for reached in by_letter.values():
             if reached not in seen:
                 if len(seen) == MAX_UNIVERSALITY_SETS:
                     raise ProphecyError(

@@ -273,3 +273,18 @@ def test_nesting_is_capped_without_recursion_errors():
         assert isinstance(pred, Not)
         pred = pred.arg
     assert pred == LeftAtom("a")
+    # the cap is a tree height of 100 (an atom is 1, each `!` or binary
+    # node adds 1) and 100 levels of parentheses, whatever the shape
+    for fits, text in [
+        *((n < 100, "!" * n + "l.a") for n in (99, 100)),
+        *((n <= 100, f" {op} ".join(["l.a"] * n)) for op in ("&", "|", "->") for n in (100, 101)),
+        *((n < 100, "(" * n + "l.a" + ")" * n) for n in (99, 100)),
+    ]:
+        if fits:
+            parse_predicate(text)
+        else:
+            with pytest.raises(UnsupportedFragmentError, match="nests deeper than 100 levels"):
+                parse_predicate(text)
+    # a syntax error still comes before the depth error
+    with pytest.raises(PredicateParseError, match=r"trailing input at '\)'"):
+        parse_predicate("!" * 200 + "l.a )")

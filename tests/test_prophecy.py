@@ -133,21 +133,22 @@ def test_universality_search_is_capped():
 
 
 def test_universality_rejects_at_the_first_unrealizable_letter(monkeypatch):
-    drawn = []
-    original = hypersim.prophecy.combinations
+    # a silent automaton over 18 props realizes one of 2^18 letters: it is
+    # rejected without walking the letters, after at most one step
+    steps = []
+    original = hypersim.prophecy.union_of
 
-    def counting(items, r):
-        for combo in original(items, r):
-            drawn.append(combo)
-            yield combo
+    def counting(succ, mask):
+        steps.append(mask)
+        return original(succ, mask)
 
-    monkeypatch.setattr(hypersim.prophecy, "combinations", counting)
+    monkeypatch.setattr(hypersim.prophecy, "union_of", counting)
     props = [f"p{i}" for i in range(18)]
     silent = plain_automaton(
         parse_kripke(f"states: u\ninit: u\nap: {' '.join(props)}\ntrans u -> u")
     )
     assert check_universality(silent, props) is False
-    assert 0 < len(drawn) <= 10
+    assert len(steps) <= 1
 
 
 def test_build_rejects_zero_depth():

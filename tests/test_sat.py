@@ -1,9 +1,13 @@
 """Embedded CDCL solver, external-backend protocol, and model checking."""
 
+import io
 import itertools
 import random
 import sys
+import tempfile
 import time
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -374,15 +378,26 @@ def test_satcli_sizes_the_solver_by_the_variables_the_clauses_use(text, model, t
     "text, message",
     [
         ("p cnf 2\n1 0\n", "malformed DIMACS header: 'p cnf 2'"),
+        ("p cnf -3 1\n1 0\n", "malformed DIMACS header: 'p cnf -3 1'"),
+        ("p cnf x 1\n1 0\n", "malformed DIMACS header: 'p cnf x 1'"),
+        ("p cnf 2 -1\n1 0\n", "malformed DIMACS header: 'p cnf 2 -1'"),
         ("1 2 0\n", "missing DIMACS header"),
+        ("p cnf 2 1\n1 a 0\n", "line 2: bad literal 'a'"),
+        ("p cnf 2 1\n1 -0 0\n", "line 2: bad literal '-0'"),
+        ("p cnf 2 1\n+1 0\n", "line 2: bad literal '+1'"),
+        ("p cnf 2 1\n2.5 0\n", "line 2: bad literal '2.5'"),
+        ("p cnf 2 1\n\u0661 0\n", "line 2: bad literal '\u0661'"),
+        ("c a comment\n\np cnf 2 2\n1 0\n2\n-1 x 0\n", "line 6: bad literal 'x'"),
         (None, "[Errno 2] No such file or directory: '{path}'"),
     ],
-    ids=["short-header", "no-header", "missing-file"],
+    ids=["short-header", "negative-variable-count", "non-numeric-variable-count",
+         "negative-clause-count", "no-header", "a-letter", "negative-zero", "a-plus-sign",
+         "a-decimal", "a-non-ascii-digit", "a-line-after-comments", "missing-file"],
 )
 def test_satcli_reports_a_file_it_cannot_read(text, message, tmp_path, capsys):
     path = tmp_path / "k.cnf"
     if text is not None:
-        path.write_text(text)
+        path.write_text(text, encoding="utf-8")
     assert satcli.main([str(path)]) == 1
     assert capsys.readouterr() == ("", f"error: {message.format(path=path)}\n")
 
@@ -400,3 +415,76 @@ def test_satcli_keeps_a_last_clause_without_its_closing_zero(text, code, answer,
     path.write_text(text)
     assert satcli.main([str(path)]) == code
     assert capsys.readouterr().out.splitlines()[1:] == answer
+
+
+# what may stand between two tokens of a DIMACS body
+SEPARATORS = [" ", "  ", "\t", "\n", "\n\n", "\nc a comment\n", "\n  \n"]
+
+
+def in_file(numbers: list[int], lit: int) -> int:
+    """A literal over variables 1..n as the file numbers its variable."""
+    return 0 if lit == 0 else numbers[lit - 1] if lit > 0 else -numbers[-lit - 1]
+
+
+@st.composite
+def dimacs_texts(draw):
+    """A random CNF over up to 8 variables, its variables numbered far
+    apart in the file, written with comments, blank lines and clauses
+    broken across lines; the last clause may lack its closing 0."""
+    n = draw(st.integers(1, 8))
+    numbers = sorted(draw(st.lists(st.integers(1, 10**6), min_size=n, max_size=n, unique=True)))
+    literal = st.builds(lambda v, pos: v if pos else -v, st.integers(1, n), st.booleans())
+    clauses = draw(st.lists(st.lists(literal, max_size=4), max_size=20))
+    tokens = [str(in_file(numbers, l)) for c in clauses for l in c + [0]]
+    if clauses and clauses[-1] and draw(st.booleans()):
+        tokens.pop()
+    seps = draw(st.lists(st.sampled_from(SEPARATORS), min_size=len(tokens), max_size=len(tokens)))
+    header = f"p cnf {numbers[-1]} {len(clauses)}"
+    lead = draw(st.sampled_from(["", "c generated\n", "\nc two\nc comments\n"]))
+    return n, numbers, clauses, lead, header, tokens, seps
+
+
+def run_satcli(text: str) -> tuple[int, str, str]:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "k.cnf"
+        path.write_text(text, encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = satcli.main([str(path)])
+    return code, out.getvalue(), err.getvalue()
+
+
+@given(dimacs_texts(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_satcli_agrees_with_brute_force_on_random_dimacs_text(drawn, data):
+    n, numbers, clauses, lead, header, tokens, seps = drawn
+    parts = [sep + tok for sep, tok in zip(seps, tokens)]
+    code, out, err = run_satcli(lead + header + "\n" + "".join(parts) + "\n")
+    assert err == ""
+    assert code == (10 if brute_sat(n, clauses) else 20)
+    lines = out.splitlines()
+    if code == 20:
+        assert lines[1:] == ["s UNSATISFIABLE"]
+    else:
+        assert lines[1] == "s SATISFIABLE"
+        model = [int(tok) for line in lines[2:] for tok in line.split()[1:]]
+        assert model[-1] == 0
+        chosen = set(model[:-1])
+        used = {numbers[abs(l) - 1] for c in clauses for l in c}
+        assert {abs(l) for l in chosen} == used
+        for c in clauses:
+            assert any(in_file(numbers, l) in chosen for l in c)
+
+    # one bad token, or a negative header count, is an error that names it
+    spot = data.draw(st.integers(-1, len(tokens) - 1))
+    bad = data.draw(st.sampled_from(["a", "-0", "2.5", "+1"]))
+    if spot < 0:
+        fields = header.split()
+        fields[data.draw(st.sampled_from([2, 3]))] = f"-{data.draw(st.integers(1, 9))}"
+        header = " ".join(fields)
+        expected = f"error: malformed DIMACS header: {header!r}"
+    else:
+        before = lead + header + "\n" + "".join(parts[:spot]) + seps[spot]
+        parts[spot] = seps[spot] + bad
+        expected = f"error: line {before.count(chr(10)) + 1}: bad literal {bad!r}"
+    assert run_satcli(lead + header + "\n" + "".join(parts) + "\n") == (1, "", expected + "\n")
