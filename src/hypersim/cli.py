@@ -6,11 +6,11 @@ simulation search (SAT side), which proves the property, and then its
 bounded falsifier, which disproves it; it re-checks a counterexample and
 writes the verdict.  The part, built from the decision's PredicateTable and
 the sim cap, owns what differs between the orders: its bound range, notes,
-encoding, validator and falsifier; `export` builds the same part and writes
-its encoding at one bound.  The part calls every layer through the names
-this module binds, so patching a name here reaches its calls.  Neither side
-is complete at desk bounds, so exhausting both yields an explicit unknown
-verdict rather than a guess.
+encoding, validator and falsifier; `export` builds the same encoding, and
+nothing else of the part, and writes it at one bound.  The part calls every
+layer through the names this module binds, so patching a name here reaches
+its calls.  Neither side is complete at desk bounds, so exhausting both
+yields an explicit unknown verdict rather than a guess.
 
 The command-line front end and the bench command live in
 `hypersim.commands`, which imports this module; the DIMACS files and the
@@ -53,7 +53,7 @@ from .prophecy import (
     parse_prophecy,
     prophecy_product,
 )
-from .sat import EmbeddedBackend, SatResult, SolverBackendError, solve
+from .sat import EmbeddedBackend, SatResult, SolverBackendError, check_model, solve
 from .search import LiveSetSearch, falsify_exists_forall, falsify_forall_exists
 
 DEFAULT_EA_BOUND = 16
@@ -67,6 +67,16 @@ class CliInputError(Exception):
 class InternalSoundnessError(Exception):
     """A witness failed validation or a counterexample failed re-verification.
     Indicates a defect in the encoder/decoder/falsifier, never user error."""
+
+
+def _integer(text: str) -> int:
+    """text as an int when it is an optional `-` and ASCII digits, else a
+    ValueError: int() alone also takes `_`, `+`, spaces and the digits of
+    other scripts."""
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"invalid int value: {text!r}")
+    return int(text)
 
 
 def _input(fn, *args, errors: type | tuple[type, ...], origin: str | None = None):
@@ -207,15 +217,21 @@ class Report:
 
 def _solve_at(part, bound: int, backend, report: Report, decode, validate, known=None):
     """Build the part's instance at bound and add its sim line; on sat, the
-    decoded witness, which validate must accept, else None.  The solver is
-    asked only when `known`, the answer the part has without one, is None;
-    a known sat instance has the all-false model."""
+    decoded witness, which validate must accept, else None.  `known` is the
+    answer the part has without a solver: None asks the solver, False is
+    unsat, and otherwise it gives the instance's model once the instance is
+    built.  That model must make every clause and assumption true."""
     t0 = time.perf_counter()
     cnf, assumptions = part.enc.bound(bound)
     if known is None:
         res = solve(cnf, backend, assumptions)
     elif known:
-        res = SatResult("sat", dict.fromkeys(range(1, cnf.num_vars + 1), False))
+        res = SatResult("sat", known())
+        if not check_model(cnf, res.model, assumptions):
+            raise InternalSoundnessError(
+                f"the model the {part.mode} part supplies at bound {bound} leaves a clause of "
+                "its instance false"
+            )
     else:
         res = SatResult("unsat")
     took = time.perf_counter() - t0
@@ -270,8 +286,9 @@ class ForallExists:
                 )
 
     def settle(self, bound: int, backend, report: Report) -> bool:
+        known = self.enc.settled(bound)
         w = _solve_at(self, bound, backend, report, decode_witness_ae, validate_witness_ae,
-                      self.enc.settled(bound))
+                      self.enc.model if known else known)
         if w is not None:
             ps, qs = self.table.kp.states, self.table.kq.states
             report.witness_relation = sorted((ps[p], qs[q]) for p, q in w.relation)
@@ -290,8 +307,10 @@ class ForallExists:
 
 class ExistsForall:
     """Left lassos of total length n, and the safe-frontier falsifier.  The
-    right layers settle each length first: the solver is asked only at a
-    length they admit a lasso of, and must answer sat there."""
+    right layers settle each length, so no solver is asked: at a length
+    they admit, the lasso their walk closes (`SafeFrontierSearch.lasso`) is
+    written into the instance as its model (`EaEncoding.model`), checked
+    against every clause, decoded and validated."""
 
     mode = "ea"
 
@@ -303,16 +322,14 @@ class ExistsForall:
         self.notes: list[str] = []
 
     def settle(self, bound: int, backend, report: Report) -> bool:
-        if not self.search.has_lasso(bound):
+        lasso = self.search.lasso(bound)
+        if lasso is None:
             # the right layers settle this length: no lasso of it has a witness
             if not self.search.frontier(bound - 1):
                 self.last = bound  # every longer lasso has a position in this empty frontier
             return False
-        w = _solve_at(self, bound, backend, report, decode_witness_ea, validate_witness_ea)
-        if w is None:
-            raise InternalSoundnessError(
-                f"the solver found no lasso of length {bound}, although the right layers admit one"
-            )
+        w = _solve_at(self, bound, backend, report, decode_witness_ea, validate_witness_ea,
+                      lambda: self.enc.model(lasso))
         ps, qs = self.table.kp.states, self.table.kq.states
         positions = {str(i): sorted(qs[q] for q in row) for i, row in sorted(w.pos_relation.items())}
         report.witness_lasso = {
@@ -474,7 +491,7 @@ def _load_prophecy(cfg: CheckConfig, left: KripkeStructure) -> ProphecyAutomaton
             )
         prop, depth_text = parts[1], parts[2]
         try:
-            depth = int(depth_text)
+            depth = _integer(depth_text)
         except ValueError:
             raise CliInputError(f"prophecy depth must be an integer, got {depth_text!r}")
         if prop not in left.ap:
@@ -525,10 +542,11 @@ def run_check(cfg: CheckConfig) -> Report:
 
 def export_encoding(cfg: CheckConfig, bound: int) -> tuple[str, str]:
     """Build the encoding at one bound without solving, as the part of the
-    check builds it; returns (dimacs, varmap)."""
+    check builds it, and nothing else of the part; returns (dimacs, varmap)."""
     from .dimacs import export_dimacs, varmap_text
 
     table, part, _ = prepare(*_load(cfg))
-    cnf, units = _input(part(table, None).enc.bound, bound, errors=EncodeError)
+    encode = encode_sim_ae if part.mode == "ae" else encode_sim_ea
+    cnf, units = _input(encode(table).bound, bound, errors=EncodeError)
     cnf = cnf.with_units(units)
     return export_dimacs(cnf), varmap_text(cnf)

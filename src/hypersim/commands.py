@@ -29,6 +29,7 @@ from .cli import (
     SolverBackendError,
     _backend_of,
     _input,
+    _integer,
     _read,
     export_encoding,
     run_check,
@@ -160,6 +161,14 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise CliInputError(message)
 
 
+def _int_option(text: str) -> int:
+    """An integer option's value: an optional `-` and ASCII digits."""
+    try:
+        return _integer(text)
+    except ValueError as e:
+        raise argparse.ArgumentTypeError(str(e)) from None
+
+
 def _add_input_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--left", required=True, help="left (first-quantifier) structure file")
     p.add_argument("--right", required=True, help="right (second-quantifier) structure file")
@@ -198,9 +207,9 @@ def main(argv: list[str] | None = None) -> int:
 
     p_check = sub.add_parser("check", help="decide a property on a structure pair")
     _add_input_args(p_check)
-    p_check.add_argument("--max-bound", type=int, default=None,
+    p_check.add_argument("--max-bound", type=_int_option, default=None,
                          help="cap for the simulation bound (default: |S_Q| for ae, %d for ea)" % DEFAULT_EA_BOUND)
-    p_check.add_argument("--max-depth", type=int, default=DEFAULT_FALSIFY_DEPTH,
+    p_check.add_argument("--max-depth", type=_int_option, default=DEFAULT_FALSIFY_DEPTH,
                          help="cap for the falsification depth (default %(default)s)")
     p_check.add_argument("--backend", default="embedded",
                          help="'embedded' or 'external:<path-to-solver>' (DIMACS in, 's ...'/'v ...' out)")
@@ -208,7 +217,7 @@ def main(argv: list[str] | None = None) -> int:
 
     p_export = sub.add_parser("export", help="export one encoding as DIMACS without solving")
     _add_input_args(p_export)
-    p_export.add_argument("--bound", type=int, required=True, help="k (ae) or n (ea)")
+    p_export.add_argument("--bound", type=_int_option, required=True, help="k (ae) or n (ea)")
     p_export.add_argument("--out", required=True, help="output path; variable map goes to <out>.vars")
 
     p_bench = sub.add_parser("bench", help="run a corpus of cases with expected verdicts")

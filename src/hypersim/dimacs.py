@@ -13,9 +13,9 @@ loads it.
 from __future__ import annotations
 
 import re
-from typing import Mapping, Sequence
+from typing import Sequence
 
-from .sat import CnfInstance, SatResult, SolverBackendError
+from .sat import CnfInstance, SatResult, SolverBackendError, check_model
 
 
 def export_dimacs(cnf: CnfInstance) -> str:
@@ -42,12 +42,12 @@ _LITERAL_RE = re.compile(r"[0-9]+|-[0-9]*[1-9][0-9]*")  # no -0
 
 def parse_dimacs(text: str) -> CnfInstance:
     """Read a DIMACS file (comments ignored; used by the solver CLI and tests).
-    A literal is ASCII digits with an optional `-`, but never `-0`; the
-    header's two counts are ASCII digits.  Anything else is a ValueError
-    that names the line.  A header count below the variables used and a
-    last clause without its `0` are accepted.  An empty clause (a lone 0)
-    is loaded as `CnfInstance.add` folds it, so the instance stays
-    unsatisfiable."""
+    One header comes before every clause literal.  A literal is ASCII
+    digits with an optional `-`, but never `-0`; the header's two counts
+    are ASCII digits.  Anything else is a ValueError that names the line.
+    A header count below the variables used and a last clause without its
+    `0` are accepted.  An empty clause (a lone 0) is loaded as
+    `CnfInstance.add` folds it, so the instance stays unsatisfiable."""
     num_vars = 0
     clauses: list[list[int]] = []
     cur: list[int] = []
@@ -57,6 +57,10 @@ def parse_dimacs(text: str) -> CnfInstance:
         if not line or line.startswith("c"):
             continue
         if line.startswith("p"):
+            if saw_header:
+                raise ValueError(f"line {lineno}: a second DIMACS header: {line!r}")
+            if clauses or cur:
+                raise ValueError(f"line {lineno}: DIMACS header after a clause literal: {line!r}")
             fields = line.split()
             if (len(fields) != 4 or fields[1] != "cnf"
                     or not all(_COUNT_RE.fullmatch(f) for f in fields[2:])):
@@ -158,11 +162,3 @@ def _parse_solver_output(stdout: str, returncode: int, num_vars: int) -> SatResu
         if abs(lit) <= num_vars:
             model[abs(lit)] = lit > 0
     return SatResult("sat", model)
-
-
-def check_model(cnf: CnfInstance, model: Mapping[int, bool]) -> bool:
-    """Clause-by-clause check used in tests and after external solving."""
-    for clause in cnf.clauses:
-        if not any(model.get(abs(l), False) == (l > 0) for l in clause):
-            return False
-    return True

@@ -30,8 +30,9 @@ instance is cut to come from `search`.
     needs sim(i,q) for the q reachable from R_{i-1} (`reach`).  Both cuts
     are exact.  The instance of length n (`EaEncoding.bound`) is positions
     1..n and the one loop family of n, with no assumption.  The same search
-    settles whether it is satisfiable (`has_lasso`), so a decision asks the
-    solver only at a length it admits (lasso loop conditions after Biere,
+    settles whether it is satisfiable and, where it is, walks to a lasso
+    (`lasso`) that `EaEncoding.model` writes into the instance as its
+    model, so no solver is asked (lasso loop conditions after Biere,
     Cimatti, Clarke & Zhu, TACAS 1999).
 
 For forall-exists, an instance asked straight at a bound equals one swept
@@ -66,19 +67,19 @@ def lower_parts_to_cnf(parts: Sequence[tuple[str, Sequence[Clause]]], cnf: CnfIn
     return cnf
 
 
-def _at_most_one(xs: list[int], new_var: Callable[[str], int], tag: str) -> list[Clause]:
+def _at_most_one(xs: list[int], new_var: Callable[[str], int], tag: str) -> tuple[list[Clause], list[int]]:
     """At most one of the literals xs is true, by Sinz's sequential counter
     with one register per prefix: c(i,1) is forced true when one of
-    x_1..x_i is."""
+    x_1..x_i is.  The clauses, and the registers c(1,1)..c(m-1,1)."""
     m = len(xs)
     if m <= 1:
-        return []
+        return [], []
     c = [new_var(f"{tag}_count({i},1)") for i in range(1, m)]
     out = [[-xs[0], c[0]]]
     for i in range(1, m - 1):
         out += [[-xs[i], c[i]], [-c[i - 1], c[i]], [-xs[i], -c[i - 1]]]
     out.append([-xs[m - 1], -c[m - 2]])
-    return out
+    return out, c
 
 
 class _Counter:
@@ -208,11 +209,15 @@ class AeEncoding:
     def settled(self, k: int) -> bool | None:
         """Whether the instance at k is satisfiable, where the fixpoint alone
         answers: an uncovered initial state, or k below the forced states,
-        makes it unsat, and `all_false` makes every other k sat.  None when
-        only a solver can tell."""
+        makes it unsat, and `all_false` makes every other k sat, with
+        `model()` as its model.  None when only a solver can tell."""
         if self.uncovered or k < self.forced.bit_count():
             return False
         return True if self.all_false else None
+
+    def model(self) -> dict[int, bool]:
+        """The all-false assignment of the instance: the held relation alone."""
+        return dict.fromkeys(range(1, self.cnf.num_vars + 1), False)
 
     def bound(self, k: int) -> tuple[CnfInstance, tuple[int, ...]]:
         """The instance and the assumptions that ask for at most k used states."""
@@ -243,7 +248,9 @@ class EaEncoding:
     least position sets of a lasso never leave the right states reachable
     from R_{i-1}, `search.reach(i-1)`, so sim(i,q) exists only for those q.
     Both cuts keep exactly the lassos that have a witness, and
-    `search.has_lasso(n)` answers from the same layers whether any does.
+    `search.lasso(n)` walks the same layers to one, or finds there is none.
+    `model(lasso)` writes that lasso into the instance as its assignment,
+    so a length the walk admits needs no solver.
 
     bound(n) builds the instance once: the families position-1 ..
     position-n, each with its variables, its one-hot, the path step into
@@ -259,6 +266,7 @@ class EaEncoding:
         self.pos: dict[tuple[int, int], int] = {}
         self.sim: dict[tuple[int, int], int] = {}
         self.loop: dict[int, int] = {}
+        self.ladders: list[tuple[list[int], list[int]]] = []  # (literals, registers) of each at-most-one
 
     def bound(self, n: int) -> tuple[CnfInstance, tuple[int, ...]]:
         """The instance that asks for a lasso of length n, and no
@@ -285,7 +293,7 @@ class EaEncoding:
             sim[i, q] = new_var(f"sim({i},{kq.states[q]})")
 
         lits = [pos[i, p] for p in bit_indices(ahead)]
-        out = [lits] + _at_most_one(lits, new_var, f"pos{i}")
+        out = self._exactly_one(lits, new_var, f"pos{i}")
         if i > 1:
             for p in bit_indices(self.search.frontier(i - 2)):
                 out.append([-pos[i - 1, p]] + [pos[i, t] for t in kp.succ[p] if ahead >> t & 1])
@@ -309,7 +317,7 @@ class EaEncoding:
         search = self.search
         last = list(bit_indices(search.frontier(n - 1)))
         edges = [(q, q2) for q in bit_indices(search.reach(n - 1)) for q2 in succ_q[q]]
-        out = [loops] + _at_most_one(loops, new_var, "loop")
+        out = self._exactly_one(loops, new_var, "loop")
         for l, back in enumerate(loops, start=1):
             at = search.frontier(l - 1)
             for p in last:
@@ -323,6 +331,31 @@ class EaEncoding:
                 if not (l == n and q2 == q)
             ]
         return out
+
+    def _exactly_one(self, xs: list[int], new_var: Callable[[str], int], tag: str) -> list[Clause]:
+        """One of xs, and at most one, whose ladder `model` sets."""
+        clauses, registers = _at_most_one(xs, new_var, tag)
+        self.ladders.append((xs, registers))
+        return [xs] + clauses
+
+    def model(self, lasso: LassoPath) -> dict[int, bool]:
+        """The assignment of the instance that picks `lasso`, of the
+        instance's length: pos one-hot on its states, loop on its loop
+        start, sim(i,q) exactly on its least position sets
+        (`search.least_sets`), and each at-most-one register true once one
+        of its literals so far is.  A state with no variable at its
+        position sets none, which leaves that position's one-hot clause
+        false."""
+        true = {self.pos.get((i, p)) for i, p in enumerate(lasso.states_visited(), start=1)}
+        true.add(self.loop[len(lasso.prefix) + 1])
+        for i, row in enumerate(self.search.least_sets(lasso), start=1):
+            true.update(self.sim[i, q] for q in bit_indices(row))
+        model = {v: v in true for v in range(1, self.cnf.num_vars + 1)}
+        for xs, registers in self.ladders:
+            on = False
+            for x, c in zip(xs, registers):
+                on = model[c] = on or model[x]
+        return model
 
 
 # the names the driver builds a decision's encoding by, one per quantifier order

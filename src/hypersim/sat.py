@@ -22,7 +22,7 @@ this one imports no other package module.
 from __future__ import annotations
 
 from heapq import heappush, heappop
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 Clause = list[int]
 
@@ -75,6 +75,13 @@ class CnfInstance:
         copy = CnfInstance(self.num_vars, list(self.clauses), dict(self.var_names), list(self.provenance))
         copy.add([lit] for lit in lits)
         return copy
+
+
+def check_model(cnf: CnfInstance, model: Mapping[int, bool], assumptions: Sequence[int] = ()) -> bool:
+    """Does the model make a literal of every clause, and every assumption,
+    true?  A variable the model leaves out is false."""
+    true = {v if model.get(v, False) else -v for v in range(1, cnf.num_vars + 1)}
+    return true.issuperset(assumptions) and all(not true.isdisjoint(clause) for clause in cnf.clauses)
 
 
 class SolverBackendError(Exception):

@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Callable, Iterable
 
 from .hyperspec import PredicateTable
-from .kripke import KripkeStructure, bit_indices, union_of
+from .kripke import KripkeStructure, LassoPath, bit_indices, union_of
 from .oracle import Counterexample
 
 Rows = list[int]  # a relation as one bitmask of right states per left state
@@ -250,9 +250,10 @@ class SafeFrontierSearch:
     lasso position i holds only a state of frontier(i-1) and answers only
     for states of reach(i-1).
 
-    `has_lasso(n)` says from the same layers whether the encoding's
-    instance at lasso length n is satisfiable, so that a decision asks the
-    solver only at a length that has a witness.
+    `lasso(n)` walks the same layers to a lasso of length n whose
+    positions have a witness, or finds there is none: the encoding's
+    instance at n is satisfiable exactly when it returns one, and that
+    lasso, with `least_sets`, is a model of it.
     """
 
     def __init__(self, table: PredicateTable) -> None:
@@ -277,21 +278,24 @@ class SafeFrontierSearch:
         the period-1 orbit of `_orbits`."""
         return self._orbits(1, i + 1)[i]
 
-    def has_lasso(self, n: int) -> bool:
-        """Is there a left lasso of total length n >= 1 whose positions pass
-        the predicate against its least position sets?
+    def lasso(self, n: int) -> LassoPath | None:
+        """A left lasso of total length n >= 1 whose positions pass the
+        predicate against its least position sets, or None when there is
+        none.
 
-        A lasso with loop start l needs position i to answer for S_i: R_{i-1}
-        before the loop, and on it the union of R_{i-1+t(n-l+1)} over t >= 0,
-        the states that reach position i around the loop.  These sets depend
-        only on n and l, and every model of the encoding's instance at n has
-        sim(i) >= S_i, so that instance is satisfiable iff some l admits a
-        left path p_1..p_n from an initial state, with p_l a successor of
-        p_n and allow[p_i] >= S_i at every i.  Its prefix is a safe path, so
-        p_l lies in frontier l-1; each candidate p_l is walked forward
-        around the loop as a bitmask."""
+        A lasso with loop start l needs position i to answer for S_i
+        (`least_sets`): R_{i-1} before the loop, and on it the union of
+        R_{i-1+t(n-l+1)} over t >= 0, the states that reach position i
+        around the loop.  These sets depend only on n and l, and every
+        model of the encoding's instance at n has sim(i) >= S_i, so that
+        instance is satisfiable iff some l admits a left path p_1..p_n from
+        an initial state, with p_l a successor of p_n and allow[p_i] >= S_i
+        at every i.  Its prefix is a safe path, so p_l lies in frontier l-1;
+        each candidate p_l is walked forward around the loop as a bitmask.
+        The lasso returned has the least l, then the least p_l, and at each
+        position the least state that still closes the walk."""
         if not self.frontier(n - 1):  # position n has no left state
-            return False
+            return None
         succ, pred = self.kp.succ_mask, self.kp.pred_mask
         back = union_of(succ, self._frontiers[n - 1])  # where position n can loop back to
         for l in range(1, n + 1):
@@ -300,14 +304,36 @@ class SafeFrontierSearch:
             sets = self._orbits(n - l + 1, n)
             start = back & self._frontiers[l - 1] & self._admitting(sets[l - 1])
             for x in bit_indices(start):
-                here = 1 << x
+                walk = [1 << x]  # the left states each loop position may hold
                 for i in range(l, n):
-                    here = union_of(succ, here) & self._admitting(sets[i])
-                    if not here:
+                    walk.append(union_of(succ, walk[-1]) & self._admitting(sets[i]))
+                    if not walk[-1]:
                         break
-                if here & pred[x]:  # the walk closes its loop back to x
-                    return True
-        return False
+                if walk[-1] & pred[x]:  # the walk closes its loop back to x
+                    prefix = self._least_path(self._frontiers[: l - 1], pred[x])
+                    return LassoPath(prefix, self._least_path(walk, pred[x]))
+        return None
+
+    def least_sets(self, lasso: LassoPath) -> list[int]:
+        """S_1..S_n, the least right-state sets the positions of a lasso
+        answer for, as bitmasks (see `lasso`)."""
+        l, n = len(lasso.prefix) + 1, lasso.total_len
+        return [self.right(i) for i in range(l - 1)] + self._orbits(n - l + 1, n)[l - 1:]
+
+    def _least_path(self, layers: list[int], end: int) -> tuple[int, ...]:
+        """The least path with its i-th state in layers[i] and its last in
+        `end`: a state of each layer that leads on to `end`, chosen least
+        first from the front."""
+        pred, succ = self.kp.pred_mask, self.kp.succ_mask
+        ahead, goal = [], end  # from the back: the states of each layer that lead on
+        for layer in reversed(layers):
+            ahead.append(layer & goal)
+            goal = union_of(pred, ahead[-1])
+        path: list[int] = []
+        for mask in reversed(ahead):
+            here = mask & succ[path[-1]] if path else mask
+            path.append((here & -here).bit_length() - 1)
+        return tuple(path)
 
     def _orbits(self, period: int, n: int) -> list[int]:
         """For j < n, the union of R_{j+t*period} over t >= 0.  For j = 0

@@ -3,6 +3,7 @@
 import gc
 import itertools
 import json
+import re
 import shutil
 import sys
 from pathlib import Path
@@ -34,7 +35,7 @@ from hypersim.hyperspec import PredicateTable, parse_property
 from hypersim.kripke import LassoPath, bit_indices, parse_kripke
 from hypersim.oracle import SimWitnessEA, validate_witness_ae
 from hypersim.prophecy import build_next_prophecy, parse_prophecy
-from hypersim.sat import EmbeddedBackend, SatResult, solve
+from hypersim.sat import EmbeddedBackend, solve
 from hypersim.search import LiveSetSearch, SafeFrontierSearch, falsify_forall_exists
 
 from helpers import (
@@ -325,13 +326,18 @@ def test_external_backend_end_to_end(capsys):
 @pytest.mark.parametrize("name", ["intro_phi2_next2", "rp"])
 def test_external_backend_decides_holds_like_the_embedded_one(name):
     # forall-exists, asked up to k = 5 >= |used| where no assumption is
-    # left, and exists-forall: each bound is written with its assumptions
-    # as unit clauses and gets a fresh solver, so only the witness may
-    # differ from the golden report
+    # left: each bound is written with its assumptions as unit clauses and
+    # gets a fresh solver, so only the witness may differ from the golden
+    # report.  Exists-forall asks no solver, so its whole report, witness
+    # included, is the golden one
     golden = json.loads((DATA / "golden_reports.json").read_text())[name]
     report = run_check(replace(golden_cases()[name], backend=SATCLI_BACKEND)).to_dict()
     assert report["verdict"] == golden["verdict"] == "holds"
     assert report["minimalBound"] == golden["minimalBound"]
+    if name == "rp":
+        for it in report["iterations"]:
+            del it["seconds"]
+        assert report == golden
 
     def sims(r: dict) -> list[tuple]:
         return [
@@ -360,16 +366,17 @@ sys.exit(main([sys.argv[2]]))
 )
 def test_every_sim_line_sizes_the_file_the_solver_was_given(name, bounds, tmp_path):
     # forall-exists at k = 5 >= |used|, which the fixpoint settles (the
-    # all-false assignment is a model) so no solver is given a file,
-    # exists-forall, asked only at the one length the right layers admit,
-    # and forall-exists at k = 5, 6, 7 < |used| on one growing counter: each
-    # line's vars/clauses are the header of the file `export --bound` writes
-    # at its bound, and each line a solver answered was given that file
+    # all-false assignment is a model), and exists-forall at the one length
+    # the right layers admit, whose walk gives the model: no solver is given
+    # a file for either.  Forall-exists at k = 5, 6, 7 < |used| on one
+    # growing counter asks one.  Each line's vars/clauses are the header of
+    # the file `export --bound` writes at its bound, and each line a solver
+    # answered was given that file
     solver, kept = tmp_path / "record.py", tmp_path / "kept"
     solver.write_text(RECORDING_SOLVER)
     kept.mkdir()
     cfg = golden_cases()[name]
-    asked = {"intro_phi2_next2": [], "gcw": [8], "cbf": [5, 6, 7]}[name]
+    asked = {"intro_phi2_next2": [], "gcw": [], "cbf": [5, 6, 7]}[name]
     backend = f"external:{sys.executable} {solver} {kept}"
     sims = [it for it in run_check(replace(cfg, backend=backend)).iterations if it.side == "sim"]
     assert [it.bound for it in sims] == bounds
@@ -395,12 +402,28 @@ def test_lying_external_solver_is_a_backend_error(tmp_path, capsys):
 
 def test_a_bound_the_fixpoint_settles_starts_no_external_solver(capsys):
     # intro phi2 has an uncovered initial state, so its one sim line is
-    # unsat without a solver and the decision ends unknown; cbf needs one
+    # unsat without a solver and the decision ends unknown; cbf needs one.
+    # The right layers settle every exists-forall length, so corpus gcw and
+    # rp print the embedded run's report under a solver that cannot answer
     assert main(check_args("phi2.hp", "--backend", "external:false")) == 2
     out, err = capsys.readouterr()
     assert "sim bound=5: unsat" in out and err == ""
     assert main(["check", *CBF_ARGS, "--backend", "external:false"]) == 4
     assert capsys.readouterr().err.startswith("backend error: ")
+    for case in ("gcw", "rp"):
+        cfg = corpus_config(case)
+        argv = ["check", "--left", cfg.left_path, "--right", cfg.right_path, "--prop", cfg.prop_path]
+        assert main(argv) == 0
+        embedded = capsys.readouterr().out
+        assert main([*argv, "--backend", "external:false"]) == 0
+        out, err = capsys.readouterr()
+        assert (without_seconds(out), err) == (without_seconds(embedded), "")
+        assert "verdict: holds" in out and "witness lasso: " in out
+
+
+def without_seconds(text: str) -> str:
+    """A text report with the seconds of its iteration lines dropped."""
+    return re.sub(r" in [0-9]+\.[0-9]+s", " in s", text)
 
 
 @pytest.mark.parametrize(
@@ -413,14 +436,12 @@ def test_a_bound_the_fixpoint_settles_starts_no_external_solver(capsys):
     ids=["cannot-start", "unknown-answer", "non-integer-model"],
 )
 def test_a_failing_external_solver_is_a_backend_error(solver, line, tmp_path, capsys):
-    # corpus gcw asks the solver at lasso length 8; no verdict is printed
+    # corpus cbf asks the solver at its first bound, k=5; no verdict is printed
     backend = "external:/nonexistent/solver"
     if solver is not None:
         (tmp_path / "solver.py").write_text(solver)
         backend = f"external:{sys.executable} {tmp_path / 'solver.py'}"
-    argv = ["check", "--left", str(GCW / "plan.kr"), "--right", str(GCW / "monitor.kr"),
-            "--prop", str(GCW / "prop.hp"), "--backend", backend]
-    assert main(argv) == 4
+    assert main(["check", *CBF_ARGS, "--backend", backend]) == 4
     assert capsys.readouterr() == ("", f"backend error: {line}\n")
 
 
@@ -526,6 +547,23 @@ def test_export_matches_the_golden_files(argv, golden, tmp_path, capsys):
     assert main(["export", *argv, "--out", str(out)]) == 0
     capsys.readouterr()
     golden = DATA / golden
+    assert out.read_text() == golden.read_text()
+    assert Path(f"{out}.vars").read_text() == Path(f"{golden}.vars").read_text()
+
+
+def test_export_builds_only_the_encoding(tmp_path, monkeypatch, capsys):
+    # the forall-exists part reads its floor and builds its live-set
+    # search; export needs neither, and still writes the golden file
+    def refuse(*args):
+        raise AssertionError("export built more than the encoding")
+
+    monkeypatch.setattr(hypersim.encoder, "subset_floor", refuse)
+    monkeypatch.setattr(hypersim.cli, "LiveSetSearch", refuse)
+    out = tmp_path / "k.cnf"
+    argv = check_args("phi2.hp", "--prophecy", "next:a:2")[1:] + ["--bound", "5", "--out", str(out)]
+    assert main(["export", *argv]) == 0
+    assert capsys.readouterr() == (f"wrote {out} and {out}.vars\n", "")
+    golden = DATA / "intro_ae_next2_k5.cnf"
     assert out.read_text() == golden.read_text()
     assert Path(f"{out}.vars").read_text() == Path(f"{golden}.vars").read_text()
 
@@ -669,6 +707,34 @@ def test_every_input_error_prints_its_exact_line(argv, patch, message, tmp_path,
         monkeypatch.setattr(*patch)
     assert main([arg.format(tmp=tmp_path) for arg in argv]) == 3
     assert capsys.readouterr() == ("", f"error: {message.format(tmp=tmp_path)}\n")
+    assert not (tmp_path / "never.cnf").exists()
+
+
+@pytest.mark.parametrize("value", ["1_0", "+1", "\uff15", "\u0663"],
+                         ids=["underscore", "plus-sign", "fullwidth-five", "arabic-indic-three"])
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["check", *INTRO, "--prop", PHI1, "--max-bound", "{value}"],
+         "argument --max-bound: invalid int value: {value!r}"),
+        (["check", *INTRO, "--prop", PHI1, "--max-depth", "{value}"],
+         "argument --max-depth: invalid int value: {value!r}"),
+        (["export", *INTRO, "--prop", PHI1, "--bound", "{value}", "--out", "{tmp}/never.cnf"],
+         "argument --bound: invalid int value: {value!r}"),
+        (["check", *INTRO, "--prop", PHI2, "--prophecy", "next:a:{value}"],
+         "prophecy depth must be an integer, got {value!r}"),
+    ],
+    ids=["max-bound", "max-depth", "export-bound", "next-depth"],
+)
+def test_integer_options_take_only_ascii_digits(argv, message, value, tmp_path, capsys):
+    # int() would read each of these: 1_0 as 10, and the fullwidth and
+    # Arabic-Indic digits as 5 and 3
+    assert main([arg.format(tmp=tmp_path, value=value) for arg in argv]) == 3
+    out, err = capsys.readouterr()
+    usage, _, line = err.rpartition("error: ")
+    assert (out, line) == ("", f"{message.format(value=value)}\n")
+    # argparse prints the usage first; the prophecy is read after parsing
+    assert usage == "" if "--prophecy" in argv else usage.startswith("usage: hypersim ")
     assert not (tmp_path / "never.cnf").exists()
 
 
@@ -963,10 +1029,10 @@ def test_each_ae_decision_builds_one_solver(monkeypatch):
         assert len(built) == solvers
 
 
-def test_each_ea_decision_encodes_once_on_one_solver(monkeypatch):
-    # and asks it once, at the one length the right layers admit, which is
-    # sat; a decision they admit none at builds no solver.  The falsifier
-    # asks the one search the instance is built inside
+def test_each_ea_decision_encodes_once_and_builds_no_solver(monkeypatch):
+    # the instance is built once, at the one length the right layers admit,
+    # which is sat with the walk's model, so no decision builds a solver.
+    # The falsifier asks the one search the instance is built inside
     built, encoded, asked = [], [], []
 
     class Counting(hypersim.sat.CdclSolver):
@@ -999,7 +1065,7 @@ def test_each_ea_decision_encodes_once_on_one_solver(monkeypatch):
         report = run_check(corpus_config(case))
         assert (report.mode, report.verdict) == ("ea", verdict)
         assert [(it.bound, it.outcome) for it in report.iterations if it.side == "sim"] == sims
-        assert (len(encoded), len(built)) == (1, len(sims))
+        assert (len(encoded), len(built)) == (1, 0)
         assert encoded[0].n == (sims[0][0] if sims else 0)
         assert asked and all(search is encoded[0].search for search in asked)
 
@@ -1073,7 +1139,7 @@ def test_an_empty_first_frontier_makes_every_lasso_length_unsat(tmp_path, capsys
     for n in range(1, 6):
         cnf, assumptions = encode_sim_ea(table).bound(n)
         assert solve(cnf, None, assumptions).status == "unsat", f"n={n}"
-        assert not search.has_lasso(n), f"n={n}"
+        assert search.lasso(n) is None, f"n={n}"
     # so the decision asks the solver nothing, and settles n=1 from the
     # layers before the falsifier refutes at depth 1
     report = run_check(cfg)
@@ -1135,17 +1201,42 @@ def test_a_witness_over_the_bound_is_an_internal_error(monkeypatch, capsys):
     assert "bound: the witness uses" in capsys.readouterr().err
 
 
-def test_an_unsat_answer_at_an_admitted_lasso_length_is_an_internal_error(monkeypatch, capsys):
-    # the right layers admit a lasso of length 8 on corpus gcw, so a solver
-    # that answers unsat there contradicts them
-    monkeypatch.setattr(hypersim.cli, "solve", lambda cnf, backend=None, assumptions=(): SatResult("unsat"))
-    gcw = CORPUS / "gcw"
-    code = main([
-        "check", "--left", str(gcw / "plan.kr"), "--right", str(gcw / "monitor.kr"),
-        "--prop", str(gcw / "prop.hp"),
-    ])
-    assert code == 5
-    assert "the solver found no lasso of length 8" in capsys.readouterr().err
+@pytest.mark.parametrize("order", ["ea", "ae"])
+def test_an_instance_that_rejects_the_supplied_model_is_an_internal_error(order, monkeypatch, capsys):
+    # ea: corpus gcw's instance at n=8 gains a clause that rules out the
+    # lasso the right layers' walk closes, and keeps the other plans, so the
+    # instance stays sat but the walk's model leaves that clause false.
+    # ae: a fixpoint that calls cbf's k=5 settled gives the all-false model,
+    # which its all-positive initial-match clauses reject
+    if order == "ea":
+        original, built = hypersim.cli.encode_sim_ea, []
+
+        def without_the_walks_lasso(table):
+            enc = original(table)
+            build = enc.bound
+
+            def bound(n):
+                cnf, assumptions = build(n)
+                seq = enc.search.lasso(n).states_visited()
+                cnf.add([[-enc.pos[i, p] for i, p in enumerate(seq, start=1)]])
+                built.append(cnf)
+                return cnf, assumptions
+
+            enc.bound = bound
+            return enc
+
+        monkeypatch.setattr(hypersim.cli, "encode_sim_ea", without_the_walks_lasso)
+        argv, bound = ["--left", str(GCW / "plan.kr"), "--right", str(GCW / "monitor.kr"),
+                       "--prop", str(GCW / "prop.hp")], 8
+    else:
+        monkeypatch.setattr(hypersim.encoder.AeEncoding, "settled", lambda enc, k: True)
+        argv, bound = CBF_ARGS, 5
+    assert main(["check", *argv]) == 5
+    assert capsys.readouterr() == ("", f"internal error: the model the {order} part supplies at "
+                                       f"bound {bound} leaves a clause of its instance false\n")
+    if order == "ea":
+        [cnf] = built
+        assert solve(cnf).is_sat
 
 
 def test_a_lasso_of_another_length_is_an_internal_error(monkeypatch, capsys):

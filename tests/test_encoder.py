@@ -30,13 +30,12 @@ from hypersim.kripke import LassoPath, bit_indices, parse_kripke, reachable_rest
 from hypersim.oracle import validate_witness_ae, validate_witness_ea
 from hypersim.prophecy import build_next_prophecy, prophecy_product
 from hypersim.dimacs import export_dimacs, varmap_text
-from hypersim.sat import CnfInstance, EmbeddedBackend, solve
+from hypersim.sat import CnfInstance, EmbeddedBackend, check_model, solve
 from hypersim.search import SafeFrontierSearch, greatest_simulation, held_pairs, subset_floor, uncovered_initial
 
 from helpers import (
     ae_at,
     ea_at,
-    enumerate_lasso_paths,
     rand_pred,
     rand_structure,
     single_candidate_floor,
@@ -87,7 +86,9 @@ def test_ea_one_state_pair_lowers_to_a_tiny_cnf():
     assert sorted(cnf.var_names.values()) == ["loop(1)", "pos(1,s)", "sim(1,s)"]
     assert cnf.clauses == [[1], [3], [2]]
     assert cnf.provenance == [("position-1", 1, 2), ("bound-1", 3, 3)]
-    assert enc.search.has_lasso(1)
+    lasso = enc.search.lasso(1)
+    assert lasso == LassoPath(prefix=(), loop=(0,))
+    assert enc.model(lasso) == {1: True, 2: True, 3: True}
 
 
 def test_ea_one_state_pair_witness():
@@ -337,7 +338,7 @@ def test_at_most_k_counts_exactly():
             cases = []
             if k == 1:
                 cnf, xs = inputs(m)
-                cnf.add(_at_most_one(xs, cnf.add_var, "one"), "count")
+                cnf.add(_at_most_one(xs, cnf.add_var, "one")[0], "count")
                 cases.append((1, xs, cnf))
             if k < m:
                 cnf, xs = inputs(m)
@@ -561,11 +562,10 @@ def test_ae_minimal_k_matches_brute_force_subsets(seed):
     assert (swept is None) == bool(uncovered_initial(kp, kq, relation))
 
 
-def least_sets_pass(kp, kq, pred, lasso) -> bool:
-    """Does the lasso pass the predicate against its least position sets, the
-    fixpoint of S_1 >= Init_Q, S_i+1 >= post(S_i) and S_l >= post(S_n)?"""
-    seq = lasso.states_visited()
-    n, l = len(seq), len(lasso.prefix) + 1
+def least_position_sets(kq, lasso) -> dict[int, set[int]]:
+    """The least position sets of the lasso: the fixpoint of S_1 >= Init_Q,
+    S_i+1 >= post(S_i) and S_l >= post(S_n), by plain set iteration."""
+    n, l = lasso.total_len, len(lasso.prefix) + 1
     sets = {i: set() for i in range(1, n + 1)}
     sets[1] |= set(bit_indices(kq.init))
     changed = True
@@ -577,11 +577,27 @@ def least_sets_pass(kp, kq, pred, lasso) -> bool:
             if not post <= sets[nxt]:
                 sets[nxt] |= post
                 changed = True
+    return sets
+
+
+def least_sets_pass(kp, kq, pred, lasso) -> bool:
+    """Does the lasso pass the predicate against its least position sets?"""
+    seq, sets = lasso.states_visited(), least_position_sets(kq, lasso)
     return all(
         eval_predicate(pred, kp.labels[seq[i - 1]], kq.labels[q])
-        for i in range(1, n + 1)
+        for i in sets
         for q in sets[i]
     )
+
+
+def lassos_of_length(k, n: int) -> list[LassoPath]:
+    """Every lasso of k of total length n, repeated loops included."""
+    return [
+        lasso
+        for seq in itertools.product(range(len(k.states)), repeat=n)
+        for start in range(n)
+        if (lasso := LassoPath(prefix=seq[:start], loop=seq[start:])).is_valid_in(k)
+    ]
 
 
 @given(st.integers(min_value=0, max_value=10**9))
@@ -591,28 +607,39 @@ def test_ea_sat_matches_lasso_enumeration(seed):
     kp = rand_structure(rng, max_states=3)
     kq = rand_structure(rng, max_states=4)
     pred = rand_pred(rng, kp.ap, kq.ap)
-    lassos = list(enumerate_lasso_paths(kp, 4))
     table = PredicateTable(kp, kq, pred)
     # each n = 1..4 asked on its own instance, and by the decision's one
-    # search from the right layers
+    # search from the right layers, whose walk closes the least passing
+    # lasso: least loop start, then least loop-back state, then least
+    # states from the front of the prefix and of the loop
     search = SafeFrontierSearch(table)
     for n in range(1, 5):
-        expected = any(
-            least_sets_pass(kp, kq, pred, lasso) for lasso in lassos if lasso.total_len == n
-        )
-        assert search.has_lasso(n) == expected, f"n={n}"
+        passing = [lasso for lasso in lassos_of_length(kp, n) if least_sets_pass(kp, kq, pred, lasso)]
+        least = min(passing, key=lambda l: (len(l.prefix), l.loop[0], l.prefix, l.loop), default=None)
+        walked = search.lasso(n)
+        assert walked == least, f"n={n}"
         enc, alone = ea_at(table, n)
         res = solve(alone)
-        assert res.is_sat == expected, f"n={n}"
+        assert res.is_sat == bool(passing), f"n={n}"
         if res.is_sat:
             w = decode_witness_ea(enc, res.model)
             assert validate_witness_ea(kp, kq, pred, w, n) == []
+            # the walk's lasso, written into the instance, is a model of it
+            # that decodes to that lasso and its least position sets
+            sets = least_position_sets(kq, walked)
+            assert search.least_sets(walked) == [sum(1 << q for q in sets[i]) for i in sets]
+            model = enc.model(walked)
+            assert check_model(alone, model)
+            w = decode_witness_ea(enc, model)
+            assert (w.lasso, w.pos_relation) == (walked, {i: frozenset(qs) for i, qs in sets.items()})
+            assert validate_witness_ea(kp, kq, pred, w, n) == []
 
 
-def test_has_lasso_answers_each_length_as_the_solver_does():
+def test_the_walk_answers_each_length_as_the_solver_does():
     # seeded random pairs of up to 6 states a side, unrestricted, at three
     # edge densities: the right layers settle every length n = 1..8 exactly
-    # as the solver does on the instance of n
+    # as the solver does on the instance of n, and where they admit one,
+    # the walk's lasso is a model of that instance
     asked = sat = 0
     for seed in range(1200):
         rng = random.Random(seed)
@@ -622,8 +649,12 @@ def test_has_lasso_answers_each_length_as_the_solver_does():
         table = PredicateTable(kp, kq, rand_pred(rng, kp.ap, kq.ap))
         search = SafeFrontierSearch(table)
         for n in range(1, 9):
-            expected = solve(ea_at(table, n)[1]).is_sat
-            assert search.has_lasso(n) == expected, f"seed {seed}, n={n}"
+            enc, cnf = ea_at(table, n)
+            expected = solve(cnf).is_sat
+            lasso = search.lasso(n)
+            assert (lasso is not None) == expected, f"seed {seed}, n={n}"
+            if lasso is not None:
+                assert check_model(cnf, enc.model(lasso)), f"seed {seed}, n={n}"
             asked += 1
             sat += expected
     assert asked == 9600 and 0.3 < sat / asked < 0.7

@@ -12,6 +12,7 @@ change of output is intended:
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import subprocess
 import sys
@@ -102,6 +103,22 @@ def test_the_golden_diff_tool_reproduces_every_entry():
                           capture_output=True, text=True, timeout=300)
     assert (done.returncode, done.stdout, done.stderr) == (0, "every golden entry is reproduced\n", "")
 
+
+
+def test_the_golden_diff_tool_says_how_a_witness_lasso_moved():
+    spec = importlib.util.spec_from_file_location("golden_diff", ROOT / "tools" / "golden_diff.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    positions = {"1": ["q0"], "2": ["q0", "q1"], "3": ["q1"]}
+    old = {"verdict": "holds", "witnessLasso": {"prefix": ["a0", "a3"], "loop": ["a4"], "posRelation": positions}}
+    new = {"verdict": "holds", "witnessLasso": {"prefix": ["a0", "a1"], "loop": ["a4"], "posRelation": positions}}
+    assert tool.report_diff(old, new) == [
+        "fields differ: witnessLasso",
+        "witness lasso differs in prefix:",
+        f"  was: prefix ['a0', 'a3'] loop ['a4'] posRelation {positions}",
+        f"  now: prefix ['a0', 'a1'] loop ['a4'] posRelation {positions}",
+    ]
+    assert tool.report_diff(old, old) == []
 
 if __name__ == "__main__":
     reports = {name: report_without_seconds(cfg) for name, cfg in cases().items()}

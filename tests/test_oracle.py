@@ -235,7 +235,7 @@ def test_validator_ae_rejects_a_pair_the_predicate_rejects(monkeypatch):
 
 def gcw_witness(monkeypatch) -> tuple:
     """The exists-forall witness the decision on corpus gcw validated: the
-    plan s0000 s1010 s0010 s1110 s0100 s1101 s0101, then s1111 forever,
+    plan s0000 s1010 s0010 s1011 s0001 s1101 s0101, then s1111 forever,
     position i answering for the deadline clock's m{i-1}."""
     gcw = CORPUS / "gcw"
     kp, kq = (parse_kripke((gcw / name).read_text()) for name in ("plan.kr", "monitor.kr"))
@@ -243,20 +243,19 @@ def gcw_witness(monkeypatch) -> tuple:
                      parse_property((gcw / "prop.hp").read_text()))
     P, Q, _, w, n = args
     assert [P.states[s] for s in w.lasso.states_visited()] == [
-        "s0000", "s1010", "s0010", "s1110", "s0100", "s1101", "s0101", "s1111"]
+        "s0000", "s1010", "s0010", "s1011", "s0001", "s1101", "s0101", "s1111"]
     assert n == 8 and {i: [Q.states[q] for q in qs] for i, qs in w.pos_relation.items()} == {
         i: [f"m{i - 1}"] for i in range(1, 9)}
     return args
 
 
 def test_validator_ea_rejects_a_left_state_the_predicate_rejects(monkeypatch):
-    # the farmer takes the goat back and crosses with the wolf: s1100 is a
-    # path of the plan, but it leaves the goat with the cabbage, and the
-    # label of position 4 is not safe
+    # the farmer takes the goat back, crosses with the wolf and returns
+    # alone: s1100 is a path of the plan, but it leaves the goat with the
+    # cabbage, and the label of position 4 is not safe
     P, Q, pred, w, n = gcw_witness(monkeypatch)
-    states = dict(zip(P.states, range(len(P.states))))
-    seq = w.lasso.states_visited()
-    prefix = seq[:2] + (states["s0000"], states["s1100"]) + seq[4:7]
+    plan = ["s0000", "s1010", "s0000", "s1100", "s0100", "s1101", "s0101"]
+    prefix = tuple(P.states.index(s) for s in plan)
     broken = SimWitnessEA(LassoPath(prefix=prefix, loop=w.lasso.loop), w.pos_relation)
     assert validate_witness_ea(P, Q, pred, broken, n) == ["pred: position 4 with m3 violates the predicate"]
 
@@ -382,12 +381,12 @@ def test_live_set_falsifier_is_polynomial_in_the_depth():
 def test_check_pair_calls_each_layer_once_per_iteration(order, monkeypatch):
     # the falsifier once per falsify line, always on the decision's one
     # search, and the solver once per sim line the fixpoint does not
-    # settle; an exists-forall length the right layers rule out has no line
-    # and asks the solver nothing
+    # settle; the right layers settle every exists-forall length, so that
+    # order asks the solver nothing, and a length they rule out has no line
     falsifier = {"forall-exists": "falsify_forall_exists", "exists-forall": "falsify_exists_forall"}[order]
     calls, solved, lassos, encoded = [], [], [], []
     original_falsify, original_solve = getattr(hypersim.cli, falsifier), hypersim.cli.solve
-    original_has_lasso, original_encode = SafeFrontierSearch.has_lasso, hypersim.cli.encode_sim_ae
+    original_lasso, original_encode = SafeFrontierSearch.lasso, hypersim.cli.encode_sim_ae
 
     def counting(search, depth):
         calls.append((depth, search))
@@ -397,8 +396,8 @@ def test_check_pair_calls_each_layer_once_per_iteration(order, monkeypatch):
         solved.append(cnf)
         return original_solve(cnf, backend, assumptions)
 
-    def has_lasso(search, n):
-        lassos.append((n, original_has_lasso(search, n)))
+    def lasso(search, n):
+        lassos.append((n, original_lasso(search, n)))
         return lassos[-1][1]
 
     monkeypatch.setattr(hypersim.cli, falsifier, counting)
@@ -407,7 +406,7 @@ def test_check_pair_calls_each_layer_once_per_iteration(order, monkeypatch):
         encoded.append(original_encode(table))
         return encoded[-1]
 
-    monkeypatch.setattr(SafeFrontierSearch, "has_lasso", has_lasso)
+    monkeypatch.setattr(SafeFrontierSearch, "lasso", lasso)
     monkeypatch.setattr(hypersim.cli, "encode_sim_ae", encoding)
     kp, kq = intro()
     if order == "forall-exists":
@@ -421,10 +420,10 @@ def test_check_pair_calls_each_layer_once_per_iteration(order, monkeypatch):
     sims = [it.bound for it in report.iterations if it.side == "sim"]
     assert sims
     if order == "exists-forall":
-        assert len(solved) == len(sims)
-        assert [n for n, admitted in lassos] == list(range(1, sims[-1] + 1))
-        assert [n for n, admitted in lassos if admitted] == sims
-        assert any(not admitted for _, admitted in lassos)
+        assert solved == []
+        assert [n for n, _ in lassos] == list(range(1, sims[-1] + 1))
+        assert [n for n, admitted in lassos if admitted is not None] == sims
+        assert any(admitted is None for _, admitted in lassos)
     else:
         [enc] = encoded
         assert len(solved) == sum(enc.settled(k) is None for k in sims)

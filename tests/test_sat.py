@@ -388,11 +388,18 @@ def test_satcli_sizes_the_solver_by_the_variables_the_clauses_use(text, model, t
         ("p cnf 2 1\n2.5 0\n", "line 2: bad literal '2.5'"),
         ("p cnf 2 1\n\u0661 0\n", "line 2: bad literal '\u0661'"),
         ("c a comment\n\np cnf 2 2\n1 0\n2\n-1 x 0\n", "line 6: bad literal 'x'"),
+        ("p cnf 2 1\n1 0\np cnf 1 1\n2 0\n", "line 3: a second DIMACS header: 'p cnf 1 1'"),
+        ("c first\np cnf 2 1\nc then\np cnf 2 1\n1 0\n", "line 4: a second DIMACS header: 'p cnf 2 1'"),
+        ("1 0\np cnf 1 1\n", "line 2: DIMACS header after a clause literal: 'p cnf 1 1'"),
+        ("1\np cnf 1 1\n0\n", "line 2: DIMACS header after a clause literal: 'p cnf 1 1'"),
+        ("0\np cnf 1 1\n1 0\n", "line 2: DIMACS header after a clause literal: 'p cnf 1 1'"),
         (None, "[Errno 2] No such file or directory: '{path}'"),
     ],
     ids=["short-header", "negative-variable-count", "non-numeric-variable-count",
          "negative-clause-count", "no-header", "a-letter", "negative-zero", "a-plus-sign",
-         "a-decimal", "a-non-ascii-digit", "a-line-after-comments", "missing-file"],
+         "a-decimal", "a-non-ascii-digit", "a-line-after-comments", "a-second-header",
+         "a-second-header-before-any-clause", "a-header-after-a-clause",
+         "a-header-inside-a-clause", "a-header-after-an-empty-clause", "missing-file"],
 )
 def test_satcli_reports_a_file_it_cannot_read(text, message, tmp_path, capsys):
     path = tmp_path / "k.cnf"

@@ -30,19 +30,24 @@ def _intro(prop: str, prophecy: str | None = None) -> CheckConfig:
 
 
 def test_four_decisions_call_every_wrapped_name():
-    # both quantifier orders, a prophecy, and each of holds and violated
+    # both quantifier orders, a prophecy, and each of holds and violated;
+    # the fixpoint or the right layers settle every bound of these four, so
+    # corpus cbf, whose k=5 only a solver answers, is a fifth
     decisions = [
         _intro("phi1.hp"),
         _intro("phi2.hp", "next:a:2"),
         _case_config(ROOT / "corpus" / "gcw", "embedded")[0],
         _case_config(ROOT / "corpus" / "gcw_nosol", "embedded")[0],
+        _case_config(ROOT / "corpus" / "cbf", "embedded")[0],
     ]
     t = tracer.Tracer()
     modules = {"hypersim.cli": hypersim.cli, "hypersim.encoder": hypersim.encoder}
     with t.installed(modules):
         verdicts = [t.decide(i, run_check, cfg).verdict for i, cfg in enumerate(decisions)]
-    assert verdicts == ["violated", "holds", "holds", "violated"]
+    assert verdicts == ["violated", "holds", "holds", "violated", "holds"]
     names = [name for _, name in tracer.WRAPPED]
     assert len(set(names)) == len(names)  # a span's function names its wrapped name
-    called = {span.function for span in t.finished()}
+    spans = t.finished()
+    called = {span.function for span in spans}
     assert [name for name in names if name not in called] == []
+    assert {span.decision for span in spans if span.function == "solve"} == {4}

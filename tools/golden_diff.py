@@ -5,7 +5,9 @@ Run from the repository root:  python3 tools/golden_diff.py
 For each entry of tests/data/golden_reports.json and random_reports.json
 whose report the current code prints differently, it names the report
 fields that differ and says whether the iteration list differs only in the
-`vars`/`clauses` of its lines.  For each DIMACS golden under tests/data that
+`vars`/`clauses` of its lines; where the witness lasso differs, it names
+which of its `prefix`, `loop` and `posRelation` moved and prints both
+lassos.  For each DIMACS golden under tests/data that
 `export` now writes differently, it prints the old and new `p cnf` header
 and every family whose clause range moved.  Exits 1 when anything differs,
 else 0.
@@ -27,6 +29,7 @@ import test_random_reports  # noqa: E402
 
 DATA = ROOT / "tests" / "data"
 SIZES = ("vars", "clauses")
+LASSO = ("prefix", "loop", "posRelation")
 
 
 def _without_sizes(iterations: list[dict]) -> list[dict]:
@@ -52,7 +55,18 @@ def report_diff(old: dict, new: dict) -> list[str]:
                 for a, b in zip(was, now)
                 if a != b
             ]
+    if "witnessLasso" in fields:
+        was, now = old.get("witnessLasso") or {}, new.get("witnessLasso") or {}
+        moved = [part for part in LASSO if was.get(part) != now.get(part)]
+        lines.append("witness lasso differs in " + ", ".join(moved) + ":")
+        lines += [f"  {when}: {_lasso(lasso)}" for when, lasso in (("was", was), ("now", now))]
     return lines
+
+
+def _lasso(lasso: dict) -> str:
+    if not lasso:
+        return "none"
+    return " ".join(f"{part} {lasso.get(part)}" for part in LASSO)
 
 
 def _header(text: str) -> str:
