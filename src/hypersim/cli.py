@@ -23,7 +23,6 @@ exit codes 3, 4 and 5.
 
 from __future__ import annotations
 
-import os
 import time
 
 from .encoder import (
@@ -43,7 +42,7 @@ from .hyperspec import (
     parse_property,
     pred_to_text,
 )
-from .kripke import KripkeError, KripkeStructure, parse_kripke, reachable_restriction
+from .kripke import KripkeError, KripkeStructure, parse_kripke, reachable_restriction, read_input
 from .oracle import Counterexample, reverify_counterexample, validate_witness_ae, validate_witness_ea
 from .prophecy import (
     ProphecyAutomaton,
@@ -451,18 +450,9 @@ def check_pair(
 
 
 def _read(path: str) -> str:
-    """The file's text, by raw reads without a buffered file object, less a BOM."""
+    """The file's text, less a BOM."""
     try:
-        fd = os.open(path, os.O_RDONLY)
-        try:
-            chunks = [os.read(fd, os.fstat(fd).st_size + 1)]  # the whole of a regular file
-            while chunks[-1]:
-                chunks.append(os.read(fd, 1 << 16))
-        except OSError as e:  # a read error names no file, as open()'s does
-            raise OSError(e.errno, e.strerror, path) from None
-        finally:
-            os.close(fd)
-        return b"".join(chunks).decode("utf-8-sig")
+        return read_input(path).decode("utf-8-sig")
     except (OSError, UnicodeDecodeError) as e:
         raise CliInputError(f"cannot read {path}: {e}") from e
 

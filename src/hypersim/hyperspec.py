@@ -18,6 +18,8 @@ from typing import Callable, Iterable
 
 from .kripke import KripkeStructure, Value
 
+_set = object.__setattr__  # sets a Value's field
+
 
 class PredicateParseError(Exception):
     pass
@@ -45,21 +47,21 @@ class LeftAtom(Pred):
     __slots__ = _fields = ("prop",)
 
     def __init__(self, prop: str) -> None:
-        self._init(prop)
+        _set(self, "prop", prop)
 
 
 class RightAtom(Pred):
     __slots__ = _fields = ("prop",)
 
     def __init__(self, prop: str) -> None:
-        self._init(prop)
+        _set(self, "prop", prop)
 
 
 class Not(Pred):
     __slots__ = _fields = ("arg",)
 
     def __init__(self, arg: Pred) -> None:
-        self._init(arg)
+        _set(self, "arg", arg)
 
 
 class _Binary(Pred):
@@ -68,7 +70,8 @@ class _Binary(Pred):
     __slots__ = _fields = ("left", "right")
 
     def __init__(self, left: Pred, right: Pred) -> None:
-        self._init(left, right)
+        _set(self, "left", left)
+        _set(self, "right", right)
 
 
 class And(_Binary):
@@ -94,7 +97,7 @@ class MatchAll(Pred):
     __slots__ = _fields = ("props",)
 
     def __init__(self, props: frozenset[str] | None = None) -> None:
-        self._init(props)
+        _set(self, "props", props)
 
 
 class HyperProperty(Value):
@@ -103,31 +106,27 @@ class HyperProperty(Value):
     __slots__ = _fields = ("pattern", "pred")
 
     def __init__(self, pattern: str, pred: Pred) -> None:
-        self._init(pattern, pred)
+        _set(self, "pattern", pattern)
+        _set(self, "pred", pred)
 
 
+# one token per match: an operator, a parenthesis, an atom, a word, or any
+# other single character, which _tokenize refuses
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<lparen>\()|(?P<rparen>\))|(?P<iff><->)|(?P<implies>->)"
-    r"|(?P<not>!)|(?P<and>&)|(?P<or>\|)"
-    r"|(?P<latom>l\.[A-Za-z_][A-Za-z0-9_]*)|(?P<ratom>r\.[A-Za-z_][A-Za-z0-9_]*)"
-    r"|(?P<word>match-all|[A-Za-z_][A-Za-z0-9_]*))"
+    r"\s*(<->|->|[()!&|]|[lr]\.[A-Za-z_][A-Za-z0-9_]*|match-all|[A-Za-z_][A-Za-z0-9_]*|\S)"
 )
+# the tokens one character long: the punctuation and the one-letter words
+_ONE_CHAR_TOKENS = frozenset("()!&|_abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
 
 
-def _tokenize(text: str) -> list[tuple[str, str]]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m or m.end() == pos:
-            rest = text[pos:].strip()
-            if not rest:
-                break
-            raise PredicateParseError(f"unexpected character at {rest[:10]!r}")
-        kind = m.lastgroup
-        tokens.append((kind, m.group(kind)))
-        pos = m.end()
-    tokens.append(("eof", ""))
+def _tokenize(text: str) -> list[str]:
+    """The tokens of the text, then "" for its end."""
+    tokens = _TOKEN_RE.findall(text)
+    for i, tok in enumerate(tokens):
+        if len(tok) == 1 and tok not in _ONE_CHAR_TOKENS:
+            start = [m.start() for m in _TOKEN_RE.finditer(text)][i]
+            raise PredicateParseError(f"unexpected character at {text[start:].strip()[:10]!r}")
+    tokens.append("")
     return tokens
 
 
@@ -138,6 +137,11 @@ def _nesting_error() -> UnsupportedFragmentError:
     return UnsupportedFragmentError(f"predicate nests deeper than {MAX_PRED_DEPTH} levels")
 
 
+# each binary operator's precedence and node; `->` is the one
+# right-associative operator
+_BINARY = {"&": (40, And), "|": (30, Or), "->": (20, Implies), "<->": (10, Iff)}
+
+
 class _PredParser:
     """Precedence climbing: ! binds tightest, then & then | then -> then <->.
     Implication is right-associative, the rest left.  Prefix `!` chains are
@@ -146,27 +150,16 @@ class _PredParser:
     height of its tree, and parse() refuses a tree taller than
     MAX_PRED_DEPTH once the input is read to its end."""
 
-    BINARY = {"and": (40, And), "or": (30, Or), "implies": (20, Implies), "iff": (10, Iff)}
-    RIGHT_ASSOC = {"implies"}
-
-    def __init__(self, tokens: list[tuple[str, str]]):
+    def __init__(self, tokens: list[str]):
         self.tokens = tokens
         self.pos = 0
         self.nesting = 0
 
-    def peek(self) -> tuple[str, str]:
-        return self.tokens[self.pos]
-
-    def take(self) -> tuple[str, str]:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
     def parse(self) -> Pred:
         node, height = self.parse_expr(0)
-        kind, val = self.peek()
-        if kind != "eof":
-            raise PredicateParseError(f"trailing input at {val!r}")
+        tok = self.tokens[self.pos]
+        if tok:
+            raise PredicateParseError(f"trailing input at {tok!r}")
         if height > MAX_PRED_DEPTH:
             raise _nesting_error()
         return node
@@ -177,47 +170,49 @@ class _PredParser:
             raise _nesting_error()
         node, height = self.parse_unary()
         while True:
-            kind, _ = self.peek()
-            if kind not in self.BINARY or self.BINARY[kind][0] < min_prec:
+            op = _BINARY.get(self.tokens[self.pos])
+            if op is None or op[0] < min_prec:
                 self.nesting -= 1
                 return node, height
-            prec, ctor = self.BINARY[kind]
-            self.take()
-            next_min = prec if kind in self.RIGHT_ASSOC else prec + 1
-            rhs, rhs_height = self.parse_expr(next_min)
+            prec, ctor = op
+            self.pos += 1
+            rhs, rhs_height = self.parse_expr(prec if ctor is Implies else prec + 1)
             node, height = ctor(node, rhs), max(height, rhs_height) + 1
 
     def parse_unary(self) -> tuple[Pred, int]:
-        negations = 0
-        while self.peek()[0] == "not":
-            self.take()
-            negations += 1
+        tokens, start = self.tokens, self.pos
+        while tokens[self.pos] == "!":
+            self.pos += 1
+        negations = self.pos - start
         node, height = self.parse_primary()
         for _ in range(negations):
             node = Not(node)
         return node, height + negations
 
     def parse_primary(self) -> tuple[Pred, int]:
-        kind, val = self.take()
-        if kind == "lparen":
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        if tok == "(":
             node, height = self.parse_expr(0)
-            k, v = self.take()
-            if k != "rparen":
-                raise PredicateParseError(f"expected ')' but found {v!r}")
+            close = self.tokens[self.pos]
+            self.pos += 1
+            if close != ")":
+                raise PredicateParseError(f"expected ')' but found {close!r}")
             return node, height
-        if kind == "latom":
-            return LeftAtom(val[2:]), 1
-        if kind == "ratom":
-            return RightAtom(val[2:]), 1
-        if kind == "word":
-            if val == "true":
-                return TrueConst(), 1
-            if val == "false":
-                return FalseConst(), 1
-            if val == "match-all":
-                return MatchAll(), 1
-            raise PredicateParseError(f"unknown atom {val!r} (props are written l.{val} or r.{val})")
-        raise PredicateParseError(f"unexpected token {val!r}" if val else "unexpected end of input")
+        head = tok[:2]
+        if head == "l.":
+            return LeftAtom(tok[2:]), 1
+        if head == "r.":
+            return RightAtom(tok[2:]), 1
+        if tok == "true":
+            return TrueConst(), 1
+        if tok == "false":
+            return FalseConst(), 1
+        if tok == "match-all":
+            return MatchAll(), 1
+        if tok[:1].isalpha() or tok[:1] == "_":
+            raise PredicateParseError(f"unknown atom {tok!r} (props are written l.{tok} or r.{tok})")
+        raise PredicateParseError(f"unexpected token {tok!r}" if tok else "unexpected end of input")
 
 
 def parse_predicate(text: str) -> Pred:
@@ -228,19 +223,24 @@ def parse_predicate(text: str) -> Pred:
 
 def expand_match_all(pred: Pred, left_ap: Iterable[str], right_ap: Iterable[str]) -> Pred:
     """Replace every match-all node by MatchAll over the props shared by
-    the two AP sets (true when the share is empty)."""
+    the two AP sets (true when the share is empty).  Only the nodes above a
+    match-all are built again, so a predicate without one is returned as
+    it is."""
     return _expand(pred, MatchAll(frozenset(left_ap) & frozenset(right_ap)))
 
 
 def _expand(n: Pred, shared: MatchAll) -> Pred:
     # a module-level function, not a closure: a recursive closure holds
     # itself, and each decision would leave that cycle to the collector
-    if isinstance(n, MatchAll):
+    t = type(n)
+    if t is MatchAll:
         return shared
-    if isinstance(n, Not):
-        return Not(_expand(n.arg, shared))
+    if t is Not:
+        arg = _expand(n.arg, shared)
+        return n if arg is n.arg else Not(arg)
     if isinstance(n, _Binary):
-        return type(n)(_expand(n.left, shared), _expand(n.right, shared))
+        left, right = _expand(n.left, shared), _expand(n.right, shared)
+        return n if left is n.left and right is n.right else t(left, right)
     return n
 
 

@@ -7,11 +7,13 @@ of the infinite traces the checker reasons about.
 
 This is the package's leaf module, so it also holds `Value`, the base of every
 immutable record in the package: structures, lassos, predicate nodes,
-properties, counterexamples and prophecy automata.
+properties, counterexamples and prophecy automata; and `read_input`, the
+bounded reader of every input file.
 """
 
 from __future__ import annotations
 
+import os
 from functools import cached_property
 from typing import Iterator, Sequence
 
@@ -32,20 +34,47 @@ class KripkeSemanticError(KripkeError):
         self.violations = violations
 
 
+# the most bytes an input file may hold, far above any structure, property
+# or DIMACS file the checker answers in reasonable time
+MAX_INPUT_BYTES = 1 << 26
+
+
+def read_input(path: str) -> bytes:
+    """The bytes of the file at `path`, by raw reads without a buffered file
+    object, until a read comes back empty, so pipes and devices work too.
+    Raises OSError naming the path when the file cannot be read or holds
+    more than MAX_INPUT_BYTES (EFBIG)."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        chunks, size = [], 0
+        while chunk := os.read(fd, 1 << 16):  # in chunks: os.read allocates what it asks for
+            size += len(chunk)
+            if size > MAX_INPUT_BYTES:
+                import errno
+
+                raise OSError(errno.EFBIG, f"File larger than {MAX_INPUT_BYTES} bytes")
+            chunks.append(chunk)
+    except OSError as e:  # a read error names no file, as open()'s does
+        raise OSError(e.errno, e.strerror, path) from None
+    finally:
+        os.close(fd)
+    return b"".join(chunks)
+
+
+# how a record's `__init__` sets its fields, past Value.__setattr__
+_set = object.__setattr__
+
+
 class Value:
     """An immutable record whose fields a subclass names in `_fields` and
-    sets in `__init__` through `_init`.  Two values are equal when they have
-    exactly the same type and equal fields, and equal values hash equal; the
-    repr reads `Name(field=value, ...)`; assignment and `del` raise
-    AttributeError.  A subclass declares its fields as `__slots__` unless it
-    needs a `__dict__`."""
+    sets in `__init__`, one `object.__setattr__` call per field.  Two values
+    are equal when they have exactly the same type and equal fields, and
+    equal values hash equal; the repr reads `Name(field=value, ...)`;
+    assignment and `del` raise AttributeError.  A subclass declares its
+    fields as `__slots__` unless it needs a `__dict__`."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
-
-    def _init(self, *values) -> None:
-        for name, value in zip(self._fields, values):
-            object.__setattr__(self, name, value)
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self._fields)
@@ -74,13 +103,20 @@ class KripkeStructure(Value):
     name of state i, `labels[i]` its label and `succ[i]` its successors,
     ascending; `init` is the bitmask of the initial states.  The
     explicit-state kernels index lists and bitmasks by state.  The masks
-    derived from `succ` are computed once each and kept in `__dict__`."""
+    derived from `succ` are kept in `__dict__`, out of the fields:
+    `parse_kripke` stores the two it builds in its pass over the
+    transitions, and a structure made any other way computes each once, on
+    first use."""
 
     _fields = ("states", "init", "ap", "labels", "succ")
 
     def __init__(self, states: tuple[str, ...], init: int, ap: tuple[str, ...],
                  labels: tuple[frozenset[str], ...], succ: tuple[tuple[int, ...], ...]) -> None:
-        self._init(states, init, ap, labels, succ)
+        _set(self, "states", states)
+        _set(self, "init", init)
+        _set(self, "ap", ap)
+        _set(self, "labels", labels)
+        _set(self, "succ", succ)
 
     @cached_property
     def succ_mask(self) -> tuple[int, ...]:
@@ -208,7 +244,10 @@ def parse_kripke(text: str) -> KripkeStructure:
                 violations.append(f"unknown-prop: {name} {p}")
             elif i is not None:
                 label_sets[i].add(p)
-    succ: list[set[int]] = [set() for _ in state_names]
+    # the one pass over the transitions builds both masks; a duplicate
+    # transition sets a bit already set
+    succ_mask = [0] * len(state_names)
+    pred_mask = [0] * len(state_names)
     for a, b in trans_pairs:
         ia, ib = index.get(a), index.get(b)
         if ia is None:
@@ -216,23 +255,26 @@ def parse_kripke(text: str) -> KripkeStructure:
         if ib is None:
             violations.append(f"trans-unknown-state: {b}")
         if ia is not None and ib is not None:
-            succ[ia].add(ib)
+            succ_mask[ia] |= 1 << ib
+            pred_mask[ib] |= 1 << ia
 
     if not init:
         violations.append("empty-init")
     for name, i in index.items():
-        if not succ[i]:
+        if not succ_mask[i]:
             violations.append(f"non-total: {name}")
     if violations:
         raise KripkeSemanticError(violations)
 
-    return KripkeStructure(
+    k = KripkeStructure(
         states=tuple(state_names),
         init=init,
         ap=tuple(props),
         labels=tuple(map(frozenset, label_sets)),
-        succ=tuple(tuple(sorted(ts)) for ts in succ),
+        succ=tuple(tuple(bit_indices(m)) for m in succ_mask),
     )
+    vars(k).update(succ_mask=tuple(succ_mask), pred_mask=tuple(pred_mask))
+    return k
 
 
 def reachable_restriction(k: KripkeStructure) -> KripkeStructure:
@@ -264,7 +306,8 @@ class LassoPath(Value):
     __slots__ = _fields = ("prefix", "loop")
 
     def __init__(self, prefix: tuple[int, ...], loop: tuple[int, ...]) -> None:
-        self._init(prefix, loop)
+        _set(self, "prefix", prefix)
+        _set(self, "loop", loop)
 
     @property
     def total_len(self) -> int:

@@ -13,6 +13,8 @@ from __future__ import annotations
 from .hyperspec import Pred, eval_predicate
 from .kripke import KripkeStructure, LassoPath, Value, bit_indices
 
+_set = object.__setattr__  # sets a Value's field
+
 
 class Counterexample(Value):
     """`side` is "forall-exists" or "exists-forall"; `p_path` is a path of
@@ -22,7 +24,10 @@ class Counterexample(Value):
     __slots__ = _fields = ("side", "p_path", "depth", "note")
 
     def __init__(self, side: str, p_path: tuple[int, ...], depth: int, note: str) -> None:
-        self._init(side, p_path, depth, note)
+        _set(self, "side", side)
+        _set(self, "p_path", p_path)
+        _set(self, "depth", depth)
+        _set(self, "note", note)
 
 
 class SimWitnessAE:

@@ -13,6 +13,8 @@ from typing import Iterable
 
 from .kripke import KripkeParseError, KripkeStructure, Value, bit_indices, parse_kripke, union_of
 
+_set = object.__setattr__  # sets a Value's field
+
 
 class ProphecyError(Exception):
     pass
@@ -30,7 +32,8 @@ class ProphecyAutomaton(Value):
     __slots__ = _fields = ("structure", "annotation")
 
     def __init__(self, structure: KripkeStructure, annotation: tuple[frozenset[str], ...]) -> None:
-        self._init(structure, annotation)
+        _set(self, "structure", structure)
+        _set(self, "annotation", annotation)
 
 
 def build_next_prophecy(prop: str, depth: int) -> ProphecyAutomaton:

@@ -1,8 +1,9 @@
 """DIMACS command-line front end for the embedded solver.
 
-Reads its file with `hypersim.dimacs` and speaks the conventional solver
-protocol, so it can serve as the external backend of the checker itself
-(useful for exercising the wire protocol) or as a standalone solver:
+Reads its file, of at most `kripke.MAX_INPUT_BYTES` bytes, with
+`hypersim.dimacs` and speaks the conventional solver protocol, so it can
+serve as the external backend of the checker itself (useful for exercising
+the wire protocol) or as a standalone solver:
 
     hypersim-sat instance.cnf
 
@@ -19,6 +20,7 @@ import argparse
 import sys
 
 from .dimacs import parse_dimacs
+from .kripke import read_input
 from .sat import CdclSolver
 
 
@@ -28,8 +30,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        with open(args.cnf, "r", encoding="utf-8") as fh:
-            cnf = parse_dimacs(fh.read())
+        cnf = parse_dimacs(read_input(args.cnf).decode("utf-8"))
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

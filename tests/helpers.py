@@ -1,9 +1,9 @@
 """Shared generators and test-only oracles: a `replace` for package records,
-random structures, predicates and lasso traces, printers for structures and
-prophecy automata, the pointwise semantics of lasso trace pairs, path and
-lasso listing, the vertex-cover reduction with its brute-force answer, the
-small-graph enumeration behind the vertex-cover suite, the structure
-invariant check, the forall-exists
+an input file past the size cap, random structures, predicates and lasso
+traces, printers for structures and prophecy automata, the pointwise
+semantics of lasso trace pairs, path and lasso listing, the vertex-cover
+reduction with its brute-force answer, the small-graph enumeration behind
+the vertex-cover suite, the structure invariant check, the forall-exists
 instance of one bound on its own, and reference versions of the structure
 parser, the falsifiers, the counterexample re-check, the prophecy
 universality check, the prophecy product and the single-candidate subset
@@ -14,11 +14,14 @@ from __future__ import annotations
 import inspect
 import itertools
 import math
+import os
 import random
 import re
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Iterable, Iterator
 
+import pytest
 from hypothesis import strategies as st
 
 import hypersim.prophecy
@@ -38,6 +41,7 @@ from hypersim.hyperspec import (
     eval_predicate,
 )
 from hypersim.kripke import (
+    MAX_INPUT_BYTES,
     KripkeParseError,
     KripkeSemanticError,
     KripkeStructure,
@@ -58,6 +62,19 @@ def replace(obj, **changes):
     if unknown:
         raise TypeError(f"{type(obj).__name__} has no parameter {', '.join(unknown)}")
     return type(obj)(**{name: changes[name] if name in changes else getattr(obj, name) for name in params})
+
+
+def over_the_cap(kind: str, tmp_path: Path) -> str:
+    """A file one byte longer than the input cap, sparse so that it takes
+    no disk, or /dev/zero, which never ends."""
+    if kind == "/dev/zero":
+        if not os.path.exists("/dev/zero"):
+            pytest.skip("no /dev/zero on this platform")
+        return "/dev/zero"
+    path = tmp_path / "huge"
+    path.touch()
+    os.truncate(path, MAX_INPUT_BYTES + 1)
+    return str(path)
 
 
 def validate_kripke(k: KripkeStructure) -> list[str]:

@@ -3,9 +3,12 @@
 import gc
 import itertools
 import json
+import os
 import re
 import shutil
 import sys
+import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -13,6 +16,7 @@ import pytest
 import hypersim.cli
 import hypersim.encoder
 import hypersim.hyperspec
+import hypersim.kripke
 import hypersim.prophecy
 import hypersim.sat
 import hypersim.satcli
@@ -23,6 +27,7 @@ from hypersim.cli import (
     IterationStat,
     Report,
     _load,
+    _read,
     check_pair,
     export_encoding,
     prepare,
@@ -32,7 +37,7 @@ from hypersim.cli import (
 from hypersim.commands import _case_config, main, run_benchmarks
 from hypersim.encoder import decode_witness_ae, encode_sim_ae, encode_sim_ea
 from hypersim.hyperspec import PredicateTable, parse_property
-from hypersim.kripke import LassoPath, bit_indices, parse_kripke
+from hypersim.kripke import MAX_INPUT_BYTES, LassoPath, bit_indices, parse_kripke
 from hypersim.oracle import SimWitnessEA, validate_witness_ae
 from hypersim.prophecy import build_next_prophecy, parse_prophecy
 from hypersim.sat import EmbeddedBackend, solve
@@ -43,6 +48,7 @@ from helpers import (
     brute_force_vertex_cover,
     gen_vertex_cover_instance,
     make_graph,
+    over_the_cap,
     prophecy_to_text,
     refuse_to_build_states,
     replace,
@@ -461,6 +467,51 @@ def test_an_unreadable_input_file_is_an_input_error(kind, tmp_path, capsys):
     args[args.index("--left") + 1] = str(path)
     assert main(args) == 3
     assert capsys.readouterr().err == f"error: cannot read {path}: {reason}\n"
+
+
+@pytest.mark.parametrize("kind", ["sparse", "/dev/zero"])
+@pytest.mark.parametrize("flag", ["--left", "--prop"])
+def test_an_input_past_the_size_cap_is_an_input_error(kind, flag, tmp_path, capsys):
+    path = over_the_cap(kind, tmp_path)
+    args = check_args("phi1.hp")
+    args[args.index(flag) + 1] = path
+    assert main(args) == 3
+    assert capsys.readouterr() == (
+        "", f"error: cannot read {path}: [Errno 27] File larger than {MAX_INPUT_BYTES} bytes: '{path}'\n")
+
+
+def test_an_input_of_exactly_the_size_cap_is_read(monkeypatch, tmp_path):
+    path = tmp_path / "k.kr"
+    path.write_bytes(b"states: s\n")
+    monkeypatch.setattr(hypersim.kripke, "MAX_INPUT_BYTES", 10)
+    assert _read(str(path)) == "states: s\n"
+    path.write_bytes(b"states: st\n")
+    with pytest.raises(CliInputError, match=r"File larger than 10 bytes"):
+        _read(str(path))
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_a_pipe_is_read_to_its_end(tmp_path):
+    # the writer pauses between its chunks, so the reader sees short reads
+    # before the end of the stream and must read on until an empty one
+    text = (DATA / "k2.kr").read_text(encoding="utf-8")
+    cut = len(text) // 3
+    chunks = [text[:cut], text[cut:2 * cut], text[2 * cut:]]
+    fifo = tmp_path / "k2.fifo"
+    os.mkfifo(fifo)
+
+    def write() -> None:
+        with open(fifo, "w", encoding="utf-8") as out:
+            for chunk in chunks:
+                out.write(chunk)
+                out.flush()
+                time.sleep(0.05)
+
+    writer = threading.Thread(target=write, daemon=True)
+    writer.start()
+    assert _read(str(fifo)) == text
+    writer.join(timeout=5)
+    assert not writer.is_alive()
 
 
 def test_unknown_backend_is_an_input_error(capsys):

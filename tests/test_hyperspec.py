@@ -73,10 +73,33 @@ def test_implies_is_right_associative():
     )
 
 
+GARBAGE = [
+    ("", "unexpected end of input"),
+    ("l.", "unexpected character at '.'"),
+    ("a", "unknown atom 'a' (props are written l.a or r.a)"),
+    ("l.a &", "unexpected end of input"),
+    ("!", "unexpected end of input"),
+    ("(l.a", "expected ')' but found ''"),
+    ("(l.a r.b", "expected ')' but found 'r.b'"),
+    ("l.a <- r.a", "unexpected character at '<- r.a'"),
+    ("l.a ) r.b", "trailing input at ')'"),
+    ("match-allx", "trailing input at 'x'"),
+    ("& l.a", "unexpected token '&'"),
+    ("l.a & \u00e9 r.b  ", "unexpected character at '\u00e9 r.b'"),
+    ("l.1 | r.b", "unexpected character at '.1 | r.b'"),
+    ("l.a\t-> \u2003r.b -", "unexpected character at '-'"),
+    ("r.b -> #  l.a  ", "unexpected character at '#  l.a'"),
+    # the whole text is split into tokens before it is parsed, so a bad
+    # character anywhere is reported before an error of the grammar
+    ("& l.a \u00e9", "unexpected character at '\u00e9'"),
+]
+
+
 def test_parse_rejects_garbage():
-    for text in ("", "l.", "a", "l.a &", "(l.a", "l.a <- r.a"):
-        with pytest.raises(PredicateParseError):
+    for text, message in GARBAGE:
+        with pytest.raises(PredicateParseError) as err:
             parse_predicate(text)
+        assert str(err.value) == message, text
 
 
 def test_eval_examples():
@@ -256,6 +279,15 @@ def test_expand_match_all_rewrites_nested_occurrences():
     assert expand_match_all(p, ("a", "b"), ("a",)) == Iff(
         And(Not(shared), Or(LeftAtom("b"), Implies(shared, RightAtom("a")))), shared
     )
+
+
+def test_expand_match_all_builds_only_the_nodes_above_a_match_all():
+    p = parse_predicate("!(l.a & r.b) | (l.c -> true) <-> !false")
+    assert expand_match_all(p, ("a", "c"), ("b",)) is p
+    p = parse_predicate("(l.a & r.b) | !match-all")
+    e = expand_match_all(p, ("a",), ("a", "b"))
+    assert e == Or(And(LeftAtom("a"), RightAtom("b")), Not(MatchAll(frozenset({"a"}))))
+    assert e.left is p.left
 
 
 def test_nesting_is_capped_without_recursion_errors():

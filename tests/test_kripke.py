@@ -145,6 +145,7 @@ def test_predecessor_masks_and_the_reachable_mask():
         "states: s dead t\ninit: s\nap: a\n"
         "trans s -> t\ntrans t -> s\ntrans t -> t\ntrans dead -> t"
     )
+    assert k.succ_mask == (0b100, 0b100, 0b101)
     assert k.pred_mask == (0b100, 0b000, 0b111)
     assert k.reached == 0b101
 
@@ -201,6 +202,26 @@ def test_label_sequences_projection():
 @settings(max_examples=60, deadline=None)
 def test_roundtrip_parse_print(k):
     assert parse_kripke(kripke_to_text(k)) == k
+
+
+@given(structures(max_states=5))
+@settings(max_examples=60, deadline=None)
+def test_a_parsed_structure_holds_the_masks_its_constructor_computes(k):
+    # parse_kripke stores the masks it builds in its pass over the
+    # transitions; a structure built again with other successors holds
+    # none of them and computes its own
+    parsed = parse_kripke(kripke_to_text(k))
+    assert {"succ_mask", "pred_mask"} <= vars(parsed).keys()
+    built = KripkeStructure(k.states, k.init, k.ap, k.labels, k.succ)
+    assert "succ_mask" not in vars(built) and "pred_mask" not in vars(built)
+    assert (parsed.succ_mask, parsed.pred_mask) == (built.succ_mask, built.pred_mask)
+    assert parsed == built and hash(parsed) == hash(built)  # the masks are no fields
+
+    n = len(k.states)
+    rotated = replace(parsed, succ=tuple(((i + 1) % n,) for i in range(n)))
+    assert "succ_mask" not in vars(rotated) and "pred_mask" not in vars(rotated)
+    assert rotated.succ_mask == tuple(1 << (i + 1) % n for i in range(n))
+    assert rotated.pred_mask == tuple(1 << (i - 1) % n for i in range(n))
 
 
 @given(structures(max_states=5))

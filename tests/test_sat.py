@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from hypersim import satcli
 from hypersim.dimacs import ExternalBackend, check_model
+from hypersim.kripke import MAX_INPUT_BYTES
 from hypersim.sat import (
     CdclSolver,
     CnfInstance,
@@ -22,6 +23,8 @@ from hypersim.sat import (
     SolverBackendError,
     solve,
 )
+
+from helpers import over_the_cap
 
 SATCLI = [sys.executable, "-m", "hypersim.satcli"]
 
@@ -407,6 +410,13 @@ def test_satcli_reports_a_file_it_cannot_read(text, message, tmp_path, capsys):
         path.write_text(text, encoding="utf-8")
     assert satcli.main([str(path)]) == 1
     assert capsys.readouterr() == ("", f"error: {message.format(path=path)}\n")
+
+
+@pytest.mark.parametrize("kind", ["sparse", "/dev/zero"])
+def test_satcli_refuses_a_file_past_the_size_cap(kind, tmp_path, capsys):
+    path = over_the_cap(kind, tmp_path)
+    assert satcli.main([path]) == 1
+    assert capsys.readouterr() == ("", f"error: [Errno 27] File larger than {MAX_INPUT_BYTES} bytes: '{path}'\n")
 
 
 @pytest.mark.parametrize(
