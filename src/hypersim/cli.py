@@ -18,7 +18,8 @@ external backend live in `hypersim.dimacs`, imported only by export and by
 an external backend.  A check so compiles and loads only what it runs.
 `SolverBackendError` and `DecodeError` stay bound here with
 `CliInputError` and `InternalSoundnessError`: they are the errors behind
-exit codes 3, 4 and 5.
+exit codes 3, 4 and 5.  Witnesses, lassos and counterexamples hold states
+as ints; only a report turns them into names.
 """
 
 from __future__ import annotations

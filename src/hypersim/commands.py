@@ -9,7 +9,8 @@ decision library in `hypersim.cli`.  `check` exits with its verdict's code
 directories, each with a `case.json` manifest and an expected verdict, and
 exits 0 when every case meets it, else 1; every command exits 3, 4 or 5
 on an input, backend or internal error.  Only the front end runs this
-module, so no package module imports it.
+module, so no package module imports it.  The stdlib modules that one
+command alone needs, `json` and `pathlib`, are imported where it runs.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from .cli import (
     export_encoding,
     run_check,
 )
+from .kripke import cut
 
 if TYPE_CHECKING:
     from pathlib import Path
@@ -80,14 +82,14 @@ def _case_config(case_dir: Path, backend: str) -> tuple[CheckConfig, str]:
         raise CliInputError("case.json must hold a JSON object")
     for key in manifest:
         if key not in _MANIFEST_KEYS:
-            raise CliInputError(f"case.json: unknown key {key!r}")
+            raise CliInputError(f"case.json: unknown key {cut(key)!r}")
     for key, (kind, required) in _MANIFEST_KEYS.items():
         value = manifest.get(key)
         if value is None:
             if required:
                 raise CliInputError(f"case.json lacks {key!r}")
         elif not isinstance(value, kind) or isinstance(value, bool):
-            raise CliInputError(f"case.json: {key!r} must be a {kind.__name__}, got {value!r}")
+            raise CliInputError(f"case.json: {key!r} must be a {kind.__name__}, got {cut(repr(value))}")
     prophecy_file = manifest.get("prophecy_file")
     depth = manifest.get("max_depth")
     cfg = CheckConfig(

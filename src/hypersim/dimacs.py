@@ -36,6 +36,15 @@ def varmap_text(cnf: CnfInstance) -> str:
     return "\n".join(lines) + "\n"
 
 
+# the most characters of a line or token an error message quotes, as
+# kripke.MAX_QUOTED_CHARS: this module imports only `sat`
+MAX_QUOTED_CHARS = 60
+
+
+def _cut(text: str) -> str:
+    return text if len(text) <= MAX_QUOTED_CHARS else text[:MAX_QUOTED_CHARS] + "..."
+
+
 _COUNT_RE = re.compile(r"[0-9]+")
 _LITERAL_RE = re.compile(r"[0-9]+|-[0-9]*[1-9][0-9]*")  # no -0
 
@@ -58,19 +67,19 @@ def parse_dimacs(text: str) -> CnfInstance:
             continue
         if line.startswith("p"):
             if saw_header:
-                raise ValueError(f"line {lineno}: a second DIMACS header: {line!r}")
+                raise ValueError(f"line {lineno}: a second DIMACS header: {_cut(line)!r}")
             if clauses or cur:
-                raise ValueError(f"line {lineno}: DIMACS header after a clause literal: {line!r}")
+                raise ValueError(f"line {lineno}: DIMACS header after a clause literal: {_cut(line)!r}")
             fields = line.split()
             if (len(fields) != 4 or fields[1] != "cnf"
                     or not all(_COUNT_RE.fullmatch(f) for f in fields[2:])):
-                raise ValueError(f"malformed DIMACS header: {line!r}")
+                raise ValueError(f"malformed DIMACS header: {_cut(line)!r}")
             num_vars = int(fields[2])
             saw_header = True
             continue
         for tok in line.split():
             if not _LITERAL_RE.fullmatch(tok):
-                raise ValueError(f"line {lineno}: bad literal {tok!r}")
+                raise ValueError(f"line {lineno}: bad literal {_cut(tok)!r}")
             lit = int(tok)
             if lit == 0:
                 clauses.append(cur)
@@ -142,13 +151,13 @@ def _parse_solver_output(stdout: str, returncode: int, num_vars: int) -> SatResu
             elif answer == "UNSATISFIABLE":
                 status = "unsat"
             else:
-                raise SolverBackendError(f"unrecognized answer line {line!r}")
+                raise SolverBackendError(f"unrecognized answer line {_cut(line)!r}")
         elif line.startswith("v ") or line == "v":
             for tok in line[1:].split():
                 try:
                     values.append(int(tok))
                 except ValueError as exc:
-                    raise SolverBackendError(f"malformed model line {line!r}") from exc
+                    raise SolverBackendError(f"malformed model line {_cut(line)!r}") from exc
     if status is None:
         raise SolverBackendError(
             f"solver produced no answer line (exit code {returncode})"

@@ -16,7 +16,7 @@ from __future__ import annotations
 import re
 from typing import Callable, Iterable
 
-from .kripke import KripkeStructure, Value
+from .kripke import KripkeStructure, Value, cut
 
 _set = object.__setattr__  # sets a Value's field
 
@@ -159,7 +159,7 @@ class _PredParser:
         node, height = self.parse_expr(0)
         tok = self.tokens[self.pos]
         if tok:
-            raise PredicateParseError(f"trailing input at {tok!r}")
+            raise PredicateParseError(f"trailing input at {cut(tok)!r}")
         if height > MAX_PRED_DEPTH:
             raise _nesting_error()
         return node
@@ -197,7 +197,7 @@ class _PredParser:
             close = self.tokens[self.pos]
             self.pos += 1
             if close != ")":
-                raise PredicateParseError(f"expected ')' but found {close!r}")
+                raise PredicateParseError(f"expected ')' but found {cut(close)!r}")
             return node, height
         head = tok[:2]
         if head == "l.":
@@ -211,7 +211,8 @@ class _PredParser:
         if tok == "match-all":
             return MatchAll(), 1
         if tok[:1].isalpha() or tok[:1] == "_":
-            raise PredicateParseError(f"unknown atom {tok!r} (props are written l.{tok} or r.{tok})")
+            word = cut(tok)
+            raise PredicateParseError(f"unknown atom {word!r} (props are written l.{word} or r.{word})")
         raise PredicateParseError(f"unexpected token {tok!r}" if tok else "unexpected end of input")
 
 
@@ -377,7 +378,7 @@ def parse_property(text: str) -> HyperProperty:
     q1, q2, body = m.group(1), m.group(2), m.group(3)
     if (q1, q2) not in (("forall", "exists"), ("exists", "forall")):
         raise UnsupportedFragmentError(
-            f"unsupported quantifier prefix '{q1} {q2}': only 'forall exists' and 'exists forall' are handled"
+            f"unsupported quantifier prefix {cut(f'{q1} {q2}')!r}: only 'forall exists' and 'exists forall' are handled"
         )
     return HyperProperty(pattern=f"{q1}-{q2}", pred=parse_predicate(body))
 

@@ -18,6 +18,19 @@ from functools import cached_property
 from typing import Iterator, Sequence
 
 
+# the most characters of one input fragment an error message quotes, and
+# the most violations a KripkeSemanticError's message lists: an input as
+# large as MAX_INPUT_BYTES still gives a message of a few hundred characters
+MAX_QUOTED_CHARS = 60
+MAX_LISTED_VIOLATIONS = 10
+
+
+def cut(text: str) -> str:
+    """text, or its first MAX_QUOTED_CHARS characters and '...' when it is
+    longer: the form in which an error message quotes its input."""
+    return text if len(text) <= MAX_QUOTED_CHARS else text[:MAX_QUOTED_CHARS] + "..."
+
+
 class KripkeError(Exception):
     """Base class for structure parsing/validation failures."""
 
@@ -29,8 +42,15 @@ class KripkeParseError(KripkeError):
 
 
 class KripkeSemanticError(KripkeError):
+    """Every invariant a structure breaks, in `violations`; the message
+    lists the first MAX_LISTED_VIOLATIONS of them, each cut, and counts
+    the rest."""
+
     def __init__(self, violations: list[str]):
-        super().__init__("; ".join(violations))
+        listed = [cut(v) for v in violations[:MAX_LISTED_VIOLATIONS]]
+        if len(violations) > MAX_LISTED_VIOLATIONS:
+            listed.append(f"and {len(violations) - MAX_LISTED_VIOLATIONS} more")
+        super().__init__("; ".join(listed))
         self.violations = violations
 
 
@@ -71,7 +91,9 @@ class Value:
     are equal when they have exactly the same type and equal fields, and
     equal values hash equal; the repr reads `Name(field=value, ...)`;
     assignment and `del` raise AttributeError.  A subclass declares its
-    fields as `__slots__` unless it needs a `__dict__`."""
+    fields as `__slots__` unless it needs a `__dict__`.  Records use this
+    base and not `@dataclass`, whose generated methods are compiled on every
+    import, at the start of every one-shot check."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
@@ -199,23 +221,23 @@ def parse_kripke(text: str) -> KripkeStructure:
             a, b = a.strip(), b.strip()
             if not (rest[:1].isspace() and arrow and a.isascii() and a.isidentifier()
                     and b.isascii() and b.isidentifier()):
-                raise KripkeParseError(f"malformed trans line {line!r}", lineno)
+                raise KripkeParseError(f"malformed trans line {cut(line)!r}", lineno)
             trans_pairs.append((a, b))
         elif head == "label":
             name, colon, ps = rest.partition(":")
             name = name.strip()
             if not (rest[:1].isspace() and colon and name.isascii() and name.isidentifier()):
-                raise KripkeParseError(f"malformed label line {line!r}", lineno)
+                raise KripkeParseError(f"malformed label line {cut(line)!r}", lineno)
             label_lines.append((name, ps.split()))
         else:
             section, colon, listed = line.partition(":")
             names = sections.get(section.removesuffix(" ")) if colon else None
             if names is None:
-                raise KripkeParseError(f"unrecognized line {line!r}", lineno)
+                raise KripkeParseError(f"unrecognized line {cut(line)!r}", lineno)
             for name in listed.split():
                 if not (name.isascii() and name.isidentifier()):
                     what = "proposition" if names is props else "state"
-                    raise KripkeParseError(f"bad {what} identifier {name!r}", lineno)
+                    raise KripkeParseError(f"bad {what} identifier {cut(name)!r}", lineno)
                 names.append(name)
     props = list(dict.fromkeys(props))
 

@@ -5,7 +5,9 @@ Everything here evaluates the predicate itself, by direct evaluation over
 explicit structures.  It shares no code with the searches of `search` or
 the propositional path of `encoder`, so agreement between them and these
 checks is meaningful evidence.  Its only package imports are `hyperspec`
-and `kripke`.
+and `kripke`.  Every state a check is given is range-checked first: a
+state outside its structure is a `foreign-state` violation, or a failed
+re-check, never an exception.
 """
 
 from __future__ import annotations

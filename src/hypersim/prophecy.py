@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .kripke import KripkeParseError, KripkeStructure, Value, bit_indices, parse_kripke, union_of
+from .kripke import KripkeParseError, KripkeStructure, Value, bit_indices, cut, parse_kripke, union_of
 
 _set = object.__setattr__  # sets a Value's field
 
@@ -187,7 +187,7 @@ def parse_prophecy(text: str) -> ProphecyAutomaton:
         state_name, _, names = body.partition(":")
         state_name = state_name.strip()
         if state_name not in index:
-            raise KripkeParseError(f"annot references unknown state {state_name!r}", lineno)
+            raise KripkeParseError(f"annot references unknown state {cut(state_name)!r}", lineno)
         got = names.split()
         if not got:
             raise KripkeParseError("annot line lists no prophecy names", lineno)

@@ -47,6 +47,7 @@ from hypersim.kripke import (
     KripkeStructure,
     LassoPath,
     bit_indices,
+    cut,
 )
 from hypersim.oracle import Counterexample
 from hypersim.prophecy import ProphecyAutomaton
@@ -135,7 +136,7 @@ IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$")
 
 def _check_ident_by_regex(tok: str, line: int, what: str) -> str:
     if not IDENT_RE.match(tok):
-        raise KripkeParseError(f"bad {what} identifier {tok!r}", line)
+        raise KripkeParseError(f"bad {what} identifier {cut(tok)!r}", line)
     return tok
 
 
@@ -180,15 +181,15 @@ def parse_kripke_by_regex(text: str) -> KripkeStructure:
         elif line.startswith("label"):
             m = re.match(r"label\s+([A-Za-z_][A-Za-z0-9_]*)\s*:\s*(.*)$", line)
             if not m:
-                raise KripkeParseError(f"malformed label line {line!r}", lineno)
+                raise KripkeParseError(f"malformed label line {cut(line)!r}", lineno)
             label_lines.append((m.group(1), m.group(2).split(), lineno))
         elif line.startswith("trans"):
             m = re.match(r"trans\s+([A-Za-z_][A-Za-z0-9_]*)\s*->\s*([A-Za-z_][A-Za-z0-9_]*)\s*$", line)
             if not m:
-                raise KripkeParseError(f"malformed trans line {line!r}", lineno)
+                raise KripkeParseError(f"malformed trans line {cut(line)!r}", lineno)
             trans_pairs.append((m.group(1), m.group(2), lineno))
         else:
-            raise KripkeParseError(f"unrecognized line {line!r}", lineno)
+            raise KripkeParseError(f"unrecognized line {cut(line)!r}", lineno)
 
     violations: list[str] = []
     seen: set[str] = set()

@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).parent.parent
 
 
@@ -20,7 +22,8 @@ def test_bench_ab_compares_a_checkout_with_itself(tmp_path):
     assert proc.returncode == 0, proc.stderr
     names = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
     for name in names:
-        assert re.search(rf"^{name} .* [01]/1 +not met +(within|worse|unresolved)$", proc.stdout, re.M), name
+        assert re.search(rf"^{name} .* \d+\.\d{{4}} +[01]/1 +not met +(within|worse|unresolved)$",
+                         proc.stdout, re.M), name
     assert re.search(r"^workload exhaust: 1 pairs of 0.2 s, seeds 1..1; failed 0/\d+ parent, 0/\d+ change$",
                      proc.stdout, re.M)
 
@@ -31,3 +34,5 @@ def test_bench_ab_compares_a_checkout_with_itself(tmp_path):
     for s in run["summary"].values():
         assert s["parent_q1"] == s["parent_median"] == s["parent_q3"] > 0
         assert s["gain_rule_holds"] is False
+        # the one pair's ratio
+        assert s["pair_ratio_median"] == pytest.approx(s["change_median"] / s["parent_median"])

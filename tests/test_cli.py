@@ -58,6 +58,9 @@ from test_golden_reports import cases as golden_cases
 DATA = Path(__file__).parent / "data"
 CORPUS = Path(__file__).parent.parent / "corpus"
 SATCLI_BACKEND = f"external:{sys.executable} -m hypersim.satcli"
+HUGE = 1 << 20  # characters of each hostile input
+QUOTED = hypersim.kripke.MAX_QUOTED_CHARS
+LONG = "x" * QUOTED + "..."  # how a message quotes a long run of x
 
 
 def cfg_for(prop_file: str, **kw) -> CheckConfig:
@@ -680,6 +683,12 @@ def test_bench_isolates_broken_manifests(tmp_path, capsys):
             "left": "m.kr", "right": "m.kr", "property": "prop.hp", "expect": "holds",
             "prophecy": "",
         }),
+        # an error row quotes at most MAX_QUOTED_CHARS characters of the manifest
+        "hugekey": json.dumps({"x" * HUGE: 1}),
+        "hugevalue": json.dumps({
+            "left": "m.kr", "right": "m.kr", "property": "prop.hp", "expect": "holds",
+            "max_bound": ["x"] * HUGE,
+        }),
     }
     for name, text in broken.items():
         bad = tmp_path / name
@@ -696,6 +705,9 @@ def test_bench_isolates_broken_manifests(tmp_path, capsys):
     for name in broken:
         assert any(l.startswith(f"{name} ") and " error: " in l for l in out.splitlines())
     assert "error: case.json: unknown key 'max_depht'" in out
+    assert f"error: case.json: unknown key '{LONG}'" in out
+    assert "error: case.json: 'max_bound' must be a int, got ['x', 'x', " in out
+    assert max(map(len, out.splitlines())) < 1024
     assert "error: prophecy must have the form next:<prop>:<depth>, got ''" in out
 
 
@@ -759,6 +771,47 @@ def test_every_input_error_prints_its_exact_line(argv, patch, message, tmp_path,
     assert main([arg.format(tmp=tmp_path) for arg in argv]) == 3
     assert capsys.readouterr() == ("", f"error: {message.format(tmp=tmp_path)}\n")
     assert not (tmp_path / "never.cnf").exists()
+
+
+LABEL_LINES = HUGE // len("label a: q\n")
+
+
+@pytest.mark.parametrize("reader, text, message", [
+    ("--left", "x" * HUGE, f"line 1: unrecognized line '{LONG}'"),
+    ("--right", "\0" * HUGE, "line 1: unrecognized line '" + "\\x00" * QUOTED + "...'"),
+    ("--left", "trans s " + "x" * HUGE, "line 1: malformed trans line 'trans s x"),
+    ("--left", "label s " + "x" * HUGE, "line 1: malformed label line 'label s x"),
+    ("--left", "states: 1" + "x" * HUGE, "line 1: bad state identifier '1x"),
+    ("--left", "ap: 1" + "x" * HUGE, "line 1: bad proposition identifier '1x"),
+    ("--left", "label a: q\n" * LABEL_LINES,
+     "label-unknown-state: a; unknown-prop: a q; " * 5 + f"and {2 * LABEL_LINES - 9} more"),  # with empty-init
+    ("--left", "states: " + "x" * HUGE, "empty-init; non-total: " + "x" * (QUOTED - len("non-total: ")) + "..."),
+    ("--prop", "forall exists. G " + "x" * HUGE, f"unknown atom '{LONG}' (props are written l.{LONG} or r.{LONG})"),
+    ("--prop", "forall exists. G l.a r." + "x" * HUGE, "trailing input at 'r.x"),
+    ("--prop", "forall exists. G (l.a r." + "x" * HUGE, "expected ')' but found 'r.x"),
+    ("--prop", "x" * HUGE + " forall. G l.a", f"unsupported quantifier prefix '{LONG}': only"),
+    ("--prophecy-file", "states: u\ninit: u\nap: a\ntrans u -> u\nannot " + "x" * HUGE + ": X\n",
+     f"line 5: annot references unknown state '{LONG}'"),
+    ("hypersim-sat", "p cnf 1 1\n1 " + "1" * HUGE + "x 0\n", "line 2: bad literal '111"),
+    ("hypersim-sat", "p cnf 1 " + "1" * HUGE + "x\n", "malformed DIMACS header: 'p cnf 1 111"),
+    ("hypersim-sat", "p cnf 1 1\np cnf " + "1" * HUGE + " 1\n", "line 2: a second DIMACS header: 'p cnf 111"),
+    ("hypersim-sat", "1 0\np cnf " + "1" * HUGE + " 1\n", "line 2: DIMACS header after a clause literal: 'p cnf 111"),
+], ids=["kr-line", "kr-nul-line", "kr-trans", "kr-label", "kr-state", "kr-prop", "kr-violations",
+        "kr-long-name", "hp-atom", "hp-trailing", "hp-close", "hp-prefix", "prophecy-annot",
+        "cnf-literal", "cnf-header", "cnf-second-header", "cnf-late-header"])
+def test_a_huge_input_gives_a_short_error(reader, text, message, tmp_path, capsys):
+    # every parse error quotes at most MAX_QUOTED_CHARS characters of its
+    # input and lists at most MAX_LISTED_VIOLATIONS violations
+    path = tmp_path / "hostile"
+    path.write_text(text)
+    if reader == "hypersim-sat":
+        assert hypersim.satcli.main([str(path)]) == 1
+    else:
+        files = {"--left": K1, "--right": K2, "--prop": PHI2, reader: str(path)}
+        assert main(["check", *itertools.chain(*files.items())]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.endswith("\n") and err.count("\n") == 1
+    assert message in err and len(err) < 1024
 
 
 @pytest.mark.parametrize("value", ["1_0", "+1", "\uff15", "\u0663"],

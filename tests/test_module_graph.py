@@ -8,7 +8,6 @@ uses."""
 
 import ast
 import os
-import re
 import subprocess
 import sys
 from pathlib import Path
@@ -127,21 +126,3 @@ def test_only_export_and_an_external_backend_load_the_dimacs_protocol(command, b
     ).stdout
     assert out == f"{loaded}\n"
 
-
-def test_import_cost_compares_a_checkout_with_itself():
-    # a smoke run of the start-up tool: both copies answer the intro check
-    # alike, load the same stdlib modules and report the memory the import
-    # adds and the one-shot check's peak
-    out = subprocess.run(
-        [sys.executable, str(ROOT / "tools" / "import_cost.py"), str(ROOT), str(ROOT), "--runs", "2"],
-        capture_output=True, text=True,
-    )
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.count("check answered: exit 1, verdict: violated\n") == 2
-    counts = re.findall(r"stdlib modules loaded by a python -S import of hypersim.cli: (\d+)", out.stdout)
-    assert len(counts) == 2 and counts[0] == counts[1]
-    for line in ("RSS the import adds MB", "one-shot check peak RSS MB"):
-        medians = re.findall(re.escape(line) + r" +median +(\d+\.\d\d) ", out.stdout)
-        assert len(medians) == 2 and all(float(m) > 0 for m in medians), line
-    assert re.search(r"^import RSS: median .* MB", out.stdout, re.M)
-    assert re.search(r"^one-shot peak RSS: median .* MB", out.stdout, re.M)

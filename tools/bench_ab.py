@@ -11,13 +11,17 @@ the tool.
 
 For each end-to-end metric of the change's BENCHMARK.json it prints the
 parent's median and quartiles, the change's median, the change in percent,
-and the pairs the change won (ties count for neither side).  It also says
-whether a gain claim would hold, by the rule of at least ten pairs, at least
-nine tenths of them won and a median gap larger than the distance between
-the parent's quartiles, and whether the change's median is worse than the
-parent's by more than the metric's bound: `within` when it is not, `worse`
-when it is, and `unresolved` when it is but the parent's quartiles lie
-further apart than the bound.
+the median of the per-pair ratios change/parent, and the pairs the change
+won (ties count for neither side).  A ratio compares each change run with
+the parent run next to it, so a slow drift of the host's speed over the
+A/B, which widens the parent's quartiles, largely cancels out of it.  It
+also says whether a gain claim would hold, by the rule of at least ten
+pairs, at least nine tenths of them won and a median gap larger than the
+distance between the parent's quartiles (the ratio does not enter it), and
+whether the change's median is worse than the parent's by more than the
+metric's bound: `within` when it is not, `worse` when it is, and
+`unresolved` when it is but the parent's quartiles lie further apart than
+the bound.
 
 With --out the runs and the summary are written to a JSON file under the
 workload's name; the other workloads a file already holds are kept, so one
@@ -76,6 +80,7 @@ def summarize(spec: dict, parent: list[float], change: list[float]) -> dict:
     sign = 1 if spec["better"] == "higher" else -1
     q1, med, q3 = quartiles(parent)
     new = statistics.median(change)
+    ratios = [b / a for a, b in zip(parent, change) if a]
     won = sum(sign * (b - a) > 0 for a, b in zip(parent, change))
     lost = sum(sign * (b - a) < 0 for a, b in zip(parent, change))
     gap = sign * (new - med)
@@ -94,6 +99,7 @@ def summarize(spec: dict, parent: list[float], change: list[float]) -> dict:
         "parent_q3": q3,
         "change_median": new,
         "change_pct": (new - med) / med * 100 if med else 0.0,
+        "pair_ratio_median": statistics.median(ratios) if ratios else None,
         "pairs": pairs,
         "won": won,
         "lost": lost,
@@ -141,11 +147,12 @@ def main() -> int:
           f"{args.first_seed}..{args.first_seed + args.pairs - 1}; failed "
           f"{failed['parent']}/{attempted['parent']} parent, {failed['change']}/{attempted['change']} change")
     print(f"{'metric':<16} {'unit':<5} {'parent median [q1 .. q3]':>40} {'change':>12} "
-          f"{'diff':>8} {'won':>7}  gain rule   bound")
+          f"{'diff':>8} {'ratio':>7} {'won':>7}  gain rule   bound")
     for name, s in summary.items():
         spread = f"{s['parent_median']:.6g} [{s['parent_q1']:.6g} .. {s['parent_q3']:.6g}]"
+        ratio = "-" if s["pair_ratio_median"] is None else f"{s['pair_ratio_median']:.4f}"
         print(f"{name:<16} {s['unit']:<5} {spread:>40} {s['change_median']:>12.6g} "
-              f"{s['change_pct']:>+7.1f}% {s['won']:>3}/{s['pairs']:<3}  "
+              f"{s['change_pct']:>+7.1f}% {ratio:>7} {s['won']:>3}/{s['pairs']:<3}  "
               f"{'holds' if s['gain_rule_holds'] else 'not met':<10}  "
               f"{s['bound_check']}")
 
