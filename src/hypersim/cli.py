@@ -43,7 +43,7 @@ from .hyperspec import (
     parse_property,
     pred_to_text,
 )
-from .kripke import KripkeError, KripkeStructure, parse_kripke, reachable_restriction, read_input
+from .kripke import KripkeError, KripkeStructure, cut, parse_kripke, reachable_restriction, read_input
 from .oracle import Counterexample, reverify_counterexample, validate_witness_ae, validate_witness_ea
 from .prophecy import (
     ProphecyAutomaton,
@@ -54,7 +54,7 @@ from .prophecy import (
     prophecy_product,
 )
 from .sat import EmbeddedBackend, SatResult, SolverBackendError, check_model, solve
-from .search import LiveSetSearch, falsify_exists_forall, falsify_forall_exists
+from .search import LiveSetSearch, falsify_exists_forall, falsify_forall_exists, subset_floor
 
 DEFAULT_EA_BOUND = 16
 DEFAULT_FALSIFY_DEPTH = 8
@@ -75,7 +75,7 @@ def _integer(text: str) -> int:
     other scripts."""
     digits = text[1:] if text.startswith("-") else text
     if not (digits.isascii() and digits.isdigit()):
-        raise ValueError(f"invalid int value: {text!r}")
+        raise ValueError(f"invalid int value: {cut(text)!r}")
     return int(text)
 
 
@@ -248,8 +248,9 @@ def _solve_at(part, bound: int, backend, report: Report, decode, validate, known
 
 class ForallExists:
     """Subset simulations over at most k right states, and the live-set
-    falsifier.  The sweep starts at the greatest simulation's floor, or asks
-    only the weakest k when an initial left state is uncovered.  A bound
+    falsifier.  The sweep starts at the greatest simulation's floor
+    (`subset_floor`), or asks only the weakest k when an initial left state
+    is uncovered, and then computes no floor.  A bound
     the fixpoint settles (`AeEncoding.settled`) asks no solver: an
     uncovered initial state or k below the forced states is unsat, and an
     instance without an all-positive clause is sat with the held relation
@@ -278,10 +279,11 @@ class ForallExists:
             )
         else:
             # no model uses fewer right states than the fixpoint's floor
-            self.first = min(enc.floor, self.last)
-            if enc.floor > 1:
+            floor = subset_floor(table.kp, table.kq, enc.relation, enc.held)
+            self.first = min(floor, self.last)
+            if floor > 1:
                 self.notes.append(
-                    f"the greatest simulation needs at least {enc.floor} right states "
+                    f"the greatest simulation needs at least {floor} right states "
                     f"({enc.forced.bit_count()} forced), so the sweep starts at k={self.first}"
                 )
 
@@ -478,15 +480,15 @@ def _load_prophecy(cfg: CheckConfig, left: KripkeStructure) -> ProphecyAutomaton
         parts = cfg.prophecy.split(":")
         if len(parts) != 3 or parts[0] != "next":
             raise CliInputError(
-                f"prophecy must have the form next:<prop>:<depth>, got {cfg.prophecy!r}"
+                f"prophecy must have the form next:<prop>:<depth>, got {cut(cfg.prophecy)!r}"
             )
         prop, depth_text = parts[1], parts[2]
         try:
             depth = _integer(depth_text)
         except ValueError:
-            raise CliInputError(f"prophecy depth must be an integer, got {depth_text!r}")
+            raise CliInputError(f"prophecy depth must be an integer, got {cut(depth_text)!r}")
         if prop not in left.ap:
-            raise CliInputError(f"prophecy proposition {prop!r} not in the left structure's AP")
+            raise CliInputError(f"prophecy proposition {cut(prop)!r} not in the left structure's AP")
         return _input(build_next_prophecy, prop, depth, errors=ProphecyError)
     if cfg.prophecy_file is not None:
         path = cfg.prophecy_file
@@ -513,8 +515,8 @@ def _backend_of(backend: str):
         try:
             return ExternalBackend(command)
         except ValueError as e:  # the command does not split into words
-            raise CliInputError(f"external backend command {command!r}: {e}") from e
-    raise CliInputError(f"unknown backend {backend!r}")
+            raise CliInputError(f"external backend command {cut(command)!r}: {e}") from e
+    raise CliInputError(f"unknown backend {cut(backend)!r}")
 
 
 def _load(

@@ -17,9 +17,10 @@ instance is cut to come from `search`.
     keeping the used states <= k.  If R relates some initial left state to
     no initial right state, the query is that contradiction, at every k.
     Only the counter depends on k, and it grows one column per bound, so
-    one instance (`AeEncoding`) answers every bound of a decision from
-    `subset_floor` on, each asked by assumption literals (MiniSat-style,
-    Een & Sorensson, SAT 2003).
+    one instance (`AeEncoding`) answers every bound of a decision, each
+    asked by assumption literals (MiniSat-style, Een & Sorensson, SAT
+    2003); the decision starts at the floor `search.subset_floor` gives, and
+    the encoding computes no floor.
   * sim-ea: a lasso of total length n in K_P whose positions jointly simulate
     all of K_Q.  One-hot pos(i,p) choose the left state at position i and
     loop(l) the loop-back target; sim(i,q) holds the right states position i
@@ -41,14 +42,13 @@ to it.
 
 from __future__ import annotations
 
-from functools import cached_property
 from typing import Callable, Mapping, Sequence
 
 from .hyperspec import PredicateTable
 from .kripke import LassoPath, bit_indices, union_of
 from .oracle import SimWitnessAE, SimWitnessEA
 from .sat import Clause, CnfInstance
-from .search import SafeFrontierSearch, greatest_simulation, held_pairs, subset_floor, uncovered_initial
+from .search import SafeFrontierSearch, greatest_simulation, held_pairs, uncovered_initial
 
 
 class EncodeError(Exception):
@@ -199,12 +199,6 @@ class AeEncoding:
                     if targets is not None and v not in targets:  # a self-loop pair matches itself
                         succ.append(targets if v is None else [-v] + targets)
         return [c for c in initial if c is not None], uses, succ
-
-    @cached_property
-    def floor(self) -> int:
-        """No model uses fewer right states (`subset_floor`), computed on
-        first use: a decision with an uncovered initial state never asks."""
-        return subset_floor(self.kp, self.kq, self.relation, self.held)
 
     def settled(self, k: int) -> bool | None:
         """Whether the instance at k is satisfiable, where the fixpoint alone

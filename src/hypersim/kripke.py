@@ -14,7 +14,6 @@ bounded reader of every input file.
 from __future__ import annotations
 
 import os
-from functools import cached_property
 from typing import Iterator, Sequence
 
 
@@ -91,7 +90,8 @@ class Value:
     are equal when they have exactly the same type and equal fields, and
     equal values hash equal; the repr reads `Name(field=value, ...)`;
     assignment and `del` raise AttributeError.  A subclass declares its
-    fields as `__slots__` unless it needs a `__dict__`.  Records use this
+    fields, and any attribute its `__init__` derives from them, as
+    `__slots__`, so no record has a `__dict__`.  Records use this
     base and not `@dataclass`, whose generated methods are compiled on every
     import, at the start of every one-shot check."""
 
@@ -124,13 +124,15 @@ class KripkeStructure(Value):
     """A structure whose states are the ints 0 .. n-1: `states[i]` is the
     name of state i, `labels[i]` its label and `succ[i]` its successors,
     ascending; `init` is the bitmask of the initial states.  The
-    explicit-state kernels index lists and bitmasks by state.  The masks
-    derived from `succ` are kept in `__dict__`, out of the fields:
-    `parse_kripke` stores the two it builds in its pass over the
-    transitions, and a structure made any other way computes each once, on
-    first use."""
+    explicit-state kernels index lists and bitmasks by state.  The
+    constructor derives, out of the fields, `succ_mask` and `pred_mask`, the
+    successors and predecessors of each state as bitmasks, in one pass over
+    `succ`, and `reached`, the bitmask of the states some path from an
+    initial state reaches; a successor or initial state outside 0 .. n-1
+    raises IndexError or ValueError there."""
 
     _fields = ("states", "init", "ap", "labels", "succ")
+    __slots__ = _fields + ("succ_mask", "pred_mask", "reached")
 
     def __init__(self, states: tuple[str, ...], init: int, ap: tuple[str, ...],
                  labels: tuple[frozenset[str], ...], succ: tuple[tuple[int, ...], ...]) -> None:
@@ -139,30 +141,20 @@ class KripkeStructure(Value):
         _set(self, "ap", ap)
         _set(self, "labels", labels)
         _set(self, "succ", succ)
-
-    @cached_property
-    def succ_mask(self) -> tuple[int, ...]:
-        """The successors of each state as a bitmask over states."""
-        return tuple(sum(1 << j for j in ts) for ts in self.succ)
-
-    @cached_property
-    def pred_mask(self) -> tuple[int, ...]:
-        """The predecessors of each state as a bitmask over states."""
-        out = [0] * len(self.states)
-        for a, ts in enumerate(self.succ):
+        succ_mask, pred_mask = [], [0] * len(states)
+        for a, ts in enumerate(succ):
+            row, bit = 0, 1 << a
             for b in ts:
-                out[b] |= 1 << a
-        return tuple(out)
-
-    @cached_property
-    def reached(self) -> int:
-        """The states some path from an initial state reaches, as a
-        bitmask."""
-        reached = frontier = self.init
+                row |= 1 << b
+                pred_mask[b] |= bit
+            succ_mask.append(row)
+        reached = frontier = init
         while frontier:
-            frontier = union_of(self.succ_mask, frontier) & ~reached
+            frontier = union_of(succ_mask, frontier) & ~reached
             reached |= frontier
-        return reached
+        _set(self, "succ_mask", tuple(succ_mask))
+        _set(self, "pred_mask", tuple(pred_mask))
+        _set(self, "reached", reached)
 
 
 def bit_indices(mask: int) -> Iterator[int]:
@@ -266,10 +258,9 @@ def parse_kripke(text: str) -> KripkeStructure:
                 violations.append(f"unknown-prop: {name} {p}")
             elif i is not None:
                 label_sets[i].add(p)
-    # the one pass over the transitions builds both masks; a duplicate
+    # the one pass over the transitions merges duplicates: a duplicate
     # transition sets a bit already set
     succ_mask = [0] * len(state_names)
-    pred_mask = [0] * len(state_names)
     for a, b in trans_pairs:
         ia, ib = index.get(a), index.get(b)
         if ia is None:
@@ -278,7 +269,6 @@ def parse_kripke(text: str) -> KripkeStructure:
             violations.append(f"trans-unknown-state: {b}")
         if ia is not None and ib is not None:
             succ_mask[ia] |= 1 << ib
-            pred_mask[ib] |= 1 << ia
 
     if not init:
         violations.append("empty-init")
@@ -288,15 +278,13 @@ def parse_kripke(text: str) -> KripkeStructure:
     if violations:
         raise KripkeSemanticError(violations)
 
-    k = KripkeStructure(
+    return KripkeStructure(
         states=tuple(state_names),
         init=init,
         ap=tuple(props),
         labels=tuple(map(frozenset, label_sets)),
         succ=tuple(tuple(bit_indices(m)) for m in succ_mask),
     )
-    vars(k).update(succ_mask=tuple(succ_mask), pred_mask=tuple(pred_mask))
-    return k
 
 
 def reachable_restriction(k: KripkeStructure) -> KripkeStructure:

@@ -1,6 +1,6 @@
 """DIMACS command-line front end for the embedded solver.
 
-Reads its file, of at most `kripke.MAX_INPUT_BYTES` bytes, with
+Reads its file, of at most `kripke.MAX_INPUT_BYTES` bytes and less a BOM, with
 `hypersim.dimacs` and speaks the conventional solver protocol, so it can
 serve as the external backend of the checker itself (useful for exercising
 the wire protocol) or as a standalone solver:
@@ -30,7 +30,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        cnf = parse_dimacs(read_input(args.cnf).decode("utf-8"))
+        cnf = parse_dimacs(read_input(args.cnf).decode("utf-8-sig"))
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

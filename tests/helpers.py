@@ -341,20 +341,26 @@ def ae_at(table: PredicateTable, k: int) -> tuple[AeEncoding, CnfInstance]:
     return enc, cnf.with_units(units)
 
 
+def reached(k: KripkeStructure, start: Iterable[int]) -> set[int]:
+    """The states some path from a state of `start` reaches, those included."""
+    seen = set(start)
+    todo = list(seen)
+    while todo:
+        for t in k.succ[todo.pop()]:
+            if t not in seen:
+                seen.add(t)
+                todo.append(t)
+    return seen
+
+
 def single_candidate_floor(kp: KripkeStructure, relation: list[int]) -> int:
     """The subset floor from candidate sets alone: a greedy family of
     pairwise disjoint nonempty candidate sets C(p) = relation[p] of the
     left states reachable in kp, taken in the order (|C(p)|, p); at least 1.
     A reference the encoder's must-hit floor may never fall below."""
-    reached, todo = set(), [p for p in range(len(kp.states)) if kp.init >> p & 1]
-    while todo:
-        p = todo.pop()
-        if p not in reached:
-            reached.add(p)
-            todo.extend(kp.succ[p])
     cand = sorted(
         (len(c), p, c)
-        for p in reached
+        for p in reached(kp, bit_indices(kp.init))
         if (c := frozenset(bit_indices(relation[p])))
     )
     picked: set[int] = set()

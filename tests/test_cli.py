@@ -41,7 +41,7 @@ from hypersim.kripke import MAX_INPUT_BYTES, LassoPath, bit_indices, parse_kripk
 from hypersim.oracle import SimWitnessEA, validate_witness_ae
 from hypersim.prophecy import build_next_prophecy, parse_prophecy
 from hypersim.sat import EmbeddedBackend, solve
-from hypersim.search import LiveSetSearch, SafeFrontierSearch, falsify_forall_exists
+from hypersim.search import LiveSetSearch, SafeFrontierSearch, falsify_forall_exists, subset_floor
 
 from helpers import (
     bounded_runs_text,
@@ -61,6 +61,7 @@ SATCLI_BACKEND = f"external:{sys.executable} -m hypersim.satcli"
 HUGE = 1 << 20  # characters of each hostile input
 QUOTED = hypersim.kripke.MAX_QUOTED_CHARS
 LONG = "x" * QUOTED + "..."  # how a message quotes a long run of x
+ARGUMENT = 100_000  # characters of each hostile argument, under the OS's cap on one
 
 
 def cfg_for(prop_file: str, **kw) -> CheckConfig:
@@ -611,7 +612,7 @@ def test_export_builds_only_the_encoding(tmp_path, monkeypatch, capsys):
     def refuse(*args):
         raise AssertionError("export built more than the encoding")
 
-    monkeypatch.setattr(hypersim.encoder, "subset_floor", refuse)
+    monkeypatch.setattr(hypersim.cli, "subset_floor", refuse)
     monkeypatch.setattr(hypersim.cli, "LiveSetSearch", refuse)
     out = tmp_path / "k.cnf"
     argv = check_args("phi2.hp", "--prophecy", "next:a:2")[1:] + ["--bound", "5", "--out", str(out)]
@@ -796,26 +797,36 @@ LABEL_LINES = HUGE // len("label a: q\n")
     ("hypersim-sat", "p cnf 1 " + "1" * HUGE + "x\n", "malformed DIMACS header: 'p cnf 1 111"),
     ("hypersim-sat", "p cnf 1 1\np cnf " + "1" * HUGE + " 1\n", "line 2: a second DIMACS header: 'p cnf 111"),
     ("hypersim-sat", "1 0\np cnf " + "1" * HUGE + " 1\n", "line 2: DIMACS header after a clause literal: 'p cnf 111"),
+    ("--prophecy", "x" * ARGUMENT, f"prophecy must have the form next:<prop>:<depth>, got '{LONG}'"),
+    ("--prophecy", "next:" + "x" * ARGUMENT + ":1", f"prophecy proposition '{LONG}' not in the left structure's AP"),
+    ("--backend", "x" * ARGUMENT, f"unknown backend '{LONG}'"),
+    ("--backend", 'external:"' + "x" * ARGUMENT,
+     "external backend command '\"" + "x" * (QUOTED - 1) + "...': No closing quotation"),
 ], ids=["kr-line", "kr-nul-line", "kr-trans", "kr-label", "kr-state", "kr-prop", "kr-violations",
         "kr-long-name", "hp-atom", "hp-trailing", "hp-close", "hp-prefix", "prophecy-annot",
-        "cnf-literal", "cnf-header", "cnf-second-header", "cnf-late-header"])
+        "cnf-literal", "cnf-header", "cnf-second-header", "cnf-late-header", "prophecy-form",
+        "prophecy-prop", "backend", "external-backend-command"])
 def test_a_huge_input_gives_a_short_error(reader, text, message, tmp_path, capsys):
     # every parse error quotes at most MAX_QUOTED_CHARS characters of its
-    # input and lists at most MAX_LISTED_VIOLATIONS violations
+    # input, a file's or an argument's, and lists at most
+    # MAX_LISTED_VIOLATIONS violations
     path = tmp_path / "hostile"
-    path.write_text(text)
     if reader == "hypersim-sat":
+        path.write_text(text)
         assert hypersim.satcli.main([str(path)]) == 1
     else:
-        files = {"--left": K1, "--right": K2, "--prop": PHI2, reader: str(path)}
-        assert main(["check", *itertools.chain(*files.items())]) == 3
+        if reader not in ("--prophecy", "--backend"):  # options that take the text itself
+            path.write_text(text)
+            text = str(path)
+        args = {"--left": K1, "--right": K2, "--prop": PHI2, reader: text}
+        assert main(["check", *itertools.chain(*args.items())]) == 3
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: ") and err.endswith("\n") and err.count("\n") == 1
     assert message in err and len(err) < 1024
 
 
-@pytest.mark.parametrize("value", ["1_0", "+1", "\uff15", "\u0663"],
-                         ids=["underscore", "plus-sign", "fullwidth-five", "arabic-indic-three"])
+@pytest.mark.parametrize("value", ["1_0", "+1", "\uff15", "\u0663", "x" * ARGUMENT],
+                         ids=["underscore", "plus-sign", "fullwidth-five", "arabic-indic-three", "huge"])
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -832,11 +843,11 @@ def test_a_huge_input_gives_a_short_error(reader, text, message, tmp_path, capsy
 )
 def test_integer_options_take_only_ascii_digits(argv, message, value, tmp_path, capsys):
     # int() would read each of these: 1_0 as 10, and the fullwidth and
-    # Arabic-Indic digits as 5 and 3
+    # Arabic-Indic digits as 5 and 3; the message quotes a huge value cut
     assert main([arg.format(tmp=tmp_path, value=value) for arg in argv]) == 3
     out, err = capsys.readouterr()
     usage, _, line = err.rpartition("error: ")
-    assert (out, line) == ("", f"{message.format(value=value)}\n")
+    assert (out, line) == ("", f"{message.format(value=hypersim.kripke.cut(value))}\n") and len(err) < 1024
     # argparse prints the usage first; the prophecy is read after parsing
     assert usage == "" if "--prophecy" in argv else usage.startswith("usage: hypersim ")
     assert not (tmp_path / "never.cnf").exists()
@@ -1501,7 +1512,7 @@ def test_an_uncovered_initial_state_asks_only_the_weakest_bound(
     def no_floor(*args):
         raise AssertionError("the floor was computed")
 
-    monkeypatch.setattr(hypersim.encoder, "subset_floor", no_floor)
+    monkeypatch.setattr(hypersim.cli, "subset_floor", no_floor)
     report = run_check(cfg)
     top = report.right_states
     assert [(it.bound, it.outcome) for it in report.iterations if it.side == "sim"] == asked
@@ -1537,7 +1548,8 @@ def test_a_relation_the_fixpoint_holds_whole_asks_a_0_variable_instance(case):
     # held relation, which the witness validator accepts at that bound
     table = prepare(*_load(corpus_config(case)))[0]
     enc = encode_sim_ae(table)
-    cnf, assumptions = enc.bound(enc.floor)
+    floor = subset_floor(table.kp, table.kq, enc.relation, enc.held)
+    cnf, assumptions = enc.bound(floor)
     assert (cnf.num_vars, cnf.num_clauses, assumptions) == (0, 0, ())
     res = solve(cnf)
     assert res.is_sat
@@ -1545,8 +1557,8 @@ def test_a_relation_the_fixpoint_holds_whole_asks_a_0_variable_instance(case):
     held = {(p, q) for p, row in enumerate(enc.held) for q in bit_indices(row)}
     assert witness.relation == held
     assert held == {(p, q) for p, row in enumerate(enc.relation) for q in bit_indices(row)}
-    assert len(witness.used_q) == enc.floor == enc.forced.bit_count()
-    assert validate_witness_ae(table.kp, table.kq, table.pred, witness, enc.floor) == []
+    assert len(witness.used_q) == floor == enc.forced.bit_count()
+    assert validate_witness_ae(table.kp, table.kq, table.pred, witness, floor) == []
 
 
 @pytest.mark.parametrize(

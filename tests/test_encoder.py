@@ -38,6 +38,7 @@ from helpers import (
     ea_at,
     rand_pred,
     rand_structure,
+    reached,
     single_candidate_floor,
 )
 
@@ -369,10 +370,11 @@ def test_sweep_answers_each_bound_like_a_fresh_standalone_instance(seed):
     # asked only at that bound, its units in the instance
     table = PredicateTable(kp, kq, pred)
     sweep = encode_sim_ae(table)
+    floor = subset_floor(kp, kq, sweep.relation, sweep.held)
     backend = EmbeddedBackend()
-    for k in range(1, sweep.floor):
+    for k in range(1, floor):
         assert solve(ae_at(table, k)[1]).status == "unsat"
-    for k in range(sweep.floor, len(kq.states) + 1):
+    for k in range(floor, len(kq.states) + 1):
         cnf, assumptions = sweep.bound(k)
         asked = cnf.with_units(assumptions)
         _, alone = ae_at(table, k)
@@ -409,7 +411,7 @@ def test_the_floor_is_a_lower_bound_and_forced_states_are_used(seed):
         if enc.uncovered:  # nothing to hold: the instance is a contradiction
             assert (enc.forced, model) == (0, None)
             continue
-        assert (enc.floor, enc.forced, enc.held) == (floor, forced, held)
+        assert (subset_floor(kp, kq, enc.relation, enc.held), enc.forced, enc.held) == (floor, forced, held)
         if model is None:
             continue
         assert k >= floor
@@ -677,17 +679,6 @@ def safe_layers(kp, kq, pred, n):
             if all(eval_predicate(pred, kp.labels[p], kq.labels[q]) for q in right[j])
         })
     return right, frontier
-
-
-def reached(k, start):
-    """The states some path from a state of `start` reaches, those included."""
-    seen, todo = set(start), list(start)
-    while todo:
-        for t in k.succ[todo.pop()]:
-            if t not in seen:
-                seen.add(t)
-                todo.append(t)
-    return seen
 
 
 @given(st.integers(min_value=0, max_value=10**9), st.sampled_from([0.2, 0.4, 0.7]))

@@ -12,6 +12,7 @@ from hypersim.kripke import (
     KripkeSemanticError,
     KripkeStructure,
     LassoPath,
+    bit_indices,
     parse_kripke,
     reachable_restriction,
 )
@@ -27,6 +28,7 @@ from helpers import (
     parse_kripke_by_regex,
     rand_automaton,
     rand_structure,
+    reached,
     replace,
     structures,
     trace_of,
@@ -93,10 +95,15 @@ def test_validate_unknown_prop_names_state_and_prop():
 def test_validate_flags_successor_tuples_out_of_order_or_range():
     k = parse_kripke("states: s t\ninit: s\nap: a\ntrans s -> t\ntrans t -> s")
     assert validate_kripke(replace(k, succ=((1, 0), (0,)))) == ["unsorted-succ: s -> (1, 0)"]
-    assert validate_kripke(replace(k, succ=((2,), ()))) == [
-        "trans-unknown-state: s -> (2,)", "non-total: t",
-    ]
-    assert validate_kripke(replace(k, init=0b100)) == ["init-unknown-state: 2"]
+    # the constructor's masks refuse a successor or an initial state out of
+    # range, so no such structure is built for the validator to flag
+    with pytest.raises(IndexError):
+        replace(k, succ=((2,), ()))
+    with pytest.raises(ValueError):
+        replace(k, succ=((-1,), (0,)))
+    with pytest.raises(IndexError):
+        replace(k, init=0b100)
+    assert validate_kripke(replace(k, succ=((1,), ()))) == ["non-total: t"]
     assert validate_kripke(replace(k, labels=(frozenset(),))) == [
         "shape: 2 states, 1 labels, 2 successor tuples"
     ]
@@ -204,24 +211,33 @@ def test_roundtrip_parse_print(k):
     assert parse_kripke(kripke_to_text(k)) == k
 
 
-@given(structures(max_states=5))
-@settings(max_examples=60, deadline=None)
-def test_a_parsed_structure_holds_the_masks_its_constructor_computes(k):
-    # parse_kripke stores the masks it builds in its pass over the
-    # transitions; a structure built again with other successors holds
-    # none of them and computes its own
-    parsed = parse_kripke(kripke_to_text(k))
-    assert {"succ_mask", "pred_mask"} <= vars(parsed).keys()
-    built = KripkeStructure(k.states, k.init, k.ap, k.labels, k.succ)
-    assert "succ_mask" not in vars(built) and "pred_mask" not in vars(built)
-    assert (parsed.succ_mask, parsed.pred_mask) == (built.succ_mask, built.pred_mask)
-    assert parsed == built and hash(parsed) == hash(built)  # the masks are no fields
+def derived_facts(k: KripkeStructure) -> tuple:
+    """succ_mask, pred_mask and reached, from `succ` by plain sets and a search."""
+    def mask(states) -> int:
+        return sum(1 << s for s in set(states))
 
-    n = len(k.states)
-    rotated = replace(parsed, succ=tuple(((i + 1) % n,) for i in range(n)))
-    assert "succ_mask" not in vars(rotated) and "pred_mask" not in vars(rotated)
-    assert rotated.succ_mask == tuple(1 << (i + 1) % n for i in range(n))
-    assert rotated.pred_mask == tuple(1 << (i - 1) % n for i in range(n))
+    n = range(len(k.states))
+    preds = [[a for a in n if b in k.succ[a]] for b in n]
+    return tuple(map(mask, k.succ)), tuple(map(mask, preds)), mask(reached(k, bit_indices(k.init)))
+
+
+@given(structures(max_states=5), st.integers(min_value=0, max_value=10**9))
+@settings(max_examples=60, deadline=None)
+def test_every_construction_path_derives_the_masks_from_succ(k, seed):
+    # the constructor derives the masks and the reached states of every
+    # structure, whichever path builds it; they are no fields, so a parsed
+    # structure equals, and hashes as, the one its fields build
+    rng = random.Random(seed)
+    parsed = parse_kripke(kripke_to_text(k))
+    built = KripkeStructure(k.states, k.init, k.ap, k.labels, k.succ)
+    assert parsed == built and hash(parsed) == hash(built) and "mask" not in repr(built)
+    paths = [built, parsed, reachable_restriction(k), build_next_prophecy("a", rng.randint(1, 3)).structure]
+    try:
+        paths.append(prophecy_product(k, rand_automaton(rng)))
+    except ProphecyError:
+        pass
+    for got in paths:
+        assert (got.succ_mask, got.pred_mask, got.reached) == derived_facts(got)
 
 
 @given(structures(max_states=5))

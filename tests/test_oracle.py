@@ -39,6 +39,7 @@ from helpers import (
     rand_lasso_trace,
     rand_pred,
     rand_structure,
+    reached,
     reverify_exists_forall_by_paths,
     synchronize_bound,
 )
@@ -446,18 +447,6 @@ def test_shared_exists_forall_falsifier_matches_the_per_depth_one(seed):
         assert falsify_exists_forall(out_of_order, d) == expected[d]
 
 
-def closure(kq, layer: set[int]) -> int:
-    """The right states a depth-first search over kq.succ reaches from the
-    layer, the layer included, as a bitmask."""
-    seen, stack = set(layer), list(layer)
-    while stack:
-        for q2 in kq.succ[stack.pop()]:
-            if q2 not in seen:
-                seen.add(q2)
-                stack.append(q2)
-    return sum(1 << q for q in seen)
-
-
 @pytest.mark.parametrize("restrict", [False, True], ids=["unreachable-right-states", "all-reachable"])
 def test_reach_is_the_closure_of_each_right_layer(restrict):
     # reach(i) is every right state reachable from R_i, the states reachable
@@ -475,7 +464,7 @@ def test_reach_is_the_closure_of_each_right_layer(restrict):
         table = PredicateTable(kp, kq, rand_pred(rng, kp.ap, kq.ap))
         layer, expected = set(bit_indices(kq.init)), []
         for i in range(9):
-            expected.append(closure(kq, layer))
+            expected.append(sum(1 << q for q in reached(kq, layer)))
             layer = {q2 for q in layer for q2 in kq.succ[q]}
         upward, downward = SafeFrontierSearch(table), SafeFrontierSearch(table)
         assert [upward.reach(i) for i in range(9)] == expected, f"seed {seed}"

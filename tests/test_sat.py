@@ -344,12 +344,13 @@ def test_external_backend_gets_assumptions_as_unit_clauses():
         ("p cnf 1 2\n1 0\n0\n", 20, "s UNSATISFIABLE"),
         ("p cnf 1 1\n0\n", 20, "s UNSATISFIABLE"),
         ("p cnf 1 1\n1 0\n", 10, "s SATISFIABLE"),
+        ("\ufeffp cnf 1 1\n1 0\n", 10, "s SATISFIABLE"),  # the BOM is dropped, as `check` drops it
     ],
-    ids=["an-empty-clause-after-a-unit", "only-an-empty-clause", "a-unit"],
+    ids=["an-empty-clause-after-a-unit", "only-an-empty-clause", "a-unit", "a-unit-after-a-bom"],
 )
 def test_satcli_answers_an_empty_clause_unsat(text, code, status, tmp_path, capsys):
     path = tmp_path / "k.cnf"
-    path.write_text(text)
+    path.write_text(text, encoding="utf-8")
     assert satcli.main([str(path)]) == code
     assert status in capsys.readouterr().out.splitlines()
 

@@ -74,6 +74,8 @@ def test_a_value_behaves_as_the_frozen_dataclass_it_replaces(cls):
     assert {a, b} == {b} and a in {b}
     assert repr(a) == repr(b) == repr(reference)
 
+    assert not hasattr(a, "__dict__")  # every attribute is a slot
+
     twin = type(cls.__name__, (cls,), {"__slots__": ()})(*values)
     assert a != twin and twin != a  # equality needs the exact type
 
@@ -91,12 +93,3 @@ def test_equal_fields_of_different_types_are_different_values():
     assert len({TrueConst(), FalseConst(), And(X, Y), Or(X, Y), Implies(X, Y), Iff(X, Y)}) == 6
     assert MatchAll() == MatchAll(props=None) != MatchAll(frozenset())
     assert Iff(left=X, right=Y) == Iff(X, Y)
-
-
-def test_the_masks_of_a_structure_are_computed_once():
-    k = KripkeStructure(*SAMPLES[KripkeStructure])
-    assert "succ_mask" not in vars(k)
-    first = k.succ_mask
-    assert first == (0b10, 0b11)
-    assert k.succ_mask is first and vars(k)["succ_mask"] is first
-    assert k == K  # the cached masks are not fields
