@@ -248,10 +248,10 @@ def _solve_at(part, bound: int, backend, report: Report, decode, validate, known
 
 class ForallExists:
     """Subset simulations over at most k right states, and the live-set
-    falsifier.  The sweep starts at the greatest simulation's floor
-    (`subset_floor`), or asks only the weakest k when an initial left state
-    is uncovered, and then computes no floor.  A bound
-    the fixpoint settles (`AeEncoding.settled`) asks no solver: an
+    falsifier.  The sweep starts at the floor `subset_floor` reads off the
+    encoding's must-hit sets and forced states, or asks only the weakest k
+    when an initial left state is uncovered, and then computes no floor.
+    A bound the fixpoint settles (`AeEncoding.settled`) asks no solver: an
     uncovered initial state or k below the forced states is unsat, and an
     instance without an all-positive clause is sat with the held relation
     as its witness.  Its sim line is the one a solver's answer gives."""
@@ -279,7 +279,7 @@ class ForallExists:
             )
         else:
             # no model uses fewer right states than the fixpoint's floor
-            floor = subset_floor(table.kp, table.kq, enc.relation, enc.held)
+            floor = subset_floor(table.kp, table.kq, enc.relation, enc.must, enc.forced)
             self.first = min(floor, self.last)
             if floor > 1:
                 self.notes.append(
@@ -453,11 +453,11 @@ def check_pair(
 
 
 def _read(path: str) -> str:
-    """The file's text, less a BOM."""
+    """The file's text, less a BOM; an error quotes the path once, cut."""
     try:
         return read_input(path).decode("utf-8-sig")
     except (OSError, UnicodeDecodeError) as e:
-        raise CliInputError(f"cannot read {path}: {e}") from e
+        raise CliInputError(f"cannot read {cut(path)}: {getattr(e, 'strerror', e)}") from e
 
 
 def _load_property(cfg: CheckConfig) -> HyperProperty:

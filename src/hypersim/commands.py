@@ -35,7 +35,7 @@ from .cli import (
     export_encoding,
     run_check,
 )
-from .kripke import cut
+from .kripke import MAX_QUOTED_CHARS, cut
 
 if TYPE_CHECKING:
     from pathlib import Path
@@ -160,7 +160,8 @@ class _ArgumentParser(argparse.ArgumentParser):
 
     def error(self, message: str):
         self.print_usage(sys.stderr)
-        raise CliInputError(message)
+        # argparse quotes a bad choice or a stray argument whole; a quoted cut value is shorter
+        raise CliInputError(" ".join(w if len(w) <= MAX_QUOTED_CHARS + 5 else cut(w) for w in message.split(" ")))
 
 
 def _int_option(text: str) -> int:

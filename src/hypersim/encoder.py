@@ -120,20 +120,21 @@ class AeEncoding:
     for every k at once.
 
     `relation` is greatest_simulation(table), as rows; every simulation
-    lies inside it.  Its held pairs (`held_pairs`, kept as `held`) are in
-    every model, so the instance takes them as true: variables are keyed
-    by state, sim(p,q) by (p, q) for each other pair of the relation,
-    used(q) by q for each right state in it that no held pair forces in
-    (the forced set F, `forced`).  A clause a held pair satisfies is
-    dropped, and a held pair's successor-match clause keeps only its
-    targets, so the instance has the same models, less the held pairs,
-    at every k.  Only initial left states and the successors of related
-    ones must be related, so unreachable left states are never forced in;
-    reachable-restricting K_P only saves their variables.  The families
-    initial-match, used and successor-match do not depend on k and are
-    lowered once; at-most-k starts empty.  If the relation leaves an
-    initial left state uncovered (`uncovered`), its initial-match clause
-    is empty, every k is unsat, and that contradiction is the instance.
+    lies inside it.  Its held pairs (`held_pairs`, kept as `held`, with
+    the must-hit sets it tested as `must`) are in every model, so the
+    instance takes them as true: variables are keyed by state, sim(p,q) by
+    (p, q) for each other pair of the relation, used(q) by q for each right
+    state in it that no held pair forces in (the forced set F, `forced`).
+    A clause a held pair satisfies is dropped, and a held pair's
+    successor-match clause keeps only its targets, so the instance has the
+    same models, less the held pairs, at every k.  Only initial left states
+    and the successors of related ones must be related, so unreachable left
+    states are never forced in; reachable-restricting K_P only saves their
+    variables.  The families initial-match, used and successor-match do not
+    depend on k and are lowered once; at-most-k starts empty.  If the
+    relation leaves an initial left state uncovered (`uncovered`), its
+    initial-match clause is empty, every k is unsat, and that contradiction
+    is the instance.
     `settled(k)` gives the answers the fixpoint already knows, so a
     decision asks no solver for them.
 
@@ -153,7 +154,7 @@ class AeEncoding:
         self.uncovered = uncovered_initial(kp, kq, relation)
         # an uncovered initial state's empty initial-match clause is the
         # whole instance, and it leaves nothing to hold
-        self.held = [0] * len(relation) if self.uncovered else held_pairs(kp, kq, relation)
+        self.held, self.must = ([0] * len(relation), set()) if self.uncovered else held_pairs(kp, kq, relation)
         self.forced = union_of(self.held, (1 << len(relation)) - 1)  # every model uses these
         self.sim: dict[tuple[int, int], int] = {}
         self.used: dict[int, int] = {}

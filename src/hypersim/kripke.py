@@ -129,7 +129,8 @@ class KripkeStructure(Value):
     successors and predecessors of each state as bitmasks, in one pass over
     `succ`, and `reached`, the bitmask of the states some path from an
     initial state reaches; a successor or initial state outside 0 .. n-1
-    raises IndexError or ValueError there."""
+    raises IndexError or ValueError there.  It is the one place masks are
+    built: parser, restriction and product hand it successor tuples."""
 
     _fields = ("states", "init", "ap", "labels", "succ")
     __slots__ = _fields + ("succ_mask", "pred_mask", "reached")
@@ -191,10 +192,11 @@ def parse_kripke(text: str) -> KripkeStructure:
     At most one space may come before a section's colon; `label` and `trans`
     are followed by whitespace, and any whitespace may surround the colon of
     a label line and the arrow.  Every state and proposition name is an ASCII
-    identifier.  Duplicate transitions are merged silently; duplicate states
-    are an error.  Raises KripkeParseError for malformed lines and
-    KripkeSemanticError when the described structure breaks an invariant
-    (empty init, unknown state, unknown proposition, non-total state).
+    identifier.  Duplicate transitions merge silently, and each state's
+    successors are handed on ascending; duplicate states are an error.
+    Raises KripkeParseError for malformed lines and KripkeSemanticError when
+    the structure breaks an invariant (empty init, unknown state, unknown
+    proposition, non-total state).
     """
     state_names: list[str] = []
     init_names: list[str] = []
@@ -258,9 +260,8 @@ def parse_kripke(text: str) -> KripkeStructure:
                 violations.append(f"unknown-prop: {name} {p}")
             elif i is not None:
                 label_sets[i].add(p)
-    # the one pass over the transitions merges duplicates: a duplicate
-    # transition sets a bit already set
-    succ_mask = [0] * len(state_names)
+    # a set per state merges duplicate transitions
+    succ: list[set[int]] = [set() for _ in state_names]
     for a, b in trans_pairs:
         ia, ib = index.get(a), index.get(b)
         if ia is None:
@@ -268,12 +269,12 @@ def parse_kripke(text: str) -> KripkeStructure:
         if ib is None:
             violations.append(f"trans-unknown-state: {b}")
         if ia is not None and ib is not None:
-            succ_mask[ia] |= 1 << ib
+            succ[ia].add(ib)
 
     if not init:
         violations.append("empty-init")
     for name, i in index.items():
-        if not succ_mask[i]:
+        if not succ[i]:
             violations.append(f"non-total: {name}")
     if violations:
         raise KripkeSemanticError(violations)
@@ -283,7 +284,7 @@ def parse_kripke(text: str) -> KripkeStructure:
         init=init,
         ap=tuple(props),
         labels=tuple(map(frozenset, label_sets)),
-        succ=tuple(tuple(bit_indices(m)) for m in succ_mask),
+        succ=tuple(tuple(sorted(ts)) for ts in succ),
     )
 
 

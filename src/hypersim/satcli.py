@@ -20,7 +20,7 @@ import argparse
 import sys
 
 from .dimacs import parse_dimacs
-from .kripke import read_input
+from .kripke import cut, read_input
 from .sat import CdclSolver
 
 
@@ -31,8 +31,9 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         cnf = parse_dimacs(read_input(args.cnf).decode("utf-8-sig"))
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (OSError, ValueError) as exc:  # an OSError quotes the path whole
+        reason = f"cannot read {cut(args.cnf)}: {exc.strerror}" if isinstance(exc, OSError) else exc
+        print(f"error: {reason}", file=sys.stderr)
         return 1
 
     used = sorted({abs(lit) for clause in cnf.clauses for lit in clause})

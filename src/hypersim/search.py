@@ -65,20 +65,24 @@ def _single(row: int) -> bool:
     return row != 0 and not row & (row - 1)
 
 
-def held_pairs(kp: KripkeStructure, kq: KripkeStructure, relation: Rows) -> Rows:
+def held_pairs(kp: KripkeStructure, kq: KripkeStructure, relation: Rows) -> tuple[Rows, set[int]]:
     """The pairs of `relation` that every sub-relation encode_sim_ae
-    accepts holds, at every k, as rows: one p may be held to two q.
+    accepts holds, at every k, as rows (one p may be held to two q), and
+    the must-hit sets it tested for them.
 
     Its initial-match and successor-match clauses relate every left state
     reachable in K_P to one of its candidates C(p) = relation[p], each
     initial p to one of relation[p] & Init_Q, and each successor p2 of a
-    held pair (p, q) to one of relation[p2] & succ(q).  So (p, q) is held
-    when one of these sets is {q}: a singleton C(p) of a reachable p, a
+    held pair (p, q) to one of relation[p2] & succ(q).  So every model at
+    every k uses a right state of each of these sets, and (p, q) is held
+    when one of them is {q}: a singleton C(p) of a reachable p, a
     singleton initial row, or a singleton successor row of a held pair."""
     held = [0] * len(relation)
+    must: set[int] = set()
     todo: list[tuple[int, int]] = []
 
     def hold(p: int, row: int) -> None:
+        must.add(row)
         if _single(row) and not held[p] & row:
             held[p] |= row
             todo.append((p, row))
@@ -92,7 +96,7 @@ def held_pairs(kp: KripkeStructure, kq: KripkeStructure, relation: Rows) -> Rows
         succ_q = kq.succ_mask[only.bit_length() - 1]
         for p2 in kp.succ[p]:
             hold(p2, relation[p2] & succ_q)
-    return held
+    return held, must
 
 
 def _packing(sets: Iterable[int], key: Callable[[int], object]) -> int:
@@ -106,22 +110,18 @@ def _packing(sets: Iterable[int], key: Callable[[int], object]) -> int:
     return count
 
 
-def subset_floor(kp: KripkeStructure, kq: KripkeStructure, relation: Rows, held: Rows) -> int:
+def subset_floor(kp: KripkeStructure, kq: KripkeStructure, relation: Rows, must: set[int],
+                 forced: int) -> int:
     """A bound L such that every sub-relation of `relation` that
-    encode_sim_ae accepts uses at least L right states; `held` is
-    held_pairs(kp, kq, relation).
+    encode_sim_ae accepts uses at least L right states, from the must-hit
+    sets `must` and the forced states F = `forced` of `AeEncoding`.
 
     L counts pairwise disjoint must-hit sets: nonempty sets of right states
-    of which every model at every k uses one.  Each is read off a clause:
-      * C(p) = relation[p] for each reachable left state p;
-      * initial-match: relation[p] & Init_Q for each initial p;
-      * successor-match: relation[p2] & succ(q) for each successor p2 of a
-        held pair (p, q).
-    The singletons among them are the forced states F, the right states of
-    the held pairs.  On the vertex-cover reduction these are the edge
-    states and, below the hub, each edge's two end vertices, so L is |E|
-    plus the size of a matching, which König's theorem makes the cover size
-    on bipartite graphs.
+    of which every model at every k uses one, each tested by `held_pairs`.
+    F is the union of the singletons among them.  On the vertex-cover
+    reduction these are the edge states and, below the hub, each edge's two
+    end vertices, so L is |E| plus the size of a matching, which König's
+    theorem makes the cover size on bipartite graphs.
 
     L is the larger of two greedy families of disjoint sets, each F and then
     wider sets that miss F: all must-hit sets smallest first, ties by the
@@ -131,14 +131,8 @@ def subset_floor(kp: KripkeStructure, kq: KripkeStructure, relation: Rows, held:
     family: an initial row that meets two disjoint rows C(p) would
     otherwise block both.  So L >= |F|, and L is at least 1, the least
     bound there is."""
-    forced = union_of(held, (1 << len(held)) - 1)
     rows = [relation[p] for p in bit_indices(kp.reached)]
-    sets = set(rows)
-    sets.update(relation[p] & kq.init for p in bit_indices(kp.init))
-    for p, row in enumerate(held):
-        for q in bit_indices(row):
-            sets.update(relation[p2] & kq.succ_mask[q] for p2 in kp.succ[p])
-    wide = [row for row in sets if row & (row - 1)]
+    wide = [row for row in must if row & (row - 1)]
     held_by = [0] * len(kq.states)  # how many wider must-hit sets hold each right state
     for row in wide:
         for q in bit_indices(row):

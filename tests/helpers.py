@@ -1,22 +1,24 @@
 """Shared generators and test-only oracles: a `replace` for package records,
-an input file past the size cap, random structures, predicates and lasso
+a perfbench module imported by path, an input file past the size cap, random structures, predicates and lasso
 traces, printers for structures and prophecy automata, the pointwise
 semantics of lasso trace pairs, path and lasso listing, the vertex-cover
 reduction with its brute-force answer, the small-graph enumeration behind
 the vertex-cover suite, the structure invariant check, the forall-exists
 instance of one bound on its own, and reference versions of the structure
 parser, the falsifiers, the counterexample re-check, the prophecy
-universality check, the prophecy product and the single-candidate subset
-floor."""
+universality check, the prophecy product, the held pairs and must-hit sets
+of a greatest simulation, and the single-candidate subset floor."""
 
 from __future__ import annotations
 
+import importlib.util
 import inspect
 import itertools
 import math
 import os
 import random
 import re
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -63,6 +65,16 @@ def replace(obj, **changes):
     if unknown:
         raise TypeError(f"{type(obj).__name__} has no parameter {', '.join(unknown)}")
     return type(obj)(**{name: changes[name] if name in changes else getattr(obj, name) for name in params})
+
+
+def perfbench_module(name: str):
+    """perfbench/<name>.py, imported by path: the benchmark is no package."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
 
 
 def over_the_cap(kind: str, tmp_path: Path) -> str:
@@ -351,6 +363,38 @@ def reached(k: KripkeStructure, start: Iterable[int]) -> set[int]:
                 seen.add(t)
                 todo.append(t)
     return seen
+
+
+def must_hit_rows(kp: KripkeStructure, kq: KripkeStructure, relation: list[int],
+                  held: list[int]) -> list[tuple[int, int]]:
+    """(p, row) for each must-hit set of the greatest simulation `relation`
+    whose held pairs are `held`, family by family: C(p) = relation[p] for
+    each left state p reachable in kp, relation[p] & Init_Q for each
+    initial p, and relation[p2] & succ(q) for each successor p2 of a held
+    pair (p, q).  Every model at every k relates p to a state of row."""
+    rows = [(p, relation[p]) for p in reached(kp, bit_indices(kp.init))]
+    rows += [(p, relation[p] & kq.init) for p in bit_indices(kp.init)]
+    for p, row in enumerate(held):
+        for q in bit_indices(row):
+            rows += [(p2, relation[p2] & kq.succ_mask[q]) for p2 in kp.succ[p]]
+    return rows
+
+
+def held_pairs_by_rounds(kp: KripkeStructure, kq: KripkeStructure,
+                         relation: list[int]) -> tuple[list[int], set[int]]:
+    """The held rows of `relation` and its must-hit sets, in rounds up to a
+    fixpoint: each round holds (p, q) for every must-hit row {q} of p over
+    the pairs held so far.  A reference for `search.held_pairs`."""
+    held = [0] * len(relation)
+    while True:
+        rows = must_hit_rows(kp, kq, relation, held)
+        grown = list(held)
+        for p, row in rows:
+            if row and not row & (row - 1):
+                grown[p] |= row
+        if grown == held:
+            return held, {row for _, row in rows}
+        held = grown
 
 
 def single_candidate_floor(kp: KripkeStructure, relation: list[int]) -> int:

@@ -37,7 +37,7 @@ from hypersim.cli import (
 from hypersim.commands import _case_config, main, run_benchmarks
 from hypersim.encoder import decode_witness_ae, encode_sim_ae, encode_sim_ea
 from hypersim.hyperspec import PredicateTable, parse_property
-from hypersim.kripke import MAX_INPUT_BYTES, LassoPath, bit_indices, parse_kripke
+from hypersim.kripke import MAX_INPUT_BYTES, LassoPath, bit_indices, cut, parse_kripke
 from hypersim.oracle import SimWitnessEA, validate_witness_ae
 from hypersim.prophecy import build_next_prophecy, parse_prophecy
 from hypersim.sat import EmbeddedBackend, solve
@@ -463,14 +463,14 @@ def test_an_unreadable_input_file_is_an_input_error(kind, tmp_path, capsys):
     elif kind == "invalid-utf8":
         path.write_bytes(b"states: s\xff\n")
     reason = {
-        "missing": f"[Errno 2] No such file or directory: '{path}'",
-        "directory": f"[Errno 21] Is a directory: '{path}'",
+        "missing": "No such file or directory",
+        "directory": "Is a directory",
         "invalid-utf8": "'utf-8' codec can't decode byte 0xff in position 9: invalid start byte",
     }[kind]
     args = check_args("phi1.hp")
     args[args.index("--left") + 1] = str(path)
     assert main(args) == 3
-    assert capsys.readouterr().err == f"error: cannot read {path}: {reason}\n"
+    assert capsys.readouterr().err == f"error: cannot read {cut(str(path))}: {reason}\n"
 
 
 @pytest.mark.parametrize("kind", ["sparse", "/dev/zero"])
@@ -480,8 +480,7 @@ def test_an_input_past_the_size_cap_is_an_input_error(kind, flag, tmp_path, caps
     args = check_args("phi1.hp")
     args[args.index(flag) + 1] = path
     assert main(args) == 3
-    assert capsys.readouterr() == (
-        "", f"error: cannot read {path}: [Errno 27] File larger than {MAX_INPUT_BYTES} bytes: '{path}'\n")
+    assert capsys.readouterr() == ("", f"error: cannot read {cut(path)}: File larger than {MAX_INPUT_BYTES} bytes\n")
 
 
 def test_an_input_of_exactly_the_size_cap_is_read(monkeypatch, tmp_path):
@@ -802,27 +801,37 @@ LABEL_LINES = HUGE // len("label a: q\n")
     ("--backend", "x" * ARGUMENT, f"unknown backend '{LONG}'"),
     ("--backend", 'external:"' + "x" * ARGUMENT,
      "external backend command '\"" + "x" * (QUOTED - 1) + "...': No closing quotation"),
+    ("--left <arg>", "x" * ARGUMENT, f"cannot read {LONG}: File name too long"),
+    ("--format <arg>", "x" * ARGUMENT,
+     "argument --format: invalid choice: '" + "x" * (QUOTED - 1) + "... (choose from 'text', 'json')"),
+    ("<arg>", "x" * ARGUMENT, f"unrecognized arguments: {LONG}"),
+    ("hypersim-sat <arg>", "x" * ARGUMENT, f"cannot read {LONG}: File name too long"),
 ], ids=["kr-line", "kr-nul-line", "kr-trans", "kr-label", "kr-state", "kr-prop", "kr-violations",
         "kr-long-name", "hp-atom", "hp-trailing", "hp-close", "hp-prefix", "prophecy-annot",
         "cnf-literal", "cnf-header", "cnf-second-header", "cnf-late-header", "prophecy-form",
-        "prophecy-prop", "backend", "external-backend-command"])
+        "prophecy-prop", "backend", "external-backend-command", "left-path", "format-choice",
+        "stray-argument", "cnf-path"])
 def test_a_huge_input_gives_a_short_error(reader, text, message, tmp_path, capsys):
     # every parse error quotes at most MAX_QUOTED_CHARS characters of its
     # input, a file's or an argument's, and lists at most
-    # MAX_LISTED_VIOLATIONS violations
-    path = tmp_path / "hostile"
-    if reader == "hypersim-sat":
+    # MAX_LISTED_VIOLATIONS violations; a reader marked <arg> is given the
+    # text itself, a bare <arg> as a stray argument, and argparse's own
+    # errors print the usage first
+    option = reader.removesuffix("<arg>").strip()
+    if option == reader and reader not in ("--prophecy", "--backend"):  # readers of a file
+        path = tmp_path / "hostile"
         path.write_text(text)
-        assert hypersim.satcli.main([str(path)]) == 1
+        text = str(path)
+    if option == "hypersim-sat":
+        assert hypersim.satcli.main([text]) == 1
     else:
-        if reader not in ("--prophecy", "--backend"):  # options that take the text itself
-            path.write_text(text)
-            text = str(path)
-        args = {"--left": K1, "--right": K2, "--prop": PHI2, reader: text}
-        assert main(["check", *itertools.chain(*args.items())]) == 3
+        args = {"--left": K1, "--right": K2, "--prop": PHI2, option: text}
+        assert main(["check", *(arg for arg in itertools.chain(*args.items()) if arg)]) == 3
     out, err = capsys.readouterr()
-    assert out == "" and err.startswith("error: ") and err.endswith("\n") and err.count("\n") == 1
-    assert message in err and len(err) < 1024
+    usage, _, line = err.rpartition("error: ")
+    assert usage.startswith("usage: hypersim ") if option in ("--format", "") else usage == ""
+    assert out == "" and line.endswith("\n") and line.count("\n") == 1
+    assert message in line and len(err) < 1024
 
 
 @pytest.mark.parametrize("value", ["1_0", "+1", "\uff15", "\u0663", "x" * ARGUMENT],
@@ -909,7 +918,7 @@ def test_a_file_that_is_not_utf8_is_an_input_error(command, flag, tmp_path, caps
         argv = ["export", *argv[1:], "--bound", "1", "--out", str(tmp_path / "k.cnf")]
     assert main(argv) == 3
     err = capsys.readouterr().err
-    assert err.startswith(f"error: cannot read {bad}: ") and "Traceback" not in err
+    assert err.startswith(f"error: cannot read {cut(str(bad))}: ") and "Traceback" not in err
 
 
 INTRO_PHI1 = {"left": "k1.kr", "right": "k2.kr", "property": "phi1.hp", "expect": "violated"}
@@ -1548,7 +1557,7 @@ def test_a_relation_the_fixpoint_holds_whole_asks_a_0_variable_instance(case):
     # held relation, which the witness validator accepts at that bound
     table = prepare(*_load(corpus_config(case)))[0]
     enc = encode_sim_ae(table)
-    floor = subset_floor(table.kp, table.kq, enc.relation, enc.held)
+    floor = subset_floor(table.kp, table.kq, enc.relation, enc.must, enc.forced)
     cnf, assumptions = enc.bound(floor)
     assert (cnf.num_vars, cnf.num_clauses, assumptions) == (0, 0, ())
     res = solve(cnf)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hypersim.cli import CheckConfig, _load, prepare
 from hypersim.encoder import (
     DecodeError,
     EncodeError,
@@ -36,13 +37,17 @@ from hypersim.search import SafeFrontierSearch, greatest_simulation, held_pairs,
 from helpers import (
     ae_at,
     ea_at,
+    held_pairs_by_rounds,
+    perfbench_module,
     rand_pred,
     rand_structure,
     reached,
     single_candidate_floor,
 )
 
-DATA = Path(__file__).parent / "data"
+ROOT = Path(__file__).resolve().parent.parent
+DATA = ROOT / "tests" / "data"
+workloads = perfbench_module("workloads")
 
 ONE_A = parse_kripke("states: s\ninit: s\nap: a\nlabel s: a\ntrans s -> s")
 ONE_EMPTY = parse_kripke("states: q\ninit: q\nap: a\ntrans q -> q")
@@ -370,7 +375,7 @@ def test_sweep_answers_each_bound_like_a_fresh_standalone_instance(seed):
     # asked only at that bound, its units in the instance
     table = PredicateTable(kp, kq, pred)
     sweep = encode_sim_ae(table)
-    floor = subset_floor(kp, kq, sweep.relation, sweep.held)
+    floor = subset_floor(kp, kq, sweep.relation, sweep.must, sweep.forced)
     backend = EmbeddedBackend()
     for k in range(1, floor):
         assert solve(ae_at(table, k)[1]).status == "unsat"
@@ -401,9 +406,9 @@ def test_the_floor_is_a_lower_bound_and_forced_states_are_used(seed):
     pred = rand_pred(rng, kp.ap, kq.ap)
     table = PredicateTable(kp, kq, pred)
     relation = greatest_simulation(table)
-    held = held_pairs(kp, kq, relation)
+    held, must = held_pairs(kp, kq, relation)
     forced = union_of(held, (1 << len(held)) - 1)
-    floor = subset_floor(kp, kq, relation, held)
+    floor = subset_floor(kp, kq, relation, must, forced)
     assert forced.bit_count() <= floor <= len(kq.states)
     minimal = None
     for k in range(1, len(kq.states) + 1):
@@ -411,7 +416,7 @@ def test_the_floor_is_a_lower_bound_and_forced_states_are_used(seed):
         if enc.uncovered:  # nothing to hold: the instance is a contradiction
             assert (enc.forced, model) == (0, None)
             continue
-        assert (subset_floor(kp, kq, enc.relation, enc.held), enc.forced, enc.held) == (floor, forced, held)
+        assert (subset_floor(kp, kq, enc.relation, enc.must, enc.forced), enc.forced, enc.held) == (floor, forced, held)
         if model is None:
             continue
         assert k >= floor
@@ -425,6 +430,46 @@ def test_the_floor_is_a_lower_bound_and_forced_states_are_used(seed):
     assert brute is None or floor <= brute
     for subset in subsets:
         assert set(bit_indices(forced)) <= subset
+
+
+def floor_of(kp, kq, relation) -> int:
+    """The subset floor of `relation` from its held pairs and must-hit sets."""
+    held, must = held_pairs(kp, kq, relation)
+    return subset_floor(kp, kq, relation, must, union_of(held, (1 << len(held)) - 1))
+
+
+def assert_held_pairs_are_the_reference(table) -> None:
+    """held_pairs gives the held rows and exactly the must-hit sets the
+    family-by-family reference gives, the encoding keeps them (none when an
+    initial state is uncovered), and its floor is the reference's."""
+    kp, kq = table.kp, table.kq
+    relation = greatest_simulation(table)
+    held, must = held_pairs_by_rounds(kp, kq, relation)
+    assert held_pairs(kp, kq, relation) == (held, must)
+    enc = encode_sim_ae(table)
+    if enc.uncovered:
+        assert (enc.held, enc.must) == ([0] * len(relation), set())
+        return
+    assert (enc.held, enc.must) == (held, must)
+    forced = union_of(held, (1 << len(held)) - 1)
+    assert subset_floor(kp, kq, relation, enc.must, enc.forced) == subset_floor(kp, kq, relation, must, forced)
+
+
+@given(st.integers(min_value=0, max_value=10**9))
+@settings(max_examples=200, deadline=None)
+def test_held_pairs_walks_exactly_the_must_hit_families(seed):
+    rng = random.Random(seed)
+    kp = rand_structure(rng, max_states=6)
+    kq = rand_structure(rng, max_states=6)
+    assert_held_pairs_are_the_reference(PredicateTable(kp, kq, rand_pred(rng, kp.ap, kq.ap)))
+
+
+@pytest.mark.parametrize("name", workloads.WORKLOADS)
+def test_held_pairs_walks_exactly_the_must_hit_families_of_the_workloads(name, tmp_path):
+    # the first round of each benchmark workload, as its decisions prepare it
+    for d in workloads.make_workload(name, ROOT, tmp_path, seed=1).rounds[0]:
+        cfg = CheckConfig(left_path=d.left, right_path=d.right, prop_path=d.prop, prophecy=d.prophecy)
+        assert_held_pairs_are_the_reference(prepare(*_load(cfg))[0])
 
 
 def test_an_unreachable_left_state_forces_nothing():
@@ -442,9 +487,9 @@ def test_an_unreachable_left_state_forces_nothing():
     table = PredicateTable(kp, kq, IFF_A)
     relation = greatest_simulation(table)
     assert relation[1] == 0b10
-    held = held_pairs(kp, kq, relation)
+    held, must = held_pairs(kp, kq, relation)
     assert held == [0b01, 0]
-    assert subset_floor(kp, kq, relation, held) == 1
+    assert subset_floor(kp, kq, relation, must, 0b01) == 1
     enc, model = ae_model(table, 1)
     assert model is not None
     assert validate_witness_ae(kp, kq, IFF_A, decode_witness_ae(enc, model), 1) == []
@@ -464,7 +509,7 @@ def test_the_floor_lies_between_the_single_candidate_rule_and_the_least_subset()
         kq = rand_structure(rng, max_states=5, edge_prob=density)
         pred = rand_pred(rng, kp.ap, kq.ap)
         relation = greatest_simulation(PredicateTable(kp, kq, pred))
-        floor = subset_floor(kp, kq, relation, held_pairs(kp, kq, relation))
+        floor = floor_of(kp, kq, relation)
         before = single_candidate_floor(kp, relation)
         least = least_simulating_subset(kp, kq, pred)
         assert before <= floor, f"seed {seed}"
@@ -493,7 +538,7 @@ def test_a_small_initial_row_does_not_lower_the_floor_of_the_candidate_rows():
     pred = parse_predicate("(l.a -> r.a) & (l.b -> r.b)")
     relation = greatest_simulation(PredicateTable(kp, kq, pred))
     assert relation == [0b111111, 0b010101, 0b101010]
-    floor = subset_floor(kp, kq, relation, held_pairs(kp, kq, relation))
+    floor = floor_of(kp, kq, relation)
     assert floor == 2 == least_simulating_subset(kp, kq, pred)
 
 
@@ -533,7 +578,7 @@ def test_every_held_pair_lies_in_every_subset_simulation(seed):
     kq = rand_structure(rng, max_states=4)
     pred = rand_pred(rng, kp.ap, kq.ap)
     relation = greatest_simulation(PredicateTable(kp, kq, pred))
-    held = pairs(held_pairs(kp, kq, relation))
+    held = pairs(held_pairs(kp, kq, relation)[0])
     assert held <= pairs(relation)
     for _, rel in simulating_subsets(kp, kq, pred):
         assert held <= rel

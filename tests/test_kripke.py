@@ -390,7 +390,10 @@ def test_parser_agrees_with_the_regex_reference(seed, kinds):
     [head.format(a="s0", b="s0", p="a") for head in LINE_HEADS]
     + [line.format(a="s0", p="a", x=x) for line in NON_ASCII_LINES for x in NON_ASCII]
     + ["states:\u00a0s0", "label\u2003s0:\u00a0a", "ap:\u2003a\u00a0b", "\ufeffstates: s0"]
-    + [f"label s0: a{end}b" for end in LINE_ENDS],
+    + [f"label s0: a{end}b" for end in LINE_ENDS]
+    # duplicate transitions, and successors given out of order
+    + ["states: s1 s2 s3 s4 s5 s6 s7 s8\ntrans s0 -> s8\ntrans s0 -> s1\ntrans s0 -> s8\n"
+       + "\n".join(f"trans s{i} -> s{i - 1}" for i in range(1, 9))],
 )
 def test_parser_agrees_with_the_regex_reference_on_each_line_head(line):
     text = f"states: s0\ninit: s0\nap: a b\n{line}\ntrans s0 -> s0\n"

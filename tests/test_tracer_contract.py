@@ -2,8 +2,6 @@
 for it and is still called by a decision, so no traced layer reads as zero
 after a refactor."""
 
-import importlib.util
-import sys
 from pathlib import Path
 
 import hypersim.cli
@@ -11,13 +9,12 @@ import hypersim.encoder
 from hypersim.cli import CheckConfig, run_check
 from hypersim.commands import _case_config
 
+from helpers import perfbench_module
+
 ROOT = Path(__file__).resolve().parent.parent
 DATA = ROOT / "tests" / "data"
 
-_spec = importlib.util.spec_from_file_location("perfbench_tracer", ROOT / "perfbench" / "tracer.py")
-tracer = importlib.util.module_from_spec(_spec)
-sys.modules[_spec.name] = tracer  # its dataclasses look their module up
-_spec.loader.exec_module(tracer)
+tracer = perfbench_module("tracer")
 
 
 def _intro(prop: str, prophecy: str | None = None) -> CheckConfig:
