@@ -43,7 +43,7 @@ from .hyperspec import (
     parse_property,
     pred_to_text,
 )
-from .kripke import KripkeError, KripkeStructure, cut, parse_kripke, reachable_restriction, read_input
+from .kripke import KripkeError, KripkeStructure, cut, parse_kripke, reachable_restriction, read_input, union_of
 from .oracle import Counterexample, reverify_counterexample, validate_witness_ae, validate_witness_ea
 from .prophecy import (
     ProphecyAutomaton,
@@ -54,10 +54,11 @@ from .prophecy import (
     prophecy_product,
 )
 from .sat import EmbeddedBackend, SatResult, SolverBackendError, check_model, solve
-from .search import LiveSetSearch, falsify_exists_forall, falsify_forall_exists, subset_floor
+from .search import LiveSetSearch, falsify_exists_forall, falsify_forall_exists, greedy_cover, subset_floor
 
 DEFAULT_EA_BOUND = 16
 DEFAULT_FALSIFY_DEPTH = 8
+MAX_FALSIFY_DEPTH = 10_000  # a depth's live-set layer and report line cost memory and time
 
 
 class CliInputError(Exception):
@@ -254,7 +255,9 @@ class ForallExists:
     A bound the fixpoint settles (`AeEncoding.settled`) asks no solver: an
     uncovered initial state or k below the forced states is unsat, and an
     instance without an all-positive clause is sat with the held relation
-    as its witness.  Its sim line is the one a solver's answer gives."""
+    as its witness.  At the first bound it leaves open, the part builds
+    `greedy_cover` once, whose relation is the model at each bound it fits.
+    Its sim line is the one a solver's answer gives."""
 
     mode = "ae"
 
@@ -288,9 +291,16 @@ class ForallExists:
                 )
 
     def settle(self, bound: int, backend, report: Report) -> bool:
-        known = self.enc.settled(bound)
+        enc = self.enc
+        known = enc.settled(bound)
+        rows = enc.held if known else None
+        if known is None:
+            if not hasattr(self, "cover"):  # built once, at the first bound left open
+                self.cover = greedy_cover(self.table.kp, self.table.kq, enc.relation, enc.must, enc.forced)
+            if self.cover is not None and union_of(self.cover, (1 << len(self.cover)) - 1).bit_count() <= bound:
+                rows = self.cover
         w = _solve_at(self, bound, backend, report, decode_witness_ae, validate_witness_ae,
-                      self.enc.model if known else known)
+                      known if rows is None else lambda: enc.model(rows))
         if w is not None:
             ps, qs = self.table.kp.states, self.table.kq.states
             report.witness_relation = sorted((ps[p], qs[q]) for p, q in w.relation)
@@ -432,6 +442,8 @@ def check_pair(
     """Decide prop on (kp, kq): `sweep` the part of its quantifier order."""
     if max_falsify_depth < 1:
         raise CliInputError(f"falsification depth must be >= 1, got {max_falsify_depth}")
+    if max_falsify_depth > MAX_FALSIFY_DEPTH:
+        raise CliInputError(f"falsification depth must be <= {MAX_FALSIFY_DEPTH}, got {cut(str(max_falsify_depth))}")
     if max_sim_bound is not None and max_sim_bound < 1:
         raise CliInputError(f"simulation bound must be >= 1, got {max_sim_bound}")
     table, part_class, notes = prepare(kp, kq, prop, prophecy)

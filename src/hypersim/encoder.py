@@ -20,7 +20,8 @@ instance is cut to come from `search`.
     one instance (`AeEncoding`) answers every bound of a decision, each
     asked by assumption literals (MiniSat-style, Een & Sorensson, SAT
     2003); the decision starts at the floor `search.subset_floor` gives, and
-    the encoding computes no floor.
+    the encoding computes no floor.  A relation that `search.greedy_cover`
+    builds is written into the instance as its model where it fits.
   * sim-ea: a lasso of total length n in K_P whose positions jointly simulate
     all of K_Q.  One-hot pos(i,p) choose the left state at position i and
     loop(l) the loop-back target; sim(i,q) holds the right states position i
@@ -48,7 +49,7 @@ from .hyperspec import PredicateTable
 from .kripke import LassoPath, bit_indices, union_of
 from .oracle import SimWitnessAE, SimWitnessEA
 from .sat import Clause, CnfInstance
-from .search import SafeFrontierSearch, greatest_simulation, held_pairs, uncovered_initial
+from .search import Rows, SafeFrontierSearch, greatest_simulation, held_pairs, uncovered_initial
 
 
 class EncodeError(Exception):
@@ -136,7 +137,8 @@ class AeEncoding:
     initial-match clause is empty, every k is unsat, and that contradiction
     is the instance.
     `settled(k)` gives the answers the fixpoint already knows, so a
-    decision asks no solver for them.
+    decision asks no solver for them; `model(rows)` writes the held
+    relation, or a `search.greedy_cover` relation, as a model.
 
     The counter counts the m used states outside F, and k is asked as "at
     most k - |F| of them": bound(k) adds any missing columns 1..k-|F|+1 to
@@ -205,14 +207,29 @@ class AeEncoding:
         """Whether the instance at k is satisfiable, where the fixpoint alone
         answers: an uncovered initial state, or k below the forced states,
         makes it unsat, and `all_false` makes every other k sat, with
-        `model()` as its model.  None when only a solver can tell."""
+        `model(held)` as its model.  None when the fixpoint cannot tell."""
         if self.uncovered or k < self.forced.bit_count():
             return False
         return True if self.all_false else None
 
-    def model(self) -> dict[int, bool]:
-        """The all-false assignment of the instance: the held relation alone."""
-        return dict.fromkeys(range(1, self.cnf.num_vars + 1), False)
+    def model(self, rows: Rows) -> dict[int, bool]:
+        """The assignment of the instance that picks the relation `rows`, a
+        superset of the held pairs: sim(p,q) on its other pairs, used(q) on
+        its right states outside F, and each counter register grown so far
+        true exactly when at least j of x_1..x_i are.  model(held) is the
+        all-false assignment, the held relation alone."""
+        model, used = dict.fromkeys(range(1, self.cnf.num_vars + 1), False), self.used
+        for (p, q), v in self.sim.items():
+            if rows[p] >> q & 1:
+                model[v] = True
+                if q in used:  # a pair of a state outside F is never held
+                    model[used[q]] = True
+        count, columns = 0, self.counter.columns
+        for i, x in enumerate(self.counter.xs):  # x is x_{i+1}
+            count += model[x]
+            for j in range(min(count, len(columns))):  # c(i+1, j+1)
+                model[columns[j][i - j]] = True
+        return model
 
     def bound(self, k: int) -> tuple[CnfInstance, tuple[int, ...]]:
         """The instance and the assumptions that ask for at most k used states."""

@@ -30,6 +30,12 @@ def cut(text: str) -> str:
     return text if len(text) <= MAX_QUOTED_CHARS else text[:MAX_QUOTED_CHARS] + "..."
 
 
+def cut_words(message: str) -> str:
+    """message with each word longer than a quoted cut value cut: argparse
+    quotes a bad choice or a stray argument whole."""
+    return " ".join(w if len(w) <= MAX_QUOTED_CHARS + 5 else cut(w) for w in message.split(" "))
+
+
 class KripkeError(Exception):
     """Base class for structure parsing/validation failures."""
 

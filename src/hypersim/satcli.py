@@ -20,12 +20,19 @@ import argparse
 import sys
 
 from .dimacs import parse_dimacs
-from .kripke import cut, read_input
+from .kripke import cut, cut_words, read_input
 from .sat import CdclSolver
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """argparse's usage errors, exit code 2, with each long word cut."""
+
+    def error(self, message: str):
+        super().error(cut_words(message))
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(prog="hypersim-sat", description=__doc__)
+    parser = _ArgumentParser(prog="hypersim-sat", description=__doc__)
     parser.add_argument("cnf", help="path to a DIMACS CNF file")
     args = parser.parse_args(argv)
 

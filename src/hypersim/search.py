@@ -3,8 +3,9 @@
 Each kernel here reads the decision's `PredicateTable` and works on bitmasks
 of states.  For forall-exists: the greatest simulation, the pairs of it
 every model holds and the floor they imply, which the encoding is cut to,
-and the falsifier's `LiveSetSearch`.  For exists-forall: the
-`SafeFrontierSearch` whose layers the falsifier and the encoding both read.
+a greedy cover of the must-hit sets, and the falsifier's `LiveSetSearch`.
+For exists-forall: the `SafeFrontierSearch` whose layers the falsifier and
+the encoding both read.
 Nothing here is trusted: `oracle` checks what comes out by code of its own.
 """
 
@@ -23,14 +24,19 @@ def greatest_simulation(table: PredicateTable) -> Rows:
     """The greatest R within S_P x S_Q such that the table's predicate holds
     on every pair of R and, for (p,q) in R, every successor of p is related
     to some successor of q, as its rows: R[p] is the bitmask of the right
-    states related to the left state p.
+    states related to the left state p.  Refinement starts each row from
+    the right states the predicate admits."""
+    return simulation_within(table.kp, table.kq, table.allow)
 
-    Refinement starts each row from the right states the predicate admits.
+
+def simulation_within(kp: KripkeStructure, kq: KripkeStructure, start: Rows) -> Rows:
+    """The greatest simulation inside the relation `start`, as rows.
+
     A row keeps q while every successor p2 of p has a row that meets q's
     successors; when a row shrinks, the rows of p's predecessors are refined
     again."""
-    rel = list(table.allow)
-    succ_p, pre_p, pre_q = table.kp.succ, table.kp.pred_mask, table.kq.pred_mask
+    rel = list(start)
+    succ_p, pre_p, pre_q = kp.succ, kp.pred_mask, kq.pred_mask
     into: dict[int, int] = {}  # row -> the right states with a successor in it
 
     work = list(range(len(rel)))
@@ -144,6 +150,41 @@ def subset_floor(kp: KripkeStructure, kq: KripkeStructure, relation: Rows, must:
     packed = _packing([row for row in wide if not row & forced], smallest_least_held)
     by_rows = _packing([row for row in rows if row & (row - 1) and not row & forced], int.bit_count)
     return max(forced.bit_count() + max(packed, by_rows), 1)
+
+
+def greedy_cover(kp: KripkeStructure, kq: KripkeStructure, relation: Rows, must: set[int],
+                 forced: int) -> Rows | None:
+    """A sub-relation of `relation` that encode_sim_ae accepts and that uses
+    few right states, as rows, or None.
+
+    The cover U starts at the forced states F = `forced`, takes while a
+    must-hit set of `must` is unhit the right state that hits the most
+    unhit sets (Chvatal's greedy rule, Math. Oper. Res. 4(3), 1979), and
+    then drops each state it took, the last first, while every set stays
+    hit.  The rows are the greatest simulation inside relation[p] & U.
+    When it relates every initial left state to an initial right state, it
+    satisfies the clauses over `relation`, so it holds the held pairs and
+    is a model at every k from the number of its right states on; the
+    decision asks the solver only the open bounds below that.  Else it is
+    None, and U is not grown: the states that would make it a model may be
+    more than the least bound needs."""
+    sets = [row for row in must if not row & forced]
+    unhit, picked = sets, []
+    while unhit:
+        hits = [0] * len(kq.states)
+        for row in unhit:
+            for q in bit_indices(row):
+                hits[q] += 1
+        q = hits.index(max(hits))  # the least index on a tie
+        picked.append(q)
+        unhit = [row for row in unhit if not row >> q & 1]
+    cover = forced | sum(1 << q for q in picked)
+    for q in reversed(picked):
+        rest = cover & ~(1 << q)
+        if all(row & rest for row in sets):
+            cover = rest
+    rows = simulation_within(kp, kq, [row & cover for row in relation])
+    return None if uncovered_initial(kp, kq, rows) else rows
 
 
 class _Posts(dict):

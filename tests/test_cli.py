@@ -37,18 +37,20 @@ from hypersim.cli import (
 from hypersim.commands import _case_config, main, run_benchmarks
 from hypersim.encoder import decode_witness_ae, encode_sim_ae, encode_sim_ea
 from hypersim.hyperspec import PredicateTable, parse_property
-from hypersim.kripke import MAX_INPUT_BYTES, LassoPath, bit_indices, cut, parse_kripke
+from hypersim.kripke import MAX_INPUT_BYTES, LassoPath, bit_indices, cut, parse_kripke, union_of
 from hypersim.oracle import SimWitnessEA, validate_witness_ae
 from hypersim.prophecy import build_next_prophecy, parse_prophecy
 from hypersim.sat import EmbeddedBackend, solve
-from hypersim.search import LiveSetSearch, SafeFrontierSearch, falsify_forall_exists, subset_floor
+from hypersim.search import LiveSetSearch, SafeFrontierSearch, falsify_forall_exists, greedy_cover, subset_floor
 
 from helpers import (
     bounded_runs_text,
     brute_force_vertex_cover,
     gen_vertex_cover_instance,
+    kripke_to_text,
     make_graph,
     over_the_cap,
+    perfbench_module,
     prophecy_to_text,
     refuse_to_build_states,
     replace,
@@ -62,6 +64,8 @@ HUGE = 1 << 20  # characters of each hostile input
 QUOTED = hypersim.kripke.MAX_QUOTED_CHARS
 LONG = "x" * QUOTED + "..."  # how a message quotes a long run of x
 ARGUMENT = 100_000  # characters of each hostile argument, under the OS's cap on one
+FOUR_CYCLE = make_graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])  # its vertex-cover pair needs k = 6
+MATCH_ALL = parse_property("forall exists. G match-all")
 
 
 def cfg_for(prop_file: str, **kw) -> CheckConfig:
@@ -410,16 +414,24 @@ def test_lying_external_solver_is_a_backend_error(tmp_path, capsys):
     assert "violates the instance" in capsys.readouterr().err
 
 
-def test_a_bound_the_fixpoint_settles_starts_no_external_solver(capsys):
+def test_a_bound_the_fixpoint_settles_starts_no_external_solver(tmp_path, capsys):
     # intro phi2 has an uncovered initial state, so its one sim line is
     # unsat without a solver and the decision ends unknown; cbf needs one.
-    # The right layers settle every exists-forall length, so corpus gcw and
-    # rp print the embedded run's report under a solver that cannot answer
+    # The 4-cycle's vertex-cover pair starts at its floor, k = 6, which the
+    # greedy cover answers.  The right layers settle every exists-forall
+    # length, so corpus gcw and rp print the embedded run's report under a
+    # solver that cannot answer
     assert main(check_args("phi2.hp", "--backend", "external:false")) == 2
     out, err = capsys.readouterr()
     assert "sim bound=5: unsat" in out and err == ""
     assert main(["check", *CBF_ARGS, "--backend", "external:false"]) == 4
     assert capsys.readouterr().err.startswith("backend error: ")
+    for side, k in zip(("left", "right"), gen_vertex_cover_instance(FOUR_CYCLE)):
+        (tmp_path / f"{side}.kr").write_text(kripke_to_text(k))
+    assert main(["check", "--left", str(tmp_path / "left.kr"), "--right", str(tmp_path / "right.kr"),
+                 "--prop-inline", "forall exists. G match-all", "--backend", "external:false"]) == 0
+    out, err = capsys.readouterr()
+    assert "minimal bound: k=6" in out and "sim bound=6: sat" in out and err == ""
     for case in ("gcw", "rp"):
         cfg = corpus_config(case)
         argv = ["check", "--left", cfg.left_path, "--right", cfg.right_path, "--prop", cfg.prop_path]
@@ -751,6 +763,8 @@ EXPORT_0 = ["--bound", "0", "--out", "{tmp}/never.cnf"]
          "reaches more than 1 state sets"),
         (["check", *INTRO, "--prop", PHI1, "--max-depth", "0"], None,
          "falsification depth must be >= 1, got 0"),
+        (["check", *INTRO, "--prop", PHI1, "--max-depth", "10001"], None,
+         "falsification depth must be <= 10000, got 10001"),
         (["check", *INTRO, "--prop", PHI1, "--max-bound", "0"], None,
          "simulation bound must be >= 1, got 0"),
         (["export", *INTRO, "--prop", PHI1, *EXPORT_0], None, "subset bound k=0 outside 1..5"),
@@ -760,7 +774,7 @@ EXPORT_0 = ["--bound", "0", "--out", "{tmp}/never.cnf"]
         (["bench", "{tmp}/nowhere"], None, "corpus directory not found: {tmp}/nowhere"),
     ],
     ids=["left-kr", "right-kr", "prop", "prop-inline", "next-depth-0", "prophecy-file-annot",
-         "prophecy-not-universal", "prophecy-too-large", "max-depth-0", "max-bound-0", "export-ae-bound-0",
+         "prophecy-not-universal", "prophecy-too-large", "max-depth-0", "max-depth-over-cap", "max-bound-0", "export-ae-bound-0",
          "export-ea-bound-0", "blank-external-command", "bench-missing-corpus"],
 )
 def test_every_input_error_prints_its_exact_line(argv, patch, message, tmp_path, monkeypatch, capsys):
@@ -832,6 +846,31 @@ def test_a_huge_input_gives_a_short_error(reader, text, message, tmp_path, capsy
     assert usage.startswith("usage: hypersim ") if option in ("--format", "") else usage == ""
     assert out == "" and line.endswith("\n") and line.count("\n") == 1
     assert message in line and len(err) < 1024
+
+
+def test_a_huge_stray_argument_to_hypersim_sat_gives_a_short_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        hypersim.satcli.main(["a.cnf", "--" + "x" * ARGUMENT])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("usage: hypersim-sat ") and len(err) < 1024
+    assert err.endswith("error: unrecognized arguments: --" + "x" * (QUOTED - 2) + "...\n")
+
+
+def test_the_corpus_bench_still_starts_an_external_solver(monkeypatch):
+    # CI runs `hypersim bench corpus --backend external:hypersim-sat` to
+    # exercise the DIMACS protocol: cbf's open bounds still reach the solver
+    from hypersim.dimacs import ExternalBackend
+
+    original, started = ExternalBackend.solve_cnf, []
+
+    def counting(backend, cnf, assumptions=()):
+        started.append(cnf.num_vars)
+        return original(backend, cnf, assumptions)
+
+    monkeypatch.setattr(ExternalBackend, "solve_cnf", counting)
+    rows, ok = run_benchmarks(str(CORPUS), SATCLI_BACKEND)
+    assert ok and len(rows) == 10 and started
 
 
 @pytest.mark.parametrize("value", ["1_0", "+1", "\uff15", "\u0663", "x" * ARGUMENT],
@@ -1103,14 +1142,17 @@ def bidirectional_ring(n: int) -> str:
 
 
 def test_sweep_keeps_only_the_counter_columns_its_bounds_need(monkeypatch):
+    # every sim line's instance, as bound(k) leaves it: the greedy cover
+    # answers the ring's bound, so no solver sees it
     instances = []
-    original = hypersim.cli.solve
+    original = hypersim.encoder.AeEncoding.bound
 
-    def recording(cnf, backend=None, assumptions=()):
+    def recording(enc, k):
+        cnf, assumptions = original(enc, k)
         instances.append(dict((f, (s, e)) for f, s, e in cnf.provenance))
-        return original(cnf, backend, assumptions)
+        return cnf, assumptions
 
-    monkeypatch.setattr(hypersim.cli, "solve", recording)
+    monkeypatch.setattr(hypersim.encoder.AeEncoding, "bound", recording)
     kp = parse_kripke("states: p0 p1\ninit: p0\nap: a\nlabel p0: a\ntrans p0 -> p1\ntrans p1 -> p0")
     kq = parse_kripke(bidirectional_ring(200))
     prop = parse_property("forall exists. G (l.a <-> r.a)")
@@ -1361,6 +1403,62 @@ def test_an_instance_that_rejects_the_supplied_model_is_an_internal_error(order,
     if order == "ea":
         [cnf] = built
         assert solve(cnf).is_sat
+
+
+def test_a_cover_model_with_a_register_or_used_state_cleared_is_an_internal_error(monkeypatch):
+    # the greedy cover answers the 4-cycle's first bound, k = 6, with two
+    # vertex states outside F.  Each counter register or used(q) true in its
+    # model, set false, leaves a clause false, which check_model sees
+    kp, kq = gen_vertex_cover_instance(FOUR_CYCLE)
+    original, models = hypersim.encoder.AeEncoding.model, []
+
+    def recording(enc, rows):
+        models.append((enc, original(enc, rows)))
+        return models[-1][1]
+
+    monkeypatch.setattr(hypersim.encoder.AeEncoding, "model", recording)
+    assert check_pair(kp, kq, MATCH_ALL).minimal_bound == 6
+    [(enc, model)] = models
+    registers = [c for column in enc.counter.columns for c in column if model[c]]
+    used = [v for v in enc.used.values() if model[v]]
+    assert len(used) == 2 and len(registers) > 2
+    for v in registers + used:
+        monkeypatch.setattr(hypersim.encoder.AeEncoding, "model",
+                            lambda enc, rows, v=v: {**original(enc, rows), v: False})
+        with pytest.raises(InternalSoundnessError, match="at bound 6 leaves a clause of its instance false"):
+            check_pair(kp, kq, MATCH_ALL)
+
+
+def test_no_bound_from_the_covers_size_on_reaches_the_solver(monkeypatch, tmp_path):
+    # the first round of the vertex-cover workload: the solver is asked
+    # only bounds below the number of right states the decision's greedy
+    # cover uses, and the cover answers the rest
+    workloads = perfbench_module("workloads")
+    encode, bound, original = hypersim.cli.encode_sim_ae, hypersim.encoder.AeEncoding.bound, hypersim.cli.solve
+    encodings, asked, solved = [], [], []
+
+    def encoding(table):
+        encodings.append(encode(table))
+        return encodings[-1]
+
+    def asking(enc, k):
+        asked.append(k)
+        return bound(enc, k)
+
+    def solving(*args):
+        solved.append((encodings[-1], asked[-1]))
+        return original(*args)
+
+    monkeypatch.setattr(hypersim.cli, "encode_sim_ae", encoding)
+    monkeypatch.setattr(hypersim.encoder.AeEncoding, "bound", asking)
+    monkeypatch.setattr(hypersim.cli, "solve", solving)
+    for d in workloads.make_workload("vertex-cover", CORPUS.parent, tmp_path, seed=1).rounds[0]:
+        report = run_check(CheckConfig(left_path=d.left, right_path=d.right, prop_path=d.prop))
+        assert (report.verdict, report.minimal_bound) == ("holds", d.expect_bound)
+    assert solved  # the 5-cycle's k = 7 is unsat
+    for enc, k in solved:
+        cover = greedy_cover(enc.kp, enc.kq, enc.relation, enc.must, enc.forced)
+        assert k < union_of(cover, (1 << len(cover)) - 1).bit_count()
 
 
 def test_a_lasso_of_another_length_is_an_internal_error(monkeypatch, capsys):

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hypersim.cli import CheckConfig, _load, prepare
+import hypersim.cli
+from hypersim.cli import CheckConfig, _load, check_pair, prepare
 from hypersim.encoder import (
     DecodeError,
     EncodeError,
@@ -21,6 +22,7 @@ from hypersim.encoder import (
     encode_sim_ea,
 )
 from hypersim.hyperspec import (
+    HyperProperty,
     MatchAll,
     PredicateTable,
     eval_predicate,
@@ -32,7 +34,14 @@ from hypersim.oracle import validate_witness_ae, validate_witness_ea
 from hypersim.prophecy import build_next_prophecy, prophecy_product
 from hypersim.dimacs import export_dimacs, varmap_text
 from hypersim.sat import CnfInstance, EmbeddedBackend, check_model, solve
-from hypersim.search import SafeFrontierSearch, greatest_simulation, held_pairs, subset_floor, uncovered_initial
+from hypersim.search import (
+    SafeFrontierSearch,
+    greatest_simulation,
+    greedy_cover,
+    held_pairs,
+    subset_floor,
+    uncovered_initial,
+)
 
 from helpers import (
     ae_at,
@@ -607,6 +616,61 @@ def test_ae_minimal_k_matches_brute_force_subsets(seed):
             break
     assert swept == brute
     assert (swept is None) == bool(uncovered_initial(kp, kq, relation))
+
+
+def sim_answers(report) -> tuple:
+    """What a decision answers, less its witness: the verdict, the minimal
+    bound, the counterexample and each sim line's bound, outcome and size."""
+    sims = [(it.bound, it.outcome, it.num_vars, it.num_clauses) for it in report.iterations if it.side == "sim"]
+    return report.verdict, report.minimal_bound, report.counterexample, sims
+
+
+def assert_the_cover_changes_no_answer(kp, kq, prop, prophecy=None) -> None:
+    """The decision answers as it does when `greedy_cover` finds no cover
+    and the solver answers every bound the fixpoint leaves open; its
+    minimal k lies between the floor and the cover's right states.  On the
+    encoding, the held relation's model is the all-false assignment, and
+    the cover's model is a model at exactly the bounds from its size on."""
+    covered = check_pair(kp, kq, prop, prophecy=prophecy)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hypersim.cli, "greedy_cover", lambda *args: None)
+        solved = check_pair(kp, kq, prop, prophecy=prophecy)
+    assert sim_answers(covered) == sim_answers(solved)
+    table, part, _ = prepare(kp, kq, prop, prophecy)
+    if part.mode != "ae":
+        return
+    enc = encode_sim_ae(table)
+    if enc.uncovered:
+        return
+    floor = subset_floor(table.kp, table.kq, enc.relation, enc.must, enc.forced)
+    cover = greedy_cover(table.kp, table.kq, enc.relation, enc.must, enc.forced)
+    size = None if cover is None else union_of(cover, (1 << len(cover)) - 1).bit_count()
+    if covered.minimal_bound is not None:
+        assert floor <= covered.minimal_bound <= (size or len(table.kq.states))
+    else:
+        assert size is None
+    for k in range(floor, len(table.kq.states) + 1):
+        cnf, assumptions = enc.bound(k)
+        assert enc.model(enc.held) == dict.fromkeys(range(1, cnf.num_vars + 1), False)
+        if cover is not None:
+            assert check_model(cnf, enc.model(cover), assumptions) == (size <= k), f"k={k}"
+
+
+@given(st.integers(min_value=0, max_value=10**9))
+@settings(max_examples=150, deadline=None)
+def test_the_cover_changes_no_answer_on_random_pairs(seed):
+    rng = random.Random(seed)
+    kp = rand_structure(rng, max_states=4)
+    kq = rand_structure(rng, max_states=6)
+    assert_the_cover_changes_no_answer(kp, kq, HyperProperty("forall-exists", rand_pred(rng, kp.ap, kq.ap)))
+
+
+@pytest.mark.parametrize("name", workloads.WORKLOADS)
+def test_the_cover_changes_no_answer_on_the_workloads(name, tmp_path):
+    # the first round of each benchmark workload
+    for d in workloads.make_workload(name, ROOT, tmp_path, seed=1).rounds[0]:
+        cfg = CheckConfig(left_path=d.left, right_path=d.right, prop_path=d.prop, prophecy=d.prophecy)
+        assert_the_cover_changes_no_answer(*_load(cfg))
 
 
 def least_position_sets(kq, lasso) -> dict[int, set[int]]:
